@@ -12,10 +12,8 @@ use pulse_frontend::replay::{drive, measured_rate};
 use pulse_frontend::{CacheConfig, CpuFrontEnd, LruSet};
 use pulse_mem::{ClusterMemory, FaultEvent, FaultKind, NodeId};
 use pulse_net::{Endpoint, Fabric, FabricConfig, LinkConfig, SwitchConfig, TopologySpec};
-use pulse_sim::{
-    DispatchConfig, LatencyHistogram, LatencySummary, SerialResource, ServerPool, SimTime,
-};
-use pulse_trace::{LatencyBreakdown, Phase, PhaseAttribution};
+use pulse_sim::{DispatchConfig, LatencyHistogram, SerialResource, ServerPool, SimTime};
+use pulse_trace::{LatencyBreakdown, Phase, RunMetrics};
 use pulse_workloads::{execute_functional, Access, AppRequest};
 
 /// Network constants shared with the pulse cluster: one endpoint→endpoint
@@ -108,64 +106,34 @@ impl CpuModel {
     }
 }
 
-/// What a baseline run measured.
+/// What a baseline run measured: the engine-neutral [`RunMetrics`]
+/// (reachable through `Deref`) plus what only the replay models price.
+/// The metrics' `cache_hit_rate` is the shared front-end traversal-cell
+/// cache; the system's own page or object cache is
+/// [`BaselineReport::cache_hit_ratio`]. The replays are analytic, so their
+/// phase attribution comes from the priced components: the residual
+/// (queueing on threads, workers and pipes) lands in [`Phase::Queued`],
+/// and the per-phase sums still equal each request's latency exactly.
 #[derive(Debug, Clone)]
 pub struct BaselineReport {
     /// System label ("Cache-based", "RPC", ...).
     pub label: &'static str,
-    /// Requests completed.
-    pub completed: u64,
-    /// Latency distribution.
-    pub latency: LatencySummary,
-    /// Requests per simulated second.
-    pub throughput: f64,
+    /// The run outcome every engine reports.
+    pub metrics: RunMetrics,
     /// Total time attributed to pointer traversal (Fig. 2(a)'s numerator).
     pub traversal_time: SimTime,
     /// Total request-resident time (Fig. 2(a)'s denominator).
     pub total_time: SimTime,
-    /// Bytes moved over the CPU-node link.
-    pub net_bytes: u64,
-    /// Bytes touched in disaggregated memory.
-    pub mem_bytes: u64,
     /// Cache hit ratio (page or object cache), if the system has one.
     pub cache_hit_ratio: Option<f64>,
-    /// Front-end traversal-cell cache hit rate (the shared
-    /// `pulse_frontend::TraversalCache`, when configured): locally-served
-    /// dependent hops over all probes. 0.0 when disabled — distinct from
-    /// [`BaselineReport::cache_hit_ratio`], which reports the system's own
-    /// page/object cache.
-    pub cache_hit_rate: f64,
-    /// Peak demand over the fabric links into the CPU node — the
-    /// downlinks RPC bouncing congests under incast. Normalized over the
-    /// offered-load window in open loop (so a system that falls behind
-    /// still shows the pressure the offered rate puts on its downlink; it
-    /// can exceed 1.0 when oversubscribed) and over the makespan in
-    /// closed loop (a plain duty cycle). Exactly 0.0 on the flat default
-    /// (no fabric is built).
-    pub link_utilization: f64,
-    /// Deepest any fabric link's egress FIFO ever got. 0 on flat.
-    pub queue_depth: u64,
-    /// Requests (or request segments) redirected onto a surviving replica
-    /// after their primary node went dark mid-run. Always 0 for the swap
-    /// cache (it has no fault model) and with an empty fault schedule.
-    pub failovers: u64,
-    /// Requests that fault-completed because every replica of some extent
-    /// they needed was unreachable at service time. These are *excluded*
-    /// from [`BaselineReport::completed`].
-    pub unavailable_completions: u64,
-    /// p99 over only the completions that finished inside the degraded
-    /// window (first fault to last repair; open-ended when nothing heals).
-    /// `SimTime::ZERO` without faults.
-    pub degraded_p99: SimTime,
-    /// Per-phase latency attribution over all requests, present exactly
-    /// when the config asked for tracing (`trace: true`). The replay
-    /// models are analytic, so phases are attributed from the priced
-    /// components: residual (queueing on threads/workers/pipes) lands in
-    /// [`Phase::Queued`] and the per-phase sums still equal each request's
-    /// end-to-end latency exactly.
-    pub phase: Option<PhaseAttribution>,
-    /// End of the last request.
-    pub makespan: SimTime,
+}
+
+impl std::ops::Deref for BaselineReport {
+    type Target = RunMetrics;
+
+    fn deref(&self) -> &RunMetrics {
+        &self.metrics
+    }
 }
 
 /// The horizon fabric demand is normalized over: the offered-load window
@@ -258,7 +226,7 @@ pub struct SwapConfig {
     /// owning node.
     pub topology: TopologySpec,
     /// Record per-phase latency attribution
-    /// ([`BaselineReport::phase`]). Off by default; the run's timing is
+    /// ([`RunMetrics::phase`]). Off by default; the run's timing is
     /// identical either way.
     pub trace: bool,
 }
@@ -436,26 +404,25 @@ fn swap_cache_impl(
 
     BaselineReport {
         label: "Cache-based",
-        completed: requests.len() as u64,
-        latency,
-        throughput: measured_rate(requests.len(), makespan, arrivals),
+        metrics: RunMetrics {
+            completed: requests.len() as u64,
+            latency,
+            throughput: measured_rate(requests.len(), makespan, arrivals),
+            net_bytes: fabric
+                .as_ref()
+                .map_or(net_bytes, Fabric::host_injected_bytes),
+            mem_bytes,
+            link_utilization: fabric.as_ref().map_or(0.0, |f| {
+                f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
+            }),
+            queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
+            phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
+            makespan,
+            ..RunMetrics::default()
+        },
         traversal_time: traversal_total,
         total_time: latency_total,
-        net_bytes: fabric
-            .as_ref()
-            .map_or(net_bytes, Fabric::host_injected_bytes),
-        mem_bytes,
         cache_hit_ratio: Some(lru.hit_ratio()),
-        cache_hit_rate: 0.0,
-        link_utilization: fabric.as_ref().map_or(0.0, |f| {
-            f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
-        }),
-        queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
-        failovers: 0,
-        unavailable_completions: 0,
-        degraded_p99: SimTime::ZERO,
-        phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
-        makespan,
     }
 }
 
@@ -526,7 +493,7 @@ pub struct RpcConfig {
     /// is fail-stop-and-restore only.
     pub faults: Vec<FaultEvent>,
     /// Record per-phase latency attribution
-    /// ([`BaselineReport::phase`]). Off by default; the run's timing is
+    /// ([`RunMetrics::phase`]). Off by default; the run's timing is
     /// identical either way.
     pub trace: bool,
 }
@@ -957,26 +924,32 @@ fn rpc_impl(
 
     BaselineReport {
         label: cfg.label(),
-        completed: requests.len() as u64 - unavailable,
-        latency,
-        throughput: measured_rate(requests.len(), makespan, arrivals),
+        metrics: RunMetrics {
+            completed: requests.len() as u64 - unavailable,
+            // The only way a replay baseline fails a request is running
+            // out of replicas under a fault schedule.
+            faulted: unavailable,
+            latency,
+            throughput: measured_rate(requests.len(), makespan, arrivals),
+            net_bytes: fabric
+                .as_ref()
+                .map_or(net_bytes, Fabric::host_injected_bytes),
+            mem_bytes,
+            cache_hit_rate: fe.cache().map_or(0.0, |c| c.hit_rate()),
+            link_utilization: fabric.as_ref().map_or(0.0, |f| {
+                f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
+            }),
+            queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
+            failovers,
+            unavailable_completions: unavailable,
+            degraded_p99: degraded.p99(),
+            phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
+            makespan,
+            ..RunMetrics::default()
+        },
         traversal_time: traversal_total,
         total_time: latency_total,
-        net_bytes: fabric
-            .as_ref()
-            .map_or(net_bytes, Fabric::host_injected_bytes),
-        mem_bytes,
         cache_hit_ratio: object_cache.map(|c| c.hit_ratio()),
-        cache_hit_rate: fe.cache().map_or(0.0, |c| c.hit_rate()),
-        link_utilization: fabric.as_ref().map_or(0.0, |f| {
-            f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
-        }),
-        queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
-        failovers,
-        unavailable_completions: unavailable,
-        degraded_p99: degraded.p99(),
-        phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
-        makespan,
     }
 }
 

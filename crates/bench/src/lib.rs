@@ -215,8 +215,9 @@ pub fn run_baselines_both(
 
 // ------------------------------------------------------- latency-vs-load
 
-/// One rung of a latency-vs-offered-load ladder.
-#[derive(Debug, Clone)]
+/// One rung of a latency-vs-offered-load ladder. Its JSON shape is the
+/// `SWEEP_FIELDS` table.
+#[derive(Debug, Clone, Default)]
 pub struct SweepPoint {
     /// Offered Poisson arrival rate, kilo-requests per second.
     pub offered_kops: f64,
@@ -292,7 +293,7 @@ pub struct SweepPoint {
 /// JSON's optional `"phase"` object. Means are zero-inclusive over every
 /// completion, so they sum to the rung's mean latency (the conservation
 /// the CI trace gate checks).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhasePoint {
     /// Completions folded into the attribution.
     pub count: u64,
@@ -318,22 +319,6 @@ impl PhasePoint {
             mean_us,
             p99_us,
         }
-    }
-
-    fn to_json(&self) -> String {
-        let phases: Vec<String> = Phase::ALL
-            .into_iter()
-            .enumerate()
-            .map(|(i, phase)| {
-                format!(
-                    "\"{k}_mean_us\":{:.4},\"{k}_p99_us\":{:.4}",
-                    self.mean_us[i],
-                    self.p99_us[i],
-                    k = phase.key()
-                )
-            })
-            .collect();
-        format!("{{\"count\":{},{}}}", self.count, phases.join(","))
     }
 }
 
@@ -435,68 +420,238 @@ impl SweepReport {
     }
 
     /// Serializes the curve as a JSON object (hand-rolled; the workspace
-    /// is offline and carries no serde).
+    /// is offline and carries no serde). Each point is written from the
+    /// `SWEEP_FIELDS` table.
     pub fn to_json(&self) -> String {
-        let points: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut row = format!(
-                    "{{\"offered_kops\":{:.3},\"arrived_kops\":{:.3},\
-                     \"completed\":{},\"faulted\":{},\
-                     \"p50_us\":{:.3},\"p95_us\":{:.3},\"p99_us\":{:.3},\
-                     \"goodput_kops\":{:.3},\"update_goodput_kops\":{:.3},\
-                     \"retries\":{},\"cache_hit_rate\":{:.4},\
-                     \"link_utilization\":{:.4},\"queue_depth\":{},\
-                     \"failovers\":{},\"unavailable_completions\":{},\
-                     \"rereplication_bytes\":{},\"degraded_p99_us\":{:.3}",
-                    p.offered_kops,
-                    p.arrived_kops,
-                    p.completed,
-                    p.faulted,
-                    p.p50_us,
-                    p.p95_us,
-                    p.p99_us,
-                    p.goodput_kops,
-                    p.update_goodput_kops,
-                    p.retries,
-                    p.cache_hit_rate,
-                    p.link_utilization,
-                    p.queue_depth,
-                    p.failovers,
-                    p.unavailable_completions,
-                    p.rereplication_bytes,
-                    p.degraded_p99_us
-                );
-                // Optional ISA-v2 trailer, absent whenever the rung never
-                // speculated, batched, or coalesced — which keeps every
-                // default curve byte-identical to the pre-ISA-v2 schema
-                // (CI byte-compares the default document against the
-                // pinned golden).
-                if p.mis_speculations + p.batched_hops + p.coalesced_prefix_hops > 0 {
-                    row.push_str(&format!(
-                        ",\"mis_speculations\":{},\"batched_hops\":{},\
-                         \"coalesced_prefix_hops\":{}",
-                        p.mis_speculations, p.batched_hops, p.coalesced_prefix_hops
-                    ));
-                }
-                // Optional trailer, absent on untraced rungs so the
-                // default document stays byte-identical to the pre-trace
-                // schema (CI byte-compares it against the pinned golden).
-                if let Some(phase) = &p.phase {
-                    row.push_str(",\"phase\":");
-                    row.push_str(&phase.to_json());
-                }
-                row.push('}');
-                row
-            })
-            .collect();
+        let points: Vec<String> = self.points.iter().map(point_json).collect();
         format!(
             "{{\"label\":\"{}\",\"points\":[{}]}}",
             json_escape(&self.label),
             points.join(",")
         )
     }
+}
+
+// ------------------------------------------------------- sweep schema
+
+/// How a sweep-document number is printed.
+#[derive(Debug, Clone, Copy)]
+enum Format {
+    /// A count, printed as an integer.
+    Int,
+    /// Three decimals: rates (kops) and latencies (microseconds).
+    Fixed3,
+    /// Four decimals: fractions and per-phase times.
+    Fixed4,
+}
+
+impl Format {
+    fn print(self, v: f64) -> String {
+        match self {
+            Format::Int => format!("{}", v as u64),
+            Format::Fixed3 => format!("{v:.3}"),
+            Format::Fixed4 => format!("{v:.4}"),
+        }
+    }
+}
+
+/// When a row's key appears in a point's JSON object. Groups are written
+/// in this order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Group {
+    /// In every point.
+    Always,
+    /// The ISA-v2 trailer: written only when one of its counters is
+    /// nonzero, so documents of rungs that never speculated, batched or
+    /// coalesced keep the pre-ISA-v2 schema (CI byte-compares the default
+    /// document against its golden). Absent means all zero; a partial
+    /// trailer is rejected like any missing key.
+    IsaV2,
+    /// The nested `"phase"` object: written only for traced rungs, so
+    /// untraced documents keep the pre-trace schema. Complete when present.
+    Phase,
+}
+
+impl Group {
+    const ALL: [Group; 3] = [Group::Always, Group::IsaV2, Group::Phase];
+
+    /// The nested object the group's keys live in, if any.
+    fn object(self) -> Option<&'static str> {
+        match self {
+            Group::Phase => Some("phase"),
+            Group::Always | Group::IsaV2 => None,
+        }
+    }
+
+    /// Whether a point with these row values writes the group.
+    fn written(self, values: &[Option<f64>]) -> bool {
+        match self {
+            Group::Always => true,
+            Group::IsaV2 => values.iter().any(|v| v.is_some_and(|v| v != 0.0)),
+            Group::Phase => values.iter().all(Option::is_some),
+        }
+    }
+}
+
+/// A [`SweepPoint`] number as the document's `f64`. Integer rows hold
+/// counts, exact below 2^53.
+trait Number: Copy {
+    fn to_f64(self) -> f64;
+    fn from_f64(v: f64) -> Self;
+}
+
+impl Number for u64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+    fn from_f64(v: f64) -> u64 {
+        v as u64
+    }
+}
+
+impl Number for f64 {
+    fn to_f64(self) -> f64 {
+        self
+    }
+    fn from_f64(v: f64) -> f64 {
+        v
+    }
+}
+
+/// One row of the sweep schema. A `per_phase` row stands for one key per
+/// [`Phase`], `{phase}_{key}`, read and written at that phase's index.
+struct Field {
+    key: &'static str,
+    format: Format,
+    group: Group,
+    per_phase: bool,
+    /// The row's value in a point; `None` when the point lacks the
+    /// optional object the row lives in.
+    get: fn(&SweepPoint, usize) -> Option<f64>,
+    set: fn(&mut SweepPoint, usize, f64),
+}
+
+/// A row for the [`SweepPoint`] field of the same name.
+macro_rules! point_field {
+    ($field:ident, $format:ident, $group:ident) => {
+        Field {
+            key: stringify!($field),
+            format: Format::$format,
+            group: Group::$group,
+            per_phase: false,
+            get: |p, _| Some(Number::to_f64(p.$field)),
+            set: |p, _, v| p.$field = Number::from_f64(v),
+        }
+    };
+}
+
+/// A row of the [`PhasePoint`] under [`SweepPoint::phase`]; `$at` indexes
+/// the row's value at phase index `i`.
+macro_rules! phase_field {
+    ($key:literal, $format:ident, $per_phase:literal, |$ph:ident, $i:ident| $at:expr) => {
+        Field {
+            key: $key,
+            format: Format::$format,
+            group: Group::Phase,
+            per_phase: $per_phase,
+            get: |p, $i| p.phase.as_ref().map(|$ph| Number::to_f64($at)),
+            set: |p, $i, v| {
+                let $ph = p.phase.get_or_insert_with(PhasePoint::default);
+                $at = Number::from_f64(v);
+            },
+        }
+    };
+}
+
+/// The sweep document's per-point schema, in emission order: each row
+/// gives a key, its number format and its [`Group`].
+/// [`SweepReport::to_json`] and [`parse_sweep_json`] only loop over this
+/// table, so a new [`SweepPoint`] field reaches the document through one
+/// row here. Per-phase rows come last and are written phase-major.
+const SWEEP_FIELDS: &[Field] = &[
+    point_field!(offered_kops, Fixed3, Always),
+    point_field!(arrived_kops, Fixed3, Always),
+    point_field!(completed, Int, Always),
+    point_field!(faulted, Int, Always),
+    point_field!(p50_us, Fixed3, Always),
+    point_field!(p95_us, Fixed3, Always),
+    point_field!(p99_us, Fixed3, Always),
+    point_field!(goodput_kops, Fixed3, Always),
+    point_field!(update_goodput_kops, Fixed3, Always),
+    point_field!(retries, Int, Always),
+    point_field!(cache_hit_rate, Fixed4, Always),
+    point_field!(link_utilization, Fixed4, Always),
+    point_field!(queue_depth, Int, Always),
+    point_field!(failovers, Int, Always),
+    point_field!(unavailable_completions, Int, Always),
+    point_field!(rereplication_bytes, Int, Always),
+    point_field!(degraded_p99_us, Fixed3, Always),
+    point_field!(mis_speculations, Int, IsaV2),
+    point_field!(batched_hops, Int, IsaV2),
+    point_field!(coalesced_prefix_hops, Int, IsaV2),
+    phase_field!("count", Int, false, |ph, _i| ph.count),
+    phase_field!("mean_us", Fixed4, true, |ph, i| ph.mean_us[i]),
+    phase_field!("p99_us", Fixed4, true, |ph, i| ph.p99_us[i]),
+];
+
+/// Every key of `group` in emission order, with its row and phase index.
+fn group_keys(group: Group) -> Vec<(String, &'static Field, usize)> {
+    let rows = || SWEEP_FIELDS.iter().filter(move |f| f.group == group);
+    let scalar = rows()
+        .filter(|f| !f.per_phase)
+        .map(|f| (f.key.to_string(), f, 0));
+    let per_phase = Phase::ALL
+        .into_iter()
+        .enumerate()
+        .flat_map(move |(i, phase)| {
+            rows()
+                .filter(|f| f.per_phase)
+                .map(move |f| (format!("{}_{}", phase.key(), f.key), f, i))
+        });
+    scalar.chain(per_phase).collect()
+}
+
+/// One point as a JSON object, written from [`SWEEP_FIELDS`].
+fn point_json(p: &SweepPoint) -> String {
+    let mut parts = Vec::new();
+    for group in Group::ALL {
+        let keys = group_keys(group);
+        let values: Vec<Option<f64>> = keys.iter().map(|(_, f, i)| (f.get)(p, *i)).collect();
+        if !group.written(&values) {
+            continue;
+        }
+        let fields: Vec<String> = keys
+            .iter()
+            .zip(values)
+            .map(|((key, f, _), v)| format!("\"{key}\":{}", f.format.print(v.unwrap_or(0.0))))
+            .collect();
+        parts.push(match group.object() {
+            Some(name) => format!("\"{name}\":{{{}}}", fields.join(",")),
+            None => fields.join(","),
+        });
+    }
+    format!("{{{}}}", parts.join(","))
+}
+
+/// One point read back from its JSON object through [`SWEEP_FIELDS`]:
+/// every key of a written group is required.
+fn parse_point(obj: &Json) -> Result<SweepPoint, String> {
+    let mut p = SweepPoint::default();
+    for group in Group::ALL {
+        let keys = group_keys(group);
+        let source = match group.object() {
+            Some(name) => obj.get(name),
+            None if group == Group::Always || keys.iter().any(|(k, _, _)| obj.get(k).is_some()) => {
+                Some(obj)
+            }
+            None => None,
+        };
+        let Some(source) = source else { continue };
+        for (key, f, i) in &keys {
+            (f.set)(&mut p, *i, source.num(key)?);
+        }
+    }
+    Ok(p)
 }
 
 /// Minimal JSON string escaping for labels (backslash, quote, control
@@ -694,26 +849,11 @@ impl<'a> JsonReader<'a> {
     }
 }
 
-/// Reads a point's optional ISA-v2 counter trailer: `None` when all three
-/// keys are absent (the rung never speculated, batched, or coalesced), the
-/// three counters when all are present, and an error — the same
-/// pruned-field rejection as any required key — when only some are.
-fn isa_v2_trailer(p: &Json) -> Result<Option<(u64, u64, u64)>, String> {
-    const KEYS: [&str; 3] = ["mis_speculations", "batched_hops", "coalesced_prefix_hops"];
-    if KEYS.iter().all(|k| p.get(k).is_none()) {
-        return Ok(None);
-    }
-    Ok(Some((
-        p.num(KEYS[0])? as u64,
-        p.num(KEYS[1])? as u64,
-        p.num(KEYS[2])? as u64,
-    )))
-}
-
 /// Parses a `BENCH_sweep.json` document back into [`SweepReport`]s. Every
-/// [`SweepPoint`] field must be present in every point — the schema
-/// round-trip guard that keeps new fields (like `cache_hit_rate`) from
-/// silently vanishing from the document the CI label greps inspect.
+/// key of the `SWEEP_FIELDS` table must be present: the always-present
+/// keys in every point, and an optional group's keys in every point that
+/// carries any of them — the schema round-trip guard that keeps a field
+/// from silently vanishing from the document the CI label greps inspect.
 ///
 /// # Errors
 ///
@@ -745,55 +885,7 @@ pub fn parse_sweep_json(doc: &str) -> Result<Vec<SweepReport>, String> {
             };
             let points = points
                 .iter()
-                .map(|p| {
-                    let isa_v2 = isa_v2_trailer(p)?;
-                    Ok(SweepPoint {
-                        offered_kops: p.num("offered_kops")?,
-                        arrived_kops: p.num("arrived_kops")?,
-                        completed: p.num("completed")? as u64,
-                        faulted: p.num("faulted")? as u64,
-                        p50_us: p.num("p50_us")?,
-                        p95_us: p.num("p95_us")?,
-                        p99_us: p.num("p99_us")?,
-                        goodput_kops: p.num("goodput_kops")?,
-                        update_goodput_kops: p.num("update_goodput_kops")?,
-                        retries: p.num("retries")? as u64,
-                        cache_hit_rate: p.num("cache_hit_rate")?,
-                        link_utilization: p.num("link_utilization")?,
-                        queue_depth: p.num("queue_depth")? as u64,
-                        failovers: p.num("failovers")? as u64,
-                        unavailable_completions: p.num("unavailable_completions")? as u64,
-                        rereplication_bytes: p.num("rereplication_bytes")? as u64,
-                        degraded_p99_us: p.num("degraded_p99_us")?,
-                        // Optional ISA-v2 trailer: absent means the rung
-                        // never speculated/batched/coalesced (all zero),
-                        // but a partially-present trailer is rejected like
-                        // any other pruned field.
-                        mis_speculations: isa_v2.map_or(0, |(m, _, _)| m),
-                        batched_hops: isa_v2.map_or(0, |(_, b, _)| b),
-                        coalesced_prefix_hops: isa_v2.map_or(0, |(_, _, c)| c),
-                        // Optional (untraced rungs omit it) but complete
-                        // when present: a traced rung missing any phase
-                        // key is rejected like any other pruned field.
-                        phase: match p.get("phase") {
-                            None => None,
-                            Some(obj) => {
-                                let count = obj.num("count")? as u64;
-                                let mut mean_us = [0.0; PHASES];
-                                let mut p99_us = [0.0; PHASES];
-                                for (i, ph) in Phase::ALL.into_iter().enumerate() {
-                                    mean_us[i] = obj.num(&format!("{}_mean_us", ph.key()))?;
-                                    p99_us[i] = obj.num(&format!("{}_p99_us", ph.key()))?;
-                                }
-                                Some(PhasePoint {
-                                    count,
-                                    mean_us,
-                                    p99_us,
-                                })
-                            }
-                        },
-                    })
-                })
+                .map(parse_point)
                 .collect::<Result<Vec<_>, String>>()
                 .map_err(|e| format!("curve {label:?}: {e}"))?;
             Ok(SweepReport { label, points })
@@ -1181,24 +1273,8 @@ pub fn pulse_app_factory(
     }
 }
 
-/// [`pulse_app_factory`] for the WebService deployment with an uncontended
-/// dispatch engine (the PR 2 shape, kept for existing callers).
-pub fn pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    pulse_app_factory(
-        AppKind::WebService(YcsbWorkload::C),
-        nodes,
-        cpus,
-        requests,
-        DispatchConfig::default(),
-    )
-}
-
-/// Routed-fabric counterpart of [`pulse_webservice_factory`]: the
-/// identical Zipfian WebService deployment, but with the rack's packets —
+/// Routed-fabric counterpart of the WebService [`pulse_app_factory`]
+/// curve: the identical Zipfian WebService deployment, but with the rack's packets —
 /// chained traversal hops, reissues, swap fills, responses — priced hop by
 /// hop on a routed `topology` instead of the flat single-switch model.
 /// Zipf-skewed keys concentrate traversals on the hot buckets' owning
@@ -1861,46 +1937,33 @@ mod tests {
         // Byte-for-byte: re-serializing the parse reproduces the document.
         assert_eq!(sweep_json(&parsed), doc);
 
-        // A document missing any point field is rejected, not defaulted:
-        // that is what makes the guard bite when the emitter regresses.
-        let pruned = doc.replace(",\"cache_hit_rate\":0.7344", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("cache_hit_rate"), "{err}");
-        let pruned = doc.replace(",\"link_utilization\":0.4125", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("link_utilization"), "{err}");
-        let pruned = doc.replace(",\"queue_depth\":9", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("queue_depth"), "{err}");
-        let pruned = doc.replace(",\"failovers\":11", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("failovers"), "{err}");
-        let pruned = doc.replace(",\"unavailable_completions\":2", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("unavailable_completions"), "{err}");
-        let pruned = doc.replace(",\"rereplication_bytes\":2097152", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("rereplication_bytes"), "{err}");
-        let pruned = doc.replace(",\"degraded_p99_us\":310.125", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("degraded_p99_us"), "{err}");
-        // A phase object, once present, must be complete: pruning one of
-        // its per-phase keys is rejected, not defaulted to zero.
-        let pruned = doc.replace(",\"wire_p99_us\":4.5000", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("wire_p99_us"), "{err}");
-        // Same for the ISA-v2 trailer: any key present makes all three
-        // required — a half-pruned trailer is a schema regression, not a
-        // zero.
-        let pruned = doc.replace(",\"mis_speculations\":23", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("mis_speculations"), "{err}");
-        let pruned = doc.replace(",\"batched_hops\":4096", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("batched_hops"), "{err}");
-        let pruned = doc.replace(",\"coalesced_prefix_hops\":57", "");
-        let err = parse_sweep_json(&pruned).unwrap_err();
-        assert!(err.contains("coalesced_prefix_hops"), "{err}");
+        // A document missing any key of a written group is rejected, not
+        // defaulted: that is what makes the guard bite when the emitter
+        // regresses. The traced point writes every group, so pruning each
+        // key of the table in turn covers the whole schema, including a
+        // half-pruned ISA-v2 trailer or phase object.
+        let keys: Vec<String> = Group::ALL
+            .into_iter()
+            .flat_map(group_keys)
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(keys.len(), 17 + 3 + 1 + 2 * PHASES);
+        for key in &keys {
+            let needle = format!("\"{key}\":");
+            let start = doc
+                .find(&needle)
+                .expect("the traced point writes every key");
+            let value = start + needle.len();
+            let end = value + doc[value..].find([',', '}']).expect("value terminated");
+            // Drop the key with one adjoining comma.
+            let pruned = if doc.as_bytes()[start - 1] == b',' {
+                format!("{}{}", &doc[..start - 1], &doc[end..])
+            } else {
+                format!("{}{}", &doc[..start], &doc[end + 1..])
+            };
+            let err = parse_sweep_json(&pruned).unwrap_err();
+            assert!(err.contains(&format!("{key:?}")), "pruned {key}: {err}");
+        }
         assert!(parse_sweep_json("{\"swoop\":[]}").is_err());
         assert!(parse_sweep_json("not json").is_err());
         // The real emitted file's shape, including escapes.

@@ -30,10 +30,9 @@ use pulse_net::{
     PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
-    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, LatencySummary, SerialResource, SimTime,
-    SplitMix64,
+    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, SplitMix64,
 };
-use pulse_trace::{PhaseAttribution, SpanKind, TraceConfig, TraceSink, Track};
+use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
 
@@ -158,25 +157,18 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Aggregate measurements of one cluster run.
+/// Aggregate measurements of one cluster run: the engine-neutral
+/// [`RunMetrics`] (reachable through `Deref`, so `report.completed` reads
+/// as before) plus what only the accelerator rack measures.
 #[derive(Debug, Clone)]
 pub struct ClusterReport {
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests terminated by faults/invalid pointers.
-    pub faulted: u64,
-    /// End-to-end latency distribution.
-    pub latency: LatencySummary,
-    /// Requests per simulated second.
-    pub throughput: f64,
+    /// The run outcome every engine reports.
+    pub metrics: RunMetrics,
     /// Mid-traversal node crossings (switch reroutes in pulse mode, CPU
     /// bounces in pulse-acc mode).
     pub crossings: u64,
-    /// Bytes that crossed the CPU nodes' links (both directions, summed
-    /// over every compute node).
-    pub net_bytes: u64,
-    /// Bytes served by memory-node DRAM (windows + objects).
-    pub mem_bytes: u64,
+    /// Sum of per-accelerator iteration counts.
+    pub iterations: u64,
     /// Mean accelerator memory-pipeline utilization.
     pub memory_util: f64,
     /// Mean accelerator logic-pipeline utilization.
@@ -184,59 +176,14 @@ pub struct ClusterReport {
     /// Mean CPU-node dispatch-engine utilization (0 when dispatch is
     /// uncontended).
     pub dispatch_util: f64,
-    /// End of the last completion.
-    pub makespan: SimTime,
-    /// Sum of per-accelerator iteration counts.
-    pub iterations: u64,
-    /// Optimistic-concurrency re-issues: traversals whose final stage
-    /// returned its request's [`pulse_workloads::RetryPolicy`] code (a
-    /// seqlock reader/writer that lost its race) and were re-planned and
-    /// re-sent by the issuing CPU node. 0 for read-only configurations.
-    pub retries: u64,
-    /// Front-end cache hit rate over all CPU nodes: locally-walked hops
-    /// over all probes (hops + walks that went remote). 0.0 when the cache
-    /// is disabled.
-    pub cache_hit_rate: f64,
-    /// Peak utilization over the routed fabric's links into CPU nodes (the
-    /// incast-prone downlinks). Exactly 0.0 on [`TopologySpec::Flat`],
-    /// where no fabric exists.
-    pub link_utilization: f64,
-    /// Deepest any fabric egress FIFO got (messages queued or in service at
-    /// one port at once). 0 on [`TopologySpec::Flat`].
-    pub queue_depth: u64,
-    /// Failover actions taken: packets redirected around an unreachable
-    /// memory node onto a live replica, plus crash-notice re-plans of
-    /// requests whose in-flight packet died with a node. 0 without faults.
-    pub failovers: u64,
-    /// Requests that fault-completed because *every* replica of the data
-    /// they needed was unreachable — the distinguishable
-    /// ([`Completion::unavailable`]) subset of `faulted`.
-    pub unavailable_completions: u64,
-    /// Background re-replication traffic: bytes streamed from surviving
-    /// replicas to rebuild targets after crashes, priced on the same
-    /// links/DMA/dispatch engines as foreground packets. 0 without faults.
-    pub rereplication_bytes: u64,
-    /// p99 latency over completions that finished inside the fault window
-    /// (first fault to last repair, or the end of the run when nothing
-    /// heals). [`SimTime::ZERO`] when no faults are scheduled or nothing
-    /// completed inside the window.
-    pub degraded_p99: SimTime,
-    /// Per-phase latency attribution over completed requests, present
-    /// exactly when the cluster was built with [`ClusterConfig::trace`].
-    /// Phase means sum exactly to the mean end-to-end latency (span
-    /// conservation).
-    pub phase: Option<PhaseAttribution>,
-    /// ISA-v2 speculative next-hop fetches squashed on a prediction or
-    /// version mismatch, summed over every accelerator. Exactly 0 with
-    /// speculation off.
-    pub mis_speculations: u64,
-    /// ISA-v2 iterations fused into an open same-node membus transaction,
-    /// summed over every accelerator. Exactly 0 with `batch_hops <= 1`.
-    pub batched_hops: u64,
-    /// ISA-v2 traversal hops that rider requests skipped by sharing a
-    /// coalesced offload (riders × fanned-out stage iterations). Exactly
-    /// 0 with coalescing off.
-    pub coalesced_prefix_hops: u64,
+}
+
+impl std::ops::Deref for ClusterReport {
+    type Target = RunMetrics;
+
+    fn deref(&self) -> &RunMetrics {
+        &self.metrics
+    }
 }
 
 impl ClusterReport {
@@ -858,12 +805,11 @@ impl PulseCluster {
             .map(|a| a.stats().dram_bytes)
             .sum::<u64>()
             + self.mem_bytes_extra;
-        ClusterReport {
+        let metrics = RunMetrics {
             completed: self.completed,
             faulted: self.faulted,
             latency: self.hist.summary(),
             throughput: self.completed as f64 / horizon.as_secs_f64(),
-            crossings: self.crossings,
             // Flat mode counts bytes at the CPU links (both directions);
             // routed mode counts every message once at its origin's fabric
             // up-link, which additionally covers mem→mem chained hops the
@@ -877,27 +823,6 @@ impl PulseCluster {
                     .sum(),
             },
             mem_bytes,
-            memory_util: self
-                .accels
-                .iter()
-                .map(|a| a.memory_utilization(horizon))
-                .sum::<f64>()
-                / nodes as f64,
-            logic_util: self
-                .accels
-                .iter()
-                .map(|a| a.logic_utilization(horizon))
-                .sum::<f64>()
-                / nodes as f64,
-            dispatch_util: self
-                .frontends
-                .iter()
-                .map(|f| f.dispatch_engine().utilization(horizon))
-                .sum::<f64>()
-                / self.frontends.len() as f64,
-            makespan: self.makespan,
-            iterations: self.accels.iter().map(|a| a.stats().iterations).sum(),
-            retries: self.retries,
             cache_hit_rate: {
                 let (hits, misses) = self
                     .frontends
@@ -920,6 +845,7 @@ impl PulseCluster {
                 .fabric
                 .as_ref()
                 .map_or(0, |f| f.max_queue_depth() as u64),
+            retries: self.retries,
             failovers: self.failovers,
             unavailable_completions: self.unavailable,
             rereplication_bytes: self.rereplication_bytes,
@@ -928,6 +854,30 @@ impl PulseCluster {
             mis_speculations: self.accels.iter().map(|a| a.stats().mis_speculations).sum(),
             batched_hops: self.accels.iter().map(|a| a.stats().batched_hops).sum(),
             coalesced_prefix_hops: self.coalesced_prefix_hops,
+            makespan: self.makespan,
+        };
+        ClusterReport {
+            metrics,
+            crossings: self.crossings,
+            iterations: self.accels.iter().map(|a| a.stats().iterations).sum(),
+            memory_util: self
+                .accels
+                .iter()
+                .map(|a| a.memory_utilization(horizon))
+                .sum::<f64>()
+                / nodes as f64,
+            logic_util: self
+                .accels
+                .iter()
+                .map(|a| a.logic_utilization(horizon))
+                .sum::<f64>()
+                / nodes as f64,
+            dispatch_util: self
+                .frontends
+                .iter()
+                .map(|f| f.dispatch_engine().utilization(horizon))
+                .sum::<f64>()
+                / self.frontends.len() as f64,
         }
     }
 

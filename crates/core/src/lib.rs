@@ -110,4 +110,6 @@ pub use pulse_frontend::{
 };
 pub use pulse_mem::{FaultEvent, FaultKind};
 pub use pulse_sim::{CpuDispatch, DispatchConfig};
-pub use pulse_trace::{LatencyBreakdown, Phase, PhaseAttribution, TraceConfig, TraceSink, PHASES};
+pub use pulse_trace::{
+    LatencyBreakdown, Phase, PhaseAttribution, RunMetrics, TraceConfig, TraceSink, PHASES,
+};

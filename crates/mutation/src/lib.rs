@@ -37,8 +37,8 @@
 //! [`RetryPolicy`](pulse_workloads::RetryPolicy) (default
 //! [`MutationConfig::max_retries`]). Exhausting the bound fault-completes
 //! the request, so a livelocked hot key shows up as *loss* in the report
-//! (`ClusterReport::retries`, `OpenLoopReport::retries`) instead of
-//! hanging the rack. Retries are a measured quantity, not a hidden one.
+//! (`RunMetrics::retries`) instead of hanging the rack. Retries are a
+//! measured quantity, not a hidden one.
 //!
 //! ## Structural mutations
 //!

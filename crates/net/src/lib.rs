@@ -1,8 +1,9 @@
 //! # pulse-net
 //!
 //! The rack network substrate: the packet format iterator offloads travel
-//! in, the programmable switch that routes them by `cur_ptr` (§5), the
-//! endpoint links, and the dispatch engine's retransmission tracker (§4.1).
+//! in, the programmable switch that routes them by `cur_ptr` (§5), and the
+//! endpoint links. §4.1's retransmission is not modelled: the rack
+//! has no loss model, so no packet is ever dropped.
 //!
 //! Requests and responses deliberately share one format ([`IterPacket`]):
 //! code + `cur_ptr` + scratchpad + status. A memory node that discovers the
@@ -61,7 +62,6 @@
 mod fabric;
 mod link;
 mod packet;
-mod retx;
 mod switch;
 mod topology;
 mod wire;
@@ -72,7 +72,6 @@ pub use packet::{
     CodeBlob, CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES,
 };
-pub use retx::{Delivery, RetxTracker};
 pub use switch::{Route, Switch, SwitchConfig};
 pub use topology::{DirectedLink, RackTopology, TopoNode, Topology, TopologySpec};
 pub use wire::{decode_packet, encode_packet, WireError};

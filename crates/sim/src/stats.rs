@@ -180,8 +180,9 @@ pub fn quantile_rank(count: u64, p: f64) -> u64 {
     rank.min(count)
 }
 
-/// A condensed latency summary, convenient for table rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A condensed latency summary, convenient for table rows. The default is
+/// the summary of an empty histogram (every statistic zero).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,

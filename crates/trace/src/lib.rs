@@ -33,11 +33,15 @@
 //!
 //! The disabled path is an `Option<TraceSink>` left `None`: engines skip
 //! every call, nothing allocates, and golden traces stay bit-identical.
+//!
+//! The crate also defines [`RunMetrics`], the one record every engine
+//! reports a run through, since it is the lowest crate holding both the
+//! latency summary and the phase attribution.
 
 #![warn(missing_docs)]
 
 use pulse_net::RequestId;
-use pulse_sim::{LatencyHistogram, SimTime};
+use pulse_sim::{LatencyHistogram, LatencySummary, SimTime};
 use std::collections::{BTreeMap, HashMap};
 
 /// Number of latency phases a request's time is partitioned into.
@@ -385,6 +389,119 @@ impl LatencyBreakdown {
             dst.merge(src);
         }
         self.count += other.count;
+    }
+}
+
+// ----------------------------------------------------------- run metrics
+
+/// The engine-neutral outcome of one run: the one definition of every
+/// number the pulse rack, the replay baselines and the open-loop driver
+/// report, and that the sweep document plots. Engine reports
+/// (`ClusterReport`, `BaselineReport`, `OpenLoopReport`) embed it and add
+/// only what is theirs.
+///
+/// An open-loop report covers one request stream on a possibly reused
+/// engine; see [`RunMetrics::since`] for which fields difference between
+/// two snapshots and which stay lifetime values.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunMetrics {
+    /// Requests that completed successfully.
+    pub completed: u64,
+    /// Requests terminated by a fault: invalid pointers, protection
+    /// faults, retry exhaustion, or every replica unreachable
+    /// (`unavailable_completions` is that last subset).
+    pub faulted: u64,
+    /// End-to-end latency distribution; open loop measures each request
+    /// from its arrival, queueing included.
+    pub latency: LatencySummary,
+    /// Completions per simulated second: over the makespan in closed
+    /// loop, over the first-arrival-to-last-completion span in open loop.
+    pub throughput: f64,
+    /// Bytes that crossed the CPU nodes' links (both directions), or on a
+    /// routed fabric every message counted once at its origin's up-link.
+    pub net_bytes: u64,
+    /// Bytes served by memory-node DRAM.
+    pub mem_bytes: u64,
+    /// Front-end traversal-cell cache hit rate: locally walked hops over
+    /// all probes. Exactly 0.0 when the cache is disabled.
+    pub cache_hit_rate: f64,
+    /// Peak busy fraction over the fabric links into CPU nodes (the
+    /// incast-prone downlinks): link busy time over a horizon, capped at
+    /// 1.0 by `SerialResource::utilization`, maximized over the downlinks.
+    /// The horizon is the makespan in closed loop and the first-to-last
+    /// arrival window in open loop, so a system that falls behind the
+    /// offered rate still shows the pressure that rate puts on its
+    /// downlinks — up to the cap. Exactly 0.0 on the flat topology, where
+    /// no fabric exists.
+    pub link_utilization: f64,
+    /// Deepest any fabric egress FIFO got (messages queued or in service
+    /// at one port at once). 0 on the flat topology.
+    pub queue_depth: u64,
+    /// Optimistic-concurrency re-issues: traversals whose final stage
+    /// returned their request's retry code (a seqlock reader or writer
+    /// that lost its race) and were re-planned and re-sent. 0 for
+    /// read-only streams and for the sequential replay baselines.
+    pub retries: u64,
+    /// Failover actions: requests (or request segments) redirected onto a
+    /// live replica around an unreachable memory node, plus crash-notice
+    /// re-plans of requests whose in-flight packet died with a node. 0
+    /// without faults.
+    pub failovers: u64,
+    /// Requests that fault-completed because every replica of data they
+    /// needed was unreachable — the distinguishable subset of `faulted`.
+    pub unavailable_completions: u64,
+    /// Background re-replication traffic: bytes streamed from surviving
+    /// replicas to rebuild targets after crashes, priced on the same links
+    /// and engines as foreground packets. 0 without faults, and always 0
+    /// for the replay baselines, which never rebuild.
+    pub rereplication_bytes: u64,
+    /// p99 latency over completions that finished inside the fault window
+    /// (first fault to last repair, or the end of the run when nothing
+    /// heals). [`SimTime::ZERO`] without faults.
+    pub degraded_p99: SimTime,
+    /// Per-phase latency attribution, present exactly when the engine ran
+    /// with tracing enabled. Phase means sum to the mean latency.
+    pub phase: Option<PhaseAttribution>,
+    /// ISA-v2 speculative next-hop fetches squashed on a prediction or
+    /// version mismatch, summed over every accelerator. 0 with speculation
+    /// off, and for the baselines, which have no accelerators.
+    pub mis_speculations: u64,
+    /// ISA-v2 iterations fused into an open same-node memory-bus
+    /// transaction, summed over every accelerator. 0 at the default batch
+    /// window of 1, and for the baselines.
+    pub batched_hops: u64,
+    /// ISA-v2 traversal hops that rider requests skipped by sharing an
+    /// identical in-flight offload. 0 with coalescing off, and for the
+    /// baselines.
+    pub coalesced_prefix_hops: u64,
+    /// End of the last completion.
+    pub makespan: SimTime,
+}
+
+impl RunMetrics {
+    /// What happened between snapshot `base` and this one of the same
+    /// engine. Event counters — completions, faults, bytes, retries,
+    /// failovers, unavailable completions, rebuild bytes and the ISA-v2
+    /// counters — are differenced. Distributions and gauges — latency,
+    /// throughput, cache hit rate, link utilization, queue depth, degraded
+    /// p99, phase and makespan — do not difference, so they keep this
+    /// snapshot's lifetime value; a caller that measures one of them over
+    /// its own window overwrites it.
+    pub fn since(&self, base: &RunMetrics) -> RunMetrics {
+        RunMetrics {
+            completed: self.completed - base.completed,
+            faulted: self.faulted - base.faulted,
+            net_bytes: self.net_bytes - base.net_bytes,
+            mem_bytes: self.mem_bytes - base.mem_bytes,
+            retries: self.retries - base.retries,
+            failovers: self.failovers - base.failovers,
+            unavailable_completions: self.unavailable_completions - base.unavailable_completions,
+            rereplication_bytes: self.rereplication_bytes - base.rereplication_bytes,
+            mis_speculations: self.mis_speculations - base.mis_speculations,
+            batched_hops: self.batched_hops - base.batched_hops,
+            coalesced_prefix_hops: self.coalesced_prefix_hops - base.coalesced_prefix_hops,
+            ..*self
+        }
     }
 }
 

@@ -43,7 +43,10 @@ fn main() -> Result<(), pulse::Error> {
         let rep = system.execute(&requests)?;
         println!(
             "{:<6}: mean {} p99 {} tput {:.0} ops/s",
-            rep.label, rep.latency.mean, rep.latency.p99, rep.throughput
+            system.label(),
+            rep.latency.mean,
+            rep.latency.p99,
+            rep.throughput
         );
     }
     println!("\n(paper: RPC is 1-1.4x faster single-node thanks to its 9x CPU");

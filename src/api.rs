@@ -13,15 +13,14 @@
 use crate::error::Error;
 use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
 use pulse_baselines::{
-    run_rpc, run_rpc_open_loop, run_swap_cache, run_swap_cache_open_loop, BaselineReport,
-    RpcConfig, SwapConfig,
+    run_rpc, run_rpc_open_loop, run_swap_cache, run_swap_cache_open_loop, RpcConfig, SwapConfig,
 };
-use pulse_core::{ClusterReport, PhaseAttribution};
+use pulse_core::RunMetrics;
 use pulse_dispatch::{DispatchEngine, OffloadDecision};
 use pulse_ds::{BuildCtx, DsError, Traversal};
 use pulse_isa::Program;
 use pulse_mem::ClusterMemory;
-use pulse_sim::{LatencyHistogram, LatencySummary, SimTime};
+use pulse_sim::SimTime;
 use pulse_workloads::{AppRequest, Application, ArrivalProcess, TraversalStage};
 use pulse_workloads::{Btrdb, WebService, WiredTiger};
 use pulse_workloads::{BtrdbConfig, WebServiceConfig, WiredTigerConfig};
@@ -167,74 +166,6 @@ impl AppSpec for BtrdbConfig {
 
 // ------------------------------------------------------------------- Engine
 
-/// What every execution engine reports: the common subset of
-/// [`ClusterReport`] and [`BaselineReport`] the comparisons plot.
-#[derive(Debug, Clone)]
-pub struct EngineReport {
-    /// System label ("pulse", "Cache-based", "RPC", ...).
-    pub label: String,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests terminated by faults (always 0 for the replay baselines).
-    pub faulted: u64,
-    /// End-to-end latency distribution.
-    pub latency: LatencySummary,
-    /// Requests per simulated second.
-    pub throughput: f64,
-    /// Bytes over the CPU node's link.
-    pub net_bytes: u64,
-    /// Bytes served by memory-node DRAM.
-    pub mem_bytes: u64,
-    /// Front-end traversal-cell cache hit rate (0.0 when disabled).
-    pub cache_hit_rate: f64,
-    /// Peak busy fraction over the fabric links into CPU nodes. Exactly
-    /// 0.0 on the flat topology, where no fabric exists.
-    pub link_utilization: f64,
-    /// Deepest any fabric link's egress FIFO ever got. 0 on flat.
-    pub queue_depth: u64,
-    /// Per-phase latency attribution, present exactly when the engine ran
-    /// with tracing enabled.
-    pub phase: Option<PhaseAttribution>,
-    /// End of the last completion.
-    pub makespan: SimTime,
-}
-
-impl EngineReport {
-    fn from_cluster(rep: &ClusterReport) -> EngineReport {
-        EngineReport {
-            label: "pulse".into(),
-            completed: rep.completed,
-            faulted: rep.faulted,
-            latency: rep.latency,
-            throughput: rep.throughput,
-            net_bytes: rep.net_bytes,
-            mem_bytes: rep.mem_bytes,
-            cache_hit_rate: rep.cache_hit_rate,
-            link_utilization: rep.link_utilization,
-            queue_depth: rep.queue_depth,
-            phase: rep.phase,
-            makespan: rep.makespan,
-        }
-    }
-
-    fn from_baseline(rep: &BaselineReport) -> EngineReport {
-        EngineReport {
-            label: rep.label.into(),
-            completed: rep.completed,
-            faulted: 0,
-            latency: rep.latency,
-            throughput: rep.throughput,
-            net_bytes: rep.net_bytes,
-            mem_bytes: rep.mem_bytes,
-            cache_hit_rate: rep.cache_hit_rate,
-            link_utilization: rep.link_utilization,
-            queue_depth: rep.queue_depth,
-            phase: rep.phase,
-            makespan: rep.makespan,
-        }
-    }
-}
-
 /// A system that executes [`AppRequest`] streams: the pulse rack
 /// ([`Runtime`]) or any compared baseline ([`BaselineEngine`]). Concurrency
 /// is an engine property fixed at construction (the runtime's in-flight
@@ -258,7 +189,7 @@ pub trait Engine {
     /// # Errors
     ///
     /// Submission-time validation failures ([`Error::Request`]).
-    fn execute(&mut self, requests: &[AppRequest]) -> Result<EngineReport, Error>;
+    fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error>;
 
     /// Executes `requests` open-loop: request `i` arrives at the time the
     /// [`ArrivalProcess`] generates, independent of completions, and its
@@ -281,12 +212,11 @@ impl Engine for Runtime {
         "pulse"
     }
 
-    fn execute(&mut self, requests: &[AppRequest]) -> Result<EngineReport, Error> {
+    fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
         for req in requests {
             self.submit(req.clone())?;
         }
-        let report = self.drain();
-        Ok(EngineReport::from_cluster(&report))
+        Ok(self.drain().metrics)
     }
 
     fn execute_open_loop(
@@ -341,7 +271,7 @@ impl Engine for BaselineEngine {
         }
     }
 
-    fn execute(&mut self, requests: &[AppRequest]) -> Result<EngineReport, Error> {
+    fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
         for req in requests {
             req.validate()?;
         }
@@ -351,7 +281,7 @@ impl Engine for BaselineEngine {
             }
             BaselineKind::Rpc(cfg) => run_rpc(&mut self.mem, requests, self.concurrency, cfg),
         };
-        Ok(EngineReport::from_baseline(&rep))
+        Ok(rep.metrics)
     }
 
     fn execute_open_loop(
@@ -369,26 +299,12 @@ impl Engine for BaselineEngine {
                 label: self.label().into(),
                 offered_per_sec: arrivals.rate_per_sec().unwrap_or(0.0),
                 submitted: 0,
-                completed: 0,
-                faulted: 0,
-                latency: LatencyHistogram::new().summary(),
                 goodput_per_sec: 0.0,
                 first_arrival,
                 last_arrival: first_arrival,
                 last_completion: first_arrival,
                 completed_updates: 0,
-                retries: 0,
-                cache_hit_rate: 0.0,
-                link_utilization: 0.0,
-                queue_depth: 0,
-                failovers: 0,
-                unavailable_completions: 0,
-                rereplication_bytes: 0,
-                degraded_p99: SimTime::ZERO,
-                phase: None,
-                mis_speculations: 0,
-                batched_hops: 0,
-                coalesced_prefix_hops: 0,
+                metrics: RunMetrics::default(),
             });
         }
         let rep = match self.kind.clone() {
@@ -399,39 +315,19 @@ impl Engine for BaselineEngine {
                 run_rpc_open_loop(&mut self.mem, requests, self.concurrency, cfg, &times)
             }
         };
-        let offered_per_sec =
-            arrivals.offered_rate(first_arrival, *times.last().unwrap(), times.len() as u64);
+        let last_arrival = *times.last().unwrap();
         Ok(OpenLoopReport {
             label: rep.label.into(),
-            offered_per_sec,
+            offered_per_sec: arrivals.offered_rate(first_arrival, last_arrival, times.len() as u64),
             submitted: requests.len() as u64,
-            completed: rep.completed,
-            // The only way a replay baseline fails a request is running
-            // out of replicas under a fault schedule.
-            faulted: rep.unavailable_completions,
-            latency: rep.latency,
             goodput_per_sec: rep.throughput,
             first_arrival,
-            last_arrival: *times.last().unwrap(),
+            last_arrival,
             last_completion: rep.makespan,
             // The replay baselines complete every request and execute
             // sequentially: updates all land, races never happen.
             completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64,
-            retries: 0,
-            cache_hit_rate: rep.cache_hit_rate,
-            link_utilization: rep.link_utilization,
-            queue_depth: rep.queue_depth,
-            failovers: rep.failovers,
-            unavailable_completions: rep.unavailable_completions,
-            // The RPC model never rebuilds lost extents.
-            rereplication_bytes: 0,
-            degraded_p99: rep.degraded_p99,
-            phase: rep.phase,
-            // No accelerators, no offloads: the ISA-v2 latency-hiding
-            // machinery does not exist in the replay baselines.
-            mis_speculations: 0,
-            batched_hops: 0,
-            coalesced_prefix_hops: 0,
+            metrics: rep.metrics,
         })
     }
 }

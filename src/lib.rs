@@ -91,7 +91,7 @@ mod error;
 mod runtime;
 mod ycsb;
 
-pub use api::{AppSpec, BaselineEngine, BaselineKind, Engine, EngineReport, Offloaded};
+pub use api::{AppSpec, BaselineEngine, BaselineKind, Engine, Offloaded};
 pub use error::Error;
 pub use runtime::{
     OpenLoopDriver, OpenLoopReport, PulseBuilder, Runtime, Ticket, DEFAULT_GRANULARITY,
@@ -104,7 +104,7 @@ pub use ycsb::YcsbDriver;
 pub use pulse_core::{
     CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
     DispatchConfig, FaultEvent, FaultKind, Phase, PhaseAttribution, PulseCluster, PulseMode,
-    TraceConfig,
+    RunMetrics, TraceConfig,
 };
 pub use pulse_ds::{StagePlan, StageStart, Traversal};
 pub use pulse_mem::Placement;

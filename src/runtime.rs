@@ -23,12 +23,12 @@ use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
 use pulse_core::{
     CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
-    DispatchConfig, FaultEvent, PhaseAttribution, PulseCluster, PulseMode, TraceConfig, TraceSink,
+    DispatchConfig, FaultEvent, PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink,
 };
 use pulse_ds::{BuildCtx, DsError};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_net::{RequestId, TopologySpec};
-use pulse_sim::{LatencyHistogram, LatencySummary, SimTime};
+use pulse_sim::{LatencyHistogram, SimTime};
 use pulse_workloads::{execute_functional, AppRequest, ArrivalProcess, FunctionalRun};
 use std::collections::VecDeque;
 
@@ -196,7 +196,7 @@ impl PulseBuilder {
     /// default) records nothing and keeps every report bit-identical to
     /// the untraced rack; `Some` threads a `pulse-trace` sink through the
     /// cluster — typed spans per request, per-phase latency attribution in
-    /// the reports ([`ClusterReport::phase`]), periodic link-utilization
+    /// the reports ([`RunMetrics::phase`]), periodic link-utilization
     /// counter samples, and a Perfetto-loadable Chrome trace via
     /// [`Runtime::trace_json`]. Tracing observes timestamps but never
     /// perturbs them.
@@ -226,7 +226,7 @@ impl PulseBuilder {
     /// mismatch squashes the prefetch, re-fetches architecturally, and is
     /// charged as wasted bus occupancy — so answers never change, only
     /// timing. Off by default (bit-identical to the non-speculating rack);
-    /// mis-speculations surface as `ClusterReport::mis_speculations`.
+    /// mis-speculations surface as `RunMetrics::mis_speculations`.
     pub fn speculation(mut self, enabled: bool) -> PulseBuilder {
         self.config.accel.speculate = enabled;
         self
@@ -238,7 +238,7 @@ impl PulseBuilder {
     /// pipelined increment per extra hop). Fusion stops at the first
     /// pointer that leaves the node, so switch-crossing semantics are
     /// unchanged. `1` (the default) disables fusion and is bit-identical;
-    /// fused hops surface as `ClusterReport::batched_hops`.
+    /// fused hops surface as `RunMetrics::batched_hops`.
     pub fn batching(mut self, hops: u32) -> PulseBuilder {
         self.config.accel.batch_hops = hops.max(1);
         self
@@ -250,7 +250,7 @@ impl PulseBuilder {
     /// packet and fan back out when its response lands — riders observe
     /// the leader's snapshot, the staleness window every request-coalescing
     /// layer accepts. Disabled by default (bit-identical); ridden hops
-    /// surface as `ClusterReport::coalesced_prefix_hops`.
+    /// surface as `RunMetrics::coalesced_prefix_hops`.
     pub fn coalescing(mut self, coalesce: CoalesceConfig) -> PulseBuilder {
         self.config.coalesce = coalesce;
         self
@@ -562,7 +562,20 @@ impl Runtime {
 // ------------------------------------------------------------ open loop
 
 /// What one open-loop run measured, for any engine (the pulse rack or a
-/// baseline): the row shape of a latency-vs-load sweep.
+/// baseline): the row shape of a latency-vs-load sweep. The run outcome is
+/// the embedded [`RunMetrics`] (reachable through `Deref`), covering this
+/// stream only even on a reused runtime:
+///
+/// * arrival-measured from this stream's completions: `completed`,
+///   `faulted`, `unavailable_completions`, `latency` (from each request's
+///   arrival, queueing included) and `throughput` (the goodput);
+/// * differenced against the runtime's state at entry
+///   ([`RunMetrics::since`]): bytes, `retries`, `failovers`,
+///   `rereplication_bytes`, the ISA-v2 counters, and `cache_hit_rate` as
+///   the ratio of the hit and miss deltas;
+/// * windowed over the arrivals: `link_utilization`;
+/// * runtime-lifetime values, equal to this stream's on a fresh runtime:
+///   `queue_depth`, `degraded_p99`, `phase` and `makespan`.
 #[derive(Debug, Clone)]
 pub struct OpenLoopReport {
     /// System label ("pulse", "RPC", ...).
@@ -571,15 +584,9 @@ pub struct OpenLoopReport {
     pub offered_per_sec: f64,
     /// Requests submitted.
     pub submitted: u64,
-    /// Requests that completed successfully.
-    pub completed: u64,
-    /// Requests terminated by faults.
-    pub faulted: u64,
-    /// Latency distribution measured from each request's *arrival* —
-    /// queueing delay included.
-    pub latency: LatencySummary,
     /// Successful completions per second over the first-arrival-to-last-
-    /// completion span.
+    /// completion span (the embedded `throughput`, named as the sweep
+    /// plots it).
     pub goodput_per_sec: f64,
     /// When the first request arrived.
     pub first_arrival: SimTime,
@@ -591,60 +598,16 @@ pub struct OpenLoopReport {
     /// ([`AppRequest::is_update`]) — the write half of a mixed workload's
     /// goodput. 0 for read-only streams.
     pub completed_updates: u64,
-    /// Optimistic-concurrency re-issues the rack performed for this stream
-    /// (seqlock readers/writers that lost a race; see
-    /// `ClusterReport::retries`). Always 0 for the replay baselines, which
-    /// execute sequentially and never race.
-    pub retries: u64,
-    /// Front-end traversal-cell cache hit rate over the run: locally
-    /// walked hops over all probes. 0.0 whenever the cache is disabled —
-    /// the sweep's CI gate greps exactly that.
-    pub cache_hit_rate: f64,
-    /// Peak demand over the fabric links into CPU nodes (the incast-prone
-    /// downlinks), normalized over the offered-load window so systems that
-    /// fall behind the offered rate still show the pressure that rate puts
-    /// on their downlinks — it can exceed 1.0 when a link is
-    /// oversubscribed. Exactly 0.0 on the flat topology, where no fabric
-    /// exists.
-    pub link_utilization: f64,
-    /// Deepest any fabric link's egress FIFO ever got. 0 on flat.
-    pub queue_depth: u64,
-    /// Times a request was redirected onto a surviving replica — at the
-    /// switch when its target was already known dead, or by re-planning
-    /// after a crash notice. 0 with no fault schedule.
-    pub failovers: u64,
-    /// Requests that fault-completed because *no* replica of something
-    /// they needed was reachable (a subset of
-    /// [`OpenLoopReport::faulted`]). Zero at replication ≥ 2 as long as
-    /// copies of every extent survive — the SLO-under-failure claim the
-    /// sweep's CI gate checks.
-    pub unavailable_completions: u64,
-    /// Bytes of background re-replication traffic (a crashed node's
-    /// extents streaming from surviving replicas to rebuild targets) that
-    /// competed with this stream for links and dispatch.
-    pub rereplication_bytes: u64,
-    /// p99 over only the completions that finished inside the degraded
-    /// window (first fault to last repair, open-ended when nothing
-    /// heals). [`SimTime::ZERO`] without faults.
-    pub degraded_p99: SimTime,
-    /// Per-phase latency attribution, present exactly when the engine ran
-    /// with tracing enabled ([`PulseBuilder::trace`] for the rack, the
-    /// baseline configs' `trace` flag otherwise). Per-phase means sum to
-    /// the mean latency.
-    pub phase: Option<PhaseAttribution>,
-    /// ISA-v2 speculative next-hop issues that validated *wrong* and were
-    /// squashed ([`PulseBuilder::speculation`]) during this stream. 0
-    /// whenever speculation is off — and for every baseline, which has no
-    /// accelerators to speculate in.
-    pub mis_speculations: u64,
-    /// ISA-v2 same-node hops fused into a preceding memory-bus transaction
-    /// ([`PulseBuilder::batching`]) during this stream. 0 at the default
-    /// batch window of 1, and for every baseline.
-    pub batched_hops: u64,
-    /// Traversal hops requests skipped by riding another request's
-    /// identical in-flight offload ([`PulseBuilder::coalescing`]) during
-    /// this stream. 0 with coalescing off, and for every baseline.
-    pub coalesced_prefix_hops: u64,
+    /// The run outcome every engine reports.
+    pub metrics: RunMetrics,
+}
+
+impl std::ops::Deref for OpenLoopReport {
+    type Target = RunMetrics;
+
+    fn deref(&self) -> &RunMetrics {
+        &self.metrics
+    }
 }
 
 impl OpenLoopReport {
@@ -716,15 +679,7 @@ impl OpenLoopDriver {
         requests: Vec<AppRequest>,
     ) -> Result<OpenLoopReport, Error> {
         let submitted = requests.len() as u64;
-        let base = runtime.report();
-        let (base_retries, base_failovers, base_rereplication) =
-            (base.retries, base.failovers, base.rereplication_bytes);
-        let (base_mis, base_batched, base_coalesced) = (
-            base.mis_speculations,
-            base.batched_hops,
-            base.coalesced_prefix_hops,
-        );
-        let base_cache = cache_counters(runtime);
+        let base = Snapshot::of(runtime);
         let mut t = runtime.now();
         let mut first_arrival = None;
         let mut update_ids = std::collections::HashSet::new();
@@ -765,67 +720,68 @@ impl OpenLoopDriver {
                 }
             }
         }
-        let offered_per_sec = self.arrivals.offered_rate(first_arrival, t, submitted);
+        let end = Snapshot::of(runtime);
         let span = last_completion.saturating_sub(first_arrival).as_secs_f64();
-        // Both the retry and cache counters are deltas against the
-        // runtime's state at entry, so reusing a runtime (say after a
-        // warmup drain) reports this stream's numbers, not the lifetime's.
-        let (hits, misses) = {
-            let (h, m) = cache_counters(runtime);
-            (h - base_cache.0, m - base_cache.1)
-        };
+        let goodput_per_sec = completed as f64 / span.max(1e-12);
+        let (hits, misses) = (end.cache.0 - base.cache.0, end.cache.1 - base.cache.1);
         Ok(OpenLoopReport {
             label: "pulse".into(),
-            offered_per_sec,
+            offered_per_sec: self.arrivals.offered_rate(first_arrival, t, submitted),
             submitted,
-            completed,
-            faulted,
-            latency: hist.summary(),
-            goodput_per_sec: completed as f64 / span.max(1e-12),
+            goodput_per_sec,
             first_arrival,
             last_arrival,
             last_completion,
             completed_updates,
-            retries: runtime.report().retries - base_retries,
-            cache_hit_rate: if hits + misses == 0 {
-                0.0
-            } else {
-                hits as f64 / (hits + misses) as f64
+            metrics: RunMetrics {
+                completed,
+                faulted,
+                latency: hist.summary(),
+                throughput: goodput_per_sec,
+                unavailable_completions: unavailable,
+                cache_hit_rate: if hits + misses == 0 {
+                    0.0
+                } else {
+                    hits as f64 / (hits + misses) as f64
+                },
+                // Demand-normalized over the offered-load window, matching
+                // the baselines: a system that falls behind the offered
+                // rate still shows what that rate asks of its hottest CPU
+                // downlink.
+                link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
+                    let window = last_arrival
+                        .saturating_sub(first_arrival)
+                        .max(SimTime::from_nanos(1));
+                    f.cpu_downlink_peak(window)
+                }),
+                ..end.metrics.since(&base.metrics)
             },
-            // Demand-normalized over the offered-load window, matching the
-            // baselines: a system that falls behind the offered rate still
-            // shows what that rate asks of its hottest CPU downlink.
-            link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
-                let window = last_arrival
-                    .saturating_sub(first_arrival)
-                    .max(SimTime::from_nanos(1));
-                f.cpu_downlink_peak(window)
-            }),
-            queue_depth: runtime.report().queue_depth,
-            failovers: runtime.report().failovers - base_failovers,
-            unavailable_completions: unavailable,
-            rereplication_bytes: runtime.report().rereplication_bytes - base_rereplication,
-            // p99s don't difference: this is the runtime-lifetime degraded
-            // tail, which equals this stream's on a fresh runtime (the
-            // documented way to drive an open-loop run). Likewise the
-            // phase attribution below.
-            degraded_p99: runtime.report().degraded_p99,
-            phase: runtime.report().phase,
-            mis_speculations: runtime.report().mis_speculations - base_mis,
-            batched_hops: runtime.report().batched_hops - base_batched,
-            coalesced_prefix_hops: runtime.report().coalesced_prefix_hops - base_coalesced,
         })
     }
 }
 
-/// Total front-end cache (hits, misses) across the runtime's CPU nodes.
-fn cache_counters(runtime: &Runtime) -> (u64, u64) {
-    runtime
-        .cluster()
-        .frontends()
-        .iter()
-        .filter_map(pulse_core::CpuFrontEnd::cache)
-        .fold((0, 0), |(h, m), c| {
-            (h + c.stats().hits, m + c.stats().misses)
-        })
+/// The runtime's lifetime counters at one instant: the open-loop driver
+/// takes one at entry and one after the drain, and reports the stream as
+/// their difference.
+struct Snapshot {
+    metrics: RunMetrics,
+    /// Front-end cache (hits, misses) across every CPU node; the hit rate
+    /// is a ratio, so the delta needs the raw counts.
+    cache: (u64, u64),
+}
+
+impl Snapshot {
+    fn of(runtime: &Runtime) -> Snapshot {
+        Snapshot {
+            metrics: runtime.report().metrics,
+            cache: runtime
+                .cluster()
+                .frontends()
+                .iter()
+                .filter_map(pulse_core::CpuFrontEnd::cache)
+                .fold((0, 0), |(h, m), c| {
+                    (h + c.stats().hits, m + c.stats().misses)
+                }),
+        }
+    }
 }

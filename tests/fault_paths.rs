@@ -1,5 +1,5 @@
 //! Failure-path integration tests: protection faults, invalid pointers,
-//! packet-loss recovery, and wire-format fidelity under the full stack —
+//! request idempotence, and wire-format fidelity under the full stack —
 //! all driven through the `Runtime` façade where a rack is involved.
 
 use pulse::dispatch::DispatchEngine;
@@ -7,8 +7,7 @@ use pulse::ds::HashMapDs;
 use pulse::isa::IterState;
 use pulse::mem::Perms;
 use pulse::net::{
-    decode_packet, encode_packet, CodeBlob, Delivery, IterPacket, IterStatus, Packet, RequestId,
-    RetxTracker,
+    decode_packet, encode_packet, CodeBlob, IterPacket, IterStatus, Packet, RequestId,
 };
 use pulse::sim::SimTime;
 use pulse::workloads::StartPtr;
@@ -177,25 +176,6 @@ fn continuation_survives_wire_roundtrip() {
     assert_eq!(p.state.scratch, state.scratch);
     assert_eq!(p.state.iters_done, 5);
     assert_eq!(p.code.program().insns(), prog.insns());
-}
-
-/// The dispatch engine's loss recovery (§4.1): a dropped response triggers
-/// a retransmission whose late original is absorbed as a duplicate.
-#[test]
-fn retransmission_recovers_from_loss() {
-    let mut rt = RetxTracker::new(SimTime::from_micros(50), 3);
-    let id = RequestId { cpu: 0, seq: 7 };
-    // Send at t=0; the response is "lost".
-    rt.on_send(id, SimTime::ZERO);
-    // Timer fires; we retransmit.
-    let due = rt.due(SimTime::from_micros(60));
-    assert_eq!(due, vec![id]);
-    // The retransmitted request's response arrives...
-    assert_eq!(rt.on_response(id), Delivery::Accepted);
-    // ...and the original (delayed, not lost after all) is suppressed.
-    assert_eq!(rt.on_response(id), Delivery::Duplicate);
-    assert_eq!(rt.outstanding(), 0);
-    assert_eq!(rt.retransmits(), 1);
 }
 
 /// Executing the same read-only request twice (as a retransmission would)

@@ -90,6 +90,68 @@ fn open_loop_mixed_load_counts_retries_and_update_goodput() {
     assert_eq!(rep.retries, runtime.report().retries);
 }
 
+/// The open-loop delta rule on a reused runtime (the warmup use case):
+/// a second stream's counters are this stream's only — exactly the
+/// runtime's lifetime counters minus the first stream's. YCSB-A with
+/// speculation and batching on races (retries) and mis-speculates in both
+/// streams. A crash at replication 2 in the first stream makes both fail
+/// over; its rebuild finishes while the first stream drains, so the
+/// second stream must report zero rebuild bytes, not the lifetime total.
+#[test]
+fn reused_runtime_reports_second_stream_as_a_delta() {
+    use pulse::sim::SimTime;
+    use pulse::{FaultEvent, FaultKind};
+    let cfg = webservice_cfg(YcsbWorkload::A);
+    let (mut runtime, app) = PulseBuilder::new()
+        .nodes(3)
+        .cpus(2)
+        .granularity(4096)
+        .replication(2)
+        .faults(vec![FaultEvent::new(
+            SimTime::from_micros(150),
+            FaultKind::MemCrash(0),
+        )])
+        .speculation(true)
+        .batching(4)
+        .app(cfg)
+        .unwrap();
+    let mut driver = YcsbDriver::webservice(app, cfg, MutationConfig::default()).unwrap();
+    let mut stream = |runtime: &mut pulse::Runtime, n: usize, seed: u64| {
+        let reqs: Vec<AppRequest> = (0..n)
+            .map(|_| driver.next_request(runtime.memory_mut()))
+            .collect();
+        OpenLoopDriver::new(ArrivalProcess::poisson(400_000.0, seed))
+            .run(runtime, reqs)
+            .unwrap()
+    };
+    let first = stream(&mut runtime, 200, 3);
+    let second = stream(&mut runtime, 400, 5);
+    let life = runtime.report();
+    assert_eq!(second.completed + second.faulted, 400);
+    assert_eq!(second.retries, life.retries - first.retries);
+    assert_eq!(second.failovers, life.failovers - first.failovers);
+    assert_eq!(
+        second.rereplication_bytes,
+        life.rereplication_bytes - first.rereplication_bytes
+    );
+    assert_eq!(
+        second.mis_speculations,
+        life.mis_speculations - first.mis_speculations
+    );
+    assert_eq!(second.batched_hops, life.batched_hops - first.batched_hops);
+    assert_eq!(
+        second.coalesced_prefix_hops,
+        life.coalesced_prefix_hops - first.coalesced_prefix_hops
+    );
+    // The rule is only tested if the first stream moved every counter
+    // (coalescing is off, so its counter must stay zero throughout).
+    assert!(first.rereplication_bytes > 0 && second.rereplication_bytes == 0);
+    for rep in [&first, &second] {
+        assert!(rep.retries > 0 && rep.mis_speculations > 0 && rep.batched_hops > 0);
+        assert!(rep.failovers > 0);
+    }
+}
+
 /// YCSB-A with the front-end cache enabled: the mixed stream completes
 /// without loss, the cache actually hits (skewed reads re-walk hot
 /// buckets), updates erode those hits through version invalidation, and —
