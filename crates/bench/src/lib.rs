@@ -12,22 +12,21 @@
 //! headline shape: an open-loop load ladder (offered kops → p50/p95/p99
 //! latency + goodput) over any engine behind the shared
 //! [`Engine`](pulse::Engine) trait, emitted as a `BENCH_sweep.json`-style
-//! report via [`sweep_json`]. Ladder factories exist for every evaluated
-//! family — pulse over WebService/WiredTiger/BTrDB ([`pulse_app_factory`])
-//! and the RPC and swap-cache baselines
-//! ([`baseline_webservice_factory`]) — and the sustained-load headline
-//! ([`SweepReport::max_load_under_p99`]) only counts rungs whose goodput
-//! actually kept up with the offered load.
+//! report via [`sweep_json`]. Every ladder curve is one [`Deployment`] — a
+//! [`pulse::PulseBuilder`] rack, its memory-node count and a [`Stream`] —
+//! built for one engine [`Side`]: the pulse rack or a baseline, so the
+//! sides of a comparison run the identical deployment by construction.
+//! The sustained-load headline ([`SweepReport::max_load_under_p99`]) only
+//! counts rungs whose goodput actually kept up with the offered load.
 
 #![warn(missing_docs)]
 
 use pulse_baselines::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, SwapConfig};
 use pulse_core::{
-    ClusterConfig, ClusterReport, DispatchConfig, Phase, PhaseAttribution, PulseCluster, PulseMode,
-    PHASES,
+    ClusterConfig, ClusterReport, Phase, PhaseAttribution, PulseCluster, PulseMode, PHASES,
 };
 use pulse_ds::{BuildCtx, TreePlacement};
-use pulse_mem::{ClusterAllocator, ClusterMemory, FaultEvent, Placement};
+use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_workloads::{
     AppRequest, Application, Btrdb, BtrdbConfig, Distribution, WebService, WebServiceConfig,
     WiredTiger, WiredTigerConfig, YcsbWorkload,
@@ -1220,500 +1219,192 @@ pub fn simspeed_json(report: &ParSweepReport) -> String {
     )
 }
 
-/// A ready-made engine factory for [`sweep`]: the pulse rack over any
-/// [`AppKind`] deployment (`nodes` memory nodes, `cpus` compute nodes,
-/// requests round-robined across them), regenerating the identical
-/// deployment and request stream for every rung. `dispatch` configures the
-/// per-CPU-node dispatch-engine contention
-/// ([`DispatchConfig::default`] is uncontended).
-pub fn pulse_app_factory(
-    kind: AppKind,
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let builder = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .granularity(DEFAULT_GRANULARITY);
-        let (runtime, mut app): (_, Box<dyn Application>) = match kind {
-            AppKind::WebService(workload) => {
-                let (runtime, app) = builder
-                    .app(sweep_webservice_cfg(workload, Distribution::Zipfian))
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-            AppKind::WiredTiger => {
-                let (runtime, app) = builder
-                    .app(WiredTigerConfig {
-                        keys: 30_000,
-                        placement: TreePlacement::Partitioned { nodes },
-                        ..Default::default()
-                    })
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-            AppKind::Btrdb(window) => {
-                let (runtime, app) = builder
-                    .app(BtrdbConfig {
-                        duration_secs: 900,
-                        window_secs: window,
-                        placement: TreePlacement::Partitioned { nodes },
-                        ..Default::default()
-                    })
-                    .expect("wire pulse rack");
-                (runtime, Box::new(app))
-            }
-        };
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
+// ------------------------------------------------------ sweep deployments
 
-/// Routed-fabric counterpart of the WebService [`pulse_app_factory`]
-/// curve: the identical Zipfian WebService deployment, but with the rack's packets —
-/// chained traversal hops, reissues, swap fills, responses — priced hop by
-/// hop on a routed `topology` instead of the flat single-switch model.
-/// Zipf-skewed keys concentrate traversals on the hot buckets' owning
-/// memory node, so the curve exposes the incast the paper's in-network
-/// routing argument is about; the matching RPC curve comes from
-/// [`baseline_webservice_factory`] with `RpcConfig::topology` set.
-pub fn fabric_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    topology: pulse::TopologySpec,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .topology(topology)
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Keys in the mixed-workload WiredTiger deployment (YCSB-E).
-const YCSB_TREE_KEYS: u64 = 30_000;
+/// Keys in the sweep's WiredTiger deployment (the read-only curve and
+/// YCSB-E alike).
+const SWEEP_WIREDTIGER_KEYS: u64 = 30_000;
 /// Insert-arena slab per memory node for YCSB-E structural inserts.
 const YCSB_ARENA_PER_NODE: u64 = 4 << 20;
 
-/// The shared mixed-workload deployment configs (one definition, used by
-/// the pulse and baseline factories alike so the comparison stays
-/// apples-to-apples).
-fn ycsb_hash_cfg(workload: YcsbWorkload) -> WebServiceConfig {
-    sweep_webservice_cfg(workload, Distribution::Zipfian)
+/// The request stream a sweep [`Deployment`] builds and mints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// A read-only stream minted by the application's `next_request`:
+    /// WebService and the WiredTiger tree draw keys from the
+    /// [`Distribution`]; BTrDB's time windows ignore it.
+    App(AppKind, Distribution),
+    /// A YCSB mix minted by a [`pulse::YcsbDriver`], so reads,
+    /// seqlock-verified updates, scans and structural inserts all reach the
+    /// engine as real submissions: A/B/C over the bucket-partitioned
+    /// WebService hash map, E over the WiredTiger B+Tree with an insert
+    /// arena.
+    Ycsb(YcsbWorkload),
 }
 
-fn ycsb_tree_cfg(nodes: usize) -> WiredTigerConfig {
-    WiredTigerConfig {
-        keys: YCSB_TREE_KEYS,
-        placement: TreePlacement::Partitioned { nodes },
-        ..Default::default()
+/// Which engine a sweep curve runs over its [`Deployment`].
+#[derive(Debug, Clone)]
+pub enum Side {
+    /// The pulse rack ([`pulse::Runtime`]).
+    Pulse,
+    /// A baseline system ([`pulse::BaselineEngine`]); its dispatch, cache,
+    /// topology and fault model ride in the kind's own config.
+    Baseline(pulse::BaselineKind),
+}
+
+/// What a built [`Stream`] mints requests from.
+enum Source {
+    App(Box<dyn Application>),
+    Ycsb(Box<pulse::YcsbDriver>),
+}
+
+impl Stream {
+    /// Builds the stream's structures through `ctx` over `nodes` memory
+    /// nodes (the partitioned trees place one subtree per node).
+    fn build(self, nodes: usize, ctx: &mut BuildCtx<'_>) -> Result<Source, pulse_ds::DsError> {
+        let placement = TreePlacement::Partitioned { nodes };
+        let tree = WiredTigerConfig {
+            keys: SWEEP_WIREDTIGER_KEYS,
+            placement,
+            ..Default::default()
+        };
+        let mutation = pulse::MutationConfig::default();
+        Ok(match self {
+            Stream::App(AppKind::WebService(workload), dist) => Source::App(Box::new(
+                WebService::build(ctx, sweep_webservice_cfg(workload, dist))?,
+            )),
+            Stream::App(AppKind::WiredTiger, dist) => {
+                let cfg = WiredTigerConfig {
+                    distribution: dist,
+                    ..tree
+                };
+                Source::App(Box::new(WiredTiger::build(ctx, cfg)?))
+            }
+            Stream::App(AppKind::Btrdb(window), _) => {
+                let cfg = BtrdbConfig {
+                    duration_secs: 900,
+                    window_secs: window,
+                    placement,
+                    ..Default::default()
+                };
+                Source::App(Box::new(Btrdb::build(ctx, cfg)?))
+            }
+            Stream::Ycsb(YcsbWorkload::E) => {
+                let app = WiredTiger::build(ctx, tree)?;
+                let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
+                Source::Ycsb(Box::new(
+                    pulse::YcsbDriver::wiredtiger(app, tree, arena, mutation)
+                        .expect("valid YCSB-E config"),
+                ))
+            }
+            Stream::Ycsb(workload) => {
+                let cfg = sweep_webservice_cfg(workload, Distribution::Zipfian);
+                let app = WebService::build(ctx, cfg)?;
+                Source::Ycsb(Box::new(
+                    pulse::YcsbDriver::webservice(app, cfg, mutation)
+                        .expect("bucket-partitioned deployment"),
+                ))
+            }
+        })
     }
 }
 
-/// Mints the driver's request stream against `mem` and enforces that no
-/// insert degraded to the non-mutating fallback: an exhausted arena would
-/// keep the curve's update goodput nonzero while the write path silently
-/// stopped mutating the tree — abort loudly instead of trusting it.
-fn mint_ycsb_stream(
-    driver: &mut pulse::YcsbDriver,
-    mem: &mut pulse_mem::ClusterMemory,
-    requests: usize,
-) -> Vec<AppRequest> {
-    let reqs = (0..requests).map(|_| driver.next_request(mem)).collect();
-    assert_eq!(
-        driver.degraded_inserts(),
-        0,
-        "insert arena exhausted mid-stream: raise YCSB_ARENA_PER_NODE \
-         rather than sweeping a curve whose inserts stopped mutating"
-    );
-    reqs
-}
-
-/// One definition of the mixed-workload engine+driver wiring, shared by
-/// the pulse and baseline factories: the per-workload deployment configs,
-/// arena sizing, and `YcsbDriver` construction live here once, so the two
-/// sides cannot drift apart. The factories differ only in the two builder
-/// entry points they pass in.
-fn ycsb_engine_and_driver<E>(
-    workload: YcsbWorkload,
-    nodes: usize,
-    builder: pulse::PulseBuilder,
-    wire_hash: impl FnOnce(pulse::PulseBuilder, WebServiceConfig) -> (E, WebService),
-    wire_tree: impl FnOnce(
-        pulse::PulseBuilder,
-        WiredTigerConfig,
-    ) -> (E, (WiredTiger, pulse_mutation::InsertArena)),
-) -> (E, pulse::YcsbDriver) {
-    match workload {
-        YcsbWorkload::A | YcsbWorkload::B => {
-            let cfg = ycsb_hash_cfg(workload);
-            let (engine, app) = wire_hash(builder, cfg);
-            let driver = pulse::YcsbDriver::webservice(app, cfg, pulse::MutationConfig::default())
-                .expect("partitioned deployment");
-            (engine, driver)
+impl Source {
+    /// Mints `requests` requests against `mem`, the memory they will
+    /// execute on (YCSB-E inserts mutate it at mint time).
+    ///
+    /// # Panics
+    ///
+    /// If a YCSB insert degraded to the non-mutating fallback: an exhausted
+    /// arena would keep the curve's update goodput nonzero while the write
+    /// path silently stopped mutating the tree.
+    fn mint(self, mem: &mut ClusterMemory, requests: usize) -> Vec<AppRequest> {
+        match self {
+            Source::App(mut app) => (0..requests).map(|_| app.next_request()).collect(),
+            Source::Ycsb(mut driver) => {
+                let reqs = (0..requests).map(|_| driver.next_request(mem)).collect();
+                assert_eq!(
+                    driver.degraded_inserts(),
+                    0,
+                    "insert arena exhausted mid-stream: raise YCSB_ARENA_PER_NODE \
+                     rather than sweeping a curve whose inserts stopped mutating"
+                );
+                reqs
+            }
         }
-        YcsbWorkload::E => {
-            let cfg = ycsb_tree_cfg(nodes);
-            let (engine, (app, arena)) = wire_tree(builder, cfg);
-            let driver =
-                pulse::YcsbDriver::wiredtiger(app, cfg, arena, pulse::MutationConfig::default())
-                    .expect("valid YCSB-E config");
-            (engine, driver)
-        }
-        YcsbWorkload::C => unreachable!("factories reject YCSB-C up front"),
     }
 }
 
-/// [`pulse_app_factory`]'s mixed-workload counterpart: the pulse rack
-/// driven by a [`pulse::YcsbDriver`], so reads, seqlock-verified updates,
-/// scans and structural inserts all reach the rack as real submissions.
-/// YCSB-A/B run over the bucket-partitioned WebService hash map; YCSB-E
-/// over the WiredTiger B+Tree with an insert arena.
-///
-/// # Panics
-///
-/// Panics if `workload` is `YCSB-C` (use [`pulse_app_factory`] — C is the
-/// read-only curve), if the deployment fails to wire, or if the insert
-/// arena is exhausted mid-stream (see [`mint_ycsb_stream`]).
-pub fn pulse_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    cache: pulse::CacheConfig,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use pulse_app_factory"
-    );
-    move || {
-        let builder = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .cache(cache)
-            .granularity(DEFAULT_GRANULARITY);
-        let (mut runtime, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.app(cfg).expect("wire pulse rack"),
-            |b, cfg| {
-                b.build_with(|ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire pulse rack")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, runtime.memory_mut(), requests);
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
+/// One sweep curve's deployment: the rack, its size, and the stream it
+/// serves. Every curve of `examples/latency_sweep.rs` — pulse and baseline
+/// alike — is built from one of these, so two curves that differ in one
+/// axis differ in exactly one builder setter, and a comparison's sides run
+/// the identical deployment by construction.
+#[derive(Debug, Clone)]
+pub struct Deployment {
+    /// Everything the rack varies: cpus, dispatch, cache, topology,
+    /// replication, faults, the ISA-v2 switches, tracing and the in-flight
+    /// window (a baseline's client count). Nodes and extent granularity are
+    /// set from [`Deployment::nodes`] and [`DEFAULT_GRANULARITY`].
+    pub rack: pulse::PulseBuilder,
+    /// Memory nodes in the rack.
+    pub nodes: usize,
+    /// The deployed application and the request stream it mints.
+    pub stream: Stream,
+    /// Requests minted per rung.
+    pub requests: usize,
+}
+
+impl Deployment {
+    fn builder(&self) -> pulse::PulseBuilder {
+        self.rack
+            .clone()
+            .nodes(self.nodes)
+            .granularity(DEFAULT_GRANULARITY)
     }
-}
 
-/// Baseline counterpart of [`pulse_ycsb_factory`]: the identical
-/// deployment and driver wiring ([`ycsb_engine_and_driver`]) with the
-/// baseline builder entry points, so the pulse-vs-baseline comparison for
-/// read-write workloads stays apples-to-apples by construction.
-///
-/// # Panics
-///
-/// As [`pulse_ycsb_factory`].
-pub fn baseline_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
-    kind: pulse::BaselineKind,
-    concurrency: usize,
-    requests: usize,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use baseline_webservice_factory"
-    );
-    move || {
-        let builder = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY);
-        let (mut engine, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.baseline_app(kind.clone(), cfg).expect("wire baseline"),
-            |b, cfg| {
-                b.baseline_with(kind.clone(), |ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire baseline")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, engine.memory_mut(), requests);
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
+    /// Builds a fresh pulse rack over the deployment and mints its stream.
+    ///
+    /// # Panics
+    ///
+    /// If the rack fails to wire, or a YCSB-E insert arena runs dry.
+    pub fn pulse(&self) -> (pulse::Runtime, Vec<AppRequest>) {
+        let (mut runtime, source) = self
+            .builder()
+            .build_with(|ctx| self.stream.build(self.nodes, ctx))
+            .expect("wire pulse rack");
+        let reqs = source.mint(runtime.memory_mut(), self.requests);
+        (runtime, reqs)
     }
-}
 
-/// The ISA-v2 latency-hiding switches a spec curve enables, bundled so a
-/// factory takes one argument and a new speculation/batching/coalescing
-/// combination is a one-line change at the call site.
-#[derive(Debug, Clone, Copy)]
-pub struct IsaV2 {
-    /// [`pulse::PulseBuilder::speculation`]: speculative next-hop issue at
-    /// the accelerators, validated against per-granule write versions.
-    pub speculate: bool,
-    /// [`pulse::PulseBuilder::batching`] window: same-node hops fused per
-    /// memory-bus transaction (1 = off).
-    pub batch_hops: u32,
-    /// [`pulse::PulseBuilder::coalescing`], when `Some`: identical-plan
-    /// requests ride one offloaded packet.
-    pub coalesce: Option<pulse::CoalesceConfig>,
-}
+    /// Builds a fresh `kind` baseline over the identical deployment and
+    /// mints its stream.
+    ///
+    /// # Panics
+    ///
+    /// As [`Deployment::pulse`].
+    pub fn baseline(&self, kind: pulse::BaselineKind) -> (pulse::BaselineEngine, Vec<AppRequest>) {
+        let (mut engine, source) = self
+            .builder()
+            .baseline_with(kind, |ctx| self.stream.build(self.nodes, ctx))
+            .expect("wire baseline");
+        let reqs = source.mint(engine.memory_mut(), self.requests);
+        (engine, reqs)
+    }
 
-impl IsaV2 {
-    /// All three mechanisms on: speculation, a `hops`-wide batch window,
-    /// and coalescing at its default rider cap.
-    pub fn all(hops: u32) -> IsaV2 {
-        IsaV2 {
-            speculate: true,
-            batch_hops: hops,
-            coalesce: Some(pulse::CoalesceConfig {
-                enabled: true,
-                ..Default::default()
+    /// The deployment as a [`sweep`] / [`CurveSpec`] factory for one engine
+    /// side: every call rebuilds the identical deployment and stream.
+    pub fn factory(self, side: Side) -> CurveFactory {
+        match side {
+            Side::Pulse => Box::new(move || {
+                let (runtime, reqs) = self.pulse();
+                (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
+            }),
+            Side::Baseline(kind) => Box::new(move || {
+                let (engine, reqs) = self.baseline(kind.clone());
+                (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
             }),
         }
-    }
-
-    fn apply(self, b: pulse::PulseBuilder) -> pulse::PulseBuilder {
-        let b = b.speculation(self.speculate).batching(self.batch_hops);
-        match self.coalesce {
-            Some(c) => b.coalescing(c),
-            None => b,
-        }
-    }
-}
-
-/// ISA-v2 counterpart of [`pulse_app_factory`] over the read-heavy
-/// WebService deployment: the identical rack with the given latency-hiding
-/// switches on — the `pulse-spec` curve whose knee-vs-`pulse` shift is the
-/// ISA-v2 headline.
-pub fn spec_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    isa: IsaV2,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = isa
-            .apply(
-                pulse::PulseBuilder::new()
-                    .nodes(nodes)
-                    .cpus(cpus)
-                    .dispatch(dispatch)
-                    .granularity(DEFAULT_GRANULARITY),
-            )
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// ISA-v2 counterpart of [`pulse_ycsb_factory`]: the mixed read-write
-/// stream with the latency-hiding switches on, where concurrent updates
-/// invalidate speculated windows — the curve whose nonzero
-/// `mis_speculations` is the honest price of the speculation.
-///
-/// # Panics
-///
-/// As [`pulse_ycsb_factory`].
-pub fn spec_pulse_ycsb_factory(
-    workload: YcsbWorkload,
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    isa: IsaV2,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    assert!(
-        workload != YcsbWorkload::C,
-        "YCSB-C is read-only; use spec_pulse_webservice_factory"
-    );
-    move || {
-        let builder = isa.apply(
-            pulse::PulseBuilder::new()
-                .nodes(nodes)
-                .cpus(cpus)
-                .dispatch(dispatch)
-                .granularity(DEFAULT_GRANULARITY),
-        );
-        let (mut runtime, mut driver) = ycsb_engine_and_driver(
-            workload,
-            nodes,
-            builder,
-            |b, cfg| b.app(cfg).expect("wire pulse rack"),
-            |b, cfg| {
-                b.build_with(|ctx| {
-                    let app = WiredTiger::build(ctx, cfg)?;
-                    let arena = pulse_mutation::InsertArena::build(ctx, YCSB_ARENA_PER_NODE)?;
-                    Ok((app, arena))
-                })
-                .expect("wire pulse rack")
-            },
-        );
-        let reqs = mint_ycsb_stream(&mut driver, runtime.memory_mut(), requests);
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// The cache-sensitivity counterpart of [`pulse_app_factory`]: the pulse
-/// rack over a WebService deployment with a per-CPU-node front-end cache
-/// and a caller-chosen key distribution — the (cache size × Zipf-θ) axes
-/// the "caches can't save pointer-traversals" curves sweep.
-pub fn cached_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    cache: pulse::CacheConfig,
-    dist: Distribution,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .cache(cache)
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, dist))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`cached_pulse_webservice_factory`] over the
-/// identical deployment at a caller-chosen distribution; the front-end
-/// cache rides inside the baseline's own config (`RpcConfig::cache`).
-pub fn cached_baseline_webservice_factory(
-    nodes: usize,
-    kind: pulse::BaselineKind,
-    concurrency: usize,
-    requests: usize,
-    dist: Distribution,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(kind.clone(), sweep_webservice_cfg(YcsbWorkload::C, dist))
-            .expect("wire baseline");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`pulse_app_factory`], over an identical
-/// WebService deployment, behind the same [`Engine`](pulse::Engine) trait.
-/// Dispatch contention rides in the baseline's own config
-/// (`RpcConfig::dispatch` / `SwapConfig::dispatch`).
-pub fn baseline_webservice_factory(
-    nodes: usize,
-    kind: pulse::BaselineKind,
-    concurrency: usize,
-    requests: usize,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(
-                kind.clone(),
-                sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian),
-            )
-            .expect("wire baseline");
-        let reqs = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// The SLO-under-failure counterpart of [`pulse_app_factory`]: the pulse
-/// rack over the canonical sweep WebService deployment, with every extent
-/// replicated `replication` ways and `faults` injected mid-run. Flat
-/// topology, no front-end cache — the crash curves differ from the
-/// healthy `pulse` curve in exactly one axis, so any goodput dip or
-/// degraded-window p99 on them is attributable to the failure story
-/// (failover re-plans plus background re-replication), not to topology or
-/// caching differences.
-pub fn crashed_pulse_webservice_factory(
-    nodes: usize,
-    cpus: usize,
-    requests: usize,
-    dispatch: DispatchConfig,
-    replication: usize,
-    faults: Vec<FaultEvent>,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let (runtime, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .cpus(cpus)
-            .dispatch(dispatch)
-            .replication(replication)
-            .faults(faults.clone())
-            .granularity(DEFAULT_GRANULARITY)
-            .app(sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian))
-            .expect("wire pulse rack");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-    }
-}
-
-/// Baseline counterpart of [`crashed_pulse_webservice_factory`]: the RPC
-/// baseline over the identical deployment and replica rule, with the same
-/// fault schedule riding in `RpcConfig::faults` (the baseline's analytic
-/// fail-stop model — failover redirects plus one timeout round trip, no
-/// rebuild traffic).
-pub fn crashed_rpc_webservice_factory(
-    nodes: usize,
-    concurrency: usize,
-    requests: usize,
-    replication: usize,
-    faults: Vec<FaultEvent>,
-) -> impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync {
-    move || {
-        let kind = pulse::BaselineKind::Rpc(RpcConfig {
-            faults: faults.clone(),
-            ..RpcConfig::rpc()
-        });
-        let (engine, mut app) = pulse::PulseBuilder::new()
-            .nodes(nodes)
-            .window(concurrency)
-            .replication(replication)
-            .granularity(DEFAULT_GRANULARITY)
-            .baseline_app(
-                kind,
-                sweep_webservice_cfg(YcsbWorkload::C, Distribution::Zipfian),
-            )
-            .expect("wire baseline");
-        let reqs: Vec<AppRequest> = (0..requests).map(|_| app.next_request()).collect();
-        (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
     }
 }
 
@@ -1823,36 +1514,6 @@ mod tests {
         };
         let sustained = report.max_load_under_p99(150.0);
         assert_eq!(sustained, Some(684.5), "healthy rung must qualify");
-    }
-
-    /// The mixed-workload factories execute a rung end-to-end: real
-    /// updates in the stream, nonzero update goodput, and the identical
-    /// shape from the baseline side.
-    #[test]
-    fn ycsb_factories_execute_a_rung() {
-        for w in [YcsbWorkload::A, YcsbWorkload::B, YcsbWorkload::E] {
-            let mut make =
-                pulse_ycsb_factory(w, 2, 2, 60, DispatchConfig::default(), Default::default());
-            let curve = sweep("probe", &[100.0], 7, &mut make).unwrap();
-            let p = &curve.points[0];
-            assert_eq!(p.completed + p.faulted, 60, "{w}");
-            assert!(p.goodput_kops > 0.0, "{w}");
-            if w == YcsbWorkload::A {
-                assert!(p.update_goodput_kops > 0.0, "A is half updates");
-            }
-        }
-        let mut make = baseline_ycsb_factory(
-            YcsbWorkload::A,
-            2,
-            pulse::BaselineKind::Rpc(RpcConfig::rpc()),
-            8,
-            60,
-        );
-        let curve = sweep("probe-rpc", &[100.0], 7, &mut make).unwrap();
-        let p = &curve.points[0];
-        assert_eq!(p.completed, 60);
-        assert!(p.update_goodput_kops > 0.0);
-        assert_eq!(p.retries, 0, "sequential replay never races");
     }
 
     /// Schema round trip: every `SweepPoint` field must survive
@@ -1972,102 +1633,188 @@ mod tests {
         assert_eq!(parsed[0].label, "a\\b\t");
     }
 
-    /// The cache-sensitivity factories execute a rung end-to-end: the
-    /// skewed pulse+cache rung reports a nonzero hit rate, the identical
-    /// cache-disabled rung reports exactly zero, and the RPC+cache side
-    /// wires up through `RpcConfig::cache`.
+    /// One rung of every stream and engine side through [`Deployment`]
+    /// (tiny sizes; this is a wiring test, the real ladders run in
+    /// `examples/latency_sweep.rs`). Every case completes its whole stream
+    /// with nonzero goodput; the per-case checks tell the mixed-workload,
+    /// cache and SLO-under-failure stories at rung scale.
     #[test]
-    fn cached_factories_report_hit_rates() {
-        let cache = pulse::CacheConfig::sized(4 << 20);
-        let run = |cache, dist| {
-            let mut make =
-                cached_pulse_webservice_factory(2, 2, 120, DispatchConfig::default(), cache, dist);
-            let curve = sweep("probe", &[100.0], 7, &mut make).unwrap();
-            curve.points[0].clone()
+    fn deployments_execute_a_rung() {
+        use pulse::{BaselineKind, CacheConfig, PulseBuilder};
+        use pulse_mem::{FaultEvent, FaultKind};
+
+        struct Case {
+            name: &'static str,
+            at: Deployment,
+            side: Side,
+            load_kops: f64,
+            check: fn(&str, &SweepPoint),
+        }
+        let at = |rack, nodes, stream, requests| Deployment {
+            rack,
+            nodes,
+            stream,
+            requests,
         };
-        let skewed = run(cache, Distribution::Zipfian);
-        assert_eq!(skewed.completed, 120);
-        assert!(
-            skewed.cache_hit_rate > 0.0,
-            "skewed reads must hit: {skewed:?}"
-        );
-        let disabled = run(pulse::CacheConfig::disabled(), Distribution::Zipfian);
-        assert_eq!(disabled.cache_hit_rate, 0.0, "disabled is exactly zero");
-
-        let mut make = cached_baseline_webservice_factory(
-            2,
-            pulse::BaselineKind::Rpc(RpcConfig {
-                cache,
-                ..RpcConfig::rpc()
-            }),
-            8,
-            120,
-            Distribution::Zipfian,
-        );
-        let curve = sweep("probe-rpc", &[100.0], 7, &mut make).unwrap();
-        assert!(
-            curve.points[0].cache_hit_rate > 0.0,
-            "RPC front-end cache must hit on skewed reads: {:?}",
-            curve.points[0]
-        );
-    }
-
-    /// One rung of each crash factory tells the SLO-under-failure story:
-    /// replicated pulse rides out the crash (zero unavailable, nonzero
-    /// failovers and rebuild traffic), unreplicated pulse loses requests,
-    /// and the replicated RPC baseline fails over without ever rebuilding.
-    #[test]
-    fn crash_factories_tell_the_slo_story() {
-        use pulse_mem::FaultKind;
-        let faults = vec![FaultEvent::new(
-            pulse_sim::SimTime::from_micros(30),
-            FaultKind::MemCrash(0),
-        )];
-        let rung = |replication| {
-            let mut make = crashed_pulse_webservice_factory(
-                4,
-                2,
-                120,
-                DispatchConfig::default(),
-                replication,
-                faults.clone(),
-            );
-            let curve = sweep("probe-crash", &[300.0], 7, &mut make).unwrap();
-            curve.points[0].clone()
+        let rack = || PulseBuilder::new().cpus(2);
+        let clients = || PulseBuilder::new().window(8);
+        let rpc = |cfg| Side::Baseline(BaselineKind::Rpc(cfg));
+        let ws = Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian);
+        let cache = CacheConfig::sized(4 << 20);
+        let crash = || {
+            vec![FaultEvent::new(
+                pulse_sim::SimTime::from_micros(30),
+                FaultKind::MemCrash(0),
+            )]
         };
-        let replicated = rung(2);
-        assert_eq!(replicated.unavailable_completions, 0, "{replicated:?}");
-        assert!(replicated.failovers > 0, "{replicated:?}");
-        assert!(replicated.rereplication_bytes > 0, "{replicated:?}");
-        assert!(replicated.degraded_p99_us > 0.0, "{replicated:?}");
-        let bare = rung(1);
-        assert!(bare.unavailable_completions > 0, "{bare:?}");
-        assert_eq!(bare.rereplication_bytes, 0, "{bare:?}");
-
-        let mut make = crashed_rpc_webservice_factory(4, 8, 120, 2, faults);
-        let curve = sweep("probe-rpc-crash", &[300.0], 7, &mut make).unwrap();
-        let rpc = &curve.points[0];
-        assert_eq!(rpc.unavailable_completions, 0, "{rpc:?}");
-        assert!(rpc.failovers > 0, "{rpc:?}");
-        assert_eq!(rpc.rereplication_bytes, 0, "RPC never rebuilds: {rpc:?}");
-    }
-
-    /// The new ladder factories build and execute a rung end-to-end for
-    /// every application family (tiny sizes; this is a wiring test, the
-    /// real ladders run in `examples/latency_sweep.rs`).
-    #[test]
-    fn app_factories_execute_a_rung() {
-        for kind in [
-            AppKind::WebService(YcsbWorkload::C),
-            AppKind::WiredTiger,
-            AppKind::Btrdb(4),
-        ] {
-            let mut make = pulse_app_factory(kind, 2, 2, 10, DispatchConfig::default());
-            let curve = sweep("probe", &[50.0], 7, &mut make).unwrap();
-            assert_eq!(curve.points.len(), 1, "{kind:?}");
+        let no_check: fn(&str, &SweepPoint) = |_, _| {};
+        let cases = [
+            Case {
+                name: "pulse-webservice",
+                at: at(rack(), 2, ws, 10),
+                side: Side::Pulse,
+                load_kops: 50.0,
+                check: no_check,
+            },
+            Case {
+                name: "pulse-wiredtiger",
+                at: at(
+                    rack(),
+                    2,
+                    Stream::App(AppKind::WiredTiger, Distribution::Zipfian),
+                    10,
+                ),
+                side: Side::Pulse,
+                load_kops: 50.0,
+                check: no_check,
+            },
+            Case {
+                name: "pulse-btrdb",
+                at: at(
+                    rack(),
+                    2,
+                    Stream::App(AppKind::Btrdb(4), Distribution::Zipfian),
+                    10,
+                ),
+                side: Side::Pulse,
+                load_kops: 50.0,
+                check: no_check,
+            },
+            Case {
+                name: "pulse-ycsb-a",
+                at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::A), 60),
+                side: Side::Pulse,
+                load_kops: 100.0,
+                check: |name, p| assert!(p.update_goodput_kops > 0.0, "{name}: A is half updates"),
+            },
+            Case {
+                name: "pulse-ycsb-b",
+                at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::B), 60),
+                side: Side::Pulse,
+                load_kops: 100.0,
+                check: no_check,
+            },
+            Case {
+                name: "pulse-ycsb-e",
+                at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::E), 60),
+                side: Side::Pulse,
+                load_kops: 100.0,
+                check: no_check,
+            },
+            Case {
+                name: "rpc-ycsb-a",
+                at: at(clients(), 2, Stream::Ycsb(YcsbWorkload::A), 60),
+                side: rpc(RpcConfig::rpc()),
+                load_kops: 100.0,
+                check: |name, p| {
+                    assert_eq!(p.completed, 60, "{name}");
+                    assert!(p.update_goodput_kops > 0.0, "{name}");
+                    assert_eq!(p.retries, 0, "{name}: sequential replay never races");
+                },
+            },
+            Case {
+                name: "pulse+cache",
+                at: at(rack().cache(cache), 2, ws, 120),
+                side: Side::Pulse,
+                load_kops: 100.0,
+                check: |name, p| {
+                    assert_eq!(p.completed, 120, "{name}");
+                    assert!(
+                        p.cache_hit_rate > 0.0,
+                        "{name}: skewed reads must hit: {p:?}"
+                    );
+                },
+            },
+            Case {
+                name: "pulse-cache-disabled",
+                at: at(rack().cache(CacheConfig::disabled()), 2, ws, 120),
+                side: Side::Pulse,
+                load_kops: 100.0,
+                check: |name, p| assert_eq!(p.cache_hit_rate, 0.0, "{name}: exactly zero"),
+            },
+            Case {
+                name: "rpc+cache",
+                at: at(clients(), 2, ws, 120),
+                side: rpc(RpcConfig {
+                    cache,
+                    ..RpcConfig::rpc()
+                }),
+                load_kops: 100.0,
+                check: |name, p| {
+                    assert!(
+                        p.cache_hit_rate > 0.0,
+                        "{name}: the RPC front-end cache must hit on skewed reads: {p:?}"
+                    )
+                },
+            },
+            Case {
+                name: "pulse-crash-replicated",
+                at: at(rack().replication(2).faults(crash()), 4, ws, 120),
+                side: Side::Pulse,
+                load_kops: 300.0,
+                check: |name, p| {
+                    assert_eq!(p.unavailable_completions, 0, "{name}: {p:?}");
+                    assert!(p.failovers > 0, "{name}: {p:?}");
+                    assert!(p.rereplication_bytes > 0, "{name}: {p:?}");
+                    assert!(p.degraded_p99_us > 0.0, "{name}: {p:?}");
+                },
+            },
+            Case {
+                name: "pulse-crash",
+                at: at(rack().replication(1).faults(crash()), 4, ws, 120),
+                side: Side::Pulse,
+                load_kops: 300.0,
+                check: |name, p| {
+                    assert!(p.unavailable_completions > 0, "{name}: {p:?}");
+                    assert_eq!(p.rereplication_bytes, 0, "{name}: {p:?}");
+                },
+            },
+            Case {
+                name: "rpc-crash",
+                at: at(clients().replication(2), 4, ws, 120),
+                side: rpc(RpcConfig {
+                    faults: crash(),
+                    ..RpcConfig::rpc()
+                }),
+                load_kops: 300.0,
+                check: |name, p| {
+                    assert_eq!(p.unavailable_completions, 0, "{name}: {p:?}");
+                    assert!(p.failovers > 0, "{name}: {p:?}");
+                    assert_eq!(
+                        p.rereplication_bytes, 0,
+                        "{name}: RPC never rebuilds: {p:?}"
+                    );
+                },
+            },
+        ];
+        for case in cases {
+            let requests = case.at.requests as u64;
+            let curve = sweep(case.name, &[case.load_kops], 7, case.at.factory(case.side)).unwrap();
+            assert_eq!(curve.points.len(), 1, "{}", case.name);
             let p = &curve.points[0];
-            assert_eq!(p.completed + p.faulted, 10, "{kind:?}");
-            assert!(p.goodput_kops > 0.0, "{kind:?}");
+            assert_eq!(p.completed + p.faulted, requests, "{}", case.name);
+            assert!(p.goodput_kops > 0.0, "{}: {p:?}", case.name);
+            (case.check)(case.name, p);
         }
     }
 }

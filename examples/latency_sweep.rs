@@ -70,6 +70,14 @@
 //! cargo run --release --example latency_sweep -- --workers 1   # serial schedule
 //! ```
 //!
+//! Every curve — the nineteen table rows, the cache-size × θ grid and the
+//! traced rung — is one `pulse_bench::Deployment`: a `PulseBuilder` rack
+//! (cpus, dispatch, cache, topology, replication, faults, ISA-v2
+//! switches, tracing, window), its memory-node count and a `Stream`
+//! (an application's read-only stream or a YCSB mix), built for one engine
+//! `Side` — pulse or a `BaselineKind`. Two curves that differ in one axis
+//! differ in one builder setter or one baseline config field.
+//!
 //! The nineteen curves run on `pulse_bench::sweep_par_with`'s bounded
 //! worker pool: every (curve, rung) pair is a deterministic closed world,
 //! so workers claim rungs in parallel and the results are stitched back in
@@ -92,18 +100,14 @@
 
 use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::sim::SimTime;
-use pulse::workloads::{Application, Distribution};
+use pulse::workloads::Distribution;
 use pulse::{
-    BaselineKind, CacheConfig, DispatchConfig, Engine, FaultEvent, FaultKind, Phase, TopologySpec,
-    TraceConfig, WebServiceConfig, YcsbWorkload,
+    BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent, FaultKind,
+    Phase, PulseBuilder, TopologySpec, TraceConfig, YcsbWorkload,
 };
 use pulse_bench::{
-    baseline_webservice_factory, baseline_ycsb_factory, cached_baseline_webservice_factory,
-    cached_pulse_webservice_factory, crashed_pulse_webservice_factory,
-    crashed_rpc_webservice_factory, fabric_pulse_webservice_factory, pulse_app_factory,
-    pulse_ycsb_factory, simspeed_json, spec_pulse_webservice_factory, spec_pulse_ycsb_factory,
-    sweep, sweep_json, sweep_par_with, AppKind, CurveFactory, CurveSpec, IsaV2, SweepPoint,
-    SweepReport, DEFAULT_GRANULARITY,
+    simspeed_json, sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
+    SweepPoint, SweepReport,
 };
 
 const NODES: usize = 2;
@@ -169,204 +173,138 @@ fn main() -> Result<(), pulse::Error> {
     );
     println!("parallel sweep harness: {workers} worker threads\n");
 
-    // Every curve is one `(label, factory)` row; the shared ladder and
-    // seed are applied once below, so adding a curve is a one-line entry
-    // instead of a copy-paste block. Order matters: the assertions after
-    // the sweep index `curves[0]` (pulse) and `curves[1]` (RPC),
-    // `sweep_par_with` stitches results back in exactly this order, and
-    // the `SPEC_LABELS` curves must stay last (the split below peels them
-    // off the tail into their own JSON document).
-    let webservice = AppKind::WebService(YcsbWorkload::C);
-    let table: Vec<(&str, CurveFactory)> = vec![
-        (
-            "pulse",
-            Box::new(pulse_app_factory(
-                webservice, NODES, CPUS, requests, dispatch,
-            )),
-        ),
-        (
-            "RPC",
-            Box::new(baseline_webservice_factory(
-                NODES,
-                BaselineKind::Rpc(rpc_cfg(dispatch)),
-                BASELINE_CLIENTS,
-                requests,
-            )),
-        ),
+    // Every curve is one `(label, deployment, side)` row over the shared
+    // rack below; the ladder and seed are applied once, so adding a curve
+    // is a one-line entry and two curves that differ in one axis differ in
+    // one builder setter. Order matters: the assertions after the sweep
+    // index `curves[0]` (pulse) and `curves[1]` (RPC), `sweep_par_with`
+    // stitches results back in exactly this order, and the `SPEC_LABELS`
+    // curves must stay last (the split below peels them off the tail into
+    // their own JSON document).
+    // The rack every curve starts from: `CPUS` compute nodes on the
+    // contended dispatch model and `BASELINE_CLIENTS` in flight — the
+    // baselines' client count, equal to the pulse runtime's default window.
+    let rack = PulseBuilder::new()
+        .cpus(CPUS)
+        .dispatch(dispatch)
+        .window(BASELINE_CLIENTS);
+    let at = |rack: &PulseBuilder, nodes, stream| Deployment {
+        rack: rack.clone(),
+        nodes,
+        stream,
+        requests,
+    };
+    let ws = Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian);
+    let rpc = |cfg| Side::Baseline(BaselineKind::Rpc(cfg));
+    let cached = rack.clone().cache(CacheConfig::sized(CACHE_BYTES));
+    let leafspine = rack.clone().topology(FABRIC_TOPOLOGY);
+    let crashed = |replication| {
+        rack.clone()
+            .replication(replication)
+            .faults(crash_schedule())
+    };
+    let spec = rack.clone().speculation(true).batching(SPEC_BATCH_HOPS);
+    let table: Vec<(&str, Deployment, Side)> = vec![
+        ("pulse", at(&rack, NODES, ws), Side::Pulse),
+        ("RPC", at(&rack, NODES, ws), rpc(rpc_cfg(dispatch))),
         (
             "Cache-based",
-            Box::new(baseline_webservice_factory(
-                NODES,
-                BaselineKind::SwapCache(SwapConfig {
-                    cache_bytes: 8 << 20,
-                    dispatch,
-                    ..SwapConfig::default()
-                }),
-                BASELINE_CLIENTS,
-                requests,
-            )),
+            at(&rack, NODES, ws),
+            Side::Baseline(BaselineKind::SwapCache(SwapConfig {
+                cache_bytes: 8 << 20,
+                dispatch,
+                ..SwapConfig::default()
+            })),
         ),
         (
             "pulse-wiredtiger",
-            Box::new(pulse_app_factory(
-                AppKind::WiredTiger,
+            at(
+                &rack,
                 NODES,
-                CPUS,
-                requests,
-                dispatch,
-            )),
+                Stream::App(AppKind::WiredTiger, Distribution::Zipfian),
+            ),
+            Side::Pulse,
         ),
         (
             "pulse-btrdb",
-            Box::new(pulse_app_factory(
-                AppKind::Btrdb(4),
+            at(
+                &rack,
                 NODES,
-                CPUS,
-                requests,
-                dispatch,
-            )),
+                Stream::App(AppKind::Btrdb(4), Distribution::Zipfian),
+            ),
+            Side::Pulse,
         ),
         (
             "pulse-ycsb-a",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::disabled(),
-            )),
+            at(&rack, NODES, Stream::Ycsb(YcsbWorkload::A)),
+            Side::Pulse,
         ),
         (
             "pulse-ycsb-b",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::B,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::disabled(),
-            )),
+            at(&rack, NODES, Stream::Ycsb(YcsbWorkload::B)),
+            Side::Pulse,
         ),
         (
             "pulse-ycsb-e",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::E,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::disabled(),
-            )),
+            at(&rack, NODES, Stream::Ycsb(YcsbWorkload::E)),
+            Side::Pulse,
         ),
         (
             "RPC-ycsb-a",
-            Box::new(baseline_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                BaselineKind::Rpc(rpc_cfg(dispatch)),
-                BASELINE_CLIENTS,
-                requests,
-            )),
+            at(&rack, NODES, Stream::Ycsb(YcsbWorkload::A)),
+            rpc(rpc_cfg(dispatch)),
         ),
         // The cache-sensitivity curves: the same skewed WebService
         // deployment with a coherent front-end cache at every CPU node
         // (pulse and RPC), plus the write-heavy YCSB-A mix with the same
         // cache — where invalidation-on-update collapses the benefit.
-        (
-            "pulse+cache",
-            Box::new(cached_pulse_webservice_factory(
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::sized(CACHE_BYTES),
-                Distribution::Zipfian,
-            )),
-        ),
+        ("pulse+cache", at(&cached, NODES, ws), Side::Pulse),
         (
             "RPC+cache",
-            Box::new(cached_baseline_webservice_factory(
-                NODES,
-                BaselineKind::Rpc(RpcConfig {
-                    cache: CacheConfig::sized(CACHE_BYTES),
-                    ..rpc_cfg(dispatch)
-                }),
-                BASELINE_CLIENTS,
-                requests,
-                Distribution::Zipfian,
-            )),
+            at(&cached, NODES, ws),
+            rpc(RpcConfig {
+                cache: CacheConfig::sized(CACHE_BYTES),
+                ..rpc_cfg(dispatch)
+            }),
         ),
         (
             "pulse-ycsb-a+cache",
-            Box::new(pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                CacheConfig::sized(CACHE_BYTES),
-            )),
+            at(&cached, NODES, Stream::Ycsb(YcsbWorkload::A)),
+            Side::Pulse,
         ),
         // The multi-rack incast comparison: identical Zipf-skewed
         // WebService deployments on a routed 2-leaf/2-spine fabric.
         (
             "pulse-leafspine-hot",
-            Box::new(fabric_pulse_webservice_factory(
-                FABRIC_NODES,
-                CPUS,
-                requests,
-                dispatch,
-                FABRIC_TOPOLOGY,
-            )),
+            at(&leafspine, FABRIC_NODES, ws),
+            Side::Pulse,
         ),
         (
             "RPC-leafspine-hot",
-            Box::new(baseline_webservice_factory(
-                FABRIC_NODES,
-                BaselineKind::Rpc(RpcConfig {
-                    topology: FABRIC_TOPOLOGY,
-                    ..rpc_cfg(dispatch)
-                }),
-                BASELINE_CLIENTS,
-                requests,
-            )),
+            at(&leafspine, FABRIC_NODES, ws),
+            rpc(RpcConfig {
+                topology: FABRIC_TOPOLOGY,
+                ..rpc_cfg(dispatch)
+            }),
         ),
         // The SLO-under-failure comparison: identical flat deployments,
         // node 0 fail-stops 30 us into every rung. One axis varies per
         // curve: replication off, replication on, and the RPC baseline
-        // with the same replica rule.
-        (
-            "pulse-crash",
-            Box::new(crashed_pulse_webservice_factory(
-                CRASH_NODES,
-                CPUS,
-                requests,
-                dispatch,
-                1,
-                crash_schedule(),
-            )),
-        ),
+        // with the same replica rule (its fault schedule rides in
+        // `RpcConfig::faults`).
+        ("pulse-crash", at(&crashed(1), CRASH_NODES, ws), Side::Pulse),
         (
             "pulse-crash-replicated",
-            Box::new(crashed_pulse_webservice_factory(
-                CRASH_NODES,
-                CPUS,
-                requests,
-                dispatch,
-                2,
-                crash_schedule(),
-            )),
+            at(&crashed(2), CRASH_NODES, ws),
+            Side::Pulse,
         ),
         (
             "RPC-crash",
-            Box::new(crashed_rpc_webservice_factory(
-                CRASH_NODES,
-                BASELINE_CLIENTS,
-                requests,
-                2,
-                crash_schedule(),
-            )),
+            at(&crashed(2), CRASH_NODES, ws),
+            rpc(RpcConfig {
+                faults: crash_schedule(),
+                ..RpcConfig::rpc()
+            }),
         ),
         // The ISA-v2 curves (`SPEC_LABELS`): the identical read-heavy
         // WebService deployment with speculation, batching, and coalescing
@@ -375,33 +313,27 @@ fn main() -> Result<(), pulse::Error> {
         // mis-speculation tax is visible instead of assumed away.
         (
             SPEC_LABELS[0],
-            Box::new(spec_pulse_webservice_factory(
+            at(
+                &spec.clone().coalescing(CoalesceConfig {
+                    enabled: true,
+                    ..Default::default()
+                }),
                 NODES,
-                CPUS,
-                requests,
-                dispatch,
-                IsaV2::all(SPEC_BATCH_HOPS),
-            )),
+                ws,
+            ),
+            Side::Pulse,
         ),
         (
             SPEC_LABELS[1],
-            Box::new(spec_pulse_ycsb_factory(
-                YcsbWorkload::A,
-                NODES,
-                CPUS,
-                requests,
-                dispatch,
-                IsaV2 {
-                    speculate: true,
-                    batch_hops: SPEC_BATCH_HOPS,
-                    coalesce: None,
-                },
-            )),
+            at(&spec, NODES, Stream::Ycsb(YcsbWorkload::A)),
+            Side::Pulse,
         ),
     ];
     let specs: Vec<CurveSpec> = table
         .into_iter()
-        .map(|(label, make)| CurveSpec::new(label, &loads_kops, SEED, make))
+        .map(|(label, deployment, side)| {
+            CurveSpec::new(label, &loads_kops, SEED, deployment.factory(side))
+        })
         .collect();
 
     let par = sweep_par_with(&specs, workers, |timing| {
@@ -539,15 +471,16 @@ fn main() -> Result<(), pulse::Error> {
     for &milli in &thetas {
         let mut row = Vec::new();
         for &bytes in &sizes {
-            let mut make = cached_pulse_webservice_factory(
-                NODES,
-                CPUS,
-                requests.min(500),
-                dispatch,
-                CacheConfig::sized(bytes),
-                Distribution::ZipfianTheta { milli },
-            );
-            let cell = sweep("grid", &[loads_kops[0]], SEED, &mut make)?;
+            let cell = Deployment {
+                rack: rack.clone().cache(CacheConfig::sized(bytes)),
+                nodes: NODES,
+                stream: Stream::App(
+                    AppKind::WebService(YcsbWorkload::C),
+                    Distribution::ZipfianTheta { milli },
+                ),
+                requests: requests.min(500),
+            };
+            let cell = sweep("grid", &[loads_kops[0]], SEED, cell.factory(Side::Pulse))?;
             row.push(cell.points[0].cache_hit_rate);
         }
         grid.push(row);
@@ -857,32 +790,24 @@ fn main() -> Result<(), pulse::Error> {
     );
 
     if let Some(path) = trace_path {
-        run_traced_rung(&path, requests, loads_kops[0])?;
+        let traced = Deployment {
+            rack: leafspine.trace(Some(TraceConfig::default())),
+            nodes: FABRIC_NODES,
+            stream: ws,
+            requests,
+        };
+        run_traced_rung(&path, &traced, loads_kops[0])?;
     }
     Ok(())
 }
 
 /// One fully-traced rung, run after the sweep so tracing never touches the
-/// golden ladder: the routed leaf-spine WebService deployment with span
-/// recording on. Writes the Perfetto-loadable Chrome trace to `path` and a
+/// golden ladder: `traced` is the `pulse-leafspine-hot` deployment with
+/// span recording on. Writes the Perfetto-loadable Chrome trace to `path` and a
 /// one-curve sweep document (with the `"phase"` attribution object) to
 /// `BENCH_traced_sweep.json`, then prints the per-phase breakdown.
-fn run_traced_rung(path: &str, requests: usize, load_kops: f64) -> Result<(), pulse::Error> {
-    let dispatch = DispatchConfig::contended(DISPATCH_OCCUPANCY, DISPATCH_CONTEXTS);
-    let (mut runtime, mut app) = pulse::PulseBuilder::new()
-        .nodes(FABRIC_NODES)
-        .cpus(CPUS)
-        .dispatch(dispatch)
-        .topology(FABRIC_TOPOLOGY)
-        .trace(Some(TraceConfig::default()))
-        .granularity(DEFAULT_GRANULARITY)
-        .app(WebServiceConfig {
-            keys: 6_000,
-            workload: YcsbWorkload::C,
-            distribution: Distribution::Zipfian,
-            ..Default::default()
-        })?;
-    let reqs: Vec<_> = (0..requests).map(|_| app.next_request()).collect();
+fn run_traced_rung(path: &str, traced: &Deployment, load_kops: f64) -> Result<(), pulse::Error> {
+    let (mut runtime, reqs) = traced.pulse();
     let arrivals = pulse::ArrivalProcess::poisson(load_kops * 1e3, SEED);
     let rep = runtime.execute_open_loop(&reqs, arrivals)?;
 

@@ -5,67 +5,51 @@
 //! its own SplitMix64 arrival stream — so parallelism may only change
 //! wall-clock, never a single emitted byte.
 
-use pulse::{DispatchConfig, YcsbWorkload};
-use pulse_bench::{
-    pulse_app_factory, pulse_ycsb_factory, sweep, sweep_json, sweep_par, AppKind, CurveSpec,
-};
+use pulse::workloads::Distribution;
+use pulse::{PulseBuilder, YcsbWorkload};
+use pulse_bench::{sweep, sweep_json, sweep_par, AppKind, CurveSpec, Deployment, Side, Stream};
 
 const LOADS: [f64; 3] = [50.0, 200.0, 800.0];
 const SEED: u64 = 0xC0FFEE;
 const REQUESTS: usize = 120;
 
-fn specs() -> Vec<CurveSpec> {
-    vec![
-        CurveSpec::new(
+/// The two curves under test: pulse over the read-only WebService stream
+/// and over the YCSB-A mix, on one 2-node, 2-CPU rack.
+fn curves() -> [(&'static str, Deployment); 2] {
+    let at = |stream| Deployment {
+        rack: PulseBuilder::new().cpus(2),
+        nodes: 2,
+        stream,
+        requests: REQUESTS,
+    };
+    [
+        (
             "par-pulse",
-            &LOADS,
-            SEED,
-            pulse_app_factory(
+            at(Stream::App(
                 AppKind::WebService(YcsbWorkload::C),
-                2,
-                2,
-                REQUESTS,
-                DispatchConfig::default(),
-            ),
+                Distribution::Zipfian,
+            )),
         ),
-        CurveSpec::new(
-            "par-ycsb-a",
-            &LOADS,
-            SEED,
-            pulse_ycsb_factory(
-                YcsbWorkload::A,
-                2,
-                2,
-                REQUESTS,
-                DispatchConfig::default(),
-                Default::default(),
-            ),
-        ),
+        ("par-ycsb-a", at(Stream::Ycsb(YcsbWorkload::A))),
     ]
+}
+
+fn specs() -> Vec<CurveSpec> {
+    curves()
+        .into_iter()
+        .map(|(label, at)| CurveSpec::new(label, &LOADS, SEED, at.factory(Side::Pulse)))
+        .collect()
 }
 
 /// The serial reference: the exact ladder `sweep()` would run for the same
 /// two curves, serialized with the same `sweep_json`.
 fn serial_reference() -> String {
-    let mut make_pulse = pulse_app_factory(
-        AppKind::WebService(YcsbWorkload::C),
-        2,
-        2,
-        REQUESTS,
-        DispatchConfig::default(),
-    );
-    let mut make_ycsb = pulse_ycsb_factory(
-        YcsbWorkload::A,
-        2,
-        2,
-        REQUESTS,
-        DispatchConfig::default(),
-        Default::default(),
-    );
-    let curves = vec![
-        sweep("par-pulse", &LOADS, SEED, &mut make_pulse).expect("serial pulse curve"),
-        sweep("par-ycsb-a", &LOADS, SEED, &mut make_ycsb).expect("serial ycsb curve"),
-    ];
+    let curves: Vec<_> = curves()
+        .into_iter()
+        .map(|(label, at)| {
+            sweep(label, &LOADS, SEED, at.factory(Side::Pulse)).expect("serial curve")
+        })
+        .collect();
     sweep_json(&curves)
 }
 
