@@ -65,7 +65,6 @@ impl NetModel {
             link: LinkConfig {
                 propagation,
                 bits_per_sec: self.bits_per_sec,
-                per_message_overhead_bytes: 0,
             },
             switch,
         }

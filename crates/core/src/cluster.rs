@@ -29,9 +29,7 @@ use pulse_net::{
     RequestId, Route, Switch, SwitchConfig, TopoNode, Topology, TopologySpec, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES,
 };
-use pulse_sim::{
-    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, SplitMix64,
-};
+use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, SplitMix64};
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
@@ -592,15 +590,6 @@ impl PulseCluster {
     /// Per-CPU-node link views (tx/rx byte counters), indexed by `CpuId`.
     pub fn cpu_links(&self) -> Vec<&Link> {
         self.frontends.iter().map(CpuFrontEnd::link).collect()
-    }
-
-    /// Per-CPU-node dispatch-engine views (ops booked, utilization),
-    /// indexed by `CpuId`.
-    pub fn dispatch_engines(&self) -> Vec<&CpuDispatch> {
-        self.frontends
-            .iter()
-            .map(CpuFrontEnd::dispatch_engine)
-            .collect()
     }
 
     /// Mints the identity the next submission will carry: the configured
@@ -1483,13 +1472,19 @@ impl PulseCluster {
         }
     }
 
-    /// Routed-fabric counterpart of [`Self::at_switch`]: the switch still
-    /// makes the pure routing decision (crossing counting, the pulse-acc
-    /// override, and invalid-pointer notification follow the flat path
-    /// exactly), but transport is priced hop by hop on the fabric and the
-    /// delivery event is scheduled directly — no `AtSwitch` hop exists in
-    /// routed mode.
-    fn route_and_send(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+    /// The switch's routing decision for `pkt` arriving from `from`, shared
+    /// by the flat and routed paths: the pure table route, a crossing for
+    /// every in-flight iterator arriving from a memory node (sent back to
+    /// its CPU under the pulse-acc ablation), then failover around dark
+    /// nodes. `None` means every replica was unreachable and the request
+    /// has been fault-completed as unavailable.
+    fn switch_route(
+        &mut self,
+        drv: &mut Driver<Ev>,
+        now: SimTime,
+        pkt: Packet,
+        from: Endpoint,
+    ) -> Option<(Route, Packet)> {
         let mut route = self.switch.route(&pkt);
         if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, from) {
             if matches!(ip.status, IterStatus::InFlight) {
@@ -1499,9 +1494,24 @@ impl PulseCluster {
                 }
             }
         }
-        let route = match self.health_route(route, &pkt) {
-            Ok(r) => r,
-            Err(()) => return self.unavailable_complete(drv, at, pkt),
+        match self.health_route(route, &pkt) {
+            Ok(route) => Some((route, pkt)),
+            Err(()) => {
+                self.unavailable_complete(drv, now, pkt);
+                None
+            }
+        }
+    }
+
+    /// Routed-fabric counterpart of [`Self::at_switch`]: the switch still
+    /// makes the pure routing decision (crossing counting, the pulse-acc
+    /// override, and invalid-pointer notification follow the flat path
+    /// exactly), but transport is priced hop by hop on the fabric and the
+    /// delivery event is scheduled directly — no `AtSwitch` hop exists in
+    /// routed mode.
+    fn route_and_send(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+        let Some((route, pkt)) = self.switch_route(drv, at, pkt, from) else {
+            return;
         };
         let wire = pkt.wire_bytes();
         // Routed trips are priced hop by hop but recorded as one WireHop
@@ -1521,22 +1531,7 @@ impl PulseCluster {
             Route::InvalidPointer { requester } => {
                 let arrive = self.fabric_send(at, from, requester, wire);
                 self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                match pkt {
-                    Packet::Iter(mut ip) => {
-                        ip.status = IterStatus::Faulted {
-                            fault: pulse_isa::MemFault::NotMapped {
-                                addr: ip.state.cur_ptr,
-                            },
-                        };
-                        drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
-                    }
-                    Packet::Read { id, .. } | Packet::Write { id, .. } => {
-                        drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-                    }
-                    Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-                        unreachable!("replies route to the requester, never invalid")
-                    }
-                }
+                deliver_invalid_pointer(drv, arrive, pkt);
             }
         }
     }
@@ -1560,21 +1555,8 @@ impl PulseCluster {
     }
 
     fn at_switch(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, from: Endpoint) {
-        let mut route = self.switch.route(&pkt);
-        // Count crossings and apply the pulse-acc ablation: an in-flight
-        // iterator arriving *from a memory node* is a mid-traversal
-        // crossing.
-        if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, from) {
-            if matches!(ip.status, IterStatus::InFlight) {
-                self.crossings += 1;
-                if self.cfg.mode == PulseMode::PulseAcc {
-                    route = Route::To(Endpoint::Cpu(pkt.id().cpu));
-                }
-            }
-        }
-        let route = match self.health_route(route, &pkt) {
-            Ok(r) => r,
-            Err(()) => return self.unavailable_complete(drv, now, pkt),
+        let Some((route, pkt)) = self.switch_route(drv, now, pkt, from) else {
+            return;
         };
         // The switch-egress + delivery trip is attributed to the
         // *destination's* NIC track (the sender's NIC span ended at
@@ -1616,25 +1598,7 @@ impl PulseCluster {
                     Track::Link(cpu),
                     arrive,
                 );
-                match pkt {
-                    Packet::Iter(mut ip) => {
-                        ip.status = IterStatus::Faulted {
-                            fault: pulse_isa::MemFault::NotMapped {
-                                addr: ip.state.cur_ptr,
-                            },
-                        };
-                        drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
-                    }
-                    // Plain reads/writes aimed at an unmapped address: the
-                    // request fault-completes instead of hanging forever
-                    // with its packet silently dropped.
-                    Packet::Read { id, .. } | Packet::Write { id, .. } => {
-                        drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-                    }
-                    Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-                        unreachable!("replies route to the requester, never invalid")
-                    }
-                }
+                deliver_invalid_pointer(drv, arrive, pkt);
             }
         }
     }
@@ -1964,6 +1928,30 @@ fn resolve_addr(src: AddrSource, state: Option<&pulse_isa::IterState>) -> Option
     match src {
         AddrSource::Fixed(a) => Some(a),
         AddrSource::FromScratch(off) => state.map(|s| s.scratch_u64(off as usize)),
+    }
+}
+
+/// Delivers a packet the switch found aimed at an unmapped address to its
+/// requester at `arrive` (§5: "notify the CPU node if the pointer is
+/// invalid"): a traversal comes back `Faulted { NotMapped }`, and a plain
+/// read or write fault-completes instead of hanging forever with its packet
+/// silently dropped.
+fn deliver_invalid_pointer(drv: &mut Driver<Ev>, arrive: SimTime, pkt: Packet) {
+    match pkt {
+        Packet::Iter(mut ip) => {
+            ip.status = IterStatus::Faulted {
+                fault: pulse_isa::MemFault::NotMapped {
+                    addr: ip.state.cur_ptr,
+                },
+            };
+            drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
+        }
+        Packet::Read { id, .. } | Packet::Write { id, .. } => {
+            drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
+        }
+        Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
+            unreachable!("replies route to the requester, never invalid")
+        }
     }
 }
 

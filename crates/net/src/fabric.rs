@@ -109,15 +109,10 @@ impl Fabric {
         let path = self.topo.path(src, dst)?;
         let mut cursor = now;
         for lid in path {
-            let charged = match self.topo.links()[lid].from {
-                TopoNode::Host(_) => bytes + self.cfg.link.per_message_overhead_bytes,
-                TopoNode::Switch(_) => {
-                    cursor += self.cfg.switch.pipeline_latency;
-                    (bytes + self.cfg.link.per_message_overhead_bytes)
-                        .max(self.cfg.switch.min_frame_bytes)
-                }
-            };
-            let grant = self.pipes[lid].acquire(cursor, charged);
+            if let TopoNode::Switch(_) = self.topo.links()[lid].from {
+                cursor += self.cfg.switch.pipeline_latency;
+            }
+            let grant = self.pipes[lid].acquire(cursor, bytes);
             let q = &mut self.queues[lid];
             while q.front().is_some_and(|&end| end <= cursor) {
                 q.pop_front();

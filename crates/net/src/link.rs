@@ -2,25 +2,15 @@
 
 use pulse_sim::{SerialResource, SimTime};
 
-/// Link timing parameters.
-///
-/// Every time charge a link makes is a pure function of the message's byte
-/// count and these parameters — the satellite audit for flat magic-number
-/// costs found none in `Link` itself (`tx`/`rx` serialize exactly the bytes
-/// handed to them); `per_message_overhead_bytes` parametrizes the one cost
-/// that *was* implicit (per-frame preamble/framing overhead, previously
-/// priced at zero) with a default that preserves that behavior.
+/// Link timing parameters. Every time charge a link makes is a pure
+/// function of the message's byte count and these parameters: `tx`/`rx`
+/// serialize exactly the bytes handed to them (no framing overhead).
 #[derive(Debug, Clone, Copy)]
 pub struct LinkConfig {
     /// One-way propagation incl. NIC processing on both ends of the hop.
     pub propagation: SimTime,
     /// Bandwidth in bits per second.
     pub bits_per_sec: u64,
-    /// Per-message framing overhead (preamble + inter-frame gap on real
-    /// Ethernet, ~20 B) added to every serialization charge. Defaults to 0,
-    /// the implicit value of the flat model, so existing traces are
-    /// unchanged.
-    pub per_message_overhead_bytes: u64,
 }
 
 impl Default for LinkConfig {
@@ -31,7 +21,6 @@ impl Default for LinkConfig {
             // lands in the paper's observed 3.5–5 µs per node-crossing.
             propagation: SimTime::from_micros(1) + SimTime::from_nanos(500),
             bits_per_sec: 100_000_000_000,
-            per_message_overhead_bytes: 0,
         }
     }
 }
@@ -68,14 +57,12 @@ impl Link {
     /// Sends `bytes` endpoint→switch starting at `now`; returns arrival time
     /// at the far end.
     pub fn tx(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let charged = bytes + self.cfg.per_message_overhead_bytes;
-        self.tx.acquire(now, charged).end + self.cfg.propagation
+        self.tx.acquire(now, bytes).end + self.cfg.propagation
     }
 
     /// Sends `bytes` switch→endpoint starting at `now`; returns arrival.
     pub fn rx(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        let charged = bytes + self.cfg.per_message_overhead_bytes;
-        self.rx.acquire(now, charged).end + self.cfg.propagation
+        self.rx.acquire(now, bytes).end + self.cfg.propagation
     }
 
     /// Bytes sent endpoint→switch so far.
@@ -103,7 +90,6 @@ mod tests {
         let mut l = Link::new(LinkConfig {
             propagation: SimTime::from_nanos(100),
             bits_per_sec: 8_000_000_000, // 1 GB/s -> 1 ns/byte
-            per_message_overhead_bytes: 0,
         });
         let a = l.tx(SimTime::ZERO, 1000); // 1 us serialization
         let b = l.rx(SimTime::ZERO, 1000);
@@ -118,7 +104,6 @@ mod tests {
         let mut l = Link::new(LinkConfig {
             propagation: SimTime::ZERO,
             bits_per_sec: 8_000_000_000,
-            per_message_overhead_bytes: 0,
         });
         let a = l.tx(SimTime::ZERO, 1000);
         let b = l.tx(SimTime::ZERO, 1000);
@@ -127,30 +112,22 @@ mod tests {
 
     #[test]
     fn charge_is_a_pure_function_of_bytes() {
-        // Satellite audit: no flat magic-number receive costs. The occupancy
-        // a link charges must equal serialization(bytes + overhead) exactly,
-        // for any byte count — and with the default config the overhead term
-        // is zero, preserving the flat model's charges bit for bit.
-        for overhead in [0u64, 20, 64] {
-            let cfg = LinkConfig {
-                propagation: SimTime::from_nanos(100),
-                bits_per_sec: 40_000_000_000,
-                per_message_overhead_bytes: overhead,
-            };
-            let mut l = Link::new(cfg);
-            let mut now = SimTime::ZERO;
-            for bytes in [1u64, 64, 1500, 9000, 1 << 20] {
-                let arrive = l.tx(now, bytes);
-                let expect = now
-                    + SimTime::serialization(bytes + overhead, cfg.bits_per_sec)
-                    + cfg.propagation;
-                assert_eq!(arrive, expect, "overhead {overhead} bytes {bytes}");
-                now = arrive; // keep the pipe idle between probes
-            }
+        // No flat magic-number costs: the occupancy a link charges equals
+        // serialization(bytes) exactly, for any byte count, in both
+        // directions.
+        let cfg = LinkConfig {
+            propagation: SimTime::from_nanos(100),
+            bits_per_sec: 40_000_000_000,
+        };
+        let mut l = Link::new(cfg);
+        let mut now = SimTime::ZERO;
+        for bytes in [1u64, 64, 1500, 9000, 1 << 20] {
+            let arrive = l.tx(now, bytes);
+            let expect = now + SimTime::serialization(bytes, cfg.bits_per_sec) + cfg.propagation;
+            assert_eq!(arrive, expect, "bytes {bytes}");
+            now = arrive; // keep the pipe idle between probes
         }
-        // Default config charges exactly f(bytes) with no additive constant.
         let cfg = LinkConfig::default();
-        assert_eq!(cfg.per_message_overhead_bytes, 0);
         let mut l = Link::new(cfg);
         let arrive = l.rx(SimTime::ZERO, 4096);
         assert_eq!(
@@ -173,7 +150,6 @@ mod tests {
             let mut l = Link::new(LinkConfig {
                 propagation: SimTime::from_nanos(250),
                 bits_per_sec: BPS,
-                per_message_overhead_bytes: 0,
             });
             let mut sizes = Vec::new();
             let mut arrivals = Vec::new();

@@ -44,28 +44,17 @@ pub struct Switch {
     cfg: SwitchConfig,
     table: GlobalRangeMap,
     ports: HashMap<Endpoint, SerialResource>,
-    forwarded: u64,
-    rerouted: u64,
 }
 
-/// Switch timing/bandwidth parameters.
-///
-/// Forwarding charges derive from `Packet::wire_bytes()` and these
-/// parameters only — the satellite audit found no flat magic-number costs
-/// here; `min_frame_bytes` parametrizes the one implicit assumption (that
-/// arbitrarily small frames serialize in proportionally small time, i.e. a
-/// minimum frame size of zero) with a default preserving that behavior.
+/// Switch timing/bandwidth parameters. Forwarding charges derive from
+/// `Packet::wire_bytes()` and these parameters only: an egress port
+/// serializes exactly a packet's wire bytes (no minimum frame size).
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchConfig {
     /// Pipeline (parse + match + action) latency per packet.
     pub pipeline_latency: SimTime,
     /// Egress port bandwidth in bits per second.
     pub port_bits_per_sec: u64,
-    /// Minimum frame size an egress port serializes (64 B on real Ethernet).
-    /// Packets smaller than this still occupy the port for
-    /// `min_frame_bytes`. Defaults to 0 — the flat model's implicit value —
-    /// so existing traces are unchanged.
-    pub min_frame_bytes: u64,
 }
 
 impl Default for SwitchConfig {
@@ -74,7 +63,6 @@ impl Default for SwitchConfig {
             // Tofino-class cut-through forwarding latency.
             pipeline_latency: SimTime::from_nanos(600),
             port_bits_per_sec: 100_000_000_000,
-            min_frame_bytes: 0,
         }
     }
 }
@@ -86,14 +74,7 @@ impl Switch {
             cfg,
             table,
             ports: HashMap::new(),
-            forwarded: 0,
-            rerouted: 0,
         }
-    }
-
-    /// Replaces the global table (memory-layout changes between experiments).
-    pub fn set_table(&mut self, table: GlobalRangeMap) {
-        self.table = table;
     }
 
     /// The routing decision for `pkt` — a pure function, no timing.
@@ -127,42 +108,12 @@ impl Switch {
     /// toward `to`, given it entered the switch at `now`. Returns the time
     /// the last byte leaves the egress port.
     pub fn forward(&mut self, now: SimTime, pkt: &Packet, to: Endpoint) -> SimTime {
-        self.forwarded += 1;
-        if matches!(pkt, Packet::Iter(p) if matches!(p.status, IterStatus::InFlight)) {
-            // Count mid-traversal reroutes separately from first dispatch:
-            // a reroute is an InFlight packet arriving *from* a memory node,
-            // which the caller signals by having already bumped hop counts —
-            // here we simply count all InFlight forwards; the cluster keeps
-            // the finer-grained statistic.
-            self.rerouted += 1;
-        }
         let ready = now + self.cfg.pipeline_latency;
-        let charged = pkt.wire_bytes().max(self.cfg.min_frame_bytes);
         let port = self
             .ports
             .entry(to)
             .or_insert_with(|| SerialResource::new(self.cfg.port_bits_per_sec));
-        port.acquire(ready, charged).end
-    }
-
-    /// Packets forwarded in total.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// In-flight iterator packets forwarded (dispatches + reroutes).
-    pub fn iter_forwards(&self) -> u64 {
-        self.rerouted
-    }
-
-    /// Bytes moved out of each egress port so far.
-    pub fn port_bytes(&self, ep: Endpoint) -> u64 {
-        self.ports.get(&ep).map_or(0, |p| p.bytes_moved())
-    }
-
-    /// Number of entries in the global table.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
+        port.acquire(ready, pkt.wire_bytes()).end
     }
 }
 
@@ -279,19 +230,14 @@ mod tests {
         let expect =
             SimTime::from_nanos(600) + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
         assert_eq!(out, expect);
-        assert_eq!(sw.forwarded(), 1);
-        assert_eq!(sw.iter_forwards(), 1);
-        assert_eq!(sw.port_bytes(Endpoint::Mem(0)), pkt.wire_bytes());
-        assert_eq!(sw.port_bytes(Endpoint::Mem(1)), 0);
     }
 
     #[test]
     fn forward_charge_derives_from_wire_bytes() {
-        // Satellite audit: the egress occupancy is pipeline + f(wire_bytes),
-        // with the min-frame clamp the only (opt-in) deviation and the
-        // default clamp of zero preserving pure byte-proportional charges.
+        // The egress occupancy is pipeline + f(wire_bytes), with no flat
+        // magic-number costs, for tiny and large packets alike.
         let id = RequestId { cpu: 0, seq: 0 };
-        for len in [1u32, 64, 4096] {
+        for len in [1u32, 64, 4096, 8192] {
             let pkt = Packet::ReadReply { id, len };
             let mut sw = Switch::new(SwitchConfig::default(), table());
             let out = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
@@ -299,26 +245,6 @@ mod tests {
                 + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
             assert_eq!(out, expect, "len {len}");
         }
-        // With a 64 B minimum frame, a tiny packet is clamped up...
-        let clamped = SwitchConfig {
-            min_frame_bytes: 1_000,
-            ..SwitchConfig::default()
-        };
-        let tiny = Packet::ReadReply { id, len: 1 };
-        let mut sw = Switch::new(clamped, table());
-        let out = sw.forward(SimTime::ZERO, &tiny, Endpoint::Cpu(0));
-        assert_eq!(
-            out,
-            SimTime::from_nanos(600) + SimTime::serialization(1_000, 100_000_000_000)
-        );
-        // ...while packets above the clamp still charge exactly their bytes.
-        let big = Packet::ReadReply { id, len: 8192 };
-        let mut sw = Switch::new(clamped, table());
-        let out = sw.forward(SimTime::ZERO, &big, Endpoint::Cpu(0));
-        assert_eq!(
-            out,
-            SimTime::from_nanos(600) + SimTime::serialization(big.wire_bytes(), 100_000_000_000)
-        );
     }
 
     #[test]
