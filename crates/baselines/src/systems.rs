@@ -10,7 +10,7 @@
 
 use pulse_frontend::replay::{drive, measured_rate};
 use pulse_frontend::{CacheConfig, CpuFrontEnd, LruSet};
-use pulse_mem::{ClusterMemory, FaultEvent, FaultKind, NodeId};
+use pulse_mem::{degraded_window, ClusterMemory, FaultEvent, FaultKind, NodeId};
 use pulse_net::{Endpoint, Fabric, FabricConfig, LinkConfig, SwitchConfig, TopologySpec};
 use pulse_sim::{DispatchConfig, LatencyHistogram, SerialResource, ServerPool, SimTime};
 use pulse_trace::{LatencyBreakdown, Phase, RunMetrics};
@@ -164,19 +164,6 @@ fn node_down_at(faults: &[FaultEvent], node: NodeId, t: SimTime) -> bool {
         }
     }
     down
-}
-
-/// The degraded window a fault schedule opens: first fault to last repair,
-/// open-ended when nothing ever heals. `None` without faults.
-fn degraded_window(faults: &[FaultEvent]) -> Option<(SimTime, SimTime)> {
-    let first = faults.iter().map(|f| f.at).min()?;
-    let last_repair = faults
-        .iter()
-        .filter(|f| f.kind.is_repair())
-        .map(|f| f.at)
-        .max()
-        .unwrap_or(SimTime::from_picos(u64::MAX));
-    Some((first, last_repair))
 }
 
 impl BaselineReport {
@@ -693,7 +680,7 @@ fn rpc_impl(
                     let end = admitted + pure;
                     if let Some((from, to)) = window {
                         if end >= from && end <= to {
-                            degraded.record(end - ready);
+                            degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
                         }
                     }
                     if let Some(b) = breakdown.as_mut() {
@@ -766,7 +753,7 @@ fn rpc_impl(
                 let end = admitted + pure;
                 if let Some((from, to)) = window {
                     if end >= from && end <= to {
-                        degraded.record(end - ready);
+                        degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
                     }
                 }
                 if let Some(b) = breakdown.as_mut() {
@@ -899,7 +886,7 @@ fn rpc_impl(
             };
             if let Some((from, to)) = window {
                 if end >= from && end <= to {
-                    degraded.record(end - ready);
+                    degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
                 }
             }
             if let Some(b) = breakdown.as_mut() {
@@ -1308,6 +1295,38 @@ mod tests {
         assert!(faulted.degraded_p99 > SimTime::ZERO);
         assert_eq!(clean.failovers, 0);
         assert_eq!(clean.degraded_p99, SimTime::ZERO);
+    }
+
+    /// Degraded-window latency is measured from arrival, like the latency
+    /// histogram: with a crash at t=0 that never heals, every completion
+    /// lands inside the window, so under a load that queues the degraded
+    /// p99 must equal the run's p99 — queueing included, not just service.
+    #[test]
+    fn open_loop_degraded_p99_counts_queueing() {
+        let (mut mem, reqs) = webservice_setup(4_000, 8192);
+        mem.set_replication(2);
+        // 300 arrivals 50 ns apart onto 16 clients: far past saturation.
+        let arrivals: Vec<SimTime> = (0..reqs.len() as u64)
+            .map(|i| SimTime::from_nanos(50 * i))
+            .collect();
+        let rep = run_rpc_open_loop(
+            &mut mem,
+            &reqs,
+            16,
+            RpcConfig {
+                faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
+                ..RpcConfig::rpc()
+            },
+            &arrivals,
+        );
+        assert_eq!(rep.completed, reqs.len() as u64);
+        assert!(rep.failovers > 0);
+        assert!(
+            rep.latency.p99 > rep.latency.min * 2,
+            "the load must queue: {:?}",
+            rep.latency
+        );
+        assert_eq!(rep.degraded_p99, rep.latency.p99);
     }
 
     #[test]

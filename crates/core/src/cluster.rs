@@ -496,19 +496,7 @@ impl PulseCluster {
             );
             drv.schedule_at(f.at, Ev::Fault(f.kind));
         }
-        // The degraded measurement window: first fault to last repair.
-        // With no repair scheduled the window stays open to the end of the
-        // run (`SimTime` has no MAX constant; raw max picos serves).
-        let fault_window = cfg.faults.iter().map(|f| f.at).min().map(|first| {
-            let last_repair = cfg
-                .faults
-                .iter()
-                .filter(|f| f.kind.is_repair())
-                .map(|f| f.at)
-                .max()
-                .unwrap_or(SimTime::from_picos(u64::MAX));
-            (first, last_repair)
-        });
+        let fault_window = pulse_mem::degraded_window(&cfg.faults);
         Ok(PulseCluster {
             accels,
             switch,

@@ -68,3 +68,18 @@ impl FaultEvent {
         FaultEvent { at, kind }
     }
 }
+
+/// The degraded measurement window a fault schedule opens: first fault to
+/// last repair, open-ended (to the end of time) when nothing ever heals.
+/// `None` without faults. Completions inside it feed the reports'
+/// `degraded_p99`.
+pub fn degraded_window(faults: &[FaultEvent]) -> Option<(SimTime, SimTime)> {
+    let first = faults.iter().map(|f| f.at).min()?;
+    let last_repair = faults
+        .iter()
+        .filter(|f| f.kind.is_repair())
+        .map(|f| f.at)
+        .max()
+        .unwrap_or(SimTime::from_picos(u64::MAX));
+    Some((first, last_repair))
+}

@@ -49,5 +49,5 @@ mod xlate;
 pub use alloc::{ClusterAllocator, Placement, VA_BASE};
 pub use cluster::{ClusterMemory, LocalBus, MemError, VERSION_GRANULE_BYTES};
 pub use extent::{Extent, NodeId, Perms};
-pub use fault::{FaultEvent, FaultKind};
+pub use fault::{degraded_window, FaultEvent, FaultKind};
 pub use xlate::{CapacityExceeded, GlobalRangeMap, RangeEntry, RangeTable};

@@ -151,7 +151,8 @@ fn crash_schedule() -> Vec<FaultEvent> {
 }
 
 /// The contended-dispatch RPC baseline every RPC curve starts from; the
-/// cached and routed variants override one field each via struct update.
+/// cached, routed and crash variants override one field each via struct
+/// update.
 fn rpc_cfg(dispatch: DispatchConfig) -> RpcConfig {
     RpcConfig {
         dispatch,
@@ -303,7 +304,7 @@ fn main() -> Result<(), pulse::Error> {
             at(&crashed(2), CRASH_NODES, ws),
             rpc(RpcConfig {
                 faults: crash_schedule(),
-                ..RpcConfig::rpc()
+                ..rpc_cfg(dispatch)
             }),
         ),
         // The ISA-v2 curves (`SPEC_LABELS`): the identical read-heavy
