@@ -174,14 +174,6 @@ fn main() -> Result<(), pulse::Error> {
     );
     println!("parallel sweep harness: {workers} worker threads\n");
 
-    // Every curve is one `(label, deployment, side)` row over the shared
-    // rack below; the ladder and seed are applied once, so adding a curve
-    // is a one-line entry and two curves that differ in one axis differ in
-    // one builder setter. Order matters: the assertions after the sweep
-    // index `curves[0]` (pulse) and `curves[1]` (RPC), `sweep_par_with`
-    // stitches results back in exactly this order, and the `SPEC_LABELS`
-    // curves must stay last (the split below peels them off the tail into
-    // their own JSON document).
     // The rack every curve starts from: `CPUS` compute nodes on the
     // contended dispatch model and `BASELINE_CLIENTS` in flight — the
     // baselines' client count, equal to the pulse runtime's default window.
@@ -189,6 +181,14 @@ fn main() -> Result<(), pulse::Error> {
         .cpus(CPUS)
         .dispatch(dispatch)
         .window(BASELINE_CLIENTS);
+    // Every curve is one `(label, deployment, side)` row over that rack;
+    // the ladder and seed are applied once, so adding a curve is a
+    // one-line entry and two curves that differ in one axis differ in one
+    // builder setter. Order matters: the assertions after the sweep index
+    // `curves[0]` (pulse) and `curves[1]` (RPC), `sweep_par_with` stitches
+    // results back in exactly this order, and the `SPEC_LABELS` curves must
+    // stay last (the split below peels them off the tail into their own
+    // JSON document).
     let at = |rack: &PulseBuilder, nodes, stream| Deployment {
         rack: rack.clone(),
         nodes,
