@@ -234,6 +234,13 @@ impl Default for SwapConfig {
     }
 }
 
+impl SwapConfig {
+    /// The system label every swap report and engine carries.
+    pub fn label(&self) -> &'static str {
+        "Cache-based"
+    }
+}
+
 /// Runs the cache-based (swap) system over a request stream.
 ///
 /// Every memory access in every request probes a 4 KiB-page LRU; misses pay
@@ -389,7 +396,7 @@ fn swap_cache_impl(
         });
 
     BaselineReport {
-        label: "Cache-based",
+        label: cfg.label(),
         metrics: RunMetrics {
             completed: requests.len() as u64,
             latency,
@@ -531,7 +538,8 @@ impl RpcConfig {
         }
     }
 
-    fn label(&self) -> &'static str {
+    /// The system label every run of this flavour reports.
+    pub fn label(&self) -> &'static str {
         match self.flavor {
             RpcFlavor::Rpc => "RPC",
             RpcFlavor::RpcArm => "RPC-ARM",
@@ -636,6 +644,48 @@ fn rpc_impl(
         })
         .collect();
 
+    /// One served request: its completion, the `drive` accounting
+    /// (traversal and uncontended path time), and its priced latency
+    /// components in attribution order. Contention hidden under the
+    /// completion `max` falls to the `Queued` residual.
+    #[derive(Default)]
+    struct Served {
+        end: SimTime,
+        traversal: SimTime,
+        pure: SimTime,
+        queued: SimTime,
+        cache_hit: SimTime,
+        failover: SimTime,
+        wire: SimTime,
+        mem: SimTime,
+        dispatch: SimTime,
+    }
+
+    // Every completion path ends here: the degraded-window sample and the
+    // phase breakdown, both timed from the request's arrival.
+    let mut finish = |idx: usize, ready: SimTime, s: Served| {
+        let arrive = arrivals.map_or(ready, |a| a[idx]);
+        if let Some((from, to)) = window {
+            if s.end >= from && s.end <= to {
+                degraded.record(s.end - arrive);
+            }
+        }
+        if let Some(b) = breakdown.as_mut() {
+            b.record_components(
+                s.end - arrive,
+                &[
+                    (Phase::Queued, s.queued),
+                    (Phase::CacheHit, s.cache_hit),
+                    (Phase::Failover, s.failover),
+                    (Phase::WireHop, s.wire),
+                    (Phase::MemTrip, s.mem),
+                    (Phase::Dispatch, s.dispatch),
+                ],
+            );
+        }
+        (s.end, s.traversal, s.pure)
+    };
+
     let (latency, makespan, traversal_total, latency_total) =
         drive(requests.len(), concurrency, arrivals, |idx, ready| {
             let p = &priced[idx];
@@ -677,24 +727,19 @@ fn rpc_impl(
                     // response is assembled locally.
                     let admitted = fe.book_dispatch(ready);
                     let pure = prefix_time + p.cpu_work;
-                    let end = admitted + pure;
-                    if let Some((from, to)) = window {
-                        if end >= from && end <= to {
-                            degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
-                        }
-                    }
-                    if let Some(b) = breakdown.as_mut() {
-                        let arrive = arrivals.map_or(ready, |a| a[idx]);
-                        b.record_components(
-                            end - arrive,
-                            &[
-                                (Phase::Queued, admitted - ready),
-                                (Phase::CacheHit, prefix_time),
-                                (Phase::Dispatch, p.cpu_work),
-                            ],
-                        );
-                    }
-                    return (end, prefix_time, pure);
+                    return finish(
+                        idx,
+                        ready,
+                        Served {
+                            end: admitted + pure,
+                            traversal: prefix_time,
+                            pure,
+                            queued: admitted - ready,
+                            cache_hit: prefix_time,
+                            dispatch: p.cpu_work,
+                            ..Served::default()
+                        },
+                    );
                 }
             }
             let remaining = &p.accesses[prefix..];
@@ -750,21 +795,18 @@ fn rpc_impl(
                 net_bytes += cfg.net.request_bytes;
                 let admitted = fe.book_dispatch(ready);
                 let pure = cfg.net.one_way * 2 + cfg.tcp_extra * 2;
-                let end = admitted + pure;
-                if let Some((from, to)) = window {
-                    if end >= from && end <= to {
-                        degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
-                    }
-                }
-                if let Some(b) = breakdown.as_mut() {
-                    let arrive = arrivals.map_or(ready, |a| a[idx]);
-                    // The whole timed-out attempt is failure handling.
-                    b.record_components(
-                        end - arrive,
-                        &[(Phase::Queued, admitted - ready), (Phase::Failover, pure)],
-                    );
-                }
-                return (end, SimTime::ZERO, pure);
+                return finish(
+                    idx,
+                    ready,
+                    Served {
+                        end: admitted + pure,
+                        pure,
+                        queued: admitted - ready,
+                        // The whole timed-out attempt is failure handling.
+                        failover: pure,
+                        ..Served::default()
+                    },
+                );
             }
             failovers += req_failovers;
             // Cache+RPC: a hit in the object cache spares the object's wire
@@ -884,28 +926,21 @@ fn rpc_impl(
                         .max(rx.end + p.cpu_work)
                 }
             };
-            if let Some((from, to)) = window {
-                if end >= from && end <= to {
-                    degraded.record(end - arrivals.map_or(ready, |a| a[idx]));
-                }
-            }
-            if let Some(b) = breakdown.as_mut() {
-                let arrive = arrivals.map_or(ready, |a| a[idx]);
-                // Priced components; worker/DRAM/link contention hidden
-                // under the completion `max` falls to the residual.
-                b.record_components(
-                    end - arrive,
-                    &[
-                        (Phase::Queued, issued - ready),
-                        (Phase::CacheHit, prefix_time),
-                        (Phase::Failover, cfg.net.one_way * (2 * req_failovers)),
-                        (Phase::WireHop, cfg.net.one_way * 2 + bounce + response_wire),
-                        (Phase::MemTrip, service),
-                        (Phase::Dispatch, cfg.tcp_extra * 2 + p.cpu_work),
-                    ],
-                );
-            }
-            (end, traversal, pure)
+            finish(
+                idx,
+                ready,
+                Served {
+                    end,
+                    traversal,
+                    pure,
+                    queued: issued - ready,
+                    cache_hit: prefix_time,
+                    failover: cfg.net.one_way * (2 * req_failovers),
+                    wire: cfg.net.one_way * 2 + bounce + response_wire,
+                    mem: service,
+                    dispatch: cfg.tcp_extra * 2 + p.cpu_work,
+                },
+            )
         });
 
     BaselineReport {

@@ -1,56 +1,46 @@
 //! Appendix Fig. 5: random vs partitioned allocation for distributed trees.
 
-use pulse_bench::{banner, kops, us};
-use pulse_core::{ClusterConfig, PulseCluster};
-use pulse_ds::{BuildCtx, TreePlacement};
-use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
-use pulse_workloads::{Application, Btrdb, BtrdbConfig, WiredTiger, WiredTigerConfig};
+use pulse::{ClusterReport, Placement, PulseBuilder};
+use pulse_bench::{banner, kops, us, FIGURE_WIREDTIGER_KEYS};
+use pulse_ds::TreePlacement;
+use pulse_workloads::{Application, BtrdbConfig, WiredTigerConfig};
 
-fn run(app: &str, partitioned: bool) -> pulse_core::ClusterReport {
+fn run(app: &str, partitioned: bool) -> ClusterReport {
     let nodes = 2;
-    let mut mem = ClusterMemory::new(nodes);
-    let mut alloc = ClusterAllocator::new(
-        if partitioned {
-            Placement::Striped
-        } else {
-            Placement::Random { seed: 77 }
-        },
-        4096,
-    );
-    let placement = if partitioned {
-        TreePlacement::Partitioned { nodes }
+    let (placement, tree) = if partitioned {
+        (Placement::Striped, TreePlacement::Partitioned { nodes })
     } else {
-        TreePlacement::Policy
+        (Placement::Random { seed: 77 }, TreePlacement::Policy)
     };
-    let reqs = {
-        let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-        if app == "WiredTiger-d" {
-            let mut a = WiredTiger::build(
-                &mut ctx,
-                WiredTigerConfig {
-                    keys: 60_000,
-                    placement,
-                    ..Default::default()
-                },
-            )
+    let rack = PulseBuilder::new()
+        .nodes(nodes)
+        .placement(placement)
+        .granularity(4096)
+        .window(16);
+    let (mut runtime, mut app): (_, Box<dyn Application>) = if app == "WiredTiger-d" {
+        let (runtime, app) = rack
+            .app(WiredTigerConfig {
+                keys: FIGURE_WIREDTIGER_KEYS,
+                placement: tree,
+                ..Default::default()
+            })
             .unwrap();
-            (0..250).map(|_| a.next_request()).collect::<Vec<_>>()
-        } else {
-            let mut a = Btrdb::build(
-                &mut ctx,
-                BtrdbConfig {
-                    duration_secs: 900,
-                    window_secs: 2,
-                    placement,
-                    ..Default::default()
-                },
-            )
+        (runtime, Box::new(app))
+    } else {
+        let (runtime, app) = rack
+            .app(BtrdbConfig {
+                duration_secs: 900,
+                window_secs: 2,
+                placement: tree,
+                ..Default::default()
+            })
             .unwrap();
-            (0..250).map(|_| a.next_request()).collect::<Vec<_>>()
-        }
+        (runtime, Box::new(app))
     };
-    let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
-    cluster.run(reqs, 16)
+    for _ in 0..250 {
+        runtime.submit(app.next_request()).unwrap();
+    }
+    runtime.drain()
 }
 
 fn main() {

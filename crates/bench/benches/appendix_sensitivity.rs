@@ -1,15 +1,26 @@
 //! Appendix C.2 sensitivity studies: access pattern (Zipfian vs uniform),
 //! write-fraction with/without offloaded allocation, and traversal length.
 
+use pulse::{Engine, Placement, PulseBuilder};
 use pulse_baselines::LruSet;
-use pulse_bench::{banner, build_app, run_pulse, us, AppKind};
-use pulse_core::{ClusterConfig, PulseCluster, PulseMode};
+use pulse_bench::{banner, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY};
 use pulse_dispatch::{compile, samples};
-use pulse_ds::{BuildCtx, LinkedList, ListKind};
-use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
+use pulse_ds::{LinkedList, ListKind};
 use pulse_sim::SimTime;
 use pulse_workloads::{AppRequest, Distribution, StartPtr, TraversalStage, YcsbWorkload};
 use std::sync::Arc;
+
+/// One-node WebService under `workload`, 8 requests in flight.
+fn webservice(workload: YcsbWorkload, dist: Distribution, requests: usize) -> Deployment {
+    Deployment {
+        rack: PulseBuilder::new()
+            .granularity(DEFAULT_GRANULARITY)
+            .window(8),
+        nodes: 1,
+        stream: Stream::App(AppKind::WebService(workload), dist),
+        requests,
+    }
+}
 
 fn access_pattern() {
     println!("--- access pattern (CPU-node object cache in front of pulse) ---");
@@ -21,15 +32,8 @@ fn access_pattern() {
     );
     let mut uniform_lat = None;
     for dist in [Distribution::Uniform, Distribution::Zipfian] {
-        let (_, reqs) = build_app(AppKind::WebService(YcsbWorkload::C), 1, dist, 400, 2 << 20);
-        let rep = run_pulse(
-            AppKind::WebService(YcsbWorkload::C),
-            1,
-            dist,
-            400,
-            PulseMode::Pulse,
-            8,
-        );
+        let (mut runtime, reqs) = webservice(YcsbWorkload::C, dist, 400).pulse();
+        let rep = runtime.execute(&reqs).unwrap();
         // Cache scaled as 2 GB : 32 GB = 1/16 of the object working set.
         let mut cache = LruSet::new(6_000 / 16);
         let mut hits = 0usize;
@@ -64,18 +68,12 @@ fn write_fraction() {
     for pct in [0u32, 10, 25, 50] {
         // Updates ride the YCSB-A/B mixes; emulate the sweep by mixing C
         // (reads) and A (50% updates) latencies.
-        let rep = run_pulse(
-            AppKind::WebService(if pct == 0 {
-                YcsbWorkload::C
-            } else {
-                YcsbWorkload::A
-            }),
-            1,
-            Distribution::Zipfian,
-            300,
-            PulseMode::Pulse,
-            8,
-        );
+        let workload = if pct == 0 {
+            YcsbWorkload::C
+        } else {
+            YcsbWorkload::A
+        };
+        let (_, rep) = webservice(workload, Distribution::Zipfian, 300).execute(Side::Pulse);
         let with_alloc = rep.latency.mean;
         // Without offloaded allocations every write pays two extra round
         // trips to allocate remotely (§C.2).
@@ -97,13 +95,12 @@ fn traversal_length() {
     println!("--- traversal length (linked list) ---");
     println!("{:>8} | {:>12}", "hops", "latency(us)");
     for hops in [8u64, 16, 32, 64, 128] {
-        let mut mem = ClusterMemory::new(1);
-        let mut alloc = ClusterAllocator::new(Placement::Single(0), 1 << 20);
-        let list = {
-            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-            let values: Vec<u64> = (0..hops).collect();
-            LinkedList::build(&mut ctx, ListKind::Singly, &values).unwrap()
-        };
+        let values: Vec<u64> = (0..hops).collect();
+        let (mut runtime, list) = PulseBuilder::new()
+            .placement(Placement::Single(0))
+            .window(1)
+            .build_with(|ctx| LinkedList::build(ctx, ListKind::Singly, &values))
+            .unwrap();
         let prog = Arc::new(compile(&samples::list_find_spec()).unwrap());
         let reqs: Vec<AppRequest> = (0..50)
             .map(|_| {
@@ -114,8 +111,7 @@ fn traversal_length() {
                 })
             })
             .collect();
-        let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
-        let rep = cluster.run(reqs, 1);
+        let rep = runtime.execute(&reqs).unwrap();
         println!("{hops:>8} | {:>12.2}", rep.latency.mean.as_micros_f64());
     }
     println!("paper shape: end-to-end latency scales linearly with hops.");

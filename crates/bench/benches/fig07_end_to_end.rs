@@ -1,8 +1,11 @@
 //! Fig. 7: application latency & throughput for 1-4 memory nodes across the
 //! five compared systems.
 
-use pulse_bench::{banner, kops, run_baselines_both, run_pulse_both, us, AppKind};
-use pulse_core::PulseMode;
+use pulse::PulseBuilder;
+use pulse_bench::{
+    banner, kops, paper_baselines, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    FIGURE_WIREDTIGER_KEYS,
+};
 use pulse_workloads::{Distribution, YcsbWorkload};
 
 fn main() {
@@ -14,7 +17,9 @@ fn main() {
         AppKind::WebService(YcsbWorkload::A),
         AppKind::WebService(YcsbWorkload::B),
         AppKind::WebService(YcsbWorkload::C),
-        AppKind::WiredTiger,
+        AppKind::WiredTiger {
+            keys: FIGURE_WIREDTIGER_KEYS,
+        },
         AppKind::Btrdb(1),
         AppKind::Btrdb(2),
         AppKind::Btrdb(4),
@@ -27,13 +32,19 @@ fn main() {
     );
     for kind in cells {
         for nodes in 1..=4usize {
-            let (pulse, pulse_peak) = run_pulse_both(
-                kind,
+            // Latency at light load (8 in flight), throughput at heavy load
+            // (128), as the paper's closed-loop clients measure them.
+            let at = |window| Deployment {
+                rack: PulseBuilder::new()
+                    .granularity(DEFAULT_GRANULARITY)
+                    .window(window),
                 nodes,
-                Distribution::Zipfian,
+                stream: Stream::App(kind, Distribution::Zipfian),
                 requests,
-                PulseMode::Pulse,
-            );
+            };
+            let (light, heavy) = (at(8), at(128));
+            let (_, pulse) = light.execute(Side::Pulse);
+            let (_, pulse_peak) = heavy.execute(Side::Pulse);
             println!(
                 "{:<22} {:>5} | {:>10} {:>10} | {:>10} {:>10}",
                 kind.label(),
@@ -43,14 +54,15 @@ fn main() {
                 "PULSE",
                 "1.00x"
             );
-            let reports = run_baselines_both(kind, nodes, Distribution::Zipfian, requests);
-            for (rep, peak) in &reports {
+            for baseline in paper_baselines() {
                 // Cache+RPC only exists for single-node WebService (§6.1).
-                if rep.label == "Cache+RPC"
+                if baseline.label() == "Cache+RPC"
                     && !(matches!(kind, AppKind::WebService(_)) && nodes == 1)
                 {
                     continue;
                 }
+                let (label, rep) = light.execute(Side::Baseline(baseline.clone()));
+                let (_, peak) = heavy.execute(Side::Baseline(baseline));
                 let ratio = rep.latency.mean.as_nanos_f64() / pulse.latency.mean.as_nanos_f64();
                 println!(
                     "{:<22} {:>5} | {:>10} {:>10} | {:>10} {:>9.2}x",
@@ -58,7 +70,7 @@ fn main() {
                     "",
                     us(rep.latency.mean),
                     kops(peak.throughput),
-                    rep.label,
+                    label,
                     ratio
                 );
             }

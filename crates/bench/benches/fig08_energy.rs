@@ -1,7 +1,10 @@
 //! Fig. 8: energy per operation across systems.
 
-use pulse_bench::{banner, run_baselines, run_pulse, AppKind};
-use pulse_core::PulseMode;
+use pulse::PulseBuilder;
+use pulse_bench::{
+    banner, paper_baselines, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    FIGURE_WIREDTIGER_KEYS,
+};
 use pulse_energy::{energy_per_op, SystemKind};
 use pulse_workloads::{Distribution, YcsbWorkload};
 
@@ -13,14 +16,24 @@ fn main() {
     );
     for kind in [
         AppKind::WebService(YcsbWorkload::C),
-        AppKind::WiredTiger,
+        AppKind::WiredTiger {
+            keys: FIGURE_WIREDTIGER_KEYS,
+        },
         AppKind::Btrdb(1),
         AppKind::Btrdb(2),
         AppKind::Btrdb(4),
         AppKind::Btrdb(8),
     ] {
-        let pulse = run_pulse(kind, 1, Distribution::Zipfian, 250, PulseMode::Pulse, 128);
-        let base = run_baselines(kind, 1, Distribution::Zipfian, 250, 128);
+        let at = Deployment {
+            rack: PulseBuilder::new()
+                .granularity(DEFAULT_GRANULARITY)
+                .window(128),
+            nodes: 1,
+            stream: Stream::App(kind, Distribution::Zipfian),
+            requests: 250,
+        };
+        let (_, pulse) = at.execute(Side::Pulse);
+        let base = paper_baselines().map(|b| at.execute(Side::Baseline(b)).1);
         let (m, n) = (3, 4);
         let mj = |j: f64| j * 1e3;
         // §6.1 methodology: compare at "a request rate that ensured memory

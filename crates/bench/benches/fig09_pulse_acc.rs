@@ -1,61 +1,53 @@
 //! Fig. 9: pulse vs pulse-acc (return-to-CPU crossings), single &
 //! distributed.
 
-use pulse_bench::{banner, build_app, kops, us, AppKind};
-use pulse_core::{ClusterConfig, PulseCluster, PulseMode};
-use pulse_ds::BuildCtx;
-use pulse_ds::TreePlacement;
-use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
-use pulse_workloads::{
-    Application, Btrdb, BtrdbConfig, Distribution, WiredTiger, WiredTigerConfig, YcsbWorkload,
+use pulse::{Engine, PulseBuilder, PulseMode, RunMetrics};
+use pulse_bench::{
+    banner, kops, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    FIGURE_WIREDTIGER_KEYS,
 };
+use pulse_ds::TreePlacement;
+use pulse_workloads::{Application, BtrdbConfig, Distribution, WiredTigerConfig, YcsbWorkload};
 
-fn run(kind: AppKind, nodes: usize, mode: PulseMode) -> pulse_core::ClusterReport {
-    // Use *striped* placement (Policy) so traversals genuinely cross nodes.
-    let (mem, reqs) = match kind {
-        AppKind::WiredTiger => {
-            let mut mem = ClusterMemory::new(nodes);
-            let mut alloc = ClusterAllocator::new(Placement::Striped, 64 << 10);
-            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-            let mut app = WiredTiger::build(
-                &mut ctx,
-                WiredTigerConfig {
-                    keys: 60_000,
+fn run(kind: AppKind, nodes: usize, mode: PulseMode) -> RunMetrics {
+    let rack = PulseBuilder::new().nodes(nodes).mode(mode).window(16);
+    // The trees use *striped* placement (Policy) over 64 KiB extents so
+    // traversals genuinely cross nodes.
+    let striped = rack.clone().granularity(64 << 10);
+    let (mut runtime, mut app): (_, Box<dyn Application>) = match kind {
+        AppKind::WiredTiger { keys } => {
+            let (runtime, app) = striped
+                .app(WiredTigerConfig {
+                    keys,
                     placement: TreePlacement::Policy,
                     ..Default::default()
-                },
-            )
-            .unwrap();
-            let reqs = (0..200).map(|_| app.next_request()).collect::<Vec<_>>();
-            (mem, reqs)
+                })
+                .unwrap();
+            (runtime, Box::new(app))
         }
         AppKind::Btrdb(w) => {
-            let mut mem = ClusterMemory::new(nodes);
-            let mut alloc = ClusterAllocator::new(Placement::Striped, 64 << 10);
-            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-            let mut app = Btrdb::build(
-                &mut ctx,
-                BtrdbConfig {
+            let (runtime, app) = striped
+                .app(BtrdbConfig {
                     duration_secs: 900,
                     window_secs: w,
                     placement: TreePlacement::Policy,
                     ..Default::default()
-                },
-            )
-            .unwrap();
-            let reqs = (0..200).map(|_| app.next_request()).collect::<Vec<_>>();
-            (mem, reqs)
+                })
+                .unwrap();
+            (runtime, Box::new(app))
         }
-        other => build_app(other, nodes, Distribution::Zipfian, 200, 2 << 20),
+        AppKind::WebService(_) => {
+            let at = Deployment {
+                rack: rack.granularity(DEFAULT_GRANULARITY),
+                nodes,
+                stream: Stream::App(kind, Distribution::Zipfian),
+                requests: 200,
+            };
+            return at.execute(Side::Pulse).1;
+        }
     };
-    let mut cluster = PulseCluster::new(
-        ClusterConfig {
-            mode,
-            ..ClusterConfig::default()
-        },
-        mem,
-    );
-    cluster.run(reqs, 16)
+    let reqs: Vec<_> = (0..200).map(|_| app.next_request()).collect();
+    runtime.execute(&reqs).unwrap()
 }
 
 fn main() {
@@ -69,7 +61,9 @@ fn main() {
     );
     for kind in [
         AppKind::WebService(YcsbWorkload::C),
-        AppKind::WiredTiger,
+        AppKind::WiredTiger {
+            keys: FIGURE_WIREDTIGER_KEYS,
+        },
         AppKind::Btrdb(1),
     ] {
         for (label, nodes) in [("single", 1usize), ("distrib", 4)] {

@@ -1,27 +1,27 @@
 //! Fig. 10: per-component latency breakdown at the pulse accelerator.
 
-use pulse_bench::{banner, build_app, AppKind};
-use pulse_core::{ClusterConfig, PulseCluster, PulseMode};
+use pulse::PulseBuilder;
+use pulse_bench::{banner, AppKind, Deployment, Stream, DEFAULT_GRANULARITY};
 use pulse_workloads::{Distribution, YcsbWorkload};
 
 fn main() {
     banner("Fig. 10", "accelerator latency breakdown (WebService)");
-    let (mem, reqs) = build_app(
-        AppKind::WebService(YcsbWorkload::C),
-        1,
-        Distribution::Zipfian,
-        200,
-        2 << 20,
-    );
-    let mut cluster = PulseCluster::new(
-        ClusterConfig {
-            mode: PulseMode::Pulse,
-            ..ClusterConfig::default()
-        },
-        mem,
-    );
-    let _ = cluster.run(reqs, 4);
-    let accel = &cluster.accelerators()[0];
+    let (mut runtime, reqs) = Deployment {
+        rack: PulseBuilder::new()
+            .granularity(DEFAULT_GRANULARITY)
+            .window(4),
+        nodes: 1,
+        stream: Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian),
+        requests: 200,
+    }
+    .pulse();
+    for req in reqs {
+        runtime
+            .submit(req)
+            .expect("a minted request is well-formed");
+    }
+    runtime.drain();
+    let accel = &runtime.cluster().accelerators()[0];
     let s = accel.stats();
     let iters = s.iterations.max(1) as f64;
     let reqs_in = s.done.max(1) as f64;

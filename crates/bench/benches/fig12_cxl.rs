@@ -1,6 +1,7 @@
 //! Fig. 12: slowdown on (simulated) CXL memory with and without pulse.
 
-use pulse_bench::{banner, build_app, AppKind};
+use pulse::PulseBuilder;
+use pulse_bench::{banner, AppKind, Deployment, Stream, FIGURE_WIREDTIGER_KEYS};
 use pulse_core::{cxl_study, CxlConfig};
 use pulse_workloads::{Distribution, YcsbWorkload};
 
@@ -19,15 +20,23 @@ fn main() {
     );
     for kind in [
         AppKind::WebService(YcsbWorkload::C),
-        AppKind::WiredTiger,
+        AppKind::WiredTiger {
+            keys: FIGURE_WIREDTIGER_KEYS,
+        },
         AppKind::Btrdb(1),
         AppKind::Btrdb(2),
         AppKind::Btrdb(4),
         AppKind::Btrdb(8),
     ] {
         for nodes in [1usize, 4] {
-            let (mut mem, reqs) = build_app(kind, nodes, Distribution::Zipfian, 200, 64 << 10);
-            let s = cxl_study(&mut mem, &reqs, nodes, cfg);
+            let (mut runtime, reqs) = Deployment {
+                rack: PulseBuilder::new().granularity(64 << 10),
+                nodes,
+                stream: Stream::App(kind, Distribution::Zipfian),
+                requests: 200,
+            }
+            .pulse();
+            let s = cxl_study(runtime.memory_mut(), &reqs, nodes, cfg);
             println!(
                 "{:<18} {:>6} | {:>11.2}x {:>11.2}x {:>11.2}x",
                 kind.label(),

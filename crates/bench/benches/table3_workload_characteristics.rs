@@ -1,19 +1,24 @@
 //! Table 3: per-workload compute/memory ratio and iteration count.
 
-use pulse_bench::banner;
-use pulse_bench::{build_app, AppKind};
+use pulse::PulseBuilder;
+use pulse_bench::{
+    banner, AppKind, Deployment, Stream, DEFAULT_GRANULARITY, FIGURE_WIREDTIGER_KEYS,
+};
 use pulse_dispatch::DispatchEngine;
 use pulse_ds::{BtrdbTree, HashMapDs, WiredTigerTree};
-use pulse_workloads::{execute_functional, Distribution, YcsbWorkload};
+use pulse_workloads::{Distribution, YcsbWorkload};
 
 fn measured_iterations(kind: AppKind) -> f64 {
-    let (mut mem, reqs) = build_app(kind, 1, Distribution::Zipfian, 200, 2 << 20);
+    let (mut runtime, reqs) = Deployment {
+        rack: PulseBuilder::new().granularity(DEFAULT_GRANULARITY),
+        nodes: 1,
+        stream: Stream::App(kind, Distribution::Zipfian),
+        requests: 200,
+    }
+    .pulse();
     let mut total = 0u64;
     for r in &reqs {
-        total += execute_functional(&mut mem, r, 1 << 20)
-            .unwrap()
-            .response
-            .iterations;
+        total += runtime.execute_functional(r).unwrap().response.iterations;
     }
     total as f64 / reqs.len() as f64
 }
@@ -37,7 +42,9 @@ fn main() {
             WiredTigerTree::locate_spec(),
             0.63,
             "25",
-            AppKind::WiredTiger,
+            AppKind::WiredTiger {
+                keys: FIGURE_WIREDTIGER_KEYS,
+            },
         ),
         (
             "BTrDB 1s",

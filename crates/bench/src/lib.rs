@@ -6,35 +6,51 @@
 //! prints paper-style rows (paper value ⇒ measured value).
 //!
 //! Working sets are scaled from the paper's multi-GB deployments (factors
-//! printed by each bench); every run is deterministic.
+//! printed by each bench); every run is deterministic. The stdout of every
+//! bench except `micro_substrate` (which prints wall-clock) is pinned in
+//! `tests/golden/figures/<bench>.txt`, and CI byte-compares each run:
+//!
+//! ```text
+//! for golden in tests/golden/figures/*.txt; do
+//!   cargo bench -q -p pulse-bench --bench "$(basename "$golden" .txt)" | cmp - "$golden"
+//! done
+//! ```
 //!
 //! Beyond the per-figure replays, [`sweep`] runs the extended evaluation's
 //! headline shape: an open-loop load ladder (offered kops → p50/p95/p99
 //! latency + goodput) over any engine behind the shared
 //! [`Engine`](pulse::Engine) trait, emitted as a `BENCH_sweep.json`-style
-//! report via [`sweep_json`]. Every ladder curve is one [`Deployment`] — a
-//! [`pulse::PulseBuilder`] rack, its memory-node count and a [`Stream`] —
-//! built for one engine [`Side`]: the pulse rack or a baseline, so the
-//! sides of a comparison run the identical deployment by construction.
+//! report via [`sweep_json`]. Every ladder curve and every end-to-end
+//! figure is one [`Deployment`] — a [`pulse::PulseBuilder`] rack, its
+//! memory-node count and a [`Stream`] — built for one engine [`Side`]: the
+//! pulse rack or a baseline (the figures compare [`paper_baselines`]), so
+//! the sides of a comparison run the identical deployment by construction.
 //! The sustained-load headline ([`SweepReport::max_load_under_p99`]) only
 //! counts rungs whose goodput actually kept up with the offered load.
 
 #![warn(missing_docs)]
 
-use pulse_baselines::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, SwapConfig};
-use pulse_core::{
-    ClusterConfig, ClusterReport, Phase, PhaseAttribution, PulseCluster, PulseMode, PHASES,
-};
+use pulse::{BaselineKind, RunMetrics};
+use pulse_baselines::{RpcConfig, SwapConfig};
+use pulse_core::{Phase, PhaseAttribution, PHASES};
 use pulse_ds::{BuildCtx, TreePlacement};
-use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
+use pulse_mem::ClusterMemory;
 use pulse_workloads::{
     AppRequest, Application, Btrdb, BtrdbConfig, Distribution, WebService, WebServiceConfig,
     WiredTiger, WiredTigerConfig, YcsbWorkload,
 };
 
 /// Default extent granularity for end-to-end runs (the scaled analogue of
-/// LegoOS's 2 MB allocations).
+/// LegoOS's 2 MB allocations): the base rack of the figures and the sweep
+/// sets it once with [`pulse::PulseBuilder::granularity`].
 pub const DEFAULT_GRANULARITY: u64 = 2 << 20;
+
+/// Keys in the paper figures' WiredTiger deployment.
+pub const FIGURE_WIREDTIGER_KEYS: u64 = 60_000;
+
+/// Keys in the sweep's WiredTiger deployment (the read-only curve and
+/// YCSB-E alike).
+pub const SWEEP_WIREDTIGER_KEYS: u64 = 30_000;
 
 /// Keys in every sweep WebService deployment (read-only and YCSB-A/B
 /// alike) — one definition so cached, cache-less, pulse, and baseline
@@ -57,8 +73,11 @@ fn sweep_webservice_cfg(workload: YcsbWorkload, dist: Distribution) -> WebServic
 pub enum AppKind {
     /// WebService under a YCSB mix.
     WebService(YcsbWorkload),
-    /// WiredTiger under YCSB-E.
-    WiredTiger,
+    /// WiredTiger under YCSB-E over a B+Tree of `keys` keys.
+    WiredTiger {
+        /// Keys in the tree.
+        keys: u64,
+    },
     /// BTrDB at a window resolution (seconds).
     Btrdb(u64),
 }
@@ -68,102 +87,26 @@ impl AppKind {
     pub fn label(&self) -> String {
         match self {
             AppKind::WebService(w) => format!("WebService {w}"),
-            AppKind::WiredTiger => "WiredTiger YCSB-E".into(),
+            AppKind::WiredTiger { .. } => "WiredTiger YCSB-E".into(),
             AppKind::Btrdb(w) => format!("BTrDB res:{w}s"),
         }
     }
 }
 
-/// Builds an application deployment and pre-generates its request stream.
-pub fn build_app(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    granularity: u64,
-) -> (ClusterMemory, Vec<AppRequest>) {
-    let mut mem = ClusterMemory::new(nodes);
-    let mut alloc = ClusterAllocator::new(Placement::Striped, granularity);
-    let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-    let reqs: Vec<AppRequest> = match kind {
-        AppKind::WebService(workload) => {
-            let mut app = WebService::build(&mut ctx, sweep_webservice_cfg(workload, dist))
-                .expect("build webservice");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-        AppKind::WiredTiger => {
-            let mut app = WiredTiger::build(
-                &mut ctx,
-                WiredTigerConfig {
-                    keys: 60_000,
-                    distribution: dist,
-                    placement: TreePlacement::Partitioned { nodes },
-                    ..Default::default()
-                },
-            )
-            .expect("build wiredtiger");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-        AppKind::Btrdb(window) => {
-            let mut app = Btrdb::build(
-                &mut ctx,
-                BtrdbConfig {
-                    duration_secs: 900,
-                    window_secs: window,
-                    placement: TreePlacement::Partitioned { nodes },
-                    ..Default::default()
-                },
-            )
-            .expect("build btrdb");
-            (0..requests).map(|_| app.next_request()).collect()
-        }
-    };
-    (mem, reqs)
-}
-
-/// Runs the pulse cluster over a deployment.
-pub fn run_pulse(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    mode: PulseMode,
-    concurrency: usize,
-) -> ClusterReport {
-    let (mem, reqs) = build_app(kind, nodes, dist, requests, DEFAULT_GRANULARITY);
-    let mut cluster = PulseCluster::new(
-        ClusterConfig {
-            mode,
-            ..ClusterConfig::default()
-        },
-        mem,
-    );
-    cluster.run(reqs, concurrency)
-}
-
-/// Runs every baseline over a (fresh) deployment; returns
-/// `[cache-based, rpc, rpc-arm, cache+rpc]`.
-pub fn run_baselines(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    concurrency: usize,
-) -> Vec<BaselineReport> {
-    let (mut mem, reqs) = build_app(kind, nodes, dist, requests, DEFAULT_GRANULARITY);
-    let swap = run_swap_cache(
-        &mut mem,
-        &reqs,
-        concurrency,
-        SwapConfig {
-            cache_bytes: 8 << 20, // 2 GB scaled by the working-set factor
+/// The four systems the figures compare pulse against, in figure order:
+/// Cache-based, RPC, RPC-ARM and Cache+RPC. Both caches hold 8 MiB, the
+/// paper's 2 GB scaled by the working-set factor.
+pub fn paper_baselines() -> [BaselineKind; 4] {
+    let cache_bytes = 8 << 20;
+    [
+        BaselineKind::SwapCache(SwapConfig {
+            cache_bytes,
             ..SwapConfig::default()
-        },
-    );
-    let rpc = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::rpc());
-    let arm = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::rpc_arm());
-    let aifm = run_rpc(&mut mem, &reqs, concurrency, RpcConfig::cache_rpc(8 << 20));
-    vec![swap, rpc, arm, aifm]
+        }),
+        BaselineKind::Rpc(RpcConfig::rpc()),
+        BaselineKind::Rpc(RpcConfig::rpc_arm()),
+        BaselineKind::Rpc(RpcConfig::cache_rpc(cache_bytes)),
+    ]
 }
 
 /// Prints a standard bench banner.
@@ -183,33 +126,6 @@ pub fn us(t: pulse_sim::SimTime) -> String {
 /// Formats a throughput in Kops/s.
 pub fn kops(ops_per_sec: f64) -> String {
     format!("{:9.1}", ops_per_sec / 1e3)
-}
-
-/// Latency is measured at light load and throughput at heavy load, as the
-/// paper's closed-loop clients do; returns `(latency report, peak report)`.
-pub fn run_pulse_both(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-    mode: PulseMode,
-) -> (ClusterReport, ClusterReport) {
-    let lat = run_pulse(kind, nodes, dist, requests, mode, 8);
-    let peak = run_pulse(kind, nodes, dist, requests, mode, 128);
-    (lat, peak)
-}
-
-/// Baseline counterpart of [`run_pulse_both`]; reports are
-/// `[cache-based, rpc, rpc-arm, cache+rpc]` pairs `(latency, peak)`.
-pub fn run_baselines_both(
-    kind: AppKind,
-    nodes: usize,
-    dist: Distribution,
-    requests: usize,
-) -> Vec<(BaselineReport, BaselineReport)> {
-    let lat = run_baselines(kind, nodes, dist, requests, 8);
-    let peak = run_baselines(kind, nodes, dist, requests, 128);
-    lat.into_iter().zip(peak).collect()
 }
 
 // ------------------------------------------------------- latency-vs-load
@@ -463,8 +379,7 @@ enum Group {
     /// The ISA-v2 trailer: written only when one of its counters is
     /// nonzero, so documents of rungs that never speculated, batched or
     /// coalesced keep the pre-ISA-v2 schema (CI byte-compares the default
-    /// document against its golden). Absent means all zero; a partial
-    /// trailer is rejected like any missing key.
+    /// document against its golden). Absent means all zero.
     IsaV2,
     /// The nested `"phase"` object: written only for traced rungs, so
     /// untraced documents keep the pre-trace schema. Complete when present.
@@ -492,33 +407,9 @@ impl Group {
     }
 }
 
-/// A [`SweepPoint`] number as the document's `f64`. Integer rows hold
-/// counts, exact below 2^53.
-trait Number: Copy {
-    fn to_f64(self) -> f64;
-    fn from_f64(v: f64) -> Self;
-}
-
-impl Number for u64 {
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-    fn from_f64(v: f64) -> u64 {
-        v as u64
-    }
-}
-
-impl Number for f64 {
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn from_f64(v: f64) -> f64 {
-        v
-    }
-}
-
 /// One row of the sweep schema. A `per_phase` row stands for one key per
-/// [`Phase`], `{phase}_{key}`, read and written at that phase's index.
+/// [`Phase`], `{phase}_{key}`, written from that phase's index. Integer
+/// rows hold counts, exact as `f64` below 2^53.
 struct Field {
     key: &'static str,
     format: Format,
@@ -527,7 +418,6 @@ struct Field {
     /// The row's value in a point; `None` when the point lacks the
     /// optional object the row lives in.
     get: fn(&SweepPoint, usize) -> Option<f64>,
-    set: fn(&mut SweepPoint, usize, f64),
 }
 
 /// A row for the [`SweepPoint`] field of the same name.
@@ -538,8 +428,7 @@ macro_rules! point_field {
             format: Format::$format,
             group: Group::$group,
             per_phase: false,
-            get: |p, _| Some(Number::to_f64(p.$field)),
-            set: |p, _, v| p.$field = Number::from_f64(v),
+            get: |p, _| Some(p.$field as f64),
         }
     };
 }
@@ -553,20 +442,16 @@ macro_rules! phase_field {
             format: Format::$format,
             group: Group::Phase,
             per_phase: $per_phase,
-            get: |p, $i| p.phase.as_ref().map(|$ph| Number::to_f64($at)),
-            set: |p, $i, v| {
-                let $ph = p.phase.get_or_insert_with(PhasePoint::default);
-                $at = Number::from_f64(v);
-            },
+            get: |p, $i| p.phase.as_ref().map(|$ph| $at as f64),
         }
     };
 }
 
 /// The sweep document's per-point schema, in emission order: each row
 /// gives a key, its number format and its [`Group`].
-/// [`SweepReport::to_json`] and [`parse_sweep_json`] only loop over this
-/// table, so a new [`SweepPoint`] field reaches the document through one
-/// row here. Per-phase rows come last and are written phase-major.
+/// [`SweepReport::to_json`] only loops over this table, so a new
+/// [`SweepPoint`] field reaches the document through one row here.
+/// Per-phase rows come last and are written phase-major.
 const SWEEP_FIELDS: &[Field] = &[
     point_field!(offered_kops, Fixed3, Always),
     point_field!(arrived_kops, Fixed3, Always),
@@ -632,27 +517,6 @@ fn point_json(p: &SweepPoint) -> String {
     format!("{{{}}}", parts.join(","))
 }
 
-/// One point read back from its JSON object through [`SWEEP_FIELDS`]:
-/// every key of a written group is required.
-fn parse_point(obj: &Json) -> Result<SweepPoint, String> {
-    let mut p = SweepPoint::default();
-    for group in Group::ALL {
-        let keys = group_keys(group);
-        let source = match group.object() {
-            Some(name) => obj.get(name),
-            None if group == Group::Always || keys.iter().any(|(k, _, _)| obj.get(k).is_some()) => {
-                Some(obj)
-            }
-            None => None,
-        };
-        let Some(source) = source else { continue };
-        for (key, f, i) in &keys {
-            (f.set)(&mut p, *i, source.num(key)?);
-        }
-    }
-    Ok(p)
-}
-
 /// Minimal JSON string escaping for labels (backslash, quote, control
 /// characters) — the rest of the document is numeric.
 fn json_escape(s: &str) -> String {
@@ -673,223 +537,6 @@ fn json_escape(s: &str) -> String {
 pub fn sweep_json(reports: &[SweepReport]) -> String {
     let curves: Vec<String> = reports.iter().map(SweepReport::to_json).collect();
     format!("{{\"sweep\":[{}]}}", curves.join(","))
-}
-
-// ------------------------------------------------- sweep-schema round trip
-
-/// A minimal JSON value, just rich enough to read our own emission back.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self, key: &str) -> Result<f64, String> {
-        match self.get(key) {
-            Some(Json::Num(v)) => Ok(*v),
-            _ => Err(format!("missing or non-numeric field {key:?}")),
-        }
-    }
-}
-
-struct JsonReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonReader<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    let key = match self.value()? {
-                        Json::Str(s) => s,
-                        other => return Err(format!("non-string key {other:?}")),
-                    };
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    fields.push((key, val));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        other => return Err(format!("bad object separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("bad array separator {other:?}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                self.pos += 1;
-                let mut s = String::new();
-                loop {
-                    match self.bytes.get(self.pos) {
-                        None => return Err("unterminated string".into()),
-                        Some(b'"') => {
-                            self.pos += 1;
-                            return Ok(Json::Str(s));
-                        }
-                        Some(b'\\') => {
-                            self.pos += 1;
-                            match self.bytes.get(self.pos) {
-                                Some(b'"') => s.push('"'),
-                                Some(b'\\') => s.push('\\'),
-                                Some(b'u') => {
-                                    let hex = self
-                                        .bytes
-                                        .get(self.pos + 1..self.pos + 5)
-                                        .ok_or("truncated \\u escape")?;
-                                    let code = u32::from_str_radix(
-                                        std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                        16,
-                                    )
-                                    .map_err(|e| e.to_string())?;
-                                    s.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                                    self.pos += 4;
-                                }
-                                other => return Err(format!("bad escape {other:?}")),
-                            }
-                            self.pos += 1;
-                        }
-                        Some(&b) => {
-                            // Our emitter escapes all control chars, so any
-                            // raw byte here is part of a UTF-8 sequence.
-                            let start = self.pos;
-                            let mut end = self.pos + 1;
-                            if b >= 0x80 {
-                                while self.bytes.get(end).is_some_and(|&x| x & 0xC0 == 0x80) {
-                                    end += 1;
-                                }
-                            }
-                            s.push_str(
-                                std::str::from_utf8(&self.bytes[start..end])
-                                    .map_err(|e| e.to_string())?,
-                            );
-                            self.pos = end;
-                        }
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => {
-                let start = self.pos;
-                while self.bytes.get(self.pos).is_some_and(|&x| {
-                    x.is_ascii_digit() || matches!(x, b'-' | b'+' | b'.' | b'e' | b'E')
-                }) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|e| e.to_string())?
-                    .parse::<f64>()
-                    .map(Json::Num)
-                    .map_err(|e| format!("bad number: {e}"))
-            }
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-}
-
-/// Parses a `BENCH_sweep.json` document back into [`SweepReport`]s. Every
-/// key of the `SWEEP_FIELDS` table must be present: the always-present
-/// keys in every point, and an optional group's keys in every point that
-/// carries any of them — the schema round-trip guard that keeps a field
-/// from silently vanishing from the document the CI label greps inspect.
-///
-/// # Errors
-///
-/// A description of the first malformed or missing piece.
-pub fn parse_sweep_json(doc: &str) -> Result<Vec<SweepReport>, String> {
-    let mut reader = JsonReader {
-        bytes: doc.as_bytes(),
-        pos: 0,
-    };
-    let root = reader.value()?;
-    reader.skip_ws();
-    if reader.pos != reader.bytes.len() {
-        return Err(format!("trailing bytes at {}", reader.pos));
-    }
-    let curves = match root.get("sweep") {
-        Some(Json::Arr(curves)) => curves,
-        _ => return Err("document must be {\"sweep\": [...]}".into()),
-    };
-    curves
-        .iter()
-        .map(|curve| {
-            let label = match curve.get("label") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => return Err("curve missing string \"label\"".into()),
-            };
-            let points = match curve.get("points") {
-                Some(Json::Arr(points)) => points,
-                _ => return Err(format!("curve {label:?} missing \"points\" array")),
-            };
-            let points = points
-                .iter()
-                .map(parse_point)
-                .collect::<Result<Vec<_>, String>>()
-                .map_err(|e| format!("curve {label:?}: {e}"))?;
-            Ok(SweepReport { label, points })
-        })
-        .collect()
 }
 
 /// Runs a load ladder over one engine family: for every offered load in
@@ -959,7 +606,7 @@ pub struct CurveSpec {
 }
 
 impl CurveSpec {
-    /// Packages a curve for [`sweep_par`].
+    /// Packages a curve for [`sweep_par_with`].
     pub fn new(
         label: &str,
         loads_kops: &[f64],
@@ -1168,15 +815,6 @@ pub fn sweep_par_with(
     })
 }
 
-/// [`sweep_par_with`] without a progress callback.
-///
-/// # Errors
-///
-/// As [`sweep_par_with`].
-pub fn sweep_par(specs: &[CurveSpec], workers: usize) -> Result<ParSweepReport, pulse::Error> {
-    sweep_par_with(specs, workers, |_| {})
-}
-
 /// Serializes a parallel sweep's perf measurements as the
 /// `BENCH_simspeed.json` document: simulator throughput (simulated-ops/sec
 /// per curve), wall-clock per rung, and the sweep's total wall-clock, so
@@ -1221,9 +859,6 @@ pub fn simspeed_json(report: &ParSweepReport) -> String {
 
 // ------------------------------------------------------ sweep deployments
 
-/// Keys in the sweep's WiredTiger deployment (the read-only curve and
-/// YCSB-E alike).
-const SWEEP_WIREDTIGER_KEYS: u64 = 30_000;
 /// Insert-arena slab per memory node for YCSB-E structural inserts.
 const YCSB_ARENA_PER_NODE: u64 = 4 << 20;
 
@@ -1273,8 +908,9 @@ impl Stream {
             Stream::App(AppKind::WebService(workload), dist) => Source::App(Box::new(
                 WebService::build(ctx, sweep_webservice_cfg(workload, dist))?,
             )),
-            Stream::App(AppKind::WiredTiger, dist) => {
+            Stream::App(AppKind::WiredTiger { keys }, dist) => {
                 let cfg = WiredTigerConfig {
+                    keys,
                     distribution: dist,
                     ..tree
                 };
@@ -1335,17 +971,17 @@ impl Source {
     }
 }
 
-/// One sweep curve's deployment: the rack, its size, and the stream it
-/// serves. Every curve of `examples/latency_sweep.rs` — pulse and baseline
-/// alike — is built from one of these, so two curves that differ in one
-/// axis differ in exactly one builder setter, and a comparison's sides run
-/// the identical deployment by construction.
+/// One deployment: the rack, its size, and the stream it serves. Every
+/// curve of `examples/latency_sweep.rs` and every end-to-end paper figure —
+/// pulse and baseline alike — is built from one of these, so two runs that
+/// differ in one axis differ in exactly one builder setter, and a
+/// comparison's sides run the identical deployment by construction.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    /// Everything the rack varies: cpus, dispatch, cache, topology,
-    /// replication, faults, the ISA-v2 switches, tracing and the in-flight
-    /// window (a baseline's client count). Nodes and extent granularity are
-    /// set from [`Deployment::nodes`] and [`DEFAULT_GRANULARITY`].
+    /// Everything the rack varies: extent granularity, cpus, dispatch,
+    /// cache, topology, replication, faults, the ISA-v2 switches, tracing
+    /// and the in-flight window (a baseline's client count). The node
+    /// count is set from [`Deployment::nodes`].
     pub rack: pulse::PulseBuilder,
     /// Memory nodes in the rack.
     pub nodes: usize,
@@ -1357,10 +993,7 @@ pub struct Deployment {
 
 impl Deployment {
     fn builder(&self) -> pulse::PulseBuilder {
-        self.rack
-            .clone()
-            .nodes(self.nodes)
-            .granularity(DEFAULT_GRANULARITY)
+        self.rack.clone().nodes(self.nodes)
     }
 
     /// Builds a fresh pulse rack over the deployment and mints its stream.
@@ -1405,6 +1038,22 @@ impl Deployment {
                 (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
             }),
         }
+    }
+
+    /// Runs the whole stream closed-loop on a fresh `side` engine with the
+    /// rack's window in flight, and returns the engine's label and what the
+    /// run measured. The pulse side submits every request and drains the
+    /// runtime, bit-identical to `PulseCluster::run` at that concurrency.
+    ///
+    /// # Panics
+    ///
+    /// As [`Deployment::pulse`].
+    pub fn execute(&self, side: Side) -> (&'static str, RunMetrics) {
+        let (mut engine, reqs) = self.clone().factory(side)();
+        let metrics = engine
+            .execute(&reqs)
+            .expect("a minted stream is well-formed");
+        (engine.label(), metrics)
     }
 }
 
@@ -1484,18 +1133,6 @@ mod tests {
         assert!(matches!(err, pulse::Error::Config(_)), "{err:?}");
     }
 
-    #[test]
-    fn labels_are_json_escaped() {
-        let curve = SweepReport {
-            label: "8\"-node \\ tab\t".into(),
-            points: Vec::new(),
-        };
-        assert_eq!(
-            curve.to_json(),
-            "{\"label\":\"8\\\"-node \\\\ tab\\u0009\",\"points\":[]}"
-        );
-    }
-
     /// A healthy short rung — zero loss, p99 well under the SLO — must
     /// qualify even though its goodput trails the arrival rate by the
     /// finite-run drain tail (the over-strict rejection the first version
@@ -1516,15 +1153,15 @@ mod tests {
         assert_eq!(sustained, Some(684.5), "healthy rung must qualify");
     }
 
-    /// Schema round trip: every `SweepPoint` field must survive
-    /// `sweep_json` → `parse_sweep_json` → `to_json` byte-for-byte, so a
-    /// new field (like `cache_hit_rate`) that is added to the struct but
-    /// forgotten in the emitter — or emitted but dropped by consumers —
-    /// fails here instead of silently breaking the CI label greps.
+    /// The writer's exact text for a traced point that writes every group
+    /// and a plain point that writes only the always-present keys: every
+    /// key, its order and number format, the omitted groups and the label
+    /// escaping are pinned here, so a `SweepPoint` field forgotten in
+    /// `SWEEP_FIELDS` (or a format drift) fails before the CI goldens do.
     #[test]
-    fn sweep_json_round_trips_every_field() {
+    fn sweep_json_writes_every_field() {
         let curve = SweepReport {
-            label: "pulse+cache \"8-node\"".into(),
+            label: "pulse+cache \"8-node\" \\ tab\t".into(),
             points: vec![
                 SweepPoint {
                     offered_kops: 400.125,
@@ -1561,48 +1198,42 @@ mod tests {
             points: Vec::new(),
         };
         let doc = sweep_json(&[curve, empty]);
-        let parsed = parse_sweep_json(&doc).expect("own emission parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].label, "pulse+cache \"8-node\"");
-        assert_eq!(parsed[0].points.len(), 2);
-        let p = &parsed[0].points[0];
-        assert_eq!((p.completed, p.faulted, p.retries), (2_000, 3, 17));
-        assert!((p.cache_hit_rate - 0.7344).abs() < 1e-9);
-        assert!((p.link_utilization - 0.4125).abs() < 1e-9);
-        assert_eq!(p.queue_depth, 9);
-        assert_eq!((p.failovers, p.unavailable_completions), (11, 2));
-        assert_eq!(p.rereplication_bytes, 1 << 21);
-        assert!((p.degraded_p99_us - 310.125).abs() < 1e-9);
-        // Phase attribution: present on the traced point (field-exact),
-        // absent on the untraced one.
-        let phase = p.phase.as_ref().expect("traced point keeps phase");
-        assert_eq!(phase.count, 2_000);
-        assert_eq!(phase.mean_us[1], 1.5);
-        assert_eq!(phase.p99_us[2], 4.5);
-        assert_eq!(parsed[0].points[1].phase, None);
-        // ISA-v2 trailer: field-exact on the point that carries it, all
-        // zero on the point that omits it.
-        assert_eq!(
-            (p.mis_speculations, p.batched_hops, p.coalesced_prefix_hops),
-            (23, 4_096, 57)
+        let traced = concat!(
+            "{\"offered_kops\":400.125,\"arrived_kops\":398.500,\"completed\":2000,",
+            "\"faulted\":3,\"p50_us\":12.500,\"p95_us\":80.250,\"p99_us\":141.875,",
+            "\"goodput_kops\":390.750,\"update_goodput_kops\":97.500,\"retries\":17,",
+            "\"cache_hit_rate\":0.7344,\"link_utilization\":0.4125,\"queue_depth\":9,",
+            "\"failovers\":11,\"unavailable_completions\":2,",
+            "\"rereplication_bytes\":2097152,\"degraded_p99_us\":310.125,",
+            "\"mis_speculations\":23,\"batched_hops\":4096,\"coalesced_prefix_hops\":57,",
+            "\"phase\":{\"count\":2000,",
+            "\"queued_mean_us\":0.0000,\"queued_p99_us\":0.0000,",
+            "\"dispatch_mean_us\":1.5000,\"dispatch_p99_us\":2.2500,",
+            "\"wire_mean_us\":3.0000,\"wire_p99_us\":4.5000,",
+            "\"accel_mean_us\":4.5000,\"accel_p99_us\":6.7500,",
+            "\"mem_mean_us\":6.0000,\"mem_p99_us\":9.0000,",
+            "\"cache_hit_mean_us\":7.5000,\"cache_hit_p99_us\":11.2500,",
+            "\"retry_mean_us\":9.0000,\"retry_p99_us\":13.5000,",
+            "\"failover_mean_us\":10.5000,\"failover_p99_us\":15.7500,",
+            "\"rereplication_mean_us\":12.0000,\"rereplication_p99_us\":18.0000,",
+            "\"spec_squash_mean_us\":13.5000,\"spec_squash_p99_us\":20.2500}}",
         );
-        let plain = &parsed[0].points[1];
-        assert_eq!(
-            (
-                plain.mis_speculations,
-                plain.batched_hops,
-                plain.coalesced_prefix_hops
-            ),
-            (0, 0, 0)
+        let plain = concat!(
+            "{\"offered_kops\":100.000,\"arrived_kops\":100.000,\"completed\":100,",
+            "\"faulted\":0,\"p50_us\":40.000,\"p95_us\":72.000,\"p99_us\":80.000,",
+            "\"goodput_kops\":99.000,\"update_goodput_kops\":0.000,\"retries\":0,",
+            "\"cache_hit_rate\":0.0000,\"link_utilization\":0.0000,\"queue_depth\":0,",
+            "\"failovers\":0,\"unavailable_completions\":0,",
+            "\"rereplication_bytes\":0,\"degraded_p99_us\":0.000}",
         );
-        // Byte-for-byte: re-serializing the parse reproduces the document.
-        assert_eq!(sweep_json(&parsed), doc);
-
-        // A document missing any key of a written group is rejected, not
-        // defaulted: that is what makes the guard bite when the emitter
-        // regresses. The traced point writes every group, so pruning each
-        // key of the table in turn covers the whole schema, including a
-        // half-pruned ISA-v2 trailer or phase object.
+        assert_eq!(
+            doc,
+            format!(
+                "{{\"sweep\":[{{\"label\":\"pulse+cache \\\"8-node\\\" \\\\ tab\\u0009\",\
+                 \"points\":[{traced},{plain}]}},{{\"label\":\"empty\",\"points\":[]}}]}}"
+            )
+        );
+        // The traced point writes every key of the table, each once.
         let keys: Vec<String> = Group::ALL
             .into_iter()
             .flat_map(group_keys)
@@ -1610,27 +1241,8 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 17 + 3 + 1 + 2 * PHASES);
         for key in &keys {
-            let needle = format!("\"{key}\":");
-            let start = doc
-                .find(&needle)
-                .expect("the traced point writes every key");
-            let value = start + needle.len();
-            let end = value + doc[value..].find([',', '}']).expect("value terminated");
-            // Drop the key with one adjoining comma.
-            let pruned = if doc.as_bytes()[start - 1] == b',' {
-                format!("{}{}", &doc[..start - 1], &doc[end..])
-            } else {
-                format!("{}{}", &doc[..start], &doc[end + 1..])
-            };
-            let err = parse_sweep_json(&pruned).unwrap_err();
-            assert!(err.contains(&format!("{key:?}")), "pruned {key}: {err}");
+            assert_eq!(traced.matches(&format!("\"{key}\":")).count(), 1, "{key}");
         }
-        assert!(parse_sweep_json("{\"swoop\":[]}").is_err());
-        assert!(parse_sweep_json("not json").is_err());
-        // The real emitted file's shape, including escapes.
-        let parsed =
-            parse_sweep_json("{\"sweep\":[{\"label\":\"a\\\\b\\u0009\",\"points\":[]}]}").unwrap();
-        assert_eq!(parsed[0].label, "a\\b\t");
     }
 
     /// One rung of every stream and engine side through [`Deployment`]
@@ -1656,8 +1268,12 @@ mod tests {
             stream,
             requests,
         };
-        let rack = || PulseBuilder::new().cpus(2);
-        let clients = || PulseBuilder::new().window(8);
+        let rack = || PulseBuilder::new().granularity(DEFAULT_GRANULARITY).cpus(2);
+        let clients = || {
+            PulseBuilder::new()
+                .granularity(DEFAULT_GRANULARITY)
+                .window(8)
+        };
         let rpc = |cfg| Side::Baseline(BaselineKind::Rpc(cfg));
         let ws = Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian);
         let cache = CacheConfig::sized(4 << 20);
@@ -1681,7 +1297,12 @@ mod tests {
                 at: at(
                     rack(),
                     2,
-                    Stream::App(AppKind::WiredTiger, Distribution::Zipfian),
+                    Stream::App(
+                        AppKind::WiredTiger {
+                            keys: SWEEP_WIREDTIGER_KEYS,
+                        },
+                        Distribution::Zipfian,
+                    ),
                     10,
                 ),
                 side: Side::Pulse,

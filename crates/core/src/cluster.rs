@@ -543,11 +543,6 @@ impl PulseCluster {
         })
     }
 
-    /// Gives the memory back (e.g. to run another system on the same data).
-    pub fn into_memory(self) -> ClusterMemory {
-        self.mem
-    }
-
     /// Read-only view of the rack memory.
     pub fn memory(&self) -> &ClusterMemory {
         &self.mem
@@ -1171,11 +1166,7 @@ impl PulseCluster {
         let read_done = read.end;
         self.mem_bytes_extra += len;
         let depart = self.frontends[0].book_dispatch(read_done);
-        let arrive = if self.fabric.is_some() {
-            self.fabric_send(depart, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
-        } else {
-            self.links[src].tx(depart, wire) + self.cfg.link.propagation
-        };
+        let arrive = self.mem_to_mem(depart, src, dst, wire);
         let write = self.dma[dst].acquire(arrive + DMA_SETUP, len);
         self.trace_occupy(
             Track::Mem(dst),
@@ -1330,26 +1321,8 @@ impl PulseCluster {
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
             }
             Next::Send(pkt, at) => {
-                // The dispatch engine first (queueing + occupancy under
-                // load), then the flat pipeline latency, then the node's
-                // NIC (flat) or the routed fabric.
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
-                let grant = self.frontends[id.cpu].book_dispatch_grant(at);
-                let depart = grant.end + self.cfg.dispatch_overhead;
-                self.trace_push(id, SpanKind::Queued, Track::Cpu(id.cpu), grant.start);
-                self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), depart);
-                if self.fabric.is_some() {
-                    self.route_and_send(drv, depart, pkt, Endpoint::Cpu(id.cpu));
-                } else {
-                    let arrive = self.frontends[id.cpu].tx(depart, pkt.wire_bytes());
-                    self.trace_push(
-                        id,
-                        SpanKind::WireHop { link: id.cpu },
-                        Track::Link(id.cpu),
-                        arrive,
-                    );
-                    drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Cpu(id.cpu)));
-                }
+                self.cpu_send(drv, at, pkt, self.cfg.dispatch_overhead);
             }
         }
     }
@@ -1591,6 +1564,17 @@ impl PulseCluster {
         }
     }
 
+    /// When `wire` bytes sent at `at` from memory node `src` reach memory
+    /// node `dst`: priced on the routed fabric, or over the source's flat
+    /// link.
+    fn mem_to_mem(&mut self, at: SimTime, src: NodeId, dst: NodeId, wire: u64) -> SimTime {
+        if self.fabric.is_some() {
+            self.fabric_send(at, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
+        } else {
+            self.links[src].tx(at, wire) + self.cfg.link.propagation
+        }
+    }
+
     fn at_mem(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, pkt: Packet) {
         // A packet that raced a fault — already in flight when its target
         // went dark (or, for traversals, wedged) — is lost on arrival; the
@@ -1629,11 +1613,7 @@ impl PulseCluster {
                         }
                         let bytes = len as u64;
                         let wire = bytes + NOTICE_BYTES;
-                        let at = if self.fabric.is_some() {
-                            self.fabric_send(now, Endpoint::Mem(n), Endpoint::Mem(m), wire)
-                        } else {
-                            self.links[n].tx(now, wire) + self.cfg.link.propagation
-                        };
+                        let at = self.mem_to_mem(now, n, m, wire);
                         let gm = self.dma[m].acquire(at + DMA_SETUP, bytes);
                         self.mem_bytes_extra += bytes;
                         self.trace_occupy(
@@ -1765,14 +1745,15 @@ impl PulseCluster {
         }
     }
 
-    /// Re-transmits a bounced/limited traversal from its owning CPU node:
-    /// dispatch booking + re-issue software cost, then the node's NIC
-    /// (flat) or the routed fabric.
-    fn cpu_reissue(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
+    /// Transmits a packet from its owning CPU node: the dispatch engine
+    /// first (queueing + occupancy under load), then `overhead` (the flat
+    /// issue pipeline, or the re-issue software of a bounced traversal),
+    /// then the node's NIC (flat) or the routed fabric.
+    fn cpu_send(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, overhead: SimTime) {
         let id = pkt.id();
         let cpu = id.cpu;
         let grant = self.frontends[cpu].book_dispatch_grant(now);
-        let depart = grant.end + self.cfg.reissue_overhead;
+        let depart = grant.end + overhead;
         self.trace_push(id, SpanKind::Queued, Track::Cpu(cpu), grant.start);
         self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), depart);
         if self.fabric.is_some() {
@@ -1871,7 +1852,7 @@ impl PulseCluster {
                     self.fill_cache(id.cpu, &ip.touched);
                     let mut ip = ip;
                     ip.touched.clear();
-                    self.cpu_reissue(drv, now, Packet::Iter(ip));
+                    self.cpu_send(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
                 }
                 IterStatus::IterLimit => {
                     // Continuation: fresh budget, same state (§3).
@@ -1880,7 +1861,7 @@ impl PulseCluster {
                     ip.touched.clear();
                     ip.status = IterStatus::InFlight;
                     ip.state.iters_done = 0;
-                    self.cpu_reissue(drv, now, Packet::Iter(ip));
+                    self.cpu_send(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
                 }
                 IterStatus::Faulted { .. } => {
                     self.scratch_pool.push(ip.state.scratch);

@@ -107,20 +107,6 @@ impl RangeTable {
         })
     }
 
-    /// Convenience: builds an all-RW table from `(start, end)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RangeTable::build`].
-    pub fn build_rw(
-        capacity: usize,
-        ranges: &[(u64, u64)],
-    ) -> Result<RangeTable, CapacityExceeded> {
-        let triples: Vec<(u64, u64, Perms)> =
-            ranges.iter().map(|&(s, e)| (s, e, Perms::RW)).collect();
-        RangeTable::build(capacity, &triples)
-    }
-
     /// The merged entries.
     pub fn entries(&self) -> &[RangeEntry] {
         &self.entries

@@ -107,7 +107,7 @@ use pulse::{
 };
 use pulse_bench::{
     simspeed_json, sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
-    SweepPoint, SweepReport,
+    SweepPoint, SweepReport, DEFAULT_GRANULARITY, SWEEP_WIREDTIGER_KEYS,
 };
 
 const NODES: usize = 2;
@@ -174,10 +174,12 @@ fn main() -> Result<(), pulse::Error> {
     );
     println!("parallel sweep harness: {workers} worker threads\n");
 
-    // The rack every curve starts from: `CPUS` compute nodes on the
-    // contended dispatch model and `BASELINE_CLIENTS` in flight — the
-    // baselines' client count, equal to the pulse runtime's default window.
+    // The rack every curve starts from: 2 MiB extents, `CPUS` compute nodes
+    // on the contended dispatch model and `BASELINE_CLIENTS` in flight —
+    // the baselines' client count, equal to the pulse runtime's default
+    // window.
     let rack = PulseBuilder::new()
+        .granularity(DEFAULT_GRANULARITY)
         .cpus(CPUS)
         .dispatch(dispatch)
         .window(BASELINE_CLIENTS);
@@ -222,7 +224,12 @@ fn main() -> Result<(), pulse::Error> {
             at(
                 &rack,
                 NODES,
-                Stream::App(AppKind::WiredTiger, Distribution::Zipfian),
+                Stream::App(
+                    AppKind::WiredTiger {
+                        keys: SWEEP_WIREDTIGER_KEYS,
+                    },
+                    Distribution::Zipfian,
+                ),
             ),
             Side::Pulse,
         ),

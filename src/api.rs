@@ -237,6 +237,16 @@ pub enum BaselineKind {
     Rpc(RpcConfig),
 }
 
+impl BaselineKind {
+    /// The system label every engine and report of this kind carries.
+    pub fn label(&self) -> &'static str {
+        match self {
+            BaselineKind::SwapCache(cfg) => cfg.label(),
+            BaselineKind::Rpc(cfg) => cfg.label(),
+        }
+    }
+}
+
 /// A baseline system over its own copy of the rack memory, behind the same
 /// [`Engine`] face as the pulse runtime.
 #[derive(Debug)]
@@ -265,10 +275,7 @@ impl BaselineEngine {
 
 impl Engine for BaselineEngine {
     fn label(&self) -> &'static str {
-        match &self.kind {
-            BaselineKind::SwapCache(_) => "Cache-based",
-            BaselineKind::Rpc(_) => "RPC",
-        }
+        self.kind.label()
     }
 
     fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {

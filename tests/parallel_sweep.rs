@@ -1,5 +1,5 @@
 //! The parallel sweep harness's determinism contract, asserted end to
-//! end: for any worker count, `sweep_par` must produce a `BENCH_sweep.json`
+//! end: for any worker count, `sweep_par_with` must produce a `BENCH_sweep.json`
 //! document byte-identical to the serial `sweep()` ladder's. Every
 //! (curve, rung) pair is a closed deterministic world — its own cluster,
 //! its own SplitMix64 arrival stream — so parallelism may only change
@@ -7,7 +7,9 @@
 
 use pulse::workloads::Distribution;
 use pulse::{PulseBuilder, YcsbWorkload};
-use pulse_bench::{sweep, sweep_json, sweep_par, AppKind, CurveSpec, Deployment, Side, Stream};
+use pulse_bench::{
+    sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
+};
 
 const LOADS: [f64; 3] = [50.0, 200.0, 800.0];
 const SEED: u64 = 0xC0FFEE;
@@ -57,7 +59,7 @@ fn serial_reference() -> String {
 fn parallel_sweep_json_is_byte_identical_to_serial() {
     let serial = serial_reference();
     for workers in [1usize, 2, 4] {
-        let par = sweep_par(&specs(), workers).expect("parallel sweep");
+        let par = sweep_par_with(&specs(), workers, |_| {}).expect("parallel sweep");
         let par_json = sweep_json(&par.curves);
         assert_eq!(
             par_json, serial,
@@ -69,7 +71,7 @@ fn parallel_sweep_json_is_byte_identical_to_serial() {
 
 #[test]
 fn parallel_sweep_reports_timings_per_rung() {
-    let par = sweep_par(&specs(), 2).expect("parallel sweep");
+    let par = sweep_par_with(&specs(), 2, |_| {}).expect("parallel sweep");
     assert_eq!(par.timings.len(), 2);
     for (timing, spec_label) in par.timings.iter().zip(["par-pulse", "par-ycsb-a"]) {
         assert_eq!(timing.label, spec_label);

@@ -515,6 +515,51 @@ fn baseline_engine_runs_open_loop_behind_the_trait() {
     assert!(rep.last_completion > rep.first_arrival);
 }
 
+/// Every baseline kind names itself once: the engine's label, the label of
+/// an empty-stream open-loop report and that of a non-empty one agree.
+#[test]
+fn baseline_labels_agree_for_every_kind() {
+    use pulse::baselines::{RpcConfig, SwapConfig};
+    use pulse::BaselineKind;
+    let kinds = [
+        (
+            BaselineKind::SwapCache(SwapConfig::default()),
+            "Cache-based",
+        ),
+        (BaselineKind::Rpc(RpcConfig::rpc()), "RPC"),
+        (BaselineKind::Rpc(RpcConfig::rpc_arm()), "RPC-ARM"),
+        (
+            BaselineKind::Rpc(RpcConfig::cache_rpc(1 << 20)),
+            "Cache+RPC",
+        ),
+    ];
+    for (kind, label) in kinds {
+        let build = || {
+            PulseBuilder::new()
+                .baseline_app(
+                    kind.clone(),
+                    WebServiceConfig {
+                        keys: 200,
+                        ..Default::default()
+                    },
+                )
+                .unwrap()
+        };
+        let (mut engine, mut app) = build();
+        let reqs: Vec<AppRequest> = (0..20).map(|_| app.next_request()).collect();
+        let full = engine
+            .execute_open_loop(&reqs, ArrivalProcess::poisson(50_000.0, 3))
+            .unwrap();
+        let (mut idle, _) = build();
+        let empty = idle
+            .execute_open_loop(&[], ArrivalProcess::poisson(50_000.0, 3))
+            .unwrap();
+        assert_eq!(engine.label(), label);
+        assert_eq!(empty.label, label);
+        assert_eq!(full.label, label);
+    }
+}
+
 /// The documented panic of `TraversalStage::init_state` is now a typed
 /// error: submit rejects the malformed request up front, and the
 /// functional executor reports it as `Error::Exec`.
