@@ -17,10 +17,7 @@
 
 mod systems;
 
-pub use systems::{
-    run_rpc, run_rpc_open_loop, run_swap_cache, run_swap_cache_open_loop, BaselineReport, CpuModel,
-    NetModel, RpcConfig, RpcFlavor, SwapConfig,
-};
+pub use systems::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, RpcFlavor, SwapConfig};
 // The CPU-node front-end layer shared with the pulse rack: the LRU backing
 // the page/object caches, the coherent traversal-cell cache, and the
 // dispatch-engine model — so baseline configs stay apples-to-apples with

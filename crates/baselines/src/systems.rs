@@ -16,94 +16,44 @@ use pulse_sim::{DispatchConfig, LatencyHistogram, SerialResource, ServerPool, Si
 use pulse_trace::{LatencyBreakdown, Phase, RunMetrics};
 use pulse_workloads::{execute_functional, Access, AppRequest};
 
-/// Network constants shared with the pulse cluster: one endpoint→endpoint
-/// hop through the switch.
-///
-/// The satellite audit for flat magic-number costs found three in the RPC
-/// path (a hard-coded 256 B per cross-node bounce and 128 B request /
-/// response-base frames); they are parametrized here with defaults that
-/// reproduce the old charges bit for bit.
-#[derive(Debug, Clone, Copy)]
-pub struct NetModel {
-    /// One-way latency (two link propagations + the switch pipeline).
-    pub one_way: SimTime,
-    /// Link bandwidth, bits per second.
-    pub bits_per_sec: u64,
-    /// Request frame size, bytes (header + pointer + parameters).
-    pub request_bytes: u64,
-    /// Response header/base size, bytes (before payload and cache fills).
-    pub response_base_bytes: u64,
-    /// Per-direction frame size of one cross-node bounce, bytes. The flat
-    /// model's `256` per bounce was both directions of this.
-    pub bounce_bytes: u64,
+/// Request, response-base and bounce frame size, bytes (header + pointer +
+/// parameters). A cross-node bounce sends one frame each way.
+const FRAME_BYTES: u64 = 128;
+
+/// One endpoint→endpoint hop through the rack's switch: two link
+/// propagations around the switch pipeline, the same constants the pulse
+/// rack prices.
+fn one_way() -> SimTime {
+    LinkConfig::default().propagation * 2 + SwitchConfig::default().pipeline_latency
 }
 
-impl Default for NetModel {
-    fn default() -> Self {
-        NetModel {
-            one_way: SimTime::from_micros(3) + SimTime::from_nanos(600),
-            bits_per_sec: 100_000_000_000,
-            request_bytes: 128,
-            response_base_bytes: 128,
-            bounce_bytes: 128,
-        }
-    }
-}
-
-impl NetModel {
-    /// Derives the routed fabric's per-hop constants from these end-to-end
-    /// ones: `one_way` decomposes into two link propagations around the
-    /// switch pipeline, so a single-switch routed path prices the same
-    /// crossing the flat constants do.
-    fn fabric_config(&self) -> FabricConfig {
-        let switch = SwitchConfig {
-            port_bits_per_sec: self.bits_per_sec,
-            ..SwitchConfig::default()
-        };
-        let propagation = self.one_way.saturating_sub(switch.pipeline_latency) / 2;
-        FabricConfig {
-            link: LinkConfig {
-                propagation,
-                bits_per_sec: self.bits_per_sec,
-            },
-            switch,
-        }
-    }
-
-    /// Builds the routed fabric for `spec` over one CPU node and `nodes`
-    /// memory nodes, or `None` on the flat default.
-    fn build_fabric(&self, spec: TopologySpec, nodes: usize) -> Option<Fabric> {
-        spec.is_routed()
-            .then(|| Fabric::new(spec.build(1, nodes), self.fabric_config()))
-    }
+/// Builds the rack's routed fabric for `spec` over one CPU node and `nodes`
+/// memory nodes, or `None` on the flat default.
+fn build_fabric(spec: TopologySpec, nodes: usize) -> Option<Fabric> {
+    spec.is_routed()
+        .then(|| Fabric::new(spec.build(1, nodes), FabricConfig::default()))
 }
 
 /// A CPU's execution parameters for traversal replay.
 #[derive(Debug, Clone, Copy)]
-pub struct CpuModel {
+struct CpuModel {
     /// Per-instruction time for traversal logic.
-    pub insn_time: SimTime,
+    insn_time: SimTime,
     /// Local DRAM access latency (dependent pointer chase step).
-    pub dram_latency: SimTime,
+    dram_latency: SimTime,
 }
 
-impl CpuModel {
-    /// Xeon Gold 6240-class core.
-    pub fn xeon() -> CpuModel {
-        CpuModel {
-            insn_time: SimTime::from_picos(444),
-            dram_latency: SimTime::from_nanos(90),
-        }
-    }
+/// Xeon Gold 6240-class core.
+const XEON: CpuModel = CpuModel {
+    insn_time: SimTime::from_picos(444),
+    dram_latency: SimTime::from_nanos(90),
+};
 
-    /// Bluefield-2 Cortex-A72-class core: slower issue, slower memory path.
-    pub fn arm_cortex_a72() -> CpuModel {
-        CpuModel {
-            insn_time: SimTime::from_picos(1_550),
-            dram_latency: SimTime::from_nanos(150),
-        }
-    }
-}
+/// Bluefield-2 Cortex-A72-class core: slower issue, slower memory path.
+const ARM_CORTEX_A72: CpuModel = CpuModel {
+    insn_time: SimTime::from_picos(1_550),
+    dram_latency: SimTime::from_nanos(150),
+};
 
 /// What a baseline run measured: the engine-neutral [`RunMetrics`]
 /// (reachable through `Deref`) plus what only the replay models price.
@@ -183,33 +133,34 @@ impl BaselineReport {
 
 // ------------------------------------------------------------- Cache-based
 
-/// Fastswap-style swap cache configuration.
+/// Page size of the swap system.
+const PAGE_BYTES: u64 = 4096;
+
+/// Kernel fault-handling software cost per major fault.
+const FAULT_SOFTWARE: SimTime = SimTime::from_micros(5);
+
+/// Swap-subsystem per-page service (reclaim + I/O issue) — the "could not
+/// evict pages fast enough" ceiling of §6.1.
+const SWAP_SERVICE: SimTime = SimTime::from_micros(4);
+
+/// Application threads at the CPU node.
+const SWAP_THREADS: usize = 16;
+
+/// Fastswap-style swap cache configuration. The page size, fault and swap
+/// costs, thread count and CPU are fixed constants of the model.
 #[derive(Debug, Clone, Copy)]
 pub struct SwapConfig {
     /// CPU-node DRAM used as page cache, bytes (2 GB in §6, scaled).
     pub cache_bytes: u64,
-    /// Page size (4 KiB).
-    pub page_bytes: u64,
-    /// Kernel fault-handling software cost per major fault.
-    pub fault_software: SimTime,
-    /// Swap-subsystem per-page service (reclaim + I/O issue) — the
-    /// "could not evict pages fast enough" ceiling of §6.1.
-    pub swap_service: SimTime,
-    /// Application threads at the CPU node.
-    pub threads: usize,
-    /// CPU model.
-    pub cpu: CpuModel,
-    /// Network constants.
-    pub net: NetModel,
     /// CPU-node request-dispatch engine (the same contended-issue model the
     /// pulse rack runs, so pulse-vs-baseline sweeps stay apples-to-apples).
     /// Each request books one dispatch op at admission; the default is
     /// uncontended.
     pub dispatch: DispatchConfig,
     /// Rack geometry. On the flat default every page fill is priced with
-    /// the end-to-end `net` constants; on a routed spec each fill is a
-    /// request + page transfer over the fabric's finite links from the
-    /// owning node.
+    /// the rack's end-to-end link and switch constants; on a routed spec
+    /// each fill is a request + page transfer over the fabric's finite
+    /// links from the owning node.
     pub topology: TopologySpec,
     /// Record per-phase latency attribution
     /// ([`RunMetrics::phase`]). Off by default; the run's timing is
@@ -221,12 +172,6 @@ impl Default for SwapConfig {
     fn default() -> Self {
         SwapConfig {
             cache_bytes: 64 << 20,
-            page_bytes: 4096,
-            fault_software: SimTime::from_micros(5),
-            swap_service: SimTime::from_micros(4),
-            threads: 16,
-            cpu: CpuModel::xeon(),
-            net: NetModel::default(),
             dispatch: DispatchConfig::default(),
             topology: TopologySpec::Flat,
             trace: false,
@@ -246,48 +191,32 @@ impl SwapConfig {
 /// Every memory access in every request probes a 4 KiB-page LRU; misses pay
 /// fault software + a network round trip + page transfer, serialized
 /// through the swap pipe.
-pub fn run_swap_cache(
-    mem: &mut ClusterMemory,
-    requests: &[AppRequest],
-    concurrency: usize,
-    cfg: SwapConfig,
-) -> BaselineReport {
-    swap_cache_impl(mem, requests, concurrency, cfg, None)
-}
-
-/// Open-loop variant of [`run_swap_cache`]: request `i` arrives at
-/// `arrivals[i]` (sorted ascending) and its latency is measured from that
-/// arrival, queueing included. The report's throughput is goodput over the
+///
+/// With `arrivals` `None` the stream runs closed-loop over `concurrency`
+/// clients. With `Some(times)`, request `i` arrives at `times[i]` (sorted
+/// ascending) and its latency is measured from that arrival, queueing
+/// included; the report's throughput is then goodput over the
 /// arrival-to-last-completion span.
-pub fn run_swap_cache_open_loop(
-    mem: &mut ClusterMemory,
-    requests: &[AppRequest],
-    concurrency: usize,
-    cfg: SwapConfig,
-    arrivals: &[SimTime],
-) -> BaselineReport {
-    swap_cache_impl(mem, requests, concurrency, cfg, Some(arrivals))
-}
-
-fn swap_cache_impl(
+pub fn run_swap_cache(
     mem: &mut ClusterMemory,
     requests: &[AppRequest],
     concurrency: usize,
     cfg: SwapConfig,
     arrivals: Option<&[SimTime]>,
 ) -> BaselineReport {
-    let mut lru = LruSet::new((cfg.cache_bytes / cfg.page_bytes).max(1) as usize);
+    let mut lru = LruSet::new((cfg.cache_bytes / PAGE_BYTES).max(1) as usize);
     let mut swap_pipe = SerialResource::new(u64::MAX); // fixed service per page
-    let mut threads = ServerPool::new(cfg.threads);
+    let mut threads = ServerPool::new(SWAP_THREADS);
     // The shared CPU-node front end hosts the admission dispatch engine
     // (the swap system's own page cache stands in for a traversal cache).
-    let mut fe = CpuFrontEnd::new(LinkConfig::default(), cfg.dispatch, CacheConfig::disabled());
-    let mut fabric = cfg.net.build_fabric(cfg.topology, mem.node_count());
+    let mut fe = CpuFrontEnd::new(cfg.dispatch, CacheConfig::disabled());
+    let mut fabric = build_fabric(cfg.topology, mem.node_count());
     let routed = fabric.is_some();
     let mut net_bytes = 0u64;
     let mut mem_bytes = 0u64;
-    let page_wire = SimTime::serialization(cfg.page_bytes, cfg.net.bits_per_sec);
-    let miss_cost = cfg.fault_software + cfg.net.one_way * 2 + page_wire;
+    let one_way = one_way();
+    let page_wire = SimTime::serialization(PAGE_BYTES, LinkConfig::default().bits_per_sec);
+    let miss_cost = FAULT_SOFTWARE + one_way * 2 + page_wire;
     let mut breakdown = cfg.trace.then(LatencyBreakdown::new);
 
     // Pre-execute functionally (results + traces).
@@ -313,21 +242,21 @@ fn swap_cache_impl(
             let mut insn_total = SimTime::ZERO;
             let mut fills: Vec<usize> = Vec::new();
             for a in accesses {
-                let mut cost = cfg.cpu.insn_time * a.insns as u64;
+                let mut cost = XEON.insn_time * a.insns as u64;
                 insn_total += cost;
-                let first = a.addr / cfg.page_bytes;
-                let last = (a.addr + a.len.max(1) as u64 - 1) / cfg.page_bytes;
+                let first = a.addr / PAGE_BYTES;
+                let last = (a.addr + a.len.max(1) as u64 - 1) / PAGE_BYTES;
                 for page in first..=last {
                     if lru.touch(page) {
-                        cost += cfg.cpu.dram_latency;
+                        cost += XEON.dram_latency;
                         hits += 1;
                     } else {
                         cost += miss_cost;
                         misses += 1;
-                        net_bytes += cfg.page_bytes;
-                        mem_bytes += cfg.page_bytes;
+                        net_bytes += PAGE_BYTES;
+                        mem_bytes += PAGE_BYTES;
                         if routed {
-                            fills.push(mem.owner_of(page * cfg.page_bytes).unwrap_or(0));
+                            fills.push(mem.owner_of(page * PAGE_BYTES).unwrap_or(0));
                         }
                     }
                 }
@@ -346,7 +275,7 @@ fn swap_cache_impl(
             let mut pipe_end = slot.grant.start;
             let mut routed_wire = None;
             if misses > 0 {
-                let g = swap_pipe.acquire_for(slot.grant.start, cfg.swap_service * misses);
+                let g = swap_pipe.acquire_for(slot.grant.start, SWAP_SERVICE * misses);
                 pipe_end = match fabric.as_mut() {
                     // Routed: each fill is a request to the owning node and
                     // a page riding back over the fabric's finite links.
@@ -354,41 +283,35 @@ fn swap_cache_impl(
                         let mut cursor = g.end;
                         for &owner in &fills {
                             let req = fab
-                                .send(
-                                    cursor,
-                                    Endpoint::Cpu(0),
-                                    Endpoint::Mem(owner),
-                                    cfg.net.request_bytes,
-                                )
+                                .send(cursor, Endpoint::Cpu(0), Endpoint::Mem(owner), FRAME_BYTES)
                                 .expect("fabric covers every node");
                             cursor = fab
-                                .send(req, Endpoint::Mem(owner), Endpoint::Cpu(0), cfg.page_bytes)
+                                .send(req, Endpoint::Mem(owner), Endpoint::Cpu(0), PAGE_BYTES)
                                 .expect("fabric covers every node");
                         }
                         routed_wire = Some(cursor - g.end);
-                        cursor + cfg.fault_software + *cpu_work
+                        cursor + FAULT_SOFTWARE + *cpu_work
                     }
-                    None => g.end + cfg.net.one_way * 2 + cfg.fault_software + *cpu_work,
+                    None => g.end + one_way * 2 + FAULT_SOFTWARE + *cpu_work,
                 };
             }
             let end = (slot.grant.start + pure).max(pipe_end);
             if let Some(b) = breakdown.as_mut() {
                 let arrive = arrivals.map_or(ready, |a| a[idx]);
-                let wire =
-                    routed_wire.unwrap_or_else(|| (cfg.net.one_way * 2 + page_wire) * misses);
+                let wire = routed_wire.unwrap_or_else(|| (one_way * 2 + page_wire) * misses);
                 // Priced components; thread/pipe queueing and the pieces
                 // hidden under the completion `max` fall to the residual.
                 b.record_components(
                     end - arrive,
                     &[
                         (Phase::Queued, admitted - ready),
-                        (Phase::CacheHit, cfg.cpu.dram_latency * hits),
+                        (Phase::CacheHit, XEON.dram_latency * hits),
                         (
                             Phase::Dispatch,
-                            insn_total + *cpu_work + cfg.fault_software * misses,
+                            insn_total + *cpu_work + FAULT_SOFTWARE * misses,
                         ),
                         (Phase::WireHop, wire),
-                        (Phase::MemTrip, cfg.swap_service * misses),
+                        (Phase::MemTrip, SWAP_SERVICE * misses),
                     ],
                 );
             }
@@ -421,7 +344,14 @@ fn swap_cache_impl(
 
 // ------------------------------------------------------------------- RPC
 
-/// Which RPC flavour to run.
+/// Cached object granularity of Cache+RPC (the 8 KiB application object).
+const OBJECT_BYTES: u64 = 8192;
+
+/// Memory-node DRAM bandwidth each node serves, bytes per second.
+const DRAM_BYTES_PER_SEC: u64 = 25_000_000_000;
+
+/// Which RPC flavour to run. The flavour fixes the memory-node CPU, its
+/// worker count and per-request software time, and the transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcFlavor {
     /// DPDK RPC on Xeon memory-node CPUs.
@@ -429,7 +359,45 @@ pub enum RpcFlavor {
     /// RPC on wimpy ARM SmartNIC cores.
     RpcArm,
     /// AIFM: an object cache at the CPU node in front of a TCP-based RPC.
-    CacheRpc,
+    CacheRpc {
+        /// CPU-node object cache, bytes; 0 runs without one.
+        cache_bytes: u64,
+    },
+}
+
+impl RpcFlavor {
+    fn cpu(self) -> CpuModel {
+        match self {
+            RpcFlavor::RpcArm => ARM_CORTEX_A72,
+            _ => XEON,
+        }
+    }
+
+    /// Worker cores per memory node: on Xeon, the minimum that saturates
+    /// 25 GB/s of dependent chasing (≈ 10); on ARM, the Bluefield-2's 8.
+    fn workers_per_node(self) -> usize {
+        match self {
+            RpcFlavor::RpcArm => 8,
+            _ => 10,
+        }
+    }
+
+    /// Per-request server software time (rx parse + handler + tx).
+    fn request_software(self) -> SimTime {
+        match self {
+            RpcFlavor::RpcArm => SimTime::from_micros(3),
+            _ => SimTime::from_nanos(850),
+        }
+    }
+
+    /// Extra per-request overhead of the TCP-based stack, per direction
+    /// (Cache+RPC only; §6.1 attributes AIFM's latency gap to it).
+    fn tcp_extra(self) -> SimTime {
+        match self {
+            RpcFlavor::CacheRpc { .. } => SimTime::from_micros(2),
+            _ => SimTime::ZERO,
+        }
+    }
 }
 
 /// RPC system configuration.
@@ -437,22 +405,6 @@ pub enum RpcFlavor {
 pub struct RpcConfig {
     /// Flavour.
     pub flavor: RpcFlavor,
-    /// Worker cores per memory node (Xeon: the minimum that saturates
-    /// 25 GB/s of dependent chasing ≈ 10; ARM: the Bluefield-2's 8).
-    pub workers_per_node: usize,
-    /// Per-request server software time (rx parse + handler + tx).
-    pub request_software: SimTime,
-    /// Extra per-request overhead for the TCP-based stack (Cache+RPC only;
-    /// §6.1 attributes AIFM's latency gap to it).
-    pub tcp_extra: SimTime,
-    /// CPU-node object cache (Cache+RPC only), bytes.
-    pub object_cache_bytes: u64,
-    /// Cached object granularity (the 8 KiB application object).
-    pub object_bytes: u64,
-    /// Memory-node DRAM bandwidth each node serves.
-    pub dram_bytes_per_sec: u64,
-    /// Network constants.
-    pub net: NetModel,
     /// CPU-node request-dispatch engine — the extended evaluation
     /// attributes the RPC baseline's collapse to exactly this resource
     /// saturating. One dispatch op is booked per network issue (the initial
@@ -461,7 +413,7 @@ pub struct RpcConfig {
     /// Front-end traversal-cell cache (the shared
     /// `pulse_frontend::TraversalCache`, disabled by default): leading
     /// traversal hops whose cells are all resident run at
-    /// `CacheConfig::hit_ns` on the CPU instead of as remote segments, the
+    /// `CacheConfig::HIT_NS` on the CPU instead of as remote segments, the
     /// remainder executes remotely as usual, remotely-read traversal cells
     /// fill the cache (priced as extra response bytes), and a request's
     /// writes age the touched lines out. This is "RPC+cache" in the sweep
@@ -469,16 +421,19 @@ pub struct RpcConfig {
     /// pointer traversals.
     pub cache: CacheConfig,
     /// Rack geometry. On the flat default the request/bounce/response trips
-    /// are priced with the end-to-end `net` constants and a single CPU
-    /// receive pipe; on a routed spec every trip — including both legs of
-    /// every cross-node bounce — is a fabric send over finite directed
-    /// links, so the bouncing traffic converges on the CPU node's downlink
-    /// (the incast pulse's chained hops avoid).
+    /// are priced with the rack's end-to-end link and switch constants and
+    /// a single CPU receive pipe; on a routed spec every trip — including
+    /// both legs of every cross-node bounce — is a fabric send over finite
+    /// directed links, so the bouncing traffic converges on the CPU node's
+    /// downlink (the incast pulse's chained hops avoid).
     pub topology: TopologySpec,
     /// Scheduled faults — the *same* schedule the pulse rack runs, so
-    /// pulse-vs-RPC curves degrade under identical failure injections. A
-    /// request whose target node is down at service time retries against
-    /// the extent's replica set (`ClusterMemory::replicas_of`, governed by
+    /// pulse-vs-RPC curves degrade under identical failure injections.
+    /// Node health is checked once per request, when a client picks it up
+    /// (its admission, not its arrival; a fault during service does not
+    /// touch it). A segment whose node is down at that instant is
+    /// redirected to the extent's first live replica
+    /// (`ClusterMemory::replicas_of`, governed by
     /// `ClusterMemory::set_replication` on the memory handed to the run):
     /// each redirect pays one extra timeout round trip and counts as a
     /// failover; with no live replica the request fault-completes as
@@ -496,13 +451,6 @@ impl RpcConfig {
     pub fn rpc() -> RpcConfig {
         RpcConfig {
             flavor: RpcFlavor::Rpc,
-            workers_per_node: 10,
-            request_software: SimTime::from_nanos(850),
-            tcp_extra: SimTime::ZERO,
-            object_cache_bytes: 0,
-            object_bytes: 8192,
-            dram_bytes_per_sec: 25_000_000_000,
-            net: NetModel::default(),
             dispatch: DispatchConfig::default(),
             cache: CacheConfig::disabled(),
             topology: TopologySpec::Flat,
@@ -515,8 +463,6 @@ impl RpcConfig {
     pub fn rpc_arm() -> RpcConfig {
         RpcConfig {
             flavor: RpcFlavor::RpcArm,
-            workers_per_node: 8,
-            request_software: SimTime::from_micros(3),
             ..RpcConfig::rpc()
         }
     }
@@ -524,17 +470,8 @@ impl RpcConfig {
     /// AIFM-style Cache+RPC with a 2 GB-class (scaled) object cache.
     pub fn cache_rpc(cache_bytes: u64) -> RpcConfig {
         RpcConfig {
-            flavor: RpcFlavor::CacheRpc,
-            tcp_extra: SimTime::from_micros(2),
-            object_cache_bytes: cache_bytes,
+            flavor: RpcFlavor::CacheRpc { cache_bytes },
             ..RpcConfig::rpc()
-        }
-    }
-
-    fn cpu(&self) -> CpuModel {
-        match self.flavor {
-            RpcFlavor::RpcArm => CpuModel::arm_cortex_a72(),
-            _ => CpuModel::xeon(),
         }
     }
 
@@ -543,7 +480,7 @@ impl RpcConfig {
         match self.flavor {
             RpcFlavor::Rpc => "RPC",
             RpcFlavor::RpcArm => "RPC-ARM",
-            RpcFlavor::CacheRpc => "Cache+RPC",
+            RpcFlavor::CacheRpc { .. } => "Cache+RPC",
         }
     }
 }
@@ -555,30 +492,13 @@ impl RpcConfig {
 /// "return to the CPU node whenever the traversal accesses a pointer on
 /// another memory node" penalty of §5 that pulse's in-network routing
 /// removes).
-pub fn run_rpc(
-    mem: &mut ClusterMemory,
-    requests: &[AppRequest],
-    concurrency: usize,
-    cfg: RpcConfig,
-) -> BaselineReport {
-    rpc_impl(mem, requests, concurrency, cfg, None)
-}
-
-/// Open-loop variant of [`run_rpc`]: request `i` arrives at `arrivals[i]`
-/// (sorted ascending) and its latency is measured from that arrival,
-/// queueing included. The report's throughput is goodput over the
+///
+/// With `arrivals` `None` the stream runs closed-loop over `concurrency`
+/// clients. With `Some(times)`, request `i` arrives at `times[i]` (sorted
+/// ascending) and its latency is measured from that arrival, queueing
+/// included; the report's throughput is then goodput over the
 /// arrival-to-last-completion span.
-pub fn run_rpc_open_loop(
-    mem: &mut ClusterMemory,
-    requests: &[AppRequest],
-    concurrency: usize,
-    cfg: RpcConfig,
-    arrivals: &[SimTime],
-) -> BaselineReport {
-    rpc_impl(mem, requests, concurrency, cfg, Some(arrivals))
-}
-
-fn rpc_impl(
+pub fn run_rpc(
     mem: &mut ClusterMemory,
     requests: &[AppRequest],
     concurrency: usize,
@@ -586,23 +506,30 @@ fn rpc_impl(
     arrivals: Option<&[SimTime]>,
 ) -> BaselineReport {
     let nodes = mem.node_count();
-    let cpu = cfg.cpu();
+    let cpu = cfg.flavor.cpu();
+    let request_software = cfg.flavor.request_software();
+    let tcp_extra = cfg.flavor.tcp_extra();
+    let one_way = one_way();
     let mut workers: Vec<ServerPool> = (0..nodes)
-        .map(|_| ServerPool::new(cfg.workers_per_node))
+        .map(|_| ServerPool::new(cfg.flavor.workers_per_node()))
         .collect();
     let mut dram: Vec<SerialResource> = (0..nodes)
-        .map(|_| SerialResource::new(cfg.dram_bytes_per_sec.saturating_mul(8)))
+        .map(|_| SerialResource::new(DRAM_BYTES_PER_SEC * 8))
         .collect();
     // Flat: the CPU-node's receive direction (responses) is the only link
     // pipe that ever approaches saturation in these workloads. Routed: the
     // fabric's directed links replace it entirely.
-    let mut link_rx = SerialResource::new(cfg.net.bits_per_sec);
-    let mut fabric = cfg.net.build_fabric(cfg.topology, nodes);
+    let mut link_rx = SerialResource::new(LinkConfig::default().bits_per_sec);
+    let mut fabric = build_fabric(cfg.topology, nodes);
     // The shared CPU-node front end: dispatch engine plus the optional
     // traversal-cell cache.
-    let mut fe = CpuFrontEnd::new(LinkConfig::default(), cfg.dispatch, cfg.cache);
-    let mut object_cache = (cfg.object_cache_bytes > 0)
-        .then(|| LruSet::new((cfg.object_cache_bytes / cfg.object_bytes).max(1) as usize));
+    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
+    let mut object_cache = match cfg.flavor {
+        RpcFlavor::CacheRpc { cache_bytes } if cache_bytes > 0 => {
+            Some(LruSet::new((cache_bytes / OBJECT_BYTES).max(1) as usize))
+        }
+        _ => None,
+    };
     let mut net_bytes = 0u64;
     let mut mem_bytes = 0u64;
     // Fault bookkeeping: the schedule sorted by time, the degraded window
@@ -631,7 +558,7 @@ fn rpc_impl(
         .map(|r| {
             let run = execute_functional(mem, r, 1 << 20).expect("functional run");
             let object_addr = run.accesses.iter().find(|a| !a.traversal).map(|a| a.addr);
-            let response_bytes = cfg.net.response_base_bytes
+            let response_bytes = FRAME_BYTES
                 + r.response_extra_bytes as u64
                 + r.object_io
                     .map_or(0, |io| if io.write { 0 } else { io.len as u64 });
@@ -701,7 +628,7 @@ fn rpc_impl(
             let mut prefix_time = SimTime::ZERO;
             let mut fill_wire_bytes = 0u64;
             if let Some(cache) = fe.cache_mut() {
-                let hit = cache.config().hit_ns;
+                let hit = CacheConfig::HIT_NS;
                 for a in &p.accesses {
                     if !a.traversal || a.write || !cache.probe_range(a.addr, a.len as u64, mem) {
                         cache.note_miss();
@@ -773,7 +700,7 @@ fn rpc_impl(
                 let step = if a.traversal {
                     cpu.dram_latency + cpu.insn_time * a.insns as u64
                 } else {
-                    SimTime::serialization(a.len as u64, cfg.dram_bytes_per_sec * 8)
+                    SimTime::serialization(a.len as u64, DRAM_BYTES_PER_SEC * 8)
                 };
                 match segments.last_mut() {
                     Some((node, t, b, trav)) if *node == owner && *trav == a.traversal => {
@@ -792,9 +719,9 @@ fn rpc_impl(
                 // One timed-out attempt: the client learns nothing is
                 // left to serve this request and gives up.
                 unavailable += 1;
-                net_bytes += cfg.net.request_bytes;
+                net_bytes += FRAME_BYTES;
                 let admitted = fe.book_dispatch(ready);
-                let pure = cfg.net.one_way * 2 + cfg.tcp_extra * 2;
+                let pure = one_way * 2 + tcp_extra * 2;
                 return finish(
                     idx,
                     ready,
@@ -815,8 +742,8 @@ fn rpc_impl(
             // finds "data structure-aware caching is not beneficial" here.
             let mut response_bytes = p.response_bytes;
             if let (Some(cache), Some(addr)) = (object_cache.as_mut(), p.object_addr) {
-                if cache.touch(addr / cfg.object_bytes) {
-                    response_bytes = cfg.net.response_base_bytes;
+                if cache.touch(addr / OBJECT_BYTES) {
+                    response_bytes = FRAME_BYTES;
                 }
             }
             response_bytes += fill_wire_bytes;
@@ -825,22 +752,23 @@ fn rpc_impl(
             let mut service = SimTime::ZERO;
             let mut bounce = SimTime::ZERO;
             for (i, &(_, svc_time, _, is_trav)) in segments.iter().enumerate() {
-                service += svc_time + cfg.request_software;
+                service += svc_time + request_software;
                 if i > 0 {
-                    bounce += cfg.net.one_way * 2; // CPU-node bounce per hop
-                    net_bytes += 2 * cfg.net.bounce_bytes;
+                    bounce += one_way * 2; // CPU-node bounce per hop
+                    net_bytes += 2 * FRAME_BYTES;
                 }
                 if is_trav {
                     traversal += svc_time;
                 }
             }
-            let response_wire = SimTime::serialization(response_bytes, cfg.net.bits_per_sec);
-            net_bytes += cfg.net.request_bytes + response_bytes;
-            let pure = cfg.net.one_way * 2
-                + cfg.tcp_extra * 2
+            let response_wire =
+                SimTime::serialization(response_bytes, LinkConfig::default().bits_per_sec);
+            net_bytes += FRAME_BYTES + response_bytes;
+            let pure = one_way * 2
+                + tcp_extra * 2
                 // Each failover was detected by timing out the primary
                 // first: one wasted round trip per redirected segment.
-                + cfg.net.one_way * (2 * req_failovers)
+                + one_way * (2 * req_failovers)
                 + prefix_time
                 + service
                 + bounce
@@ -868,7 +796,7 @@ fn rpc_impl(
                             issued + prefix_time,
                             Endpoint::Cpu(0),
                             Endpoint::Mem(first),
-                            cfg.net.request_bytes,
+                            FRAME_BYTES,
                         )
                         .expect("fabric covers every node");
                     let mut last = first;
@@ -883,19 +811,14 @@ fn rpc_impl(
                                     cursor,
                                     Endpoint::Mem(last),
                                     Endpoint::Cpu(0),
-                                    cfg.net.bounce_bytes + segments[i - 1].2,
+                                    FRAME_BYTES + segments[i - 1].2,
                                 )
                                 .expect("fabric covers every node");
                             cursor = fab
-                                .send(
-                                    back,
-                                    Endpoint::Cpu(0),
-                                    Endpoint::Mem(node),
-                                    cfg.net.bounce_bytes,
-                                )
+                                .send(back, Endpoint::Cpu(0), Endpoint::Mem(node), FRAME_BYTES)
                                 .expect("fabric covers every node");
                         }
-                        let w = workers[node].acquire(cursor, svc_time + cfg.request_software);
+                        let w = workers[node].acquire(cursor, svc_time + request_software);
                         let d = dram[node].acquire(cursor, bytes);
                         mem_bytes += bytes;
                         cursor = w.grant.end.max(d.end);
@@ -912,17 +835,17 @@ fn rpc_impl(
                     (ready + pure).max(arrive + p.cpu_work)
                 }
                 None => {
-                    let depart = issued + prefix_time + cfg.net.one_way; // first node
+                    let depart = issued + prefix_time + one_way; // first node
                     let mut worker_end = depart;
                     for &(node, svc_time, bytes, _) in &segments {
-                        let w = workers[node].acquire(depart, svc_time + cfg.request_software);
+                        let w = workers[node].acquire(depart, svc_time + request_software);
                         let d = dram[node].acquire(depart, bytes);
                         mem_bytes += bytes;
                         worker_end = worker_end.max(w.grant.end).max(d.end);
                     }
-                    let rx = link_rx.acquire(worker_end + cfg.net.one_way, response_bytes);
+                    let rx = link_rx.acquire(worker_end + one_way, response_bytes);
                     (ready + pure)
-                        .max(worker_end + cfg.net.one_way + response_wire + p.cpu_work)
+                        .max(worker_end + one_way + response_wire + p.cpu_work)
                         .max(rx.end + p.cpu_work)
                 }
             };
@@ -935,10 +858,10 @@ fn rpc_impl(
                     pure,
                     queued: issued - ready,
                     cache_hit: prefix_time,
-                    failover: cfg.net.one_way * (2 * req_failovers),
-                    wire: cfg.net.one_way * 2 + bounce + response_wire,
+                    failover: one_way * (2 * req_failovers),
+                    wire: one_way * 2 + bounce + response_wire,
                     mem: service,
-                    dispatch: cfg.tcp_extra * 2 + p.cpu_work,
+                    dispatch: tcp_extra * 2 + p.cpu_work,
                 },
             )
         });
@@ -1022,8 +945,9 @@ mod tests {
                 cache_bytes: 1 << 20,
                 ..SwapConfig::default()
             },
+            None,
         );
-        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc());
+        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
         let ratio = swap.latency.mean.as_nanos_f64() / rpc.latency.mean.as_nanos_f64();
         // Fig. 7: cache-based is 9-34x slower than offloading systems.
         assert!(ratio > 5.0, "swap/rpc latency ratio {ratio}");
@@ -1042,6 +966,7 @@ mod tests {
                 cache_bytes: 64 << 20, // everything fits
                 ..SwapConfig::default()
             },
+            None,
         );
         assert!(
             swap.cache_hit_ratio.unwrap() > 0.5,
@@ -1053,8 +978,8 @@ mod tests {
     #[test]
     fn rpc_arm_is_slower_than_rpc() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc());
-        let arm = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc_arm());
+        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
+        let arm = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc_arm(), None);
         assert!(
             arm.latency.mean > rpc.latency.mean,
             "arm {} vs rpc {}",
@@ -1067,8 +992,8 @@ mod tests {
     #[test]
     fn cache_rpc_latency_not_better_than_rpc() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc());
-        let aifm = run_rpc(&mut mem, &reqs, 16, RpcConfig::cache_rpc(4 << 20));
+        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
+        let aifm = run_rpc(&mut mem, &reqs, 16, RpcConfig::cache_rpc(4 << 20), None);
         // §6.1: "Cache+RPC incurs higher latency than RPC ... and does not
         // outperform RPC".
         assert!(
@@ -1095,6 +1020,7 @@ mod tests {
                     cache_bytes: cache,
                     ..SwapConfig::default()
                 },
+                None,
             );
             fractions.push(rep.traversal_fraction());
         }
@@ -1112,7 +1038,7 @@ mod tests {
             let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
                 .map(|i| SimTime::from_nanos(gap_ns * i))
                 .collect();
-            run_rpc_open_loop(&mut mem, &reqs, 8, RpcConfig::rpc(), &arrivals)
+            run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), Some(&arrivals))
                 .latency
                 .p99
         };
@@ -1127,11 +1053,11 @@ mod tests {
     #[test]
     fn open_loop_at_light_load_matches_unloaded_latency() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let closed = run_rpc(&mut mem, &reqs, 1, RpcConfig::rpc());
+        let closed = run_rpc(&mut mem, &reqs, 1, RpcConfig::rpc(), None);
         let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
             .map(|i| SimTime::from_micros(500 * i))
             .collect();
-        let open = run_rpc_open_loop(&mut mem, &reqs, 8, RpcConfig::rpc(), &arrivals);
+        let open = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), Some(&arrivals));
         // So sparse that no request ever queues: mean within 25% of the
         // single-client closed loop (cache state differs run to run).
         let ratio = open.latency.mean.as_nanos_f64() / closed.latency.mean.as_nanos_f64();
@@ -1148,8 +1074,8 @@ mod tests {
         let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
             .map(|i| SimTime::from_nanos(5_000 * i)) // 200 kops offered
             .collect();
-        let free = run_rpc_open_loop(&mut mem, &reqs, 16, RpcConfig::rpc(), &arrivals);
-        let contended = run_rpc_open_loop(
+        let free = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), Some(&arrivals));
+        let contended = run_rpc(
             &mut mem,
             &reqs,
             16,
@@ -1157,7 +1083,7 @@ mod tests {
                 dispatch: DispatchConfig::contended(SimTime::from_micros(20), 1),
                 ..RpcConfig::rpc()
             },
-            &arrivals,
+            Some(&arrivals),
         );
         assert!(
             contended.latency.p99 > free.latency.p99 * 2,
@@ -1175,8 +1101,8 @@ mod tests {
             .map(|i| SimTime::from_nanos(10_000 * i)) // 100 kops offered
             .collect();
         let base = SwapConfig::default();
-        let free = run_swap_cache_open_loop(&mut mem, &reqs, 8, base, &arrivals);
-        let contended = run_swap_cache_open_loop(
+        let free = run_swap_cache(&mut mem, &reqs, 8, base, Some(&arrivals));
+        let contended = run_swap_cache(
             &mut mem,
             &reqs,
             8,
@@ -1184,7 +1110,7 @@ mod tests {
                 dispatch: DispatchConfig::contended(SimTime::from_micros(50), 1),
                 ..base
             },
-            &arrivals,
+            Some(&arrivals),
         );
         assert!(
             contended.latency.p99 > free.latency.p99,
@@ -1231,8 +1157,8 @@ mod tests {
                 }
             })
             .collect();
-        let ro = run_rpc(&mut mem, &reads, 8, RpcConfig::rpc());
-        let rw = run_rpc(&mut mem, &mixed, 8, RpcConfig::rpc());
+        let ro = run_rpc(&mut mem, &reads, 8, RpcConfig::rpc(), None);
+        let rw = run_rpc(&mut mem, &mixed, 8, RpcConfig::rpc(), None);
         assert_eq!(rw.completed, 100);
         assert!(
             rw.mem_bytes >= ro.mem_bytes,
@@ -1244,14 +1170,14 @@ mod tests {
         assert_eq!(map.get_host(&mut mem, 42).unwrap(), Some(42 + 7_000));
         assert_eq!(map.get_host(&mut mem, 43).unwrap(), Some(43));
         // The swap cache executes the identical stream (fresh values).
-        let swap = run_swap_cache(&mut mem, &mixed, 8, SwapConfig::default());
+        let swap = run_swap_cache(&mut mem, &mixed, 8, SwapConfig::default(), None);
         assert_eq!(swap.completed, 100);
     }
 
     #[test]
     fn routed_rpc_prices_bounces_on_the_cpu_downlink() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let flat = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc());
+        let flat = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
         let routed = run_rpc(
             &mut mem,
             &reqs,
@@ -1263,6 +1189,7 @@ mod tests {
                 },
                 ..RpcConfig::rpc()
             },
+            None,
         );
         // Flat builds no fabric: the new metrics are exactly zero.
         assert_eq!(flat.link_utilization, 0.0);
@@ -1287,7 +1214,7 @@ mod tests {
             cache_bytes: 1 << 20,
             ..SwapConfig::default()
         };
-        let flat = run_swap_cache(&mut mem, &reqs, 8, small);
+        let flat = run_swap_cache(&mut mem, &reqs, 8, small, None);
         let routed = run_swap_cache(
             &mut mem,
             &reqs,
@@ -1296,6 +1223,7 @@ mod tests {
                 topology: TopologySpec::Tor { racks: 2 },
                 ..small
             },
+            None,
         );
         assert_eq!(flat.link_utilization, 0.0);
         assert!(
@@ -1310,7 +1238,7 @@ mod tests {
     fn rpc_crash_with_replication_fails_over() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
         mem.set_replication(2);
-        let clean = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc());
+        let clean = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
         let faulted = run_rpc(
             &mut mem,
             &reqs,
@@ -1319,6 +1247,7 @@ mod tests {
                 faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
                 ..RpcConfig::rpc()
             },
+            None,
         );
         // Every request still completes — redirected onto replicas, each
         // redirect paying a detection round trip — and the whole degraded
@@ -1344,7 +1273,7 @@ mod tests {
         let arrivals: Vec<SimTime> = (0..reqs.len() as u64)
             .map(|i| SimTime::from_nanos(50 * i))
             .collect();
-        let rep = run_rpc_open_loop(
+        let rep = run_rpc(
             &mut mem,
             &reqs,
             16,
@@ -1352,7 +1281,7 @@ mod tests {
                 faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
                 ..RpcConfig::rpc()
             },
-            &arrivals,
+            Some(&arrivals),
         );
         assert_eq!(rep.completed, reqs.len() as u64);
         assert!(rep.failovers > 0);
@@ -1362,6 +1291,58 @@ mod tests {
             rep.latency
         );
         assert_eq!(rep.degraded_p99, rep.latency.p99);
+    }
+
+    /// Node health is checked when a client picks a request up, not when
+    /// it arrives: with one client and a crash at X > 0, the request picked
+    /// up at t = 0 is served by its primary, while one that arrived beside
+    /// it but waited past X for the client fails over.
+    #[test]
+    fn rpc_checks_node_health_at_pickup() {
+        let (mut mem, reqs) = webservice_setup(4_000, 8192);
+        mem.set_replication(2);
+        let req = reqs[0].clone();
+        let run = execute_functional(&mut mem, &req, 1 << 20).unwrap();
+        let victim = mem.owner_of(run.accesses[0].addr).unwrap();
+        let crash_at = |at| RpcConfig {
+            faults: vec![FaultEvent::new(at, FaultKind::MemCrash(victim))],
+            ..RpcConfig::rpc()
+        };
+        let x = SimTime::from_micros(1);
+        let t0 = SimTime::ZERO;
+        // The failovers one pick-up pays with the crash already in force.
+        let per_request = run_rpc(
+            &mut mem,
+            std::slice::from_ref(&req),
+            1,
+            crash_at(t0),
+            Some(&[t0]),
+        )
+        .failovers;
+        assert!(per_request > 0);
+        // Picked up at t = 0 < X and still in service at X: the primary
+        // serves it.
+        let alone = run_rpc(
+            &mut mem,
+            std::slice::from_ref(&req),
+            1,
+            crash_at(x),
+            Some(&[t0]),
+        );
+        assert!(alone.latency.max > x);
+        assert_eq!(alone.failovers, 0);
+        // Both arrive at t = 0 < X; the second is picked up after X, when
+        // the lone client frees, and fails over.
+        let pair = run_rpc(
+            &mut mem,
+            &[req.clone(), req],
+            1,
+            crash_at(x),
+            Some(&[t0, t0]),
+        );
+        assert_eq!(pair.completed, 2);
+        assert_eq!(pair.unavailable_completions, 0);
+        assert_eq!(pair.failovers, per_request);
     }
 
     #[test]
@@ -1375,6 +1356,7 @@ mod tests {
                 faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
                 ..RpcConfig::rpc()
             },
+            None,
         );
         assert!(faulted.unavailable_completions > 0);
         assert_eq!(
@@ -1400,6 +1382,7 @@ mod tests {
                 ],
                 ..RpcConfig::rpc()
             },
+            None,
         );
         assert!(faulted.unavailable_completions > 0);
         assert!(faulted.completed > 0);
@@ -1409,7 +1392,7 @@ mod tests {
     #[test]
     fn traced_baselines_attribute_phases_without_perturbing_timing() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let plain_rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc());
+        let plain_rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
         let traced_rpc = run_rpc(
             &mut mem,
             &reqs,
@@ -1418,6 +1401,7 @@ mod tests {
                 trace: true,
                 ..RpcConfig::rpc()
             },
+            None,
         );
         assert!(plain_rpc.phase.is_none(), "tracing is off by default");
         assert_eq!(plain_rpc.latency.mean, traced_rpc.latency.mean);
@@ -1443,6 +1427,7 @@ mod tests {
                 trace: true,
                 ..SwapConfig::default()
             },
+            None,
         );
         let attr = traced_swap.phase.expect("attribution recorded");
         assert_eq!(attr.count, reqs.len() as u64);
@@ -1465,6 +1450,7 @@ mod tests {
                 trace: true,
                 ..RpcConfig::rpc()
             },
+            None,
         );
         assert!(rep.unavailable_completions > 0);
         let attr = rep.phase.expect("attribution recorded");
@@ -1474,8 +1460,8 @@ mod tests {
     #[test]
     fn results_are_deterministic() {
         let (mut mem, reqs) = webservice_setup(1_000, 8192);
-        let a = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc());
-        let b = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc());
+        let a = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
+        let b = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
         assert_eq!(a.latency.mean, b.latency.mean);
         assert_eq!(a.net_bytes, b.net_bytes);
     }

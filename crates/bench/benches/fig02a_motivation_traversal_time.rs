@@ -89,6 +89,7 @@ fn main() {
                         cache_bytes: cache,
                         ..SwapConfig::default()
                     },
+                    None,
                 );
                 let base = *base_latency.get_or_insert(rep.latency.mean);
                 println!(

@@ -255,8 +255,8 @@ impl SweepPoint {
             p50_us: rep.latency.p50.as_micros_f64(),
             p95_us: rep.latency.p95.as_micros_f64(),
             p99_us: rep.latency.p99.as_micros_f64(),
-            goodput_kops: rep.goodput_per_sec / 1e3,
-            update_goodput_kops: rep.goodput_per_sec / 1e3 * update_fraction,
+            goodput_kops: rep.throughput / 1e3,
+            update_goodput_kops: rep.throughput / 1e3 * update_fraction,
             retries: rep.retries,
             cache_hit_rate: rep.cache_hit_rate,
             link_utilization: rep.link_utilization,

@@ -6,8 +6,8 @@
 //! node's NIC doubles as its issue queue, serializing departures — and its
 //! own request-sequence counter, so a [`RequestId`] `(cpu, seq)` is unique
 //! rack-wide and every reply routes back to the node that issued the
-//! request. Requests are spread across CPU nodes by a deterministic
-//! [`CpuAssignment`] policy at submit time.
+//! request. Submissions are spread across CPU nodes round-robin:
+//! submission `i` issues from CPU node `i % cpus`.
 //!
 //! This is the system Fig. 7/9 evaluate. Two modes exist:
 //!
@@ -19,7 +19,7 @@
 //!   software overhead more expensive per crossing).
 
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator};
-use pulse_frontend::{prefix_walk, CacheConfig, CoalesceConfig, CpuFrontEnd, Role, WalkOutcome};
+use pulse_frontend::{prefix_walk, CacheConfig, CpuFrontEnd, Role, WalkOutcome};
 use pulse_mem::{
     CapacityExceeded, ClusterMemory, FaultEvent, FaultKind, GlobalRangeMap, NodeId, Perms,
     RangeTable,
@@ -29,7 +29,7 @@ use pulse_net::{
     RequestId, Route, Switch, SwitchConfig, TopoNode, Topology, TopologySpec, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES,
 };
-use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, SplitMix64};
+use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime};
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
@@ -43,47 +43,13 @@ pub enum PulseMode {
     PulseAcc,
 }
 
-/// How submitted requests are spread across the rack's CPU nodes. Both
-/// policies are pure functions of the submission counter, so a request
-/// stream maps to the same CPU nodes on every run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CpuAssignment {
-    /// Submission `i` issues from CPU node `i % cpus`.
-    RoundRobin,
-    /// Submission `i` issues from `splitmix64(i) % cpus` — decorrelates
-    /// neighboring submissions from neighboring nodes (the shape a
-    /// load balancer hashing on connection 5-tuples produces).
-    Hash,
-}
-
-impl CpuAssignment {
-    /// The CPU node the `counter`-th submission issues from.
-    fn pick(self, counter: u64, cpus: usize) -> usize {
-        match self {
-            CpuAssignment::RoundRobin => (counter % cpus as u64) as usize,
-            CpuAssignment::Hash => (SplitMix64::new(counter).next_u64() % cpus as u64) as usize,
-        }
-    }
-}
-
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Accelerator configuration (identical per node).
     pub accel: AccelConfig,
-    /// Endpoint link parameters.
-    pub link: LinkConfig,
-    /// Switch parameters.
-    pub switch: SwitchConfig,
     /// Crossing-handling mode.
     pub mode: PulseMode,
-    /// CPU-node dispatch-engine pass-through latency per packet sent (the
-    /// pipeline-depth component of issue software cost; it adds latency but
-    /// never queues).
-    pub dispatch_overhead: SimTime,
-    /// CPU-node software cost to re-issue a bounced/limited traversal
-    /// (pass-through latency, like `dispatch_overhead`).
-    pub reissue_overhead: SimTime,
     /// The contended part of the issue path: every packet send and every
     /// re-issue holds one of the node's dispatch contexts busy for the
     /// configured occupancy, so CPU-side queueing delay accumulates under
@@ -91,13 +57,9 @@ pub struct ClusterConfig {
     /// disables contention and reproduces the flat-adder model
     /// bit-for-bit.
     pub dispatch: DispatchConfig,
-    /// TCAM capacity per node-local translation table.
-    pub tcam_capacity: usize,
     /// Number of CPU (compute) nodes issuing requests; each has its own
     /// link/issue queue and sequence counter.
     pub cpus: usize,
-    /// How submissions are assigned to CPU nodes.
-    pub assignment: CpuAssignment,
     /// The rack fabric shape. [`TopologySpec::Flat`] (the default) keeps the
     /// legacy single-switch pricing path — bit-identical to the pre-fabric
     /// model — while any routed spec prices every packet hop by hop on a
@@ -106,7 +68,7 @@ pub struct ClusterConfig {
     /// Per-CPU-node hot-object cache over traversal cells (see
     /// `pulse_frontend::cache` for the coherence semantics). Disabled by
     /// default; when enabled, every node's front end walks cached,
-    /// version-valid hops locally at [`CacheConfig::hit_ns`] and offloads
+    /// version-valid hops locally at [`CacheConfig::HIT_NS`] and offloads
     /// the remainder from the last cached pointer, while accelerators ship
     /// the cells they touch back with each response (priced on the wire).
     pub cache: CacheConfig,
@@ -125,32 +87,26 @@ pub struct ClusterConfig {
     pub trace: Option<TraceConfig>,
     /// ISA-v2 shared-prefix coalescing at the CPU-node front ends:
     /// requests whose traversal plans are identical (same compiled
-    /// program, entry pointer, and arguments) ride one offloaded packet
-    /// and fan back out when its response lands (see
-    /// `pulse_frontend::coalesce` for the exact matching and staleness
+    /// program, entry pointer, and arguments) ride one offloaded packet,
+    /// up to 8 riders per leader, and fan back out when its response lands
+    /// (see `pulse_frontend::coalesce` for the exact matching and staleness
     /// semantics). Disabled by default — golden traces stay
     /// bit-identical.
-    pub coalesce: CoalesceConfig,
+    pub coalesce: bool,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             accel: AccelConfig::default(),
-            link: LinkConfig::default(),
-            switch: SwitchConfig::default(),
             mode: PulseMode::Pulse,
-            dispatch_overhead: SimTime::from_nanos(300),
-            reissue_overhead: SimTime::from_micros(1),
             dispatch: DispatchConfig::default(),
-            tcam_capacity: 4096,
             cpus: 1,
-            assignment: CpuAssignment::RoundRobin,
             topology: TopologySpec::Flat,
             cache: CacheConfig::default(),
             faults: Vec::new(),
             trace: None,
-            coalesce: CoalesceConfig::default(),
+            coalesce: false,
         }
     }
 }
@@ -323,7 +279,7 @@ pub struct PulseCluster {
     /// Recycled cache-fill descriptor buffers from consumed responses
     /// (always empty-capacity churn when the front-end cache is disabled).
     touched_pool: Vec<Vec<(u64, u32)>>,
-    /// Total submissions so far (drives the CPU-assignment policy).
+    /// Total submissions so far (drives the round-robin CPU assignment).
     submitted: u64,
     /// The event loop (incremental: submit/step/take_completions).
     drv: Driver<Ev>,
@@ -365,6 +321,18 @@ pub struct PulseCluster {
     coalesced_prefix_hops: u64,
     makespan: SimTime,
 }
+
+/// CPU-node dispatch-engine pass-through latency per packet sent (the
+/// pipeline-depth component of issue software cost; it adds latency but
+/// never queues).
+const DISPATCH_OVERHEAD: SimTime = SimTime::from_nanos(300);
+
+/// CPU-node software cost to re-issue a bounced/limited traversal
+/// (pass-through latency, like [`DISPATCH_OVERHEAD`]).
+const REISSUE_OVERHEAD: SimTime = SimTime::from_micros(1);
+
+/// TCAM capacity per node-local translation table.
+const TCAM_CAPACITY: usize = 4096;
 
 /// Fixed DMA-engine setup latency for plain reads/writes at a memory node.
 const DMA_SETUP: SimTime = SimTime::from_nanos(500);
@@ -408,11 +376,11 @@ impl PulseCluster {
         mem: ClusterMemory,
     ) -> Result<PulseCluster, CapacityExceeded> {
         assert!(cfg.cpus >= 1, "a rack needs at least one CPU node");
-        if let Err(msg) = cfg.cache.validate() {
-            panic!("{msg}");
-        }
         let nodes = mem.node_count();
-        let switch = Switch::new(cfg.switch, GlobalRangeMap::new(&mem.all_ranges()));
+        let switch = Switch::new(
+            SwitchConfig::default(),
+            GlobalRangeMap::new(&mem.all_ranges()),
+        );
         // With a front-end cache, accelerators ship the cells they touch
         // back with each response (the cache's fill feed, priced on the
         // wire); without one, collection stays off and wire sizes are
@@ -428,19 +396,14 @@ impl PulseCluster {
                     .iter()
                     .map(|&(s, e)| (s, e, Perms::RW))
                     .collect();
-                let table = RangeTable::build(cfg.tcam_capacity, &ranges)?;
+                let table = RangeTable::build(TCAM_CAPACITY, &ranges)?;
                 Ok(Accelerator::new(accel_cfg, n, table))
             })
             .collect::<Result<Vec<_>, CapacityExceeded>>()?;
-        let fabric = cfg.topology.is_routed().then(|| {
-            Fabric::new(
-                cfg.topology.build(cfg.cpus, nodes),
-                FabricConfig {
-                    link: cfg.link,
-                    switch: cfg.switch,
-                },
-            )
-        });
+        let fabric = cfg
+            .topology
+            .is_routed()
+            .then(|| Fabric::new(cfg.topology.build(cfg.cpus, nodes), FabricConfig::default()));
         // The trace sink names every link track up front so exported
         // timelines read as rack geometry, not bare indices. Flat racks
         // get one track per NIC; routed racks one per directed link.
@@ -501,12 +464,14 @@ impl PulseCluster {
             accels,
             switch,
             fabric,
-            links: (0..nodes).map(|_| Link::new(cfg.link)).collect(),
+            links: (0..nodes)
+                .map(|_| Link::new(LinkConfig::default()))
+                .collect(),
             frontends: (0..cfg.cpus)
                 .map(|_| {
-                    let mut fe = CpuFrontEnd::new(cfg.link, cfg.dispatch, cfg.cache);
-                    if cfg.coalesce.enabled {
-                        fe.enable_coalescing(cfg.coalesce);
+                    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
+                    if cfg.coalesce {
+                        fe.enable_coalescing();
                     }
                     fe
                 })
@@ -575,23 +540,20 @@ impl PulseCluster {
         self.frontends.iter().map(CpuFrontEnd::link).collect()
     }
 
-    /// Mints the identity the next submission will carry: the configured
-    /// [`CpuAssignment`] picks the issuing CPU node, and that node's
-    /// sequence counter supplies `seq`. Deterministic in submission order.
+    /// Mints the identity the next submission will carry: submissions go
+    /// round-robin over the CPU nodes, and the picked node's sequence
+    /// counter supplies `seq`. Deterministic in submission order.
     /// Runtimes that hand out tickets before admission call this up front
     /// and later pass the id to [`Self::submit_with_id`].
     pub fn assign_id(&mut self) -> RequestId {
-        let cpu = self
-            .cfg
-            .assignment
-            .pick(self.submitted, self.frontends.len());
+        let cpu = (self.submitted % self.frontends.len() as u64) as usize;
         self.submitted += 1;
         let seq = self.frontends[cpu].mint_seq();
         RequestId { cpu, seq }
     }
 
     /// Submits a request, to start processing at `at` (which must not be
-    /// in the simulated past) on the CPU node the assignment policy picks.
+    /// in the simulated past) on the next CPU node in round-robin order.
     /// Returns the identity its [`Completion`] will carry.
     pub fn submit_at(&mut self, at: SimTime, req: AppRequest) -> RequestId {
         let id = self.assign_id();
@@ -909,8 +871,8 @@ impl PulseCluster {
                         let delta = stat.bytes - self.sampled_bytes[i];
                         self.sampled_bytes[i] = stat.bytes;
                         let bps = match stat.from {
-                            TopoNode::Host(_) => self.cfg.link.bits_per_sec,
-                            TopoNode::Switch(_) => self.cfg.switch.port_bits_per_sec,
+                            TopoNode::Host(_) => LinkConfig::default().bits_per_sec,
+                            TopoNode::Switch(_) => SwitchConfig::default().port_bits_per_sec,
                         };
                         let util = (delta as f64 * 8.0 / (interval * bps as f64)).min(1.0);
                         let depth = fab.queue_depth_at(i, at) as u64;
@@ -921,7 +883,7 @@ impl PulseCluster {
                     // Flat NICs are full duplex; utilization is the
                     // combined-direction busy fraction. No modeled egress
                     // queue exists, so depth reads 0.
-                    let bps = self.cfg.link.bits_per_sec as f64;
+                    let bps = LinkConfig::default().bits_per_sec as f64;
                     let cpus = self.frontends.len();
                     for (c, fe) in self.frontends.iter().enumerate() {
                         let total = fe.link().tx_bytes() + fe.link().rx_bytes();
@@ -1005,7 +967,8 @@ impl PulseCluster {
     fn unavailable_complete(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.frontends[id.cpu].rx(now, NOTICE_BYTES) + self.cfg.link.propagation;
+        let arrive =
+            self.frontends[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::Finished(id, Done::Unavailable));
         // Coalesced riders do not inherit the leader's unavailable
@@ -1019,7 +982,8 @@ impl PulseCluster {
     fn crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.frontends[id.cpu].rx(now, NOTICE_BYTES) + self.cfg.link.propagation;
+        let arrive =
+            self.frontends[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::CrashNotice(id));
     }
@@ -1038,7 +1002,7 @@ impl PulseCluster {
             }
         }
         self.failovers += 1;
-        let restart = now + self.cfg.reissue_overhead;
+        let restart = now + REISSUE_OVERHEAD;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), restart);
         drv.schedule_at(restart, Ev::Start(id));
         // The leader's flight is gone; riders re-plan individually too.
@@ -1234,7 +1198,7 @@ impl PulseCluster {
                         let skip = std::mem::take(&mut st.skip_cache_once);
                         if !skip {
                             if let Some(cache) = self.frontends[id.cpu].cache_mut() {
-                                let hit = cache.config().hit_ns;
+                                let hit = CacheConfig::HIT_NS;
                                 let outcome =
                                     prefix_walk(cache, &self.mem, &stage.program, &mut state);
                                 send_at = now + hit * outcome.hops() as u64;
@@ -1322,7 +1286,7 @@ impl PulseCluster {
             }
             Next::Send(pkt, at) => {
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
-                self.cpu_send(drv, at, pkt, self.cfg.dispatch_overhead);
+                self.cpu_send(drv, at, pkt, DISPATCH_OVERHEAD);
             }
         }
     }
@@ -1411,7 +1375,7 @@ impl PulseCluster {
                 // Re-planning costs the re-issue software path; the
                 // subsequent Start books the dispatch engine like any
                 // send.
-                let restart = now + self.cfg.reissue_overhead;
+                let restart = now + REISSUE_OVERHEAD;
                 self.trace_push(id, SpanKind::Retry, Track::Cpu(id.cpu), restart);
                 drv.schedule_at(restart, Ev::Start(id));
             }
@@ -1526,7 +1490,7 @@ impl PulseCluster {
         match route {
             Route::To(ep) => {
                 let egress_done = self.switch.forward(now, &pkt, ep);
-                let arrive = egress_done + self.cfg.link.propagation;
+                let arrive = egress_done + LinkConfig::default().propagation;
                 match ep {
                     Endpoint::Mem(n) => {
                         let track = self.mem_nic_track(n);
@@ -1571,7 +1535,7 @@ impl PulseCluster {
         if self.fabric.is_some() {
             self.fabric_send(at, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
         } else {
-            self.links[src].tx(at, wire) + self.cfg.link.propagation
+            self.links[src].tx(at, wire) + LinkConfig::default().propagation
         }
     }
 
@@ -1852,7 +1816,7 @@ impl PulseCluster {
                     self.fill_cache(id.cpu, &ip.touched);
                     let mut ip = ip;
                     ip.touched.clear();
-                    self.cpu_send(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
+                    self.cpu_send(drv, now, Packet::Iter(ip), REISSUE_OVERHEAD);
                 }
                 IterStatus::IterLimit => {
                     // Continuation: fresh budget, same state (§3).
@@ -1861,7 +1825,7 @@ impl PulseCluster {
                     ip.touched.clear();
                     ip.status = IterStatus::InFlight;
                     ip.state.iters_done = 0;
-                    self.cpu_send(drv, now, Packet::Iter(ip), self.cfg.reissue_overhead);
+                    self.cpu_send(drv, now, Packet::Iter(ip), REISSUE_OVERHEAD);
                 }
                 IterStatus::Faulted { .. } => {
                     self.scratch_pool.push(ip.state.scratch);
@@ -2137,37 +2101,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_assignment_uses_every_cpu_and_matches_replies() {
-        let (mem, reqs, _) = webservice_cluster(2, 2_000, 1 << 20);
-        let mut cluster = PulseCluster::new(
-            ClusterConfig {
-                cpus: 3,
-                assignment: CpuAssignment::Hash,
-                ..ClusterConfig::default()
-            },
-            mem,
-        );
-        let n = reqs.len() as u64;
-        for (i, r) in reqs.into_iter().enumerate() {
-            cluster.submit_at(SimTime::from_nanos(10 * i as u64), r);
-        }
-        let mut done = Vec::new();
-        while cluster.step() {
-            done.extend(cluster.take_completions());
-        }
-        assert_eq!(done.len() as u64, n);
-        let mut per_cpu = [0u64; 3];
-        for c in &done {
-            assert!(c.ok);
-            per_cpu[c.id.cpu] += 1;
-        }
-        assert!(
-            per_cpu.iter().all(|&c| c > 0),
-            "hash assignment left a CPU idle: {per_cpu:?}"
-        );
-    }
-
-    #[test]
     fn pulse_acc_bounces_route_to_owning_cpu() {
         // Unpartitioned chains striped at 4 KiB cross constantly; in
         // pulse-acc mode every crossing bounces through the *owning* CPU
@@ -2344,10 +2277,7 @@ mod tests {
         let (mem, reqs, expected) = webservice_cluster(1, 2_000, 1 << 20);
         let mut cluster = PulseCluster::new(
             ClusterConfig {
-                coalesce: CoalesceConfig {
-                    enabled: true,
-                    max_riders: 8,
-                },
+                coalesce: true,
                 ..ClusterConfig::default()
             },
             mem,

@@ -20,13 +20,13 @@
 //!
 //! # CPU-node dispatch contention
 //!
-//! Issue software cost at a CPU node has two components, configured on
-//! [`ClusterConfig`]:
+//! Issue software cost at a CPU node has two components:
 //!
-//! * `dispatch_overhead` / `reissue_overhead` — flat pass-through
-//!   *latency* per packet (pipeline depth). It delays every packet equally
-//!   and never queues.
-//! * [`DispatchConfig`] — the contended part. **`occupancy`** is how long
+//! * a flat pass-through *latency* per packet (pipeline depth): 300 ns per
+//!   send and 1 µs per re-issue, fixed constants of the rack. It delays
+//!   every packet equally and never queues.
+//! * [`DispatchConfig`] on [`ClusterConfig::dispatch`] — the contended
+//!   part. **`occupancy`** is how long
 //!   one dispatch context stays busy per issued packet (request
 //!   marshalling, doorbell, issue-queue bookkeeping); **`contexts`** is how
 //!   many such contexts the node runs in parallel. Every stage send and
@@ -47,7 +47,7 @@
 //! is the shared [`CpuFrontEnd`] layer (`pulse-frontend`), the same state
 //! the replay baselines issue through. [`ClusterConfig::cache`] threads a
 //! coherent traversal-cell cache into it: when enabled, each stage first
-//! walks cached, version-valid cells locally at [`CacheConfig::hit_ns`]
+//! walks cached, version-valid cells locally at [`CacheConfig::HIT_NS`]
 //! per hop and only the remainder is offloaded, resumed from the last
 //! cached pointer; accelerators then ship the cells they touched back
 //! with the response (priced on the wire) to fill the cache. Hits are
@@ -100,14 +100,10 @@
 mod cluster;
 mod cxl;
 
-pub use cluster::{
-    ClusterConfig, ClusterReport, Completion, CpuAssignment, PulseCluster, PulseMode,
-};
+pub use cluster::{ClusterConfig, ClusterReport, Completion, PulseCluster, PulseMode};
 pub use cxl::{cxl_study, CxlConfig, CxlSlowdown};
 pub use pulse_accel::AccelConfig;
-pub use pulse_frontend::{
-    CacheConfig, CacheStats, CoalesceConfig, CoalesceStats, CpuFrontEnd, TraversalCache,
-};
+pub use pulse_frontend::{CacheConfig, CacheStats, CoalesceStats, CpuFrontEnd, TraversalCache};
 pub use pulse_mem::{FaultEvent, FaultKind};
 pub use pulse_sim::{CpuDispatch, DispatchConfig};
 pub use pulse_trace::{

@@ -41,41 +41,29 @@ use std::collections::HashMap;
 /// The default is **disabled** (zero capacity): every engine reproduces
 /// its cache-less traces bit-for-bit, which `tests/runtime_api.rs` guards
 /// with golden numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total cache capacity in bytes; 0 disables the cache entirely.
     pub capacity_bytes: u64,
-    /// Cache-line size in bytes (power of two, ≥ 8). Traversal cells are
-    /// cached at this granularity.
-    pub line_bytes: u64,
-    /// Cost of one locally-walked hop: a DRAM hit plus the (modelled-free)
-    /// version validation.
-    pub hit_ns: SimTime,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity_bytes: 0,
-            line_bytes: 64,
-            hit_ns: SimTime::from_nanos(90),
-        }
-    }
 }
 
 impl CacheConfig {
+    /// Cache-line size in bytes. Traversal cells are cached at this
+    /// granularity.
+    pub const LINE_BYTES: u64 = 64;
+
+    /// Cost of one locally-walked hop: a DRAM hit plus the (modelled-free)
+    /// version validation.
+    pub const HIT_NS: SimTime = SimTime::from_nanos(90);
+
     /// The disabled configuration (same as [`CacheConfig::default`]).
     pub fn disabled() -> CacheConfig {
         CacheConfig::default()
     }
 
-    /// An enabled cache of `capacity_bytes` with default line size and hit
-    /// cost.
+    /// An enabled cache of `capacity_bytes`.
     pub fn sized(capacity_bytes: u64) -> CacheConfig {
-        CacheConfig {
-            capacity_bytes,
-            ..CacheConfig::default()
-        }
+        CacheConfig { capacity_bytes }
     }
 
     /// Whether the cache is enabled at all.
@@ -85,24 +73,7 @@ impl CacheConfig {
 
     /// Number of lines the capacity buys (at least one when enabled).
     pub fn lines(&self) -> usize {
-        (self.capacity_bytes / self.line_bytes).max(1) as usize
-    }
-
-    /// Validates the parameters, returning a description of the first
-    /// problem found.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable message when `line_bytes` is zero, not a power of
-    /// two, or smaller than 8 bytes.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.line_bytes < 8 || !self.line_bytes.is_power_of_two() {
-            return Err(format!(
-                "cache line_bytes must be a power of two >= 8, got {}",
-                self.line_bytes
-            ));
-        }
-        Ok(())
+        (self.capacity_bytes / Self::LINE_BYTES).max(1) as usize
     }
 }
 
@@ -145,7 +116,6 @@ impl CacheStats {
 /// for the coherence semantics).
 #[derive(Debug)]
 pub struct TraversalCache {
-    cfg: CacheConfig,
     lru: LruSet,
     lines: HashMap<u64, CacheLine>,
     stats: CacheStats,
@@ -153,26 +123,12 @@ pub struct TraversalCache {
 
 impl TraversalCache {
     /// Creates a cache per `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`CacheConfig::validate`] (the `pulse`
-    /// builder reports this as a typed error before construction).
     pub fn new(cfg: CacheConfig) -> TraversalCache {
-        if let Err(msg) = cfg.validate() {
-            panic!("{msg}");
-        }
         TraversalCache {
             lru: LruSet::new(cfg.lines()),
             lines: HashMap::new(),
             stats: CacheStats::default(),
-            cfg,
         }
-    }
-
-    /// The configuration this cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
     }
 
     /// Counters so far.
@@ -196,8 +152,8 @@ impl TraversalCache {
     }
 
     fn line_range(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
-        let first = addr / self.cfg.line_bytes;
-        let last = (addr + len.max(1) - 1) / self.cfg.line_bytes;
+        let first = addr / CacheConfig::LINE_BYTES;
+        let last = (addr + len.max(1) - 1) / CacheConfig::LINE_BYTES;
         first..=last
     }
 
@@ -206,7 +162,7 @@ impl TraversalCache {
     /// evicted (counted as invalidations). Touches recency on success; no
     /// hit/miss accounting — callers decide what one probe means.
     pub fn probe_range(&mut self, addr: u64, len: u64, mem: &ClusterMemory) -> bool {
-        let line_bytes = self.cfg.line_bytes;
+        let line_bytes = CacheConfig::LINE_BYTES;
         // Two passes over the same cheap range (validate, then refresh
         // recency) — no per-probe allocation on this hot path.
         let keys = self.line_range(addr, len);
@@ -236,7 +192,7 @@ impl TraversalCache {
         if !self.probe_range(addr, buf.len() as u64, mem) {
             return false;
         }
-        let line_bytes = self.cfg.line_bytes;
+        let line_bytes = CacheConfig::LINE_BYTES;
         let mut cursor = addr;
         let end = addr + buf.len() as u64;
         while cursor < end {
@@ -259,7 +215,7 @@ impl TraversalCache {
     /// `(new_lines, new_bytes)` actually installed — the payload a remote
     /// fill had to ship.
     pub fn fill_range(&mut self, addr: u64, len: u64, mem: &mut ClusterMemory) -> (u64, u64) {
-        let line_bytes = self.cfg.line_bytes;
+        let line_bytes = CacheConfig::LINE_BYTES;
         let epoch = mem.write_epoch();
         let mut new_lines = 0u64;
         let mut new_bytes = 0u64;
@@ -355,17 +311,9 @@ mod tests {
     }
 
     #[test]
-    fn config_validation() {
-        assert!(CacheConfig::default().validate().is_ok());
+    fn config_sizes_the_cache() {
         assert!(!CacheConfig::default().enabled());
         assert!(CacheConfig::sized(1 << 20).enabled());
-        for bad in [0u64, 4, 48] {
-            let cfg = CacheConfig {
-                line_bytes: bad,
-                ..CacheConfig::sized(1024)
-            };
-            assert!(cfg.validate().is_err(), "line_bytes {bad}");
-        }
         assert_eq!(CacheConfig::sized(1024).lines(), 16);
         assert_eq!(CacheConfig::sized(1).lines(), 1, "at least one line");
     }

@@ -37,26 +37,9 @@ use pulse_net::RequestId;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Front-end shared-prefix coalescing configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalesceConfig {
-    /// Master switch. Off (the default) builds no coalescer state at all
-    /// and keeps every engine bit-identical to the pre-coalescing model.
-    pub enabled: bool,
-    /// Riders one leader may carry. When a group is full, the next
-    /// identical request starts a fresh group (becoming its leader)
-    /// instead of riding.
-    pub max_riders: usize,
-}
-
-impl Default for CoalesceConfig {
-    fn default() -> Self {
-        CoalesceConfig {
-            enabled: false,
-            max_riders: 8,
-        }
-    }
-}
+/// Riders one leader may carry. When a group is full, the next identical
+/// request starts a fresh group (becoming its leader) instead of riding.
+pub(crate) const MAX_RIDERS: usize = 8;
 
 /// The identity of one traversal-stage plan: compiled program (by `Arc`
 /// pointer — structures share one compiled program per stage), entry
@@ -108,9 +91,8 @@ pub struct CoalesceStats {
 ///
 /// [`register`]: PrefixCoalescer::register
 /// [`close`]: PrefixCoalescer::close
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PrefixCoalescer {
-    cfg: CoalesceConfig,
     /// Plan -> the leader currently accepting riders for it.
     open: HashMap<PlanKey, RequestId>,
     /// Leader -> (its plan, its riders so far).
@@ -119,21 +101,6 @@ pub struct PrefixCoalescer {
 }
 
 impl PrefixCoalescer {
-    /// Creates an empty coalescer.
-    pub fn new(cfg: CoalesceConfig) -> PrefixCoalescer {
-        PrefixCoalescer {
-            cfg,
-            open: HashMap::new(),
-            groups: HashMap::new(),
-            stats: CoalesceStats::default(),
-        }
-    }
-
-    /// The coalescer's configuration.
-    pub fn config(&self) -> CoalesceConfig {
-        self.cfg
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> CoalesceStats {
         self.stats
@@ -147,7 +114,7 @@ impl PrefixCoalescer {
         let key = PlanKey::of(program, state);
         if let Some(&leader) = self.open.get(&key) {
             let riders = &mut self.groups.get_mut(&leader).expect("open implies group").1;
-            if riders.len() < self.cfg.max_riders {
+            if riders.len() < MAX_RIDERS {
                 riders.push(id);
                 self.stats.riders += 1;
                 return Role::Rider { leader };
@@ -206,10 +173,7 @@ mod tests {
     #[test]
     fn identical_plans_ride_one_offload() {
         let prog = program();
-        let mut c = PrefixCoalescer::new(CoalesceConfig {
-            enabled: true,
-            max_riders: 8,
-        });
+        let mut c = PrefixCoalescer::default();
         let mut st = IterState::new(&prog, 0x1000);
         st.set_scratch_u64(0, 7);
         assert_eq!(c.register(rid(1), &prog, &st), Role::Leader);
@@ -237,10 +201,7 @@ mod tests {
     #[test]
     fn different_args_or_entry_do_not_match() {
         let prog = program();
-        let mut c = PrefixCoalescer::new(CoalesceConfig {
-            enabled: true,
-            max_riders: 8,
-        });
+        let mut c = PrefixCoalescer::default();
         let mut a = IterState::new(&prog, 0x1000);
         a.set_scratch_u64(0, 7);
         assert_eq!(c.register(rid(1), &prog, &a), Role::Leader);
@@ -266,29 +227,27 @@ mod tests {
     #[test]
     fn full_group_rotates_leadership() {
         let prog = program();
-        let mut c = PrefixCoalescer::new(CoalesceConfig {
-            enabled: true,
-            max_riders: 1,
-        });
+        let mut c = PrefixCoalescer::default();
         let st = IterState::new(&prog, 0x1000);
+        let first_riders: Vec<RequestId> = (2..2 + MAX_RIDERS as u64).map(rid).collect();
         assert_eq!(c.register(rid(1), &prog, &st), Role::Leader);
-        assert_eq!(
-            c.register(rid(2), &prog, &st),
-            Role::Rider { leader: rid(1) }
-        );
-        // Group full: the third identical request opens a new group.
-        assert_eq!(c.register(rid(3), &prog, &st), Role::Leader);
-        assert_eq!(
-            c.register(rid(4), &prog, &st),
-            Role::Rider { leader: rid(3) }
-        );
+        for &r in &first_riders {
+            assert_eq!(c.register(r, &prog, &st), Role::Rider { leader: rid(1) });
+        }
+        // Group full: the next identical request opens a new group.
+        let second = rid(100);
+        let second_riders: Vec<RequestId> = (101..101 + MAX_RIDERS as u64).map(rid).collect();
+        assert_eq!(c.register(second, &prog, &st), Role::Leader);
+        for &r in &second_riders {
+            assert_eq!(c.register(r, &prog, &st), Role::Rider { leader: second });
+        }
         // Closing the old leader must not disturb the new open group.
-        assert_eq!(c.close(rid(1)), vec![rid(2)]);
+        assert_eq!(c.close(rid(1)), first_riders);
         // The rotated group is itself full, so the next identical request
         // rotates leadership once more.
-        assert_eq!(c.register(rid(5), &prog, &st), Role::Leader);
-        assert_eq!(c.close(rid(3)), vec![rid(4)]);
-        assert!(c.close(rid(5)).is_empty());
+        assert_eq!(c.register(rid(200), &prog, &st), Role::Leader);
+        assert_eq!(c.close(second), second_riders);
+        assert!(c.close(rid(200)).is_empty());
         // Closing a non-leader is a harmless no-op.
         assert!(c.close(rid(2)).is_empty());
     }

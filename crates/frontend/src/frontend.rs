@@ -8,7 +8,7 @@
 //! every engine at once.
 
 use crate::cache::{CacheBus, CacheConfig, TraversalCache};
-use crate::coalesce::{CoalesceConfig, PrefixCoalescer};
+use crate::coalesce::PrefixCoalescer;
 use pulse_isa::{Interpreter, IterOutcome, IterState, Program};
 use pulse_mem::ClusterMemory;
 use pulse_net::{Endpoint, Fabric, Link, LinkConfig};
@@ -32,12 +32,13 @@ pub struct CpuFrontEnd {
 }
 
 impl CpuFrontEnd {
-    /// Wires one CPU node's front end. A zero-capacity `cache` config
-    /// (the default) builds no cache at all — the front end is then
-    /// behaviourally identical to the pre-extraction hand-rolled state.
-    pub fn new(link: LinkConfig, dispatch: DispatchConfig, cache: CacheConfig) -> CpuFrontEnd {
+    /// Wires one CPU node's front end on the rack's default link. A
+    /// zero-capacity `cache` config (the default) builds no cache at all —
+    /// the front end is then behaviourally identical to the pre-extraction
+    /// hand-rolled state.
+    pub fn new(dispatch: DispatchConfig, cache: CacheConfig) -> CpuFrontEnd {
         CpuFrontEnd {
-            link: Link::new(link),
+            link: Link::new(LinkConfig::default()),
             dispatch: CpuDispatch::new(dispatch),
             next_seq: 0,
             cache: cache.enabled().then(|| TraversalCache::new(cache)),
@@ -47,10 +48,10 @@ impl CpuFrontEnd {
 
     /// Attaches an ISA-v2 shared-prefix coalescer (see
     /// [`crate::coalesce`]). Engines call this at construction when
-    /// [`CoalesceConfig::enabled`] is set; without it the issue path is
-    /// bit-identical to the pre-coalescing model.
-    pub fn enable_coalescing(&mut self, cfg: CoalesceConfig) {
-        self.coalescer = Some(PrefixCoalescer::new(cfg));
+    /// coalescing is enabled; without it the issue path is bit-identical
+    /// to the pre-coalescing model.
+    pub fn enable_coalescing(&mut self) {
+        self.coalescer = Some(PrefixCoalescer::default());
     }
 
     /// The node's coalescer, when one is attached.
@@ -311,11 +312,7 @@ mod tests {
 
     #[test]
     fn front_end_mints_and_reserves_sequences() {
-        let mut fe = CpuFrontEnd::new(
-            LinkConfig::default(),
-            DispatchConfig::default(),
-            CacheConfig::default(),
-        );
+        let mut fe = CpuFrontEnd::new(DispatchConfig::default(), CacheConfig::default());
         assert!(fe.cache().is_none(), "disabled config builds no cache");
         assert_eq!(fe.mint_seq(), 0);
         assert_eq!(fe.mint_seq(), 1);

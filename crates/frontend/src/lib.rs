@@ -37,6 +37,6 @@ mod lru;
 pub mod replay;
 
 pub use cache::{CacheBus, CacheConfig, CacheStats, TraversalCache};
-pub use coalesce::{CoalesceConfig, CoalesceStats, PrefixCoalescer, Role};
+pub use coalesce::{CoalesceStats, PrefixCoalescer, Role};
 pub use frontend::{prefix_walk, CpuFrontEnd, WalkOutcome, WALK_HOP_CAP};
 pub use lru::LruSet;

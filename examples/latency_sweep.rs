@@ -102,8 +102,8 @@ use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::sim::SimTime;
 use pulse::workloads::Distribution;
 use pulse::{
-    BaselineKind, CacheConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent, FaultKind,
-    Phase, PulseBuilder, TopologySpec, TraceConfig, YcsbWorkload,
+    BaselineKind, CacheConfig, DispatchConfig, Engine, FaultEvent, FaultKind, Phase, PulseBuilder,
+    TopologySpec, TraceConfig, YcsbWorkload,
 };
 use pulse_bench::{
     simspeed_json, sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
@@ -321,14 +321,7 @@ fn main() -> Result<(), pulse::Error> {
         // mis-speculation tax is visible instead of assumed away.
         (
             SPEC_LABELS[0],
-            at(
-                &spec.clone().coalescing(CoalesceConfig {
-                    enabled: true,
-                    ..Default::default()
-                }),
-                NODES,
-                ws,
-            ),
+            at(&spec.clone().coalescing(true), NODES, ws),
             Side::Pulse,
         ),
         (

@@ -12,9 +12,7 @@
 
 use crate::error::Error;
 use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
-use pulse_baselines::{
-    run_rpc, run_rpc_open_loop, run_swap_cache, run_swap_cache_open_loop, RpcConfig, SwapConfig,
-};
+use pulse_baselines::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, SwapConfig};
 use pulse_core::RunMetrics;
 use pulse_dispatch::{DispatchEngine, OffloadDecision};
 use pulse_ds::{BuildCtx, DsError, Traversal};
@@ -271,6 +269,18 @@ impl BaselineEngine {
     pub fn memory_mut(&mut self) -> &mut ClusterMemory {
         &mut self.mem
     }
+
+    /// Runs `requests` through this engine's system: closed-loop without
+    /// `arrivals`, open-loop from those arrival times with them.
+    fn run(&mut self, requests: &[AppRequest], arrivals: Option<&[SimTime]>) -> BaselineReport {
+        let (mem, concurrency) = (&mut self.mem, self.concurrency);
+        match self.kind.clone() {
+            BaselineKind::SwapCache(cfg) => {
+                run_swap_cache(mem, requests, concurrency, cfg, arrivals)
+            }
+            BaselineKind::Rpc(cfg) => run_rpc(mem, requests, concurrency, cfg, arrivals),
+        }
+    }
 }
 
 impl Engine for BaselineEngine {
@@ -282,13 +292,7 @@ impl Engine for BaselineEngine {
         for req in requests {
             req.validate()?;
         }
-        let rep = match self.kind.clone() {
-            BaselineKind::SwapCache(cfg) => {
-                run_swap_cache(&mut self.mem, requests, self.concurrency, cfg)
-            }
-            BaselineKind::Rpc(cfg) => run_rpc(&mut self.mem, requests, self.concurrency, cfg),
-        };
-        Ok(rep.metrics)
+        Ok(self.run(requests, None).metrics)
     }
 
     fn execute_open_loop(
@@ -306,7 +310,6 @@ impl Engine for BaselineEngine {
                 label: self.label().into(),
                 offered_per_sec: arrivals.rate_per_sec().unwrap_or(0.0),
                 submitted: 0,
-                goodput_per_sec: 0.0,
                 first_arrival,
                 last_arrival: first_arrival,
                 last_completion: first_arrival,
@@ -314,20 +317,12 @@ impl Engine for BaselineEngine {
                 metrics: RunMetrics::default(),
             });
         }
-        let rep = match self.kind.clone() {
-            BaselineKind::SwapCache(cfg) => {
-                run_swap_cache_open_loop(&mut self.mem, requests, self.concurrency, cfg, &times)
-            }
-            BaselineKind::Rpc(cfg) => {
-                run_rpc_open_loop(&mut self.mem, requests, self.concurrency, cfg, &times)
-            }
-        };
+        let rep = self.run(requests, Some(&times));
         let last_arrival = *times.last().unwrap();
         Ok(OpenLoopReport {
             label: rep.label.into(),
             offered_per_sec: arrivals.offered_rate(first_arrival, last_arrival, times.len() as u64),
             submitted: requests.len() as u64,
-            goodput_per_sec: rep.throughput,
             first_arrival,
             last_arrival,
             last_completion: rep.makespan,

@@ -26,7 +26,7 @@
 //!   (compute) nodes — [`PulseBuilder::cpus`] — each with its own link,
 //!   issue queue, and serial dispatch engine
 //!   ([`PulseBuilder::dispatch`] + [`DispatchConfig`]), with requests
-//!   spread across them by [`CpuAssignment`]. A contended dispatch engine
+//!   spread across them round-robin. A contended dispatch engine
 //!   makes CPU-side saturation knees appear honestly in load sweeps.
 //! * [`Engine`] is the common face of the pulse rack and every compared
 //!   baseline ([`BaselineEngine`]), so cluster-vs-baseline comparisons are
@@ -102,9 +102,8 @@ pub use ycsb::YcsbDriver;
 // The façade's frequently-used vocabulary, re-exported flat so examples
 // and downstream code need one `use pulse::...` line per name.
 pub use pulse_core::{
-    CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
-    DispatchConfig, FaultEvent, FaultKind, Phase, PhaseAttribution, PulseCluster, PulseMode,
-    RunMetrics, TraceConfig,
+    CacheConfig, ClusterConfig, ClusterReport, Completion, DispatchConfig, FaultEvent, FaultKind,
+    Phase, PhaseAttribution, PulseCluster, PulseMode, RunMetrics, TraceConfig,
 };
 pub use pulse_ds::{StagePlan, StageStart, Traversal};
 pub use pulse_mem::Placement;

@@ -22,8 +22,8 @@
 use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
 use pulse_core::{
-    CacheConfig, ClusterConfig, ClusterReport, CoalesceConfig, Completion, CpuAssignment,
-    DispatchConfig, FaultEvent, PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink,
+    CacheConfig, ClusterConfig, ClusterReport, Completion, DispatchConfig, FaultEvent,
+    PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink,
 };
 use pulse_ds::{BuildCtx, DsError};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
@@ -146,12 +146,6 @@ impl PulseBuilder {
         self
     }
 
-    /// Full cluster configuration (accelerator, links, switch, overheads).
-    pub fn config(mut self, config: ClusterConfig) -> PulseBuilder {
-        self.config = config;
-        self
-    }
-
     /// Crossing-handling mode (the Fig. 9 pulse vs pulse-acc ablation).
     pub fn mode(mut self, mode: PulseMode) -> PulseBuilder {
         self.config.mode = mode;
@@ -169,16 +163,10 @@ impl PulseBuilder {
     }
 
     /// Number of CPU (compute) nodes issuing requests. Each gets its own
-    /// link/issue queue and sequence counter; submissions are spread across
-    /// them by the [`CpuAssignment`] policy.
+    /// link/issue queue and sequence counter; submissions go round-robin
+    /// across them.
     pub fn cpus(mut self, cpus: usize) -> PulseBuilder {
         self.config.cpus = cpus;
-        self
-    }
-
-    /// How submissions are assigned to CPU nodes (default round-robin).
-    pub fn assignment(mut self, assignment: CpuAssignment) -> PulseBuilder {
-        self.config.assignment = assignment;
         self
     }
 
@@ -205,13 +193,16 @@ impl PulseBuilder {
         self
     }
 
-    /// Per-CPU-node hot-object cache over traversal cells. Disabled by
-    /// default (bit-identical to the cache-less rack); when enabled, each
-    /// node's front end walks cached, version-valid hops locally at
-    /// [`CacheConfig::hit_ns`] and offloads the remainder from the last
-    /// cached pointer, with every hit version-validated against the rack
-    /// memory's write epoch so locked updates age out stale lines (see
-    /// the `pulse-frontend` cache docs for the coherence semantics).
+    /// Per-CPU-node hot-object cache over traversal cells, sized by
+    /// [`CacheConfig::sized`] ([`CacheConfig::disabled`] turns it off).
+    /// Disabled by default (bit-identical to the cache-less rack); when
+    /// enabled, each node's front end caches 64 B lines
+    /// ([`CacheConfig::LINE_BYTES`]), walks cached, version-valid hops
+    /// locally at [`CacheConfig::HIT_NS`] each and offloads the remainder
+    /// from the last cached pointer, with every hit version-validated
+    /// against the rack memory's write epoch so locked updates age out
+    /// stale lines (see the `pulse-frontend` cache docs for the coherence
+    /// semantics).
     pub fn cache(mut self, cache: CacheConfig) -> PulseBuilder {
         self.config.cache = cache;
         self
@@ -249,10 +240,12 @@ impl PulseBuilder {
     /// program, entry pointer, and scratch arguments) ride one in-flight
     /// packet and fan back out when its response lands — riders observe
     /// the leader's snapshot, the staleness window every request-coalescing
-    /// layer accepts. Disabled by default (bit-identical); ridden hops
-    /// surface as `RunMetrics::coalesced_prefix_hops`.
-    pub fn coalescing(mut self, coalesce: CoalesceConfig) -> PulseBuilder {
-        self.config.coalesce = coalesce;
+    /// layer accepts. One leader carries at most 8 riders; the next
+    /// identical request leads a fresh group. Disabled by default
+    /// (bit-identical); ridden hops surface as
+    /// `RunMetrics::coalesced_prefix_hops`.
+    pub fn coalescing(mut self, enabled: bool) -> PulseBuilder {
+        self.config.coalesce = enabled;
         self
     }
 
@@ -284,9 +277,6 @@ impl PulseBuilder {
         }
         if self.granularity == 0 {
             return Err(Error::Config("extent granularity must be positive".into()));
-        }
-        if let Err(msg) = self.config.cache.validate() {
-            return Err(Error::Config(msg));
         }
         if self.replication == 0 {
             return Err(Error::Config(
@@ -412,8 +402,8 @@ pub struct Runtime {
 
 impl Runtime {
     /// Validates and enqueues `req`, returning its ticket immediately. The
-    /// request enters the rack — on the CPU node the cluster's assignment
-    /// policy picks — as soon as the in-flight window has room.
+    /// request enters the rack — on the next CPU node in round-robin
+    /// order — as soon as the in-flight window has room.
     ///
     /// # Errors
     ///
@@ -584,10 +574,6 @@ pub struct OpenLoopReport {
     pub offered_per_sec: f64,
     /// Requests submitted.
     pub submitted: u64,
-    /// Successful completions per second over the first-arrival-to-last-
-    /// completion span (the embedded `throughput`, named as the sweep
-    /// plots it).
-    pub goodput_per_sec: f64,
     /// When the first request arrived.
     pub first_arrival: SimTime,
     /// When the last request arrived.
@@ -722,13 +708,11 @@ impl OpenLoopDriver {
         }
         let end = Snapshot::of(runtime);
         let span = last_completion.saturating_sub(first_arrival).as_secs_f64();
-        let goodput_per_sec = completed as f64 / span.max(1e-12);
         let (hits, misses) = (end.cache.0 - base.cache.0, end.cache.1 - base.cache.1);
         Ok(OpenLoopReport {
             label: "pulse".into(),
             offered_per_sec: self.arrivals.offered_rate(first_arrival, t, submitted),
             submitted,
-            goodput_per_sec,
             first_arrival,
             last_arrival,
             last_completion,
@@ -737,7 +721,7 @@ impl OpenLoopDriver {
                 completed,
                 faulted,
                 latency: hist.summary(),
-                throughput: goodput_per_sec,
+                throughput: completed as f64 / span.max(1e-12),
                 unavailable_completions: unavailable,
                 cache_hit_rate: if hits + misses == 0 {
                     0.0

@@ -6,9 +6,7 @@ use pulse::baselines::{run_rpc, run_swap_cache, RpcConfig, SwapConfig};
 use pulse::ds::BuildCtx;
 use pulse::mem::{ClusterAllocator, ClusterMemory};
 use pulse::workloads::{Application, ArrivalProcess, WiredTiger, WiredTigerConfig};
-use pulse::{
-    AppRequest, CpuAssignment, OpenLoopDriver, Placement, PulseBuilder, Runtime, WebServiceConfig,
-};
+use pulse::{AppRequest, OpenLoopDriver, Placement, PulseBuilder, Runtime, WebServiceConfig};
 
 fn webservice_runtime(nodes: usize, window: usize) -> (Runtime, Vec<AppRequest>) {
     let (runtime, mut app) = PulseBuilder::new()
@@ -88,58 +86,54 @@ fn submit_poll_interleaving_is_deterministic_too() {
 #[test]
 fn multi_cpu_runs_have_identical_completion_order_and_report() {
     // Same seed + same config ⇒ the same completion order (ids and finish
-    // times) and the same ClusterReport, for 1-, 2-, and 4-CPU racks and
-    // both assignment policies.
+    // times) and the same ClusterReport, for 1-, 2-, and 4-CPU racks.
     for cpus in [1usize, 2, 4] {
-        for assignment in [CpuAssignment::RoundRobin, CpuAssignment::Hash] {
-            let run = || {
-                let (mut runtime, mut app) = PulseBuilder::new()
-                    .nodes(2)
-                    .cpus(cpus)
-                    .assignment(assignment)
-                    .placement(Placement::Striped)
-                    .granularity(1 << 20)
-                    .window(8)
-                    .app(WebServiceConfig {
-                        keys: 2_000,
-                        ..Default::default()
-                    })
-                    .unwrap();
-                for _ in 0..100 {
-                    runtime.submit(app.next_request()).unwrap();
+        let run = || {
+            let (mut runtime, mut app) = PulseBuilder::new()
+                .nodes(2)
+                .cpus(cpus)
+                .placement(Placement::Striped)
+                .granularity(1 << 20)
+                .window(8)
+                .app(WebServiceConfig {
+                    keys: 2_000,
+                    ..Default::default()
+                })
+                .unwrap();
+            for _ in 0..100 {
+                runtime.submit(app.next_request()).unwrap();
+            }
+            let mut order = Vec::new();
+            loop {
+                let done = runtime.poll();
+                if done.is_empty() {
+                    break;
                 }
-                let mut order = Vec::new();
-                loop {
-                    let done = runtime.poll();
-                    if done.is_empty() {
-                        break;
-                    }
-                    order.extend(
-                        done.into_iter()
-                            .map(|c| (c.id.cpu, c.id.seq, c.finished_at.as_picos(), c.ok)),
-                    );
-                }
-                let r = runtime.report();
-                (
-                    order,
-                    r.completed,
-                    r.latency.mean.as_picos(),
-                    r.latency.p95.as_picos(),
-                    r.makespan.as_picos(),
-                    r.net_bytes,
-                    r.mem_bytes,
-                    r.iterations,
-                )
-            };
-            let a = run();
-            let b = run();
-            assert_eq!(a.1, 100, "cpus={cpus} {assignment:?}: all complete");
-            assert!(
-                a.0.iter().all(|&(cpu, ..)| cpu < cpus),
-                "cpus={cpus}: id names a CPU outside the rack"
-            );
-            assert_eq!(a, b, "cpus={cpus} {assignment:?}");
-        }
+                order.extend(
+                    done.into_iter()
+                        .map(|c| (c.id.cpu, c.id.seq, c.finished_at.as_picos(), c.ok)),
+                );
+            }
+            let r = runtime.report();
+            (
+                order,
+                r.completed,
+                r.latency.mean.as_picos(),
+                r.latency.p95.as_picos(),
+                r.makespan.as_picos(),
+                r.net_bytes,
+                r.mem_bytes,
+                r.iterations,
+            )
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a.1, 100, "cpus={cpus}: all complete");
+        assert!(
+            a.0.iter().all(|&(cpu, ..)| cpu < cpus),
+            "cpus={cpus}: id names a CPU outside the rack"
+        );
+        assert_eq!(a, b, "cpus={cpus}");
     }
 }
 
@@ -166,7 +160,7 @@ fn open_loop_runs_are_bit_identical() {
             rep.latency.p99.as_picos(),
             rep.first_arrival.as_picos(),
             rep.last_completion.as_picos(),
-            (rep.goodput_per_sec * 1e6) as u64,
+            (rep.throughput * 1e6) as u64,
         )
     };
     assert_eq!(run(), run());
@@ -193,8 +187,8 @@ fn baseline_runs_are_bit_identical() {
     };
     let run = || {
         let (mut mem, reqs) = build();
-        let swap = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default());
-        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc());
+        let swap = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default(), None);
+        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
         (
             swap.latency.mean.as_picos(),
             swap.net_bytes,

@@ -145,16 +145,15 @@ fn distributed_scan_results_survive_crossings() {
 /// Iteration budgets force continuations without changing results.
 #[test]
 fn continuations_are_result_transparent() {
-    let mut cfg = pulse::ClusterConfig::default();
-    cfg.accel.max_iters = 32; // well below the 513-hop walk
+    // One bucket whose chain outruns the accelerator's per-offload
+    // iteration budget, so the walk must resume as a continuation.
+    let chain = pulse::isa::DEFAULT_MAX_ITERS as u64 + 512;
     let (mut runtime, map) = PulseBuilder::new()
         .nodes(1)
         .placement(Placement::Single(0))
-        .config(cfg)
         .window(1)
         .build_with(|ctx| {
-            // One bucket: chains of length 512 force multi-segment offloads.
-            let pairs: Vec<(u64, u64)> = (0..512).map(|k| (k, k + 9)).collect();
+            let pairs: Vec<(u64, u64)> = (0..chain).map(|k| (k, k + 9)).collect();
             HashMapDs::build(ctx, 1, &pairs)
         })
         .unwrap();
@@ -162,10 +161,17 @@ fn continuations_are_result_transparent() {
     runtime
         .submit(offloaded.request(0).unwrap()) // deepest key (prepend order)
         .unwrap();
+    let done = runtime.poll();
+    assert!(done[0].ok);
+    assert_eq!(done[0].final_state.as_ref().unwrap().scratch_u64(8), 9);
     let report = runtime.drain();
     assert_eq!(report.completed, 1);
     assert_eq!(report.faulted, 0);
-    assert!(report.iterations >= 512, "all hops executed");
+    assert!(report.iterations >= chain, "all hops executed");
+    assert!(
+        report.iterations > pulse::isa::DEFAULT_MAX_ITERS as u64,
+        "the walk outran one offload's budget"
+    );
 }
 
 /// pulse-acc pays more per crossing than in-switch rerouting (Fig. 9).

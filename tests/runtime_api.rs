@@ -511,7 +511,7 @@ fn baseline_engine_runs_open_loop_behind_the_trait() {
     assert_eq!(rep.completed, 200);
     assert!((rep.offered_per_sec - 100_000.0).abs() < 1e-6);
     assert!(rep.latency.p50 <= rep.latency.p95 && rep.latency.p95 <= rep.latency.p99);
-    assert!(rep.goodput_per_sec > 0.0);
+    assert!(rep.throughput > 0.0);
     assert!(rep.last_completion > rep.first_arrival);
 }
 

@@ -15,9 +15,9 @@ use pulse::sim::{SimTime, SplitMix64};
 use pulse::trace::{TraceSink, Track, PHASES};
 use pulse::workloads::{Application, Distribution};
 use pulse::{
-    ArrivalProcess, BtrdbConfig, CoalesceConfig, DispatchConfig, Engine, FaultEvent, FaultKind,
-    MutationConfig, Runtime, TopologySpec, TraceConfig, WebServiceConfig, WiredTigerConfig,
-    YcsbDriver, YcsbWorkload,
+    ArrivalProcess, BtrdbConfig, DispatchConfig, Engine, FaultEvent, FaultKind, MutationConfig,
+    Runtime, TopologySpec, TraceConfig, WebServiceConfig, WiredTigerConfig, YcsbDriver,
+    YcsbWorkload,
 };
 
 const CASES: u64 = 12;
@@ -63,10 +63,7 @@ fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<pulse::AppRequest>) {
         builder = builder
             .speculation(true)
             .batching(2 + rng.next_below(4) as u32)
-            .coalescing(CoalesceConfig {
-                enabled: true,
-                ..Default::default()
-            });
+            .coalescing(true);
     }
     let dist = if rng.next_below(2) == 0 {
         Distribution::Uniform
@@ -242,7 +239,7 @@ fn trace_none_is_default_and_tracing_never_perturbs() {
         assert_eq!(rep.latency.p99, default.latency.p99, "{label}");
         assert_eq!(rep.retries, default.retries, "{label}");
         assert!(
-            (rep.goodput_per_sec - default.goodput_per_sec).abs() < 1e-9,
+            (rep.throughput - default.throughput).abs() < 1e-9,
             "{label}"
         );
     }
