@@ -10,9 +10,10 @@
 //!
 //! The accelerator is written as a pure event-driven state machine:
 //! [`Accelerator::on_packet`] and [`Accelerator::step`] consume an event and
-//! return timed outputs (internal events to re-schedule, or departing
-//! packets). A single-node harness and the full cluster simulation both
-//! embed it unchanged.
+//! append timed outputs (internal events to re-schedule, or departing
+//! packets) to a caller-owned buffer, so a driver that reuses one buffer
+//! steps the accelerator without allocating. A single-node harness and the
+//! full cluster simulation both embed it unchanged.
 
 use crate::config::{AccelConfig, PipelineOrg};
 use pulse_isa::{
@@ -20,14 +21,16 @@ use pulse_isa::{
 };
 use pulse_mem::{ClusterMemory, NodeId, RangeTable};
 use pulse_net::{IterPacket, IterStatus};
-use pulse_sim::{SerialResource, ServerPool, SimTime};
+use pulse_sim::{SerialResource, ServerPool, SimTime, Slab};
 use std::collections::VecDeque;
 
 /// Events the accelerator schedules for itself.
 #[derive(Debug)]
 pub enum AccelEvent {
-    /// The network stack finished parsing an arriving request.
-    RxDone(IterPacket),
+    /// The network stack finished parsing an arriving request. The packet
+    /// waits in the accelerator's RX-parse stage under this handle (see
+    /// [`Accelerator::take_rx`]), keeping the event small.
+    RxDone(u32),
     /// A memory pipeline completed the coalesced window fetch.
     FetchDone {
         /// Workspace index.
@@ -201,6 +204,8 @@ pub struct Accelerator {
     xlate: RangeTable,
     workspaces: Vec<Option<Workspace>>,
     backlog: VecDeque<IterPacket>,
+    /// Packets in the RX-parse stage, under their `RxDone` handles.
+    rx_parked: Slab<IterPacket>,
     net_rx: SerialResource,
     net_tx: SerialResource,
     mem_pipes: ServerPool,
@@ -222,6 +227,7 @@ impl Accelerator {
         Accelerator {
             workspaces: (0..cfg.org.workspaces()).map(|_| None).collect(),
             backlog: VecDeque::new(),
+            rx_parked: Slab::new(),
             // The network stack runs at a fixed per-packet processing time;
             // modelling it as a serially-occupied unit captures its
             // saturation point (~1/426.3 ns packets per second).
@@ -266,18 +272,32 @@ impl Accelerator {
         }
     }
 
-    /// Handles a packet arriving from the link at `now`.
-    pub fn on_packet(&mut self, now: SimTime, pkt: IterPacket) -> Vec<AccelOutput> {
+    /// Handles a packet arriving from the link at `now`, appending the
+    /// resulting outputs to `out`.
+    pub fn on_packet(&mut self, now: SimTime, pkt: IterPacket, out: &mut Vec<AccelOutput>) {
         // RX parse occupies the network stack for a fixed per-packet time.
         let g = self.net_rx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        vec![AccelOutput::Internal {
+        out.push(AccelOutput::Internal {
             at: g.end,
-            event: AccelEvent::RxDone(pkt),
-        }]
+            event: AccelEvent::RxDone(self.rx_parked.insert(pkt)),
+        });
     }
 
-    /// Advances the state machine on one of its own events.
+    /// Removes the packet parked in the RX-parse stage under `handle`. The
+    /// cluster calls this when an `RxDone` fires on a node that went dark
+    /// meanwhile: [`Accelerator::abort_all`] leaves RX-parse packets alone,
+    /// so such a packet is lost when its parse would have finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `handle` parks no packet.
+    pub fn take_rx(&mut self, handle: u32) -> IterPacket {
+        self.rx_parked.take(handle)
+    }
+
+    /// Advances the state machine on one of its own events, appending the
+    /// resulting outputs to `out`.
     ///
     /// `mem` is the rack's memory; the accelerator only touches extents
     /// owned by its node (enforced by the node-local bus).
@@ -286,21 +306,20 @@ impl Accelerator {
         now: SimTime,
         event: AccelEvent,
         mem: &mut ClusterMemory,
-    ) -> Vec<AccelOutput> {
+        out: &mut Vec<AccelOutput>,
+    ) {
         match event {
-            AccelEvent::RxDone(pkt) => {
+            AccelEvent::RxDone(handle) => {
+                let pkt = self.take_rx(handle);
                 self.stats.requests_in += 1;
                 self.stats.components.scheduler += self.cfg.timing.scheduler;
                 let admit_at = now + self.cfg.timing.scheduler;
                 match self.free_ws() {
                     Some(ws) => {
                         self.workspaces[ws] = Some(Workspace::new(pkt));
-                        self.begin_iteration(admit_at, ws, mem, None)
+                        self.begin_iteration(admit_at, ws, mem, None, out);
                     }
-                    None => {
-                        self.backlog.push_back(pkt);
-                        Vec::new()
-                    }
+                    None => self.backlog.push_back(pkt),
                 }
             }
             AccelEvent::FetchDone { ws } => {
@@ -308,7 +327,7 @@ impl Accelerator {
                 // (the node crashed mid-iteration) lands on an empty
                 // workspace: drop it.
                 if !matches!(&self.workspaces[ws], Some(w) if w.pending.is_some()) {
-                    return Vec::new();
+                    return;
                 }
                 // The fetch's data is in the workspace; hand to a logic
                 // pipeline (scheduler signal, §4.2 step 2).
@@ -335,7 +354,7 @@ impl Accelerator {
                             w.pending,
                             Some(PendingIter::Remote) | Some(PendingIter::Fail(_))
                         ) {
-                            return self.finish_iteration(now, ws, mem);
+                            return self.finish_iteration(now, ws, mem, out);
                         }
                     }
                 }
@@ -362,17 +381,16 @@ impl Accelerator {
                     // serialize t_c on the same pool.
                     None => self.mem_pipes.acquire(ready, t_c).grant.end,
                 };
-                vec![AccelOutput::Internal {
+                out.push(AccelOutput::Internal {
                     at: end,
                     event: AccelEvent::LogicDone { ws },
-                }]
+                });
             }
             AccelEvent::LogicDone { ws } => {
                 // Same stale-completion tolerance as `FetchDone`.
-                if !matches!(&self.workspaces[ws], Some(w) if w.pending.is_some()) {
-                    return Vec::new();
+                if matches!(&self.workspaces[ws], Some(w) if w.pending.is_some()) {
+                    self.finish_iteration(now, ws, mem, out);
                 }
-                self.finish_iteration(now, ws, mem)
             }
         }
     }
@@ -382,7 +400,8 @@ impl Accelerator {
     /// them. Returns the lost packets so the cluster can notify the
     /// issuing CPU nodes; workspaces come back empty, and any internal
     /// events already scheduled for the aborted work are tolerated by
-    /// [`Accelerator::step`] as no-ops.
+    /// [`Accelerator::step`] as no-ops. Packets still in the RX-parse
+    /// stage stay parked; see [`Accelerator::take_rx`].
     pub fn abort_all(&mut self) -> Vec<IterPacket> {
         let mut lost: Vec<IterPacket> = self.backlog.drain(..).collect();
         for slot in &mut self.workspaces {
@@ -475,7 +494,8 @@ impl Accelerator {
         ws: usize,
         mem: &mut ClusterMemory,
         prefetched: Option<SimTime>,
-    ) -> Vec<AccelOutput> {
+        out: &mut Vec<AccelOutput>,
+    ) {
         let (window, cur_ptr) = {
             let w = self.ws(ws);
             (w.pkt.code.program().window(), w.pkt.state.cur_ptr)
@@ -497,10 +517,11 @@ impl Accelerator {
                 MemFault::NotMapped { .. } => PendingIter::Remote,
                 other => PendingIter::Fail(Fault::Mem(other)),
             });
-            return vec![AccelOutput::Internal {
+            out.push(AccelOutput::Internal {
                 at: g.grant.end,
                 event: AccelEvent::FetchDone { ws },
-            }];
+            });
+            return;
         }
 
         // Functional pre-execution against the node-local bus. Timing-wise
@@ -611,10 +632,10 @@ impl Accelerator {
                 self.mem_pipes.acquire(t, t_d).grant.end
             }
         };
-        vec![AccelOutput::Internal {
+        out.push(AccelOutput::Internal {
             at: fetch_end,
             event: AccelEvent::FetchDone { ws },
-        }]
+        });
     }
 
     /// Applies a completed iteration's outcome: continue, depart, or fault.
@@ -623,7 +644,8 @@ impl Accelerator {
         now: SimTime,
         ws: usize,
         mem: &mut ClusterMemory,
-    ) -> Vec<AccelOutput> {
+        out: &mut Vec<AccelOutput>,
+    ) {
         let pending = {
             let w = self.workspaces[ws].as_mut().expect("occupied");
             w.pending.take().expect("iteration pending")
@@ -634,13 +656,13 @@ impl Accelerator {
                 match trace.outcome {
                     IterOutcome::Done { code } => {
                         self.stats.done += 1;
-                        self.depart(now, ws, IterStatus::Done { code }, mem)
+                        self.depart(now, ws, IterStatus::Done { code }, mem, out)
                     }
                     IterOutcome::Continue => {
                         let w = self.ws(ws);
                         if w.pkt.state.iters_done >= self.cfg.max_iters {
                             self.stats.iter_limited += 1;
-                            return self.depart(now, ws, IterStatus::IterLimit, mem);
+                            return self.depart(now, ws, IterStatus::IterLimit, mem, out);
                         }
                         // Scheduler signals a memory pipeline (§4.2 step 3).
                         self.stats.components.scheduler += self.cfg.timing.scheduler;
@@ -672,7 +694,13 @@ impl Accelerator {
                                 None
                             }
                         });
-                        self.begin_iteration(now + self.cfg.timing.scheduler, ws, mem, prefetched)
+                        self.begin_iteration(
+                            now + self.cfg.timing.scheduler,
+                            ws,
+                            mem,
+                            prefetched,
+                            out,
+                        )
                     }
                 }
             }
@@ -680,7 +708,7 @@ impl Accelerator {
                 // The pointer lives on another node (or is invalid — the
                 // switch's global table decides): reroute, in-flight.
                 self.stats.rerouted += 1;
-                self.depart(now, ws, IterStatus::InFlight, mem)
+                self.depart(now, ws, IterStatus::InFlight, mem, out)
             }
             PendingIter::Fail(f) => {
                 self.stats.faulted += 1;
@@ -688,7 +716,7 @@ impl Accelerator {
                     Fault::Mem(m) => m,
                     Fault::DivideByZero { pc } => MemFault::Protection { addr: pc as u64 },
                 };
-                self.depart(now, ws, IterStatus::Faulted { fault }, mem)
+                self.depart(now, ws, IterStatus::Faulted { fault }, mem, out)
             }
         }
     }
@@ -700,7 +728,8 @@ impl Accelerator {
         ws: usize,
         status: IterStatus,
         mem: &mut ClusterMemory,
-    ) -> Vec<AccelOutput> {
+        out: &mut Vec<AccelOutput>,
+    ) {
         let mut w = self.workspaces[ws].take().expect("occupied");
         w.pkt.status = status;
         // A speculative fetch that never reached validation (the hop ended
@@ -712,18 +741,17 @@ impl Accelerator {
         }
         let g = self.net_tx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        let mut out = vec![AccelOutput::Depart {
+        out.push(AccelOutput::Depart {
             at: g.end,
             pkt: w.pkt,
             squash: w.squashed,
-        }];
+        });
         if let Some(next) = self.backlog.pop_front() {
             self.stats.components.scheduler += self.cfg.timing.scheduler;
             let admit_at = now + self.cfg.timing.scheduler;
             self.workspaces[ws] = Some(Workspace::new(next));
-            out.extend(self.begin_iteration(admit_at, ws, mem, None));
+            self.begin_iteration(admit_at, ws, mem, None, out);
         }
-        out
     }
 }
 
@@ -797,9 +825,7 @@ mod tests {
             // on_packet needs the clock at t; emulate by scheduling a
             // zero-latency internal event via the driver: simplest is to
             // call on_packet immediately (arrivals are pre-sorted).
-            for out in accel.on_packet(t, pkt) {
-                pending.push(out);
-            }
+            accel.on_packet(t, pkt, &mut pending);
         }
         loop {
             for out in pending.drain(..) {
@@ -809,10 +835,7 @@ mod tests {
                 }
             }
             match drv.next_event() {
-                Some(ev) => {
-                    let outs = accel.step(drv.now(), ev, mem);
-                    pending.extend(outs);
-                }
+                Some(ev) => accel.step(drv.now(), ev, mem, &mut pending),
                 None => break,
             }
         }
@@ -1186,7 +1209,8 @@ mod tests {
         let mut accel = accel_for(&mem, cfg);
         let mut drv: Driver<AccelEvent> = Driver::new();
         let mut departed = Vec::new();
-        let mut pending: Vec<AccelOutput> = accel.on_packet(SimTime::ZERO, find_packet(head, 3, 1));
+        let mut pending: Vec<AccelOutput> = Vec::new();
+        accel.on_packet(SimTime::ZERO, find_packet(head, 3, 1), &mut pending);
         let mut wrote = false;
         loop {
             for out in pending.drain(..) {
@@ -1205,7 +1229,7 @@ mod tests {
                         mem.write_word(head, cur, 8).unwrap();
                         wrote = true;
                     }
-                    pending = accel.step(drv.now(), ev, &mut mem);
+                    accel.step(drv.now(), ev, &mut mem, &mut pending);
                 }
                 None => break,
             }

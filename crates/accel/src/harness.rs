@@ -56,10 +56,12 @@ pub fn run_closed_loop(
     // Injection times per request seq (continuations keep the original).
     let mut started: std::collections::HashMap<u64, SimTime> = std::collections::HashMap::new();
 
-    let absorb = |outs: Vec<AccelOutput>,
+    // One output buffer serves every accelerator call; `absorb` drains it.
+    let mut outs: Vec<AccelOutput> = Vec::new();
+    let absorb = |outs: &mut Vec<AccelOutput>,
                   drv: &mut Driver<AccelEvent>,
                   departed: &mut Vec<(SimTime, IterPacket)>| {
-        for out in outs {
+        for out in outs.drain(..) {
             match out {
                 AccelOutput::Internal { at, event } => drv.schedule_at(at, event),
                 AccelOutput::Depart { at, pkt, .. } => departed.push((at, pkt)),
@@ -72,8 +74,8 @@ pub fn run_closed_loop(
     for _ in 0..concurrency.min(total as usize) {
         let pkt = make_request(injected);
         started.insert(pkt.id.seq, SimTime::ZERO);
-        let outs = accel.on_packet(SimTime::ZERO, pkt);
-        absorb(outs, &mut drv, &mut departed);
+        accel.on_packet(SimTime::ZERO, pkt, &mut outs);
+        absorb(&mut outs, &mut drv, &mut departed);
         injected += 1;
     }
 
@@ -85,8 +87,8 @@ pub fn run_closed_loop(
                     // Continuation: same request, fresh offload.
                     pkt.status = IterStatus::InFlight;
                     pkt.state.iters_done = 0;
-                    let outs = accel.on_packet(at, pkt);
-                    absorb(outs, &mut drv, &mut departed);
+                    accel.on_packet(at, pkt, &mut outs);
+                    absorb(&mut outs, &mut drv, &mut departed);
                 }
                 _ => {
                     completed += 1;
@@ -98,16 +100,16 @@ pub fn run_closed_loop(
                         let next = make_request(injected);
                         started.insert(next.id.seq, at);
                         injected += 1;
-                        let outs = accel.on_packet(at, next);
-                        absorb(outs, &mut drv, &mut departed);
+                        accel.on_packet(at, next, &mut outs);
+                        absorb(&mut outs, &mut drv, &mut departed);
                     }
                 }
             }
         }
         match drv.next_event() {
             Some(ev) => {
-                let outs = accel.step(drv.now(), ev, mem);
-                absorb(outs, &mut drv, &mut departed);
+                accel.step(drv.now(), ev, mem, &mut outs);
+                absorb(&mut outs, &mut drv, &mut departed);
             }
             None => break,
         }

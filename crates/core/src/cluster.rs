@@ -29,7 +29,7 @@ use pulse_net::{
     RequestId, Route, Switch, SwitchConfig, TopoNode, Topology, TopologySpec, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES,
 };
-use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime};
+use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab};
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
@@ -158,16 +158,25 @@ impl ClusterReport {
     }
 }
 
+/// The event loop's payload. Kept to 32 bytes so the event heap stays
+/// cache-friendly: packets wait in `PulseCluster::packets` and travel as a
+/// slab handle, a re-replication stream's cursor lives in
+/// `PulseCluster::rebuilds`, and an accelerator's RX-parse packet waits in
+/// the accelerator itself.
 #[derive(Debug)]
 enum Ev {
-    /// CPU node starts processing a submitted request.
+    /// A submitted request reaches its CPU node, which starts processing
+    /// it. Scheduled through the driver's arrival lane; the request's state
+    /// rides along and enters `inflight` only now.
+    Arrive(RequestId, Box<ReqState>),
+    /// CPU node (re-)starts processing an in-flight request's current stage.
     Start(RequestId),
     /// Packet reaches the switch ingress (with its source endpoint).
-    AtSwitch(Packet, Endpoint),
+    AtSwitch(u32, Endpoint),
     /// Packet reaches memory node `n`.
-    AtMem(NodeId, Packet),
+    AtMem(NodeId, u32),
     /// Packet reaches the CPU node.
-    AtCpu(Packet),
+    AtCpu(u32),
     /// Accelerator-internal event.
     Accel(NodeId, AccelEvent),
     /// CPU-node post-processing for a request finished.
@@ -179,16 +188,23 @@ enum Ev {
     /// the CPU re-plans it from scratch (the retry then routes onto a live
     /// replica, or the re-routed packet fault-completes as unavailable).
     CrashNotice(RequestId),
-    /// One chunk of a background re-replication stream: extent
-    /// `[start, end)` is being copied from surviving replica `src` to
-    /// rebuild target `dst`, and the stream's cursor sits at `offset`.
-    Rebuild {
-        start: u64,
-        end: u64,
-        offset: u64,
-        src: NodeId,
-        dst: NodeId,
-    },
+    /// The next chunk of the background re-replication stream at this
+    /// index of `PulseCluster::rebuilds`.
+    Rebuild(u32),
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
+
+/// One background re-replication stream: extent `[start, end)` is being
+/// copied from surviving replica `src` to rebuild target `dst`, and the
+/// stream's cursor sits at `offset`.
+#[derive(Debug)]
+struct RebuildStream {
+    start: u64,
+    end: u64,
+    offset: u64,
+    src: NodeId,
+    dst: NodeId,
 }
 
 /// How a request left the rack.
@@ -268,7 +284,19 @@ pub struct PulseCluster {
     frontends: Vec<CpuFrontEnd>,
     /// Per-node DMA engines serving plain object reads/writes.
     dma: Vec<SerialResource>,
+    /// Requests that have arrived and not yet finished. Submitted requests
+    /// wait in their `Ev::Arrive` until they start, so this map stays at
+    /// the size of the live set rather than the submitted stream.
     inflight: HashMap<RequestId, ReqState>,
+    /// Submitted requests whose `Ev::Arrive` has not fired yet.
+    arriving: usize,
+    /// Packets in transit, under the handles their delivery events carry.
+    packets: Slab<Packet>,
+    /// Re-replication streams, indexed by their `Ev::Rebuild` payload.
+    rebuilds: Vec<RebuildStream>,
+    /// Output buffer reused across accelerator calls, so stepping an
+    /// accelerator allocates nothing.
+    accel_out: Vec<AccelOutput>,
     /// Recycled scratchpad buffers from retired [`pulse_isa::IterState`]s,
     /// fed back into stage issue so steady-state traversal sends allocate
     /// no scratch `Vec`. Capacity-only reuse: buffers are zeroed and
@@ -480,6 +508,10 @@ impl PulseCluster {
                 .map(|_| SerialResource::new(cfg.accel.timing.dram_bytes_per_sec * 8))
                 .collect(),
             inflight: HashMap::new(),
+            arriving: 0,
+            packets: Slab::new(),
+            rebuilds: Vec::new(),
+            accel_out: Vec::new(),
             scratch_pool: Vec::new(),
             touched_pool: Vec::new(),
             submitted: 0,
@@ -566,8 +598,10 @@ impl PulseCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is already in flight, names a CPU node outside the
-    /// rack, or `at` is in the past.
+    /// Panics if `id` names a CPU node outside the rack or `at` is in the
+    /// past. Also panics if `id` is already in flight: at once when that
+    /// request has started, and otherwise when this request's arrival
+    /// fires and finds the earlier one still in flight.
     pub fn submit_with_id(&mut self, at: SimTime, req: AppRequest, id: RequestId) {
         assert!(
             !self.inflight.contains_key(&id),
@@ -583,18 +617,18 @@ impl PulseCluster {
         if let Some(sink) = self.sink.as_mut() {
             sink.begin(id, at);
         }
-        self.inflight.insert(
-            id,
-            ReqState {
-                req,
-                stage: 0,
-                issued_at: at,
-                last_state: None,
-                retries: 0,
-                skip_cache_once: false,
-            },
-        );
-        self.drv.schedule_at(at, Ev::Start(id));
+        let st = ReqState {
+            req,
+            stage: 0,
+            issued_at: at,
+            last_state: None,
+            retries: 0,
+            skip_cache_once: false,
+        };
+        // The lane keeps a time-ordered stream out of the event heap; the
+        // arrival still fires exactly where a heap push would have put it.
+        self.drv.schedule_arrival(at, Ev::Arrive(id, Box::new(st)));
+        self.arriving += 1;
     }
 
     /// Current simulated time.
@@ -602,9 +636,10 @@ impl PulseCluster {
         self.drv.now()
     }
 
-    /// Requests currently inside the rack.
+    /// Requests submitted and not yet finished, counting those whose
+    /// arrival time has not come yet.
     pub fn in_flight(&self) -> usize {
-        self.inflight.len()
+        self.inflight.len() + self.arriving
     }
 
     /// Whether no events remain to process.
@@ -637,26 +672,41 @@ impl PulseCluster {
         let now = drv.now();
         self.sample_counters(now);
         match ev {
+            Ev::Arrive(id, st) => {
+                self.arriving -= 1;
+                let earlier = self.inflight.insert(id, *st);
+                assert!(earlier.is_none(), "request id {id:?} already in flight");
+                self.send_stage(drv, now, id)
+            }
             Ev::Start(id) => self.send_stage(drv, now, id),
-            Ev::AtSwitch(pkt, from) => self.at_switch(drv, now, pkt, from),
-            Ev::AtMem(n, pkt) => self.at_mem(drv, now, n, pkt),
+            Ev::AtSwitch(h, from) => {
+                let pkt = self.packets.take(h);
+                self.at_switch(drv, now, pkt, from)
+            }
+            Ev::AtMem(n, h) => {
+                let pkt = self.packets.take(h);
+                self.at_mem(drv, now, n, pkt)
+            }
             Ev::Accel(n, aev) => {
                 // Events of a dark node's accelerator died with it. Pipeline
                 // completions (`FetchDone`/`LogicDone`) belong to workspaces
                 // that were aborted — and notified — at fault time; a packet
-                // still parked in the RX parse stage travels inside its
-                // `RxDone` event, so it is lost *here* and the issuing CPU
-                // learns now.
+                // still parked in the RX parse stage is not in a workspace,
+                // so it is lost *here*, when its `RxDone` fires, and the
+                // issuing CPU learns now.
                 if !self.mem_ok(n) || self.wedged[n] {
-                    if let AccelEvent::RxDone(ip) = aev {
+                    if let AccelEvent::RxDone(h) = aev {
+                        let ip = self.accels[n].take_rx(h);
                         self.crash_notice(drv, now, Packet::Iter(ip));
                     }
                     return;
                 }
-                let outs = self.accels[n].step(now, aev, &mut self.mem);
-                self.absorb(drv, n, outs);
+                self.accel_call(drv, n, |accel, mem, out| accel.step(now, aev, mem, out));
             }
-            Ev::AtCpu(pkt) => self.at_cpu(drv, now, pkt),
+            Ev::AtCpu(h) => {
+                let pkt = self.packets.take(h);
+                self.at_cpu(drv, now, pkt)
+            }
             Ev::Finished(id, how) => {
                 let st = self.inflight.remove(&id).expect("request inflight");
                 let latency = now - st.issued_at;
@@ -689,14 +739,22 @@ impl PulseCluster {
             }
             Ev::Fault(kind) => self.apply_fault(drv, now, kind),
             Ev::CrashNotice(id) => self.on_crash_notice(drv, now, id),
-            Ev::Rebuild {
-                start,
-                end,
-                offset,
-                src,
-                dst,
-            } => self.rebuild_chunk(drv, now, start, end, offset, src, dst),
+            Ev::Rebuild(stream) => self.rebuild_chunk(drv, now, stream),
         }
+    }
+
+    /// Runs one call on memory node `n`'s accelerator against the reused
+    /// output buffer, then feeds the outputs into the event loop.
+    fn accel_call(
+        &mut self,
+        drv: &mut Driver<Ev>,
+        n: NodeId,
+        call: impl FnOnce(&mut Accelerator, &mut ClusterMemory, &mut Vec<AccelOutput>),
+    ) {
+        let mut outs = std::mem::take(&mut self.accel_out);
+        call(&mut self.accels[n], &mut self.mem, &mut outs);
+        self.absorb(drv, n, &mut outs);
+        self.accel_out = outs;
     }
 
     /// Runs `requests` closed-loop with `concurrency` outstanding, to
@@ -1068,16 +1126,15 @@ impl PulseCluster {
             else {
                 continue;
             };
-            drv.schedule_at(
-                now,
-                Ev::Rebuild {
-                    start,
-                    end,
-                    offset: start,
-                    src,
-                    dst,
-                },
-            );
+            let stream = u32::try_from(self.rebuilds.len()).expect("rebuild streams fit in u32");
+            self.rebuilds.push(RebuildStream {
+                start,
+                end,
+                offset: start,
+                src,
+                dst,
+            });
+            drv.schedule_at(now, Ev::Rebuild(stream));
         }
     }
 
@@ -1088,17 +1145,14 @@ impl PulseCluster {
     /// packets use, and lands through the target's DMA engine. One chunk
     /// is in flight per stream; when the stream completes, the target is
     /// promoted into the extent's replica set.
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild_chunk(
-        &mut self,
-        drv: &mut Driver<Ev>,
-        now: SimTime,
-        start: u64,
-        end: u64,
-        offset: u64,
-        src: NodeId,
-        dst: NodeId,
-    ) {
+    fn rebuild_chunk(&mut self, drv: &mut Driver<Ev>, now: SimTime, stream: u32) {
+        let RebuildStream {
+            start,
+            end,
+            offset,
+            src,
+            dst,
+        } = self.rebuilds[stream as usize];
         // The stream's endpoints can die mid-rebuild: another surviving
         // replica takes over as source; a dead target abandons the stream
         // (a later crash of a remaining replica would restart one).
@@ -1142,16 +1196,10 @@ impl PulseCluster {
         self.mem_bytes_extra += len;
         self.rereplication_bytes += len;
         if offset + len < end {
-            drv.schedule_at(
-                write_done,
-                Ev::Rebuild {
-                    start,
-                    end,
-                    offset: offset + len,
-                    src,
-                    dst,
-                },
-            );
+            let cursor = &mut self.rebuilds[stream as usize];
+            cursor.offset = offset + len;
+            cursor.src = src;
+            drv.schedule_at(write_done, Ev::Rebuild(stream));
         } else {
             self.mem.promote_replica(start, dst);
         }
@@ -1448,15 +1496,16 @@ impl PulseCluster {
             Route::To(ep) => {
                 let arrive = self.fabric_send(at, from, ep, wire);
                 self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                match ep {
-                    Endpoint::Mem(n) => drv.schedule_at(arrive, Ev::AtMem(n, pkt)),
-                    Endpoint::Cpu(_) => drv.schedule_at(arrive, Ev::AtCpu(pkt)),
-                }
+                let ev = match ep {
+                    Endpoint::Mem(n) => Ev::AtMem(n, self.packets.insert(pkt)),
+                    Endpoint::Cpu(_) => Ev::AtCpu(self.packets.insert(pkt)),
+                };
+                drv.schedule_at(arrive, ev);
             }
             Route::InvalidPointer { requester } => {
                 let arrive = self.fabric_send(at, from, requester, wire);
                 self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                deliver_invalid_pointer(drv, arrive, pkt);
+                self.deliver_invalid_pointer(drv, arrive, pkt);
             }
         }
     }
@@ -1496,13 +1545,13 @@ impl PulseCluster {
                         let track = self.mem_nic_track(n);
                         let link = self.frontends.len() + n;
                         self.trace_push(id, SpanKind::WireHop { link }, track, arrive);
-                        drv.schedule_at(arrive, Ev::AtMem(n, pkt))
+                        drv.schedule_at(arrive, Ev::AtMem(n, self.packets.insert(pkt)))
                     }
                     Endpoint::Cpu(c) => {
                         // Count bytes entering that CPU's link (rx side).
                         let arrive = self.frontends[c].rx(egress_done, pkt.wire_bytes());
                         self.trace_push(id, SpanKind::WireHop { link: c }, Track::Link(c), arrive);
-                        drv.schedule_at(arrive, Ev::AtCpu(pkt));
+                        drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(pkt)));
                     }
                 }
             }
@@ -1523,7 +1572,7 @@ impl PulseCluster {
                     Track::Link(cpu),
                     arrive,
                 );
-                deliver_invalid_pointer(drv, arrive, pkt);
+                self.deliver_invalid_pointer(drv, arrive, pkt);
             }
         }
     }
@@ -1548,8 +1597,7 @@ impl PulseCluster {
         }
         match pkt {
             Packet::Iter(ip) => {
-                let outs = self.accels[n].on_packet(now, ip);
-                self.absorb(drv, n, outs);
+                self.accel_call(drv, n, |accel, _, out| accel.on_packet(now, ip, out));
             }
             Packet::Read { id, addr, len } => {
                 let _ = addr;
@@ -1622,15 +1670,19 @@ impl PulseCluster {
                 Track::Link(link),
                 arrive,
             );
-            drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Mem(n)));
+            drv.schedule_at(
+                arrive,
+                Ev::AtSwitch(self.packets.insert(pkt), Endpoint::Mem(n)),
+            );
         }
     }
 
     /// Feeds accelerator outputs back into the event loop, applying the
     /// near-memory gather: a final-stage `Done` response picks up the
-    /// request's object in place when it lives on the same node.
-    fn absorb(&mut self, drv: &mut Driver<Ev>, n: NodeId, outs: Vec<AccelOutput>) {
-        for out in outs {
+    /// request's object in place when it lives on the same node. Leaves
+    /// `outs` empty for reuse.
+    fn absorb(&mut self, drv: &mut Driver<Ev>, n: NodeId, outs: &mut Vec<AccelOutput>) {
+        for out in outs.drain(..) {
             match out {
                 AccelOutput::Internal { at, event } => drv.schedule_at(at, Ev::Accel(n, event)),
                 AccelOutput::Depart {
@@ -1709,6 +1761,30 @@ impl PulseCluster {
         }
     }
 
+    /// Delivers a packet the switch found aimed at an unmapped address to
+    /// its requester at `arrive` (§5: "notify the CPU node if the pointer
+    /// is invalid"): a traversal comes back `Faulted { NotMapped }`, and a
+    /// plain read or write fault-completes instead of hanging forever with
+    /// its packet silently dropped.
+    fn deliver_invalid_pointer(&mut self, drv: &mut Driver<Ev>, arrive: SimTime, pkt: Packet) {
+        match pkt {
+            Packet::Iter(mut ip) => {
+                ip.status = IterStatus::Faulted {
+                    fault: pulse_isa::MemFault::NotMapped {
+                        addr: ip.state.cur_ptr,
+                    },
+                };
+                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(Packet::Iter(ip))));
+            }
+            Packet::Read { id, .. } | Packet::Write { id, .. } => {
+                drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
+            }
+            Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
+                unreachable!("replies route to the requester, never invalid")
+            }
+        }
+    }
+
     /// Transmits a packet from its owning CPU node: the dispatch engine
     /// first (queueing + occupancy under load), then `overhead` (the flat
     /// issue pipeline, or the re-issue software of a bounced traversal),
@@ -1730,7 +1806,10 @@ impl PulseCluster {
                 Track::Link(cpu),
                 arrive,
             );
-            drv.schedule_at(arrive, Ev::AtSwitch(pkt, Endpoint::Cpu(cpu)));
+            drv.schedule_at(
+                arrive,
+                Ev::AtSwitch(self.packets.insert(pkt), Endpoint::Cpu(cpu)),
+            );
         }
     }
 
@@ -1861,30 +1940,6 @@ fn resolve_addr(src: AddrSource, state: Option<&pulse_isa::IterState>) -> Option
     match src {
         AddrSource::Fixed(a) => Some(a),
         AddrSource::FromScratch(off) => state.map(|s| s.scratch_u64(off as usize)),
-    }
-}
-
-/// Delivers a packet the switch found aimed at an unmapped address to its
-/// requester at `arrive` (§5: "notify the CPU node if the pointer is
-/// invalid"): a traversal comes back `Faulted { NotMapped }`, and a plain
-/// read or write fault-completes instead of hanging forever with its packet
-/// silently dropped.
-fn deliver_invalid_pointer(drv: &mut Driver<Ev>, arrive: SimTime, pkt: Packet) {
-    match pkt {
-        Packet::Iter(mut ip) => {
-            ip.status = IterStatus::Faulted {
-                fault: pulse_isa::MemFault::NotMapped {
-                    addr: ip.state.cur_ptr,
-                },
-            };
-            drv.schedule_at(arrive, Ev::AtCpu(Packet::Iter(ip)));
-        }
-        Packet::Read { id, .. } | Packet::Write { id, .. } => {
-            drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-        }
-        Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-            unreachable!("replies route to the requester, never invalid")
-        }
     }
 }
 
@@ -2468,6 +2523,84 @@ mod tests {
         let unavailable = done.iter().filter(|c| c.unavailable).count() as u64;
         assert_eq!(unavailable, report.unavailable_completions);
         assert!(done.iter().filter(|c| c.unavailable).all(|c| !c.ok));
+    }
+
+    #[test]
+    fn crash_during_rx_parse_notifies_when_the_parse_ends() {
+        // The first request's traversal reaches memory node 1 at
+        // 3.92976 us and spends `net_stack` (426.3 ns) in its
+        // accelerator's RX-parse stage. A crash at 4 us lands inside that
+        // window, where the packet is in no workspace, so `abort_all`
+        // cannot see it: the crash notice leaves when the parse would have
+        // ended. A crash at 3.9 us, before the packet lands, loses it on
+        // arrival instead, so every later step of the request runs exactly
+        // `net_stack` earlier. The finish times were pinned when the
+        // packet still travelled inside its `RxDone` event.
+        let net_stack = AccelConfig::default().timing.net_stack;
+        let run = |replication: usize, crash_at: SimTime| {
+            let crash = vec![FaultEvent::new(crash_at, FaultKind::MemCrash(1))];
+            let (mut cluster, reqs, expected) = faulted_cluster(2, replication, true, crash);
+            let done = drive(&mut cluster, reqs.into_iter().take(1).collect());
+            assert_eq!(done.len(), 1);
+            (done[0].clone(), cluster.report(), expected[0])
+        };
+        // Replication 1: the retry finds no live copy.
+        let (c, report, _) = run(1, SimTime::from_micros(4));
+        assert!(!c.ok && c.unavailable);
+        assert_eq!(c.finished_at, SimTime::from_picos(13_182_780));
+        assert_eq!(report.failovers, 1, "one crash notice");
+        assert_eq!(report.unavailable_completions, 1);
+        let (early, _, _) = run(1, SimTime::from_nanos(3_900));
+        assert_eq!(early.finished_at + net_stack, c.finished_at);
+        // Replication 2: the retry fails over to node 0's copy.
+        let (c, report, expected) = run(2, SimTime::from_micros(4));
+        assert!(c.ok && !c.unavailable);
+        assert_eq!(c.final_state.as_ref().unwrap().scratch_u64(8), expected);
+        assert_eq!(c.finished_at, SimTime::from_picos(24_923_780));
+        assert_eq!(report.failovers, 2, "the crash notice, then the reroute");
+        let (early, _, _) = run(2, SimTime::from_nanos(3_900));
+        assert_eq!(early.finished_at + net_stack, c.finished_at);
+    }
+
+    #[test]
+    fn in_flight_counts_submissions_before_they_arrive() {
+        let (mem, reqs, _) = webservice_cluster(1, 1_000, 1 << 20);
+        let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
+        let n = reqs.len();
+        for (i, req) in reqs.into_iter().enumerate() {
+            cluster.submit_at(SimTime::from_micros(i as u64), req);
+        }
+        assert_eq!(
+            cluster.in_flight(),
+            n,
+            "open-loop submissions count at once"
+        );
+        assert!(cluster.step());
+        assert_eq!(
+            cluster.in_flight(),
+            n,
+            "the first arrival is still in flight"
+        );
+        let mut finished = 0;
+        while cluster.step() {
+            finished += cluster.take_completions().len();
+            assert_eq!(cluster.in_flight(), n - finished);
+        }
+        assert_eq!(finished, n);
+        assert_eq!(cluster.in_flight(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "already in flight")]
+    fn duplicate_request_id_is_rejected() {
+        // Both copies are submitted before either starts; the second is
+        // caught when its arrival fires while the first is in flight.
+        let (mem, reqs, _) = webservice_cluster(1, 1_000, 1 << 20);
+        let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
+        let mut reqs = reqs.into_iter();
+        let id = cluster.submit_at(SimTime::ZERO, reqs.next().unwrap());
+        cluster.submit_with_id(SimTime::from_nanos(10), reqs.next().unwrap(), id);
+        while cluster.step() {}
     }
 
     #[test]

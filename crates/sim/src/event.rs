@@ -3,10 +3,18 @@
 //! The queue orders events by `(time, insertion sequence)`, so events
 //! scheduled for the same instant dequeue in insertion order. That total
 //! order is what makes every simulation in this workspace bit-reproducible.
+//!
+//! Beside the binary heap, the queue keeps a FIFO *arrival lane* for
+//! events that are pushed in non-decreasing time order — an open-loop
+//! request stream submitted up front is the case it exists for. Both
+//! stores draw sequence numbers from one counter and `pop` takes the
+//! smaller `(time, seq)` head of the two, so the lane changes where an
+//! event waits, never when it fires; the heap stays as deep as the events
+//! scheduled while the run is live.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// An event payload tagged with its due time and a tiebreak sequence number.
 #[derive(Debug)]
@@ -53,6 +61,9 @@ impl<E> Ord for Scheduled<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Arrival lane: events in strictly increasing `(at, seq)` order (see
+    /// [`EventQueue::push_arrival`]).
+    lane: VecDeque<Scheduled<E>>,
     next_seq: u64,
 }
 
@@ -67,6 +78,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lane: VecDeque::new(),
             next_seq: 0,
         }
     }
@@ -77,15 +89,17 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(n),
+            lane: VecDeque::new(),
             next_seq: 0,
         }
     }
 
     /// Empties the queue and resets the tiebreak sequence, keeping the
-    /// heap's backing allocation so the queue can be reused for another
-    /// run without rebuilding its storage.
+    /// heap's and the lane's backing allocations so the queue can be
+    /// reused for another run without rebuilding its storage.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.lane.clear();
         self.next_seq = 0;
     }
 
@@ -94,31 +108,69 @@ impl<E> EventQueue<E> {
         self.heap.capacity()
     }
 
-    /// Schedules `payload` to fire at absolute time `at`.
-    pub fn push(&mut self, at: SimTime, payload: E) {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        seq
+    }
+
+    /// Schedules `payload` to fire at absolute time `at`.
+    pub fn push(&mut self, at: SimTime, payload: E) {
+        let seq = self.next_seq();
         self.heap.push(Scheduled { at, seq, payload });
+    }
+
+    /// Schedules `payload` like [`EventQueue::push`], appending it to the
+    /// arrival lane when `at` is not earlier than the lane's tail — an
+    /// O(1) push that keeps the heap shallow. An out-of-order `at` falls
+    /// back to the heap. Either way the event pops exactly where `push`
+    /// would have put it.
+    pub fn push_arrival(&mut self, at: SimTime, payload: E) {
+        let seq = self.next_seq();
+        let item = Scheduled { at, seq, payload };
+        match self.lane.back() {
+            Some(tail) if at < tail.at => self.heap.push(item),
+            _ => self.lane.push_back(item),
+        }
+    }
+
+    /// Whether the lane's head fires before the heap's top under the
+    /// `(at, seq)` order (`false` when the lane is empty).
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
+            (Some(_), None) => true,
+            (None, _) => false,
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
+        let s = if self.lane_first() {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        s.map(|s| (s.at, s.payload))
     }
 
     /// The due time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        if self.lane_first() {
+            self.lane.front().map(|s| s.at)
+        } else {
+            self.heap.peek().map(|s| s.at)
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
     }
 }
 
@@ -189,6 +241,23 @@ impl<E> Driver<E> {
             self.now
         );
         self.queue.push(at, payload);
+    }
+
+    /// Schedules an event at an absolute time through the queue's arrival
+    /// lane (see [`EventQueue::push_arrival`]): the cheap path for a stream
+    /// of events submitted in time order, firing exactly where
+    /// [`Driver::schedule_at`] would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past, like [`Driver::schedule_at`].
+    pub fn schedule_arrival(&mut self, at: SimTime, payload: E) {
+        assert!(
+            at >= self.now,
+            "event scheduled in the past: {at} < {}",
+            self.now
+        );
+        self.queue.push_arrival(at, payload);
     }
 
     /// Schedules an event `delay` after the current time.
@@ -297,6 +366,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn arrival_lane_pops_like_a_heap_only_queue() {
+        // Property loop: random interleavings of `push` and `push_arrival`
+        // (including arrivals earlier than the lane's tail, which take the
+        // heap fallback) and pops must match a heap-only reference queue
+        // pop for pop, with `len` and `peek_time` agreeing throughout.
+        // Few distinct times keep same-instant ties dense, and the lane
+        // queue is `clear()`ed and reused across rounds.
+        let mut rng = crate::SplitMix64::new(0x1a4e_0a11);
+        let mut laned: EventQueue<u64> = EventQueue::new();
+        for round in 0..300 {
+            let mut reference: EventQueue<u64> = EventQueue::new();
+            laned.clear();
+            // Arrivals drift forward with occasional steps back, like an
+            // open-loop stream merged with late resubmissions.
+            let mut cursor = 0u64;
+            for op in 0..(rng.next_u64() % 96 + 1) {
+                match rng.next_u64() % 8 {
+                    0..=3 => {
+                        cursor = match rng.next_u64() % 4 {
+                            0 => cursor.saturating_sub(rng.next_u64() % 3),
+                            _ => cursor + rng.next_u64() % 2,
+                        };
+                        let t = SimTime::from_nanos(cursor);
+                        laned.push_arrival(t, op);
+                        reference.push(t, op);
+                    }
+                    4..=5 => {
+                        let t = SimTime::from_nanos(rng.next_u64() % 8);
+                        laned.push(t, op);
+                        reference.push(t, op);
+                    }
+                    _ => assert_eq!(laned.pop(), reference.pop(), "round {round}: pop"),
+                }
+                assert_eq!(laned.len(), reference.len(), "round {round}: len");
+                assert_eq!(laned.is_empty(), reference.is_empty());
+                assert_eq!(laned.peek_time(), reference.peek_time(), "round {round}");
+            }
+            loop {
+                let (a, b) = (laned.pop(), reference.pop());
+                assert_eq!(a, b, "round {round}: divergent drain");
+                assert_eq!(laned.peek_time(), reference.peek_time());
+                if a.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn driver_arrivals_fire_in_schedule_order() {
+        // A fault scheduled first beats a same-instant arrival; arrivals
+        // interleave with live events by time.
+        let mut drv: Driver<&str> = Driver::new();
+        drv.schedule_at(SimTime::from_nanos(10), "fault");
+        drv.schedule_arrival(SimTime::from_nanos(10), "arrive-a");
+        drv.schedule_arrival(SimTime::from_nanos(30), "arrive-b");
+        assert_eq!(drv.pending(), 3);
+        assert_eq!(drv.next_event(), Some("fault"));
+        drv.schedule_in(SimTime::from_nanos(5), "work");
+        let rest: Vec<&str> = std::iter::from_fn(|| drv.next_event()).collect();
+        assert_eq!(rest, vec!["arrive-a", "work", "arrive-b"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled in the past")]
+    fn arrival_in_the_past_panics() {
+        let mut drv: Driver<u8> = Driver::new();
+        drv.schedule_in(SimTime::from_nanos(10), 1);
+        let _ = drv.next_event();
+        drv.schedule_arrival(SimTime::from_nanos(5), 2);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //!   dispatch engines,
 //! * [`LatencyHistogram`] / [`RateCounter`] — measurement collection.
 //!
+//! [`Slab`] parks large event payloads behind `u32` handles, so the event
+//! types stay small.
+//!
 //! Determinism is a design requirement: identical configurations produce
 //! byte-identical experiment reports, which is what makes the regenerated
 //! paper tables meaningful.
@@ -43,11 +46,13 @@
 mod event;
 mod resource;
 mod rng;
+mod slab;
 mod stats;
 mod time;
 
 pub use event::{Driver, EventQueue};
 pub use resource::{CpuDispatch, DispatchConfig, Grant, PoolGrant, SerialResource, ServerPool};
 pub use rng::SplitMix64;
+pub use slab::Slab;
 pub use stats::{quantile_rank, LatencyHistogram, LatencySummary, OnlineStats, RateCounter};
 pub use time::SimTime;
