@@ -13,12 +13,16 @@ change that moved the simulator's speed:
    "seed": 42, "seconds": 15,      # perfbench --seed / --seconds
    "trace_seconds": 5,             # --seconds of the --trace 1 run
    "sim_ops_per_s": {"<workload>": <median over the runs>, ...},
-   "core": {"<workload>": {"events_per_req": ..., "ns_per_event": ...}, ...}}
+   "core": {"<workload>": {"events_per_req": ..., "ns_per_event": ...}, ...},
+   "isa": {"<workload>": {"ns_per_iter": ...}, ...}}   # optional
 
-`sim_ops_per_s` comes from `--trace 0` runs and `core` from one
-`--trace 1` run. The check fails unless every line parses, carries
-those fields, names every workload that BENCHMARK.json declares in both
-maps, and every number is positive.
+`sim_ops_per_s` comes from `--trace 0` runs; `core` and `isa` come from
+one `--trace 1` run. The check fails unless every line parses, carries
+the required fields, names every workload that BENCHMARK.json declares
+in both `sim_ops_per_s` and `core`, and every number is positive. The
+`isa` map (perfbench's `isa.ns_per_iter`) is optional, since lines
+written before it existed lack it; a line that carries one must name
+every workload too, each with a positive `ns_per_iter`.
 """
 
 import json
@@ -54,6 +58,15 @@ def check_line(n, line, workloads):
         assert isinstance(layer, dict), f"{where}: core[{w!r}] missing"
         for key in ("events_per_req", "ns_per_event"):
             assert positive(layer.get(key)), f"{where}: core[{w!r}].{key} missing or not positive"
+    if "isa" in rec:
+        isa = rec["isa"]
+        assert isinstance(isa, dict), f"{where}: 'isa' is not an object"
+        for w in workloads:
+            layer = isa.get(w)
+            assert isinstance(layer, dict), f"{where}: isa[{w!r}] missing"
+            assert positive(
+                layer.get("ns_per_iter")
+            ), f"{where}: isa[{w!r}].ns_per_iter missing or not positive"
 
 
 def main(history_path, manifest_path):

@@ -538,11 +538,11 @@ impl Accelerator {
                 w.pkt.touched.push(cell);
             }
         }
-        let program = w.pkt.code.program().clone();
+        let program = w.pkt.code.program();
         let mut bus = mem.local_bus(node);
         let result = self
             .interp
-            .run_iteration(&program, &mut w.pkt.state, &mut bus);
+            .run_iteration(program, &mut w.pkt.state, &mut bus);
         let mut pending = match result {
             Ok(trace) => PendingIter::Ok { trace, fused: 1 },
             Err(f) => PendingIter::Fail(f),
@@ -576,7 +576,7 @@ impl Accelerator {
                 }
                 match self
                     .interp
-                    .run_iteration(&program, &mut w.pkt.state, &mut bus)
+                    .run_iteration(program, &mut w.pkt.state, &mut bus)
                 {
                     Ok(t2) => {
                         trace.insns_executed += t2.insns_executed;

@@ -638,11 +638,18 @@ impl std::fmt::Debug for CurveSpec {
 pub struct CurveTiming {
     /// The curve's label (matches its [`SweepReport`]).
     pub label: String,
-    /// Wall-clock per rung, milliseconds, in ladder order.
+    /// Wall-clock per rung (build plus simulate), milliseconds, in ladder
+    /// order.
     pub rung_wall_ms: Vec<f64>,
-    /// Total wall-clock spent simulating this curve (sum over rungs —
-    /// CPU-time-shaped, independent of how rungs interleaved across
-    /// workers), milliseconds.
+    /// Wall-clock spent building this curve's engines and request streams
+    /// (the [`CurveSpec::make`] calls, summed over rungs), milliseconds.
+    pub build_ms: f64,
+    /// Wall-clock spent running the built engines open loop (summed over
+    /// rungs), milliseconds.
+    pub simulate_ms: f64,
+    /// Total wall-clock for this curve, `build_ms + simulate_ms` (sum over
+    /// rungs — CPU-time-shaped, independent of how rungs interleaved
+    /// across workers), milliseconds.
     pub wall_ms: f64,
     /// Requests the simulator retired across the curve's rungs
     /// (completed + faulted): the work metric behind simulated-ops/sec.
@@ -724,7 +731,8 @@ pub fn sweep_par_with(
         .enumerate()
         .flat_map(|(c, s)| (0..s.loads_kops.len()).map(move |r| (c, r)))
         .collect();
-    type Slot = Mutex<Option<Result<(SweepPoint, f64), pulse::Error>>>;
+    // A finished rung: its point, build ms and simulate ms.
+    type Slot = Mutex<Option<Result<(SweepPoint, f64, f64), pulse::Error>>>;
     let slots: Vec<Vec<Slot>> = specs
         .iter()
         .map(|s| (0..s.loads_kops.len()).map(|_| Mutex::new(None)).collect())
@@ -738,26 +746,28 @@ pub fn sweep_par_with(
     let next = AtomicUsize::new(0);
 
     let curve_timing = |c: usize| -> CurveTiming {
-        let rung_wall_ms: Vec<f64> = slots[c]
-            .iter()
-            .map(|slot| match slot.lock().expect("slot").as_ref() {
-                Some(Ok((_, ms))) => *ms,
-                _ => 0.0,
-            })
-            .collect();
-        let sim_ops: u64 = slots[c]
-            .iter()
-            .map(|slot| match slot.lock().expect("slot").as_ref() {
-                Some(Ok((p, _))) => p.completed + p.faulted,
-                _ => 0,
-            })
-            .sum();
-        CurveTiming {
+        let mut t = CurveTiming {
             label: specs[c].label.clone(),
-            wall_ms: rung_wall_ms.iter().sum(),
-            rung_wall_ms,
-            sim_ops,
+            rung_wall_ms: Vec::with_capacity(slots[c].len()),
+            build_ms: 0.0,
+            simulate_ms: 0.0,
+            wall_ms: 0.0,
+            sim_ops: 0,
+        };
+        for slot in &slots[c] {
+            let (build, simulate) = match slot.lock().expect("slot").as_ref() {
+                Some(Ok((p, build, simulate))) => {
+                    t.sim_ops += p.completed + p.faulted;
+                    (*build, *simulate)
+                }
+                _ => (0.0, 0.0),
+            };
+            t.rung_wall_ms.push(build + simulate);
+            t.build_ms += build;
+            t.simulate_ms += simulate;
         }
+        t.wall_ms = t.build_ms + t.simulate_ms;
+        t
     };
 
     std::thread::scope(|scope| {
@@ -766,15 +776,19 @@ pub fn sweep_par_with(
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&(c, r)) = items.get(i) else { break };
                 let spec = &specs[c];
-                let rung_t0 = Instant::now();
+                let build_t0 = Instant::now();
                 let (mut engine, requests) = (spec.make)();
+                let simulate_t0 = Instant::now();
                 let arrivals = pulse::ArrivalProcess::poisson(spec.loads_kops[r] * 1e3, spec.seed);
                 let result = engine
                     .execute_open_loop(&requests, arrivals)
                     .map(|rep| SweepPoint::from_open_loop(&rep));
                 drop(engine);
-                let wall_ms = rung_t0.elapsed().as_secs_f64() * 1e3;
-                *slots[c][r].lock().expect("slot") = Some(result.map(|p| (p, wall_ms)));
+                let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
+                let (build_ms, simulate_ms) =
+                    (ms(build_t0, simulate_t0), ms(simulate_t0, Instant::now()));
+                *slots[c][r].lock().expect("slot") =
+                    Some(result.map(|p| (p, build_ms, simulate_ms)));
                 if remaining[c].fetch_sub(1, Ordering::AcqRel) == 1 {
                     on_curve(&curve_timing(c));
                 }
@@ -817,7 +831,8 @@ pub fn sweep_par_with(
 
 /// Serializes a parallel sweep's perf measurements as the
 /// `BENCH_simspeed.json` document: simulator throughput (simulated-ops/sec
-/// per curve), wall-clock per rung, and the sweep's total wall-clock, so
+/// per curve), each curve's wall-clock split into build and simulate
+/// phases, wall-clock per rung, and the sweep's total wall-clock, so
 /// raw simulator speed is a tracked trajectory alongside `BENCH_sweep.json`.
 /// Wall-clock numbers are machine-dependent by nature; the *schema* is
 /// what CI pins.
@@ -840,11 +855,13 @@ pub fn simspeed_json(report: &ParSweepReport) -> String {
                 .collect();
             format!(
                 "{{\"label\":\"{}\",\"sim_ops\":{},\"sim_ops_per_sec\":{:.1},\
-                 \"wall_ms\":{:.3},\"rungs\":[{}]}}",
+                 \"wall_ms\":{:.3},\"build_ms\":{:.3},\"simulate_ms\":{:.3},\"rungs\":[{}]}}",
                 json_escape(&t.label),
                 t.sim_ops,
                 t.sim_ops_per_sec(),
                 t.wall_ms,
+                t.build_ms,
+                t.simulate_ms,
                 rungs.join(",")
             )
         })

@@ -10,9 +10,10 @@
 //! fallback all charge their own costs around the same functional core, so
 //! the semantics of a traversal are identical on every execution engine.
 
+use crate::decoded::{Dst, Op, Src};
 use crate::membus::{MemBus, MemFault};
-use crate::ops::{AluOp, Operand, Place, NUM_REGS};
-use crate::program::{Instruction, Program};
+use crate::ops::{AluOp, Width, NUM_REGS};
+use crate::program::Program;
 use std::fmt;
 
 /// A runtime execution fault.
@@ -203,7 +204,12 @@ impl Interpreter {
         self.window_buf.resize(window.len as usize, 0);
         bus.read(base, &mut self.window_buf)?;
 
-        let mut regs = [0u64; NUM_REGS as usize];
+        let mut f = Frame {
+            regs: [0; NUM_REGS as usize],
+            cur_ptr: state.cur_ptr,
+            sp: &mut state.scratch,
+            node: &self.window_buf,
+        };
         let mut pc: u32 = 0;
         let mut executed: u32 = 0;
         let mut extra_loads: u32 = 0;
@@ -211,15 +217,13 @@ impl Interpreter {
         let mut store_bytes: u32 = 0;
         let mut spec_next: Option<u64> = None;
         let mut spec_inhibit = false;
-        let insns = program.insns();
+        let ops = program.ops();
 
-        loop {
-            let insn = insns[pc as usize];
+        let outcome = loop {
             executed += 1;
-            match insn {
-                Instruction::Alu { op, dst, a, b } => {
-                    let av = self.read_operand(a, &regs, state);
-                    let bv = self.read_operand(b, &regs, state);
+            match ops[pc as usize] {
+                Op::Alu { op, dst, a, b } => {
+                    let (av, bv) = (f.get(a), f.get(b));
                     let v = match op {
                         AluOp::Add => av.wrapping_add(bv),
                         AluOp::Sub => av.wrapping_sub(bv),
@@ -233,44 +237,38 @@ impl Interpreter {
                         AluOp::And => av & bv,
                         AluOp::Or => av | bv,
                     };
-                    self.write_place(dst, v, &mut regs, state);
+                    f.put(dst, v);
                 }
-                Instruction::Not { dst, a } => {
-                    let av = self.read_operand(a, &regs, state);
-                    self.write_place(dst, !av, &mut regs, state);
+                Op::Not { dst, a } => {
+                    let v = !f.get(a);
+                    f.put(dst, v);
                 }
-                Instruction::Move { dst, src } => {
-                    let v = self.read_operand(src, &regs, state);
-                    self.write_place(dst, v, &mut regs, state);
+                Op::Move { dst, src } => {
+                    let v = f.get(src);
+                    f.put(dst, v);
                 }
-                Instruction::Load {
+                Op::Load {
                     dst,
                     base,
                     off,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let v = bus.read_word(addr, width.bytes())?;
-                    self.write_place(dst, v, &mut regs, state);
+                    let v = bus.read_word(f.get(base).wrapping_add(off), width.bytes())?;
+                    f.put(dst, v);
                     extra_loads += 1;
                 }
-                Instruction::Store {
+                Op::Store {
                     base,
                     off,
                     src,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let v = self.read_operand(src, &regs, state);
-                    bus.write_word(addr, v, width.bytes())?;
+                    let addr = f.get(base).wrapping_add(off);
+                    bus.write_word(addr, f.get(src), width.bytes())?;
                     stores += 1;
                     store_bytes += width.bytes();
                 }
-                Instruction::Cas {
+                Op::Cas {
                     dst,
                     base,
                     off,
@@ -278,71 +276,49 @@ impl Interpreter {
                     src,
                     width,
                 } => {
-                    let addr = self
-                        .read_operand(base, &regs, state)
-                        .wrapping_add(off as i64 as u64);
-                    let expect = self.read_operand(expect, &regs, state);
-                    let new = self.read_operand(src, &regs, state);
-                    let old = bus.cas_word(addr, expect, new, width.bytes())?;
-                    self.write_place(dst, old, &mut regs, state);
+                    let addr = f.get(base).wrapping_add(off);
+                    let old = bus.cas_word(addr, f.get(expect), f.get(src), width.bytes())?;
+                    f.put(dst, old);
                     // One read trip plus one (conditional) write trip on the
                     // memory pipeline; charged like a load + a store.
                     extra_loads += 1;
                     stores += 1;
                     store_bytes += width.bytes();
                 }
-                Instruction::SpecHint { ptr } => {
-                    spec_next = Some(self.read_operand(ptr, &regs, state));
-                }
-                Instruction::NoSpec => {
-                    spec_inhibit = true;
-                }
-                Instruction::CmpJump { cond, a, b, target } => {
-                    let av = self.read_operand(a, &regs, state);
-                    let bv = self.read_operand(b, &regs, state);
-                    if cond.eval(av, bv) {
+                Op::SpecHint { ptr } => spec_next = Some(f.get(ptr)),
+                Op::NoSpec => spec_inhibit = true,
+                Op::CmpJump { cond, a, b, target } => {
+                    if cond.eval(f.get(a), f.get(b)) {
                         pc = target;
                         continue;
                     }
                 }
-                Instruction::Jump { target } => {
+                Op::Jump { target } => {
                     pc = target;
                     continue;
                 }
-                Instruction::NextIter { next } => {
-                    state.cur_ptr = self.read_operand(next, &regs, state);
-                    state.iters_done += 1;
-                    return Ok(IterTrace {
-                        insns_executed: executed,
-                        extra_loads,
-                        stores,
-                        store_bytes,
-                        window_bytes: window.len,
-                        outcome: IterOutcome::Continue,
-                        spec_next,
-                        spec_inhibit,
-                    });
+                Op::NextIter { next } => {
+                    state.cur_ptr = f.get(next);
+                    break IterOutcome::Continue;
                 }
-                Instruction::Return { code } => {
-                    let code = self.read_operand(code, &regs, state);
-                    state.iters_done += 1;
-                    return Ok(IterTrace {
-                        insns_executed: executed,
-                        extra_loads,
-                        stores,
-                        store_bytes,
-                        window_bytes: window.len,
-                        outcome: IterOutcome::Done { code },
-                        spec_next,
-                        spec_inhibit,
-                    });
-                }
+                Op::Return { code } => break IterOutcome::Done { code: f.get(code) },
             }
             pc += 1;
             // Validation guarantees the last instruction is terminal, so pc
             // can never run past the end.
-            debug_assert!((pc as usize) < insns.len());
-        }
+            debug_assert!((pc as usize) < ops.len());
+        };
+        state.iters_done += 1;
+        Ok(IterTrace {
+            insns_executed: executed,
+            extra_loads,
+            stores,
+            store_bytes,
+            window_bytes: window.len,
+            outcome,
+            spec_next,
+            spec_inhibit,
+        })
     }
 
     /// Runs iterations until `RETURN`, a fault, or `max_iters` total
@@ -380,37 +356,71 @@ impl Interpreter {
         }
         Ok(run)
     }
+}
 
-    fn read_operand(&self, op: Operand, regs: &[u64], state: &IterState) -> u64 {
-        match op {
-            Operand::Imm(v) => v as u64,
-            Operand::Reg(r) => regs[r.index() as usize],
-            Operand::CurPtr => state.cur_ptr,
-            Operand::Sp { off, width } => {
-                read_le(&state.scratch, off as usize, width.bytes() as usize)
-            }
-            Operand::Node { off, width } => {
-                read_le(&self.window_buf, off as usize, width.bytes() as usize)
-            }
+/// The logic pipeline's view of one iteration: registers, `cur_ptr` as of
+/// the window fetch, the scratchpad and the fetched node window.
+struct Frame<'a> {
+    regs: [u64; NUM_REGS as usize],
+    cur_ptr: u64,
+    sp: &'a mut [u8],
+    node: &'a [u8],
+}
+
+impl Frame<'_> {
+    #[inline(always)]
+    fn get(&self, src: Src) -> u64 {
+        match src {
+            Src::Imm(v) => v,
+            Src::Reg(r) => self.regs[r as usize],
+            Src::CurPtr => self.cur_ptr,
+            Src::Sp8(off) => u64::from_le_bytes(field(self.sp, off)),
+            Src::Node8(off) => u64::from_le_bytes(field(self.node, off)),
+            Src::Sp(off, width) => read_narrow(self.sp, off, width),
+            Src::Node(off, width) => read_narrow(self.node, off, width),
         }
     }
 
-    fn write_place(&self, place: Place, v: u64, regs: &mut [u64], state: &mut IterState) {
-        match place {
-            Place::Reg(r) => regs[r.index() as usize] = v,
-            Place::Sp { off, width } => {
-                let bytes = v.to_le_bytes();
-                let n = width.bytes() as usize;
-                state.scratch[off as usize..off as usize + n].copy_from_slice(&bytes[..n]);
-            }
+    #[inline(always)]
+    fn put(&mut self, dst: Dst, v: u64) {
+        match dst {
+            Dst::Reg(r) => self.regs[r as usize] = v,
+            Dst::Sp8(off) => *field_mut(self.sp, off) = v.to_le_bytes(),
+            Dst::Sp(off, width) => match width {
+                Width::B1 => self.sp[off as usize] = v as u8,
+                Width::B2 => *field_mut(self.sp, off) = (v as u16).to_le_bytes(),
+                Width::B4 => *field_mut(self.sp, off) = (v as u32).to_le_bytes(),
+                Width::B8 => *field_mut(self.sp, off) = v.to_le_bytes(),
+            },
         }
     }
 }
 
-fn read_le(buf: &[u8], off: usize, n: usize) -> u64 {
-    let mut bytes = [0u8; 8];
-    bytes[..n].copy_from_slice(&buf[off..off + n]);
-    u64::from_le_bytes(bytes)
+/// The `N` bytes at `off`, as a fixed-size array: a bounds check and a
+/// plain load, where a copy of run-time length would call `memcpy`.
+#[inline(always)]
+fn field<const N: usize>(buf: &[u8], off: u16) -> [u8; N] {
+    let off = off as usize;
+    buf[off..off + N].try_into().expect("slice of length N")
+}
+
+#[inline(always)]
+fn field_mut<const N: usize>(buf: &mut [u8], off: u16) -> &mut [u8; N] {
+    let off = off as usize;
+    (&mut buf[off..off + N])
+        .try_into()
+        .expect("slice of length N")
+}
+
+/// A zero-extended little-endian read of `width` bytes at `off`.
+#[inline(always)]
+fn read_narrow(buf: &[u8], off: u16, width: Width) -> u64 {
+    match width {
+        Width::B1 => buf[off as usize] as u64,
+        Width::B2 => u16::from_le_bytes(field(buf, off)) as u64,
+        Width::B4 => u32::from_le_bytes(field(buf, off)) as u64,
+        Width::B8 => u64::from_le_bytes(field(buf, off)),
+    }
 }
 
 #[cfg(test)]
@@ -418,7 +428,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::membus::VecMem;
-    use crate::ops::{Cond, Operand, Place, Reg, Width};
+    use crate::ops::{Cond, Operand, Place, Reg};
 
     /// Builds a linked list of (key, value, next) nodes in a VecMem and
     /// returns (memory, head address).

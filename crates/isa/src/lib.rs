@@ -61,6 +61,7 @@
 
 mod builder;
 mod cost;
+mod decoded;
 mod encode;
 mod interp;
 mod membus;

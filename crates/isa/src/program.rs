@@ -1,6 +1,7 @@
 //! PULSE programs: the instruction enum, program container, and the static
 //! validator that enforces the paper's bounded-computation rules (§3, §4.1).
 
+use crate::decoded::{decode, Op};
 use crate::ops::{AluOp, Cond, Operand, Place, Width};
 use std::fmt;
 
@@ -316,6 +317,8 @@ pub struct Program {
     // Cached wire-encoding size; a pure function of the fields above,
     // computed once at validation so packet sizing never re-encodes.
     wire_len: usize,
+    // The interpreter's op form of `insns`, decoded once after validation.
+    ops: Box<[Op]>,
 }
 
 impl Program {
@@ -339,9 +342,11 @@ impl Program {
             insns,
             scratch_len,
             wire_len: 0,
+            ops: Box::default(),
         };
         prog.validate()?;
         prog.wire_len = crate::encode::wire_len_of(&prog.insns);
+        prog.ops = decode(&prog.insns);
         Ok(prog)
     }
 
@@ -481,6 +486,11 @@ impl Program {
     /// Declared scratchpad length in bytes.
     pub fn scratch_len(&self) -> u16 {
         self.scratch_len
+    }
+
+    /// The decoded ops [`crate::Interpreter`] executes, one per instruction.
+    pub(crate) fn ops(&self) -> &[Op] {
+        &self.ops
     }
 
     /// The size in bytes of this program's wire encoding

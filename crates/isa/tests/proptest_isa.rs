@@ -6,107 +6,16 @@
 //! the `proptest` crate these run the same properties over many
 //! deterministic SplitMix64-generated cases.
 
+mod common;
+
+use common::{body_insn, cond, operand, SCRATCH, WINDOW};
 use pulse_isa::{
-    decode_program, encode_program, AluOp, Cond, Instruction, Interpreter, IterState, NodeWindow,
-    Operand, Place, Program, Reg, VecMem, Width,
+    decode_program, encode_program, Cond, Instruction, Interpreter, IterState, NodeWindow, Operand,
+    Program, VecMem,
 };
 use pulse_sim::SplitMix64;
 
-const WINDOW: u32 = 64;
-const SCRATCH: u16 = 64;
 const CASES: usize = 256;
-
-fn width(rng: &mut SplitMix64) -> Width {
-    [Width::B1, Width::B2, Width::B4, Width::B8][rng.next_below(4) as usize]
-}
-
-fn operand(rng: &mut SplitMix64) -> Operand {
-    match rng.next_below(5) {
-        0 => Operand::Imm(rng.next_u64() as i64),
-        1 => Operand::Reg(Reg::new(rng.next_below(16) as u8)),
-        2 => Operand::CurPtr,
-        3 => {
-            let w = width(rng);
-            let off = rng.next_below(SCRATCH as u64) as u32;
-            Operand::Sp {
-                off: off.min(SCRATCH as u32 - w.bytes()) as u16,
-                width: w,
-            }
-        }
-        _ => {
-            let w = width(rng);
-            let off = rng.next_below(WINDOW as u64) as u32;
-            Operand::Node {
-                off: off.min(WINDOW - w.bytes()) as u16,
-                width: w,
-            }
-        }
-    }
-}
-
-fn place(rng: &mut SplitMix64) -> Place {
-    if rng.chance(0.5) {
-        Place::Reg(Reg::new(rng.next_below(16) as u8))
-    } else {
-        let w = width(rng);
-        let off = rng.next_below(SCRATCH as u64) as u32;
-        Place::Sp {
-            off: off.min(SCRATCH as u32 - w.bytes()) as u16,
-            width: w,
-        }
-    }
-}
-
-fn alu(rng: &mut SplitMix64) -> AluOp {
-    [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Mul,
-        AluOp::Div,
-        AluOp::And,
-        AluOp::Or,
-    ][rng.next_below(6) as usize]
-}
-
-fn cond(rng: &mut SplitMix64) -> Cond {
-    [
-        Cond::Eq,
-        Cond::Ne,
-        Cond::LtU,
-        Cond::LeU,
-        Cond::GtU,
-        Cond::GeU,
-        Cond::LtS,
-        Cond::LeS,
-        Cond::GtS,
-        Cond::GeS,
-    ][rng.next_below(10) as usize]
-}
-
-/// A non-terminal, non-jump instruction. Loads/stores are confined to the
-/// window so that execution can't fault (fault-freedom lets the interpreter
-/// properties focus on termination and state size). Includes the ISA-v2
-/// speculation ops so the encode/decode and length properties cover them.
-fn body_insn(rng: &mut SplitMix64) -> Instruction {
-    match rng.next_below(5) {
-        0 => Instruction::Alu {
-            op: alu(rng),
-            dst: place(rng),
-            a: operand(rng),
-            b: operand(rng),
-        },
-        1 => Instruction::Not {
-            dst: place(rng),
-            a: operand(rng),
-        },
-        2 => Instruction::SpecHint { ptr: operand(rng) },
-        3 => Instruction::NoSpec,
-        _ => Instruction::Move {
-            dst: place(rng),
-            src: operand(rng),
-        },
-    }
-}
 
 /// Generates a valid program: body instructions with forward jumps patched
 /// in, ending in Return. Retries until the validator accepts (a handful of

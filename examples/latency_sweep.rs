@@ -86,7 +86,8 @@
 //!
 //! The run writes the seventeen default curves to `BENCH_sweep.json`, the
 //! two ISA-v2 curves to `BENCH_spec_sweep.json`, and the simulator's own
-//! speed (sim-ops/sec per curve, wall-clock per rung) to
+//! speed (sim-ops/sec per curve, its build and simulate wall-clock, and
+//! wall-clock per rung) to
 //! `BENCH_simspeed.json`; CI greps all three files and checks the
 //! cache-hit-rate, link-utilization, and ISA-v2 invariants.
 //!
@@ -339,9 +340,11 @@ fn main() -> Result<(), pulse::Error> {
 
     let par = sweep_par_with(&specs, workers, |timing| {
         println!(
-            "  [done] {:<20} {:>9.0} ms  ({:.2e} sim-ops/s)",
+            "  [done] {:<20} {:>9.0} ms  ({:.0} build + {:.0} simulate; {:.2e} sim-ops/s)",
             timing.label,
             timing.wall_ms,
+            timing.build_ms,
+            timing.simulate_ms,
             timing.sim_ops_per_sec()
         );
     })?;

@@ -78,6 +78,8 @@ fn parallel_sweep_reports_timings_per_rung() {
         assert_eq!(timing.rung_wall_ms.len(), LOADS.len());
         assert!(timing.sim_ops > 0, "{spec_label}: no simulated ops counted");
         assert!(timing.wall_ms > 0.0);
+        assert!(timing.build_ms > 0.0 && timing.simulate_ms > 0.0);
+        assert_eq!(timing.wall_ms, timing.build_ms + timing.simulate_ms);
         assert!(timing.sim_ops_per_sec() > 0.0);
     }
     assert!(par.total_wall_ms > 0.0);
