@@ -14,15 +14,25 @@ change that moved the simulator's speed:
    "trace_seconds": 5,             # --seconds of the --trace 1 run
    "sim_ops_per_s": {"<workload>": <median over the runs>, ...},
    "core": {"<workload>": {"events_per_req": ..., "ns_per_event": ...}, ...},
-   "isa": {"<workload>": {"ns_per_iter": ...}, ...}}   # optional
+   "isa": {"<workload>": {"ns_per_iter": ...}, ...},   # optional
+   "frontend": {"<workload>": {"cache_probe_ns": ...}, ...},   # optional
+   "physics": "..."}               # optional: the change that moved the
+                                   # simulated rack's behaviour
 
-`sim_ops_per_s` comes from `--trace 0` runs; `core` and `isa` come from
-one `--trace 1` run. The check fails unless every line parses, carries
-the required fields, names every workload that BENCHMARK.json declares
-in both `sim_ops_per_s` and `core`, and every number is positive. The
-`isa` map (perfbench's `isa.ns_per_iter`) is optional, since lines
-written before it existed lack it; a line that carries one must name
-every workload too, each with a positive `ns_per_iter`.
+`sim_ops_per_s` comes from `--trace 0` runs; `core`, `isa` and
+`frontend` come from one `--trace 1` run. The check fails unless every
+line parses, carries the required fields, names every workload that
+BENCHMARK.json declares in both `sim_ops_per_s` and `core`, and every
+number is positive. The `isa` map (perfbench's `isa.ns_per_iter`) and
+the `frontend` map (`frontend.cache_probe_ns`) are optional, since lines
+written before them lack them; a line that carries one must name every
+workload too, each with a positive value.
+
+`core.events_per_req` is a simulated quantity: a change that only speeds
+up the simulator leaves it exactly as it was. So the check also fails
+when a line's `events_per_req` for any workload differs from that of the
+latest earlier line with the same `seed`, unless the later line carries
+a non-empty `physics` string naming the change that moved it.
 """
 
 import json
@@ -58,15 +68,37 @@ def check_line(n, line, workloads):
         assert isinstance(layer, dict), f"{where}: core[{w!r}] missing"
         for key in ("events_per_req", "ns_per_event"):
             assert positive(layer.get(key)), f"{where}: core[{w!r}].{key} missing or not positive"
-    if "isa" in rec:
-        isa = rec["isa"]
-        assert isinstance(isa, dict), f"{where}: 'isa' is not an object"
+    for layer_name, metric in (("isa", "ns_per_iter"), ("frontend", "cache_probe_ns")):
+        if layer_name not in rec:
+            continue
+        layers = rec[layer_name]
+        assert isinstance(layers, dict), f"{where}: '{layer_name}' is not an object"
         for w in workloads:
-            layer = isa.get(w)
-            assert isinstance(layer, dict), f"{where}: isa[{w!r}] missing"
+            layer = layers.get(w)
+            assert isinstance(layer, dict), f"{where}: {layer_name}[{w!r}] missing"
             assert positive(
-                layer.get("ns_per_iter")
-            ), f"{where}: isa[{w!r}].ns_per_iter missing or not positive"
+                layer.get(metric)
+            ), f"{where}: {layer_name}[{w!r}].{metric} missing or not positive"
+    if "physics" in rec:
+        assert (
+            isinstance(rec["physics"], str) and rec["physics"]
+        ), f"{where}: 'physics' must be a non-empty string"
+    return rec
+
+
+def check_sim_unchanged(n, rec, prev, prev_n, workloads):
+    """`rec` (line `n`) keeps `prev`'s (line `prev_n`) events per request
+    on every workload unless it names the physics change that moved them."""
+    if rec.get("physics"):
+        return
+    for w in workloads:
+        before = prev["core"][w]["events_per_req"]
+        after = rec["core"][w]["events_per_req"]
+        assert after == before, (
+            f"line {n}: core[{w!r}].events_per_req is {after}, line {prev_n} "
+            f"(same seed) has {before}; a change that moves the simulation "
+            f"must say so in 'physics'"
+        )
 
 
 def main(history_path, manifest_path):
@@ -74,8 +106,13 @@ def main(history_path, manifest_path):
     assert workloads, f"{manifest_path} declares no workloads"
     lines = [l for l in open(history_path).read().splitlines() if l.strip()]
     assert lines, f"{history_path} is empty"
+    latest_by_seed = {}
     for n, line in enumerate(lines, 1):
-        check_line(n, line, workloads)
+        rec = check_line(n, line, workloads)
+        if rec["seed"] in latest_by_seed:
+            prev_n, prev = latest_by_seed[rec["seed"]]
+            check_sim_unchanged(n, rec, prev, prev_n, workloads)
+        latest_by_seed[rec["seed"]] = (n, rec)
     print(f"{history_path}: {len(lines)} lines cover all {len(workloads)} workloads")
 
 

@@ -1208,7 +1208,7 @@ impl PulseCluster {
     /// Builds and transmits the current traversal stage (or object I/O) of
     /// request `id` from the CPU node. With a front-end cache, the stage
     /// first walks locally over cached, version-valid cells (at
-    /// `CacheConfig::hit_ns` per hop) and only the remainder — resumed from
+    /// [`CacheConfig::HIT_NS`] per hop) and only the remainder — resumed from
     /// the last cached pointer — goes on the wire; a stage that completes
     /// entirely in cache never leaves the node.
     fn send_stage(&mut self, drv: &mut Driver<Ev>, now: SimTime, id: RequestId) {

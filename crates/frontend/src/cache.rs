@@ -16,7 +16,7 @@
 //! rack memory's [`write epoch`](ClusterMemory::write_epoch). A hit is
 //! served **only** after re-validating that no granule under the line has
 //! been written since the snapshot ([`ClusterMemory::version_of`]); a
-//! stale line is evicted on probe and the hop goes remote. Because the
+//! stale line is aged out on probe and the hop goes remote. Because the
 //! seqlock write path (`pulse-mutation`'s locked updates) lands every
 //! `STORE`/`CAS` through the same versioned memory, an update to a bucket
 //! ages out all cached lines of that bucket — version-checked hits,
@@ -29,11 +29,25 @@
 //! Replay baselines (which pre-execute functionally) instead age lines
 //! explicitly via [`TraversalCache::invalidate_range`] when a request's
 //! write accesses are served.
+//!
+//! # Dead tags
+//!
+//! Aging a line out (a failed validation or an explicit invalidation)
+//! drops its bytes but not its LRU tag: the tag keeps its recency and
+//! still counts against capacity until it is evicted as the tail or the
+//! line is refilled. A stale line whose refill read fails stays resident
+//! (and keeps failing validation).
+//!
+//! # Layout
+//!
+//! The cache is one array of slots, each holding a line's tag, recency
+//! links, fill version and 64 bytes inline, threaded as the LRU list; one
+//! integer-hashed index maps a line to its slot. A hit inside one line is
+//! one index lookup.
 
-use crate::lru::LruSet;
 use pulse_isa::{MemBus, MemFault};
 use pulse_mem::ClusterMemory;
-use pulse_sim::SimTime;
+use pulse_sim::{IdHash, SimTime};
 use std::collections::HashMap;
 
 /// Configuration of the CPU-node traversal-cell cache.
@@ -77,15 +91,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug)]
-struct CacheLine {
-    /// Byte snapshot taken at fill time.
-    data: Vec<u8>,
-    /// [`ClusterMemory::write_epoch`] at fill time; the line is coherent
-    /// while `version_of(line range) <= version`.
-    version: u64,
-}
-
 /// Hit/miss/fill counters of one [`TraversalCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -93,8 +98,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Walks (or trace probes) that had to go remote.
     pub misses: u64,
-    /// Lines evicted because their version check failed (or an explicit
-    /// write-invalidation aged them out).
+    /// Lines aged out by a failed version check or an explicit
+    /// write-invalidation.
     pub invalidations: u64,
     /// Lines written into the cache.
     pub fills: u64,
@@ -112,12 +117,46 @@ impl CacheStats {
     }
 }
 
+/// Line size as a slice length.
+const LINE: usize = CacheConfig::LINE_BYTES as usize;
+
+/// End-of-list marker for the slot links.
+const NIL: u32 = u32::MAX;
+
+/// One cache slot: an LRU tag threaded on the recency list and, while
+/// `live`, the coherent snapshot of the line it tags.
+#[derive(Debug)]
+struct Slot {
+    /// Line index (`addr / LINE_BYTES`).
+    key: u64,
+    /// [`ClusterMemory::write_epoch`] at fill time; the line is coherent
+    /// while `version_of(line range) <= version`.
+    version: u64,
+    /// Byte snapshot taken at fill time.
+    data: [u8; LINE],
+    /// Next more recent slot, or [`NIL`] at the head.
+    prev: u32,
+    /// Next less recent slot, or [`NIL`] at the tail.
+    next: u32,
+    /// Whether `data` may be served. A dead slot is a tag without a line:
+    /// aged out by a probe or an invalidation, awaiting refill or eviction.
+    live: bool,
+}
+
 /// A deterministic, coherent LRU over traversal cells (see the module docs
 /// for the coherence semantics).
 #[derive(Debug)]
 pub struct TraversalCache {
-    lru: LruSet,
-    lines: HashMap<u64, CacheLine>,
+    /// Every slot ever allocated, threaded from `head` (most recent) to
+    /// `tail` (least recent). Grows on demand up to `capacity`.
+    slots: Vec<Slot>,
+    /// Line index to slot, for live and dead tags alike.
+    index: HashMap<u64, u32, IdHash>,
+    head: u32,
+    tail: u32,
+    capacity: usize,
+    /// Slots holding a servable line.
+    live: usize,
     stats: CacheStats,
 }
 
@@ -125,8 +164,12 @@ impl TraversalCache {
     /// Creates a cache per `cfg`.
     pub fn new(cfg: CacheConfig) -> TraversalCache {
         TraversalCache {
-            lru: LruSet::new(cfg.lines()),
-            lines: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::default(),
+            head: NIL,
+            tail: NIL,
+            capacity: cfg.lines().min(NIL as usize),
+            live: 0,
             stats: CacheStats::default(),
         }
     }
@@ -151,36 +194,116 @@ impl TraversalCache {
         self.stats.misses += 1;
     }
 
-    fn line_range(&self, addr: u64, len: u64) -> std::ops::RangeInclusive<u64> {
+    /// First and last line index covering `[addr, addr+len)` (one line for
+    /// an empty range).
+    fn line_span(addr: u64, len: u64) -> (u64, u64) {
         let first = addr / CacheConfig::LINE_BYTES;
         let last = (addr + len.max(1) - 1) / CacheConfig::LINE_BYTES;
-        first..=last
+        (first, last)
+    }
+
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+        } else {
+            self.head = next;
+        }
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        } else {
+            self.tail = prev;
+        }
+    }
+
+    fn push_front(&mut self, i: u32) {
+        let head = self.head;
+        let slot = &mut self.slots[i as usize];
+        slot.prev = NIL;
+        slot.next = head;
+        if head != NIL {
+            self.slots[head as usize].prev = i;
+        } else {
+            self.tail = i;
+        }
+        self.head = i;
+    }
+
+    /// Marks slot `i` most recently used.
+    fn touch(&mut self, i: u32) {
+        if self.head != i {
+            self.unlink(i);
+            self.push_front(i);
+        }
+    }
+
+    /// Tags `key` (absent from the index) as most recent in a dead slot,
+    /// evicting the tail tag when the cache is full.
+    fn insert(&mut self, key: u64) -> u32 {
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                key,
+                version: 0,
+                data: [0; LINE],
+                prev: NIL,
+                next: NIL,
+                live: false,
+            });
+            (self.slots.len() - 1) as u32
+        } else {
+            let victim = self.tail;
+            self.unlink(victim);
+            let slot = &mut self.slots[victim as usize];
+            self.index.remove(&slot.key);
+            if slot.live {
+                self.live -= 1;
+            }
+            slot.key = key;
+            slot.live = false;
+            victim
+        };
+        self.index.insert(key, i);
+        self.push_front(i);
+        i
+    }
+
+    /// The slot serving line `key` if it is live and still coherent against
+    /// `mem`. A stale line is aged out here (counted as an invalidation);
+    /// its tag keeps its place in the recency order.
+    fn validate(&mut self, key: u64, mem: &ClusterMemory) -> Option<u32> {
+        let i = *self.index.get(&key)?;
+        let slot = &mut self.slots[i as usize];
+        if !slot.live {
+            return None;
+        }
+        if mem.version_of(key * CacheConfig::LINE_BYTES, CacheConfig::LINE_BYTES) > slot.version {
+            // The write path aged this line out.
+            slot.live = false;
+            self.live -= 1;
+            self.stats.invalidations += 1;
+            return None;
+        }
+        Some(i)
     }
 
     /// Whether every line covering `[addr, addr+len)` is resident *and*
-    /// version-valid against `mem`. Stale lines discovered here are
-    /// evicted (counted as invalidations). Touches recency on success; no
-    /// hit/miss accounting — callers decide what one probe means.
+    /// version-valid against `mem`. Stale lines discovered here are aged
+    /// out (counted as invalidations). Touches recency on success, only
+    /// after every line validated; no hit/miss accounting — callers decide
+    /// what one probe means.
     pub fn probe_range(&mut self, addr: u64, len: u64, mem: &ClusterMemory) -> bool {
-        let line_bytes = CacheConfig::LINE_BYTES;
-        // Two passes over the same cheap range (validate, then refresh
-        // recency) — no per-probe allocation on this hot path.
-        let keys = self.line_range(addr, len);
-        for k in keys.clone() {
-            match self.lines.get(&k) {
-                None => return false,
-                Some(line) => {
-                    if mem.version_of(k * line_bytes, line_bytes) > line.version {
-                        // The write path aged this line out.
-                        self.lines.remove(&k);
-                        self.stats.invalidations += 1;
-                        return false;
-                    }
-                }
-            }
+        let (first, last) = Self::line_span(addr, len);
+        if first == last {
+            return self.validate(first, mem).map(|i| self.touch(i)).is_some();
         }
-        for k in keys {
-            self.lru.insert_evicting(k); // refresh recency, never evicts
+        // Validate every line (stopping at the first absent or stale one)
+        // before refreshing any.
+        if !(first..=last).all(|key| self.validate(key, mem).is_some()) {
+            return false;
+        }
+        for key in first..=last {
+            let i = self.index[&key];
+            self.touch(i);
         }
         true
     }
@@ -189,20 +312,30 @@ impl TraversalCache {
     /// Returns `false` (leaving `buf` unspecified) when any covering line
     /// is absent or stale.
     pub fn try_read(&mut self, addr: u64, buf: &mut [u8], mem: &ClusterMemory) -> bool {
-        if !self.probe_range(addr, buf.len() as u64, mem) {
+        let (first, last) = Self::line_span(addr, buf.len() as u64);
+        if first == last {
+            // One index lookup validates, refreshes and copies.
+            let Some(i) = self.validate(first, mem) else {
+                return false;
+            };
+            self.touch(i);
+            let off = (addr - first * CacheConfig::LINE_BYTES) as usize;
+            buf.copy_from_slice(&self.slots[i as usize].data[off..off + buf.len()]);
+            return true;
+        }
+        if !(first..=last).all(|key| self.validate(key, mem).is_some()) {
             return false;
         }
-        let line_bytes = CacheConfig::LINE_BYTES;
-        let mut cursor = addr;
         let end = addr + buf.len() as u64;
-        while cursor < end {
-            let key = cursor / line_bytes;
-            let line_start = key * line_bytes;
+        let mut cursor = addr;
+        for key in first..=last {
+            let i = self.index[&key];
+            self.touch(i);
+            let line_start = key * CacheConfig::LINE_BYTES;
             let off = (cursor - line_start) as usize;
-            let n = ((line_start + line_bytes).min(end) - cursor) as usize;
-            let data = &self.lines[&key].data;
+            let n = ((line_start + CacheConfig::LINE_BYTES).min(end) - cursor) as usize;
             let dst = (cursor - addr) as usize;
-            buf[dst..dst + n].copy_from_slice(&data[off..off + n]);
+            buf[dst..dst + n].copy_from_slice(&self.slots[i as usize].data[off..off + n]);
             cursor += n as u64;
         }
         true
@@ -211,38 +344,48 @@ impl TraversalCache {
     /// Snapshots every line covering `[addr, addr+len)` from `mem` at the
     /// current write epoch, LRU-evicting as needed. Lines already resident
     /// and coherent are only recency-refreshed; lines whose backing bytes
-    /// cannot be read whole (extent edge, unmapped) are skipped. Returns
-    /// `(new_lines, new_bytes)` actually installed — the payload a remote
-    /// fill had to ship.
+    /// cannot be read whole (extent edge, unmapped) are skipped, so a stale
+    /// line whose refill fails stays resident. Returns `(new_lines,
+    /// new_bytes)` actually installed — the payload a remote fill had to
+    /// ship.
     pub fn fill_range(&mut self, addr: u64, len: u64, mem: &mut ClusterMemory) -> (u64, u64) {
         let line_bytes = CacheConfig::LINE_BYTES;
         let epoch = mem.write_epoch();
         let mut new_lines = 0u64;
         let mut new_bytes = 0u64;
-        for key in self.line_range(addr, len) {
+        let (first, last) = Self::line_span(addr, len);
+        for key in first..=last {
             let line_start = key * line_bytes;
-            if let Some(line) = self.lines.get(&key) {
-                if mem.version_of(line_start, line_bytes) <= line.version {
-                    self.lru.insert_evicting(key);
-                    continue;
+            let tagged = self.index.get(&key).copied();
+            if let Some(i) = tagged {
+                let slot = &self.slots[i as usize];
+                if slot.live {
+                    if mem.version_of(line_start, line_bytes) <= slot.version {
+                        self.touch(i);
+                        continue;
+                    }
+                    // Stale: refresh below.
+                    self.stats.invalidations += 1;
                 }
-                // Stale: refresh below.
-                self.stats.invalidations += 1;
             }
-            let mut data = vec![0u8; line_bytes as usize];
+            let mut data = [0u8; LINE];
             if mem.read(line_start, &mut data).is_err() {
                 continue;
             }
-            if let Some(victim) = self.lru.insert_evicting(key) {
-                self.lines.remove(&victim);
+            let i = match tagged {
+                Some(i) => {
+                    self.touch(i);
+                    i
+                }
+                None => self.insert(key),
+            };
+            let slot = &mut self.slots[i as usize];
+            if !slot.live {
+                slot.live = true;
+                self.live += 1;
             }
-            self.lines.insert(
-                key,
-                CacheLine {
-                    data,
-                    version: epoch,
-                },
-            );
+            slot.version = epoch;
+            slot.data = data;
             self.stats.fills += 1;
             new_lines += 1;
             new_bytes += line_bytes;
@@ -250,20 +393,26 @@ impl TraversalCache {
         (new_lines, new_bytes)
     }
 
-    /// Evicts every line intersecting `[addr, addr+len)` — the explicit
+    /// Ages out every line intersecting `[addr, addr+len)` — the explicit
     /// write-invalidation hook the replay baselines drive (the pulse rack
-    /// relies on version validation instead).
+    /// relies on version validation instead). The tags stay put.
     pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        for key in self.line_range(addr, len) {
-            if self.lines.remove(&key).is_some() {
-                self.stats.invalidations += 1;
+        let (first, last) = Self::line_span(addr, len);
+        for key in first..=last {
+            if let Some(&i) = self.index.get(&key) {
+                let slot = &mut self.slots[i as usize];
+                if slot.live {
+                    slot.live = false;
+                    self.live -= 1;
+                    self.stats.invalidations += 1;
+                }
             }
         }
     }
 
-    /// Resident line count.
+    /// Resident line count: live lines only, not the dead tags.
     pub fn resident_lines(&self) -> usize {
-        self.lines.len()
+        self.live
     }
 }
 

@@ -193,12 +193,21 @@ pub fn prefix_walk(
 ) -> WalkOutcome {
     let mut interp = Interpreter::new();
     let mut hops = 0u32;
+    // One speculative state per walk, re-synced from the committed state
+    // before every attempt after the first. Field by field: the derived
+    // `Clone` does not specialise `clone_from`, and `scratch.clone_from`
+    // reuses the buffer.
+    let mut attempt = state.clone();
     loop {
         if hops >= WALK_HOP_CAP {
             cache.note_miss();
             return WalkOutcome::Stopped { hops };
         }
-        let mut attempt = state.clone();
+        if hops > 0 {
+            attempt.cur_ptr = state.cur_ptr;
+            attempt.iters_done = state.iters_done;
+            attempt.scratch.clone_from(&state.scratch);
+        }
         let outcome = {
             let mut bus = CacheBus {
                 cache: &mut *cache,
@@ -208,7 +217,7 @@ pub fn prefix_walk(
         };
         match outcome {
             Ok(trace) => {
-                *state = attempt;
+                std::mem::swap(state, &mut attempt);
                 hops += 1;
                 cache.note_hit();
                 if let IterOutcome::Done { code } = trace.outcome {

@@ -1,7 +1,7 @@
 //! An O(1) LRU set over u64 keys (cache-line indices, page numbers, object
-//! ids), built on an intrusive doubly-linked slab. Backs the front-end's
-//! [`TraversalCache`](crate::TraversalCache) as well as the Fastswap page
-//! cache and the AIFM object cache in `pulse-baselines`.
+//! ids), built on an intrusive doubly-linked slab. Backs the Fastswap page
+//! cache and the AIFM object cache in `pulse-baselines` and the CXL cache
+//! model in `pulse-core`.
 
 use std::collections::HashMap;
 

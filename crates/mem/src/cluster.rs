@@ -3,6 +3,7 @@
 
 use crate::extent::{Extent, NodeId, Perms};
 use pulse_isa::{MemBus, MemFault};
+use pulse_sim::IdHash;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -73,8 +74,10 @@ pub struct ClusterMemory {
     /// clock CPU-node caches validate against.
     write_epoch: u64,
     /// Last-write epoch per [`VERSION_GRANULE_BYTES`]-aligned granule.
-    /// Granules never written are implicitly version 0.
-    granule_versions: HashMap<u64, u64>,
+    /// Granules never written are implicitly version 0. Every cache
+    /// validation and every write looks it up, hence the integer hasher;
+    /// nothing iterates it.
+    granule_versions: HashMap<u64, u64, IdHash>,
     /// Copies kept per extent. 1 (the default) reproduces the single-owner
     /// model bit-for-bit; `r` places each extent on its owner plus the
     /// `r - 1` nodes following it mod `node_count`.
@@ -101,7 +104,7 @@ impl ClusterMemory {
             extents: Vec::new(),
             node_count,
             write_epoch: 0,
-            granule_versions: HashMap::new(),
+            granule_versions: HashMap::default(),
             replication: 1,
             node_up: vec![true; node_count],
             promoted: HashMap::new(),

@@ -15,7 +15,8 @@
 //! * [`LatencyHistogram`] / [`RateCounter`] — measurement collection.
 //!
 //! [`Slab`] parks large event payloads behind `u32` handles, so the event
-//! types stay small.
+//! types stay small. [`IdHash`] hashes the integer keys the simulator
+//! generates (cache lines, version granules) with one multiply.
 //!
 //! Determinism is a design requirement: identical configurations produce
 //! byte-identical experiment reports, which is what makes the regenerated
@@ -44,6 +45,7 @@
 #![warn(missing_debug_implementations)]
 
 mod event;
+mod hash;
 mod resource;
 mod rng;
 mod slab;
@@ -51,6 +53,7 @@ mod stats;
 mod time;
 
 pub use event::{Driver, EventQueue};
+pub use hash::{IdHash, IdHasher};
 pub use resource::{CpuDispatch, DispatchConfig, Grant, PoolGrant, SerialResource, ServerPool};
 pub use rng::SplitMix64;
 pub use slab::Slab;
