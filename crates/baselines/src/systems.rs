@@ -126,11 +126,6 @@ impl BaselineReport {
     }
 }
 
-// The FIFO multi-server admission loops (closed_loop / open_loop / drive)
-// and the measured-rate helper used to live here, duplicated conceptually
-// per baseline; they are now part of the shared CPU-node front-end layer
-// (`pulse_frontend::replay`).
-
 // ------------------------------------------------------------- Cache-based
 
 /// Page size of the swap system.

@@ -26,7 +26,7 @@ use pulse_mem::{
 };
 use pulse_net::{
     CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Link, LinkConfig, Packet,
-    RequestId, Route, Switch, SwitchConfig, TopoNode, Topology, TopologySpec, FRAME_HEADER_BYTES,
+    RequestId, Route, Switch, SwitchConfig, TopoNode, TopologySpec, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES,
 };
 use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab};
@@ -329,9 +329,6 @@ pub struct PulseCluster {
     /// track (flat: CPU NICs then memory NICs; routed: directed links).
     /// Empty when tracing is off.
     sampled_bytes: Vec<u64>,
-    /// Routed mode with tracing: each endpoint's first-hop (host up-link)
-    /// directed-link id, for WireHop span attribution.
-    uplink: HashMap<Endpoint, usize>,
     // Measurements.
     hist: LatencyHistogram,
     /// Latency over completions finishing inside `fault_window`.
@@ -435,7 +432,6 @@ impl PulseCluster {
         // The trace sink names every link track up front so exported
         // timelines read as rack geometry, not bare indices. Flat racks
         // get one track per NIC; routed racks one per directed link.
-        let mut uplink = HashMap::new();
         let sink = cfg.trace.map(|tc| {
             let mut sink = TraceSink::new(tc);
             match &fabric {
@@ -445,9 +441,6 @@ impl PulseCluster {
                             Track::Link(i),
                             format!("{}->{}", topo_label(l.from), topo_label(l.to)),
                         );
-                        if let TopoNode::Host(ep) = l.from {
-                            uplink.insert(ep, i);
-                        }
                     }
                 }
                 None => {
@@ -522,7 +515,6 @@ impl PulseCluster {
             fault_window,
             sink,
             sampled_bytes,
-            uplink,
             hist: LatencyHistogram::new(),
             degraded_hist: LatencyHistogram::new(),
             completed: 0,
@@ -925,13 +917,11 @@ impl PulseCluster {
         while let Some(at) = sink.sample_tick(now) {
             match &self.fabric {
                 Some(fab) => {
-                    for (i, stat) in fab.link_stats().iter().enumerate() {
-                        let delta = stat.bytes - self.sampled_bytes[i];
-                        self.sampled_bytes[i] = stat.bytes;
-                        let bps = match stat.from {
-                            TopoNode::Host(_) => LinkConfig::default().bits_per_sec,
-                            TopoNode::Switch(_) => SwitchConfig::default().port_bits_per_sec,
-                        };
+                    for (i, sampled) in self.sampled_bytes.iter_mut().enumerate() {
+                        let bytes = fab.link_bytes(i);
+                        let delta = bytes - *sampled;
+                        *sampled = bytes;
+                        let bps = fab.link_bits_per_sec(i);
                         let util = (delta as f64 * 8.0 / (interval * bps as f64)).min(1.0);
                         let depth = fab.queue_depth_at(i, at) as u64;
                         sink.record_sample(Track::Link(i), at, util, depth);
@@ -1491,7 +1481,11 @@ impl PulseCluster {
         // span attributed to the message's first hop (the sender's
         // up-link) — the only link whose occupancy the sender holds.
         let id = pkt.id();
-        let up = self.uplink.get(&from).copied().unwrap_or_default();
+        let up = self
+            .fabric
+            .as_ref()
+            .and_then(|fab| fab.topology().uplink(from))
+            .expect("fabric covers every rack endpoint");
         match route {
             Route::To(ep) => {
                 let arrive = self.fabric_send(at, from, ep, wire);
@@ -1510,22 +1504,13 @@ impl PulseCluster {
         }
     }
 
-    /// Prices one message on the routed fabric. CPU-originated messages go
-    /// through the issuing front end ([`CpuFrontEnd::tx_routed`]) so the
-    /// shared issue path sees them; memory-node messages enter the fabric
-    /// directly.
+    /// Prices one message on the routed fabric, from any endpoint.
     fn fabric_send(&mut self, at: SimTime, from: Endpoint, to: Endpoint, bytes: u64) -> SimTime {
-        match from {
-            Endpoint::Cpu(c) => {
-                self.frontends[c].tx_routed(self.fabric.as_mut(), from, to, at, bytes)
-            }
-            Endpoint::Mem(_) => self
-                .fabric
-                .as_mut()
-                .expect("routed mode has a fabric")
-                .send(at, from, to, bytes)
-                .expect("fabric covers every rack endpoint"),
-        }
+        self.fabric
+            .as_mut()
+            .expect("routed mode has a fabric")
+            .send(at, from, to, bytes)
+            .expect("fabric covers every rack endpoint")
     }
 
     fn at_switch(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, from: Endpoint) {
@@ -2432,7 +2417,7 @@ mod tests {
         assert!(report.queue_depth >= 2, "depth {}", report.queue_depth);
         assert!(report.link_utilization > 0.0);
         let fabric = cluster.fabric().expect("routed mode has a fabric");
-        assert!(fabric.link_stats().iter().any(|s| s.bytes > 0));
+        assert!((0..fabric.topology().links().len()).any(|i| fabric.link_bytes(i) > 0));
     }
 
     #[test]

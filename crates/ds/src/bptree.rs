@@ -449,9 +449,9 @@ pub fn decode_located_leaf(state: &IterState) -> u64 {
 
 // ------------------------------------------------------- staged Traversals
 
-/// The WiredTiger keyed range scan as a [`Traversal`]: stage 1 descends to
-/// the covering leaf, stage 2 scans chained leaves counting entries
-/// `>= key` up to the configured `limit`. The scan limit is a *plan*
+/// The WiredTiger keyed range scan as a [`Traversal`](crate::Traversal):
+/// stage 1 descends to the covering leaf, stage 2 scans chained leaves
+/// counting entries `>= key` up to the configured `limit`. The scan limit is a *plan*
 /// parameter — `plan(key)` seeds it into the scan stage's scratchpad — so
 /// one compiled program pair serves every limit.
 #[derive(Debug)]
@@ -504,9 +504,9 @@ impl crate::traversal::Traversal for WiredTigerScan<'_> {
     }
 }
 
-/// The BTrDB windowed aggregation as a [`Traversal`]: stage 1 descends to
-/// the leaf covering `t0` (the lookup key), stage 2 accumulates
-/// sum/min/max/count over `[t0, t0 + window_ns)`. The window length is the
+/// The BTrDB windowed aggregation as a [`Traversal`](crate::Traversal):
+/// stage 1 descends to the leaf covering `t0` (the lookup key), stage 2
+/// accumulates sum/min/max/count over `[t0, t0 + window_ns)`. The window length is the
 /// parameterized part of the plan.
 #[derive(Debug)]
 pub struct BtrdbWindowScan<'a> {

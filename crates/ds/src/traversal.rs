@@ -61,10 +61,10 @@ impl StagePlan {
 }
 
 /// A data structure operation that offloads as staged PULSE iterators —
-/// point lookups, parameterized scans ([`WiredTigerScan`]
-/// (crate::WiredTigerScan), [`BtrdbWindowScan`](crate::BtrdbWindowScan)),
-/// and, through `pulse-mutation`'s programs, verified reads and in-place
-/// updates.
+/// point lookups, parameterized scans
+/// ([`WiredTigerScan`](crate::WiredTigerScan),
+/// [`BtrdbWindowScan`](crate::BtrdbWindowScan)), and, through
+/// `pulse-mutation`'s programs, verified reads and in-place updates.
 pub trait Traversal {
     /// Short name for reports and diagnostics.
     fn name(&self) -> &'static str;

@@ -11,7 +11,7 @@ use crate::cache::{CacheBus, CacheConfig, TraversalCache};
 use crate::coalesce::PrefixCoalescer;
 use pulse_isa::{Interpreter, IterOutcome, IterState, Program};
 use pulse_mem::ClusterMemory;
-use pulse_net::{Endpoint, Fabric, Link, LinkConfig};
+use pulse_net::{Link, LinkConfig};
 use pulse_sim::{CpuDispatch, DispatchConfig, Grant, SimTime};
 
 /// Guard against a cycle living entirely inside the cache: the local walk
@@ -99,32 +99,6 @@ impl CpuFrontEnd {
     /// Receives `bytes` on the node's link; returns delivery time.
     pub fn rx(&mut self, at: SimTime, bytes: u64) -> SimTime {
         self.link.rx(at, bytes)
-    }
-
-    /// Route-aware transmit: with a routed `fabric`, the message is priced
-    /// hop by hop from `src` (this node's endpoint) to `dst` on the
-    /// fabric's directed links; without one it is exactly [`Self::tx`] —
-    /// the flat single-switch path, bit-identical to before fabrics
-    /// existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fabric is given and either endpoint is not attached to
-    /// it (cluster construction wires every endpoint).
-    pub fn tx_routed(
-        &mut self,
-        fabric: Option<&mut Fabric>,
-        src: Endpoint,
-        dst: Endpoint,
-        at: SimTime,
-        bytes: u64,
-    ) -> SimTime {
-        match fabric {
-            Some(f) => f
-                .send(at, src, dst, bytes)
-                .expect("fabric covers every rack endpoint"),
-            None => self.tx(at, bytes),
-        }
     }
 
     /// The node's link (tx/rx byte counters).

@@ -10,7 +10,7 @@
 //!   optional cache;
 //! * [`CacheConfig`] / [`TraversalCache`] — a deterministic, coherent LRU
 //!   over traversal cells with version-validated hits (see the
-//!   [`cache`](crate::cache) module docs for the exact coherence
+//!   [`cache`] module docs for the exact coherence
 //!   semantics: every hit re-validates against the rack memory's write
 //!   epoch, so locked updates age out stale lines instead of serving
 //!   wrong values). Disabled by default — all engines then reproduce
@@ -22,7 +22,7 @@
 //! * [`PrefixCoalescer`] — ISA-v2 shared-prefix coalescing: queued
 //!   requests whose traversal plans are identical ride one offloaded
 //!   packet and fan back out when its response lands (see the
-//!   [`coalesce`](crate::coalesce) module docs for the exact matching and
+//!   [`coalesce`] module docs for the exact matching and
 //!   detachment semantics). Off by default;
 //! * [`replay`] — the FIFO multi-server closed-/open-loop admission
 //!   helpers the replay baselines price request streams through.

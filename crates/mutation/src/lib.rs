@@ -43,7 +43,7 @@
 //! ## Structural mutations
 //!
 //! Inserts cannot be offloaded — they need the allocator. They run
-//! host-side through [`pipeline`]: node/value slots come from an
+//! host-side through [`wt_host_insert`]: node/value slots come from an
 //! [`InsertArena`] pre-carved at build time (the switch's global table and
 //! each node's TCAM are snapshotted when the cluster is constructed, so
 //! post-build extents would be invisible to the traversal path), and the

@@ -1,20 +1,22 @@
 //! The routed fabric: finite-bandwidth directed links with hop-by-hop
 //! serialization, FIFO egress queues, and per-link accounting.
 //!
-//! [`Fabric`] marries a [`Topology`](crate::Topology) to per-directed-link
-//! [`SerialResource`] pipes. A message advances hop by hop with a time
-//! cursor: each egress port serializes the message after any traffic already
-//! queued there (stalling the *message* at that port), but the original
-//! sender is only occupied for its own first-hop serialization — multi-hop
-//! transit never blocks the sender, the lesson the hwgc-soft interconnect
-//! journey records. Receive/forward costs are derived from the message's
-//! byte count and the configured bandwidths; there are no flat per-message
-//! magic constants.
+//! [`Fabric`] marries a [`RackTopology`] to per-directed-link
+//! [`SerialResource`] pipes and owns every per-link fact the rack reports:
+//! rate, bytes carried and egress queue depth. A message walks its
+//! precomputed path ([`RackTopology::path`]) hop by hop with a time cursor:
+//! each egress port serializes the message after any traffic already queued
+//! there (stalling the *message* at that port), but the original sender is
+//! only occupied for its own first-hop serialization — multi-hop transit
+//! never blocks the sender, the lesson the hwgc-soft interconnect journey
+//! records. Receive/forward costs are derived from the message's byte count
+//! and the configured bandwidths; there are no flat per-message magic
+//! constants.
 
 use crate::link::LinkConfig;
 use crate::packet::Endpoint;
 use crate::switch::SwitchConfig;
-use crate::topology::{RackTopology, TopoNode, Topology};
+use crate::topology::{RackTopology, TopoNode};
 use pulse_sim::{SerialResource, SimTime};
 use std::collections::VecDeque;
 
@@ -30,20 +32,6 @@ pub struct FabricConfig {
     pub link: LinkConfig,
     /// Switch parameters for switch-egress hops.
     pub switch: SwitchConfig,
-}
-
-/// Observed state of one directed link, for reports and tests.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkStat {
-    /// Which cable direction this is.
-    pub from: TopoNode,
-    /// Receiving side of the cable direction.
-    pub to: TopoNode,
-    /// Total payload bytes serialized onto the link.
-    pub bytes: u64,
-    /// Deepest the link's egress FIFO ever got (messages queued or in
-    /// service at once).
-    pub max_queue_depth: usize,
 }
 
 /// A routed rack fabric: topology + per-directed-link occupancy state.
@@ -108,7 +96,7 @@ impl Fabric {
     ) -> Option<SimTime> {
         let path = self.topo.path(src, dst)?;
         let mut cursor = now;
-        for lid in path {
+        for &lid in path {
             if let TopoNode::Switch(_) = self.topo.links()[lid].from {
                 cursor += self.cfg.switch.pipeline_latency;
             }
@@ -166,19 +154,15 @@ impl Fabric {
             .sum()
     }
 
-    /// Per-directed-link observations, indexed by link id.
-    pub fn link_stats(&self) -> Vec<LinkStat> {
-        self.topo
-            .links()
-            .iter()
-            .enumerate()
-            .map(|(i, l)| LinkStat {
-                from: l.from,
-                to: l.to,
-                bytes: self.bytes[i],
-                max_queue_depth: self.max_depth[i],
-            })
-            .collect()
+    /// Total payload bytes serialized onto directed link `link`.
+    pub fn link_bytes(&self, link: usize) -> u64 {
+        self.bytes[link]
+    }
+
+    /// Serialization rate of directed link `link`: the NIC rate for a host
+    /// egress, the switch port rate for a switch egress.
+    pub fn link_bits_per_sec(&self, link: usize) -> u64 {
+        self.pipes[link].bits_per_sec()
     }
 }
 
@@ -286,6 +270,11 @@ mod tests {
         );
         assert!(fab.cpu_downlink_peak(*arrivals.last().unwrap()) > 0.0);
         assert_eq!(fab.host_injected_bytes(), 4 * 4096);
+        let down = fab.topology().uplink(Endpoint::Cpu(0)).unwrap() + 1;
+        assert_eq!(fab.link_bytes(down), 4 * 4096);
+        let cfg = FabricConfig::default();
+        assert_eq!(fab.link_bits_per_sec(down), cfg.switch.port_bits_per_sec);
+        assert_eq!(fab.link_bits_per_sec(down - 1), cfg.link.bits_per_sec);
     }
 
     #[test]

@@ -19,20 +19,24 @@
 //!   switch — the PR 1–5 rack), `Tor` (per-rack edge switches joined by a
 //!   core), `LeafSpine` (2-tier Clos with a spine chosen by a hash symmetric
 //!   in the endpoint pair), and `Ring` (edge switches on a cycle, shorter
-//!   arc wins). Every constructor guarantees the response path is the
-//!   request path reversed, hop for hop, and paths are loop-free.
+//!   arc wins). [`TopologySpec::build`] computes every endpoint pair's path
+//!   once; the response path is the request path reversed, hop for hop, and
+//!   paths are loop-free. Link ids put host cables first (CPUs, then memory
+//!   nodes, up-link before down-link), then switch cables.
 //! * **Stall rules** ([`Fabric::send`]): a message carries a time cursor hop
-//!   by hop. Each directed link is a finite-bandwidth serialization pipe
-//!   with a FIFO of in-flight messages; a busy egress stalls the *message*
-//!   (it queues behind earlier traffic on that hop), but only the first hop
-//!   occupies the sender — downstream congestion never blocks the origin,
-//!   so multi-hop transit is pipelined exactly like a cut-through fabric.
-//!   Switch-egress hops additionally pay the switch pipeline latency.
-//! * **Utilization metrics**: per-directed-link busy fractions and byte
-//!   counts ([`Fabric::link_stats`], [`Fabric::link_utilization`]), the peak
-//!   utilization over links into CPU hosts
-//!   ([`Fabric::cpu_downlink_peak`] — the downlink RPC-style bouncing
-//!   congests under incast), and the deepest any egress FIFO got
+//!   by hop along its precomputed path. Each directed link is a
+//!   finite-bandwidth serialization pipe with a FIFO of in-flight messages;
+//!   a busy egress stalls the *message* (it queues behind earlier traffic on
+//!   that hop), but only the first hop occupies the sender — downstream
+//!   congestion never blocks the origin, so multi-hop transit is pipelined
+//!   exactly like a cut-through fabric. Switch-egress hops additionally pay
+//!   the switch pipeline latency. Every hop is booked when the message is
+//!   sent.
+//! * **Utilization metrics**: per-directed-link busy fractions, byte counts
+//!   and rates ([`Fabric::link_utilization`], [`Fabric::link_bytes`],
+//!   [`Fabric::link_bits_per_sec`]), the peak utilization over links into
+//!   CPU hosts ([`Fabric::cpu_downlink_peak`] — the downlink RPC-style
+//!   bouncing congests under incast), and the deepest any egress FIFO got
 //!   ([`Fabric::max_queue_depth`]). All charges derive from message bytes
 //!   and configured bandwidths; there are no flat per-message constants.
 //!
@@ -66,12 +70,12 @@ mod switch;
 mod topology;
 mod wire;
 
-pub use fabric::{Fabric, FabricConfig, LinkStat};
+pub use fabric::{Fabric, FabricConfig};
 pub use link::{Link, LinkConfig};
 pub use packet::{
     CodeBlob, CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES,
 };
 pub use switch::{Route, Switch, SwitchConfig};
-pub use topology::{DirectedLink, RackTopology, TopoNode, Topology, TopologySpec};
+pub use topology::{DirectedLink, RackTopology, TopoNode, TopologySpec};
 pub use wire::{decode_packet, encode_packet, WireError};

@@ -1,19 +1,24 @@
 //! Rack topologies: which switches exist, which directed links connect them,
 //! and the hop path a message takes between two endpoints.
 //!
-//! A [`Topology`] is pure geometry — it knows nothing about bandwidth or
+//! A [`RackTopology`] is pure geometry — it knows nothing about bandwidth or
 //! occupancy (that is [`crate::Fabric`]'s job). Paths are sequences of
 //! **directed link ids**, so the forward and response directions of the same
 //! physical cable are distinct resources, exactly like the full-duplex
 //! [`crate::Link`] pipes of the flat model.
 //!
-//! Every constructor guarantees *reverse-path symmetry*: the path from `dst`
-//! back to `src` traverses the same switches in reverse order (over the
-//! opposite-direction links). The leaf–spine constructor picks the spine by a
-//! hash symmetric in `(src, dst)`, and the ring breaks equal-distance ties
-//! with a direction rule that is antisymmetric under endpoint swap, so the
-//! guarantee holds for every pair — the topology path tests assert it
-//! exhaustively.
+//! [`TopologySpec::build`] computes every ordered endpoint pair's path once,
+//! so [`RackTopology::path`] is a slice lookup. Link ids follow one order:
+//! host cables first (CPUs, then memory nodes; each host's up-link before its
+//! down-link), then switch cables in the wiring's order. Trace link tracks
+//! are named by these ids.
+//!
+//! Every path has *reverse-path symmetry*: the path from `dst` back to `src`
+//! traverses the same switches in reverse order (over the opposite-direction
+//! links). The leaf–spine wiring picks the spine by a hash symmetric in
+//! `(src, dst)`, and the ring breaks equal-distance ties with a direction
+//! rule that is antisymmetric under endpoint swap, so the guarantee holds
+//! for every pair — the topology path tests assert it exhaustively.
 
 use crate::packet::Endpoint;
 use std::collections::HashMap;
@@ -23,7 +28,7 @@ use std::collections::HashMap;
 pub enum TopoNode {
     /// A CPU or memory node attached to an edge switch.
     Host(Endpoint),
-    /// A switch, numbered `0..Topology::switches()`.
+    /// A switch, numbered `0..RackTopology::switches()`.
     Switch(usize),
 }
 
@@ -34,26 +39,6 @@ pub struct DirectedLink {
     pub from: TopoNode,
     /// The receiving side.
     pub to: TopoNode,
-}
-
-/// Geometry of a rack fabric: endpoint→port mapping and hop-path computation.
-pub trait Topology {
-    /// Human-readable topology kind (`"flat"`, `"tor"`, …).
-    fn kind(&self) -> &'static str;
-
-    /// Number of switches in the fabric.
-    fn switches(&self) -> usize;
-
-    /// Every directed link, indexed by link id.
-    fn links(&self) -> &[DirectedLink];
-
-    /// The edge switch `ep` is cabled to, if `ep` is part of this fabric.
-    fn port_of(&self, ep: Endpoint) -> Option<usize>;
-
-    /// Directed-link ids a message from `src` to `dst` traverses, in order.
-    ///
-    /// Returns `None` when either endpoint is not attached to the fabric.
-    fn path(&self, src: Endpoint, dst: Endpoint) -> Option<Vec<usize>>;
 }
 
 /// Shape of a fabric, without bandwidth parameters.
@@ -69,19 +54,24 @@ pub enum TopologySpec {
     /// and keep the legacy flat pricing path, bit-identical to before.
     #[default]
     Flat,
-    /// Top-of-rack switches joined by one core switch.
+    /// Top-of-rack switches joined by one core switch (the last switch id).
+    /// Same-rack traffic stays under the ToR; cross-rack traffic goes
+    /// ToR → core → ToR.
     Tor {
         /// Number of racks (edge switches). Must be ≥ 1.
         racks: usize,
     },
-    /// Leaf switches fully meshed to spine switches (2-tier Clos).
+    /// Leaf switches fully meshed to spine switches (2-tier Clos). The spine
+    /// for a cross-leaf pair is chosen by a hash symmetric in `(src, dst)`.
     LeafSpine {
         /// Number of leaf (edge) switches. Must be ≥ 1.
         leaves: usize,
         /// Number of spine switches. Must be ≥ 1.
         spines: usize,
     },
-    /// Edge switches cabled in a cycle; messages take the shorter arc.
+    /// Edge switches cabled in a cycle. Messages take the shorter arc;
+    /// equal-length ties go clockwise exactly when the source switch id is
+    /// smaller.
     Ring {
         /// Number of switches on the ring. Must be ≥ 1.
         switches: usize,
@@ -96,178 +86,129 @@ impl TopologySpec {
     }
 
     /// Expands the spec into a concrete topology over `cpus` CPU nodes and
-    /// `mems` memory nodes.
+    /// `mems` memory nodes, computing the path of every ordered endpoint
+    /// pair (`src == dst` included).
     ///
     /// # Panics
     ///
     /// Panics if a switch count parameter is zero.
     pub fn build(self, cpus: usize, mems: usize) -> RackTopology {
+        let (edges, switches) = match self {
+            TopologySpec::Flat => (1, 1),
+            TopologySpec::Tor { racks } => {
+                assert!(racks >= 1, "ToR topology needs at least one rack");
+                (racks, racks + 1)
+            }
+            TopologySpec::LeafSpine { leaves, spines } => {
+                assert!(leaves >= 1, "leaf-spine topology needs at least one leaf");
+                assert!(spines >= 1, "leaf-spine topology needs at least one spine");
+                (leaves, leaves + spines)
+            }
+            TopologySpec::Ring { switches } => {
+                assert!(switches >= 1, "ring topology needs at least one switch");
+                (switches, switches)
+            }
+        };
+        let edge_of = |ep: Endpoint| match ep {
+            Endpoint::Cpu(c) => c % edges,
+            Endpoint::Mem(n) => n % edges,
+        };
         let roster: Vec<Endpoint> = (0..cpus)
             .map(Endpoint::Cpu)
             .chain((0..mems).map(Endpoint::Mem))
             .collect();
-        match self {
-            TopologySpec::Flat => RackTopology::flat(&roster),
-            TopologySpec::Tor { racks } => RackTopology::tor(&roster, racks),
-            TopologySpec::LeafSpine { leaves, spines } => {
-                RackTopology::leaf_spine(&roster, leaves, spines)
-            }
-            TopologySpec::Ring { switches } => RackTopology::ring(&roster, switches),
-        }
-    }
-}
 
-/// Which switch-to-switch wiring a [`RackTopology`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Wiring {
-    /// Edge switches only (one switch when flat).
-    EdgeOnly,
-    /// Edge switches all cabled to one core switch (the last switch id).
-    Core,
-    /// `leaves` edge switches fully meshed to `spines` spine switches.
-    Clos { leaves: usize, spines: usize },
-    /// Edge switches cabled in a cycle.
-    Cycle(usize),
-}
-
-/// A concrete topology instance: endpoint→edge-switch map plus the directed
-/// link table, with hop paths computed per the wiring.
-#[derive(Debug, Clone)]
-pub struct RackTopology {
-    kind: &'static str,
-    wiring: Wiring,
-    switches: usize,
-    links: Vec<DirectedLink>,
-    link_ids: HashMap<(TopoNode, TopoNode), usize>,
-    ports: HashMap<Endpoint, usize>,
-}
-
-impl RackTopology {
-    /// One switch, every endpoint cabled to it — the PR 1–5 rack.
-    pub fn flat(endpoints: &[Endpoint]) -> RackTopology {
-        Self::with_edges(endpoints, 1, "flat", Wiring::EdgeOnly)
-    }
-
-    /// `racks` top-of-rack switches joined by a single core switch (the last
-    /// switch id). Same-rack traffic stays under the ToR; cross-rack traffic
-    /// goes ToR → core → ToR.
-    pub fn tor(endpoints: &[Endpoint], racks: usize) -> RackTopology {
-        assert!(racks >= 1, "ToR topology needs at least one rack");
-        let mut topo = Self::with_edges(endpoints, racks, "tor", Wiring::Core);
-        let core = racks;
-        topo.switches = racks + 1;
-        for r in 0..racks {
-            topo.add_duplex(TopoNode::Switch(r), TopoNode::Switch(core));
-        }
-        topo
-    }
-
-    /// `leaves` edge switches fully meshed to `spines` spine switches. The
-    /// spine for a cross-leaf pair is chosen by a hash symmetric in
-    /// `(src, dst)`, so response paths reverse request paths.
-    pub fn leaf_spine(endpoints: &[Endpoint], leaves: usize, spines: usize) -> RackTopology {
-        assert!(leaves >= 1, "leaf-spine topology needs at least one leaf");
-        assert!(spines >= 1, "leaf-spine topology needs at least one spine");
-        let mut topo = Self::with_edges(
-            endpoints,
-            leaves,
-            "leaf-spine",
-            Wiring::Clos { leaves, spines },
-        );
-        topo.switches = leaves + spines;
-        for l in 0..leaves {
-            for s in 0..spines {
-                topo.add_duplex(TopoNode::Switch(l), TopoNode::Switch(leaves + s));
-            }
-        }
-        topo
-    }
-
-    /// `switches` edge switches cabled in a cycle. Messages take the shorter
-    /// arc; equal-length ties go clockwise exactly when the source switch id
-    /// is smaller, which keeps reversal symmetric.
-    pub fn ring(endpoints: &[Endpoint], switches: usize) -> RackTopology {
-        assert!(switches >= 1, "ring topology needs at least one switch");
-        let mut topo = Self::with_edges(endpoints, switches, "ring", Wiring::Cycle(switches));
-        if switches > 1 {
-            for i in 0..switches {
-                topo.add_duplex(TopoNode::Switch(i), TopoNode::Switch((i + 1) % switches));
-            }
-        }
-        topo
-    }
-
-    fn with_edges(
-        endpoints: &[Endpoint],
-        edges: usize,
-        kind: &'static str,
-        wiring: Wiring,
-    ) -> RackTopology {
-        let mut topo = RackTopology {
-            kind,
-            wiring,
-            switches: edges,
-            links: Vec::new(),
-            link_ids: HashMap::new(),
-            ports: HashMap::new(),
+        let mut links = Vec::new();
+        let mut cable = |a: TopoNode, b: TopoNode| {
+            links.push(DirectedLink { from: a, to: b });
+            links.push(DirectedLink { from: b, to: a });
         };
-        for &ep in endpoints {
-            let edge = match ep {
-                Endpoint::Cpu(c) => c % edges,
-                Endpoint::Mem(n) => n % edges,
-            };
-            topo.ports.insert(ep, edge);
-            topo.add_duplex(TopoNode::Host(ep), TopoNode::Switch(edge));
+        for &ep in &roster {
+            cable(TopoNode::Host(ep), TopoNode::Switch(edge_of(ep)));
         }
-        topo
-    }
+        match self {
+            TopologySpec::Flat => {}
+            TopologySpec::Tor { racks } => {
+                for r in 0..racks {
+                    cable(TopoNode::Switch(r), TopoNode::Switch(racks));
+                }
+            }
+            TopologySpec::LeafSpine { leaves, spines } => {
+                for l in 0..leaves {
+                    for s in 0..spines {
+                        cable(TopoNode::Switch(l), TopoNode::Switch(leaves + s));
+                    }
+                }
+            }
+            TopologySpec::Ring { switches: n } => {
+                if n > 1 {
+                    for i in 0..n {
+                        cable(TopoNode::Switch(i), TopoNode::Switch((i + 1) % n));
+                    }
+                }
+            }
+        }
 
-    fn add_duplex(&mut self, a: TopoNode, b: TopoNode) {
-        for (from, to) in [(a, b), (b, a)] {
-            let id = self.links.len();
-            self.links.push(DirectedLink { from, to });
-            self.link_ids.insert((from, to), id);
+        // A cable laid twice (the two-switch ring) routes over its later ids.
+        let ids: HashMap<(TopoNode, TopoNode), usize> = links
+            .iter()
+            .enumerate()
+            .map(|(i, l)| ((l.from, l.to), i))
+            .collect();
+        let mut offsets = Vec::with_capacity(roster.len() * roster.len() + 1);
+        offsets.push(0);
+        let mut hops = Vec::new();
+        let mut walk = Vec::new();
+        for &src in &roster {
+            for &dst in &roster {
+                self.switch_walk(edge_of(src), edge_of(dst), src, dst, &mut walk);
+                let mut at = TopoNode::Host(src);
+                for to in walk
+                    .iter()
+                    .map(|&s| TopoNode::Switch(s))
+                    .chain([TopoNode::Host(dst)])
+                {
+                    hops.push(ids[&(at, to)]);
+                    at = to;
+                }
+                offsets.push(hops.len());
+            }
+        }
+        RackTopology {
+            switches,
+            cpus,
+            mems,
+            links,
+            offsets,
+            hops,
         }
     }
 
-    fn link(&self, from: TopoNode, to: TopoNode) -> usize {
-        *self
-            .link_ids
-            .get(&(from, to))
-            .expect("switch walk stays on cabled links")
-    }
-
-    /// A canonical index for an endpoint, used by the symmetric spine hash.
-    fn ep_key(ep: Endpoint) -> usize {
-        match ep {
-            Endpoint::Cpu(c) => 2 * c,
-            Endpoint::Mem(n) => 2 * n + 1,
-        }
-    }
-
-    /// The switch ids a message crosses between edge switches `a` and `b`
-    /// (inclusive of both), per the wiring.
-    fn switch_walk(&self, a: usize, b: usize, src: Endpoint, dst: Endpoint) -> Vec<usize> {
+    /// Writes into `walk` the switch ids a message from `src` to `dst`
+    /// crosses between their edge switches `a` and `b`, both included.
+    fn switch_walk(self, a: usize, b: usize, src: Endpoint, dst: Endpoint, walk: &mut Vec<usize>) {
+        walk.clear();
+        walk.push(a);
         if a == b {
-            return vec![a];
+            return;
         }
-        match self.wiring {
-            Wiring::EdgeOnly => vec![a], // single switch: a == b always
-            Wiring::Core => {
-                let core = self.switches - 1;
-                vec![a, core, b]
+        match self {
+            TopologySpec::Flat => unreachable!("a flat rack has one switch"),
+            TopologySpec::Tor { racks } => walk.extend([racks, b]),
+            TopologySpec::LeafSpine { leaves, spines } => {
+                // A canonical endpoint index, summed so the choice is
+                // symmetric in the pair.
+                let key = |ep: Endpoint| match ep {
+                    Endpoint::Cpu(c) => 2 * c,
+                    Endpoint::Mem(n) => 2 * n + 1,
+                };
+                walk.extend([leaves + (key(src) + key(dst)) % spines, b]);
             }
-            Wiring::Clos { leaves, spines } => {
-                let s = (Self::ep_key(src) + Self::ep_key(dst)) % spines;
-                vec![a, leaves + s, b]
-            }
-            Wiring::Cycle(n) => {
+            TopologySpec::Ring { switches: n } => {
                 let cw = (b + n - a) % n;
                 let ccw = n - cw;
                 let clockwise = cw < ccw || (cw == ccw && a < b);
-                let mut walk = Vec::with_capacity(cw.min(ccw) + 1);
                 let mut at = a;
-                walk.push(at);
                 while at != b {
                     at = if clockwise {
                         (at + 1) % n
@@ -276,40 +217,56 @@ impl RackTopology {
                     };
                     walk.push(at);
                 }
-                walk
             }
         }
     }
 }
 
-impl Topology for RackTopology {
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
+/// A concrete topology: the directed link table plus every ordered endpoint
+/// pair's path, computed once by [`TopologySpec::build`].
+#[derive(Debug, Clone)]
+pub struct RackTopology {
+    switches: usize,
+    cpus: usize,
+    mems: usize,
+    links: Vec<DirectedLink>,
+    /// The path of roster pair `k = slot(src) * roster + slot(dst)` is
+    /// `hops[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+    hops: Vec<usize>,
+}
 
-    fn switches(&self) -> usize {
+impl RackTopology {
+    /// Number of switches in the fabric.
+    pub fn switches(&self) -> usize {
         self.switches
     }
 
-    fn links(&self) -> &[DirectedLink] {
+    /// Every directed link, indexed by link id.
+    pub fn links(&self) -> &[DirectedLink] {
         &self.links
     }
 
-    fn port_of(&self, ep: Endpoint) -> Option<usize> {
-        self.ports.get(&ep).copied()
+    /// The id of `ep`'s up-link (its first link, host to edge switch), or
+    /// `None` when `ep` is not attached to the fabric.
+    pub fn uplink(&self, ep: Endpoint) -> Option<usize> {
+        self.slot(ep).map(|s| 2 * s)
     }
 
-    fn path(&self, src: Endpoint, dst: Endpoint) -> Option<Vec<usize>> {
-        let a = self.port_of(src)?;
-        let b = self.port_of(dst)?;
-        let walk = self.switch_walk(a, b, src, dst);
-        let mut hops = Vec::with_capacity(walk.len() + 1);
-        hops.push(self.link(TopoNode::Host(src), TopoNode::Switch(walk[0])));
-        for pair in walk.windows(2) {
-            hops.push(self.link(TopoNode::Switch(pair[0]), TopoNode::Switch(pair[1])));
+    /// Directed-link ids a message from `src` to `dst` traverses, in order.
+    ///
+    /// Returns `None` when either endpoint is not attached to the fabric.
+    pub fn path(&self, src: Endpoint, dst: Endpoint) -> Option<&[usize]> {
+        let k = self.slot(src)? * (self.cpus + self.mems) + self.slot(dst)?;
+        Some(&self.hops[self.offsets[k]..self.offsets[k + 1]])
+    }
+
+    /// `ep`'s position in the roster: CPUs, then memory nodes.
+    fn slot(&self, ep: Endpoint) -> Option<usize> {
+        match ep {
+            Endpoint::Cpu(c) => (c < self.cpus).then_some(c),
+            Endpoint::Mem(n) => (n < self.mems).then_some(self.cpus + n),
         }
-        hops.push(self.link(TopoNode::Switch(*walk.last().unwrap()), TopoNode::Host(dst)));
-        Some(hops)
     }
 }
 
@@ -339,7 +296,7 @@ mod tests {
 
                 // Loop-free: the vertex sequence never repeats a node.
                 let mut seen = vec![TopoNode::Host(src)];
-                for &lid in &fwd {
+                for &lid in fwd {
                     let l = topo.links()[lid];
                     assert_eq!(l.from, *seen.last().unwrap(), "{src}->{dst} not contiguous");
                     assert!(!seen.contains(&l.to), "{src}->{dst} revisits {:?}", l.to);
@@ -360,7 +317,7 @@ mod tests {
     #[test]
     fn flat_paths_are_the_single_switch_two_hop_paths() {
         let eps = roster(2, 4);
-        let topo = RackTopology::flat(&eps);
+        let topo = TopologySpec::Flat.build(2, 4);
         assert_eq!(topo.switches(), 1);
         for &src in &eps {
             for &dst in &eps {
@@ -383,7 +340,7 @@ mod tests {
     #[test]
     fn tor_paths_are_loop_free_and_reversible() {
         let eps = roster(2, 6);
-        let topo = RackTopology::tor(&eps, 3);
+        let topo = TopologySpec::Tor { racks: 3 }.build(2, 6);
         assert_eq!(topo.switches(), 4); // 3 ToRs + core
         assert_paths_symmetric_and_loop_free(&topo, &eps);
         // Same-rack traffic never leaves the ToR.
@@ -398,7 +355,7 @@ mod tests {
     fn leaf_spine_paths_are_loop_free_and_reversible() {
         for spines in 1..=3 {
             let eps = roster(3, 8);
-            let topo = RackTopology::leaf_spine(&eps, 2, spines);
+            let topo = TopologySpec::LeafSpine { leaves: 2, spines }.build(3, 8);
             assert_eq!(topo.switches(), 2 + spines);
             assert_paths_symmetric_and_loop_free(&topo, &eps);
         }
@@ -408,15 +365,14 @@ mod tests {
     fn ring_paths_are_loop_free_and_reversible() {
         for switches in 1..=6 {
             let eps = roster(2, 6);
-            let topo = RackTopology::ring(&eps, switches);
+            let topo = TopologySpec::Ring { switches }.build(2, 6);
             assert_paths_symmetric_and_loop_free(&topo, &eps);
         }
     }
 
     #[test]
     fn ring_takes_the_shorter_arc() {
-        let eps = roster(0, 8);
-        let topo = RackTopology::ring(&eps, 8);
+        let topo = TopologySpec::Ring { switches: 8 }.build(0, 8);
         // Mem(0) on switch 0, Mem(1) on switch 1: one inter-switch hop.
         let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(1)).unwrap();
         assert_eq!(p.len(), 3);
@@ -430,18 +386,21 @@ mod tests {
     }
 
     #[test]
-    fn spec_builds_match_direct_constructors() {
+    fn spec_builds_cable_hosts_first_and_round_robin() {
         let spec = TopologySpec::LeafSpine {
             leaves: 2,
             spines: 2,
         };
         let topo = spec.build(2, 4);
-        assert_eq!(topo.kind(), "leaf-spine");
         assert_eq!(topo.switches(), 4);
         assert!(spec.is_routed());
         assert!(!TopologySpec::Flat.is_routed());
-        assert_eq!(topo.port_of(Endpoint::Cpu(1)), Some(1));
-        assert_eq!(topo.port_of(Endpoint::Mem(2)), Some(0));
-        assert_eq!(topo.port_of(Endpoint::Mem(9)), None);
+        // Host cables come first: CPUs, then memory nodes, up before down.
+        assert_eq!(topo.uplink(Endpoint::Cpu(1)), Some(2));
+        assert_eq!(topo.uplink(Endpoint::Mem(2)), Some(8));
+        assert_eq!(topo.uplink(Endpoint::Mem(9)), None);
+        // Round-robin edges: Cpu(1) on leaf 1, Mem(2) on leaf 0.
+        assert_eq!(topo.links()[2].to, TopoNode::Switch(1));
+        assert_eq!(topo.links()[8].to, TopoNode::Switch(0));
     }
 }

@@ -12,7 +12,7 @@
 //! * [`SerialResource`] / [`ServerPool`] / [`CpuDispatch`] — contention
 //!   models for links, DRAM channels, pipeline pools, and CPU-node
 //!   dispatch engines,
-//! * [`LatencyHistogram`] / [`RateCounter`] — measurement collection.
+//! * [`LatencyHistogram`] — measurement collection.
 //!
 //! [`Slab`] parks large event payloads behind `u32` handles, so the event
 //! types stay small. [`IdHash`] hashes the integer keys the simulator
@@ -57,5 +57,5 @@ pub use hash::{IdHash, IdHasher};
 pub use resource::{CpuDispatch, DispatchConfig, Grant, PoolGrant, SerialResource, ServerPool};
 pub use rng::SplitMix64;
 pub use slab::Slab;
-pub use stats::{quantile_rank, LatencyHistogram, LatencySummary, OnlineStats, RateCounter};
+pub use stats::{quantile_rank, LatencyHistogram, LatencySummary};
 pub use time::SimTime;

@@ -210,104 +210,6 @@ impl fmt::Display for LatencySummary {
     }
 }
 
-/// Running mean/variance over `f64` observations (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use pulse_sim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_std_dev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds an observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population standard deviation (0 when fewer than two samples).
-    pub fn population_std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-}
-
-/// Counts an event rate over simulated time (ops, bytes, packets...).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RateCounter {
-    total: u64,
-}
-
-impl RateCounter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` occurrences.
-    pub fn add(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Total occurrences so far.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Occurrences per simulated second over `elapsed`.
-    pub fn per_second(&self, elapsed: SimTime) -> f64 {
-        let s = elapsed.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.total as f64 / s
-        }
-    }
-
-    /// Interprets the counter as bytes and reports gigabits per second.
-    pub fn gbps(&self, elapsed: SimTime) -> f64 {
-        self.per_second(elapsed) * 8.0 / 1e9
-    }
-
-    /// Interprets the counter as bytes and reports gigabytes per second.
-    pub fn gigabytes_per_second(&self, elapsed: SimTime) -> f64 {
-        self.per_second(elapsed) / 1e9
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,16 +376,6 @@ mod tests {
         assert_eq!(h.percentile(99.0), SimTime::ZERO);
         assert_eq!(h.mean(), SimTime::ZERO);
         assert_eq!(h.summary().count, 0);
-    }
-
-    #[test]
-    fn rate_counter_reports_rates() {
-        let mut c = RateCounter::new();
-        c.add(25_000_000_000); // 25 GB in one simulated second
-        let t = SimTime::from_secs(1);
-        assert!((c.gigabytes_per_second(t) - 25.0).abs() < 1e-9);
-        assert!((c.gbps(t) - 200.0).abs() < 1e-9);
-        assert_eq!(c.per_second(SimTime::ZERO), 0.0);
     }
 
     #[test]
