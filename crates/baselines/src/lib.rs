@@ -18,9 +18,9 @@
 mod systems;
 
 pub use systems::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, RpcFlavor, SwapConfig};
-// The CPU-node front-end layer shared with the pulse rack: the LRU backing
-// the page/object caches, the coherent traversal-cell cache, and the
+// The CPU-node mechanisms shared with the pulse rack: the LRU backing the
+// page/object caches, the coherent traversal-cell cache, and the
 // dispatch-engine model — so baseline configs stay apples-to-apples with
 // the cluster by construction.
-pub use pulse_frontend::{CacheConfig, CpuFrontEnd, LruSet, TraversalCache};
+pub use pulse_frontend::{CacheConfig, LruSet, TraversalCache};
 pub use pulse_sim::{CpuDispatch, DispatchConfig};

@@ -9,10 +9,13 @@
 //! workers, the CPU-node link, per-node DRAM channels, the swap pipe).
 
 use pulse_frontend::replay::{drive, measured_rate};
-use pulse_frontend::{CacheConfig, CpuFrontEnd, LruSet};
+use pulse_frontend::{CacheConfig, LruSet, TraversalCache};
+use pulse_isa::CostModel;
 use pulse_mem::{degraded_window, ClusterMemory, FaultEvent, FaultKind, NodeId};
 use pulse_net::{Endpoint, Fabric, FabricConfig, LinkConfig, SwitchConfig, TopologySpec};
-use pulse_sim::{DispatchConfig, LatencyHistogram, SerialResource, ServerPool, SimTime};
+use pulse_sim::{
+    CpuDispatch, DispatchConfig, LatencyHistogram, SerialResource, ServerPool, SimTime,
+};
 use pulse_trace::{LatencyBreakdown, Phase, RunMetrics};
 use pulse_workloads::{execute_functional, Access, AppRequest};
 
@@ -45,13 +48,13 @@ struct CpuModel {
 
 /// Xeon Gold 6240-class core.
 const XEON: CpuModel = CpuModel {
-    insn_time: SimTime::from_picos(444),
+    insn_time: CostModel::xeon().insn_time,
     dram_latency: SimTime::from_nanos(90),
 };
 
 /// Bluefield-2 Cortex-A72-class core: slower issue, slower memory path.
 const ARM_CORTEX_A72: CpuModel = CpuModel {
-    insn_time: SimTime::from_picos(1_550),
+    insn_time: CostModel::arm_cortex_a72().insn_time,
     dram_latency: SimTime::from_nanos(150),
 };
 
@@ -75,6 +78,9 @@ pub struct BaselineReport {
     pub total_time: SimTime,
     /// Cache hit ratio (page or object cache), if the system has one.
     pub cache_hit_ratio: Option<f64>,
+    /// Updates (requests with a store or an object write) that completed;
+    /// an update that failed as unavailable does not count.
+    pub completed_updates: u64,
 }
 
 impl std::ops::Deref for BaselineReport {
@@ -202,9 +208,9 @@ pub fn run_swap_cache(
     let mut lru = LruSet::new((cfg.cache_bytes / PAGE_BYTES).max(1) as usize);
     let mut swap_pipe = SerialResource::new(u64::MAX); // fixed service per page
     let mut threads = ServerPool::new(SWAP_THREADS);
-    // The shared CPU-node front end hosts the admission dispatch engine
-    // (the swap system's own page cache stands in for a traversal cache).
-    let mut fe = CpuFrontEnd::new(cfg.dispatch, CacheConfig::disabled());
+    // The CPU node's admission dispatch engine (the swap system's own page
+    // cache stands in for a traversal cache).
+    let mut dispatch = CpuDispatch::new(cfg.dispatch);
     let mut fabric = build_fabric(cfg.topology, mem.node_count());
     let routed = fabric.is_some();
     let mut net_bytes = 0u64;
@@ -264,7 +270,7 @@ pub fn run_swap_cache(
             // The request-dispatch engine admits the request (queueing +
             // occupancy under load), then an application thread hosts it
             // end-to-end.
-            let admitted = fe.book_dispatch(ready);
+            let admitted = dispatch.book_grant(ready).end;
             let slot = threads.acquire(admitted, pure);
             // The swap subsystem serves this request's misses.
             let mut pipe_end = slot.grant.start;
@@ -334,6 +340,8 @@ pub fn run_swap_cache(
         traversal_time: traversal_total,
         total_time: latency_total,
         cache_hit_ratio: Some(lru.hit_ratio()),
+        // The swap system completes every request.
+        completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64,
     }
 }
 
@@ -516,9 +524,10 @@ pub fn run_rpc(
     // fabric's directed links replace it entirely.
     let mut link_rx = SerialResource::new(LinkConfig::default().bits_per_sec);
     let mut fabric = build_fabric(cfg.topology, nodes);
-    // The shared CPU-node front end: dispatch engine plus the optional
-    // traversal-cell cache.
-    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
+    // The CPU node: its dispatch engine plus the optional traversal-cell
+    // cache.
+    let mut dispatch = CpuDispatch::new(cfg.dispatch);
+    let mut cache = cfg.cache.enabled().then(|| TraversalCache::new(cfg.cache));
     let mut object_cache = match cfg.flavor {
         RpcFlavor::CacheRpc { cache_bytes } if cache_bytes > 0 => {
             Some(LruSet::new((cache_bytes / OBJECT_BYTES).max(1) as usize))
@@ -534,6 +543,7 @@ pub fn run_rpc(
     let window = degraded_window(&faults);
     let mut failovers = 0u64;
     let mut unavailable = 0u64;
+    let mut unavailable_updates = 0u64;
     let mut degraded = LatencyHistogram::new();
     let mut breakdown = cfg.trace.then(LatencyBreakdown::new);
 
@@ -622,7 +632,7 @@ pub fn run_rpc(
             let mut prefix = 0usize;
             let mut prefix_time = SimTime::ZERO;
             let mut fill_wire_bytes = 0u64;
-            if let Some(cache) = fe.cache_mut() {
+            if let Some(cache) = cache.as_mut() {
                 let hit = CacheConfig::HIT_NS;
                 for a in &p.accesses {
                     if !a.traversal || a.write || !cache.probe_range(a.addr, a.len as u64, mem) {
@@ -647,7 +657,7 @@ pub fn run_rpc(
                     // The whole traversal ran from cache: no RPC at all.
                     // One dispatch op still admits the request, and the
                     // response is assembled locally.
-                    let admitted = fe.book_dispatch(ready);
+                    let admitted = dispatch.book_grant(ready).end;
                     let pure = prefix_time + p.cpu_work;
                     return finish(
                         idx,
@@ -714,8 +724,9 @@ pub fn run_rpc(
                 // One timed-out attempt: the client learns nothing is
                 // left to serve this request and gives up.
                 unavailable += 1;
+                unavailable_updates += requests[idx].is_update() as u64;
                 net_bytes += FRAME_BYTES;
-                let admitted = fe.book_dispatch(ready);
+                let admitted = dispatch.book_grant(ready).end;
                 let pure = one_way * 2 + tcp_extra * 2;
                 return finish(
                     idx,
@@ -776,7 +787,7 @@ pub fn run_rpc(
             // CPU side saturates at `contexts / occupancy` issues/sec.
             let mut issued = ready;
             for _ in 0..segments.len().max(1) {
-                issued = fe.book_dispatch(issued);
+                issued = dispatch.book_grant(issued).end;
             }
             let end = match fabric.as_mut() {
                 // Routed: every trip is a fabric send over finite directed
@@ -874,7 +885,7 @@ pub fn run_rpc(
                 .as_ref()
                 .map_or(net_bytes, Fabric::host_injected_bytes),
             mem_bytes,
-            cache_hit_rate: fe.cache().map_or(0.0, |c| c.hit_rate()),
+            cache_hit_rate: cache.map_or(0.0, |c| c.hit_rate()),
             link_utilization: fabric.as_ref().map_or(0.0, |f| {
                 f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
             }),
@@ -889,6 +900,8 @@ pub fn run_rpc(
         traversal_time: traversal_total,
         total_time: latency_total,
         cache_hit_ratio: object_cache.map(|c| c.hit_ratio()),
+        completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64
+            - unavailable_updates,
     }
 }
 

@@ -19,7 +19,9 @@
 //!   software overhead more expensive per crossing).
 
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator};
-use pulse_frontend::{prefix_walk, CacheConfig, CpuFrontEnd, Role, WalkOutcome};
+use pulse_frontend::{
+    prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
+};
 use pulse_mem::{
     CapacityExceeded, ClusterMemory, FaultEvent, FaultKind, GlobalRangeMap, NodeId, Perms,
     RangeTable,
@@ -29,7 +31,9 @@ use pulse_net::{
     RequestId, Route, Switch, SwitchConfig, TopoNode, TopologySpec, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES,
 };
-use pulse_sim::{DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab};
+use pulse_sim::{
+    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab,
+};
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
 use std::collections::HashMap;
@@ -140,24 +144,6 @@ impl std::ops::Deref for ClusterReport {
     }
 }
 
-impl ClusterReport {
-    /// Mean DRAM bandwidth consumed per memory node, bytes/second.
-    pub fn mem_bandwidth_per_node(&self, nodes: usize) -> f64 {
-        if self.makespan == SimTime::ZERO {
-            return 0.0;
-        }
-        self.mem_bytes as f64 / self.makespan.as_secs_f64() / nodes as f64
-    }
-
-    /// CPU-link bandwidth in Gbps.
-    pub fn net_gbps(&self) -> f64 {
-        if self.makespan == SimTime::ZERO {
-            return 0.0;
-        }
-        self.net_bytes as f64 * 8.0 / self.makespan.as_secs_f64() / 1e9
-    }
-}
-
 /// The event loop's payload. Kept to 32 bytes so the event heap stays
 /// cache-friendly: packets wait in `PulseCluster::packets` and travel as a
 /// slab handle, a re-replication stream's cursor lives in
@@ -264,6 +250,18 @@ struct ReqState {
     skip_cache_once: bool,
 }
 
+/// One CPU (compute) node: its serial dispatch engine, its request
+/// sequence counter, and, when configured, its coherent traversal-cell
+/// cache and ISA-v2 prefix coalescer. Its NIC lives in
+/// `PulseCluster::nics`.
+#[derive(Debug)]
+struct CpuNode {
+    dispatch: CpuDispatch,
+    next_seq: u64,
+    cache: Option<TraversalCache>,
+    coalescer: Option<PrefixCoalescer>,
+}
+
 /// The pulse rack.
 #[derive(Debug)]
 pub struct PulseCluster {
@@ -272,16 +270,17 @@ pub struct PulseCluster {
     accels: Vec<Accelerator>,
     switch: Switch,
     /// The routed fabric, present exactly when `cfg.topology` is not flat.
-    /// In routed mode it replaces the flat `links`/`switch.forward` pricing:
+    /// In routed mode it replaces the flat `nics`/`switch.forward` pricing:
     /// every packet is charged hop by hop on per-directed-link pipes (the
     /// switch still supplies the pure routing decision).
     fabric: Option<Fabric>,
-    links: Vec<Link>,
-    /// One front end per CPU node: the node's NIC/issue-queue link, its
-    /// serial dispatch engine, its request sequence counter, and (when
-    /// configured) its coherent traversal-cell cache — the shared
-    /// `pulse-frontend` layer all three execution engines issue through.
-    frontends: Vec<CpuFrontEnd>,
+    /// Every endpoint's flat NIC, indexed like the flat link tracks: CPU
+    /// `c` at `c`, memory node `n` at `cpus + n` (see [`Self::nic_of`]).
+    /// A CPU NIC doubles as the node's issue queue. Routed racks still
+    /// deliver the switch's control-plane notices on the CPU NICs.
+    nics: Vec<Link>,
+    /// Per-CPU-node issue-path state, indexed by `RequestId::cpu`.
+    cpus: Vec<CpuNode>,
     /// Per-node DMA engines serving plain object reads/writes.
     dma: Vec<SerialResource>,
     /// Requests that have arrived and not yet finished. Submitted requests
@@ -485,16 +484,15 @@ impl PulseCluster {
             accels,
             switch,
             fabric,
-            links: (0..nodes)
+            nics: (0..cfg.cpus + nodes)
                 .map(|_| Link::new(LinkConfig::default()))
                 .collect(),
-            frontends: (0..cfg.cpus)
-                .map(|_| {
-                    let mut fe = CpuFrontEnd::new(cfg.dispatch, cfg.cache);
-                    if cfg.coalesce {
-                        fe.enable_coalescing();
-                    }
-                    fe
+            cpus: (0..cfg.cpus)
+                .map(|_| CpuNode {
+                    dispatch: CpuDispatch::new(cfg.dispatch),
+                    next_seq: 0,
+                    cache: cfg.cache.enabled().then(|| TraversalCache::new(cfg.cache)),
+                    coalescer: cfg.coalesce.then(PrefixCoalescer::default),
                 })
                 .collect(),
             dma: (0..nodes)
@@ -550,18 +548,21 @@ impl PulseCluster {
 
     /// Number of CPU (compute) nodes in the rack.
     pub fn cpus(&self) -> usize {
-        self.frontends.len()
+        self.cpus.len()
     }
 
-    /// Per-CPU-node front ends (link, dispatch engine, cache), indexed by
-    /// `CpuId`.
-    pub fn frontends(&self) -> &[CpuFrontEnd] {
-        &self.frontends
-    }
-
-    /// Per-CPU-node link views (tx/rx byte counters), indexed by `CpuId`.
-    pub fn cpu_links(&self) -> Vec<&Link> {
-        self.frontends.iter().map(CpuFrontEnd::link).collect()
+    /// Front-end cache counters summed over every CPU node (all zero
+    /// without a cache).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cpus
+            .iter()
+            .filter_map(|c| c.cache.as_ref().map(TraversalCache::stats))
+            .fold(CacheStats::default(), |sum, s| CacheStats {
+                hits: sum.hits + s.hits,
+                misses: sum.misses + s.misses,
+                invalidations: sum.invalidations + s.invalidations,
+                fills: sum.fills + s.fills,
+            })
     }
 
     /// Mints the identity the next submission will carry: submissions go
@@ -570,9 +571,10 @@ impl PulseCluster {
     /// Runtimes that hand out tickets before admission call this up front
     /// and later pass the id to [`Self::submit_with_id`].
     pub fn assign_id(&mut self) -> RequestId {
-        let cpu = (self.submitted % self.frontends.len() as u64) as usize;
+        let cpu = (self.submitted % self.cpus.len() as u64) as usize;
         self.submitted += 1;
-        let seq = self.frontends[cpu].mint_seq();
+        let seq = self.cpus[cpu].next_seq;
+        self.cpus[cpu].next_seq = seq + 1;
         RequestId { cpu, seq }
     }
 
@@ -600,12 +602,13 @@ impl PulseCluster {
             "request id {id:?} already in flight"
         );
         assert!(
-            id.cpu < self.frontends.len(),
+            id.cpu < self.cpus.len(),
             "request id {id:?} names CPU node {} of a {}-CPU rack",
             id.cpu,
-            self.frontends.len()
+            self.cpus.len()
         );
-        self.frontends[id.cpu].reserve_seq(id.seq);
+        let next_seq = &mut self.cpus[id.cpu].next_seq;
+        *next_seq = (*next_seq).max(id.seq + 1);
         if let Some(sink) = self.sink.as_mut() {
             sink.begin(id, at);
         }
@@ -800,27 +803,13 @@ impl PulseCluster {
             // CPU links never see.
             net_bytes: match &self.fabric {
                 Some(f) => f.host_injected_bytes(),
-                None => self
-                    .frontends
+                None => self.nics[..self.cpus.len()]
                     .iter()
-                    .map(|f| f.link().tx_bytes() + f.link().rx_bytes())
+                    .map(|l| l.tx_bytes() + l.rx_bytes())
                     .sum(),
             },
             mem_bytes,
-            cache_hit_rate: {
-                let (hits, misses) = self
-                    .frontends
-                    .iter()
-                    .filter_map(CpuFrontEnd::cache)
-                    .fold((0u64, 0u64), |(h, m), c| {
-                        (h + c.stats().hits, m + c.stats().misses)
-                    });
-                if hits + misses == 0 {
-                    0.0
-                } else {
-                    hits as f64 / (hits + misses) as f64
-                }
-            },
+            cache_hit_rate: self.cache_stats().hit_rate(),
             link_utilization: self
                 .fabric
                 .as_ref()
@@ -857,11 +846,11 @@ impl PulseCluster {
                 .sum::<f64>()
                 / nodes as f64,
             dispatch_util: self
-                .frontends
+                .cpus
                 .iter()
-                .map(|f| f.dispatch_engine().utilization(horizon))
+                .map(|c| c.dispatch.utilization(horizon))
                 .sum::<f64>()
-                / self.frontends.len() as f64,
+                / self.cpus.len() as f64,
         }
     }
 
@@ -898,10 +887,13 @@ impl PulseCluster {
         }
     }
 
-    /// The trace track of memory node `n`'s flat NIC (CPU NICs occupy the
-    /// first `cpus` link ids).
-    fn mem_nic_track(&self, n: NodeId) -> Track {
-        Track::Link(self.frontends.len() + n)
+    /// The index of `ep`'s flat NIC in `nics`, which is also its link id
+    /// and trace track: CPU NICs first, then memory NICs.
+    fn nic_of(&self, ep: Endpoint) -> usize {
+        match ep {
+            Endpoint::Cpu(c) => c,
+            Endpoint::Mem(n) => self.cpus.len() + n,
+        }
     }
 
     /// Catches the counter-sample clock up to `now`, recording one link
@@ -932,20 +924,14 @@ impl PulseCluster {
                     // combined-direction busy fraction. No modeled egress
                     // queue exists, so depth reads 0.
                     let bps = LinkConfig::default().bits_per_sec as f64;
-                    let cpus = self.frontends.len();
-                    for (c, fe) in self.frontends.iter().enumerate() {
-                        let total = fe.link().tx_bytes() + fe.link().rx_bytes();
-                        let delta = total - self.sampled_bytes[c];
-                        self.sampled_bytes[c] = total;
+                    for (i, (nic, sampled)) in
+                        self.nics.iter().zip(&mut self.sampled_bytes).enumerate()
+                    {
+                        let total = nic.tx_bytes() + nic.rx_bytes();
+                        let delta = total - *sampled;
+                        *sampled = total;
                         let util = (delta as f64 * 8.0 / (interval * 2.0 * bps)).min(1.0);
-                        sink.record_sample(Track::Link(c), at, util, 0);
-                    }
-                    for (n, link) in self.links.iter().enumerate() {
-                        let total = link.tx_bytes() + link.rx_bytes();
-                        let delta = total - self.sampled_bytes[cpus + n];
-                        self.sampled_bytes[cpus + n] = total;
-                        let util = (delta as f64 * 8.0 / (interval * 2.0 * bps)).min(1.0);
-                        sink.record_sample(Track::Link(cpus + n), at, util, 0);
+                        sink.record_sample(Track::Link(i), at, util, 0);
                     }
                 }
             }
@@ -1015,8 +1001,7 @@ impl PulseCluster {
     fn unavailable_complete(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive =
-            self.frontends[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
+        let arrive = self.nics[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::Finished(id, Done::Unavailable));
         // Coalesced riders do not inherit the leader's unavailable
@@ -1030,8 +1015,7 @@ impl PulseCluster {
     fn crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive =
-            self.frontends[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
+        let arrive = self.nics[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::CrashNotice(id));
     }
@@ -1173,7 +1157,7 @@ impl PulseCluster {
         );
         let read_done = read.end;
         self.mem_bytes_extra += len;
-        let depart = self.frontends[0].book_dispatch(read_done);
+        let depart = self.cpus[0].dispatch.book_grant(read_done).end;
         let arrive = self.mem_to_mem(depart, src, dst, wire);
         let write = self.dma[dst].acquire(arrive + DMA_SETUP, len);
         self.trace_occupy(
@@ -1235,7 +1219,7 @@ impl PulseCluster {
                         let mut local_code = None;
                         let skip = std::mem::take(&mut st.skip_cache_once);
                         if !skip {
-                            if let Some(cache) = self.frontends[id.cpu].cache_mut() {
+                            if let Some(cache) = self.cpus[id.cpu].cache.as_mut() {
                                 let hit = CacheConfig::HIT_NS;
                                 let outcome =
                                     prefix_walk(cache, &self.mem, &stage.program, &mut state);
@@ -1251,8 +1235,9 @@ impl PulseCluster {
                                 Next::LocalDone { code, at: send_at }
                             }
                             None => {
-                                let role = self.frontends[id.cpu]
-                                    .coalescer_mut()
+                                let role = self.cpus[id.cpu]
+                                    .coalescer
+                                    .as_mut()
                                     .map(|c| c.register(id, &stage.program, &state));
                                 if let Some(Role::Rider { .. }) = role {
                                     // The rider's state is rebuilt from the
@@ -1394,7 +1379,7 @@ impl PulseCluster {
             Next::Advance => self.send_stage(drv, now, id),
             Next::Finish(cpu_work) => {
                 let done_at = if local {
-                    let grant = self.frontends[id.cpu].book_dispatch_grant(now);
+                    let grant = self.cpus[id.cpu].dispatch.book_grant(now);
                     self.trace_push(id, SpanKind::Queued, Track::Cpu(id.cpu), grant.start);
                     grant.end
                 } else {
@@ -1428,7 +1413,7 @@ impl PulseCluster {
         if touched.is_empty() {
             return;
         }
-        if let Some(cache) = self.frontends[cpu].cache_mut() {
+        if let Some(cache) = self.cpus[cpu].cache.as_mut() {
             for &(addr, len) in touched {
                 cache.fill_range(addr, len as u64, &mut self.mem);
             }
@@ -1476,32 +1461,18 @@ impl PulseCluster {
         let Some((route, pkt)) = self.switch_route(drv, at, pkt, from) else {
             return;
         };
-        let wire = pkt.wire_bytes();
         // Routed trips are priced hop by hop but recorded as one WireHop
         // span attributed to the message's first hop (the sender's
         // up-link) — the only link whose occupancy the sender holds.
-        let id = pkt.id();
         let up = self
             .fabric
             .as_ref()
             .and_then(|fab| fab.topology().uplink(from))
             .expect("fabric covers every rack endpoint");
-        match route {
-            Route::To(ep) => {
-                let arrive = self.fabric_send(at, from, ep, wire);
-                self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                let ev = match ep {
-                    Endpoint::Mem(n) => Ev::AtMem(n, self.packets.insert(pkt)),
-                    Endpoint::Cpu(_) => Ev::AtCpu(self.packets.insert(pkt)),
-                };
-                drv.schedule_at(arrive, ev);
-            }
-            Route::InvalidPointer { requester } => {
-                let arrive = self.fabric_send(at, from, requester, wire);
-                self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-                self.deliver_invalid_pointer(drv, arrive, pkt);
-            }
-        }
+        let (id, wire) = (pkt.id(), pkt.wire_bytes());
+        let arrive = self.fabric_send(at, from, destination(route), wire);
+        self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
+        self.deliver(drv, arrive, route, pkt);
     }
 
     /// Prices one message on the routed fabric, from any endpoint.
@@ -1519,47 +1490,63 @@ impl PulseCluster {
         };
         // The switch-egress + delivery trip is attributed to the
         // *destination's* NIC track (the sender's NIC span ended at
-        // switch ingress).
-        let id = pkt.id();
-        match route {
-            Route::To(ep) => {
-                let egress_done = self.switch.forward(now, &pkt, ep);
-                let arrive = egress_done + LinkConfig::default().propagation;
-                match ep {
-                    Endpoint::Mem(n) => {
-                        let track = self.mem_nic_track(n);
-                        let link = self.frontends.len() + n;
-                        self.trace_push(id, SpanKind::WireHop { link }, track, arrive);
-                        drv.schedule_at(arrive, Ev::AtMem(n, self.packets.insert(pkt)))
-                    }
-                    Endpoint::Cpu(c) => {
-                        // Count bytes entering that CPU's link (rx side).
-                        let arrive = self.frontends[c].rx(egress_done, pkt.wire_bytes());
-                        self.trace_push(id, SpanKind::WireHop { link: c }, Track::Link(c), arrive);
-                        drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(pkt)));
-                    }
-                }
+        // switch ingress). Both verdicts charge the switch's egress port
+        // and a CPU NIC's receive side at the packet's full wire size; a
+        // memory NIC books only its transmit side.
+        let to = destination(route);
+        let egress_done = self.switch.forward(now, &pkt, to);
+        let link = self.nic_of(to);
+        let (id, wire) = (pkt.id(), pkt.wire_bytes());
+        let arrive = match to {
+            Endpoint::Cpu(_) => self.nics[link].rx(egress_done, wire),
+            Endpoint::Mem(_) => egress_done + LinkConfig::default().propagation,
+        };
+        self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
+        self.deliver(drv, arrive, route, pkt);
+    }
+
+    /// Hands `pkt` to the endpoint its route names at `arrive`. A packet
+    /// the switch found aimed at an unmapped address goes back to its
+    /// requester (§5: "notify the CPU node if the pointer is invalid"): a
+    /// traversal comes back `Faulted { NotMapped }`, and a plain read or
+    /// write fault-completes instead of hanging forever with its packet
+    /// silently dropped.
+    fn deliver(&mut self, drv: &mut Driver<Ev>, arrive: SimTime, route: Route, pkt: Packet) {
+        match (route, pkt) {
+            (Route::To(Endpoint::Mem(n)), pkt) => {
+                drv.schedule_at(arrive, Ev::AtMem(n, self.packets.insert(pkt)));
             }
-            Route::InvalidPointer { requester } => {
-                // Notify the requesting CPU of the invalid pointer (§5).
-                let egress_done = self.switch.forward(now, &pkt, requester);
-                let cpu = match requester {
-                    Endpoint::Cpu(c) => c,
-                    Endpoint::Mem(_) => unreachable!("requesters are CPU nodes"),
+            (Route::To(Endpoint::Cpu(_)), pkt) => {
+                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(pkt)));
+            }
+            (Route::InvalidPointer { .. }, Packet::Iter(mut ip)) => {
+                ip.status = IterStatus::Faulted {
+                    fault: pulse_isa::MemFault::NotMapped {
+                        addr: ip.state.cur_ptr,
+                    },
                 };
-                // Both arms charge the CPU link at the packet's full wire
-                // size, matching the switch's egress-port charge in
-                // `forward` (a flat 128 B under-charge before this fix).
-                let arrive = self.frontends[cpu].rx(egress_done, pkt.wire_bytes());
-                self.trace_push(
-                    id,
-                    SpanKind::WireHop { link: cpu },
-                    Track::Link(cpu),
-                    arrive,
-                );
-                self.deliver_invalid_pointer(drv, arrive, pkt);
+                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(Packet::Iter(ip))));
+            }
+            (Route::InvalidPointer { .. }, Packet::Read { id, .. } | Packet::Write { id, .. }) => {
+                drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
+            }
+            (Route::InvalidPointer { .. }, Packet::ReadReply { .. } | Packet::WriteAck { .. }) => {
+                unreachable!("replies route to the requester, never invalid")
             }
         }
+    }
+
+    /// Sends `pkt` out of endpoint `from` at `at`: over its flat NIC to the
+    /// switch ingress, or priced on the routed fabric with delivery
+    /// scheduled directly.
+    fn transmit(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+        if self.fabric.is_some() {
+            return self.route_and_send(drv, at, pkt, from);
+        }
+        let (id, link) = (pkt.id(), self.nic_of(from));
+        let arrive = self.nics[link].tx(at, pkt.wire_bytes());
+        self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
+        drv.schedule_at(arrive, Ev::AtSwitch(self.packets.insert(pkt), from));
     }
 
     /// When `wire` bytes sent at `at` from memory node `src` reach memory
@@ -1569,7 +1556,8 @@ impl PulseCluster {
         if self.fabric.is_some() {
             self.fabric_send(at, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
         } else {
-            self.links[src].tx(at, wire) + LinkConfig::default().propagation
+            let nic = self.nic_of(Endpoint::Mem(src));
+            self.nics[nic].tx(at, wire) + LinkConfig::default().propagation
         }
     }
 
@@ -1634,9 +1622,8 @@ impl PulseCluster {
         }
     }
 
-    /// Transmits a packet out of memory node `n` at `at`: over the node's
-    /// flat link toward the switch, or priced on the routed fabric with
-    /// delivery scheduled directly.
+    /// Transmits a packet out of memory node `n` at `at` (see
+    /// [`Self::transmit`]).
     fn mem_depart(&mut self, drv: &mut Driver<Ev>, n: NodeId, at: SimTime, pkt: Packet) {
         // The node went dark between serving and transmitting: the
         // response never escapes. (A response whose transmit was already
@@ -1644,22 +1631,7 @@ impl PulseCluster {
         if !self.mem_ok(n) {
             return self.crash_notice(drv, at, pkt);
         }
-        if self.fabric.is_some() {
-            self.route_and_send(drv, at, pkt, Endpoint::Mem(n));
-        } else {
-            let arrive = self.links[n].tx(at, pkt.wire_bytes());
-            let link = self.frontends.len() + n;
-            self.trace_push(
-                pkt.id(),
-                SpanKind::WireHop { link },
-                Track::Link(link),
-                arrive,
-            );
-            drv.schedule_at(
-                arrive,
-                Ev::AtSwitch(self.packets.insert(pkt), Endpoint::Mem(n)),
-            );
-        }
+        self.transmit(drv, at, pkt, Endpoint::Mem(n));
     }
 
     /// Feeds accelerator outputs back into the event loop, applying the
@@ -1746,56 +1718,18 @@ impl PulseCluster {
         }
     }
 
-    /// Delivers a packet the switch found aimed at an unmapped address to
-    /// its requester at `arrive` (§5: "notify the CPU node if the pointer
-    /// is invalid"): a traversal comes back `Faulted { NotMapped }`, and a
-    /// plain read or write fault-completes instead of hanging forever with
-    /// its packet silently dropped.
-    fn deliver_invalid_pointer(&mut self, drv: &mut Driver<Ev>, arrive: SimTime, pkt: Packet) {
-        match pkt {
-            Packet::Iter(mut ip) => {
-                ip.status = IterStatus::Faulted {
-                    fault: pulse_isa::MemFault::NotMapped {
-                        addr: ip.state.cur_ptr,
-                    },
-                };
-                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(Packet::Iter(ip))));
-            }
-            Packet::Read { id, .. } | Packet::Write { id, .. } => {
-                drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
-            }
-            Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
-                unreachable!("replies route to the requester, never invalid")
-            }
-        }
-    }
-
     /// Transmits a packet from its owning CPU node: the dispatch engine
     /// first (queueing + occupancy under load), then `overhead` (the flat
     /// issue pipeline, or the re-issue software of a bounced traversal),
-    /// then the node's NIC (flat) or the routed fabric.
+    /// then [`Self::transmit`].
     fn cpu_send(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, overhead: SimTime) {
         let id = pkt.id();
         let cpu = id.cpu;
-        let grant = self.frontends[cpu].book_dispatch_grant(now);
+        let grant = self.cpus[cpu].dispatch.book_grant(now);
         let depart = grant.end + overhead;
         self.trace_push(id, SpanKind::Queued, Track::Cpu(cpu), grant.start);
         self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), depart);
-        if self.fabric.is_some() {
-            self.route_and_send(drv, depart, pkt, Endpoint::Cpu(cpu));
-        } else {
-            let arrive = self.frontends[cpu].tx(depart, pkt.wire_bytes());
-            self.trace_push(
-                id,
-                SpanKind::WireHop { link: cpu },
-                Track::Link(cpu),
-                arrive,
-            );
-            drv.schedule_at(
-                arrive,
-                Ev::AtSwitch(self.packets.insert(pkt), Endpoint::Cpu(cpu)),
-            );
-        }
+        self.transmit(drv, depart, pkt, Endpoint::Cpu(cpu));
     }
 
     /// ISA-v2 coalescing fan-out: each rider of a completed leader offload
@@ -1829,8 +1763,9 @@ impl PulseCluster {
     /// (and may re-coalesce among themselves). Closing a request that led
     /// no group is a no-op, so callers invoke this unconditionally.
     fn detach_riders(&mut self, drv: &mut Driver<Ev>, now: SimTime, leader: RequestId) {
-        let riders = self.frontends[leader.cpu]
-            .coalescer_mut()
+        let riders = self.cpus[leader.cpu]
+            .coalescer
+            .as_mut()
             .map_or(Vec::new(), |c| c.close(leader));
         for rider in riders {
             self.trace_push(rider, SpanKind::Failover, Track::Cpu(rider.cpu), now);
@@ -1856,8 +1791,9 @@ impl PulseCluster {
                     // ISA-v2 coalescing: riders parked on this leader fan
                     // out with a clone of the returned state once the
                     // leader has advanced.
-                    let riders = self.frontends[id.cpu]
-                        .coalescer_mut()
+                    let riders = self.cpus[id.cpu]
+                        .coalescer
+                        .as_mut()
                         .map_or(Vec::new(), |c| c.close(id));
                     let rider_state = (!riders.is_empty()).then(|| ip.state.clone());
                     let st = self.inflight.get_mut(&id).expect("inflight");
@@ -1909,6 +1845,14 @@ impl PulseCluster {
                 unreachable!("requests never route to the CPU node")
             }
         }
+    }
+}
+
+/// The endpoint a routing verdict sends a packet to: its target, or the
+/// requester an invalid pointer is reported back to.
+fn destination(route: Route) -> Endpoint {
+    match route {
+        Route::To(ep) | Route::InvalidPointer { requester: ep } => ep,
     }
 }
 
@@ -2117,6 +2061,28 @@ mod tests {
     }
 
     #[test]
+    fn submit_with_id_reserves_only_its_own_cpus_sequence() {
+        let (mem, reqs, _) = webservice_cluster(1, 1_000, 1 << 20);
+        let mut cluster = PulseCluster::new(
+            ClusterConfig {
+                cpus: 2,
+                ..ClusterConfig::default()
+            },
+            mem,
+        );
+        assert!(
+            cluster.cpus.iter().all(|c| c.cache.is_none()),
+            "a disabled cache config builds no cache"
+        );
+        assert_eq!(cluster.assign_id(), RequestId { cpu: 0, seq: 0 });
+        assert_eq!(cluster.assign_id(), RequestId { cpu: 1, seq: 0 });
+        let req = reqs.into_iter().next().unwrap();
+        cluster.submit_with_id(SimTime::ZERO, req, RequestId { cpu: 0, seq: 10 });
+        assert_eq!(cluster.assign_id(), RequestId { cpu: 0, seq: 11 });
+        assert_eq!(cluster.assign_id(), RequestId { cpu: 1, seq: 1 });
+    }
+
+    #[test]
     fn multi_cpu_rack_completes_and_spreads_issue_load() {
         let (mem, reqs, _) = webservice_cluster(2, 2_000, 1 << 20);
         let mut cluster = PulseCluster::new(
@@ -2132,7 +2098,7 @@ mod tests {
         // Every compute node both issued requests and received replies,
         // and the aggregate counter covers all of them.
         let mut sum = 0;
-        for link in cluster.cpu_links() {
+        for link in &cluster.nics[..4] {
             assert!(link.tx_bytes() > 0, "idle CPU tx link");
             assert!(link.rx_bytes() > 0, "idle CPU rx link");
             sum += link.tx_bytes() + link.rx_bytes();
@@ -2157,7 +2123,7 @@ mod tests {
         let report = cluster.run(reqs, 8);
         assert_eq!(report.completed, 120);
         assert!(report.crossings > 0);
-        for link in cluster.cpu_links() {
+        for link in &cluster.nics[..2] {
             assert!(link.rx_bytes() > 0, "bounce bypassed a CPU node");
         }
     }
@@ -2265,7 +2231,7 @@ mod tests {
             len: 4096,
         }
         .wire_bytes();
-        assert!(cluster.cpu_links()[0].rx_bytes() >= wire);
+        assert!(cluster.nics[0].rx_bytes() >= wire);
     }
 
     #[test]
@@ -2425,8 +2391,6 @@ mod tests {
         let (mem, reqs, _) = webservice_cluster(2, 1_000, 1 << 20);
         let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
         let report = cluster.run(reqs, 8);
-        assert!(report.net_gbps() > 0.0);
-        assert!(report.mem_bandwidth_per_node(2) > 0.0);
         assert!(report.memory_util > 0.0);
         assert!(report.makespan > SimTime::ZERO);
     }

@@ -13,7 +13,7 @@
 //!   offload, plus a CXL-switch hop per node crossing in the multi-node
 //!   setup.
 
-use pulse_baselines::LruSet;
+use pulse_frontend::LruSet;
 use pulse_mem::ClusterMemory;
 use pulse_sim::SimTime;
 use pulse_workloads::{execute_functional, AppRequest};

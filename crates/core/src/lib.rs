@@ -43,13 +43,15 @@
 //!
 //! # CPU-node front end and hot-object cache
 //!
-//! Each CPU node's issue path — link, dispatch engine, sequence counter —
-//! is the shared [`CpuFrontEnd`] layer (`pulse-frontend`), the same state
-//! the replay baselines issue through. [`ClusterConfig::cache`] threads a
-//! coherent traversal-cell cache into it: when enabled, each stage first
-//! walks cached, version-valid cells locally at [`CacheConfig::HIT_NS`]
-//! per hop and only the remainder is offloaded, resumed from the last
-//! cached pointer; accelerators then ship the cells they touched back
+//! Each CPU node's issue path is its NIC (a [`pulse_net::Link`] that
+//! doubles as the issue queue), its [`CpuDispatch`] engine and its
+//! sequence counter, all owned by [`PulseCluster`]. The replay baselines
+//! price admission on the same dispatch model and RPC+cache probes the
+//! same [`TraversalCache`]. [`ClusterConfig::cache`] gives every CPU node
+//! one such cache: when enabled, each stage first walks cached,
+//! version-valid cells locally at [`CacheConfig::HIT_NS`] per hop and only
+//! the remainder is offloaded, resumed from the last cached pointer;
+//! accelerators then ship the cells they touched back
 //! with the response (priced on the wire) to fill the cache. Hits are
 //! version-validated against the rack memory's write epoch, so the
 //! seqlock write path ages out stale lines instead of serving wrong
@@ -103,7 +105,7 @@ mod cxl;
 pub use cluster::{ClusterConfig, ClusterReport, Completion, PulseCluster, PulseMode};
 pub use cxl::{cxl_study, CxlConfig, CxlSlowdown};
 pub use pulse_accel::AccelConfig;
-pub use pulse_frontend::{CacheConfig, CacheStats, CoalesceStats, CpuFrontEnd, TraversalCache};
+pub use pulse_frontend::{CacheConfig, CacheStats, CoalesceStats, TraversalCache};
 pub use pulse_mem::{FaultEvent, FaultKind};
 pub use pulse_sim::{CpuDispatch, DispatchConfig};
 pub use pulse_trace::{

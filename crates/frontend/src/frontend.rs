@@ -1,126 +1,15 @@
-//! Per-CPU-node issue-path state, shared by every execution engine.
-//!
-//! Before this layer existed, the pulse cluster and both replay baselines
-//! each hand-rolled their own CPU-side plumbing (link queue, sequence
-//! counter, dispatch engine). [`CpuFrontEnd`] bundles that state — plus
-//! the optional coherent [`TraversalCache`] — so all three engines share
-//! one issue path and any CPU-side mechanism (like the cache) lands in
-//! every engine at once.
+//! The cached prefix walk: the CPU-side fast path that runs a traversal
+//! stage's leading hops out of a [`TraversalCache`] before offloading the
+//! remainder.
 
-use crate::cache::{CacheBus, CacheConfig, TraversalCache};
-use crate::coalesce::PrefixCoalescer;
+use crate::cache::{CacheBus, TraversalCache};
 use pulse_isa::{Interpreter, IterOutcome, IterState, Program};
 use pulse_mem::ClusterMemory;
-use pulse_net::{Link, LinkConfig};
-use pulse_sim::{CpuDispatch, DispatchConfig, Grant, SimTime};
 
 /// Guard against a cycle living entirely inside the cache: the local walk
 /// gives up and goes remote after this many hops (the remote side then
 /// applies its own iteration budget).
 pub const WALK_HOP_CAP: u32 = 1 << 20;
-
-/// One CPU (compute) node's front end: its NIC/issue-queue [`Link`], its
-/// serial dispatch engine, its request sequence counter, and — when
-/// enabled — its coherent traversal-cell cache.
-#[derive(Debug)]
-pub struct CpuFrontEnd {
-    link: Link,
-    dispatch: CpuDispatch,
-    next_seq: u64,
-    cache: Option<TraversalCache>,
-    coalescer: Option<PrefixCoalescer>,
-}
-
-impl CpuFrontEnd {
-    /// Wires one CPU node's front end on the rack's default link. A
-    /// zero-capacity `cache` config (the default) builds no cache at all —
-    /// the front end is then behaviourally identical to the pre-extraction
-    /// hand-rolled state.
-    pub fn new(dispatch: DispatchConfig, cache: CacheConfig) -> CpuFrontEnd {
-        CpuFrontEnd {
-            link: Link::new(LinkConfig::default()),
-            dispatch: CpuDispatch::new(dispatch),
-            next_seq: 0,
-            cache: cache.enabled().then(|| TraversalCache::new(cache)),
-            coalescer: None,
-        }
-    }
-
-    /// Attaches an ISA-v2 shared-prefix coalescer (see
-    /// [`crate::coalesce`]). Engines call this at construction when
-    /// coalescing is enabled; without it the issue path is bit-identical
-    /// to the pre-coalescing model.
-    pub fn enable_coalescing(&mut self) {
-        self.coalescer = Some(PrefixCoalescer::default());
-    }
-
-    /// The node's coalescer, when one is attached.
-    pub fn coalescer(&self) -> Option<&PrefixCoalescer> {
-        self.coalescer.as_ref()
-    }
-
-    /// Mutable coalescer access.
-    pub fn coalescer_mut(&mut self) -> Option<&mut PrefixCoalescer> {
-        self.coalescer.as_mut()
-    }
-
-    /// Mints the next request sequence number for this node.
-    pub fn mint_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq = seq + 1;
-        seq
-    }
-
-    /// Ensures the counter is past an externally-chosen `seq` (runtimes
-    /// that hand out tickets before admission re-use minted identities).
-    pub fn reserve_seq(&mut self, seq: u64) {
-        self.next_seq = self.next_seq.max(seq + 1);
-    }
-
-    /// Books one op on the node's serial dispatch engine; returns when the
-    /// op clears the engine (equal to `now` for an uncontended config).
-    pub fn book_dispatch(&mut self, now: SimTime) -> SimTime {
-        self.dispatch.book_grant(now).end
-    }
-
-    /// Books one op like [`Self::book_dispatch`], returning the full grant
-    /// so callers can split queueing delay (`now..start`) from occupancy
-    /// (`start..end`) — the tracing layer's Queued/Dispatch attribution.
-    pub fn book_dispatch_grant(&mut self, now: SimTime) -> Grant {
-        self.dispatch.book_grant(now)
-    }
-
-    /// Transmits `bytes` on the node's link; returns the arrival time at
-    /// the far end.
-    pub fn tx(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        self.link.tx(at, bytes)
-    }
-
-    /// Receives `bytes` on the node's link; returns delivery time.
-    pub fn rx(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        self.link.rx(at, bytes)
-    }
-
-    /// The node's link (tx/rx byte counters).
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
-    /// The node's dispatch engine (ops booked, utilization).
-    pub fn dispatch_engine(&self) -> &CpuDispatch {
-        &self.dispatch
-    }
-
-    /// The node's cache, when one is configured.
-    pub fn cache(&self) -> Option<&TraversalCache> {
-        self.cache.as_ref()
-    }
-
-    /// Mutable cache access.
-    pub fn cache_mut(&mut self) -> Option<&mut TraversalCache> {
-        self.cache.as_mut()
-    }
-}
 
 /// How a cached prefix walk ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +98,7 @@ pub fn prefix_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
     use pulse_isa::{Cond, MemBus, Operand, Place, ProgramBuilder};
     use pulse_mem::Perms;
 
@@ -291,20 +181,5 @@ mod tests {
         let out = prefix_walk(&mut cache, &mem, &prog, &mut st);
         assert!(matches!(out, WalkOutcome::Stopped { .. }));
         assert!(cache.stats().invalidations > 0);
-    }
-
-    #[test]
-    fn front_end_mints_and_reserves_sequences() {
-        let mut fe = CpuFrontEnd::new(DispatchConfig::default(), CacheConfig::default());
-        assert!(fe.cache().is_none(), "disabled config builds no cache");
-        assert_eq!(fe.mint_seq(), 0);
-        assert_eq!(fe.mint_seq(), 1);
-        fe.reserve_seq(10);
-        assert_eq!(fe.mint_seq(), 11);
-        // Uncontended dispatch is a free pass-through.
-        let t = SimTime::from_nanos(50);
-        assert_eq!(fe.book_dispatch(t), t);
-        assert!(fe.tx(t, 128) > t);
-        assert_eq!(fe.link().tx_bytes(), 128);
     }
 }

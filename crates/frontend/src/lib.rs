@@ -1,20 +1,18 @@
 //! # pulse-frontend
 //!
-//! The shared **CPU-node front end**: everything a compute node does on
-//! the issue path, factored out of the three execution engines (the pulse
-//! rack, the RPC family, and the swap-cache baseline) so they share one
-//! implementation.
+//! The **CPU-node mechanisms** the execution engines share: what a
+//! compute node runs on the issue path besides its NIC and dispatch engine
+//! (which the pulse rack owns per CPU node and the replays model
+//! directly).
 //!
-//! * [`CpuFrontEnd`] — per-CPU-node state: the NIC/issue-queue link, the
-//!   serial dispatch engine, the request sequence counter, and the
-//!   optional cache;
 //! * [`CacheConfig`] / [`TraversalCache`] — a deterministic, coherent LRU
 //!   over traversal cells with version-validated hits (see the
 //!   [`cache`] module docs for the exact coherence
 //!   semantics: every hit re-validates against the rack memory's write
 //!   epoch, so locked updates age out stale lines instead of serving
 //!   wrong values). Disabled by default — all engines then reproduce
-//!   their cache-less traces bit-for-bit;
+//!   their cache-less traces bit-for-bit. The pulse rack and RPC+cache
+//!   run it;
 //! * [`prefix_walk`] — the fast path: walk cached hops locally at
 //!   DRAM-hit cost, then offload the remainder from the last cached
 //!   pointer (resume-by-pointer, the continuation the PULSE ISA already
@@ -24,6 +22,8 @@
 //!   packet and fan back out when its response lands (see the
 //!   [`coalesce`] module docs for the exact matching and
 //!   detachment semantics). Off by default;
+//! * [`LruSet`] — the plain LRU set behind the swap baseline's page
+//!   cache, AIFM's object cache and the CXL study's cache levels;
 //! * [`replay`] — the FIFO multi-server closed-/open-loop admission
 //!   helpers the replay baselines price request streams through.
 
@@ -38,5 +38,5 @@ pub mod replay;
 
 pub use cache::{CacheBus, CacheConfig, CacheStats, TraversalCache};
 pub use coalesce::{CoalesceStats, PrefixCoalescer, Role};
-pub use frontend::{prefix_walk, CpuFrontEnd, WalkOutcome, WALK_HOP_CAP};
+pub use frontend::{prefix_walk, WalkOutcome, WALK_HOP_CAP};
 pub use lru::LruSet;

@@ -2,9 +2,8 @@
 //!
 //! The RPC family and the swap-cache baseline both price request streams
 //! through a `serve(idx, ready) -> (end, traversal_pure, total_pure)`
-//! closure; what differs is only the admission discipline. Both
-//! disciplines used to live (twice) inside `pulse-baselines`; they are now
-//! part of the shared CPU-node front-end layer:
+//! closure; what differs is only the admission discipline, and both
+//! replays take it from here:
 //!
 //! * [`closed_loop`] — `concurrency` clients issue in order, each starting
 //!   its next request at the previous one's completion;

@@ -6,8 +6,8 @@
 //!
 //! Because the ISA only has forward jumps, every instruction executes at
 //! most once per iteration and the program length is a sound static bound
-//! for `N`. The same model, with a different `t_i`, prices traversals on the
-//! Xeon and ARM CPU baselines.
+//! for `N`. The Xeon and ARM CPU baselines price their traversal
+//! instructions with [`CostModel::xeon`] and [`CostModel::arm_cortex_a72`].
 
 use crate::interp::IterTrace;
 use crate::program::Program;
@@ -23,7 +23,7 @@ pub struct CostModel {
 impl CostModel {
     /// The PULSE accelerator's logic pipeline: 250 MHz, one instruction per
     /// cycle ⇒ 4 ns per instruction (§4.2 implementation).
-    pub fn pulse_accelerator() -> CostModel {
+    pub const fn pulse_accelerator() -> CostModel {
         CostModel {
             insn_time: SimTime::from_nanos(4),
         }
@@ -33,7 +33,7 @@ impl CostModel {
     /// RPC latency benefits from "9× higher CPU clock rates" than the
     /// 250 MHz FPGA, i.e. ≈0.44 ns per traversal instruction once
     /// superscalar issue is folded in.
-    pub fn xeon() -> CostModel {
+    pub const fn xeon() -> CostModel {
         CostModel {
             insn_time: SimTime::from_picos(444),
         }
@@ -42,7 +42,7 @@ impl CostModel {
     /// A wimpy SmartNIC core (Bluefield-2 Cortex-A72): lower clock and
     /// narrower issue, ≈3.5× slower per instruction than the Xeon on this
     /// pointer-chasing profile.
-    pub fn arm_cortex_a72() -> CostModel {
+    pub const fn arm_cortex_a72() -> CostModel {
         CostModel {
             insn_time: SimTime::from_picos(1_550),
         }
@@ -53,11 +53,6 @@ impl CostModel {
     /// this ISA because jumps are forward-only (§4.1).
     pub fn static_iteration_cost(&self, program: &Program) -> SimTime {
         self.insn_time * program.longest_path() as u64
-    }
-
-    /// Actual compute time of an executed iteration.
-    pub fn runtime_iteration_cost(&self, trace: &IterTrace) -> SimTime {
-        self.insn_time * trace.insns_executed as u64
     }
 
     /// Memory-pipeline round trips an executed iteration consumed *beyond*
@@ -128,23 +123,6 @@ mod tests {
         // The paper's "9x higher CPU clock rates" claim.
         let ratio = accel.as_picos() as f64 / xeon.as_picos() as f64;
         assert!((8.0..10.0).contains(&ratio), "xeon/accel ratio {ratio}");
-    }
-
-    #[test]
-    fn runtime_cost_uses_executed_count() {
-        use crate::interp::{IterOutcome, IterTrace};
-        let m = CostModel::pulse_accelerator();
-        let trace = IterTrace {
-            insns_executed: 5,
-            extra_loads: 0,
-            stores: 0,
-            store_bytes: 0,
-            window_bytes: 64,
-            outcome: IterOutcome::Continue,
-            spec_next: None,
-            spec_inhibit: false,
-        };
-        assert_eq!(m.runtime_iteration_cost(&trace), SimTime::from_nanos(20));
     }
 
     #[test]

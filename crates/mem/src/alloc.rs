@@ -63,7 +63,6 @@ pub struct ClusterAllocator {
     open_on: HashMap<NodeId, (u64, u64)>,
     next_rr: usize,
     rng: SplitMix64,
-    allocated_bytes: u64,
 }
 
 impl ClusterAllocator {
@@ -89,18 +88,12 @@ impl ClusterAllocator {
             open_on: HashMap::new(),
             next_rr: 0,
             rng: SplitMix64::new(seed),
-            allocated_bytes: 0,
         }
     }
 
     /// The extent granularity in bytes.
     pub fn granularity(&self) -> u64 {
         self.granularity
-    }
-
-    /// Total bytes handed out.
-    pub fn allocated_bytes(&self) -> u64 {
-        self.allocated_bytes
     }
 
     fn pick_node(&mut self, mem: &ClusterMemory) -> NodeId {
@@ -153,7 +146,6 @@ impl ClusterAllocator {
         let (cursor, end) = self.open.expect("just opened");
         let addr = cursor;
         self.open = Some((cursor + size, end));
-        self.allocated_bytes += size;
         Ok(addr)
     }
 
@@ -182,7 +174,6 @@ impl ClusterAllocator {
         let slot = self.open_on.get_mut(&node).expect("just opened");
         let addr = slot.0;
         slot.0 += size;
-        self.allocated_bytes += size;
         Ok(addr)
     }
 }
@@ -251,7 +242,6 @@ mod tests {
             let a = alloc.alloc(&mut mem, 100).unwrap();
             assert_eq!(mem.owner_of(a), Some(2));
         }
-        assert_eq!(alloc.allocated_bytes(), 10 * 104); // rounded to 8
     }
 
     #[test]

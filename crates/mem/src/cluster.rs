@@ -313,15 +313,6 @@ impl ClusterMemory {
         true
     }
 
-    /// The first live copy of `addr` (primary preferred, then derived
-    /// replicas in placement order, then promoted ones). `None` when every
-    /// copy is down — the unavailable case.
-    pub fn live_replica_of(&self, addr: u64) -> Option<NodeId> {
-        self.all_replicas_of(addr)
-            .into_iter()
-            .find(|&n| self.node_up[n])
-    }
-
     /// All `(start, end, node)` ranges — the source for the switch's global
     /// table and each node's local TCAM entries.
     pub fn all_ranges(&self) -> Vec<(u64, u64, NodeId)> {
@@ -591,19 +582,14 @@ mod tests {
     }
 
     #[test]
-    fn health_and_live_replica_selection() {
+    fn node_health_follows_fail_and_recover() {
         let mut m = two_node_mem();
         m.set_replication(2);
         assert!(m.node_is_up(1));
-        assert_eq!(m.live_replica_of(0x2000), Some(1));
         m.fail_node(1);
         assert!(!m.node_is_up(1));
-        // Primary down: the derived replica steps in.
-        assert_eq!(m.live_replica_of(0x2000), Some(0));
-        m.fail_node(0);
-        assert_eq!(m.live_replica_of(0x2000), None, "all copies down");
         m.recover_node(1);
-        assert_eq!(m.live_replica_of(0x2000), Some(1));
+        assert!(m.node_is_up(1));
     }
 
     #[test]

@@ -326,9 +326,7 @@ impl Engine for BaselineEngine {
             first_arrival,
             last_arrival,
             last_completion: rep.makespan,
-            // The replay baselines complete every request and execute
-            // sequentially: updates all land, races never happen.
-            completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64,
+            completed_updates: rep.completed_updates,
             metrics: rep.metrics,
         })
     }

@@ -22,7 +22,7 @@
 use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
 use pulse_core::{
-    CacheConfig, ClusterConfig, ClusterReport, Completion, DispatchConfig, FaultEvent,
+    CacheConfig, CacheStats, ClusterConfig, ClusterReport, Completion, DispatchConfig, FaultEvent,
     PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink,
 };
 use pulse_ds::{BuildCtx, DsError};
@@ -708,7 +708,6 @@ impl OpenLoopDriver {
         }
         let end = Snapshot::of(runtime);
         let span = last_completion.saturating_sub(first_arrival).as_secs_f64();
-        let (hits, misses) = (end.cache.0 - base.cache.0, end.cache.1 - base.cache.1);
         Ok(OpenLoopReport {
             label: "pulse".into(),
             offered_per_sec: self.arrivals.offered_rate(first_arrival, t, submitted),
@@ -723,11 +722,12 @@ impl OpenLoopDriver {
                 latency: hist.summary(),
                 throughput: completed as f64 / span.max(1e-12),
                 unavailable_completions: unavailable,
-                cache_hit_rate: if hits + misses == 0 {
-                    0.0
-                } else {
-                    hits as f64 / (hits + misses) as f64
-                },
+                cache_hit_rate: CacheStats {
+                    hits: end.cache.hits - base.cache.hits,
+                    misses: end.cache.misses - base.cache.misses,
+                    ..CacheStats::default()
+                }
+                .hit_rate(),
                 // Demand-normalized over the offered-load window, matching
                 // the baselines: a system that falls behind the offered
                 // rate still shows what that rate asks of its hottest CPU
@@ -749,23 +749,16 @@ impl OpenLoopDriver {
 /// their difference.
 struct Snapshot {
     metrics: RunMetrics,
-    /// Front-end cache (hits, misses) across every CPU node; the hit rate
-    /// is a ratio, so the delta needs the raw counts.
-    cache: (u64, u64),
+    /// Front-end cache counters across every CPU node; the hit rate is a
+    /// ratio, so the delta needs the raw counts.
+    cache: CacheStats,
 }
 
 impl Snapshot {
     fn of(runtime: &Runtime) -> Snapshot {
         Snapshot {
             metrics: runtime.report().metrics,
-            cache: runtime
-                .cluster()
-                .frontends()
-                .iter()
-                .filter_map(pulse_core::CpuFrontEnd::cache)
-                .fold((0, 0), |(h, m), c| {
-                    (h + c.stats().hits, m + c.stats().misses)
-                }),
+            cache: runtime.cluster().cache_stats(),
         }
     }
 }

@@ -322,6 +322,45 @@ fn cache_invalidation_prevents_stale_reads() {
     assert_eq!(rep.faulted, 0);
 }
 
+/// An open-loop report's cache hit rate covers its own stream only. On a
+/// reused runtime the second stream's rate is its own hits over its own
+/// probes, read from `PulseCluster::cache_stats` around it, and not the
+/// lifetime rate, which the colder first stream drags down.
+#[test]
+fn reused_runtime_reports_the_second_streams_own_cache_hit_rate() {
+    let (mut runtime, mut app) = PulseBuilder::new()
+        .nodes(2)
+        .cpus(2)
+        .cache(CacheConfig::sized(1 << 20))
+        .app(WebServiceConfig {
+            keys: 2_000,
+            ..Default::default()
+        })
+        .unwrap();
+    let mut stream = |runtime: &mut pulse::Runtime, seed: u64| {
+        let reqs: Vec<AppRequest> = (0..300).map(|_| app.next_request()).collect();
+        OpenLoopDriver::new(ArrivalProcess::poisson(200_000.0, seed))
+            .run(runtime, reqs)
+            .unwrap()
+    };
+    let first = stream(&mut runtime, 3);
+    let before = runtime.cluster().cache_stats();
+    let second = stream(&mut runtime, 5);
+    let after = runtime.cluster().cache_stats();
+    let (hits, misses) = (after.hits - before.hits, after.misses - before.misses);
+    assert!(hits > 0 && misses > 0, "the stream must probe the cache");
+    assert_eq!(second.cache_hit_rate, hits as f64 / (hits + misses) as f64);
+    assert_ne!(
+        second.cache_hit_rate,
+        after.hit_rate(),
+        "not the lifetime rate"
+    );
+    assert!(
+        first.cache_hit_rate < second.cache_hit_rate,
+        "the cache warmed"
+    );
+}
+
 /// The prefix-walk fast path is actually fast: repeating a traversal whose
 /// cells are now cached completes with strictly lower latency than its
 /// cold first run (hops at DRAM-hit cost instead of rack round trips).

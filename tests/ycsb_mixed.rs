@@ -152,6 +152,37 @@ fn reused_runtime_reports_second_stream_as_a_delta() {
     }
 }
 
+/// The RPC replay counts only the updates that completed. An all-update
+/// stream on a 2-node rack whose node 0 crashes at t=0, unreplicated, loses
+/// some updates as unavailable; none of them may count toward update
+/// goodput.
+#[test]
+fn rpc_counts_only_completed_updates_under_a_crash() {
+    use pulse::baselines::RpcConfig;
+    use pulse::sim::SimTime;
+    use pulse::{BaselineKind, Engine, FaultEvent, FaultKind};
+    let cfg = webservice_cfg(YcsbWorkload::A);
+    let rpc = RpcConfig {
+        faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
+        ..RpcConfig::rpc()
+    };
+    let (mut engine, app) = PulseBuilder::new()
+        .nodes(2)
+        .baseline_app(BaselineKind::Rpc(rpc), cfg)
+        .unwrap();
+    let mut driver = YcsbDriver::webservice(app, cfg, MutationConfig::default()).unwrap();
+    let updates: Vec<AppRequest> = (0..400)
+        .map(|_| driver.next_request(engine.memory_mut()))
+        .filter(AppRequest::is_update)
+        .collect();
+    let rep = engine
+        .execute_open_loop(&updates, ArrivalProcess::poisson(100_000.0, 7))
+        .unwrap();
+    assert!(rep.completed > 0 && rep.unavailable_completions > 0);
+    assert_eq!(rep.completed + rep.faulted, updates.len() as u64);
+    assert_eq!(rep.completed_updates, rep.completed);
+}
+
 /// YCSB-A with the front-end cache enabled: the mixed stream completes
 /// without loss, the cache actually hits (skewed reads re-walk hot
 /// buckets), updates erode those hits through version invalidation, and —
