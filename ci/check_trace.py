@@ -8,7 +8,8 @@ Validates the two artifacts the traced ladder rung emits:
 * the Chrome trace-event document is valid JSON of the shape Perfetto
   loads (`{"traceEvents": [...]}`),
 * every named track (CPU nodes, memory nodes, links) carries at least one
-  event, and at least one track of each kind exists,
+  event, and at least one track of each kind exists; a link track is a
+  directed fabric link named `a->b` (e.g. `cpu0->sw0`),
 * at least one link carries counter ("C") samples with sane utilization
   and queue depth,
 * span conservation: each request's spans tile its end-to-end latency
@@ -18,8 +19,12 @@ Validates the two artifacts the traced ladder rung emits:
 """
 
 import json
+import re
 import sys
 from collections import defaultdict
+
+# A directed fabric link between two vertices: hosts and switches.
+LINK_NAME = re.compile(r"^(cpu|mem|sw)\d+->(cpu|mem|sw)\d+$")
 
 # Floating tolerance: timestamps are microseconds printed at 6 decimals
 # (picosecond resolution), so allow 1e-3 us absolute or 0.1% relative.
@@ -37,7 +42,7 @@ def main(trace_path, sweep_path):
             names[e["tid"]] = e["args"]["name"]
     assert any(n.startswith("cpu") for n in names.values()), "no CPU track"
     assert any(n.startswith("mem") for n in names.values()), "no memory-node track"
-    link_names = [n for n in names.values() if "->" in n or n.startswith(("nic-", "link"))]
+    link_names = [n for n in names.values() if LINK_NAME.match(n)]
     assert link_names, "no link track"
 
     per_name = defaultdict(int)

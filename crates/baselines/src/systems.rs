@@ -91,17 +91,19 @@ impl std::ops::Deref for BaselineReport {
     }
 }
 
-/// The horizon fabric demand is normalized over: the offered-load window
-/// in open loop (what the offered rate asks of the link, however far the
-/// system falls behind it), the makespan in closed loop (duty cycle).
-fn demand_horizon(arrivals: Option<&[SimTime]>, makespan: SimTime) -> SimTime {
-    match arrivals {
+/// Peak CPU-downlink demand on a routed replay's fabric (0.0 without one),
+/// normalized over the offered-load window in open loop (what the offered
+/// rate asks of the link, however far the system falls behind it) and over
+/// the makespan in closed loop (duty cycle).
+fn link_demand(fabric: Option<&Fabric>, arrivals: Option<&[SimTime]>, makespan: SimTime) -> f64 {
+    let horizon = match arrivals {
         Some(times) if times.len() > 1 => {
             let window = *times.last().expect("non-empty") - times[0];
             window.max(SimTime::from_nanos(1))
         }
         _ => makespan,
-    }
+    };
+    fabric.map_or(0.0, |f| f.cpu_downlink_demand(horizon))
 }
 
 /// Whether `node` is unreachable at `t` under a time-sorted fault
@@ -319,6 +321,7 @@ pub fn run_swap_cache(
             (end, traversal_pure, pure)
         });
 
+    let link_demand = link_demand(fabric.as_ref(), arrivals, makespan);
     BaselineReport {
         label: cfg.label(),
         metrics: RunMetrics {
@@ -329,9 +332,8 @@ pub fn run_swap_cache(
                 .as_ref()
                 .map_or(net_bytes, Fabric::host_injected_bytes),
             mem_bytes,
-            link_utilization: fabric.as_ref().map_or(0.0, |f| {
-                f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
-            }),
+            link_utilization: link_demand.min(1.0),
+            link_demand,
             queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
             phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
             makespan,
@@ -872,6 +874,7 @@ pub fn run_rpc(
             )
         });
 
+    let link_demand = link_demand(fabric.as_ref(), arrivals, makespan);
     BaselineReport {
         label: cfg.label(),
         metrics: RunMetrics {
@@ -886,9 +889,8 @@ pub fn run_rpc(
                 .map_or(net_bytes, Fabric::host_injected_bytes),
             mem_bytes,
             cache_hit_rate: cache.map_or(0.0, |c| c.hit_rate()),
-            link_utilization: fabric.as_ref().map_or(0.0, |f| {
-                f.cpu_downlink_peak(demand_horizon(arrivals, makespan))
-            }),
+            link_utilization: link_demand.min(1.0),
+            link_demand,
             queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
             failovers,
             unavailable_completions: unavailable,
@@ -1199,7 +1201,7 @@ mod tests {
             },
             None,
         );
-        // Flat builds no fabric: the new metrics are exactly zero.
+        // The flat replay builds no fabric: its fabric metrics are zero.
         assert_eq!(flat.link_utilization, 0.0);
         assert_eq!(flat.queue_depth, 0);
         // Routed prices the same requests on finite links: the CPU downlink
@@ -1228,16 +1230,21 @@ mod tests {
             &reqs,
             8,
             SwapConfig {
-                topology: TopologySpec::Tor { racks: 2 },
+                topology: TopologySpec::LeafSpine {
+                    leaves: 2,
+                    spines: 1,
+                },
                 ..small
             },
             None,
         );
         assert_eq!(flat.link_utilization, 0.0);
+        assert_eq!(flat.link_demand, 0.0);
         assert!(
             routed.link_utilization > 0.0,
             "page fills must show on the downlink"
         );
+        assert!(routed.link_demand >= routed.link_utilization);
         assert!(routed.net_bytes > 0);
         assert_eq!(routed.completed, flat.completed);
     }

@@ -166,9 +166,15 @@ pub struct SweepPoint {
     /// curve — CI asserts both directions.
     pub cache_hit_rate: f64,
     /// Peak busy fraction over the fabric links into CPU nodes (the
-    /// incast-prone downlinks). Exactly 0.0 on every flat-topology curve,
-    /// where no fabric exists — CI asserts both directions.
+    /// incast-prone downlinks), capped at 1.0. Exactly 0.0 on every
+    /// flat-topology curve, which reports no fabric gauges — CI asserts
+    /// both directions.
     pub link_utilization: f64,
+    /// The same peak busy time over the rung's arrival window, uncapped
+    /// ([`pulse::trace::RunMetrics::link_demand`]): above 1.0 when the
+    /// offered load overloads the hottest CPU downlink. 0.0 on flat curves.
+    /// Not written to the sweep document.
+    pub link_demand: f64,
     /// Deepest any fabric link's egress FIFO ever got during the rung.
     /// 0 on flat-topology curves.
     pub queue_depth: u64,
@@ -260,6 +266,7 @@ impl SweepPoint {
             retries: rep.retries,
             cache_hit_rate: rep.cache_hit_rate,
             link_utilization: rep.link_utilization,
+            link_demand: rep.link_demand,
             queue_depth: rep.queue_depth,
             failovers: rep.failovers,
             unavailable_completions: rep.unavailable_completions,
@@ -1092,6 +1099,7 @@ mod tests {
             retries: 0,
             cache_hit_rate: 0.0,
             link_utilization: 0.0,
+            link_demand: 0.0,
             queue_depth: 0,
             failovers: 0,
             unavailable_completions: 0,
@@ -1193,6 +1201,9 @@ mod tests {
                     retries: 17,
                     cache_hit_rate: 0.7344,
                     link_utilization: 0.4125,
+                    // Carried on the point but never written: the
+                    // expected document below has no `link_demand` key.
+                    link_demand: 1.75,
                     queue_depth: 9,
                     failovers: 11,
                     unavailable_completions: 2,
@@ -1301,6 +1312,14 @@ mod tests {
             )]
         };
         let no_check: fn(&str, &SweepPoint) = |_, _| {};
+        let incast = pulse::TopologySpec::LeafSpine {
+            leaves: 2,
+            spines: 2,
+        };
+        let overloaded_downlink: fn(&str, &SweepPoint) = |name, p| {
+            assert_eq!(p.link_utilization, 1.0, "{name}: {p:?}");
+            assert!(p.link_demand > 1.0, "{name}: {p:?}");
+        };
         let cases = [
             Case {
                 name: "pulse-webservice",
@@ -1443,6 +1462,26 @@ mod tests {
                         "{name}: RPC never rebuilds: {p:?}"
                     );
                 },
+            },
+            // The leaf-spine incast, offered past what the hot CPU
+            // downlink can carry: utilization stops at 1.0, and demand
+            // reads how far past capacity the offered load is.
+            Case {
+                name: "pulse-leafspine-incast",
+                at: at(rack().cpus(1).topology(incast), 4, ws, 120),
+                side: Side::Pulse,
+                load_kops: 6400.0,
+                check: overloaded_downlink,
+            },
+            Case {
+                name: "rpc-leafspine-incast",
+                at: at(clients(), 4, ws, 120),
+                side: rpc(RpcConfig {
+                    topology: incast,
+                    ..RpcConfig::rpc()
+                }),
+                load_kops: 3200.0,
+                check: overloaded_downlink,
             },
         ];
         for case in cases {

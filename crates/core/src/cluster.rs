@@ -2,12 +2,13 @@
 //! switch + per-memory-node accelerators, executing application requests
 //! end-to-end with full functional fidelity and event-driven timing.
 //!
-//! Every CPU node has its own full-duplex [`Link`] to the switch — the
-//! node's NIC doubles as its issue queue, serializing departures — and its
-//! own request-sequence counter, so a [`RequestId`] `(cpu, seq)` is unique
-//! rack-wide and every reply routes back to the node that issued the
-//! request. Submissions are spread across CPU nodes round-robin:
-//! submission `i` issues from CPU node `i % cpus`.
+//! Every CPU node reaches the switch over its own up-link on the rack's
+//! [`Fabric`] — the NIC's transmit side doubles as the node's issue queue,
+//! serializing departures — and has its own request-sequence counter, so
+//! a [`RequestId`] `(cpu, seq)` is unique rack-wide and every reply routes
+//! back to the node that issued the request. Submissions are spread
+//! across CPU nodes round-robin: submission `i` issues from CPU node
+//! `i % cpus`.
 //!
 //! This is the system Fig. 7/9 evaluate. Two modes exist:
 //!
@@ -27,9 +28,8 @@ use pulse_mem::{
     RangeTable,
 };
 use pulse_net::{
-    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Link, LinkConfig, Packet,
-    RequestId, Route, Switch, SwitchConfig, TopoNode, TopologySpec, FRAME_HEADER_BYTES,
-    PULSE_HEADER_BYTES,
+    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, LinkConfig, Packet,
+    RequestId, Route, Switch, TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
     CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab,
@@ -64,10 +64,12 @@ pub struct ClusterConfig {
     /// Number of CPU (compute) nodes issuing requests; each has its own
     /// link/issue queue and sequence counter.
     pub cpus: usize,
-    /// The rack fabric shape. [`TopologySpec::Flat`] (the default) keeps the
-    /// legacy single-switch pricing path — bit-identical to the pre-fabric
-    /// model — while any routed spec prices every packet hop by hop on a
-    /// [`Fabric`] built over the rack's CPU and memory endpoints.
+    /// The rack fabric shape. Every shape, the single-switch
+    /// [`TopologySpec::Flat`] default included, prices packets hop by hop
+    /// on a [`Fabric`] built over the rack's CPU and memory endpoints. A
+    /// flat rack runs the switch as its own event when a packet reaches
+    /// it; a routed rack decides the route and books the whole path when
+    /// the packet is sent.
     pub topology: TopologySpec,
     /// Per-CPU-node hot-object cache over traversal cells (see
     /// `pulse_frontend::cache` for the coherence semantics). Disabled by
@@ -157,7 +159,8 @@ enum Ev {
     Arrive(RequestId, Box<ReqState>),
     /// CPU node (re-)starts processing an in-flight request's current stage.
     Start(RequestId),
-    /// Packet reaches the switch ingress (with its source endpoint).
+    /// Packet reaches a flat rack's switch ingress (with its source
+    /// endpoint). Routed racks book the whole path at send time instead.
     AtSwitch(u32, Endpoint),
     /// Packet reaches memory node `n`.
     AtMem(NodeId, u32),
@@ -252,8 +255,9 @@ struct ReqState {
 
 /// One CPU (compute) node: its serial dispatch engine, its request
 /// sequence counter, and, when configured, its coherent traversal-cell
-/// cache and ISA-v2 prefix coalescer. Its NIC lives in
-/// `PulseCluster::nics`.
+/// cache and ISA-v2 prefix coalescer. Its NIC's two directions are its
+/// fabric up- and down-link, plus a receive pipe in
+/// `PulseCluster::cpu_rx`.
 #[derive(Debug)]
 struct CpuNode {
     dispatch: CpuDispatch,
@@ -268,17 +272,16 @@ pub struct PulseCluster {
     cfg: ClusterConfig,
     mem: ClusterMemory,
     accels: Vec<Accelerator>,
+    /// The pure routing decision; the fabric prices the switch's egress.
     switch: Switch,
-    /// The routed fabric, present exactly when `cfg.topology` is not flat.
-    /// In routed mode it replaces the flat `nics`/`switch.forward` pricing:
-    /// every packet is charged hop by hop on per-directed-link pipes (the
-    /// switch still supplies the pure routing decision).
-    fabric: Option<Fabric>,
-    /// Every endpoint's flat NIC, indexed like the flat link tracks: CPU
-    /// `c` at `c`, memory node `n` at `cpus + n` (see [`Self::nic_of`]).
-    /// A CPU NIC doubles as the node's issue queue. Routed racks still
-    /// deliver the switch's control-plane notices on the CPU NICs.
-    nics: Vec<Link>,
+    /// Every wire in the rack: each host's up- and down-link (its NIC's
+    /// two directions) and, on a routed rack, the switch cables.
+    fabric: Fabric,
+    /// Each CPU NIC's receive pipe, indexed by CPU. It has no fabric twin:
+    /// it carries the switch's control-plane notices on every topology,
+    /// and on a flat rack it serializes every CPU-bound frame a second
+    /// time after its down-link (see [`Self::switch_egress`]).
+    cpu_rx: Vec<SerialResource>,
     /// Per-CPU-node issue-path state, indexed by `RequestId::cpu`.
     cpus: Vec<CpuNode>,
     /// Per-node DMA engines serving plain object reads/writes.
@@ -324,9 +327,8 @@ pub struct PulseCluster {
     /// The optional trace recorder ([`ClusterConfig::trace`]); `None` is
     /// the zero-cost disabled path.
     sink: Option<TraceSink>,
-    /// Cumulative byte counters at the last counter sample, one per link
-    /// track (flat: CPU NICs then memory NICs; routed: directed links).
-    /// Empty when tracing is off.
+    /// Cumulative byte counters at the last counter sample, one per
+    /// directed fabric link. Empty when tracing is off.
     sampled_bytes: Vec<u64>,
     // Measurements.
     hist: LatencyHistogram,
@@ -401,10 +403,7 @@ impl PulseCluster {
     ) -> Result<PulseCluster, CapacityExceeded> {
         assert!(cfg.cpus >= 1, "a rack needs at least one CPU node");
         let nodes = mem.node_count();
-        let switch = Switch::new(
-            SwitchConfig::default(),
-            GlobalRangeMap::new(&mem.all_ranges()),
-        );
+        let switch = Switch::new(GlobalRangeMap::new(&mem.all_ranges()));
         // With a front-end cache, accelerators ship the cells they touch
         // back with each response (the cache's fill feed, priced on the
         // wire); without one, collection stays off and wire sizes are
@@ -424,46 +423,21 @@ impl PulseCluster {
                 Ok(Accelerator::new(accel_cfg, n, table))
             })
             .collect::<Result<Vec<_>, CapacityExceeded>>()?;
-        let fabric = cfg
-            .topology
-            .is_routed()
-            .then(|| Fabric::new(cfg.topology.build(cfg.cpus, nodes), FabricConfig::default()));
-        // The trace sink names every link track up front so exported
-        // timelines read as rack geometry, not bare indices. Flat racks
-        // get one track per NIC; routed racks one per directed link.
+        let fabric = Fabric::new(cfg.topology.build(cfg.cpus, nodes), FabricConfig::default());
+        let links = fabric.topology().links();
+        // The trace sink names every directed-link track up front so
+        // exported timelines read as rack geometry, not bare indices.
         let sink = cfg.trace.map(|tc| {
             let mut sink = TraceSink::new(tc);
-            match &fabric {
-                Some(fab) => {
-                    for (i, l) in fab.topology().links().iter().enumerate() {
-                        sink.name_track(
-                            Track::Link(i),
-                            format!("{}->{}", topo_label(l.from), topo_label(l.to)),
-                        );
-                    }
-                }
-                None => {
-                    for c in 0..cfg.cpus {
-                        sink.name_track(Track::Link(c), format!("nic-cpu{c}"));
-                    }
-                    for n in 0..nodes {
-                        sink.name_track(Track::Link(cfg.cpus + n), format!("nic-mem{n}"));
-                    }
-                }
+            for (i, l) in links.iter().enumerate() {
+                sink.name_track(
+                    Track::Link(i),
+                    format!("{}->{}", topo_label(l.from), topo_label(l.to)),
+                );
             }
             sink
         });
-        let sampled_bytes = if sink.is_some() {
-            vec![
-                0u64;
-                match &fabric {
-                    Some(fab) => fab.topology().links().len(),
-                    None => cfg.cpus + nodes,
-                }
-            ]
-        } else {
-            Vec::new()
-        };
+        let sampled_bytes = vec![0u64; if sink.is_some() { links.len() } else { 0 }];
         // Sized for a deep open-loop in-flight population so the event
         // heap reaches steady state without reallocating. Scheduled faults
         // go in first, so at equal timestamps a fault fires before the
@@ -484,8 +458,8 @@ impl PulseCluster {
             accels,
             switch,
             fabric,
-            nics: (0..cfg.cpus + nodes)
-                .map(|_| Link::new(LinkConfig::default()))
+            cpu_rx: (0..cfg.cpus)
+                .map(|_| SerialResource::new(LinkConfig::default().bits_per_sec))
                 .collect(),
             cpus: (0..cfg.cpus)
                 .map(|_| CpuNode {
@@ -663,6 +637,10 @@ impl PulseCluster {
         std::mem::take(&mut self.done)
     }
 
+    // Inlined into `step`, its only caller: left to the compiler's
+    // heuristic it was called out of line, and perfbench's `ws-read`
+    // simulated ~5% fewer requests per second.
+    #[inline]
     fn handle(&mut self, drv: &mut Driver<Ev>, ev: Ev) {
         let now = drv.now();
         self.sample_counters(now);
@@ -785,6 +763,7 @@ impl PulseCluster {
     /// The aggregate report over everything completed so far.
     pub fn report(&self) -> ClusterReport {
         let horizon = self.makespan.max(SimTime::from_picos(1));
+        let (link_demand, queue_depth) = self.fabric_gauges(horizon);
         let nodes = self.accels.len();
         let mem_bytes: u64 = self
             .accels
@@ -797,27 +776,12 @@ impl PulseCluster {
             faulted: self.faulted,
             latency: self.hist.summary(),
             throughput: self.completed as f64 / horizon.as_secs_f64(),
-            // Flat mode counts bytes at the CPU links (both directions);
-            // routed mode counts every message once at its origin's fabric
-            // up-link, which additionally covers mem→mem chained hops the
-            // CPU links never see.
-            net_bytes: match &self.fabric {
-                Some(f) => f.host_injected_bytes(),
-                None => self.nics[..self.cpus.len()]
-                    .iter()
-                    .map(|l| l.tx_bytes() + l.rx_bytes())
-                    .sum(),
-            },
+            net_bytes: self.net_bytes(),
             mem_bytes,
             cache_hit_rate: self.cache_stats().hit_rate(),
-            link_utilization: self
-                .fabric
-                .as_ref()
-                .map_or(0.0, |f| f.cpu_downlink_peak(horizon)),
-            queue_depth: self
-                .fabric
-                .as_ref()
-                .map_or(0, |f| f.max_queue_depth() as u64),
+            link_utilization: link_demand.min(1.0),
+            link_demand,
+            queue_depth,
             retries: self.retries,
             failovers: self.failovers,
             unavailable_completions: self.unavailable,
@@ -854,10 +818,43 @@ impl PulseCluster {
         }
     }
 
-    /// The routed fabric's per-link state, when one exists (ablation-level
-    /// inspection; the report carries the headline scalars).
-    pub fn fabric(&self) -> Option<&Fabric> {
-        self.fabric.as_ref()
+    /// The rack fabric's per-link state (ablation-level inspection; the
+    /// report carries the headline scalars).
+    pub fn fabric(&self) -> &Fabric {
+        &self.fabric
+    }
+
+    /// The report's fabric gauges over `[0, horizon]`: the peak
+    /// CPU-downlink demand (busy time over the horizon, uncapped) and the
+    /// deepest any egress FIFO got. A flat rack reports both as 0 (its
+    /// curves' goldens pin zero fabric gauges); its links are still
+    /// sampled in traces.
+    pub fn fabric_gauges(&self, horizon: SimTime) -> (f64, u64) {
+        if !self.cfg.topology.is_routed() {
+            return (0.0, 0);
+        }
+        (
+            self.fabric.cpu_downlink_demand(horizon),
+            self.fabric.max_queue_depth() as u64,
+        )
+    }
+
+    /// Bytes the report counts as network traffic. A routed rack counts
+    /// every message once at its origin's up-link, which also covers
+    /// mem→mem chained hops. A flat rack counts the CPU NICs' two
+    /// directions instead: each CPU's up-link plus its receive pipe,
+    /// notices included.
+    fn net_bytes(&self) -> u64 {
+        if self.cfg.topology.is_routed() {
+            return self.fabric.host_injected_bytes();
+        }
+        let topo = self.fabric.topology();
+        (0..self.cpus.len())
+            .map(|c| {
+                let up = topo.uplink(Endpoint::Cpu(c)).expect("CPU on the fabric");
+                self.fabric.link_bytes(up) + self.cpu_rx[c].bytes_moved()
+            })
+            .sum()
     }
 
     /// The trace recorder, when the cluster was built with
@@ -887,15 +884,6 @@ impl PulseCluster {
         }
     }
 
-    /// The index of `ep`'s flat NIC in `nics`, which is also its link id
-    /// and trace track: CPU NICs first, then memory NICs.
-    fn nic_of(&self, ep: Endpoint) -> usize {
-        match ep {
-            Endpoint::Cpu(c) => c,
-            Endpoint::Mem(n) => self.cpus.len() + n,
-        }
-    }
-
     /// Catches the counter-sample clock up to `now`, recording one link
     /// utilization + egress-queue-depth observation per track per due
     /// tick. Runs at the top of the event handler so idle stretches are
@@ -906,34 +894,16 @@ impl PulseCluster {
             return;
         };
         let interval = sink.config().sample_interval.as_secs_f64();
+        let fab = &self.fabric;
         while let Some(at) = sink.sample_tick(now) {
-            match &self.fabric {
-                Some(fab) => {
-                    for (i, sampled) in self.sampled_bytes.iter_mut().enumerate() {
-                        let bytes = fab.link_bytes(i);
-                        let delta = bytes - *sampled;
-                        *sampled = bytes;
-                        let bps = fab.link_bits_per_sec(i);
-                        let util = (delta as f64 * 8.0 / (interval * bps as f64)).min(1.0);
-                        let depth = fab.queue_depth_at(i, at) as u64;
-                        sink.record_sample(Track::Link(i), at, util, depth);
-                    }
-                }
-                None => {
-                    // Flat NICs are full duplex; utilization is the
-                    // combined-direction busy fraction. No modeled egress
-                    // queue exists, so depth reads 0.
-                    let bps = LinkConfig::default().bits_per_sec as f64;
-                    for (i, (nic, sampled)) in
-                        self.nics.iter().zip(&mut self.sampled_bytes).enumerate()
-                    {
-                        let total = nic.tx_bytes() + nic.rx_bytes();
-                        let delta = total - *sampled;
-                        *sampled = total;
-                        let util = (delta as f64 * 8.0 / (interval * 2.0 * bps)).min(1.0);
-                        sink.record_sample(Track::Link(i), at, util, 0);
-                    }
-                }
+            for (i, sampled) in self.sampled_bytes.iter_mut().enumerate() {
+                let bytes = fab.link_bytes(i);
+                let delta = bytes - *sampled;
+                *sampled = bytes;
+                let bps = fab.link_bits_per_sec(i);
+                let util = (delta as f64 * 8.0 / (interval * bps as f64)).min(1.0);
+                let depth = fab.queue_depth_at(i, at) as u64;
+                sink.record_sample(Track::Link(i), at, util, depth);
             }
         }
     }
@@ -1001,7 +971,7 @@ impl PulseCluster {
     fn unavailable_complete(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.nics[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
+        let arrive = self.notice_arrival(id.cpu, now);
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::Finished(id, Done::Unavailable));
         // Coalesced riders do not inherit the leader's unavailable
@@ -1015,9 +985,22 @@ impl PulseCluster {
     fn crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.nics[id.cpu].rx(now, NOTICE_BYTES) + LinkConfig::default().propagation;
+        let arrive = self.notice_arrival(id.cpu, now);
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
         drv.schedule_at(arrive, Ev::CrashNotice(id));
+    }
+
+    /// When a switch notice sent at `now` reaches CPU `cpu`: it serializes
+    /// on the CPU's receive pipe and pays propagation twice (switch to NIC,
+    /// NIC to host).
+    fn notice_arrival(&mut self, cpu: usize, now: SimTime) -> SimTime {
+        self.cpu_receive(cpu, now, NOTICE_BYTES) + LinkConfig::default().propagation
+    }
+
+    /// Serializes `bytes` on CPU `cpu`'s receive pipe from `at` and returns
+    /// when they have propagated past it.
+    fn cpu_receive(&mut self, cpu: usize, at: SimTime, bytes: u64) -> SimTime {
+        self.cpu_rx[cpu].acquire(at, bytes).end + LinkConfig::default().propagation
     }
 
     /// The CPU-side half of a crash notice: re-plan the request through
@@ -1451,58 +1434,40 @@ impl PulseCluster {
         }
     }
 
-    /// Routed-fabric counterpart of [`Self::at_switch`]: the switch still
-    /// makes the pure routing decision (crossing counting, the pulse-acc
-    /// override, and invalid-pointer notification follow the flat path
-    /// exactly), but transport is priced hop by hop on the fabric and the
-    /// delivery event is scheduled directly — no `AtSwitch` hop exists in
-    /// routed mode.
-    fn route_and_send(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
-        let Some((route, pkt)) = self.switch_route(drv, at, pkt, from) else {
-            return;
-        };
-        // Routed trips are priced hop by hop but recorded as one WireHop
-        // span attributed to the message's first hop (the sender's
-        // up-link) — the only link whose occupancy the sender holds.
-        let up = self
-            .fabric
-            .as_ref()
-            .and_then(|fab| fab.topology().uplink(from))
-            .expect("fabric covers every rack endpoint");
-        let (id, wire) = (pkt.id(), pkt.wire_bytes());
-        let arrive = self.fabric_send(at, from, destination(route), wire);
-        self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-        self.deliver(drv, arrive, route, pkt);
-    }
-
-    /// Prices one message on the routed fabric, from any endpoint.
-    fn fabric_send(&mut self, at: SimTime, from: Endpoint, to: Endpoint, bytes: u64) -> SimTime {
-        self.fabric
-            .as_mut()
-            .expect("routed mode has a fabric")
-            .send(at, from, to, bytes)
-            .expect("fabric covers every rack endpoint")
-    }
-
+    /// A packet reaches the switch of a flat rack: route it, book the
+    /// switch's egress, and deliver it.
     fn at_switch(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, from: Endpoint) {
         let Some((route, pkt)) = self.switch_route(drv, now, pkt, from) else {
             return;
         };
         // The switch-egress + delivery trip is attributed to the
-        // *destination's* NIC track (the sender's NIC span ended at
-        // switch ingress). Both verdicts charge the switch's egress port
-        // and a CPU NIC's receive side at the packet's full wire size; a
-        // memory NIC books only its transmit side.
+        // destination's down-link track (the sender's up-link span ended
+        // at switch ingress).
         let to = destination(route);
-        let egress_done = self.switch.forward(now, &pkt, to);
-        let link = self.nic_of(to);
         let (id, wire) = (pkt.id(), pkt.wire_bytes());
-        let arrive = match to {
-            Endpoint::Cpu(_) => self.nics[link].rx(egress_done, wire),
-            Endpoint::Mem(_) => egress_done + LinkConfig::default().propagation,
-        };
+        let arrive = self.switch_egress(now, from, to, wire);
+        let link = self.fabric.topology().downlink(to).expect("on the fabric");
         self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
         self.deliver(drv, arrive, route, pkt);
+    }
+
+    /// Books a flat rack's switch egress for `wire` bytes from `from` that
+    /// reached the switch at `now`, and returns their arrival at `to`. A
+    /// CPU-bound frame then serializes a second time, on the CPU's receive
+    /// pipe, starting as its last byte leaves the switch port: the flat
+    /// rack charges a CPU-bound frame's wire time twice.
+    fn switch_egress(&mut self, now: SimTime, from: Endpoint, to: Endpoint, wire: u64) -> SimTime {
+        let arrive = self
+            .fabric
+            .switch_send(now, from, to, wire)
+            .expect("fabric covers every rack endpoint");
+        match to {
+            Endpoint::Cpu(c) => {
+                let egress_done = arrive - LinkConfig::default().propagation;
+                self.cpu_receive(c, egress_done, wire)
+            }
+            Endpoint::Mem(_) => arrive,
+        }
     }
 
     /// Hands `pkt` to the endpoint its route names at `arrive`. A packet
@@ -1536,29 +1501,50 @@ impl PulseCluster {
         }
     }
 
-    /// Sends `pkt` out of endpoint `from` at `at`: over its flat NIC to the
-    /// switch ingress, or priced on the routed fabric with delivery
-    /// scheduled directly.
+    /// Sends `pkt` out of endpoint `from` at `at` over its up-link. The
+    /// routing decision is recorded as one `WireHop` span on that up-link,
+    /// the only link whose occupancy the sender holds.
+    ///
+    /// The two topologies book at different times. A flat rack books the
+    /// up-link now and the rest at the switch ([`Ev::AtSwitch`]). A routed
+    /// rack decides the route now and books every hop of its path at send
+    /// time, even hops the packet reaches much later: a known booking-order
+    /// artefact that ROADMAP.md's one-wire-model item removes.
     fn transmit(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
-        if self.fabric.is_some() {
-            return self.route_and_send(drv, at, pkt, from);
+        let up = self.fabric.topology().uplink(from).expect("on the fabric");
+        let (id, wire) = (pkt.id(), pkt.wire_bytes());
+        if !self.cfg.topology.is_routed() {
+            let arrive = self
+                .fabric
+                .uplink_send(at, from, wire)
+                .expect("on the fabric");
+            self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
+            return drv.schedule_at(arrive, Ev::AtSwitch(self.packets.insert(pkt), from));
         }
-        let (id, link) = (pkt.id(), self.nic_of(from));
-        let arrive = self.nics[link].tx(at, pkt.wire_bytes());
-        self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
-        drv.schedule_at(arrive, Ev::AtSwitch(self.packets.insert(pkt), from));
+        let Some((route, pkt)) = self.switch_route(drv, at, pkt, from) else {
+            return;
+        };
+        let arrive = self
+            .fabric
+            .send(at, from, destination(route), wire)
+            .expect("fabric covers every rack endpoint");
+        self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
+        self.deliver(drv, arrive, route, pkt);
     }
 
     /// When `wire` bytes sent at `at` from memory node `src` reach memory
-    /// node `dst`: priced on the routed fabric, or over the source's flat
-    /// link.
+    /// node `dst`. A routed rack prices the whole fabric path. A flat rack
+    /// takes a shortcut for this replica and rebuild traffic: the source's
+    /// up-link plus two propagation delays, with no switch.
     fn mem_to_mem(&mut self, at: SimTime, src: NodeId, dst: NodeId, wire: u64) -> SimTime {
-        if self.fabric.is_some() {
-            self.fabric_send(at, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
+        let (from, to) = (Endpoint::Mem(src), Endpoint::Mem(dst));
+        let arrive = if self.cfg.topology.is_routed() {
+            self.fabric.send(at, from, to, wire)
         } else {
-            let nic = self.nic_of(Endpoint::Mem(src));
-            self.nics[nic].tx(at, wire) + LinkConfig::default().propagation
-        }
+            let prop = LinkConfig::default().propagation;
+            self.fabric.uplink_send(at, from, wire).map(|t| t + prop)
+        };
+        arrive.expect("fabric covers every rack endpoint")
     }
 
     fn at_mem(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, pkt: Packet) {
@@ -2098,10 +2084,15 @@ mod tests {
         // Every compute node both issued requests and received replies,
         // and the aggregate counter covers all of them.
         let mut sum = 0;
-        for link in &cluster.nics[..4] {
-            assert!(link.tx_bytes() > 0, "idle CPU tx link");
-            assert!(link.rx_bytes() > 0, "idle CPU rx link");
-            sum += link.tx_bytes() + link.rx_bytes();
+        for c in 0..4 {
+            let up = cluster.fabric.topology().uplink(Endpoint::Cpu(c)).unwrap();
+            let (tx, rx) = (
+                cluster.fabric.link_bytes(up),
+                cluster.cpu_rx[c].bytes_moved(),
+            );
+            assert!(tx > 0, "idle CPU tx link");
+            assert!(rx > 0, "idle CPU rx link");
+            sum += tx + rx;
         }
         assert_eq!(report.net_bytes, sum);
     }
@@ -2123,8 +2114,11 @@ mod tests {
         let report = cluster.run(reqs, 8);
         assert_eq!(report.completed, 120);
         assert!(report.crossings > 0);
-        for link in &cluster.nics[..2] {
-            assert!(link.rx_bytes() > 0, "bounce bypassed a CPU node");
+        for c in 0..2 {
+            assert!(
+                cluster.cpu_rx[c].bytes_moved() > 0,
+                "bounce bypassed a CPU node"
+            );
         }
     }
 
@@ -2231,7 +2225,7 @@ mod tests {
             len: 4096,
         }
         .wire_bytes();
-        assert!(cluster.nics[0].rx_bytes() >= wire);
+        assert!(cluster.cpu_rx[0].bytes_moved() >= wire);
     }
 
     #[test]
@@ -2240,12 +2234,18 @@ mod tests {
         // every routed topology must return the same per-request answers as
         // the functional ground truth.
         for topology in [
-            TopologySpec::Tor { racks: 2 },
+            TopologySpec::LeafSpine {
+                leaves: 2,
+                spines: 1,
+            },
             TopologySpec::LeafSpine {
                 leaves: 2,
                 spines: 2,
             },
-            TopologySpec::Ring { switches: 3 },
+            TopologySpec::LeafSpine {
+                leaves: 3,
+                spines: 2,
+            },
         ] {
             let (mem, reqs, expected) = webservice_cluster_opts(4, 2_000, 4096, false);
             let mut cluster = PulseCluster::new(
@@ -2351,14 +2351,132 @@ mod tests {
 
     #[test]
     fn flat_topology_reports_zero_fabric_metrics() {
-        // The flat default builds no fabric at all: the new report fields
-        // are exactly zero and the legacy byte accounting is untouched.
+        // The flat default runs on the fabric but reports its fabric
+        // gauges as exactly zero.
         let (mem, reqs, _) = webservice_cluster(2, 2_000, 1 << 20);
         let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
         let report = cluster.run(reqs, 8);
-        assert!(cluster.fabric().is_none());
+        assert_eq!(report.link_demand, 0.0);
         assert_eq!(report.link_utilization, 0.0);
         assert_eq!(report.queue_depth, 0);
+    }
+
+    /// The flat rack's pricing before it ran on the fabric, kept as a
+    /// reference: one full-duplex NIC per endpoint (`tx`/`rx` pipes, each
+    /// adding propagation) and a switch with one egress port per
+    /// destination, behind its pipeline latency.
+    #[derive(Default)]
+    struct FlatReference {
+        tx: HashMap<Endpoint, SerialResource>,
+        rx: HashMap<Endpoint, SerialResource>,
+        ports: HashMap<Endpoint, SerialResource>,
+    }
+
+    impl FlatReference {
+        fn pipe(
+            pipes: &mut HashMap<Endpoint, SerialResource>,
+            ep: Endpoint,
+        ) -> &mut SerialResource {
+            pipes
+                .entry(ep)
+                .or_insert_with(|| SerialResource::new(LinkConfig::default().bits_per_sec))
+        }
+
+        fn tx(&mut self, ep: Endpoint, now: SimTime, bytes: u64) -> SimTime {
+            Self::pipe(&mut self.tx, ep).acquire(now, bytes).end + LinkConfig::default().propagation
+        }
+
+        fn rx(&mut self, ep: Endpoint, now: SimTime, bytes: u64) -> SimTime {
+            Self::pipe(&mut self.rx, ep).acquire(now, bytes).end + LinkConfig::default().propagation
+        }
+
+        /// Switch egress toward `to`, then delivery: a CPU NIC's receive
+        /// side serializes the frame again; a memory NIC books nothing.
+        fn egress(&mut self, now: SimTime, to: Endpoint, bytes: u64) -> SimTime {
+            let ready = now + pulse_net::SwitchConfig::default().pipeline_latency;
+            let done = Self::pipe(&mut self.ports, to).acquire(ready, bytes).end;
+            match to {
+                Endpoint::Cpu(_) => self.rx(to, done, bytes),
+                Endpoint::Mem(_) => done + LinkConfig::default().propagation,
+            }
+        }
+    }
+
+    #[test]
+    fn flat_rack_prices_like_per_endpoint_nics_and_a_port_map() {
+        // Property (SplitMix64 case loop): the flat rack's up-link, switch
+        // egress, CPU receive pipe, notices and mem→mem shortcut price
+        // every message exactly as the per-endpoint NICs and the switch's
+        // per-destination ports did, under random interleavings.
+        let (cpus, nodes) = (2, 3);
+        let roster: Vec<Endpoint> = (0..cpus)
+            .map(Endpoint::Cpu)
+            .chain((0..nodes).map(Endpoint::Mem))
+            .collect();
+        for seed in [3u64, 11, 0xc0ffee] {
+            let (mem, _, _) = webservice_cluster(nodes, 500, 1 << 20);
+            let mut cluster = PulseCluster::new(
+                ClusterConfig {
+                    cpus,
+                    ..ClusterConfig::default()
+                },
+                mem,
+            );
+            let mut reference = FlatReference::default();
+            let mut rng = pulse_sim::SplitMix64::new(seed);
+            for case in 0..2_000 {
+                let at = SimTime::from_nanos(rng.next_below(50_000));
+                let bytes = 1 + rng.next_below(9_000);
+                let from = roster[rng.next_below(roster.len() as u64) as usize];
+                let to = roster[rng.next_below(roster.len() as u64) as usize];
+                let (got, want) = match rng.next_below(4) {
+                    0 => (
+                        cluster.fabric.uplink_send(at, from, bytes).unwrap(),
+                        reference.tx(from, at, bytes),
+                    ),
+                    1 => (
+                        cluster.switch_egress(at, from, to, bytes),
+                        reference.egress(at, to, bytes),
+                    ),
+                    2 => {
+                        let cpu = rng.next_below(cpus as u64) as usize;
+                        (
+                            cluster.notice_arrival(cpu, at),
+                            reference.rx(Endpoint::Cpu(cpu), at, NOTICE_BYTES)
+                                + LinkConfig::default().propagation,
+                        )
+                    }
+                    _ => {
+                        let (src, dst) = (rng.next_below(3) as usize, rng.next_below(3) as usize);
+                        (
+                            cluster.mem_to_mem(at, src, dst, bytes),
+                            reference.tx(Endpoint::Mem(src), at, bytes)
+                                + LinkConfig::default().propagation,
+                        )
+                    }
+                };
+                assert_eq!(got, want, "seed {seed} case {case}");
+            }
+        }
+
+        // Back-to-back CPU-bound frames of decreasing size reach the switch
+        // together: the down-link port frees before the receive pipe does,
+        // so the later frames queue on the receive pipe.
+        let (mem, _, _) = webservice_cluster(nodes, 500, 1 << 20);
+        let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
+        let mut reference = FlatReference::default();
+        let t0 = SimTime::from_micros(3);
+        let ser = |b| SimTime::serialization(b, LinkConfig::default().bits_per_sec);
+        let mut port_done = t0 + pulse_net::SwitchConfig::default().pipeline_latency;
+        for (n, bytes) in [9_000u64, 4_000, 64].into_iter().enumerate() {
+            let got = cluster.switch_egress(t0, Endpoint::Mem(n), Endpoint::Cpu(0), bytes);
+            assert_eq!(got, reference.egress(t0, Endpoint::Cpu(0), bytes));
+            port_done += ser(bytes);
+            let unqueued = port_done + ser(bytes) + LinkConfig::default().propagation;
+            if n > 0 {
+                assert!(got > unqueued, "frame {n} must queue on the receive pipe");
+            }
+        }
     }
 
     #[test]
@@ -2382,7 +2500,7 @@ mod tests {
         assert_eq!(report.completed, 120);
         assert!(report.queue_depth >= 2, "depth {}", report.queue_depth);
         assert!(report.link_utilization > 0.0);
-        let fabric = cluster.fabric().expect("routed mode has a fabric");
+        let fabric = cluster.fabric();
         assert!((0..fabric.topology().links().len()).any(|i| fabric.link_bytes(i) > 0));
     }
 
@@ -2782,7 +2900,8 @@ mod tests {
         assert!(!sink.samples().is_empty(), "counter samples recorded");
         let json = cluster.trace_json().unwrap();
         assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains("nic-cpu0"), "flat NIC tracks named");
+        assert!(json.contains("\"cpu0->sw0\""), "flat up-link track named");
+        assert!(json.contains("\"sw0->mem1\""), "flat down-link track named");
         assert!(json.contains("\"ph\":\"C\""), "counter events present");
     }
 

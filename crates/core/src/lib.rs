@@ -43,9 +43,10 @@
 //!
 //! # CPU-node front end and hot-object cache
 //!
-//! Each CPU node's issue path is its NIC (a [`pulse_net::Link`] that
-//! doubles as the issue queue), its [`CpuDispatch`] engine and its
-//! sequence counter, all owned by [`PulseCluster`]. The replay baselines
+//! Each CPU node's issue path is its NIC (its up-link on the rack's
+//! [`pulse_net::Fabric`], which doubles as the issue queue), its
+//! [`CpuDispatch`] engine and its sequence counter, all owned by
+//! [`PulseCluster`]. The replay baselines
 //! price admission on the same dispatch model and RPC+cache probes the
 //! same [`TraversalCache`]. [`ClusterConfig::cache`] gives every CPU node
 //! one such cache: when enabled, each stage first walks cached,

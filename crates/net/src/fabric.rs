@@ -1,31 +1,56 @@
-//! The routed fabric: finite-bandwidth directed links with hop-by-hop
+//! The rack fabric: finite-bandwidth directed links with hop-by-hop
 //! serialization, FIFO egress queues, and per-link accounting.
 //!
-//! [`Fabric`] marries a [`RackTopology`] to per-directed-link
-//! [`SerialResource`] pipes and owns every per-link fact the rack reports:
-//! rate, bytes carried and egress queue depth. A message walks its
-//! precomputed path ([`RackTopology::path`]) hop by hop with a time cursor:
-//! each egress port serializes the message after any traffic already queued
-//! there (stalling the *message* at that port), but the original sender is
-//! only occupied for its own first-hop serialization — multi-hop transit
-//! never blocks the sender, the lesson the hwgc-soft interconnect journey
-//! records. Receive/forward costs are derived from the message's byte count
-//! and the configured bandwidths; there are no flat per-message magic
-//! constants.
+//! [`Fabric`] marries a [`RackTopology`] to one serialization pipe per
+//! directed link and owns every per-link fact the rack reports: rate, bytes
+//! carried, busy time and egress queue depth. It prices every topology,
+//! the single-switch flat rack included. A message walks its precomputed
+//! path ([`RackTopology::path`]) hop by hop with a time cursor: each egress
+//! port serializes the message after any traffic already queued there
+//! (stalling the *message* at that port), but the original sender is only
+//! occupied for its own first-hop serialization — multi-hop transit never
+//! blocks the sender, the lesson the hwgc-soft interconnect journey
+//! records. A send splits into the sender's up-link
+//! ([`Fabric::uplink_send`]) and the rest of the path behind the first
+//! switch ([`Fabric::switch_send`]), so a caller that models the switch as
+//! its own event can book the two halves at different times. Every charge
+//! derives from the message's byte count and the configured bandwidths;
+//! there are no flat per-message magic constants.
 
-use crate::link::LinkConfig;
 use crate::packet::Endpoint;
 use crate::switch::SwitchConfig;
 use crate::topology::{RackTopology, TopoNode};
 use pulse_sim::{SerialResource, SimTime};
 use std::collections::VecDeque;
 
+/// Host-link timing parameters. Every charge a host link makes is a pure
+/// function of the message's byte count and these parameters: it
+/// serializes exactly the bytes handed to it (no framing overhead).
+#[derive(Debug, Clone, Copy)]
+pub struct LinkConfig {
+    /// One-way propagation incl. NIC processing on both ends of the hop.
+    pub propagation: SimTime,
+    /// Bandwidth in bits per second.
+    pub bits_per_sec: u64,
+}
+
+impl Default for LinkConfig {
+    fn default() -> Self {
+        LinkConfig {
+            // NIC tx + PHY + wire for one endpoint↔switch hop; calibrated so
+            // one endpoint→switch→endpoint crossing plus switch pipeline
+            // lands in the paper's observed 3.5–5 µs per node-crossing.
+            propagation: SimTime::from_micros(1) + SimTime::from_nanos(500),
+            bits_per_sec: 100_000_000_000,
+        }
+    }
+}
+
 /// Bandwidth/latency parameters for every link and switch in a [`Fabric`].
 ///
-/// Host-egress (and host-ingress) hops serialize at [`LinkConfig`] bandwidth
-/// and add its propagation delay; switch-egress hops serialize at
-/// [`SwitchConfig`] port bandwidth after its pipeline latency — the same
-/// constants the flat model prices, applied per hop.
+/// Host-egress hops serialize at [`LinkConfig`] bandwidth; switch-egress
+/// hops serialize at [`SwitchConfig`] port bandwidth after its pipeline
+/// latency. Every hop then adds the link's propagation delay.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FabricConfig {
     /// NIC/link parameters for host-attached hops.
@@ -34,17 +59,36 @@ pub struct FabricConfig {
     pub switch: SwitchConfig,
 }
 
-/// A routed rack fabric: topology + per-directed-link occupancy state.
+/// One directed link: its serialization pipe and its egress FIFO.
+#[derive(Debug, Clone)]
+struct Pipe {
+    wire: SerialResource,
+    /// Service-completion times of messages currently queued or in
+    /// flight, kept FIFO so depth can be read off at enqueue time.
+    queue: VecDeque<SimTime>,
+    max_depth: usize,
+}
+
+impl Pipe {
+    /// Serializes `bytes` that reach the link at `at` behind whatever is
+    /// already queued there; returns when the last byte leaves.
+    fn book(&mut self, at: SimTime, bytes: u64) -> SimTime {
+        let end = self.wire.acquire(at, bytes).end;
+        while self.queue.front().is_some_and(|&done| done <= at) {
+            self.queue.pop_front();
+        }
+        self.queue.push_back(end);
+        self.max_depth = self.max_depth.max(self.queue.len());
+        end
+    }
+}
+
+/// A rack fabric: topology + per-directed-link occupancy state.
 #[derive(Debug)]
 pub struct Fabric {
     topo: RackTopology,
     cfg: FabricConfig,
-    pipes: Vec<SerialResource>,
-    /// Per link: service-completion times of messages currently queued or in
-    /// flight, kept FIFO so depth can be read off at enqueue time.
-    queues: Vec<VecDeque<SimTime>>,
-    max_depth: Vec<usize>,
-    bytes: Vec<u64>,
+    pipes: Vec<Pipe>,
 }
 
 impl Fabric {
@@ -54,23 +98,16 @@ impl Fabric {
         let pipes = topo
             .links()
             .iter()
-            .map(|l| {
-                let bps = match l.from {
+            .map(|l| Pipe {
+                wire: SerialResource::new(match l.from {
                     TopoNode::Host(_) => cfg.link.bits_per_sec,
                     TopoNode::Switch(_) => cfg.switch.port_bits_per_sec,
-                };
-                SerialResource::new(bps)
+                }),
+                queue: VecDeque::new(),
+                max_depth: 0,
             })
-            .collect::<Vec<_>>();
-        let n = pipes.len();
-        Fabric {
-            topo,
-            cfg,
-            pipes,
-            queues: vec![VecDeque::new(); n],
-            max_depth: vec![0; n],
-            bytes: vec![0; n],
-        }
+            .collect();
+        Fabric { topo, cfg, pipes }
     }
 
     /// The geometry this fabric prices.
@@ -79,14 +116,11 @@ impl Fabric {
     }
 
     /// Sends `bytes` from `src` to `dst`, advancing hop by hop, and returns
-    /// the arrival time at `dst`.
+    /// the arrival time at `dst`: [`Fabric::uplink_send`] at `now`, then
+    /// [`Fabric::switch_send`] when the message reaches the first switch.
     ///
-    /// Each hop: a switch egress first pays the switch pipeline latency, then
-    /// the message serializes on the hop's pipe *after* whatever is already
-    /// queued there (per-hop FIFO stall), then propagates to the next vertex.
-    /// Only the first hop occupies the sender's own egress pipe — downstream
-    /// congestion delays the message, never the sender. Returns `None` when
-    /// either endpoint is not on the fabric.
+    /// Returns `None`, booking nothing, when either endpoint is not on the
+    /// fabric.
     pub fn send(
         &mut self,
         now: SimTime,
@@ -94,39 +128,53 @@ impl Fabric {
         dst: Endpoint,
         bytes: u64,
     ) -> Option<SimTime> {
+        self.topo.path(src, dst)?;
+        let at_switch = self.uplink_send(now, src, bytes)?;
+        self.switch_send(at_switch, src, dst, bytes)
+    }
+
+    /// The first hop of every send: `bytes` serialize on `src`'s up-link
+    /// after whatever is queued there, then propagate. Returns when the
+    /// message reaches `src`'s edge switch, or `None` when `src` is not on
+    /// the fabric. Only this hop occupies the sender.
+    pub fn uplink_send(&mut self, now: SimTime, src: Endpoint, bytes: u64) -> Option<SimTime> {
+        let up = self.topo.uplink(src)?;
+        Some(self.pipes[up].book(now, bytes) + self.cfg.link.propagation)
+    }
+
+    /// The rest of a send from `src` to `dst`, for a message that reached
+    /// `src`'s edge switch at `at`. Each remaining hop leaves a switch: it
+    /// pays the switch pipeline latency, serializes behind whatever is
+    /// already queued on that link (per-hop FIFO stall), then propagates.
+    /// Returns the arrival time at `dst`, or `None` when either endpoint is
+    /// not on the fabric.
+    pub fn switch_send(
+        &mut self,
+        at: SimTime,
+        src: Endpoint,
+        dst: Endpoint,
+        bytes: u64,
+    ) -> Option<SimTime> {
         let path = self.topo.path(src, dst)?;
-        let mut cursor = now;
-        for &lid in path {
-            if let TopoNode::Switch(_) = self.topo.links()[lid].from {
-                cursor += self.cfg.switch.pipeline_latency;
-            }
-            let grant = self.pipes[lid].acquire(cursor, bytes);
-            let q = &mut self.queues[lid];
-            while q.front().is_some_and(|&end| end <= cursor) {
-                q.pop_front();
-            }
-            q.push_back(grant.end);
-            self.max_depth[lid] = self.max_depth[lid].max(q.len());
-            self.bytes[lid] += bytes;
-            cursor = grant.end + self.cfg.link.propagation;
+        let mut cursor = at;
+        for &lid in &path[1..] {
+            let ready = cursor + self.cfg.switch.pipeline_latency;
+            cursor = self.pipes[lid].book(ready, bytes) + self.cfg.link.propagation;
         }
         Some(cursor)
     }
 
-    /// Busy fraction of one directed link over `[0, horizon]`.
-    pub fn link_utilization(&self, link: usize, horizon: SimTime) -> f64 {
-        self.pipes[link].utilization(horizon)
-    }
-
-    /// Peak busy fraction over the links *into CPU hosts* — the downlinks
-    /// RPC-style bouncing congests under incast.
-    pub fn cpu_downlink_peak(&self, horizon: SimTime) -> f64 {
+    /// Peak busy time over the links *into CPU hosts* — the downlinks
+    /// RPC-style bouncing congests under incast — as a fraction of
+    /// `[0, horizon]`. Not capped at 1.0: demand past a link's capacity
+    /// reads above 1.0.
+    pub fn cpu_downlink_demand(&self, horizon: SimTime) -> f64 {
         self.topo
             .links()
             .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l.to, TopoNode::Host(Endpoint::Cpu(_))))
-            .map(|(i, _)| self.pipes[i].utilization(horizon))
+            .zip(&self.pipes)
+            .filter(|(l, _)| matches!(l.to, TopoNode::Host(Endpoint::Cpu(_))))
+            .map(|(_, p)| p.wire.demand(horizon))
             .fold(0.0, f64::max)
     }
 
@@ -134,12 +182,16 @@ impl Fabric {
     /// (entries whose service completes after `now`; the FIFO is pruned
     /// lazily, so stale completed entries are filtered here).
     pub fn queue_depth_at(&self, link: usize, now: SimTime) -> usize {
-        self.queues[link].iter().filter(|&&end| end > now).count()
+        self.pipes[link]
+            .queue
+            .iter()
+            .filter(|&&end| end > now)
+            .count()
     }
 
     /// Deepest any link's egress FIFO ever got.
     pub fn max_queue_depth(&self) -> usize {
-        self.max_depth.iter().copied().max().unwrap_or(0)
+        self.pipes.iter().map(|p| p.max_depth).max().unwrap_or(0)
     }
 
     /// Total payload bytes hosts injected into the fabric (each message
@@ -148,21 +200,21 @@ impl Fabric {
         self.topo
             .links()
             .iter()
-            .enumerate()
-            .filter(|(_, l)| matches!(l.from, TopoNode::Host(_)))
-            .map(|(i, _)| self.bytes[i])
+            .zip(&self.pipes)
+            .filter(|(l, _)| matches!(l.from, TopoNode::Host(_)))
+            .map(|(_, p)| p.wire.bytes_moved())
             .sum()
     }
 
     /// Total payload bytes serialized onto directed link `link`.
     pub fn link_bytes(&self, link: usize) -> u64 {
-        self.bytes[link]
+        self.pipes[link].wire.bytes_moved()
     }
 
     /// Serialization rate of directed link `link`: the NIC rate for a host
     /// egress, the switch port rate for a switch egress.
     pub fn link_bits_per_sec(&self, link: usize) -> u64 {
-        self.pipes[link].bits_per_sec()
+        self.pipes[link].wire.bits_per_sec()
     }
 }
 
@@ -170,6 +222,7 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::topology::TopologySpec;
+    use pulse_sim::SplitMix64;
 
     fn leaf_spine_fabric() -> Fabric {
         let topo = TopologySpec::LeafSpine {
@@ -181,10 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn flat_fabric_matches_the_legacy_hop_arithmetic() {
-        // One message over an idle flat fabric must cost exactly what the
-        // legacy path prices: tx serialization + propagation + switch
-        // pipeline + port serialization + propagation.
+    fn flat_fabric_matches_the_single_switch_hop_arithmetic() {
+        // One message over an idle flat fabric costs tx serialization +
+        // propagation + switch pipeline + port serialization + propagation.
         let cfg = FabricConfig::default();
         let topo = TopologySpec::Flat.build(1, 1);
         let mut fab = Fabric::new(topo, cfg);
@@ -205,6 +257,65 @@ mod tests {
     }
 
     #[test]
+    fn split_send_composes_to_send_under_cross_traffic() {
+        // Property (SplitMix64 case loop): on flat and 2x2 leaf-spine
+        // fabrics, for every ordered endpoint pair sent after random cross
+        // traffic, booking the up-link and then the rest of the path from
+        // the switch arrival gives the same arrival, link bytes and queue
+        // depths as one `send`.
+        let specs = [
+            TopologySpec::Flat,
+            TopologySpec::LeafSpine {
+                leaves: 2,
+                spines: 2,
+            },
+        ];
+        for spec in specs {
+            for seed in [1u64, 7, 0xfeed] {
+                let (cpus, mems) = (2, 4);
+                let roster: Vec<Endpoint> = (0..cpus)
+                    .map(Endpoint::Cpu)
+                    .chain((0..mems).map(Endpoint::Mem))
+                    .collect();
+                let cfg = FabricConfig::default();
+                let mut whole = Fabric::new(spec.build(cpus, mems), cfg);
+                let mut split = Fabric::new(spec.build(cpus, mems), cfg);
+                let mut rng = SplitMix64::new(seed);
+                let draw = |rng: &mut SplitMix64, pair: Option<(Endpoint, Endpoint)>| {
+                    let mut ep = || roster[rng.next_below(roster.len() as u64) as usize];
+                    let (src, dst) = pair.unwrap_or_else(|| (ep(), ep()));
+                    let at = SimTime::from_nanos(rng.next_below(20_000));
+                    (at, src, dst, 1 + rng.next_below(9_000))
+                };
+                for &src in &roster {
+                    for &dst in &roster {
+                        let mut sends: Vec<_> = (0..rng.next_below(4))
+                            .map(|_| draw(&mut rng, None))
+                            .collect();
+                        sends.push(draw(&mut rng, Some((src, dst))));
+                        for (at, s, d, bytes) in sends {
+                            let a = whole.send(at, s, d, bytes).unwrap();
+                            let up = split.uplink_send(at, s, bytes).unwrap();
+                            let b = split.switch_send(up, s, d, bytes).unwrap();
+                            let case = format!("{spec:?} seed {seed}: {s}->{d} at {at:?}");
+                            assert_eq!(a, b, "{case}: arrival");
+                            assert_eq!(whole.max_queue_depth(), split.max_queue_depth(), "{case}");
+                            for lid in 0..whole.topology().links().len() {
+                                assert_eq!(whole.link_bytes(lid), split.link_bytes(lid), "{case}");
+                                assert_eq!(
+                                    whole.queue_depth_at(lid, at),
+                                    split.queue_depth_at(lid, at),
+                                    "{case}: link {lid} depth"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn multi_hop_transit_does_not_stall_the_sender() {
         let mut fab = leaf_spine_fabric();
         // Cpu(0) (leaf 0) to Mem(1) (leaf 1): 4 hops. The sender's up-link
@@ -216,17 +327,14 @@ mod tests {
         // sender's up-link with the big transfer.
         fab.send(t0, Endpoint::Cpu(0), Endpoint::Mem(1), 1 << 20)
             .unwrap();
-        let up = fab
-            .topology()
-            .path(Endpoint::Cpu(0), Endpoint::Mem(1))
-            .unwrap()[0];
+        let up = fab.topology().uplink(Endpoint::Cpu(0)).unwrap();
         let small = fab
             .send(t0, Endpoint::Cpu(0), Endpoint::Cpu(1), 64)
             .unwrap();
         // The second (tiny, different-path) send had to wait only for the
         // first message's *up-link* serialization, not its full transit.
-        let ser_big = SimTime::serialization(1 << 20, fab.pipes[up].bits_per_sec());
-        let ser_small = SimTime::serialization(64, fab.pipes[up].bits_per_sec());
+        let ser_big = SimTime::serialization(1 << 20, fab.link_bits_per_sec(up));
+        let ser_small = SimTime::serialization(64, fab.link_bits_per_sec(up));
         let cfg = FabricConfig::default();
         let floor = t0 + ser_big + ser_small + cfg.link.propagation;
         assert!(
@@ -268,13 +376,19 @@ mod tests {
             fab.max_queue_depth() >= 2,
             "incast must queue at some egress"
         );
-        assert!(fab.cpu_downlink_peak(*arrivals.last().unwrap()) > 0.0);
+        let last = *arrivals.last().unwrap();
+        assert!(fab.cpu_downlink_demand(last) > 0.0);
         assert_eq!(fab.host_injected_bytes(), 4 * 4096);
-        let down = fab.topology().uplink(Endpoint::Cpu(0)).unwrap() + 1;
+        let down = fab.topology().downlink(Endpoint::Cpu(0)).unwrap();
         assert_eq!(fab.link_bytes(down), 4 * 4096);
         let cfg = FabricConfig::default();
         assert_eq!(fab.link_bits_per_sec(down), cfg.switch.port_bits_per_sec);
         assert_eq!(fab.link_bits_per_sec(down - 1), cfg.link.bits_per_sec);
+        // Demand is busy time over the horizon, uncapped: over a horizon
+        // shorter than the burst's wire time it reads above 1.0.
+        let wire = SimTime::serialization(4 * 4096, cfg.switch.port_bits_per_sec);
+        let short = SimTime::from_picos(wire.as_picos() / 2);
+        assert!((fab.cpu_downlink_demand(short) - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -283,5 +397,20 @@ mod tests {
         assert!(fab
             .send(SimTime::ZERO, Endpoint::Cpu(0), Endpoint::Mem(9), 64)
             .is_none());
+        assert_eq!(fab.link_bytes(0), 0, "a failed send books nothing");
+        assert!(fab
+            .uplink_send(SimTime::ZERO, Endpoint::Cpu(5), 64)
+            .is_none());
+        assert!(fab
+            .switch_send(SimTime::ZERO, Endpoint::Mem(0), Endpoint::Cpu(5), 64)
+            .is_none());
+    }
+
+    #[test]
+    fn default_hop_is_in_band() {
+        // One-way hop should be ~1.5 us so that a memory-node crossing
+        // (mem -> switch -> mem, two hops + pipeline) is 3.5-5 us.
+        let us = LinkConfig::default().propagation.as_micros_f64();
+        assert!((1.0..2.5).contains(&us), "propagation {us} us");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The rack network substrate: the packet format iterator offloads travel
 //! in, the programmable switch that routes them by `cur_ptr` (§5), and the
-//! endpoint links. §4.1's retransmission is not modelled: the rack
+//! fabric that prices every link. §4.1's retransmission is not modelled: the rack
 //! has no loss model, so no packet is ever dropped.
 //!
 //! Requests and responses deliberately share one format ([`IterPacket`]):
@@ -13,16 +13,16 @@
 //!
 //! ## Fabric semantics
 //!
-//! Beyond the single-switch flat rack, the crate models *routed* fabrics:
+//! One [`Fabric`] prices every rack, the single-switch rack included:
 //!
 //! * **Topology kinds** ([`TopologySpec`] / [`RackTopology`]): `Flat` (one
-//!   switch — the PR 1–5 rack), `Tor` (per-rack edge switches joined by a
-//!   core), `LeafSpine` (2-tier Clos with a spine chosen by a hash symmetric
-//!   in the endpoint pair), and `Ring` (edge switches on a cycle, shorter
-//!   arc wins). [`TopologySpec::build`] computes every endpoint pair's path
-//!   once; the response path is the request path reversed, hop for hop, and
-//!   paths are loop-free. Link ids put host cables first (CPUs, then memory
-//!   nodes, up-link before down-link), then switch cables.
+//!   switch) and `LeafSpine` (2-tier Clos with a spine chosen by a hash
+//!   symmetric in the endpoint pair). [`TopologySpec::build`] computes every
+//!   endpoint pair's path once; the response path is the request path
+//!   reversed, hop for hop, and paths are loop-free. Link ids put host
+//!   cables first (CPUs, then memory nodes, up-link before down-link), then
+//!   switch cables. A host's up-link and down-link are its NIC's two
+//!   directions.
 //! * **Stall rules** ([`Fabric::send`]): a message carries a time cursor hop
 //!   by hop along its precomputed path. Each directed link is a
 //!   finite-bandwidth serialization pipe with a FIFO of in-flight messages;
@@ -30,31 +30,41 @@
 //!   that hop), but only the first hop occupies the sender — downstream
 //!   congestion never blocks the origin, so multi-hop transit is pipelined
 //!   exactly like a cut-through fabric. Switch-egress hops additionally pay
-//!   the switch pipeline latency. Every hop is booked when the message is
-//!   sent.
-//! * **Utilization metrics**: per-directed-link busy fractions, byte counts
-//!   and rates ([`Fabric::link_utilization`], [`Fabric::link_bytes`],
-//!   [`Fabric::link_bits_per_sec`]), the peak utilization over links into
-//!   CPU hosts ([`Fabric::cpu_downlink_peak`] — the downlink RPC-style
-//!   bouncing congests under incast), and the deepest any egress FIFO got
-//!   ([`Fabric::max_queue_depth`]). All charges derive from message bytes
-//!   and configured bandwidths; there are no flat per-message constants.
+//!   the switch pipeline latency. A send is the sender's up-link
+//!   ([`Fabric::uplink_send`]) followed by the rest of the path from the
+//!   first switch ([`Fabric::switch_send`]); each books its hops when it is
+//!   called.
+//! * **Utilization metrics**: per-directed-link byte counts and rates
+//!   ([`Fabric::link_bytes`], [`Fabric::link_bits_per_sec`]), the peak
+//!   busy time over links into CPU hosts ([`Fabric::cpu_downlink_demand`] —
+//!   the downlink RPC-style bouncing congests under incast), and the deepest
+//!   any egress FIFO got ([`Fabric::max_queue_depth`]). All charges derive
+//!   from message bytes and configured bandwidths; there are no flat
+//!   per-message constants.
 //!
 //! # Examples
 //!
 //! ```
 //! use pulse_mem::GlobalRangeMap;
-//! use pulse_net::{Endpoint, Packet, RequestId, Route, Switch, SwitchConfig};
+//! use pulse_net::{
+//!     Endpoint, Fabric, FabricConfig, Packet, RequestId, Route, Switch, TopologySpec,
+//! };
 //! use pulse_sim::SimTime;
 //!
 //! let table = GlobalRangeMap::new(&[(0x1000, 0x2000, 0)]);
-//! let mut sw = Switch::new(SwitchConfig::default(), table);
+//! let sw = Switch::new(table);
+//! let mut fabric = Fabric::new(TopologySpec::Flat.build(1, 1), FabricConfig::default());
 //! let pkt = Packet::Read { id: RequestId { cpu: 0, seq: 1 }, addr: 0x1800, len: 64 };
+//! let at_switch = fabric
+//!     .uplink_send(SimTime::ZERO, Endpoint::Cpu(0), pkt.wire_bytes())
+//!     .unwrap();
 //! match sw.route(&pkt) {
 //!     Route::To(ep) => {
-//!         let departed = sw.forward(SimTime::ZERO, &pkt, ep);
+//!         let arrive = fabric
+//!             .switch_send(at_switch, Endpoint::Cpu(0), ep, pkt.wire_bytes())
+//!             .unwrap();
 //!         assert_eq!(ep, Endpoint::Mem(0));
-//!         assert!(departed > SimTime::ZERO);
+//!         assert!(arrive > at_switch);
 //!     }
 //!     Route::InvalidPointer { .. } => unreachable!(),
 //! }
@@ -64,14 +74,12 @@
 #![warn(missing_debug_implementations)]
 
 mod fabric;
-mod link;
 mod packet;
 mod switch;
 mod topology;
 mod wire;
 
-pub use fabric::{Fabric, FabricConfig};
-pub use link::{Link, LinkConfig};
+pub use fabric::{Fabric, FabricConfig, LinkConfig};
 pub use packet::{
     CodeBlob, CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES,

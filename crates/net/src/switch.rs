@@ -4,13 +4,13 @@
 //! pointer to be traversed within iterator requests and determine the next
 //! memory node to which the request should be forwarded — both at line
 //! rate." Routing is a pure function of the packet (match `cur_ptr` against
-//! the global range table); forwarding charges the switch pipeline latency
-//! and per-egress-port serialization.
+//! the global range table). The switch's pipeline latency and egress-port
+//! serialization are charged by [`crate::Fabric`], on the switch's egress
+//! links.
 
 use crate::packet::{Endpoint, IterStatus, Packet};
 use pulse_mem::GlobalRangeMap;
-use pulse_sim::{SerialResource, SimTime};
-use std::collections::HashMap;
+use pulse_sim::SimTime;
 
 /// Routing verdict for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,30 +25,28 @@ pub enum Route {
     },
 }
 
-/// Tofino-style switch model: global range table + pipeline latency +
-/// per-port egress bandwidth.
+/// Tofino-style switch model: the global range table every routing
+/// decision matches against.
 ///
 /// # Examples
 ///
 /// ```
 /// use pulse_mem::GlobalRangeMap;
-/// use pulse_net::{Endpoint, Packet, RequestId, Route, Switch, SwitchConfig};
+/// use pulse_net::{Endpoint, Packet, RequestId, Route, Switch};
 ///
 /// let table = GlobalRangeMap::new(&[(0x1000, 0x2000, 0), (0x2000, 0x3000, 1)]);
-/// let mut sw = Switch::new(SwitchConfig::default(), table);
+/// let sw = Switch::new(table);
 /// let pkt = Packet::Read { id: RequestId { cpu: 0, seq: 1 }, addr: 0x2800, len: 64 };
 /// assert_eq!(sw.route(&pkt), Route::To(Endpoint::Mem(1)));
 /// ```
 #[derive(Debug)]
 pub struct Switch {
-    cfg: SwitchConfig,
     table: GlobalRangeMap,
-    ports: HashMap<Endpoint, SerialResource>,
 }
 
-/// Switch timing/bandwidth parameters. Forwarding charges derive from
-/// `Packet::wire_bytes()` and these parameters only: an egress port
-/// serializes exactly a packet's wire bytes (no minimum frame size).
+/// Switch timing/bandwidth parameters. Forwarding charges derive from the
+/// message's byte count and these parameters only: an egress port
+/// serializes exactly the bytes handed to it (no minimum frame size).
 #[derive(Debug, Clone, Copy)]
 pub struct SwitchConfig {
     /// Pipeline (parse + match + action) latency per packet.
@@ -69,12 +67,8 @@ impl Default for SwitchConfig {
 
 impl Switch {
     /// Creates a switch with the given global translation table.
-    pub fn new(cfg: SwitchConfig, table: GlobalRangeMap) -> Switch {
-        Switch {
-            cfg,
-            table,
-            ports: HashMap::new(),
-        }
+    pub fn new(table: GlobalRangeMap) -> Switch {
+        Switch { table }
     }
 
     /// The routing decision for `pkt` — a pure function, no timing.
@@ -102,18 +96,6 @@ impl Switch {
             }
             Packet::ReadReply { .. } | Packet::WriteAck { .. } => Route::To(requester),
         }
-    }
-
-    /// Charges switch pipeline + egress serialization for forwarding `pkt`
-    /// toward `to`, given it entered the switch at `now`. Returns the time
-    /// the last byte leaves the egress port.
-    pub fn forward(&mut self, now: SimTime, pkt: &Packet, to: Endpoint) -> SimTime {
-        let ready = now + self.cfg.pipeline_latency;
-        let port = self
-            .ports
-            .entry(to)
-            .or_insert_with(|| SerialResource::new(self.cfg.port_bits_per_sec));
-        port.acquire(ready, pkt.wire_bytes()).end
     }
 }
 
@@ -152,7 +134,7 @@ mod tests {
 
     #[test]
     fn inflight_routes_by_cur_ptr() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         assert_eq!(
             sw.route(&iter_pkt(0x1800, IterStatus::InFlight)),
             Route::To(Endpoint::Mem(0))
@@ -165,7 +147,7 @@ mod tests {
 
     #[test]
     fn finished_routes_to_requester() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         for status in [
             IterStatus::Done { code: 0 },
             IterStatus::IterLimit,
@@ -182,7 +164,7 @@ mod tests {
 
     #[test]
     fn invalid_pointer_notifies_cpu() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         assert_eq!(
             sw.route(&iter_pkt(0xdead_beef, IterStatus::InFlight)),
             Route::InvalidPointer {
@@ -193,7 +175,7 @@ mod tests {
 
     #[test]
     fn reads_and_writes_route_by_address() {
-        let sw = Switch::new(SwitchConfig::default(), table());
+        let sw = Switch::new(table());
         let id = RequestId { cpu: 0, seq: 9 };
         assert_eq!(
             sw.route(&Packet::Read {
@@ -219,47 +201,5 @@ mod tests {
             sw.route(&Packet::WriteAck { id }),
             Route::To(Endpoint::Cpu(0))
         );
-    }
-
-    #[test]
-    fn forwarding_charges_pipeline_and_serialization() {
-        let mut sw = Switch::new(SwitchConfig::default(), table());
-        let pkt = iter_pkt(0x1800, IterStatus::InFlight);
-        let t0 = SimTime::ZERO;
-        let out = sw.forward(t0, &pkt, Endpoint::Mem(0));
-        let expect =
-            SimTime::from_nanos(600) + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn forward_charge_derives_from_wire_bytes() {
-        // The egress occupancy is pipeline + f(wire_bytes), with no flat
-        // magic-number costs, for tiny and large packets alike.
-        let id = RequestId { cpu: 0, seq: 0 };
-        for len in [1u32, 64, 4096, 8192] {
-            let pkt = Packet::ReadReply { id, len };
-            let mut sw = Switch::new(SwitchConfig::default(), table());
-            let out = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-            let expect = SimTime::from_nanos(600)
-                + SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-            assert_eq!(out, expect, "len {len}");
-        }
-    }
-
-    #[test]
-    fn same_port_serializes_back_to_back() {
-        let mut sw = Switch::new(SwitchConfig::default(), table());
-        let pkt = Packet::ReadReply {
-            id: RequestId { cpu: 0, seq: 0 },
-            len: 8192,
-        };
-        let a = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-        let b = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(0));
-        let ser = SimTime::serialization(pkt.wire_bytes(), 100_000_000_000);
-        assert_eq!(b - a, ser, "second packet queued behind the first");
-        // A different port is independent.
-        let c = sw.forward(SimTime::ZERO, &pkt, Endpoint::Cpu(1));
-        assert_eq!(c, a);
     }
 }

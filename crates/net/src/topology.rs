@@ -4,21 +4,20 @@
 //! A [`RackTopology`] is pure geometry — it knows nothing about bandwidth or
 //! occupancy (that is [`crate::Fabric`]'s job). Paths are sequences of
 //! **directed link ids**, so the forward and response directions of the same
-//! physical cable are distinct resources, exactly like the full-duplex
-//! [`crate::Link`] pipes of the flat model.
+//! physical cable are distinct resources: a host's up-link and down-link
+//! are its NIC's two directions.
 //!
 //! [`TopologySpec::build`] computes every ordered endpoint pair's path once,
 //! so [`RackTopology::path`] is a slice lookup. Link ids follow one order:
 //! host cables first (CPUs, then memory nodes; each host's up-link before its
-//! down-link), then switch cables in the wiring's order. Trace link tracks
-//! are named by these ids.
+//! down-link), then leaf–spine cables, leaf-major. Trace link tracks are
+//! named by these ids.
 //!
 //! Every path has *reverse-path symmetry*: the path from `dst` back to `src`
 //! traverses the same switches in reverse order (over the opposite-direction
 //! links). The leaf–spine wiring picks the spine by a hash symmetric in
-//! `(src, dst)`, and the ring breaks equal-distance ties with a direction
-//! rule that is antisymmetric under endpoint swap, so the guarantee holds
-//! for every pair — the topology path tests assert it exhaustively.
+//! `(src, dst)`, so the guarantee holds for every pair — the topology path
+//! tests assert it exhaustively.
 
 use crate::packet::Endpoint;
 use std::collections::HashMap;
@@ -50,17 +49,10 @@ pub struct DirectedLink {
 /// `Mem(n)` to switch `n % edges`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologySpec {
-    /// The single-switch rack of PRs 1–5. Clusters treat this as "no fabric"
-    /// and keep the legacy flat pricing path, bit-identical to before.
+    /// The single-switch rack: every path is the sender's up-link into
+    /// switch 0, then the receiver's down-link.
     #[default]
     Flat,
-    /// Top-of-rack switches joined by one core switch (the last switch id).
-    /// Same-rack traffic stays under the ToR; cross-rack traffic goes
-    /// ToR → core → ToR.
-    Tor {
-        /// Number of racks (edge switches). Must be ≥ 1.
-        racks: usize,
-    },
     /// Leaf switches fully meshed to spine switches (2-tier Clos). The spine
     /// for a cross-leaf pair is chosen by a hash symmetric in `(src, dst)`.
     LeafSpine {
@@ -68,13 +60,6 @@ pub enum TopologySpec {
         leaves: usize,
         /// Number of spine switches. Must be ≥ 1.
         spines: usize,
-    },
-    /// Edge switches cabled in a cycle. Messages take the shorter arc;
-    /// equal-length ties go clockwise exactly when the source switch id is
-    /// smaller.
-    Ring {
-        /// Number of switches on the ring. Must be ≥ 1.
-        switches: usize,
     },
 }
 
@@ -91,22 +76,14 @@ impl TopologySpec {
     ///
     /// # Panics
     ///
-    /// Panics if a switch count parameter is zero.
+    /// Panics if a leaf or spine count is zero.
     pub fn build(self, cpus: usize, mems: usize) -> RackTopology {
         let (edges, switches) = match self {
             TopologySpec::Flat => (1, 1),
-            TopologySpec::Tor { racks } => {
-                assert!(racks >= 1, "ToR topology needs at least one rack");
-                (racks, racks + 1)
-            }
             TopologySpec::LeafSpine { leaves, spines } => {
                 assert!(leaves >= 1, "leaf-spine topology needs at least one leaf");
                 assert!(spines >= 1, "leaf-spine topology needs at least one spine");
                 (leaves, leaves + spines)
-            }
-            TopologySpec::Ring { switches } => {
-                assert!(switches >= 1, "ring topology needs at least one switch");
-                (switches, switches)
             }
         };
         let edge_of = |ep: Endpoint| match ep {
@@ -126,30 +103,14 @@ impl TopologySpec {
         for &ep in &roster {
             cable(TopoNode::Host(ep), TopoNode::Switch(edge_of(ep)));
         }
-        match self {
-            TopologySpec::Flat => {}
-            TopologySpec::Tor { racks } => {
-                for r in 0..racks {
-                    cable(TopoNode::Switch(r), TopoNode::Switch(racks));
-                }
-            }
-            TopologySpec::LeafSpine { leaves, spines } => {
-                for l in 0..leaves {
-                    for s in 0..spines {
-                        cable(TopoNode::Switch(l), TopoNode::Switch(leaves + s));
-                    }
-                }
-            }
-            TopologySpec::Ring { switches: n } => {
-                if n > 1 {
-                    for i in 0..n {
-                        cable(TopoNode::Switch(i), TopoNode::Switch((i + 1) % n));
-                    }
+        if let TopologySpec::LeafSpine { leaves, spines } = self {
+            for l in 0..leaves {
+                for s in 0..spines {
+                    cable(TopoNode::Switch(l), TopoNode::Switch(leaves + s));
                 }
             }
         }
 
-        // A cable laid twice (the two-switch ring) routes over its later ids.
         let ids: HashMap<(TopoNode, TopoNode), usize> = links
             .iter()
             .enumerate()
@@ -194,7 +155,6 @@ impl TopologySpec {
         }
         match self {
             TopologySpec::Flat => unreachable!("a flat rack has one switch"),
-            TopologySpec::Tor { racks } => walk.extend([racks, b]),
             TopologySpec::LeafSpine { leaves, spines } => {
                 // A canonical endpoint index, summed so the choice is
                 // symmetric in the pair.
@@ -203,20 +163,6 @@ impl TopologySpec {
                     Endpoint::Mem(n) => 2 * n + 1,
                 };
                 walk.extend([leaves + (key(src) + key(dst)) % spines, b]);
-            }
-            TopologySpec::Ring { switches: n } => {
-                let cw = (b + n - a) % n;
-                let ccw = n - cw;
-                let clockwise = cw < ccw || (cw == ccw && a < b);
-                let mut at = a;
-                while at != b {
-                    at = if clockwise {
-                        (at + 1) % n
-                    } else {
-                        (at + n - 1) % n
-                    };
-                    walk.push(at);
-                }
             }
         }
     }
@@ -251,6 +197,12 @@ impl RackTopology {
     /// `None` when `ep` is not attached to the fabric.
     pub fn uplink(&self, ep: Endpoint) -> Option<usize> {
         self.slot(ep).map(|s| 2 * s)
+    }
+
+    /// The id of `ep`'s down-link (edge switch to host), or `None` when
+    /// `ep` is not attached to the fabric.
+    pub fn downlink(&self, ep: Endpoint) -> Option<usize> {
+        self.slot(ep).map(|s| 2 * s + 1)
     }
 
     /// Directed-link ids a message from `src` to `dst` traverses, in order.
@@ -338,20 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn tor_paths_are_loop_free_and_reversible() {
-        let eps = roster(2, 6);
-        let topo = TopologySpec::Tor { racks: 3 }.build(2, 6);
-        assert_eq!(topo.switches(), 4); // 3 ToRs + core
-        assert_paths_symmetric_and_loop_free(&topo, &eps);
-        // Same-rack traffic never leaves the ToR.
-        let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(3)).unwrap();
-        assert_eq!(p.len(), 2);
-        // Cross-rack traffic transits the core.
-        let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(1)).unwrap();
-        assert_eq!(p.len(), 4);
-    }
-
-    #[test]
     fn leaf_spine_paths_are_loop_free_and_reversible() {
         for spines in 1..=3 {
             let eps = roster(3, 8);
@@ -359,30 +297,6 @@ mod tests {
             assert_eq!(topo.switches(), 2 + spines);
             assert_paths_symmetric_and_loop_free(&topo, &eps);
         }
-    }
-
-    #[test]
-    fn ring_paths_are_loop_free_and_reversible() {
-        for switches in 1..=6 {
-            let eps = roster(2, 6);
-            let topo = TopologySpec::Ring { switches }.build(2, 6);
-            assert_paths_symmetric_and_loop_free(&topo, &eps);
-        }
-    }
-
-    #[test]
-    fn ring_takes_the_shorter_arc() {
-        let topo = TopologySpec::Ring { switches: 8 }.build(0, 8);
-        // Mem(0) on switch 0, Mem(1) on switch 1: one inter-switch hop.
-        let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(1)).unwrap();
-        assert_eq!(p.len(), 3);
-        // Mem(0) to Mem(7): the short way round is also one hop.
-        let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(7)).unwrap();
-        assert_eq!(p.len(), 3);
-        // Antipodal pair: 4 inter-switch hops either way, tie broken
-        // consistently (checked reversible above).
-        let p = topo.path(Endpoint::Mem(0), Endpoint::Mem(4)).unwrap();
-        assert_eq!(p.len(), 6);
     }
 
     #[test]

@@ -21,9 +21,7 @@ impl Reference {
     fn new(spec: TopologySpec, roster: &[Endpoint]) -> Reference {
         let (edges, switches) = match spec {
             TopologySpec::Flat => (1, 1),
-            TopologySpec::Tor { racks } => (racks, racks + 1),
             TopologySpec::LeafSpine { leaves, spines } => (leaves, leaves + spines),
-            TopologySpec::Ring { switches } => (switches, switches),
         };
         let mut r = Reference {
             spec,
@@ -42,22 +40,10 @@ impl Reference {
         }
         match spec {
             TopologySpec::Flat => {}
-            TopologySpec::Tor { racks } => {
-                for rack in 0..racks {
-                    r.add_duplex(TopoNode::Switch(rack), TopoNode::Switch(racks));
-                }
-            }
             TopologySpec::LeafSpine { leaves, spines } => {
                 for l in 0..leaves {
                     for s in 0..spines {
                         r.add_duplex(TopoNode::Switch(l), TopoNode::Switch(leaves + s));
-                    }
-                }
-            }
-            TopologySpec::Ring { switches } => {
-                if switches > 1 {
-                    for i in 0..switches {
-                        r.add_duplex(TopoNode::Switch(i), TopoNode::Switch((i + 1) % switches));
                     }
                 }
             }
@@ -90,26 +76,9 @@ impl Reference {
         }
         match self.spec {
             TopologySpec::Flat => vec![a],
-            TopologySpec::Tor { .. } => vec![a, self.switches - 1, b],
             TopologySpec::LeafSpine { leaves, spines } => {
                 let s = (Self::ep_key(src) + Self::ep_key(dst)) % spines;
                 vec![a, leaves + s, b]
-            }
-            TopologySpec::Ring { switches: n } => {
-                let cw = (b + n - a) % n;
-                let ccw = n - cw;
-                let clockwise = cw < ccw || (cw == ccw && a < b);
-                let mut walk = vec![a];
-                let mut at = a;
-                while at != b {
-                    at = if clockwise {
-                        (at + 1) % n
-                    } else {
-                        (at + n - 1) % n
-                    };
-                    walk.push(at);
-                }
-                walk
             }
         }
     }
@@ -129,11 +98,9 @@ impl Reference {
 
 fn spec_grid() -> Vec<TopologySpec> {
     let mut specs = vec![TopologySpec::Flat];
-    specs.extend((1..=3).map(|racks| TopologySpec::Tor { racks }));
     for leaves in 1..=3 {
         specs.extend((1..=3).map(|spines| TopologySpec::LeafSpine { leaves, spines }));
     }
-    specs.extend((1..=6).map(|switches| TopologySpec::Ring { switches }));
     specs
 }
 
@@ -151,6 +118,8 @@ fn assert_matches_reference(spec: TopologySpec, cpus: usize, mems: usize) {
     for &src in &roster {
         let up = reference.link(TopoNode::Host(src), TopoNode::Switch(reference.ports[&src]));
         assert_eq!(topo.uplink(src), Some(up), "{at}: {src} up-link");
+        let down = reference.link(TopoNode::Switch(reference.ports[&src]), TopoNode::Host(src));
+        assert_eq!(topo.downlink(src), Some(down), "{at}: {src} down-link");
         for &dst in &roster {
             assert_eq!(
                 topo.path(src, dst),
@@ -163,6 +132,7 @@ fn assert_matches_reference(spec: TopologySpec, cpus: usize, mems: usize) {
     let off_roster = [Endpoint::Cpu(cpus), Endpoint::Mem(mems), Endpoint::Mem(100)];
     for off in off_roster {
         assert_eq!(topo.uplink(off), None, "{at}: {off} is off the roster");
+        assert_eq!(topo.downlink(off), None, "{at}: {off} is off the roster");
         for &on in &roster {
             assert_eq!(topo.path(off, on), None, "{at}: {off}->{on}");
             assert_eq!(topo.path(on, off), None, "{at}: {on}->{off}");

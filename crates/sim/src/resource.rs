@@ -92,10 +92,17 @@ impl SerialResource {
 
     /// Fraction of `[0, horizon]` the pipe spent busy.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
+        self.demand(horizon).min(1.0)
+    }
+
+    /// Busy time booked so far over `horizon`, not capped at 1.0: work
+    /// booked past the horizon (a backlog) reads above 1.0. 0.0 for an
+    /// empty horizon.
+    pub fn demand(&self, horizon: SimTime) -> f64 {
         if horizon == SimTime::ZERO {
             return 0.0;
         }
-        (self.busy_time.as_picos() as f64 / horizon.as_picos() as f64).min(1.0)
+        self.busy_time.as_picos() as f64 / horizon.as_picos() as f64
     }
 
     /// Configured bandwidth in bits per second.
@@ -379,6 +386,12 @@ mod tests {
         let u = r.utilization(SimTime::from_nanos(4));
         assert!((u - 0.25).abs() < 1e-9, "{u}");
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
+        // A horizon shorter than the booked work: demand reads the
+        // backlog, utilization stops at 1.0.
+        let half = SimTime::from_picos(500);
+        assert!((r.demand(half) - 2.0).abs() < 1e-9);
+        assert_eq!(r.utilization(half), 1.0);
+        assert_eq!(r.demand(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -426,16 +426,20 @@ pub struct RunMetrics {
     /// all probes. Exactly 0.0 when the cache is disabled.
     pub cache_hit_rate: f64,
     /// Peak busy fraction over the fabric links into CPU nodes (the
-    /// incast-prone downlinks): link busy time over a horizon, capped at
-    /// 1.0 by `SerialResource::utilization`, maximized over the downlinks.
-    /// The horizon is the makespan in closed loop and the first-to-last
-    /// arrival window in open loop, so a system that falls behind the
-    /// offered rate still shows the pressure that rate puts on its
-    /// downlinks — up to the cap. Exactly 0.0 on the flat topology, where
-    /// no fabric exists.
+    /// incast-prone downlinks): [`RunMetrics::link_demand`] capped at 1.0.
+    /// Exactly 0.0 on the flat topology, which reports no fabric gauges.
     pub link_utilization: f64,
+    /// Peak busy time over the fabric links into CPU nodes, as a fraction
+    /// of a horizon, not capped: link busy time over the horizon,
+    /// maximized over the downlinks. The horizon is the makespan in closed
+    /// loop and the first-to-last arrival window in open loop, so a system
+    /// that falls behind the offered rate reads above 1.0 by how far that
+    /// rate overloads its hottest downlink. Exactly 0.0 on the flat
+    /// topology.
+    pub link_demand: f64,
     /// Deepest any fabric egress FIFO got (messages queued or in service
-    /// at one port at once). 0 on the flat topology.
+    /// at one port at once). 0 on the flat topology, which reports no
+    /// fabric gauges.
     pub queue_depth: u64,
     /// Optimistic-concurrency re-issues: traversals whose final stage
     /// returned their request's retry code (a seqlock reader or writer
@@ -483,10 +487,10 @@ impl RunMetrics {
     /// engine. Event counters — completions, faults, bytes, retries,
     /// failovers, unavailable completions, rebuild bytes and the ISA-v2
     /// counters — are differenced. Distributions and gauges — latency,
-    /// throughput, cache hit rate, link utilization, queue depth, degraded
-    /// p99, phase and makespan — do not difference, so they keep this
-    /// snapshot's lifetime value; a caller that measures one of them over
-    /// its own window overwrites it.
+    /// throughput, cache hit rate, link utilization and demand, queue
+    /// depth, degraded p99, phase and makespan — do not difference, so they
+    /// keep this snapshot's lifetime value; a caller that measures one of
+    /// them over its own window overwrites it.
     pub fn since(&self, base: &RunMetrics) -> RunMetrics {
         RunMetrics {
             completed: self.completed - base.completed,

@@ -599,15 +599,14 @@ fn main() -> Result<(), pulse::Error> {
     );
 
     // The routed-fabric invariants, measured: flat curves carry exactly
-    // zero fabric metrics (no fabric exists to produce them); both routed
-    // curves show real downlink pressure.
+    // zero fabric metrics (a flat rack reports no fabric gauges); both
+    // routed curves show real downlink pressure.
     for curve in curves.iter().chain(&spec_curves) {
         if !curve.label.contains("leafspine") {
             assert!(
-                curve
-                    .points
-                    .iter()
-                    .all(|p| p.link_utilization == 0.0 && p.queue_depth == 0),
+                curve.points.iter().all(|p| p.link_utilization == 0.0
+                    && p.link_demand == 0.0
+                    && p.queue_depth == 0),
                 "{}: flat curves must report zero fabric metrics",
                 curve.label
             );
@@ -621,16 +620,22 @@ fn main() -> Result<(), pulse::Error> {
     };
     let pulse_fab = fabric_curve("pulse-leafspine-hot");
     let rpc_fab = fabric_curve("RPC-leafspine-hot");
-    let peak_util = |c: &SweepReport| {
-        c.points
-            .iter()
-            .map(|p| p.link_utilization)
-            .fold(0.0, f64::max)
-    };
-    let (pulse_util, rpc_util) = (peak_util(pulse_fab), peak_util(rpc_fab));
+    let peak =
+        |c: &SweepReport, of: fn(&SweepPoint) -> f64| c.points.iter().map(of).fold(0.0, f64::max);
+    let (pulse_util, rpc_util) = (
+        peak(pulse_fab, |p| p.link_utilization),
+        peak(rpc_fab, |p| p.link_utilization),
+    );
+    // Utilization is capped at 1.0; demand (uncapped) separates the two
+    // once both downlinks saturate.
+    let (pulse_demand, rpc_demand) = (
+        peak(pulse_fab, |p| p.link_demand),
+        peak(rpc_fab, |p| p.link_demand),
+    );
     println!(
         "\nleaf-spine incast — peak CPU-downlink utilization: \
-         pulse {pulse_util:.3} vs RPC {rpc_util:.3}"
+         pulse {pulse_util:.3} vs RPC {rpc_util:.3}; \
+         demand: pulse {pulse_demand:.3} vs RPC {rpc_demand:.3}"
     );
     assert!(
         pulse_util > 0.0 && rpc_util > 0.0,

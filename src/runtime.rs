@@ -563,7 +563,7 @@ impl Runtime {
 ///   ([`RunMetrics::since`]): bytes, `retries`, `failovers`,
 ///   `rereplication_bytes`, the ISA-v2 counters, and `cache_hit_rate` as
 ///   the ratio of the hit and miss deltas;
-/// * windowed over the arrivals: `link_utilization`;
+/// * windowed over the arrivals: `link_utilization` and `link_demand`;
 /// * runtime-lifetime values, equal to this stream's on a fresh runtime:
 ///   `queue_depth`, `degraded_p99`, `phase` and `makespan`.
 #[derive(Debug, Clone)]
@@ -708,6 +708,10 @@ impl OpenLoopDriver {
         }
         let end = Snapshot::of(runtime);
         let span = last_completion.saturating_sub(first_arrival).as_secs_f64();
+        let window = last_arrival
+            .saturating_sub(first_arrival)
+            .max(SimTime::from_nanos(1));
+        let (link_demand, _) = runtime.cluster().fabric_gauges(window);
         Ok(OpenLoopReport {
             label: "pulse".into(),
             offered_per_sec: self.arrivals.offered_rate(first_arrival, t, submitted),
@@ -732,12 +736,8 @@ impl OpenLoopDriver {
                 // the baselines: a system that falls behind the offered
                 // rate still shows what that rate asks of its hottest CPU
                 // downlink.
-                link_utilization: runtime.cluster().fabric().map_or(0.0, |f| {
-                    let window = last_arrival
-                        .saturating_sub(first_arrival)
-                        .max(SimTime::from_nanos(1));
-                    f.cpu_downlink_peak(window)
-                }),
+                link_utilization: link_demand.min(1.0),
+                link_demand,
                 ..end.metrics.since(&base.metrics)
             },
         })

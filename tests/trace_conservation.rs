@@ -29,7 +29,10 @@ fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<pulse::AppRequest>) {
     let requests = 40 + rng.next_below(100) as usize;
     let topology = match rng.next_below(3) {
         0 => TopologySpec::Flat,
-        1 => TopologySpec::Tor { racks: 2 },
+        1 => TopologySpec::LeafSpine {
+            leaves: 2,
+            spines: 1,
+        },
         _ => TopologySpec::LeafSpine {
             leaves: 2,
             spines: 1 + rng.next_below(2) as usize,
