@@ -28,8 +28,8 @@ use pulse_mem::{
     RangeTable,
 };
 use pulse_net::{
-    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, LinkConfig, Packet,
-    RequestId, Route, Switch, TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
+    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Packet, RequestId, Route,
+    Switch, TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
     CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab,
@@ -66,10 +66,9 @@ pub struct ClusterConfig {
     pub cpus: usize,
     /// The rack fabric shape. Every shape, the single-switch
     /// [`TopologySpec::Flat`] default included, prices packets hop by hop
-    /// on a [`Fabric`] built over the rack's CPU and memory endpoints. A
-    /// flat rack runs the switch as its own event when a packet reaches
-    /// it; a routed rack decides the route and books the whole path when
-    /// the packet is sent.
+    /// on a [`Fabric`] built over the rack's CPU and memory endpoints: each
+    /// link is booked when the packet reaches it, and the switch's routing
+    /// decision is taken when the packet reaches its first switch.
     pub topology: TopologySpec,
     /// Per-CPU-node hot-object cache over traversal cells (see
     /// `pulse_frontend::cache` for the coherence semantics). Disabled by
@@ -147,10 +146,10 @@ impl std::ops::Deref for ClusterReport {
 }
 
 /// The event loop's payload. Kept to 32 bytes so the event heap stays
-/// cache-friendly: packets wait in `PulseCluster::packets` and travel as a
-/// slab handle, a re-replication stream's cursor lives in
-/// `PulseCluster::rebuilds`, and an accelerator's RX-parse packet waits in
-/// the accelerator itself.
+/// cache-friendly: a message on the wire waits with its cursor in
+/// `PulseCluster::flights` and travels as a slab handle, a re-replication
+/// stream's cursor lives in `PulseCluster::rebuilds`, and an accelerator's
+/// RX-parse packet waits in the accelerator itself.
 #[derive(Debug)]
 enum Ev {
     /// A submitted request reaches its CPU node, which starts processing
@@ -159,26 +158,19 @@ enum Ev {
     Arrive(RequestId, Box<ReqState>),
     /// CPU node (re-)starts processing an in-flight request's current stage.
     Start(RequestId),
-    /// Packet reaches a flat rack's switch ingress (with its source
-    /// endpoint). Routed racks book the whole path at send time instead.
-    AtSwitch(u32, Endpoint),
-    /// Packet reaches memory node `n`.
-    AtMem(NodeId, u32),
-    /// Packet reaches the CPU node.
-    AtCpu(u32),
+    /// The message under this `PulseCluster::flights` handle reaches its
+    /// next link (its sender's up-link, then each switch on its path) and
+    /// books that one link now; past the last link it lands.
+    Hop(u32),
     /// Accelerator-internal event.
     Accel(NodeId, AccelEvent),
     /// CPU-node post-processing for a request finished.
     Finished(RequestId, Done),
     /// A scheduled infrastructure failure fires.
     Fault(FaultKind),
-    /// The switch's node-death notice reaches the issuing CPU: the
-    /// request's in-flight packet was lost with an unreachable node, and
-    /// the CPU re-plans it from scratch (the retry then routes onto a live
-    /// replica, or the re-routed packet fault-completes as unavailable).
-    CrashNotice(RequestId),
-    /// The next chunk of the background re-replication stream at this
-    /// index of `PulseCluster::rebuilds`.
+    /// The next step of the background re-replication stream at this
+    /// index of `PulseCluster::rebuilds`: a chunk's read, or its
+    /// departure.
     Rebuild(u32),
 }
 
@@ -186,7 +178,8 @@ const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 /// One background re-replication stream: extent `[start, end)` is being
 /// copied from surviving replica `src` to rebuild target `dst`, and the
-/// stream's cursor sits at `offset`.
+/// stream's cursor sits at `offset`. `departing` holds the length of a
+/// chunk that has been read and waits for its departure.
 #[derive(Debug)]
 struct RebuildStream {
     start: u64,
@@ -194,6 +187,38 @@ struct RebuildStream {
     offset: u64,
     src: NodeId,
     dst: NodeId,
+    departing: Option<u64>,
+}
+
+/// A message on the wire and its cursor, parked in
+/// `PulseCluster::flights` between hops.
+#[derive(Debug)]
+struct Flight {
+    cargo: Cargo,
+    /// Wire size, fixed for the whole trip.
+    bytes: u64,
+    /// The endpoint whose path the message walks: its sender, or for a
+    /// switch notice the endpoint whose edge switch issued it.
+    from: Endpoint,
+    /// The switch's verdict, taken when a packet reaches its first switch;
+    /// `None` before that. Notices are born routed.
+    route: Option<Route>,
+    /// Index on the path of the next link to book (0 is `from`'s up-link).
+    hop: usize,
+}
+
+/// What a [`Flight`] carries.
+#[derive(Debug)]
+enum Cargo {
+    Packet(Packet),
+    /// The switch's node-death notice: the request's packet was lost with
+    /// an unreachable node, and the CPU re-plans it from scratch on
+    /// delivery (the retry then routes onto a live replica, or the
+    /// re-routed packet fault-completes as unavailable).
+    CrashNotice(RequestId),
+    /// The switch's unavailable notice: every replica of the packet's
+    /// target is unreachable, and the request fault-completes on delivery.
+    Unavailable(RequestId),
 }
 
 /// How a request left the rack.
@@ -256,8 +281,7 @@ struct ReqState {
 /// One CPU (compute) node: its serial dispatch engine, its request
 /// sequence counter, and, when configured, its coherent traversal-cell
 /// cache and ISA-v2 prefix coalescer. Its NIC's two directions are its
-/// fabric up- and down-link, plus a receive pipe in
-/// `PulseCluster::cpu_rx`.
+/// fabric up- and down-link.
 #[derive(Debug)]
 struct CpuNode {
     dispatch: CpuDispatch,
@@ -277,11 +301,6 @@ pub struct PulseCluster {
     /// Every wire in the rack: each host's up- and down-link (its NIC's
     /// two directions) and, on a routed rack, the switch cables.
     fabric: Fabric,
-    /// Each CPU NIC's receive pipe, indexed by CPU. It has no fabric twin:
-    /// it carries the switch's control-plane notices on every topology,
-    /// and on a flat rack it serializes every CPU-bound frame a second
-    /// time after its down-link (see [`Self::switch_egress`]).
-    cpu_rx: Vec<SerialResource>,
     /// Per-CPU-node issue-path state, indexed by `RequestId::cpu`.
     cpus: Vec<CpuNode>,
     /// Per-node DMA engines serving plain object reads/writes.
@@ -292,8 +311,9 @@ pub struct PulseCluster {
     inflight: HashMap<RequestId, ReqState>,
     /// Submitted requests whose `Ev::Arrive` has not fired yet.
     arriving: usize,
-    /// Packets in transit, under the handles their delivery events carry.
-    packets: Slab<Packet>,
+    /// Messages on the wire, under the handles their [`Ev::Hop`] events
+    /// carry.
+    flights: Slab<Flight>,
     /// Re-replication streams, indexed by their `Ev::Rebuild` payload.
     rebuilds: Vec<RebuildStream>,
     /// Output buffer reused across accelerator calls, so stepping an
@@ -458,9 +478,6 @@ impl PulseCluster {
             accels,
             switch,
             fabric,
-            cpu_rx: (0..cfg.cpus)
-                .map(|_| SerialResource::new(LinkConfig::default().bits_per_sec))
-                .collect(),
             cpus: (0..cfg.cpus)
                 .map(|_| CpuNode {
                     dispatch: CpuDispatch::new(cfg.dispatch),
@@ -474,7 +491,7 @@ impl PulseCluster {
                 .collect(),
             inflight: HashMap::new(),
             arriving: 0,
-            packets: Slab::new(),
+            flights: Slab::new(),
             rebuilds: Vec::new(),
             accel_out: Vec::new(),
             scratch_pool: Vec::new(),
@@ -652,13 +669,9 @@ impl PulseCluster {
                 self.send_stage(drv, now, id)
             }
             Ev::Start(id) => self.send_stage(drv, now, id),
-            Ev::AtSwitch(h, from) => {
-                let pkt = self.packets.take(h);
-                self.at_switch(drv, now, pkt, from)
-            }
-            Ev::AtMem(n, h) => {
-                let pkt = self.packets.take(h);
-                self.at_mem(drv, now, n, pkt)
+            Ev::Hop(h) => {
+                let f = self.flights.take(h);
+                self.hop(drv, now, f)
             }
             Ev::Accel(n, aev) => {
                 // Events of a dark node's accelerator died with it. Pipeline
@@ -670,15 +683,12 @@ impl PulseCluster {
                 if !self.mem_ok(n) || self.wedged[n] {
                     if let AccelEvent::RxDone(h) = aev {
                         let ip = self.accels[n].take_rx(h);
-                        self.crash_notice(drv, now, Packet::Iter(ip));
+                        let (from, pkt) = (Endpoint::Mem(n), Packet::Iter(ip));
+                        self.notice(drv, now, from, pkt, Cargo::CrashNotice);
                     }
                     return;
                 }
                 self.accel_call(drv, n, |accel, mem, out| accel.step(now, aev, mem, out));
-            }
-            Ev::AtCpu(h) => {
-                let pkt = self.packets.take(h);
-                self.at_cpu(drv, now, pkt)
             }
             Ev::Finished(id, how) => {
                 let st = self.inflight.remove(&id).expect("request inflight");
@@ -711,7 +721,6 @@ impl PulseCluster {
                 });
             }
             Ev::Fault(kind) => self.apply_fault(drv, now, kind),
-            Ev::CrashNotice(id) => self.on_crash_notice(drv, now, id),
             Ev::Rebuild(stream) => self.rebuild_chunk(drv, now, stream),
         }
     }
@@ -826,9 +835,12 @@ impl PulseCluster {
 
     /// The report's fabric gauges over `[0, horizon]`: the peak
     /// CPU-downlink demand (busy time over the horizon, uncapped) and the
-    /// deepest any egress FIFO got. A flat rack reports both as 0 (its
-    /// curves' goldens pin zero fabric gauges); its links are still
-    /// sampled in traces.
+    /// deepest any egress FIFO got. A flat rack reports both as 0; its
+    /// links are still sampled in traces.
+    ///
+    /// This and the report's `net_bytes` are the only places the rack asks
+    /// whether it is routed, and pricing never does: the flat replays have
+    /// no fabric to report, so a flat rack keeps their convention.
     pub fn fabric_gauges(&self, horizon: SimTime) -> (f64, u64) {
         if !self.cfg.topology.is_routed() {
             return (0.0, 0);
@@ -842,8 +854,8 @@ impl PulseCluster {
     /// Bytes the report counts as network traffic. A routed rack counts
     /// every message once at its origin's up-link, which also covers
     /// mem→mem chained hops. A flat rack counts the CPU NICs' two
-    /// directions instead: each CPU's up-link plus its receive pipe,
-    /// notices included.
+    /// directions instead, as the flat replays do: each CPU's up-link plus
+    /// its down-link, switch notices included.
     fn net_bytes(&self) -> u64 {
         if self.cfg.topology.is_routed() {
             return self.fabric.host_injected_bytes();
@@ -851,8 +863,10 @@ impl PulseCluster {
         let topo = self.fabric.topology();
         (0..self.cpus.len())
             .map(|c| {
-                let up = topo.uplink(Endpoint::Cpu(c)).expect("CPU on the fabric");
-                self.fabric.link_bytes(up) + self.cpu_rx[c].bytes_moved()
+                let ep = Endpoint::Cpu(c);
+                let (up, down) = (topo.uplink(ep), topo.downlink(ep));
+                let (up, down) = up.zip(down).expect("CPU on the fabric");
+                self.fabric.link_bytes(up) + self.fabric.link_bytes(down)
             })
             .sum()
     }
@@ -965,42 +979,28 @@ impl PulseCluster {
         }
     }
 
-    /// Every replica of the packet's target is unreachable: the switch
-    /// sends the issuing CPU a header-sized notice and the request
-    /// fault-completes with the distinguishable unavailable error.
-    fn unavailable_complete(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
+    /// `pkt` is lost, and the switch at `from`'s edge tells the issuing
+    /// CPU with a header-sized notice of `kind`. The notice crosses the
+    /// remaining hops to the CPU like a data frame, so it queues behind
+    /// (and delays) data frames on the CPU's down-link.
+    fn notice(
+        &mut self,
+        drv: &mut Driver<Ev>,
+        at: SimTime,
+        from: Endpoint,
+        pkt: Packet,
+        kind: fn(RequestId) -> Cargo,
+    ) {
         let id = pkt.id();
         self.recycle_lost(pkt);
-        let arrive = self.notice_arrival(id.cpu, now);
-        self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
-        drv.schedule_at(arrive, Ev::Finished(id, Done::Unavailable));
-        // Coalesced riders do not inherit the leader's unavailable
-        // completion: each re-issues and reaches its own verdict.
-        self.detach_riders(drv, arrive, id);
-    }
-
-    /// A packet was lost at (or in flight toward) a node that went dark:
-    /// the switch notifies the issuing CPU with a header-sized notice; the
-    /// CPU re-plans on delivery ([`Ev::CrashNotice`]).
-    fn crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
-        let id = pkt.id();
-        self.recycle_lost(pkt);
-        let arrive = self.notice_arrival(id.cpu, now);
-        self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), arrive);
-        drv.schedule_at(arrive, Ev::CrashNotice(id));
-    }
-
-    /// When a switch notice sent at `now` reaches CPU `cpu`: it serializes
-    /// on the CPU's receive pipe and pays propagation twice (switch to NIC,
-    /// NIC to host).
-    fn notice_arrival(&mut self, cpu: usize, now: SimTime) -> SimTime {
-        self.cpu_receive(cpu, now, NOTICE_BYTES) + LinkConfig::default().propagation
-    }
-
-    /// Serializes `bytes` on CPU `cpu`'s receive pipe from `at` and returns
-    /// when they have propagated past it.
-    fn cpu_receive(&mut self, cpu: usize, at: SimTime, bytes: u64) -> SimTime {
-        self.cpu_rx[cpu].acquire(at, bytes).end + LinkConfig::default().propagation
+        let f = Flight {
+            cargo: kind(id),
+            bytes: NOTICE_BYTES,
+            from,
+            route: Some(Route::To(Endpoint::Cpu(id.cpu))),
+            hop: 1,
+        };
+        self.launch(drv, at, f);
     }
 
     /// The CPU-side half of a crash notice: re-plan the request through
@@ -1032,8 +1032,8 @@ impl PulseCluster {
         match kind {
             FaultKind::MemCrash(n) => {
                 self.mem.fail_node(n);
-                for pkt in self.accels[n].abort_all() {
-                    self.crash_notice(drv, now, Packet::Iter(pkt));
+                for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
+                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
                 self.start_rereplication(drv, now, n);
             }
@@ -1044,15 +1044,15 @@ impl PulseCluster {
                 // point of view its in-flight work is as lost as a crash
                 // (RPC-timeout semantics) — but its data is intact, so
                 // nothing is rebuilt.
-                for pkt in self.accels[n].abort_all() {
-                    self.crash_notice(drv, now, Packet::Iter(pkt));
+                for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
+                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
             }
             FaultKind::LinkHeal(n) => self.partitioned[n] = false,
             FaultKind::AccelWedge(n) => {
                 self.wedged[n] = true;
-                for pkt in self.accels[n].abort_all() {
-                    self.crash_notice(drv, now, Packet::Iter(pkt));
+                for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
+                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
             }
         }
@@ -1090,18 +1090,19 @@ impl PulseCluster {
                 offset: start,
                 src,
                 dst,
+                departing: None,
             });
             drv.schedule_at(now, Ev::Rebuild(stream));
         }
     }
 
-    /// Advances one re-replication stream by one chunk. Each chunk is a
+    /// Advances one re-replication stream by one step. Each chunk is a
     /// real background message: it occupies the source's DMA engine, books
     /// a dispatch context on the coordinating CPU node (CPU 0 runs the
-    /// rebuild control loop), crosses the same links/fabric foreground
-    /// packets use, and lands through the target's DMA engine. One chunk
-    /// is in flight per stream; when the stream completes, the target is
-    /// promoted into the extent's replica set.
+    /// rebuild control loop), and then, at its departure, crosses the same
+    /// fabric foreground packets use and lands through the target's DMA
+    /// engine. One chunk is in flight per stream; when the stream
+    /// completes, the target is promoted into the extent's replica set.
     fn rebuild_chunk(&mut self, drv: &mut Driver<Ev>, now: SimTime, stream: u32) {
         let RebuildStream {
             start,
@@ -1109,7 +1110,29 @@ impl PulseCluster {
             offset,
             src,
             dst,
+            departing,
         } = self.rebuilds[stream as usize];
+        if let Some(len) = departing {
+            let arrive = self.mem_to_mem(now, src, dst, len + NOTICE_BYTES);
+            let write = self.dma[dst].acquire(arrive + DMA_SETUP, len);
+            self.trace_occupy(
+                Track::Mem(dst),
+                SpanKind::Rereplication { node: dst },
+                write.start,
+                write.end,
+            );
+            self.mem_bytes_extra += len;
+            self.rereplication_bytes += len;
+            let cursor = &mut self.rebuilds[stream as usize];
+            cursor.departing = None;
+            cursor.offset = offset + len;
+            if cursor.offset < end {
+                drv.schedule_at(write.end, Ev::Rebuild(stream));
+            } else {
+                self.mem.promote_replica(start, dst);
+            }
+            return;
+        }
         // The stream's endpoints can die mid-rebuild: another surviving
         // replica takes over as source; a dead target abandons the stream
         // (a later crash of a remaining replica would restart one).
@@ -1130,7 +1153,6 @@ impl PulseCluster {
             return;
         }
         let len = REBUILD_CHUNK_BYTES.min(end - offset);
-        let wire = len + NOTICE_BYTES;
         let read = self.dma[src].acquire(now + DMA_SETUP, len);
         self.trace_occupy(
             Track::Mem(src),
@@ -1138,28 +1160,12 @@ impl PulseCluster {
             read.start,
             read.end,
         );
-        let read_done = read.end;
         self.mem_bytes_extra += len;
-        let depart = self.cpus[0].dispatch.book_grant(read_done).end;
-        let arrive = self.mem_to_mem(depart, src, dst, wire);
-        let write = self.dma[dst].acquire(arrive + DMA_SETUP, len);
-        self.trace_occupy(
-            Track::Mem(dst),
-            SpanKind::Rereplication { node: dst },
-            write.start,
-            write.end,
-        );
-        let write_done = write.end;
-        self.mem_bytes_extra += len;
-        self.rereplication_bytes += len;
-        if offset + len < end {
-            let cursor = &mut self.rebuilds[stream as usize];
-            cursor.offset = offset + len;
-            cursor.src = src;
-            drv.schedule_at(write_done, Ev::Rebuild(stream));
-        } else {
-            self.mem.promote_replica(start, dst);
-        }
+        let depart = self.cpus[0].dispatch.book_grant(read.end).end;
+        let cursor = &mut self.rebuilds[stream as usize];
+        cursor.src = src;
+        cursor.departing = Some(len);
+        drv.schedule_at(depart, Ev::Rebuild(stream));
     }
 
     /// Builds and transmits the current traversal stage (or object I/O) of
@@ -1403,21 +1409,18 @@ impl PulseCluster {
         }
     }
 
-    /// The switch's routing decision for `pkt` arriving from `from`, shared
-    /// by the flat and routed paths: the pure table route, a crossing for
-    /// every in-flight iterator arriving from a memory node (sent back to
-    /// its CPU under the pulse-acc ablation), then failover around dark
-    /// nodes. `None` means every replica was unreachable and the request
-    /// has been fault-completed as unavailable.
-    fn switch_route(
-        &mut self,
-        drv: &mut Driver<Ev>,
-        now: SimTime,
-        pkt: Packet,
-        from: Endpoint,
-    ) -> Option<(Route, Packet)> {
+    /// The switch's routing decision for packet `f`, which has just
+    /// reached its first switch: the pure table route, a crossing for every
+    /// in-flight iterator arriving from a memory node (sent back to its CPU
+    /// under the pulse-acc ablation), then failover around dark nodes.
+    /// `None` means every replica was unreachable and the request's
+    /// unavailable notice is on its way.
+    fn switch_route(&mut self, drv: &mut Driver<Ev>, now: SimTime, f: Flight) -> Option<Flight> {
+        let Cargo::Packet(pkt) = f.cargo else {
+            unreachable!("notices are born routed")
+        };
         let mut route = self.switch.route(&pkt);
-        if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, from) {
+        if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, f.from) {
             if matches!(ip.status, IterStatus::InFlight) {
                 self.crossings += 1;
                 if self.cfg.mode == PulseMode::PulseAcc {
@@ -1426,74 +1429,85 @@ impl PulseCluster {
             }
         }
         match self.health_route(route, &pkt) {
-            Ok(route) => Some((route, pkt)),
+            Ok(route) => Some(Flight {
+                cargo: Cargo::Packet(pkt),
+                route: Some(route),
+                ..f
+            }),
             Err(()) => {
-                self.unavailable_complete(drv, now, pkt);
+                self.notice(drv, now, f.from, pkt, Cargo::Unavailable);
                 None
             }
         }
     }
 
-    /// A packet reaches the switch of a flat rack: route it, book the
-    /// switch's egress, and deliver it.
-    fn at_switch(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, from: Endpoint) {
-        let Some((route, pkt)) = self.switch_route(drv, now, pkt, from) else {
-            return;
-        };
-        // The switch-egress + delivery trip is attributed to the
-        // destination's down-link track (the sender's up-link span ended
-        // at switch ingress).
-        let to = destination(route);
-        let (id, wire) = (pkt.id(), pkt.wire_bytes());
-        let arrive = self.switch_egress(now, from, to, wire);
-        let link = self.fabric.topology().downlink(to).expect("on the fabric");
-        self.trace_push(id, SpanKind::WireHop { link }, Track::Link(link), arrive);
-        self.deliver(drv, arrive, route, pkt);
-    }
-
-    /// Books a flat rack's switch egress for `wire` bytes from `from` that
-    /// reached the switch at `now`, and returns their arrival at `to`. A
-    /// CPU-bound frame then serializes a second time, on the CPU's receive
-    /// pipe, starting as its last byte leaves the switch port: the flat
-    /// rack charges a CPU-bound frame's wire time twice.
-    fn switch_egress(&mut self, now: SimTime, from: Endpoint, to: Endpoint, wire: u64) -> SimTime {
-        let arrive = self
-            .fabric
-            .switch_send(now, from, to, wire)
-            .expect("fabric covers every rack endpoint");
-        match to {
-            Endpoint::Cpu(c) => {
-                let egress_done = arrive - LinkConfig::default().propagation;
-                self.cpu_receive(c, egress_done, wire)
-            }
-            Endpoint::Mem(_) => arrive,
+    /// Moves message `f` on at `now` (see [`Ev::Hop`]). A packet that has
+    /// just reached its first switch takes the switch's decision; then the
+    /// message books its next link and records a `WireHop` span on that
+    /// link's track ending at its arrival, or lands when no link is left.
+    fn hop(&mut self, drv: &mut Driver<Ev>, now: SimTime, mut f: Flight) {
+        if f.route.is_none() && f.hop == 1 {
+            let Some(routed) = self.switch_route(drv, now, f) else {
+                return;
+            };
+            f = routed;
         }
+        let topo = self.fabric.topology();
+        let link = match f.route {
+            None => topo.uplink(f.from),
+            Some(Route::To(to) | Route::InvalidPointer { requester: to }) => topo
+                .path(f.from, to)
+                .expect("fabric covers every rack endpoint")
+                .get(f.hop)
+                .copied(),
+        };
+        let Some(link) = link else {
+            return self.land(drv, now, f);
+        };
+        let arrive = self.fabric.hop(now, link, f.bytes);
+        f.hop += 1;
+        if let (Some(sink), Cargo::Packet(pkt)) = (self.sink.as_mut(), &f.cargo) {
+            sink.push(
+                pkt.id(),
+                SpanKind::WireHop { link },
+                Track::Link(link),
+                arrive,
+            );
+        }
+        drv.schedule_at(arrive, Ev::Hop(self.flights.insert(f)));
     }
 
-    /// Hands `pkt` to the endpoint its route names at `arrive`. A packet
-    /// the switch found aimed at an unmapped address goes back to its
-    /// requester (§5: "notify the CPU node if the pointer is invalid"): a
-    /// traversal comes back `Faulted { NotMapped }`, and a plain read or
-    /// write fault-completes instead of hanging forever with its packet
-    /// silently dropped.
-    fn deliver(&mut self, drv: &mut Driver<Ev>, arrive: SimTime, route: Route, pkt: Packet) {
-        match (route, pkt) {
-            (Route::To(Endpoint::Mem(n)), pkt) => {
-                drv.schedule_at(arrive, Ev::AtMem(n, self.packets.insert(pkt)));
+    /// Message `f` reaches its destination at `now`. A packet the switch
+    /// found aimed at an unmapped address goes back to its requester (§5:
+    /// "notify the CPU node if the pointer is invalid"): a traversal comes
+    /// back `Faulted { NotMapped }`, and a plain read or write
+    /// fault-completes instead of hanging forever with its packet silently
+    /// dropped.
+    fn land(&mut self, drv: &mut Driver<Ev>, now: SimTime, f: Flight) {
+        let pkt = match f.cargo {
+            Cargo::Packet(pkt) => pkt,
+            Cargo::CrashNotice(id) => return self.on_crash_notice(drv, now, id),
+            Cargo::Unavailable(id) => {
+                self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), now);
+                drv.schedule_at(now, Ev::Finished(id, Done::Unavailable));
+                // Coalesced riders do not inherit the leader's unavailable
+                // completion: each re-issues and reaches its own verdict.
+                return self.detach_riders(drv, now, id);
             }
-            (Route::To(Endpoint::Cpu(_)), pkt) => {
-                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(pkt)));
-            }
+        };
+        match (f.route.expect("a landing packet was routed"), pkt) {
+            (Route::To(Endpoint::Mem(n)), pkt) => self.at_mem(drv, now, n, pkt),
+            (Route::To(Endpoint::Cpu(_)), pkt) => self.at_cpu(drv, now, pkt),
             (Route::InvalidPointer { .. }, Packet::Iter(mut ip)) => {
                 ip.status = IterStatus::Faulted {
                     fault: pulse_isa::MemFault::NotMapped {
                         addr: ip.state.cur_ptr,
                     },
                 };
-                drv.schedule_at(arrive, Ev::AtCpu(self.packets.insert(Packet::Iter(ip))));
+                self.at_cpu(drv, now, Packet::Iter(ip))
             }
             (Route::InvalidPointer { .. }, Packet::Read { id, .. } | Packet::Write { id, .. }) => {
-                drv.schedule_at(arrive, Ev::Finished(id, Done::Fault));
+                drv.schedule_at(now, Ev::Finished(id, Done::Fault));
             }
             (Route::InvalidPointer { .. }, Packet::ReadReply { .. } | Packet::WriteAck { .. }) => {
                 unreachable!("replies route to the requester, never invalid")
@@ -1501,50 +1515,39 @@ impl PulseCluster {
         }
     }
 
-    /// Sends `pkt` out of endpoint `from` at `at` over its up-link. The
-    /// routing decision is recorded as one `WireHop` span on that up-link,
-    /// the only link whose occupancy the sender holds.
-    ///
-    /// The two topologies book at different times. A flat rack books the
-    /// up-link now and the rest at the switch ([`Ev::AtSwitch`]). A routed
-    /// rack decides the route now and books every hop of its path at send
-    /// time, even hops the packet reaches much later: a known booking-order
-    /// artefact that ROADMAP.md's one-wire-model item removes.
+    /// Sends `pkt` out of endpoint `from` at `at`; see [`Self::launch`].
     fn transmit(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
-        let up = self.fabric.topology().uplink(from).expect("on the fabric");
-        let (id, wire) = (pkt.id(), pkt.wire_bytes());
-        if !self.cfg.topology.is_routed() {
-            let arrive = self
-                .fabric
-                .uplink_send(at, from, wire)
-                .expect("on the fabric");
-            self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-            return drv.schedule_at(arrive, Ev::AtSwitch(self.packets.insert(pkt), from));
-        }
-        let Some((route, pkt)) = self.switch_route(drv, at, pkt, from) else {
-            return;
+        let bytes = pkt.wire_bytes();
+        let f = Flight {
+            cargo: Cargo::Packet(pkt),
+            bytes,
+            from,
+            route: None,
+            hop: 0,
         };
-        let arrive = self
-            .fabric
-            .send(at, from, destination(route), wire)
-            .expect("fabric covers every rack endpoint");
-        self.trace_push(id, SpanKind::WireHop { link: up }, Track::Link(up), arrive);
-        self.deliver(drv, arrive, route, pkt);
+        self.launch(drv, at, f);
     }
 
-    /// When `wire` bytes sent at `at` from memory node `src` reach memory
-    /// node `dst`. A routed rack prices the whole fabric path. A flat rack
-    /// takes a shortcut for this replica and rebuild traffic: the source's
-    /// up-link plus two propagation delays, with no switch.
-    fn mem_to_mem(&mut self, at: SimTime, src: NodeId, dst: NodeId, wire: u64) -> SimTime {
-        let (from, to) = (Endpoint::Mem(src), Endpoint::Mem(dst));
-        let arrive = if self.cfg.topology.is_routed() {
-            self.fabric.send(at, from, to, wire)
+    /// Puts message `f` on the wire at `at`. Its first link is booked at
+    /// `at` and never before: at once when `at` is now, otherwise by an
+    /// [`Ev::Hop`] at `at`. Each later hop is booked by the event at which
+    /// the message reaches it, so every link sees its traffic in simulated
+    /// time order on every topology.
+    fn launch(&mut self, drv: &mut Driver<Ev>, at: SimTime, f: Flight) {
+        if at == drv.now() {
+            self.hop(drv, at, f)
         } else {
-            let prop = LinkConfig::default().propagation;
-            self.fabric.uplink_send(at, from, wire).map(|t| t + prop)
-        };
-        arrive.expect("fabric covers every rack endpoint")
+            drv.schedule_at(at, Ev::Hop(self.flights.insert(f)))
+        }
+    }
+
+    /// When `wire` bytes of replica or rebuild traffic sent at `at` from
+    /// memory node `src` reach memory node `dst`: the whole fabric path,
+    /// booked at once (see [`Fabric::send`] for why these two streams may).
+    fn mem_to_mem(&mut self, at: SimTime, src: NodeId, dst: NodeId, wire: u64) -> SimTime {
+        self.fabric
+            .send(at, Endpoint::Mem(src), Endpoint::Mem(dst), wire)
+            .expect("fabric covers every rack endpoint")
     }
 
     fn at_mem(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, pkt: Packet) {
@@ -1552,7 +1555,7 @@ impl PulseCluster {
         // went dark (or, for traversals, wedged) — is lost on arrival; the
         // issuing CPU learns via a crash notice and re-plans.
         if !self.mem_ok(n) || (self.wedged[n] && matches!(pkt, Packet::Iter(_))) {
-            return self.crash_notice(drv, now, pkt);
+            return self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
         }
         match pkt {
             Packet::Iter(ip) => {
@@ -1574,9 +1577,9 @@ impl PulseCluster {
                 let mut done = g.end;
                 // Replicated stores fan out synchronously: every other
                 // live copy absorbs the same bytes — a real DMA store trip
-                // each, crossing the serving node's NIC (flat) or the
-                // fabric (routed) — and the ack waits for the slowest
-                // copy. At replication 1 this block never runs.
+                // each, across the fabric through the switch — and the ack
+                // waits for the slowest copy. At replication 1 this block
+                // never runs.
                 if self.mem.replication() > 1 {
                     for m in self.mem.all_replicas_of(addr) {
                         if m == n || !self.mem.node_is_up(m) {
@@ -1615,7 +1618,7 @@ impl PulseCluster {
         // response never escapes. (A response whose transmit was already
         // scheduled before the fault is considered escaped.)
         if !self.mem_ok(n) {
-            return self.crash_notice(drv, at, pkt);
+            return self.notice(drv, at, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
         }
         self.transmit(drv, at, pkt, Endpoint::Mem(n));
     }
@@ -1831,14 +1834,6 @@ impl PulseCluster {
                 unreachable!("requests never route to the CPU node")
             }
         }
-    }
-}
-
-/// The endpoint a routing verdict sends a packet to: its target, or the
-/// requester an invalid pointer is reported back to.
-fn destination(route: Route) -> Endpoint {
-    match route {
-        Route::To(ep) | Route::InvalidPointer { requester: ep } => ep,
     }
 }
 
@@ -2085,10 +2080,14 @@ mod tests {
         // and the aggregate counter covers all of them.
         let mut sum = 0;
         for c in 0..4 {
-            let up = cluster.fabric.topology().uplink(Endpoint::Cpu(c)).unwrap();
+            let topo = cluster.fabric.topology();
+            let (up, down) = (
+                topo.uplink(Endpoint::Cpu(c)).unwrap(),
+                topo.downlink(Endpoint::Cpu(c)).unwrap(),
+            );
             let (tx, rx) = (
                 cluster.fabric.link_bytes(up),
-                cluster.cpu_rx[c].bytes_moved(),
+                cluster.fabric.link_bytes(down),
             );
             assert!(tx > 0, "idle CPU tx link");
             assert!(rx > 0, "idle CPU rx link");
@@ -2115,8 +2114,13 @@ mod tests {
         assert_eq!(report.completed, 120);
         assert!(report.crossings > 0);
         for c in 0..2 {
+            let down = cluster
+                .fabric
+                .topology()
+                .downlink(Endpoint::Cpu(c))
+                .unwrap();
             assert!(
-                cluster.cpu_rx[c].bytes_moved() > 0,
+                cluster.fabric.link_bytes(down) > 0,
                 "bounce bypassed a CPU node"
             );
         }
@@ -2218,14 +2222,19 @@ mod tests {
         assert_eq!(cluster.in_flight(), 0);
         let report = cluster.report();
         assert_eq!(report.faulted, 1);
-        // The notification was rx-charged at the packet's wire size.
+        // The packet came back down the CPU's down-link at its wire size.
         let wire = Packet::Read {
             id: done[0].id,
             addr: 0xDEAD_0000_0000,
             len: 4096,
         }
         .wire_bytes();
-        assert!(cluster.cpu_rx[0].bytes_moved() >= wire);
+        let down = cluster
+            .fabric
+            .topology()
+            .downlink(Endpoint::Cpu(0))
+            .unwrap();
+        assert!(cluster.fabric.link_bytes(down) >= wire);
     }
 
     #[test]
@@ -2361,120 +2370,294 @@ mod tests {
         assert_eq!(report.queue_depth, 0);
     }
 
-    /// The flat rack's pricing before it ran on the fabric, kept as a
-    /// reference: one full-duplex NIC per endpoint (`tx`/`rx` pipes, each
-    /// adding propagation) and a switch with one egress port per
-    /// destination, behind its pipeline latency.
-    #[derive(Default)]
-    struct FlatReference {
-        tx: HashMap<Endpoint, SerialResource>,
-        rx: HashMap<Endpoint, SerialResource>,
-        ports: HashMap<Endpoint, SerialResource>,
+    const FLAT: TopologySpec = TopologySpec::Flat;
+    const LEAF_SPINE: TopologySpec = TopologySpec::LeafSpine {
+        leaves: 2,
+        spines: 2,
+    };
+
+    /// A 4-node rack with `cpus` CPU nodes over `topology`, and ids
+    /// `(0, 0..4)` parked in flight as do-nothing requests: no traversal,
+    /// no CPU work, so a reply (or switch notice) for one finishes it the
+    /// instant it lands.
+    fn wire_rack(topology: TopologySpec, cpus: usize) -> PulseCluster {
+        let (mem, _, _) = webservice_cluster_opts(4, 500, 4096, false);
+        let mut cluster = PulseCluster::new(
+            ClusterConfig {
+                topology,
+                cpus,
+                ..ClusterConfig::default()
+            },
+            mem,
+        );
+        for seq in 0..4 {
+            let req = AppRequest {
+                traversals: Vec::new(),
+                object_io: None,
+                cpu_work: SimTime::ZERO,
+                response_extra_bytes: 0,
+                retry: None,
+            };
+            let st = ReqState {
+                req,
+                stage: 0,
+                issued_at: SimTime::ZERO,
+                last_state: None,
+                retries: 0,
+                skip_cache_once: false,
+            };
+            cluster.inflight.insert(RequestId { cpu: 0, seq }, st);
+        }
+        cluster
     }
 
-    impl FlatReference {
-        fn pipe(
-            pipes: &mut HashMap<Endpoint, SerialResource>,
-            ep: Endpoint,
-        ) -> &mut SerialResource {
-            pipes
-                .entry(ep)
-                .or_insert_with(|| SerialResource::new(LinkConfig::default().bits_per_sec))
+    /// Puts messages on `cluster`'s wire through `put`, runs to idle, and
+    /// returns when each parked request finished, by sequence number.
+    fn landings(
+        cluster: &mut PulseCluster,
+        put: impl FnOnce(&mut PulseCluster, &mut Driver<Ev>),
+    ) -> Vec<(u64, SimTime)> {
+        let mut drv = std::mem::take(&mut cluster.drv);
+        put(cluster, &mut drv);
+        cluster.drv = drv;
+        let mut done = Vec::new();
+        while cluster.step() {
+            done.extend(cluster.take_completions());
         }
+        let mut out: Vec<_> = done.iter().map(|c| (c.id.seq, c.finished_at)).collect();
+        out.sort();
+        out
+    }
 
-        fn tx(&mut self, ep: Endpoint, now: SimTime, bytes: u64) -> SimTime {
-            Self::pipe(&mut self.tx, ep).acquire(now, bytes).end + LinkConfig::default().propagation
-        }
-
-        fn rx(&mut self, ep: Endpoint, now: SimTime, bytes: u64) -> SimTime {
-            Self::pipe(&mut self.rx, ep).acquire(now, bytes).end + LinkConfig::default().propagation
-        }
-
-        /// Switch egress toward `to`, then delivery: a CPU NIC's receive
-        /// side serializes the frame again; a memory NIC books nothing.
-        fn egress(&mut self, now: SimTime, to: Endpoint, bytes: u64) -> SimTime {
-            let ready = now + pulse_net::SwitchConfig::default().pipeline_latency;
-            let done = Self::pipe(&mut self.ports, to).acquire(ready, bytes).end;
-            match to {
-                Endpoint::Cpu(_) => self.rx(to, done, bytes),
-                Endpoint::Mem(_) => done + LinkConfig::default().propagation,
-            }
+    /// A read reply for parked request `seq`, with a `len`-byte payload.
+    fn reply(seq: u64, len: u32) -> Packet {
+        Packet::ReadReply {
+            id: RequestId { cpu: 0, seq },
+            len,
         }
     }
 
     #[test]
-    fn flat_rack_prices_like_per_endpoint_nics_and_a_port_map() {
-        // Property (SplitMix64 case loop): the flat rack's up-link, switch
-        // egress, CPU receive pipe, notices and mem→mem shortcut price
-        // every message exactly as the per-endpoint NICs and the switch's
-        // per-destination ports did, under random interleavings.
-        let (cpus, nodes) = (2, 3);
-        let roster: Vec<Endpoint> = (0..cpus)
-            .map(Endpoint::Cpu)
-            .chain((0..nodes).map(Endpoint::Mem))
-            .collect();
-        for seed in [3u64, 11, 0xc0ffee] {
-            let (mem, _, _) = webservice_cluster(nodes, 500, 1 << 20);
-            let mut cluster = PulseCluster::new(
-                ClusterConfig {
-                    cpus,
-                    ..ClusterConfig::default()
-                },
-                mem,
-            );
-            let mut reference = FlatReference::default();
-            let mut rng = pulse_sim::SplitMix64::new(seed);
-            for case in 0..2_000 {
-                let at = SimTime::from_nanos(rng.next_below(50_000));
-                let bytes = 1 + rng.next_below(9_000);
-                let from = roster[rng.next_below(roster.len() as u64) as usize];
-                let to = roster[rng.next_below(roster.len() as u64) as usize];
-                let (got, want) = match rng.next_below(4) {
-                    0 => (
-                        cluster.fabric.uplink_send(at, from, bytes).unwrap(),
-                        reference.tx(from, at, bytes),
-                    ),
-                    1 => (
-                        cluster.switch_egress(at, from, to, bytes),
-                        reference.egress(at, to, bytes),
-                    ),
-                    2 => {
-                        let cpu = rng.next_below(cpus as u64) as usize;
-                        (
-                            cluster.notice_arrival(cpu, at),
-                            reference.rx(Endpoint::Cpu(cpu), at, NOTICE_BYTES)
-                                + LinkConfig::default().propagation,
-                        )
-                    }
-                    _ => {
-                        let (src, dst) = (rng.next_below(3) as usize, rng.next_below(3) as usize);
-                        (
-                            cluster.mem_to_mem(at, src, dst, bytes),
-                            reference.tx(Endpoint::Mem(src), at, bytes)
-                                + LinkConfig::default().propagation,
-                        )
-                    }
-                };
-                assert_eq!(got, want, "seed {seed} case {case}");
-            }
-        }
+    fn routed_hop_booked_late_does_not_delay_an_earlier_arrival() {
+        // 2x2 leaf-spine, CPU 0 and memory node 0 on leaf 0, node 1 on
+        // leaf 1. Reply A leaves node 1 first and crosses the spine; reply
+        // B leaves node 0 a nanosecond later and reaches CPU 0's down-link
+        // ~5 us before A does. Booking A's whole path at send time made B
+        // queue behind A's future down-link slot; booked hop by hop, B
+        // lands exactly as it would alone.
+        let t0 = SimTime::from_micros(1);
+        let a = (t0, Endpoint::Mem(1), reply(0, 4096));
+        let b = (
+            t0 + SimTime::from_nanos(1),
+            Endpoint::Mem(0),
+            reply(1, 4096),
+        );
+        let run = |sends: Vec<(SimTime, Endpoint, Packet)>| {
+            landings(&mut wire_rack(LEAF_SPINE, 1), |cluster, drv| {
+                for (at, from, pkt) in sends {
+                    cluster.transmit(drv, at, pkt, from);
+                }
+            })
+        };
+        let both = run(vec![a.clone(), b.clone()]);
+        let (solo_a, solo_b) = (run(vec![a])[0], run(vec![b])[0]);
+        assert!(solo_b.1 < solo_a.1, "B reaches the CPU first");
+        assert_eq!(both, vec![solo_a, solo_b]);
+    }
 
-        // Back-to-back CPU-bound frames of decreasing size reach the switch
-        // together: the down-link port frees before the receive pipe does,
-        // so the later frames queue on the receive pipe.
-        let (mem, _, _) = webservice_cluster(nodes, 500, 1 << 20);
-        let mut cluster = PulseCluster::new(ClusterConfig::default(), mem);
-        let mut reference = FlatReference::default();
-        let t0 = SimTime::from_micros(3);
-        let ser = |b| SimTime::serialization(b, LinkConfig::default().bits_per_sec);
-        let mut port_done = t0 + pulse_net::SwitchConfig::default().pipeline_latency;
-        for (n, bytes) in [9_000u64, 4_000, 64].into_iter().enumerate() {
-            let got = cluster.switch_egress(t0, Endpoint::Mem(n), Endpoint::Cpu(0), bytes);
-            assert_eq!(got, reference.egress(t0, Endpoint::Cpu(0), bytes));
-            port_done += ser(bytes);
-            let unqueued = port_done + ser(bytes) + LinkConfig::default().propagation;
-            if n > 0 {
-                assert!(got > unqueued, "frame {n} must queue on the receive pipe");
+    #[test]
+    fn flat_departure_booked_ahead_does_not_delay_an_earlier_frame() {
+        // A reply handed a future departure (a DMA that ends at 5 us) and a
+        // frame from the same node that leaves at 1 us: the earlier frame
+        // takes the up-link first, exactly as it would alone.
+        let late = (SimTime::from_micros(5), Endpoint::Mem(0), reply(0, 4096));
+        let early = (SimTime::from_micros(1), Endpoint::Mem(0), reply(1, 64));
+        let run = |sends: Vec<(SimTime, Endpoint, Packet)>| {
+            landings(&mut wire_rack(FLAT, 1), |cluster, drv| {
+                for (at, from, pkt) in sends {
+                    cluster.transmit(drv, at, pkt, from);
+                }
+            })
+        };
+        let both = run(vec![late.clone(), early.clone()]);
+        assert_eq!(both, vec![run(vec![late])[0], run(vec![early])[0]]);
+    }
+
+    #[test]
+    fn notices_and_data_frames_share_the_cpu_down_link() {
+        // On a 2x2 leaf-spine rack, a switch notice and a data frame enter
+        // memory node 0's edge switch at the same instant, bound for CPU 0
+        // on the same leaf: whichever is booked first lands as it would
+        // alone, and the other serializes right behind it on the down-link.
+        let t = SimTime::from_micros(2);
+        let data = reply(1, 4096);
+        let (n_bytes, d_bytes) = (NOTICE_BYTES, data.wire_bytes());
+        let cfg = FabricConfig::default();
+        let ser = |b| SimTime::serialization(b, cfg.switch.port_bits_per_sec);
+        let solo = |b| t + cfg.switch.pipeline_latency + ser(b) + cfg.link.propagation;
+        for notice_first in [true, false] {
+            let mut cluster = wire_rack(LEAF_SPINE, 1);
+            let out = landings(&mut cluster, |cluster, drv| {
+                let frame = Flight {
+                    cargo: Cargo::Packet(data.clone()),
+                    bytes: d_bytes,
+                    from: Endpoint::Mem(0),
+                    route: Some(Route::To(Endpoint::Cpu(0))),
+                    hop: 1,
+                };
+                let (from, lost) = (Endpoint::Mem(0), reply(0, 64));
+                if notice_first {
+                    cluster.notice(drv, t, from, lost, Cargo::Unavailable);
+                    cluster.launch(drv, t, frame);
+                } else {
+                    cluster.launch(drv, t, frame);
+                    cluster.notice(drv, t, from, lost, Cargo::Unavailable);
+                }
+            });
+            let (notice_at, data_at) = (out[0].1, out[1].1);
+            if notice_first {
+                assert_eq!(notice_at, solo(n_bytes));
+                assert_eq!(data_at, solo(d_bytes) + ser(n_bytes));
+            } else {
+                assert_eq!(data_at, solo(d_bytes));
+                assert_eq!(notice_at, solo(n_bytes) + ser(d_bytes));
+            }
+            let down = cluster
+                .fabric
+                .topology()
+                .downlink(Endpoint::Cpu(0))
+                .unwrap();
+            assert_eq!(cluster.fabric.link_bytes(down), n_bytes + d_bytes);
+            assert_eq!(cluster.report().unavailable_completions, 1);
+        }
+    }
+
+    #[test]
+    fn flat_net_bytes_count_notices_on_the_cpu_down_link() {
+        // Node 1 is dark from the start and unreplicated, so its requests
+        // end in unavailable notices. The CPU's down-link carries every
+        // frame and notice it receives, once each, and the report counts
+        // the CPU's up- and down-link: 529 440 bytes, exactly what the rack
+        // reported when CPU-bound frames and notices crossed a separate
+        // receive pipe (its down-link then carried 4 440 fewer: no
+        // notices).
+        let faults = vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(1))];
+        let (mut cluster, reqs, _) = faulted_cluster(2, 1, true, faults);
+        let report = cluster.run(reqs, 8);
+        assert!(report.unavailable_completions > 0);
+        let topo = cluster.fabric.topology();
+        let (up, down) = (
+            topo.uplink(Endpoint::Cpu(0)).unwrap(),
+            topo.downlink(Endpoint::Cpu(0)).unwrap(),
+        );
+        let (tx, rx) = (
+            cluster.fabric.link_bytes(up),
+            cluster.fabric.link_bytes(down),
+        );
+        assert_eq!(report.net_bytes, tx + rx);
+        assert_eq!(report.net_bytes, 529_440);
+    }
+
+    #[test]
+    fn every_hop_is_priced_as_fabric_send_prices_the_path() {
+        // Property (SplitMix64 case loops) over flat and 2x1, 2x2 and 3x2
+        // leaf-spine racks with 3 CPUs and 4 memory nodes:
+        // (1) a packet alone on the rack's wire, booked one hop per event,
+        //     lands exactly when `Fabric::send` on an idle fabric says —
+        //     a reply from a random node to a random CPU, and a read from
+        //     a random CPU to a random node and its reply back;
+        // (2) under random cross traffic, `Fabric::send` equals the fold of
+        //     `Fabric::hop` over `RackTopology::path`: same arrival, same
+        //     per-link bytes, same queue depths.
+        let (cpus, nodes) = (3, 4);
+        let dma_bps = AccelConfig::default().timing.dram_bytes_per_sec * 8;
+        for topology in [
+            FLAT,
+            TopologySpec::LeafSpine {
+                leaves: 2,
+                spines: 1,
+            },
+            LEAF_SPINE,
+            TopologySpec::LeafSpine {
+                leaves: 3,
+                spines: 2,
+            },
+        ] {
+            let idle = || Fabric::new(topology.build(cpus, nodes), FabricConfig::default());
+            let mut rng = pulse_sim::SplitMix64::new(0x5eed);
+            let mut cluster = wire_rack(topology, cpus);
+            for case in 0..40u64 {
+                // Cases a millisecond apart never share the wire.
+                let at = SimTime::from_millis(case + 1) + SimTime::from_nanos(rng.next_below(999));
+                let cpu = rng.next_below(cpus as u64) as usize;
+                let n = rng.next_below(nodes as u64) as usize;
+                let id = RequestId {
+                    cpu,
+                    seq: 100 + case,
+                };
+                let (cpu_ep, mem_ep) = (Endpoint::Cpu(cpu), Endpoint::Mem(n));
+                let len = 1 + rng.next_below(8_000) as u32;
+                let read = rng.next_below(2) == 0;
+                let req = AppRequest {
+                    traversals: Vec::new(),
+                    object_io: None,
+                    cpu_work: SimTime::ZERO,
+                    response_extra_bytes: 0,
+                    retry: None,
+                };
+                let st = ReqState {
+                    req,
+                    stage: 0,
+                    issued_at: SimTime::ZERO,
+                    last_state: None,
+                    retries: 0,
+                    skip_cache_once: false,
+                };
+                cluster.inflight.insert(id, st);
+                let back = Packet::ReadReply { id, len };
+                let (pkt, from, want) = if read {
+                    let addr = cluster.memory().node_ranges(n)[0].0;
+                    let pkt = Packet::Read { id, addr, len };
+                    let there = idle().send(at, cpu_ep, mem_ep, pkt.wire_bytes()).unwrap();
+                    let served = there + DMA_SETUP + SimTime::serialization(len as u64, dma_bps);
+                    let want = idle().send(served, mem_ep, cpu_ep, back.wire_bytes());
+                    (pkt, cpu_ep, want.unwrap())
+                } else {
+                    let want = idle().send(at, mem_ep, cpu_ep, back.wire_bytes());
+                    (back, mem_ep, want.unwrap())
+                };
+                let out = landings(&mut cluster, |cluster, drv| {
+                    cluster.transmit(drv, at, pkt, from)
+                });
+                assert_eq!(out, vec![(id.seq, want)], "{topology:?} case {case}");
+            }
+
+            let roster: Vec<Endpoint> = (0..cpus)
+                .map(Endpoint::Cpu)
+                .chain((0..nodes).map(Endpoint::Mem))
+                .collect();
+            let (mut whole, mut folded) = (idle(), idle());
+            for case in 0..400 {
+                let mut ep = || roster[rng.next_below(roster.len() as u64) as usize];
+                let (src, dst) = (ep(), ep());
+                let at = SimTime::from_nanos(rng.next_below(20_000));
+                let bytes = 1 + rng.next_below(9_000);
+                let sent = whole.send(at, src, dst, bytes).unwrap();
+                let path = folded.topology().path(src, dst).unwrap().to_vec();
+                let hopped = path
+                    .into_iter()
+                    .fold(at, |t, link| folded.hop(t, link, bytes));
+                let case = format!("{topology:?} case {case}: {src}->{dst} at {at:?}");
+                assert_eq!(sent, hopped, "{case}: arrival");
+                assert_eq!(whole.max_queue_depth(), folded.max_queue_depth(), "{case}");
+                for lid in 0..whole.topology().links().len() {
+                    assert_eq!(whole.link_bytes(lid), folded.link_bytes(lid), "{case}");
+                    assert_eq!(
+                        whole.queue_depth_at(lid, at),
+                        folded.queue_depth_at(lid, at),
+                        "{case}: link {lid} depth"
+                    );
+                }
             }
         }
     }
@@ -2601,8 +2784,9 @@ mod tests {
         // cannot see it: the crash notice leaves when the parse would have
         // ended. A crash at 3.9 us, before the packet lands, loses it on
         // arrival instead, so every later step of the request runs exactly
-        // `net_stack` earlier. The finish times were pinned when the
-        // packet still travelled inside its `RxDone` event.
+        // `net_stack` earlier. The finish times price each switch notice
+        // from the node's edge switch across the CPU's down-link, and each
+        // CPU-bound frame once, on that down-link.
         let net_stack = AccelConfig::default().timing.net_stack;
         let run = |replication: usize, crash_at: SimTime| {
             let crash = vec![FaultEvent::new(crash_at, FaultKind::MemCrash(1))];
@@ -2614,7 +2798,7 @@ mod tests {
         // Replication 1: the retry finds no live copy.
         let (c, report, _) = run(1, SimTime::from_micros(4));
         assert!(!c.ok && c.unavailable);
-        assert_eq!(c.finished_at, SimTime::from_picos(13_182_780));
+        assert_eq!(c.finished_at, SimTime::from_picos(11_382_780));
         assert_eq!(report.failovers, 1, "one crash notice");
         assert_eq!(report.unavailable_completions, 1);
         let (early, _, _) = run(1, SimTime::from_nanos(3_900));
@@ -2623,7 +2807,7 @@ mod tests {
         let (c, report, expected) = run(2, SimTime::from_micros(4));
         assert!(c.ok && !c.unavailable);
         assert_eq!(c.final_state.as_ref().unwrap().scratch_u64(8), expected);
-        assert_eq!(c.finished_at, SimTime::from_picos(24_923_780));
+        assert_eq!(c.finished_at, SimTime::from_picos(23_353_540));
         assert_eq!(report.failovers, 2, "the crash notice, then the reroute");
         let (early, _, _) = run(2, SimTime::from_nanos(3_900));
         assert_eq!(early.finished_at + net_stack, c.finished_at);

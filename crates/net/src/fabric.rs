@@ -4,18 +4,17 @@
 //! [`Fabric`] marries a [`RackTopology`] to one serialization pipe per
 //! directed link and owns every per-link fact the rack reports: rate, bytes
 //! carried, busy time and egress queue depth. It prices every topology,
-//! the single-switch flat rack included. A message walks its precomputed
-//! path ([`RackTopology::path`]) hop by hop with a time cursor: each egress
-//! port serializes the message after any traffic already queued there
-//! (stalling the *message* at that port), but the original sender is only
-//! occupied for its own first-hop serialization — multi-hop transit never
-//! blocks the sender, the lesson the hwgc-soft interconnect journey
-//! records. A send splits into the sender's up-link
-//! ([`Fabric::uplink_send`]) and the rest of the path behind the first
-//! switch ([`Fabric::switch_send`]), so a caller that models the switch as
-//! its own event can book the two halves at different times. Every charge
-//! derives from the message's byte count and the configured bandwidths;
-//! there are no flat per-message magic constants.
+//! the single-switch flat rack included. Its one booking primitive is
+//! [`Fabric::hop`]: a message that reaches a link's transmitting end at
+//! `at` pays the switch pipeline (on a switch egress), serializes after any
+//! traffic already queued there (stalling the *message* at that port, never
+//! its sender), then propagates. A caller that books each hop at the
+//! simulated time the message reaches it sees every link in time order;
+//! the rack does exactly that, one event per hop. [`Fabric::send`] is the
+//! fold of `hop` over a precomputed path ([`RackTopology::path`]), booking
+//! every hop at once. Every charge derives from the message's byte count
+//! and the configured bandwidths; there are no flat per-message magic
+//! constants.
 
 use crate::packet::Endpoint;
 use crate::switch::SwitchConfig;
@@ -59,10 +58,12 @@ pub struct FabricConfig {
     pub switch: SwitchConfig,
 }
 
-/// One directed link: its serialization pipe and its egress FIFO.
+/// One directed link: its serialization pipe, its egress FIFO, and the
+/// switch pipeline a message pays before it (zero on a host egress).
 #[derive(Debug, Clone)]
 struct Pipe {
     wire: SerialResource,
+    pipeline: SimTime,
     /// Service-completion times of messages currently queued or in
     /// flight, kept FIFO so depth can be read off at enqueue time.
     queue: VecDeque<SimTime>,
@@ -70,11 +71,13 @@ struct Pipe {
 }
 
 impl Pipe {
-    /// Serializes `bytes` that reach the link at `at` behind whatever is
-    /// already queued there; returns when the last byte leaves.
+    /// Serializes `bytes` that reach the link's transmitting end at `at`,
+    /// after the pipeline and behind whatever is already queued there;
+    /// returns when the last byte leaves.
     fn book(&mut self, at: SimTime, bytes: u64) -> SimTime {
-        let end = self.wire.acquire(at, bytes).end;
-        while self.queue.front().is_some_and(|&done| done <= at) {
+        let ready = at + self.pipeline;
+        let end = self.wire.acquire(ready, bytes).end;
+        while self.queue.front().is_some_and(|&done| done <= ready) {
             self.queue.pop_front();
         }
         self.queue.push_back(end);
@@ -98,13 +101,19 @@ impl Fabric {
         let pipes = topo
             .links()
             .iter()
-            .map(|l| Pipe {
-                wire: SerialResource::new(match l.from {
-                    TopoNode::Host(_) => cfg.link.bits_per_sec,
-                    TopoNode::Switch(_) => cfg.switch.port_bits_per_sec,
-                }),
-                queue: VecDeque::new(),
-                max_depth: 0,
+            .map(|l| {
+                let (bits_per_sec, pipeline) = match l.from {
+                    TopoNode::Host(_) => (cfg.link.bits_per_sec, SimTime::ZERO),
+                    TopoNode::Switch(_) => {
+                        (cfg.switch.port_bits_per_sec, cfg.switch.pipeline_latency)
+                    }
+                };
+                Pipe {
+                    wire: SerialResource::new(bits_per_sec),
+                    pipeline,
+                    queue: VecDeque::new(),
+                    max_depth: 0,
+                }
             })
             .collect();
         Fabric { topo, cfg, pipes }
@@ -115,9 +124,26 @@ impl Fabric {
         &self.topo
     }
 
-    /// Sends `bytes` from `src` to `dst`, advancing hop by hop, and returns
-    /// the arrival time at `dst`: [`Fabric::uplink_send`] at `now`, then
-    /// [`Fabric::switch_send`] when the message reaches the first switch.
+    /// Books one hop: `bytes` reach directed link `link`'s transmitting
+    /// end at `at`, pay the switch pipeline on a switch egress, serialize
+    /// behind whatever is already queued on the link (per-hop FIFO stall)
+    /// and propagate. Returns when the message reaches the link's far end.
+    pub fn hop(&mut self, at: SimTime, link: usize, bytes: u64) -> SimTime {
+        self.pipes[link].book(at, bytes) + self.cfg.link.propagation
+    }
+
+    /// Sends `bytes` from `src` to `dst` and returns the arrival time at
+    /// `dst`: the fold of [`Fabric::hop`] over the precomputed path, each
+    /// hop booked from the previous hop's arrival. Only the first hop
+    /// occupies the sender.
+    ///
+    /// Every hop is booked now, even hops the message reaches much later,
+    /// so a message that reaches a shared link earlier but is booked
+    /// afterwards queues behind this one. The rack therefore books packets
+    /// and switch notices one [`Fabric::hop`] per event, and calls `send`
+    /// only for two background streams off the request path: a replicated
+    /// store's fan-out to its other copies, and re-replication chunks. The
+    /// analytic replays, which have no event loop, use it for every trip.
     ///
     /// Returns `None`, booking nothing, when either endpoint is not on the
     /// fabric.
@@ -128,40 +154,12 @@ impl Fabric {
         dst: Endpoint,
         bytes: u64,
     ) -> Option<SimTime> {
-        self.topo.path(src, dst)?;
-        let at_switch = self.uplink_send(now, src, bytes)?;
-        self.switch_send(at_switch, src, dst, bytes)
-    }
-
-    /// The first hop of every send: `bytes` serialize on `src`'s up-link
-    /// after whatever is queued there, then propagate. Returns when the
-    /// message reaches `src`'s edge switch, or `None` when `src` is not on
-    /// the fabric. Only this hop occupies the sender.
-    pub fn uplink_send(&mut self, now: SimTime, src: Endpoint, bytes: u64) -> Option<SimTime> {
-        let up = self.topo.uplink(src)?;
-        Some(self.pipes[up].book(now, bytes) + self.cfg.link.propagation)
-    }
-
-    /// The rest of a send from `src` to `dst`, for a message that reached
-    /// `src`'s edge switch at `at`. Each remaining hop leaves a switch: it
-    /// pays the switch pipeline latency, serializes behind whatever is
-    /// already queued on that link (per-hop FIFO stall), then propagates.
-    /// Returns the arrival time at `dst`, or `None` when either endpoint is
-    /// not on the fabric.
-    pub fn switch_send(
-        &mut self,
-        at: SimTime,
-        src: Endpoint,
-        dst: Endpoint,
-        bytes: u64,
-    ) -> Option<SimTime> {
         let path = self.topo.path(src, dst)?;
-        let mut cursor = at;
-        for &lid in &path[1..] {
-            let ready = cursor + self.cfg.switch.pipeline_latency;
-            cursor = self.pipes[lid].book(ready, bytes) + self.cfg.link.propagation;
-        }
-        Some(cursor)
+        let prop = self.cfg.link.propagation;
+        Some(
+            path.iter()
+                .fold(now, |at, &lid| self.pipes[lid].book(at, bytes) + prop),
+        )
     }
 
     /// Peak busy time over the links *into CPU hosts* — the downlinks
@@ -222,7 +220,6 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::topology::TopologySpec;
-    use pulse_sim::SplitMix64;
 
     fn leaf_spine_fabric() -> Fabric {
         let topo = TopologySpec::LeafSpine {
@@ -254,65 +251,6 @@ mod tests {
             + ser_port
             + cfg.link.propagation;
         assert_eq!(arrive, expect);
-    }
-
-    #[test]
-    fn split_send_composes_to_send_under_cross_traffic() {
-        // Property (SplitMix64 case loop): on flat and 2x2 leaf-spine
-        // fabrics, for every ordered endpoint pair sent after random cross
-        // traffic, booking the up-link and then the rest of the path from
-        // the switch arrival gives the same arrival, link bytes and queue
-        // depths as one `send`.
-        let specs = [
-            TopologySpec::Flat,
-            TopologySpec::LeafSpine {
-                leaves: 2,
-                spines: 2,
-            },
-        ];
-        for spec in specs {
-            for seed in [1u64, 7, 0xfeed] {
-                let (cpus, mems) = (2, 4);
-                let roster: Vec<Endpoint> = (0..cpus)
-                    .map(Endpoint::Cpu)
-                    .chain((0..mems).map(Endpoint::Mem))
-                    .collect();
-                let cfg = FabricConfig::default();
-                let mut whole = Fabric::new(spec.build(cpus, mems), cfg);
-                let mut split = Fabric::new(spec.build(cpus, mems), cfg);
-                let mut rng = SplitMix64::new(seed);
-                let draw = |rng: &mut SplitMix64, pair: Option<(Endpoint, Endpoint)>| {
-                    let mut ep = || roster[rng.next_below(roster.len() as u64) as usize];
-                    let (src, dst) = pair.unwrap_or_else(|| (ep(), ep()));
-                    let at = SimTime::from_nanos(rng.next_below(20_000));
-                    (at, src, dst, 1 + rng.next_below(9_000))
-                };
-                for &src in &roster {
-                    for &dst in &roster {
-                        let mut sends: Vec<_> = (0..rng.next_below(4))
-                            .map(|_| draw(&mut rng, None))
-                            .collect();
-                        sends.push(draw(&mut rng, Some((src, dst))));
-                        for (at, s, d, bytes) in sends {
-                            let a = whole.send(at, s, d, bytes).unwrap();
-                            let up = split.uplink_send(at, s, bytes).unwrap();
-                            let b = split.switch_send(up, s, d, bytes).unwrap();
-                            let case = format!("{spec:?} seed {seed}: {s}->{d} at {at:?}");
-                            assert_eq!(a, b, "{case}: arrival");
-                            assert_eq!(whole.max_queue_depth(), split.max_queue_depth(), "{case}");
-                            for lid in 0..whole.topology().links().len() {
-                                assert_eq!(whole.link_bytes(lid), split.link_bytes(lid), "{case}");
-                                assert_eq!(
-                                    whole.queue_depth_at(lid, at),
-                                    split.queue_depth_at(lid, at),
-                                    "{case}: link {lid} depth"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]
@@ -399,10 +337,7 @@ mod tests {
             .is_none());
         assert_eq!(fab.link_bytes(0), 0, "a failed send books nothing");
         assert!(fab
-            .uplink_send(SimTime::ZERO, Endpoint::Cpu(5), 64)
-            .is_none());
-        assert!(fab
-            .switch_send(SimTime::ZERO, Endpoint::Mem(0), Endpoint::Cpu(5), 64)
+            .send(SimTime::ZERO, Endpoint::Mem(0), Endpoint::Cpu(5), 64)
             .is_none());
     }
 

@@ -23,17 +23,16 @@
 //!   cables first (CPUs, then memory nodes, up-link before down-link), then
 //!   switch cables. A host's up-link and down-link are its NIC's two
 //!   directions.
-//! * **Stall rules** ([`Fabric::send`]): a message carries a time cursor hop
-//!   by hop along its precomputed path. Each directed link is a
-//!   finite-bandwidth serialization pipe with a FIFO of in-flight messages;
-//!   a busy egress stalls the *message* (it queues behind earlier traffic on
-//!   that hop), but only the first hop occupies the sender — downstream
-//!   congestion never blocks the origin, so multi-hop transit is pipelined
-//!   exactly like a cut-through fabric. Switch-egress hops additionally pay
-//!   the switch pipeline latency. A send is the sender's up-link
-//!   ([`Fabric::uplink_send`]) followed by the rest of the path from the
-//!   first switch ([`Fabric::switch_send`]); each books its hops when it is
-//!   called.
+//! * **Stall rules** ([`Fabric::hop`]): each directed link is a
+//!   finite-bandwidth serialization pipe with a FIFO of in-flight messages.
+//!   A message that reaches a link books it: a busy egress stalls the
+//!   *message* (it queues behind earlier traffic on that hop), but only the
+//!   first hop occupies the sender — downstream congestion never blocks the
+//!   origin, so multi-hop transit is pipelined exactly like a cut-through
+//!   fabric. Switch-egress hops additionally pay the switch pipeline
+//!   latency. The rack books each hop when the message gets there, so every
+//!   link sees its traffic in time order; [`Fabric::send`] folds `hop` over
+//!   a whole path at once, for callers with no event loop.
 //! * **Utilization metrics**: per-directed-link byte counts and rates
 //!   ([`Fabric::link_bytes`], [`Fabric::link_bits_per_sec`]), the peak
 //!   busy time over links into CPU hosts ([`Fabric::cpu_downlink_demand`] —
@@ -53,21 +52,21 @@
 //!
 //! let table = GlobalRangeMap::new(&[(0x1000, 0x2000, 0)]);
 //! let sw = Switch::new(table);
-//! let mut fabric = Fabric::new(TopologySpec::Flat.build(1, 1), FabricConfig::default());
+//! let spec = TopologySpec::Flat;
+//! let mut fabric = Fabric::new(spec.build(1, 1), FabricConfig::default());
 //! let pkt = Packet::Read { id: RequestId { cpu: 0, seq: 1 }, addr: 0x1800, len: 64 };
-//! let at_switch = fabric
-//!     .uplink_send(SimTime::ZERO, Endpoint::Cpu(0), pkt.wire_bytes())
-//!     .unwrap();
-//! match sw.route(&pkt) {
-//!     Route::To(ep) => {
-//!         let arrive = fabric
-//!             .switch_send(at_switch, Endpoint::Cpu(0), ep, pkt.wire_bytes())
-//!             .unwrap();
-//!         assert_eq!(ep, Endpoint::Mem(0));
-//!         assert!(arrive > at_switch);
-//!     }
-//!     Route::InvalidPointer { .. } => unreachable!(),
-//! }
+//! let Route::To(dst) = sw.route(&pkt) else { unreachable!() };
+//! assert_eq!(dst, Endpoint::Mem(0));
+//! // Book the path one hop at a time, each from the previous hop's arrival
+//! // (an event loop books each at the simulated time the packet gets there).
+//! let path = fabric.topology().path(Endpoint::Cpu(0), dst).unwrap().to_vec();
+//! let arrive = path
+//!     .into_iter()
+//!     .fold(SimTime::ZERO, |at, link| fabric.hop(at, link, pkt.wire_bytes()));
+//! // Alone on the wire, booking the whole path at once prices it the same.
+//! let mut idle = Fabric::new(spec.build(1, 1), FabricConfig::default());
+//! let sent = idle.send(SimTime::ZERO, Endpoint::Cpu(0), dst, pkt.wire_bytes());
+//! assert_eq!(sent, Some(arrive));
 //! ```
 
 #![warn(missing_docs)]
