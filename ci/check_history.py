@@ -16,17 +16,20 @@ change that moved the simulator's speed:
    "core": {"<workload>": {"events_per_req": ..., "ns_per_event": ...}, ...},
    "isa": {"<workload>": {"ns_per_iter": ...}, ...},   # optional
    "frontend": {"<workload>": {"cache_probe_ns": ...}, ...},   # optional
+   "setup_s": {"<workload>": <median over the runs>, ...},      # optional
+   "peak_rss_mb": {"<workload>": <median over the runs>, ...},  # optional
    "physics": "..."}               # optional: the change that moved the
                                    # simulated rack's behaviour
 
-`sim_ops_per_s` comes from `--trace 0` runs; `core`, `isa` and
-`frontend` come from one `--trace 1` run. The check fails unless every
-line parses, carries the required fields, names every workload that
-BENCHMARK.json declares in both `sim_ops_per_s` and `core`, and every
-number is positive. The `isa` map (perfbench's `isa.ns_per_iter`) and
-the `frontend` map (`frontend.cache_probe_ns`) are optional, since lines
-written before them lack them; a line that carries one must name every
-workload too, each with a positive value.
+`sim_ops_per_s`, `setup_s` and `peak_rss_mb` come from `--trace 0`
+runs; `core`, `isa` and `frontend` come from one `--trace 1` run. The
+check fails unless every line parses, carries the required fields, names
+every workload that BENCHMARK.json declares in both `sim_ops_per_s` and
+`core`, and every number is positive. The `isa` map (perfbench's
+`isa.ns_per_iter`), the `frontend` map (`frontend.cache_probe_ns`) and
+the `setup_s` and `peak_rss_mb` maps are optional, since lines written
+before them lack them; a line that carries one must name every workload
+too, each with a positive value.
 
 `core.events_per_req` is a simulated quantity: a change that only speeds
 up the simulator leaves it exactly as it was. So the check also fails
@@ -79,6 +82,13 @@ def check_line(n, line, workloads):
             assert positive(
                 layer.get(metric)
             ), f"{where}: {layer_name}[{w!r}].{metric} missing or not positive"
+    for name in ("setup_s", "peak_rss_mb"):
+        if name not in rec:
+            continue
+        values = rec[name]
+        assert isinstance(values, dict), f"{where}: '{name}' is not an object"
+        for w in workloads:
+            assert positive(values.get(w)), f"{where}: {name}[{w!r}] missing or not positive"
     if "physics" in rec:
         assert (
             isinstance(rec["physics"], str) and rec["physics"]

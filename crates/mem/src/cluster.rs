@@ -2,8 +2,8 @@
 //! node-local access views.
 
 use crate::extent::{Extent, NodeId, Perms};
+use crate::store::BlockStore;
 use pulse_isa::{MemBus, MemFault};
-use pulse_sim::IdHash;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -41,6 +41,10 @@ impl std::error::Error for MemError {}
 
 /// All disaggregated memory in the rack.
 ///
+/// Extents map address ranges onto nodes; bytes are backed only where
+/// they are written (see the crate docs), so building a structure costs
+/// host memory in proportion to what it writes, not to what it maps.
+///
 /// `ClusterMemory` is the ground truth: the global [`MemBus`] view is used
 /// by host-side structure builders and the swap/RPC baselines, while
 /// [`ClusterMemory::local_bus`] provides the restricted per-node view the
@@ -73,11 +77,10 @@ pub struct ClusterMemory {
     /// Monotone counter bumped by every successful write — the coherence
     /// clock CPU-node caches validate against.
     write_epoch: u64,
-    /// Last-write epoch per [`VERSION_GRANULE_BYTES`]-aligned granule.
-    /// Granules never written are implicitly version 0. Every cache
-    /// validation and every write looks it up, hence the integer hasher;
-    /// nothing iterates it.
-    granule_versions: HashMap<u64, u64, IdHash>,
+    /// The written bytes of every extent, with the last-write epoch of
+    /// each [`VERSION_GRANULE_BYTES`]-aligned granule, keyed by absolute
+    /// address.
+    store: BlockStore,
     /// Copies kept per extent. 1 (the default) reproduces the single-owner
     /// model bit-for-bit; `r` places each extent on its owner plus the
     /// `r - 1` nodes following it mod `node_count`.
@@ -104,7 +107,7 @@ impl ClusterMemory {
             extents: Vec::new(),
             node_count,
             write_epoch: 0,
-            granule_versions: HashMap::default(),
+            store: BlockStore::default(),
             replication: 1,
             node_up: vec![true; node_count],
             promoted: HashMap::new(),
@@ -158,15 +161,7 @@ impl ClusterMemory {
     /// The newest write epoch stamped on any granule intersecting
     /// `[addr, addr + len)` (0 if the range was never written).
     pub fn version_of(&self, addr: u64, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = addr / VERSION_GRANULE_BYTES;
-        let last = (addr + len - 1) / VERSION_GRANULE_BYTES;
-        (first..=last)
-            .filter_map(|g| self.granule_versions.get(&g).copied())
-            .max()
-            .unwrap_or(0)
+        self.store.version_of(addr, len)
     }
 
     /// Number of memory nodes.
@@ -200,8 +195,15 @@ impl ClusterMemory {
         if idx < self.extents.len() && self.extents[idx].start < start + len {
             return Err(MemError::Overlap { start });
         }
-        self.extents
-            .insert(idx, Extent::new(start, len, node, perms));
+        self.extents.insert(
+            idx,
+            Extent {
+                start,
+                len,
+                node,
+                perms,
+            },
+        );
         Ok(())
     }
 
@@ -334,13 +336,21 @@ impl ClusterMemory {
             .collect()
     }
 
-    /// Total mapped bytes on `node`.
+    /// Bytes *mapped* on `node`: the length of every extent it owns,
+    /// written or not. Host memory follows [`ClusterMemory::backed_bytes`].
     pub fn node_bytes(&self, node: NodeId) -> u64 {
         self.extents
             .iter()
             .filter(|e| e.node == node)
-            .map(|e| e.data.len() as u64)
+            .map(|e| e.len)
             .sum()
+    }
+
+    /// Bytes *backed* across the rack: every write-allocated block, each
+    /// covering 256 aligned bytes of which at least one was written.
+    /// Never-written bytes read as 0 without being backed.
+    pub fn backed_bytes(&self) -> u64 {
+        self.store.backed_bytes()
     }
 
     /// Access restricted to one node's extents (faults elsewhere).
@@ -354,7 +364,7 @@ impl ClusterMemory {
         len: usize,
         write: bool,
         node_filter: Option<NodeId>,
-    ) -> Result<&mut Extent, MemFault> {
+    ) -> Result<(), MemFault> {
         let i = self
             .extent_index(addr)
             .ok_or(MemFault::NotMapped { addr })?;
@@ -380,30 +390,22 @@ impl ClusterMemory {
         if !ok {
             return Err(MemFault::Protection { addr });
         }
-        Ok(&mut self.extents[i])
+        Ok(())
     }
 
     fn do_read(&mut self, addr: u64, buf: &mut [u8], node: Option<NodeId>) -> Result<(), MemFault> {
-        let len = buf.len();
-        let e = self.access(addr, len, false, node)?;
-        let off = (addr - e.start) as usize;
-        buf.copy_from_slice(&e.data[off..off + len]);
+        self.access(addr, buf.len(), false, node)?;
+        self.store.read(addr, buf);
         Ok(())
     }
 
     fn do_write(&mut self, addr: u64, data: &[u8], node: Option<NodeId>) -> Result<(), MemFault> {
-        let e = self.access(addr, data.len(), true, node)?;
-        let off = (addr - e.start) as usize;
-        e.data[off..off + data.len()].copy_from_slice(data);
-        // Stamp the coherence clock: every granule this write touches now
-        // carries a version newer than any cache line filled before it.
+        self.access(addr, data.len(), true, node)?;
+        // Stamp the coherence clock: every granule this write touches (the
+        // one holding `addr`, for an empty write) now carries a version
+        // newer than any cache line filled before it.
         self.write_epoch += 1;
-        let epoch = self.write_epoch;
-        let first = addr / VERSION_GRANULE_BYTES;
-        let last = (addr + data.len().max(1) as u64 - 1) / VERSION_GRANULE_BYTES;
-        for g in first..=last {
-            self.granule_versions.insert(g, epoch);
-        }
+        self.store.write(addr, data, self.write_epoch);
         Ok(())
     }
 }

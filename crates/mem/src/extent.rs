@@ -52,37 +52,29 @@ impl fmt::Display for Perms {
     }
 }
 
-/// A contiguous VA range `[start, start+len)` resident on one node.
+/// A contiguous VA range `[start, start+len)` mapped on one node. Its
+/// bytes live in the rack's block store, which backs only what is
+/// written.
 #[derive(Debug, Clone)]
-pub struct Extent {
+pub(crate) struct Extent {
     /// First virtual address.
-    pub start: u64,
+    pub(crate) start: u64,
+    /// Mapped length in bytes.
+    pub(crate) len: u64,
     /// Owning memory node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Permissions.
-    pub perms: Perms,
-    /// Backing bytes (length = extent length).
-    pub data: Vec<u8>,
+    pub(crate) perms: Perms,
 }
 
 impl Extent {
-    /// Creates a zero-filled extent.
-    pub fn new(start: u64, len: u64, node: NodeId, perms: Perms) -> Extent {
-        Extent {
-            start,
-            node,
-            perms,
-            data: vec![0; len as usize],
-        }
-    }
-
     /// One past the last address.
-    pub fn end(&self) -> u64 {
-        self.start + self.data.len() as u64
+    pub(crate) fn end(&self) -> u64 {
+        self.start + self.len
     }
 
     /// Whether `addr` lies inside this extent.
-    pub fn contains(&self, addr: u64) -> bool {
+    pub(crate) fn contains(&self, addr: u64) -> bool {
         addr >= self.start && addr < self.end()
     }
 }
@@ -103,7 +95,12 @@ mod tests {
 
     #[test]
     fn extent_geometry() {
-        let e = Extent::new(0x1000, 0x100, 2, Perms::RW);
+        let e = Extent {
+            start: 0x1000,
+            len: 0x100,
+            node: 2,
+            perms: Perms::RW,
+        };
         assert_eq!(e.end(), 0x1100);
         assert!(e.contains(0x1000));
         assert!(e.contains(0x10ff));

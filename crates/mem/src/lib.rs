@@ -15,6 +15,20 @@
 //!   random / single-node policies the evaluation sweeps (Fig. 2(b),
 //!   Appendix Fig. 5).
 //!
+//! # Mapped and backed memory
+//!
+//! Extents are *mapped* memory: [`ClusterMemory::node_bytes`] sums their
+//! lengths, and they decide which accesses fault. Host memory backs only
+//! what is *written*: bytes live in 256 B blocks, carved the first time a
+//! byte in them is written and keyed by absolute address, so a block can
+//! hold the ends of two small extents. [`ClusterMemory::backed_bytes`]
+//! counts them. A byte never written reads as 0. Each block also carries
+//! the write versions of its [`VERSION_GRANULE_BYTES`] granules, the
+//! coherence clock [`ClusterMemory::version_of`] reads; a granule never
+//! written has version 0. A structure's build therefore costs host memory
+//! and time in proportion to the bytes it writes, not to the extents it
+//! maps.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,10 +58,11 @@ mod alloc;
 mod cluster;
 mod extent;
 mod fault;
+mod store;
 mod xlate;
 
 pub use alloc::{ClusterAllocator, Placement, VA_BASE};
 pub use cluster::{ClusterMemory, LocalBus, MemError, VERSION_GRANULE_BYTES};
-pub use extent::{Extent, NodeId, Perms};
+pub use extent::{NodeId, Perms};
 pub use fault::{degraded_window, FaultEvent, FaultKind};
 pub use xlate::{CapacityExceeded, GlobalRangeMap, RangeEntry, RangeTable};

@@ -814,3 +814,25 @@ fn builder_rejects_bad_fault_wiring() {
         .unwrap_err();
     assert!(matches!(err, Error::Config(_)), "{err:?}");
 }
+
+/// Rack memory is backed where it is written, not where it is mapped.
+/// The WebService deployment of perfbench and the sweep (6 000 keys of
+/// 8 KiB objects, 2 nodes, 2 MiB extents) maps 48 MiB, but its build
+/// writes only a few words per key.
+#[test]
+fn webservice_backs_a_fraction_of_what_it_maps() {
+    let (runtime, _app) = PulseBuilder::new()
+        .nodes(2)
+        .cpus(2)
+        .granularity(2 << 20)
+        .app(WebServiceConfig {
+            keys: 6_000,
+            ..Default::default()
+        })
+        .unwrap();
+    let mem = runtime.memory();
+    let mapped: u64 = (0..mem.node_count()).map(|n| mem.node_bytes(n)).sum();
+    let backed = mem.backed_bytes();
+    assert!(mapped >= 48 << 20, "mapped {mapped} B");
+    assert!(backed < 4 << 20, "backed {backed} B of {mapped} B mapped");
+}
