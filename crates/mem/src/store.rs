@@ -34,9 +34,11 @@ struct Region {
     /// Per block of the span: its index in `blocks` + 1, or 0 while the
     /// block is unbacked.
     slots: [u16; SLOTS],
-    /// Carved blocks, in write order. Allocated at full capacity, so no
-    /// block ever moves; the allocator touches its pages only as blocks
-    /// are carved.
+    /// Carved blocks, in write order, grown by doubling like any `Vec`.
+    /// Reserving all [`SLOTS`] blocks up front left most of each
+    /// reservation untouched, and a process that built deployment after
+    /// deployment saw the allocator lay later allocations over those
+    /// pages: its resident set grew with the number of builds.
     blocks: Vec<Block>,
 }
 
@@ -130,7 +132,7 @@ impl BlockStore {
             self.keys.insert(i, key);
             let region = Region {
                 slots: [0; SLOTS],
-                blocks: Vec::with_capacity(SLOTS),
+                blocks: Vec::new(),
             };
             self.regions.insert(i, region);
             i

@@ -14,7 +14,8 @@
 //! After every operation the two must agree on the result or fault, the
 //! bytes read, `write_epoch` and the version asked for; at the end of a
 //! case, on every byte and every granule around the layout, and the store
-//! must back exactly the blocks that successful writes touched.
+//! must back exactly the blocks that successful writes touched. A last
+//! test writes one region in full, out of address order.
 
 use pulse_isa::{MemBus, MemFault};
 use pulse_mem::{ClusterMemory, NodeId, Perms, VERSION_GRANULE_BYTES};
@@ -364,4 +365,38 @@ fn unwritten_memory_is_mapped_but_not_backed() {
     assert_eq!(mem.backed_bytes(), 3 * BLOCK);
     assert_eq!(mem.version_of(REGION + 8192 + G - 1, 1), 2);
     assert_eq!(mem.version_of(REGION + 8192 + G, 1), 0);
+}
+
+#[test]
+fn a_region_written_in_full_keeps_every_block() {
+    // The case loop backs a few hundred blocks a region at most; this
+    // carves all of one region's blocks, out of address order, so its
+    // block vector grows (and moves) up to the region's full size.
+    let blocks = REGION / BLOCK;
+    let mut mem = ClusterMemory::new(1);
+    mem.add_extent(REGION, REGION, 0, Perms::RW).unwrap();
+    let position = |k: u64| k * 5 % blocks;
+    let fill = |p: u64| {
+        let mut bytes = [(p % 251) as u8; BLOCK as usize];
+        bytes[..2].copy_from_slice(&(p as u16).to_le_bytes());
+        bytes
+    };
+    for k in 0..blocks {
+        let p = position(k);
+        mem.write(REGION + p * BLOCK, &fill(p)).unwrap();
+    }
+    assert_eq!(mem.backed_bytes(), REGION);
+    let mut got = vec![0; REGION as usize];
+    mem.read(REGION, &mut got).unwrap();
+    for k in 0..blocks {
+        let p = position(k);
+        let at = (p * BLOCK) as usize;
+        assert_eq!(got[at..at + BLOCK as usize], fill(p), "block {p}");
+        assert_eq!(
+            mem.version_of(REGION + p * BLOCK, BLOCK),
+            k + 1,
+            "block {p}"
+        );
+    }
+    assert_eq!(mem.version_of(REGION, REGION), blocks);
 }
