@@ -1,26 +1,27 @@
-//! The compared systems (§6): Fastswap-style cache-based paging, RPC on
-//! server-class CPUs, RPC on wimpy ARM SmartNIC cores, and AIFM-style
-//! Cache+RPC.
+//! The compared systems (§6): Fastswap-style cache-based paging, and the
+//! configuration of the RPC family (RPC on server-class CPUs, RPC on wimpy
+//! ARM SmartNIC cores, and AIFM-style Cache+RPC).
 //!
-//! Every baseline executes the *same* [`AppRequest`] streams as pulse,
-//! functionally (results are bit-identical) and then prices them through
-//! its own timing model. Requests run closed-loop with a fixed number of
-//! outstanding clients, sharing contended resources (CPU threads / RPC
-//! workers, the CPU-node link, per-node DRAM channels, the swap pipe).
+//! The swap system is an analytic replay: it executes the *same*
+//! [`AppRequest`] streams as pulse functionally (results are
+//! bit-identical) and prices each request's access trace through its own
+//! timing model, with a fixed number of outstanding clients sharing the
+//! contended resources (application threads, the swap pipe, the fabric).
+//! The RPC family runs on the pulse rack's own event engine; see
+//! [`RpcConfig`].
 
 use pulse_frontend::replay::{drive, measured_rate};
-use pulse_frontend::{CacheConfig, LruSet, TraversalCache};
+use pulse_frontend::{CacheConfig, LruSet};
 use pulse_isa::CostModel;
-use pulse_mem::{degraded_window, ClusterMemory, FaultEvent, FaultKind, NodeId};
+use pulse_mem::{ClusterMemory, FaultEvent};
 use pulse_net::{Endpoint, Fabric, FabricConfig, LinkConfig, SwitchConfig, TopologySpec};
-use pulse_sim::{
-    CpuDispatch, DispatchConfig, LatencyHistogram, SerialResource, ServerPool, SimTime,
-};
+use pulse_sim::{CpuDispatch, DispatchConfig, SerialResource, ServerPool, SimTime};
 use pulse_trace::{LatencyBreakdown, Phase, RunMetrics};
 use pulse_workloads::{execute_functional, Access, AppRequest};
 
-/// Request, response-base and bounce frame size, bytes (header + pointer +
-/// parameters). A cross-node bounce sends one frame each way.
+pub use pulse_core::RpcFlavor;
+
+/// Page-fill request frame size, bytes (header + page address).
 const FRAME_BYTES: u64 = 128;
 
 /// One endpoint→endpoint hop through the rack's switch: two link
@@ -37,38 +38,22 @@ fn build_fabric(spec: TopologySpec, nodes: usize) -> Option<Fabric> {
         .then(|| Fabric::new(spec.build(1, nodes), FabricConfig::default()))
 }
 
-/// A CPU's execution parameters for traversal replay.
-#[derive(Debug, Clone, Copy)]
-struct CpuModel {
-    /// Per-instruction time for traversal logic.
-    insn_time: SimTime,
-    /// Local DRAM access latency (dependent pointer chase step).
-    dram_latency: SimTime,
-}
+/// Per-instruction time of the CPU node's Xeon Gold 6240-class core.
+const INSN_TIME: SimTime = CostModel::xeon().insn_time;
 
-/// Xeon Gold 6240-class core.
-const XEON: CpuModel = CpuModel {
-    insn_time: CostModel::xeon().insn_time,
-    dram_latency: SimTime::from_nanos(90),
-};
+/// The core's local DRAM access latency (a page-cache hit).
+const DRAM_LATENCY: SimTime = SimTime::from_nanos(90);
 
-/// Bluefield-2 Cortex-A72-class core: slower issue, slower memory path.
-const ARM_CORTEX_A72: CpuModel = CpuModel {
-    insn_time: CostModel::arm_cortex_a72().insn_time,
-    dram_latency: SimTime::from_nanos(150),
-};
-
-/// What a baseline run measured: the engine-neutral [`RunMetrics`]
-/// (reachable through `Deref`) plus what only the replay models price.
-/// The metrics' `cache_hit_rate` is the shared front-end traversal-cell
-/// cache; the system's own page or object cache is
-/// [`BaselineReport::cache_hit_ratio`]. The replays are analytic, so their
-/// phase attribution comes from the priced components: the residual
-/// (queueing on threads, workers and pipes) lands in [`Phase::Queued`],
-/// and the per-phase sums still equal each request's latency exactly.
+/// What a swap run measured: the engine-neutral [`RunMetrics`]
+/// (reachable through `Deref`) plus what only the replay prices. The
+/// system's page cache is [`BaselineReport::cache_hit_ratio`]. The replay
+/// is analytic, so its phase attribution comes from the priced
+/// components: the residual (queueing on threads and the swap pipe)
+/// lands in [`Phase::Queued`], and the per-phase sums still equal each
+/// request's latency exactly.
 #[derive(Debug, Clone)]
 pub struct BaselineReport {
-    /// System label ("Cache-based", "RPC", ...).
+    /// System label ("Cache-based").
     pub label: &'static str,
     /// The run outcome every engine reports.
     pub metrics: RunMetrics,
@@ -76,10 +61,10 @@ pub struct BaselineReport {
     pub traversal_time: SimTime,
     /// Total request-resident time (Fig. 2(a)'s denominator).
     pub total_time: SimTime,
-    /// Cache hit ratio (page or object cache), if the system has one.
-    pub cache_hit_ratio: Option<f64>,
-    /// Updates (requests with a store or an object write) that completed;
-    /// an update that failed as unavailable does not count.
+    /// Page-cache hit ratio.
+    pub cache_hit_ratio: f64,
+    /// Updates (requests with a store or an object write) that completed:
+    /// all of them, since the swap system completes every request.
     pub completed_updates: u64,
 }
 
@@ -104,24 +89,6 @@ fn link_demand(fabric: Option<&Fabric>, arrivals: Option<&[SimTime]>, makespan: 
         _ => makespan,
     };
     fabric.map_or(0.0, |f| f.cpu_downlink_demand(horizon))
-}
-
-/// Whether `node` is unreachable at `t` under a time-sorted fault
-/// schedule. The replay baselines have no accelerators, so an
-/// [`FaultKind::AccelWedge`] never makes a node unreachable to RPC.
-fn node_down_at(faults: &[FaultEvent], node: NodeId, t: SimTime) -> bool {
-    let mut down = false;
-    for f in faults {
-        if f.at > t {
-            break;
-        }
-        match f.kind {
-            FaultKind::MemCrash(n) | FaultKind::LinkPartition(n) if n == node => down = true,
-            FaultKind::MemRecover(n) | FaultKind::LinkHeal(n) if n == node => down = false,
-            _ => {}
-        }
-    }
-    down
 }
 
 impl BaselineReport {
@@ -245,13 +212,13 @@ pub fn run_swap_cache(
             let mut insn_total = SimTime::ZERO;
             let mut fills: Vec<usize> = Vec::new();
             for a in accesses {
-                let mut cost = XEON.insn_time * a.insns as u64;
+                let mut cost = INSN_TIME * a.insns as u64;
                 insn_total += cost;
                 let first = a.addr / PAGE_BYTES;
                 let last = (a.addr + a.len.max(1) as u64 - 1) / PAGE_BYTES;
                 for page in first..=last {
                     if lru.touch(page) {
-                        cost += XEON.dram_latency;
+                        cost += DRAM_LATENCY;
                         hits += 1;
                     } else {
                         cost += miss_cost;
@@ -308,7 +275,7 @@ pub fn run_swap_cache(
                     end - arrive,
                     &[
                         (Phase::Queued, admitted - ready),
-                        (Phase::CacheHit, XEON.dram_latency * hits),
+                        (Phase::CacheHit, DRAM_LATENCY * hits),
                         (
                             Phase::Dispatch,
                             insn_total + *cpu_work + FAULT_SOFTWARE * misses,
@@ -341,7 +308,7 @@ pub fn run_swap_cache(
         },
         traversal_time: traversal_total,
         total_time: latency_total,
-        cache_hit_ratio: Some(lru.hit_ratio()),
+        cache_hit_ratio: lru.hit_ratio(),
         // The swap system completes every request.
         completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64,
     }
@@ -349,103 +316,46 @@ pub fn run_swap_cache(
 
 // ------------------------------------------------------------------- RPC
 
-/// Cached object granularity of Cache+RPC (the 8 KiB application object).
-const OBJECT_BYTES: u64 = 8192;
-
-/// Memory-node DRAM bandwidth each node serves, bytes per second.
-const DRAM_BYTES_PER_SEC: u64 = 25_000_000_000;
-
-/// Which RPC flavour to run. The flavour fixes the memory-node CPU, its
-/// worker count and per-request software time, and the transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RpcFlavor {
-    /// DPDK RPC on Xeon memory-node CPUs.
-    Rpc,
-    /// RPC on wimpy ARM SmartNIC cores.
-    RpcArm,
-    /// AIFM: an object cache at the CPU node in front of a TCP-based RPC.
-    CacheRpc {
-        /// CPU-node object cache, bytes; 0 runs without one.
-        cache_bytes: u64,
-    },
-}
-
-impl RpcFlavor {
-    fn cpu(self) -> CpuModel {
-        match self {
-            RpcFlavor::RpcArm => ARM_CORTEX_A72,
-            _ => XEON,
-        }
-    }
-
-    /// Worker cores per memory node: on Xeon, the minimum that saturates
-    /// 25 GB/s of dependent chasing (≈ 10); on ARM, the Bluefield-2's 8.
-    fn workers_per_node(self) -> usize {
-        match self {
-            RpcFlavor::RpcArm => 8,
-            _ => 10,
-        }
-    }
-
-    /// Per-request server software time (rx parse + handler + tx).
-    fn request_software(self) -> SimTime {
-        match self {
-            RpcFlavor::RpcArm => SimTime::from_micros(3),
-            _ => SimTime::from_nanos(850),
-        }
-    }
-
-    /// Extra per-request overhead of the TCP-based stack, per direction
-    /// (Cache+RPC only; §6.1 attributes AIFM's latency gap to it).
-    fn tcp_extra(self) -> SimTime {
-        match self {
-            RpcFlavor::CacheRpc { .. } => SimTime::from_micros(2),
-            _ => SimTime::ZERO,
-        }
-    }
-}
-
-/// RPC system configuration.
+/// RPC system configuration. RPC runs on the pulse rack's event engine
+/// (`pulse_core::PulseMode::Rpc`): every request, bounce and reply crosses
+/// the same fabric, faults and queues pulse's packets do, with the
+/// flavour's worker cores serving traversals at the memory nodes. The
+/// `pulse` façade's `BaselineEngine` builds that rack from this config
+/// with one CPU node.
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
     /// Flavour.
     pub flavor: RpcFlavor,
-    /// CPU-node request-dispatch engine — the extended evaluation
+    /// The CPU node's request-dispatch engine — the extended evaluation
     /// attributes the RPC baseline's collapse to exactly this resource
-    /// saturating. One dispatch op is booked per network issue (the initial
-    /// request plus every cross-node bounce). The default is uncontended.
+    /// saturating. Every network issue books it: the initial request and
+    /// the re-issue after every cross-node bounce. The default is
+    /// uncontended.
     pub dispatch: DispatchConfig,
-    /// Front-end traversal-cell cache (the shared
+    /// Front-end traversal-cell cache (the rack's
     /// `pulse_frontend::TraversalCache`, disabled by default): leading
-    /// traversal hops whose cells are all resident run at
-    /// `CacheConfig::HIT_NS` on the CPU instead of as remote segments, the
-    /// remainder executes remotely as usual, remotely-read traversal cells
-    /// fill the cache (priced as extra response bytes), and a request's
-    /// writes age the touched lines out. This is "RPC+cache" in the sweep
-    /// curves — the hypothetical the paper's framing argues cannot save
-    /// pointer traversals.
+    /// traversal hops whose cells are resident and version-valid walk on
+    /// the CPU at `CacheConfig::HIT_NS` each, the remainder is served
+    /// remotely from the last cached pointer, the cells the workers read
+    /// ride back with the reply (priced on the wire) to fill the cache,
+    /// and writes age the touched lines out. This is "RPC+cache" in the
+    /// sweep curves — the hypothetical the paper's framing argues cannot
+    /// save pointer traversals.
     pub cache: CacheConfig,
-    /// Rack geometry. On the flat default the request/bounce/response trips
-    /// are priced with the rack's end-to-end link and switch constants and
-    /// a single CPU receive pipe; on a routed spec every trip — including
-    /// both legs of every cross-node bounce — is a fabric send over finite
-    /// directed links, so the bouncing traffic converges on the CPU node's
-    /// downlink (the incast pulse's chained hops avoid).
+    /// Rack geometry. Every shape, the flat default included, prices each
+    /// request, bounce and reply hop by hop on the rack's fabric, so every
+    /// bounce crosses the CPU node's down-link (the incast pulse's chained
+    /// hops avoid).
     pub topology: TopologySpec,
-    /// Scheduled faults — the *same* schedule the pulse rack runs, so
-    /// pulse-vs-RPC curves degrade under identical failure injections.
-    /// Node health is checked once per request, when a client picks it up
-    /// (its admission, not its arrival; a fault during service does not
-    /// touch it). A segment whose node is down at that instant is
-    /// redirected to the extent's first live replica
-    /// (`ClusterMemory::replicas_of`, governed by
-    /// `ClusterMemory::set_replication` on the memory handed to the run):
-    /// each redirect pays one extra timeout round trip and counts as a
-    /// failover; with no live replica the request fault-completes as
-    /// unavailable. The RPC model never rebuilds lost extents — recovery
-    /// is fail-stop-and-restore only.
+    /// Scheduled faults — the *same* schedule the pulse rack runs, handled
+    /// by the same rack: a packet headed for a dark node fails over to a
+    /// live replica (`ClusterMemory::replicas_of`, governed by
+    /// `ClusterMemory::set_replication` on the memory handed to the run),
+    /// a packet lost with a node is re-planned by its CPU, a request with
+    /// no live replica left fault-completes as unavailable, and a crash
+    /// starts re-replicating the lost extents onto live nodes.
     pub faults: Vec<FaultEvent>,
-    /// Record per-phase latency attribution
+    /// Record per-request spans and per-phase latency attribution
     /// ([`RunMetrics::phase`]). Off by default; the run's timing is
     /// identical either way.
     pub trace: bool,
@@ -490,423 +400,6 @@ impl RpcConfig {
     }
 }
 
-/// Runs an RPC-family system over a request stream.
-///
-/// Traversals execute on the owning memory node's worker cores; a traversal
-/// that crosses onto another node bounces through the CPU node (the
-/// "return to the CPU node whenever the traversal accesses a pointer on
-/// another memory node" penalty of §5 that pulse's in-network routing
-/// removes).
-///
-/// With `arrivals` `None` the stream runs closed-loop over `concurrency`
-/// clients. With `Some(times)`, request `i` arrives at `times[i]` (sorted
-/// ascending) and its latency is measured from that arrival, queueing
-/// included; the report's throughput is then goodput over the
-/// arrival-to-last-completion span.
-pub fn run_rpc(
-    mem: &mut ClusterMemory,
-    requests: &[AppRequest],
-    concurrency: usize,
-    cfg: RpcConfig,
-    arrivals: Option<&[SimTime]>,
-) -> BaselineReport {
-    let nodes = mem.node_count();
-    let cpu = cfg.flavor.cpu();
-    let request_software = cfg.flavor.request_software();
-    let tcp_extra = cfg.flavor.tcp_extra();
-    let one_way = one_way();
-    let mut workers: Vec<ServerPool> = (0..nodes)
-        .map(|_| ServerPool::new(cfg.flavor.workers_per_node()))
-        .collect();
-    let mut dram: Vec<SerialResource> = (0..nodes)
-        .map(|_| SerialResource::new(DRAM_BYTES_PER_SEC * 8))
-        .collect();
-    // Flat: the CPU-node's receive direction (responses) is the only link
-    // pipe that ever approaches saturation in these workloads. Routed: the
-    // fabric's directed links replace it entirely.
-    let mut link_rx = SerialResource::new(LinkConfig::default().bits_per_sec);
-    let mut fabric = build_fabric(cfg.topology, nodes);
-    // The CPU node: its dispatch engine plus the optional traversal-cell
-    // cache.
-    let mut dispatch = CpuDispatch::new(cfg.dispatch);
-    let mut cache = cfg.cache.enabled().then(|| TraversalCache::new(cfg.cache));
-    let mut object_cache = match cfg.flavor {
-        RpcFlavor::CacheRpc { cache_bytes } if cache_bytes > 0 => {
-            Some(LruSet::new((cache_bytes / OBJECT_BYTES).max(1) as usize))
-        }
-        _ => None,
-    };
-    let mut net_bytes = 0u64;
-    let mut mem_bytes = 0u64;
-    // Fault bookkeeping: the schedule sorted by time, the degraded window
-    // it opens, and the counters the report surfaces.
-    let mut faults = cfg.faults.clone();
-    faults.sort_by_key(|f| f.at);
-    let window = degraded_window(&faults);
-    let mut failovers = 0u64;
-    let mut unavailable = 0u64;
-    let mut unavailable_updates = 0u64;
-    let mut degraded = LatencyHistogram::new();
-    let mut breakdown = cfg.trace.then(LatencyBreakdown::new);
-
-    struct Priced {
-        /// The functional access trace, segmented lazily per serve (the
-        /// front-end cache decides per request how much of the leading
-        /// traversal runs locally).
-        accesses: Vec<Access>,
-        cpu_work: SimTime,
-        response_bytes: u64,
-        object_addr: Option<u64>,
-    }
-
-    // Pre-execute functionally, in stream order (updates land in order).
-    let priced: Vec<Priced> = requests
-        .iter()
-        .map(|r| {
-            let run = execute_functional(mem, r, 1 << 20).expect("functional run");
-            let object_addr = run.accesses.iter().find(|a| !a.traversal).map(|a| a.addr);
-            let response_bytes = FRAME_BYTES
-                + r.response_extra_bytes as u64
-                + r.object_io
-                    .map_or(0, |io| if io.write { 0 } else { io.len as u64 });
-            Priced {
-                accesses: run.accesses,
-                cpu_work: r.cpu_work,
-                response_bytes,
-                object_addr,
-            }
-        })
-        .collect();
-
-    /// One served request: its completion, the `drive` accounting
-    /// (traversal and uncontended path time), and its priced latency
-    /// components in attribution order. Contention hidden under the
-    /// completion `max` falls to the `Queued` residual.
-    #[derive(Default)]
-    struct Served {
-        end: SimTime,
-        traversal: SimTime,
-        pure: SimTime,
-        queued: SimTime,
-        cache_hit: SimTime,
-        failover: SimTime,
-        wire: SimTime,
-        mem: SimTime,
-        dispatch: SimTime,
-    }
-
-    // Every completion path ends here: the degraded-window sample and the
-    // phase breakdown, both timed from the request's arrival.
-    let mut finish = |idx: usize, ready: SimTime, s: Served| {
-        let arrive = arrivals.map_or(ready, |a| a[idx]);
-        if let Some((from, to)) = window {
-            if s.end >= from && s.end <= to {
-                degraded.record(s.end - arrive);
-            }
-        }
-        if let Some(b) = breakdown.as_mut() {
-            b.record_components(
-                s.end - arrive,
-                &[
-                    (Phase::Queued, s.queued),
-                    (Phase::CacheHit, s.cache_hit),
-                    (Phase::Failover, s.failover),
-                    (Phase::WireHop, s.wire),
-                    (Phase::MemTrip, s.mem),
-                    (Phase::Dispatch, s.dispatch),
-                ],
-            );
-        }
-        (s.end, s.traversal, s.pure)
-    };
-
-    let (latency, makespan, traversal_total, latency_total) =
-        drive(requests.len(), concurrency, arrivals, |idx, ready| {
-            let p = &priced[idx];
-            // Front-end cache prefix: leading traversal *read* hops whose
-            // cells are all resident (and version-valid) execute on the
-            // CPU at hit cost; the first miss, write, or object access
-            // sends the remainder down the normal RPC path. Remotely-read
-            // traversal cells then fill the cache (each filled line rides
-            // the response as a 12 B descriptor + line bytes), and this
-            // request's writes age the touched lines out — the coherence
-            // traffic a real CPU-side cache would have to pay for.
-            let mut prefix = 0usize;
-            let mut prefix_time = SimTime::ZERO;
-            let mut fill_wire_bytes = 0u64;
-            if let Some(cache) = cache.as_mut() {
-                let hit = CacheConfig::HIT_NS;
-                for a in &p.accesses {
-                    if !a.traversal || a.write || !cache.probe_range(a.addr, a.len as u64, mem) {
-                        cache.note_miss();
-                        break;
-                    }
-                    cache.note_hit();
-                    prefix += 1;
-                    prefix_time += hit + cpu.insn_time * a.insns as u64;
-                }
-                let remaining = &p.accesses[prefix..];
-                for a in remaining {
-                    if a.write {
-                        cache.invalidate_range(a.addr, a.len.max(1) as u64);
-                    } else if a.traversal {
-                        let (lines, bytes) = cache.fill_range(a.addr, a.len as u64, mem);
-                        fill_wire_bytes +=
-                            lines * pulse_net::TOUCHED_DESCRIPTOR_BYTES as u64 + bytes;
-                    }
-                }
-                if remaining.is_empty() {
-                    // The whole traversal ran from cache: no RPC at all.
-                    // One dispatch op still admits the request, and the
-                    // response is assembled locally.
-                    let admitted = dispatch.book_grant(ready).end;
-                    let pure = prefix_time + p.cpu_work;
-                    return finish(
-                        idx,
-                        ready,
-                        Served {
-                            end: admitted + pure,
-                            traversal: prefix_time,
-                            pure,
-                            queued: admitted - ready,
-                            cache_hit: prefix_time,
-                            dispatch: p.cpu_work,
-                            ..Served::default()
-                        },
-                    );
-                }
-            }
-            let remaining = &p.accesses[prefix..];
-            // Segment the (remaining) trace by owning node — identical
-            // math to the pre-cache model when the prefix is empty. Under
-            // a fault schedule the target is resolved against node health
-            // at admission: a dark primary redirects the segment to the
-            // first live replica (a failover, priced below as an extra
-            // timeout round trip); an extent with no live replica
-            // fault-completes the whole request as unavailable.
-            let mut segments: Vec<(usize, SimTime, u64, bool)> = Vec::new();
-            let mut req_failovers = 0u64;
-            let mut dead_end = false;
-            for a in remaining {
-                let primary = mem.owner_of(a.addr).unwrap_or(0);
-                let owner = if faults.is_empty() || !node_down_at(&faults, primary, ready) {
-                    primary
-                } else {
-                    match mem
-                        .replicas_of(a.addr)
-                        .into_iter()
-                        .find(|&m| !node_down_at(&faults, m, ready))
-                    {
-                        Some(m) => m,
-                        None => {
-                            dead_end = true;
-                            break;
-                        }
-                    }
-                };
-                let step = if a.traversal {
-                    cpu.dram_latency + cpu.insn_time * a.insns as u64
-                } else {
-                    SimTime::serialization(a.len as u64, DRAM_BYTES_PER_SEC * 8)
-                };
-                match segments.last_mut() {
-                    Some((node, t, b, trav)) if *node == owner && *trav == a.traversal => {
-                        *t += step;
-                        *b += a.len as u64;
-                    }
-                    _ => {
-                        if owner != primary {
-                            req_failovers += 1;
-                        }
-                        segments.push((owner, step, a.len as u64, a.traversal));
-                    }
-                }
-            }
-            if dead_end {
-                // One timed-out attempt: the client learns nothing is
-                // left to serve this request and gives up.
-                unavailable += 1;
-                unavailable_updates += requests[idx].is_update() as u64;
-                net_bytes += FRAME_BYTES;
-                let admitted = dispatch.book_grant(ready).end;
-                let pure = one_way * 2 + tcp_extra * 2;
-                return finish(
-                    idx,
-                    ready,
-                    Served {
-                        end: admitted + pure,
-                        pure,
-                        queued: admitted - ready,
-                        // The whole timed-out attempt is failure handling.
-                        failover: pure,
-                        ..Served::default()
-                    },
-                );
-            }
-            failovers += req_failovers;
-            // Cache+RPC: a hit in the object cache spares the object's wire
-            // transfer, but the traversal still runs remotely — the index
-            // itself lives in disaggregated memory, which is why the paper
-            // finds "data structure-aware caching is not beneficial" here.
-            let mut response_bytes = p.response_bytes;
-            if let (Some(cache), Some(addr)) = (object_cache.as_mut(), p.object_addr) {
-                if cache.touch(addr / OBJECT_BYTES) {
-                    response_bytes = FRAME_BYTES;
-                }
-            }
-            response_bytes += fill_wire_bytes;
-            // Uncontended path time.
-            let mut traversal = prefix_time;
-            let mut service = SimTime::ZERO;
-            let mut bounce = SimTime::ZERO;
-            for (i, &(_, svc_time, _, is_trav)) in segments.iter().enumerate() {
-                service += svc_time + request_software;
-                if i > 0 {
-                    bounce += one_way * 2; // CPU-node bounce per hop
-                    net_bytes += 2 * FRAME_BYTES;
-                }
-                if is_trav {
-                    traversal += svc_time;
-                }
-            }
-            let response_wire =
-                SimTime::serialization(response_bytes, LinkConfig::default().bits_per_sec);
-            net_bytes += FRAME_BYTES + response_bytes;
-            let pure = one_way * 2
-                + tcp_extra * 2
-                // Each failover was detected by timing out the primary
-                // first: one wasted round trip per redirected segment.
-                + one_way * (2 * req_failovers)
-                + prefix_time
-                + service
-                + bounce
-                + response_wire
-                + p.cpu_work;
-            // Contended bookings, all at admission time (time-ordered
-            // across the closed loop). The CPU node's dispatch engine
-            // serializes every network issue this request makes — the
-            // initial RPC plus one re-issue per cross-node bounce — so the
-            // CPU side saturates at `contexts / occupancy` issues/sec.
-            let mut issued = ready;
-            for _ in 0..segments.len().max(1) {
-                issued = dispatch.book_grant(issued).end;
-            }
-            let end = match fabric.as_mut() {
-                // Routed: every trip is a fabric send over finite directed
-                // links. The request rides to the first owning node; each
-                // cross-node bounce is a reply up to the CPU node plus a
-                // re-issue down to the next node — so every bounce crosses
-                // the CPU downlink, and concurrent requests incast there.
-                Some(fab) => {
-                    let first = segments.first().map_or(0, |s| s.0);
-                    let mut cursor = fab
-                        .send(
-                            issued + prefix_time,
-                            Endpoint::Cpu(0),
-                            Endpoint::Mem(first),
-                            FRAME_BYTES,
-                        )
-                        .expect("fabric covers every node");
-                    let mut last = first;
-                    for (i, &(node, svc_time, bytes, _)) in segments.iter().enumerate() {
-                        if i > 0 {
-                            // The reply leg hauls the fetched cells up with
-                            // it — the CPU cannot chase a pointer it has not
-                            // seen. Chained traversal never pays this leg,
-                            // which is exactly the downlink incast gap.
-                            let back = fab
-                                .send(
-                                    cursor,
-                                    Endpoint::Mem(last),
-                                    Endpoint::Cpu(0),
-                                    FRAME_BYTES + segments[i - 1].2,
-                                )
-                                .expect("fabric covers every node");
-                            cursor = fab
-                                .send(back, Endpoint::Cpu(0), Endpoint::Mem(node), FRAME_BYTES)
-                                .expect("fabric covers every node");
-                        }
-                        let w = workers[node].acquire(cursor, svc_time + request_software);
-                        let d = dram[node].acquire(cursor, bytes);
-                        mem_bytes += bytes;
-                        cursor = w.grant.end.max(d.end);
-                        last = node;
-                    }
-                    let arrive = fab
-                        .send(
-                            cursor,
-                            Endpoint::Mem(last),
-                            Endpoint::Cpu(0),
-                            response_bytes,
-                        )
-                        .expect("fabric covers every node");
-                    (ready + pure).max(arrive + p.cpu_work)
-                }
-                None => {
-                    let depart = issued + prefix_time + one_way; // first node
-                    let mut worker_end = depart;
-                    for &(node, svc_time, bytes, _) in &segments {
-                        let w = workers[node].acquire(depart, svc_time + request_software);
-                        let d = dram[node].acquire(depart, bytes);
-                        mem_bytes += bytes;
-                        worker_end = worker_end.max(w.grant.end).max(d.end);
-                    }
-                    let rx = link_rx.acquire(worker_end + one_way, response_bytes);
-                    (ready + pure)
-                        .max(worker_end + one_way + response_wire + p.cpu_work)
-                        .max(rx.end + p.cpu_work)
-                }
-            };
-            finish(
-                idx,
-                ready,
-                Served {
-                    end,
-                    traversal,
-                    pure,
-                    queued: issued - ready,
-                    cache_hit: prefix_time,
-                    failover: one_way * (2 * req_failovers),
-                    wire: one_way * 2 + bounce + response_wire,
-                    mem: service,
-                    dispatch: tcp_extra * 2 + p.cpu_work,
-                },
-            )
-        });
-
-    let link_demand = link_demand(fabric.as_ref(), arrivals, makespan);
-    BaselineReport {
-        label: cfg.label(),
-        metrics: RunMetrics {
-            completed: requests.len() as u64 - unavailable,
-            // The only way a replay baseline fails a request is running
-            // out of replicas under a fault schedule.
-            faulted: unavailable,
-            latency,
-            throughput: measured_rate(requests.len(), makespan, arrivals),
-            net_bytes: fabric
-                .as_ref()
-                .map_or(net_bytes, Fabric::host_injected_bytes),
-            mem_bytes,
-            cache_hit_rate: cache.map_or(0.0, |c| c.hit_rate()),
-            link_utilization: link_demand.min(1.0),
-            link_demand,
-            queue_depth: fabric.as_ref().map_or(0, |f| f.max_queue_depth() as u64),
-            failovers,
-            unavailable_completions: unavailable,
-            degraded_p99: degraded.p99(),
-            phase: breakdown.as_ref().and_then(LatencyBreakdown::attribution),
-            makespan,
-            ..RunMetrics::default()
-        },
-        traversal_time: traversal_total,
-        total_time: latency_total,
-        cache_hit_ratio: object_cache.map(|c| c.hit_ratio()),
-        completed_updates: requests.iter().filter(|r| r.is_update()).count() as u64
-            - unavailable_updates,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -943,29 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_cache_is_orders_of_magnitude_slower_than_rpc() {
-        let (mut mem, reqs) = webservice_setup_dist(200_000, 512, Distribution::Uniform);
-        // ~105 MB working set with a ~5 MB hash index spread over ~1200
-        // pages; a 1 MiB cache forces traversal pages to miss.
-        let swap = run_swap_cache(
-            &mut mem,
-            &reqs,
-            8,
-            SwapConfig {
-                cache_bytes: 1 << 20,
-                ..SwapConfig::default()
-            },
-            None,
-        );
-        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
-        let ratio = swap.latency.mean.as_nanos_f64() / rpc.latency.mean.as_nanos_f64();
-        // Fig. 7: cache-based is 9-34x slower than offloading systems.
-        assert!(ratio > 5.0, "swap/rpc latency ratio {ratio}");
-        assert!(swap.cache_hit_ratio.unwrap() < 0.999);
-        assert!(swap.throughput < rpc.throughput);
-    }
-
-    #[test]
     fn warm_small_working_set_mostly_hits() {
         let (mut mem, reqs) = webservice_setup(200, 8192); // ~1.7 MB
         let swap = run_swap_cache(
@@ -979,40 +449,10 @@ mod tests {
             None,
         );
         assert!(
-            swap.cache_hit_ratio.unwrap() > 0.5,
+            swap.cache_hit_ratio > 0.5,
             "hit ratio {:?}",
             swap.cache_hit_ratio
         );
-    }
-
-    #[test]
-    fn rpc_arm_is_slower_than_rpc() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
-        let arm = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc_arm(), None);
-        assert!(
-            arm.latency.mean > rpc.latency.mean,
-            "arm {} vs rpc {}",
-            arm.latency.mean,
-            rpc.latency.mean
-        );
-        assert!(arm.throughput <= rpc.throughput * 1.05);
-    }
-
-    #[test]
-    fn cache_rpc_latency_not_better_than_rpc() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
-        let aifm = run_rpc(&mut mem, &reqs, 16, RpcConfig::cache_rpc(4 << 20), None);
-        // §6.1: "Cache+RPC incurs higher latency than RPC ... and does not
-        // outperform RPC".
-        assert!(
-            aifm.latency.mean.as_nanos_f64() >= rpc.latency.mean.as_nanos_f64() * 0.9,
-            "aifm {} rpc {}",
-            aifm.latency.mean,
-            rpc.latency.mean
-        );
-        assert!(aifm.cache_hit_ratio.is_some());
     }
 
     #[test]
@@ -1042,69 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn open_loop_latency_grows_with_offered_load() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let mut p99_at = |gap_ns: u64| {
-            let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
-                .map(|i| SimTime::from_nanos(gap_ns * i))
-                .collect();
-            run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), Some(&arrivals))
-                .latency
-                .p99
-        };
-        let light = p99_at(200_000); // 5 kops offered
-        let heavy = p99_at(2_000); // 500 kops offered: far past saturation
-        assert!(
-            heavy > light * 2,
-            "queueing must appear under load: light {light} heavy {heavy}"
-        );
-    }
-
-    #[test]
-    fn open_loop_at_light_load_matches_unloaded_latency() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let closed = run_rpc(&mut mem, &reqs, 1, RpcConfig::rpc(), None);
-        let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
-            .map(|i| SimTime::from_micros(500 * i))
-            .collect();
-        let open = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), Some(&arrivals));
-        // So sparse that no request ever queues: mean within 25% of the
-        // single-client closed loop (cache state differs run to run).
-        let ratio = open.latency.mean.as_nanos_f64() / closed.latency.mean.as_nanos_f64();
-        assert!((0.75..1.25).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn contended_dispatch_collapses_rpc_under_load() {
-        // The §6 story the extended evaluation tells: the RPC baseline's
-        // CPU-side request dispatch is a serial resource, and offering load
-        // past its service rate collapses the tail. 200 kops offered vs a
-        // 50 kops dispatch engine must blow p99 up and shed goodput.
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
-            .map(|i| SimTime::from_nanos(5_000 * i)) // 200 kops offered
-            .collect();
-        let free = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), Some(&arrivals));
-        let contended = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                dispatch: DispatchConfig::contended(SimTime::from_micros(20), 1),
-                ..RpcConfig::rpc()
-            },
-            Some(&arrivals),
-        );
-        assert!(
-            contended.latency.p99 > free.latency.p99 * 2,
-            "dispatch saturation must surface in the tail: free {} contended {}",
-            free.latency.p99,
-            contended.latency.p99
-        );
-        assert!(contended.throughput < free.throughput);
-    }
-
-    #[test]
     fn contended_dispatch_slows_swap_admission() {
         let (mut mem, reqs) = webservice_setup(200, 8192);
         let arrivals: Vec<SimTime> = (1..=reqs.len() as u64)
@@ -1130,13 +507,11 @@ mod tests {
         );
     }
 
-    /// The baselines execute the same write model as the rack: a mixed
+    /// The swap replay executes the same write model as the rack: a mixed
     /// stream of seqlock-verified reads and locked update traversals
-    /// replays through both systems, the updates really mutate the
-    /// baseline's memory copy, and the write trips are priced (a mixed
-    /// stream touches at least as many DRAM bytes as a read-only one).
+    /// replays through it, and the updates really mutate its memory copy.
     #[test]
-    fn mixed_write_traversals_replay_through_baselines() {
+    fn mixed_write_traversals_replay_through_swap() {
         use pulse_mutation::{
             locked_update_stage, retrying_request, verified_read_stage, MutationConfig,
         };
@@ -1152,9 +527,6 @@ mod tests {
         let find = Arc::new(pulse_mutation::verified_find_program());
         let update = Arc::new(pulse_mutation::locked_update_program());
         let mc = MutationConfig::default();
-        let reads: Vec<AppRequest> = (0..100)
-            .map(|k| retrying_request(verified_read_stage(&find, map.bucket_addr(k), k), mc))
-            .collect();
         let mixed: Vec<AppRequest> = (0..100)
             .map(|k| {
                 if k % 2 == 0 {
@@ -1167,54 +539,11 @@ mod tests {
                 }
             })
             .collect();
-        let ro = run_rpc(&mut mem, &reads, 8, RpcConfig::rpc(), None);
-        let rw = run_rpc(&mut mem, &mixed, 8, RpcConfig::rpc(), None);
-        assert_eq!(rw.completed, 100);
-        assert!(
-            rw.mem_bytes >= ro.mem_bytes,
-            "write trips must be priced: ro {} rw {}",
-            ro.mem_bytes,
-            rw.mem_bytes
-        );
-        // The sequential replay applied the updates for real.
-        assert_eq!(map.get_host(&mut mem, 42).unwrap(), Some(42 + 7_000));
-        assert_eq!(map.get_host(&mut mem, 43).unwrap(), Some(43));
-        // The swap cache executes the identical stream (fresh values).
         let swap = run_swap_cache(&mut mem, &mixed, 8, SwapConfig::default(), None);
         assert_eq!(swap.completed, 100);
-    }
-
-    #[test]
-    fn routed_rpc_prices_bounces_on_the_cpu_downlink() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let flat = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
-        let routed = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                topology: TopologySpec::LeafSpine {
-                    leaves: 2,
-                    spines: 2,
-                },
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        // The flat replay builds no fabric: its fabric metrics are zero.
-        assert_eq!(flat.link_utilization, 0.0);
-        assert_eq!(flat.queue_depth, 0);
-        // Routed prices the same requests on finite links: the CPU downlink
-        // is visibly busy and byte accounting still flows.
-        assert_eq!(routed.completed, flat.completed);
-        assert!(routed.link_utilization > 0.0);
-        assert!(routed.net_bytes > 0);
-        assert!(
-            routed.latency.mean >= flat.latency.mean,
-            "finite links cannot make requests faster: flat {} routed {}",
-            flat.latency.mean,
-            routed.latency.mean
-        );
+        assert_eq!(swap.completed_updates, 50);
+        assert_eq!(map.get_host(&mut mem, 42).unwrap(), Some(42 + 7_000));
+        assert_eq!(map.get_host(&mut mem, 43).unwrap(), Some(43));
     }
 
     #[test]
@@ -1250,191 +579,10 @@ mod tests {
     }
 
     #[test]
-    fn rpc_crash_with_replication_fails_over() {
+    fn traced_swap_attributes_phases_without_perturbing_timing() {
         let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        mem.set_replication(2);
-        let clean = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
-        let faulted = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        // Every request still completes — redirected onto replicas, each
-        // redirect paying a detection round trip — and the whole degraded
-        // run is slower than the clean one.
-        assert_eq!(faulted.completed, clean.completed);
-        assert_eq!(faulted.unavailable_completions, 0);
-        assert!(faulted.failovers > 0);
-        assert!(faulted.latency.mean > clean.latency.mean);
-        assert!(faulted.degraded_p99 > SimTime::ZERO);
-        assert_eq!(clean.failovers, 0);
-        assert_eq!(clean.degraded_p99, SimTime::ZERO);
-    }
-
-    /// Degraded-window latency is measured from arrival, like the latency
-    /// histogram: with a crash at t=0 that never heals, every completion
-    /// lands inside the window, so under a load that queues the degraded
-    /// p99 must equal the run's p99 — queueing included, not just service.
-    #[test]
-    fn open_loop_degraded_p99_counts_queueing() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        mem.set_replication(2);
-        // 300 arrivals 50 ns apart onto 16 clients: far past saturation.
-        let arrivals: Vec<SimTime> = (0..reqs.len() as u64)
-            .map(|i| SimTime::from_nanos(50 * i))
-            .collect();
-        let rep = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
-                ..RpcConfig::rpc()
-            },
-            Some(&arrivals),
-        );
-        assert_eq!(rep.completed, reqs.len() as u64);
-        assert!(rep.failovers > 0);
-        assert!(
-            rep.latency.p99 > rep.latency.min * 2,
-            "the load must queue: {:?}",
-            rep.latency
-        );
-        assert_eq!(rep.degraded_p99, rep.latency.p99);
-    }
-
-    /// Node health is checked when a client picks a request up, not when
-    /// it arrives: with one client and a crash at X > 0, the request picked
-    /// up at t = 0 is served by its primary, while one that arrived beside
-    /// it but waited past X for the client fails over.
-    #[test]
-    fn rpc_checks_node_health_at_pickup() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        mem.set_replication(2);
-        let req = reqs[0].clone();
-        let run = execute_functional(&mut mem, &req, 1 << 20).unwrap();
-        let victim = mem.owner_of(run.accesses[0].addr).unwrap();
-        let crash_at = |at| RpcConfig {
-            faults: vec![FaultEvent::new(at, FaultKind::MemCrash(victim))],
-            ..RpcConfig::rpc()
-        };
-        let x = SimTime::from_micros(1);
-        let t0 = SimTime::ZERO;
-        // The failovers one pick-up pays with the crash already in force.
-        let per_request = run_rpc(
-            &mut mem,
-            std::slice::from_ref(&req),
-            1,
-            crash_at(t0),
-            Some(&[t0]),
-        )
-        .failovers;
-        assert!(per_request > 0);
-        // Picked up at t = 0 < X and still in service at X: the primary
-        // serves it.
-        let alone = run_rpc(
-            &mut mem,
-            std::slice::from_ref(&req),
-            1,
-            crash_at(x),
-            Some(&[t0]),
-        );
-        assert!(alone.latency.max > x);
-        assert_eq!(alone.failovers, 0);
-        // Both arrive at t = 0 < X; the second is picked up after X, when
-        // the lone client frees, and fails over.
-        let pair = run_rpc(
-            &mut mem,
-            &[req.clone(), req],
-            1,
-            crash_at(x),
-            Some(&[t0, t0]),
-        );
-        assert_eq!(pair.completed, 2);
-        assert_eq!(pair.unavailable_completions, 0);
-        assert_eq!(pair.failovers, per_request);
-    }
-
-    #[test]
-    fn rpc_crash_without_replication_loses_requests() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let faulted = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        assert!(faulted.unavailable_completions > 0);
-        assert_eq!(
-            faulted.completed + faulted.unavailable_completions,
-            reqs.len() as u64
-        );
-    }
-
-    #[test]
-    fn rpc_partition_heal_restores_service() {
-        // A node unreachable early in the run and healed later: requests
-        // admitted inside the window are lost (no replicas), later ones
-        // complete — and nothing counts as a failover at replication 1.
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let faulted = run_rpc(
-            &mut mem,
-            &reqs,
-            2,
-            RpcConfig {
-                faults: vec![
-                    FaultEvent::new(SimTime::ZERO, FaultKind::LinkPartition(1)),
-                    FaultEvent::new(SimTime::from_micros(200), FaultKind::LinkHeal(1)),
-                ],
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        assert!(faulted.unavailable_completions > 0);
-        assert!(faulted.completed > 0);
-        assert_eq!(faulted.failovers, 0);
-    }
-
-    #[test]
-    fn traced_baselines_attribute_phases_without_perturbing_timing() {
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let plain_rpc = run_rpc(&mut mem, &reqs, 16, RpcConfig::rpc(), None);
-        let traced_rpc = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                trace: true,
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        assert!(plain_rpc.phase.is_none(), "tracing is off by default");
-        assert_eq!(plain_rpc.latency.mean, traced_rpc.latency.mean);
-        assert_eq!(plain_rpc.latency.p99, traced_rpc.latency.p99);
-        let attr = traced_rpc.phase.expect("attribution recorded");
-        assert_eq!(attr.count, reqs.len() as u64);
-        // Per-phase means partition the mean latency (each mean floors
-        // picos independently, so the sum may undershoot by < PHASES ps).
-        let sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
-        let e2e = traced_rpc.latency.mean.as_picos();
-        assert!(
-            sum <= e2e && e2e - sum < pulse_trace::PHASES as u64,
-            "phase means {sum} ps vs mean latency {e2e} ps"
-        );
-        assert!(attr.mean_of(Phase::WireHop) > SimTime::ZERO);
-        assert!(attr.mean_of(Phase::MemTrip) > SimTime::ZERO);
-
-        let traced_swap = run_swap_cache(
+        let plain = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default(), None);
+        let traced = run_swap_cache(
             &mut mem,
             &reqs,
             8,
@@ -1444,39 +592,23 @@ mod tests {
             },
             None,
         );
-        let attr = traced_swap.phase.expect("attribution recorded");
+        assert!(plain.phase.is_none(), "tracing is off by default");
+        assert_eq!(plain.latency.mean, traced.latency.mean);
+        assert_eq!(plain.latency.p99, traced.latency.p99);
+        let attr = traced.phase.expect("attribution recorded");
         assert_eq!(attr.count, reqs.len() as u64);
+        // Per-phase means partition the mean latency (each mean floors
+        // picos independently, so the sum may undershoot by < PHASES ps).
         let sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
-        let e2e = traced_swap.latency.mean.as_picos();
+        let e2e = traced.latency.mean.as_picos();
         assert!(sum <= e2e && e2e - sum < pulse_trace::PHASES as u64);
-    }
-
-    #[test]
-    fn traced_rpc_dead_end_counts_failover_phase() {
-        // No replication + an immediate crash: some requests dead-end as
-        // unavailable; their timed-out attempts must land in Failover.
-        let (mut mem, reqs) = webservice_setup(4_000, 8192);
-        let rep = run_rpc(
-            &mut mem,
-            &reqs,
-            16,
-            RpcConfig {
-                faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
-                trace: true,
-                ..RpcConfig::rpc()
-            },
-            None,
-        );
-        assert!(rep.unavailable_completions > 0);
-        let attr = rep.phase.expect("attribution recorded");
-        assert!(attr.mean_of(Phase::Failover) > SimTime::ZERO);
     }
 
     #[test]
     fn results_are_deterministic() {
         let (mut mem, reqs) = webservice_setup(1_000, 8192);
-        let a = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
-        let b = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
+        let a = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default(), None);
+        let b = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default(), None);
         assert_eq!(a.latency.mean, b.latency.mean);
         assert_eq!(a.net_bytes, b.net_bytes);
     }

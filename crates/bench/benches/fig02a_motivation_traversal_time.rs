@@ -98,7 +98,7 @@ fn main() {
                     format!("1/{}", 1u32 << shift),
                     rep.traversal_fraction() * 100.0,
                     rep.latency.mean.as_nanos_f64() / base.as_nanos_f64(),
-                    rep.cache_hit_ratio.unwrap_or(0.0) * 100.0,
+                    rep.cache_hit_ratio * 100.0,
                 );
             }
             println!();

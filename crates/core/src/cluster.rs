@@ -10,7 +10,7 @@
 //! across CPU nodes round-robin: submission `i` issues from CPU node
 //! `i % cpus`.
 //!
-//! This is the system Fig. 7/9 evaluate. Two modes exist:
+//! This is the system Fig. 7/9 evaluate. Three modes exist:
 //!
 //! * [`PulseMode::Pulse`] — in-network distributed traversals (§5): a
 //!   memory node that hits a remote pointer returns the in-flight packet to
@@ -18,7 +18,11 @@
 //! * [`PulseMode::PulseAcc`] — the Fig. 9 ablation: in-flight returns go
 //!   back to the *CPU node*, which re-issues them (half a round trip plus
 //!   software overhead more expensive per crossing).
+//! * [`PulseMode::Rpc`] — the RPC baselines: the `PulseAcc` bounce with a
+//!   pool of CPU worker cores at each memory node serving the traversals
+//!   instead of the accelerator (see [`RpcFlavor`]).
 
+use crate::rpc::{ObjectCache, RpcFlavor, RpcServer};
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator};
 use pulse_frontend::{
     prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
@@ -45,6 +49,12 @@ pub enum PulseMode {
     Pulse,
     /// Return-to-CPU on every crossing (the `pulse-acc` ablation).
     PulseAcc,
+    /// The RPC baselines: return-to-CPU on every crossing, with the
+    /// flavour's worker cores serving traversals at each memory node in
+    /// place of its accelerator. A worker runs a traversal in one step
+    /// when it takes the packet, so its stores land together. Selected
+    /// through the `pulse` façade's `BaselineKind::Rpc`.
+    Rpc(RpcFlavor),
 }
 
 /// Cluster configuration.
@@ -172,6 +182,9 @@ enum Ev {
     /// index of `PulseCluster::rebuilds`: a chunk's read, or its
     /// departure.
     Rebuild(u32),
+    /// A worker of this memory node's RPC server frees up for the packet
+    /// at the head of its queue.
+    Serve(NodeId),
 }
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
@@ -245,7 +258,9 @@ pub struct Completion {
     /// replica of the data it needed was unreachable (implies `!ok`).
     /// Always `false` without injected faults.
     pub unavailable: bool,
-    /// When the CPU node started processing it.
+    /// When it arrived: when the CPU node started processing it, or, for
+    /// a request that waited for a client ([`PulseCluster::submit_waited`]),
+    /// when it began to wait.
     pub issued_at: SimTime,
     /// When its final completion event fired.
     pub finished_at: SimTime,
@@ -280,14 +295,15 @@ struct ReqState {
 
 /// One CPU (compute) node: its serial dispatch engine, its request
 /// sequence counter, and, when configured, its coherent traversal-cell
-/// cache and ISA-v2 prefix coalescer. Its NIC's two directions are its
-/// fabric up- and down-link.
+/// cache, ISA-v2 prefix coalescer and Cache+RPC object cache. Its NIC's
+/// two directions are its fabric up- and down-link.
 #[derive(Debug)]
 struct CpuNode {
     dispatch: CpuDispatch,
     next_seq: u64,
     cache: Option<TraversalCache>,
     coalescer: Option<PrefixCoalescer>,
+    objects: Option<ObjectCache>,
 }
 
 /// The pulse rack.
@@ -296,6 +312,9 @@ pub struct PulseCluster {
     cfg: ClusterConfig,
     mem: ClusterMemory,
     accels: Vec<Accelerator>,
+    /// Per-memory-node RPC servers, serving traversals in place of the
+    /// accelerators under [`PulseMode::Rpc`]; empty otherwise.
+    servers: Vec<RpcServer>,
     /// The pure routing decision; the fabric prices the switch's egress.
     switch: Switch,
     /// Every wire in the rack: each host's up- and down-link (its NIC's
@@ -474,8 +493,15 @@ impl PulseCluster {
             drv.schedule_at(f.at, Ev::Fault(f.kind));
         }
         let fault_window = pulse_mem::degraded_window(&cfg.faults);
+        let rpc = match cfg.mode {
+            PulseMode::Rpc(flavor) => Some(flavor),
+            PulseMode::Pulse | PulseMode::PulseAcc => None,
+        };
         Ok(PulseCluster {
             accels,
+            servers: rpc.map_or(Vec::new(), |f| {
+                (0..nodes).map(|_| RpcServer::new(f)).collect()
+            }),
             switch,
             fabric,
             cpus: (0..cfg.cpus)
@@ -484,6 +510,7 @@ impl PulseCluster {
                     next_seq: 0,
                     cache: cfg.cache.enabled().then(|| TraversalCache::new(cfg.cache)),
                     coalescer: cfg.coalesce.then(PrefixCoalescer::default),
+                    objects: rpc.and_then(RpcFlavor::object_cache),
                 })
                 .collect(),
             dma: (0..nodes)
@@ -588,6 +615,27 @@ impl PulseCluster {
     /// request has started, and otherwise when this request's arrival
     /// fires and finds the earlier one still in flight.
     pub fn submit_with_id(&mut self, at: SimTime, req: AppRequest, id: RequestId) {
+        self.admit(at, at, req, id);
+    }
+
+    /// Submits a request under a caller-chosen identity that arrived at
+    /// `arrived` and waited outside the rack until now (for a free client
+    /// of a closed-loop system): it starts now, and its latency, degraded
+    /// window sample and trace all count from `arrived`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::submit_with_id`], and if `arrived` is after now.
+    pub fn submit_waited(&mut self, arrived: SimTime, req: AppRequest, id: RequestId) {
+        assert!(
+            arrived <= self.now(),
+            "request {id:?} arrives in the future"
+        );
+        self.admit(arrived, self.now(), req, id);
+    }
+
+    /// Enters request `id`, which arrived at `arrived`, to start at `at`.
+    fn admit(&mut self, arrived: SimTime, at: SimTime, req: AppRequest, id: RequestId) {
         assert!(
             !self.inflight.contains_key(&id),
             "request id {id:?} already in flight"
@@ -601,12 +649,12 @@ impl PulseCluster {
         let next_seq = &mut self.cpus[id.cpu].next_seq;
         *next_seq = (*next_seq).max(id.seq + 1);
         if let Some(sink) = self.sink.as_mut() {
-            sink.begin(id, at);
+            sink.begin(id, arrived);
         }
         let st = ReqState {
             req,
             stage: 0,
-            issued_at: at,
+            issued_at: arrived,
             last_state: None,
             retries: 0,
             skip_cache_once: false,
@@ -722,6 +770,7 @@ impl PulseCluster {
             }
             Ev::Fault(kind) => self.apply_fault(drv, now, kind),
             Ev::Rebuild(stream) => self.rebuild_chunk(drv, now, stream),
+            Ev::Serve(n) => self.rpc_next(drv, now, n),
         }
     }
 
@@ -805,7 +854,12 @@ impl PulseCluster {
         ClusterReport {
             metrics,
             crossings: self.crossings,
-            iterations: self.accels.iter().map(|a| a.stats().iterations).sum(),
+            iterations: self
+                .accels
+                .iter()
+                .map(|a| a.stats().iterations)
+                .sum::<u64>()
+                + self.servers.iter().map(|s| s.iterations).sum::<u64>(),
             memory_util: self
                 .accels
                 .iter()
@@ -1255,8 +1309,14 @@ impl PulseCluster {
                     }
                 }
             } else if let Some(io) = st.req.object_io {
+                let objects = &mut self.cpus[id.cpu].objects;
                 match resolve_addr(io.addr, st.last_state.as_ref()) {
                     None => Next::Fault,
+                    // A Cache+RPC object-cache hit: the read never leaves
+                    // the node.
+                    Some(addr) if !io.write && objects.as_mut().is_some_and(|c| c.touch(addr)) => {
+                        Next::Finish(st.req.cpu_work)
+                    }
                     Some(addr) => Next::Send(
                         if io.write {
                             Packet::Write {
@@ -1423,7 +1483,7 @@ impl PulseCluster {
         if let (Packet::Iter(ip), Endpoint::Mem(_)) = (&pkt, f.from) {
             if matches!(ip.status, IterStatus::InFlight) {
                 self.crossings += 1;
-                if self.cfg.mode == PulseMode::PulseAcc {
+                if self.cfg.mode != PulseMode::Pulse {
                     route = Route::To(Endpoint::Cpu(pkt.id().cpu));
                 }
             }
@@ -1558,6 +1618,7 @@ impl PulseCluster {
             return self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
         }
         match pkt {
+            Packet::Iter(ip) if !self.servers.is_empty() => self.rpc_serve(drv, now, n, ip),
             Packet::Iter(ip) => {
                 self.accel_call(drv, n, |accel, _, out| accel.on_packet(now, ip, out));
             }
@@ -1663,48 +1724,96 @@ impl PulseCluster {
                             at,
                         );
                     }
-                    if let IterStatus::Done { code } = pkt.status {
-                        if let Some(st) = self.inflight.get(&pkt.id) {
-                            let is_final_stage = st.stage + 1 == st.req.traversals.len();
-                            // A retry-coded RETURN is about to be re-issued
-                            // by the CPU node: gathering the object here
-                            // would DMA and ship bytes the CPU discards.
-                            let raced = st.req.retry.is_some_and(|rp| rp.code == code);
-                            if is_final_stage && !raced {
-                                if let Some(io) = st.req.object_io {
-                                    if !io.write {
-                                        let addr = resolve_addr(io.addr, Some(&pkt.state))
-                                            .expect("state is present");
-                                        if self.mem.hosts(addr, n) {
-                                            // Gather: DMA the object into the
-                                            // response right here.
-                                            let g = self.dma[n].acquire(at, io.len as u64);
-                                            self.mem_bytes_extra += io.len as u64;
-                                            pkt.piggyback_bytes = io.len;
-                                            self.trace_occupy(
-                                                Track::Mem(n),
-                                                SpanKind::MemTrip { node: n },
-                                                g.start,
-                                                g.end,
-                                            );
-                                            self.trace_push(
-                                                pkt.id,
-                                                SpanKind::MemTrip { node: n },
-                                                Track::Mem(n),
-                                                g.end,
-                                            );
-                                            self.mem_depart(drv, n, g.end, Packet::Iter(pkt));
-                                            continue;
-                                        }
-                                    }
-                                }
-                            }
-                        }
+                    if let Some(len) = self.gather_len(n, &pkt) {
+                        // Gather: DMA the object into the response right
+                        // here.
+                        let g = self.dma[n].acquire(at, len as u64);
+                        self.mem_bytes_extra += len as u64;
+                        pkt.piggyback_bytes = len;
+                        let span = SpanKind::MemTrip { node: n };
+                        self.trace_occupy(Track::Mem(n), span, g.start, g.end);
+                        self.trace_push(pkt.id, span, Track::Mem(n), g.end);
+                        self.mem_depart(drv, n, g.end, Packet::Iter(pkt));
+                        continue;
                     }
                     self.mem_depart(drv, n, at, Packet::Iter(pkt));
                 }
             }
         }
+    }
+
+    /// The object a traversal response leaving memory node `n` picks up in
+    /// place (the near-memory gather): the request's object read, when
+    /// this is its final stage's `Done` and `n` hosts the object. A
+    /// retry-coded RETURN is about to be re-issued by the CPU node, so
+    /// gathering for it would read and ship bytes the CPU discards.
+    fn gather_len(&self, n: NodeId, pkt: &IterPacket) -> Option<u32> {
+        let IterStatus::Done { code } = pkt.status else {
+            return None;
+        };
+        let st = self.inflight.get(&pkt.id)?;
+        let is_final_stage = st.stage + 1 == st.req.traversals.len();
+        let raced = st.req.retry.is_some_and(|rp| rp.code == code);
+        let io = st
+            .req
+            .object_io
+            .filter(|io| is_final_stage && !raced && !io.write)?;
+        let addr = resolve_addr(io.addr, Some(&pkt.state)).expect("state is present");
+        self.mem.hosts(addr, n).then_some(io.len)
+    }
+
+    /// Hands traversal packet `ip`, landed on memory node `n`, to its RPC
+    /// workers (see [`PulseMode::Rpc`]): served now when a worker is free
+    /// and none waits before it, and otherwise queued until one frees up.
+    fn rpc_serve(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, ip: IterPacket) {
+        let server = &mut self.servers[n];
+        if server.waiting.is_empty() {
+            if server.free_at() <= now {
+                return self.rpc_run(drv, now, n, ip);
+            }
+            drv.schedule_at(server.free_at(), Ev::Serve(n));
+        }
+        server.waiting.push_back(ip);
+    }
+
+    /// A worker of memory node `n` frees up for the packet at the head of
+    /// its queue. A packet queued at a node that has since gone dark is
+    /// lost with it, as on landing.
+    fn rpc_next(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId) {
+        let ip = self.servers[n].waiting.pop_front().expect("a packet waits");
+        if !self.mem_ok(n) || self.wedged[n] {
+            let (from, pkt) = (Endpoint::Mem(n), Packet::Iter(ip));
+            self.notice(drv, now, from, pkt, Cargo::CrashNotice);
+        } else {
+            self.rpc_run(drv, now, n, ip);
+        }
+        if !self.servers[n].waiting.is_empty() {
+            let at = self.servers[n].free_at().max(now);
+            drv.schedule_at(at, Ev::Serve(n));
+        }
+    }
+
+    /// Serves traversal packet `ip` on a free worker of memory node `n`.
+    /// The traversal runs now, to its end or to a pointer another node
+    /// hosts; a final-stage response gathers the request's object when `n`
+    /// hosts it and the CPU keeps no object cache; and the reply departs
+    /// once the worker and the DRAM pipe have served it. That residency,
+    /// time spent waiting for the worker included, is the request's
+    /// `MemTrip`. Like a DMA reply, a reply whose node dies during the
+    /// service has already escaped.
+    fn rpc_run(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, mut ip: IterPacket) {
+        let (max_iters, collect) = (self.cfg.accel.max_iters, self.cfg.cache.enabled());
+        let mut work = self.servers[n].run(n, &mut ip, &mut self.mem, max_iters, collect);
+        if self.cpus[ip.id.cpu].objects.is_none() {
+            if let Some(len) = self.gather_len(n, &ip) {
+                RpcServer::gather(&mut work, len);
+                ip.piggyback_bytes = len;
+            }
+        }
+        self.mem_bytes_extra += work.bytes;
+        let depart = self.servers[n].book(now, work);
+        self.trace_push(ip.id, SpanKind::MemTrip { node: n }, Track::Mem(n), depart);
+        self.mem_depart(drv, n, depart, Packet::Iter(ip));
     }
 
     /// Transmits a packet from its owning CPU node: the dispatch engine
@@ -2123,6 +2232,46 @@ mod tests {
                 cluster.fabric.link_bytes(down) > 0,
                 "bounce bypassed a CPU node"
             );
+        }
+    }
+
+    /// An RPC traversal runs when a worker takes it, not when its packet
+    /// lands: on a one-node rack with every worker busy, a landing packet
+    /// queues without running an iteration, and the queued work still
+    /// finishes with the functional answers.
+    #[test]
+    fn rpc_traversal_waits_for_a_free_worker_before_it_runs() {
+        let (mem, reqs, expected) = webservice_cluster(1, 2_000, 1 << 20);
+        let cfg = ClusterConfig {
+            mode: PulseMode::Rpc(RpcFlavor::Rpc),
+            ..ClusterConfig::default()
+        };
+        let mut cluster = PulseCluster::new(cfg, mem);
+        for (i, req) in reqs.into_iter().enumerate() {
+            cluster.submit_at(SimTime::from_nanos(10 * i as u64), req);
+        }
+        let (mut queued, mut done) = (0, Vec::new());
+        loop {
+            let (waiting, iterations) = {
+                let s = &cluster.servers[0];
+                (s.waiting.len(), s.iterations)
+            };
+            if !cluster.step() {
+                break;
+            }
+            let s = &cluster.servers[0];
+            if s.waiting.len() > waiting {
+                queued += 1;
+                assert_eq!(s.iterations, iterations, "a queued packet ran on landing");
+            }
+            done.extend(cluster.take_completions());
+        }
+        assert!(queued > 0, "120 requests at once must queue for 10 workers");
+        assert_eq!(done.len(), expected.len());
+        for c in done {
+            assert!(c.ok);
+            let got = c.final_state.expect("state").scratch_u64(8);
+            assert_eq!(got, expected[c.id.seq as usize], "request {}", c.id);
         }
     }
 
@@ -2728,6 +2877,54 @@ mod tests {
             mem,
         );
         (cluster, reqs, expected)
+    }
+
+    /// A packet waiting for an RPC worker at a node that crashes is lost
+    /// with the node: its CPU learns when the packet's turn comes, fails
+    /// over to the replica, and every request still completes right.
+    #[test]
+    fn rpc_packets_queued_at_a_crashed_node_fail_over() {
+        let rpc = |faults| {
+            let (mut mem, reqs, expected) = webservice_cluster_opts(2, 2_000, 4096, false);
+            mem.set_replication(2);
+            let cfg = ClusterConfig {
+                mode: PulseMode::Rpc(RpcFlavor::Rpc),
+                faults,
+                ..ClusterConfig::default()
+            };
+            let mut cluster = PulseCluster::new(cfg, mem);
+            for (i, req) in reqs.into_iter().enumerate() {
+                cluster.submit_at(SimTime::from_nanos(10 * i as u64), req);
+            }
+            (cluster, expected)
+        };
+        // Crash node 0 just after a packet first queues there.
+        let (mut dry, _) = rpc(Vec::new());
+        while dry.servers[0].waiting.is_empty() {
+            assert!(dry.step(), "node 0 never queues");
+        }
+        let crash = FaultEvent::new(dry.now() + SimTime::from_nanos(1), FaultKind::MemCrash(0));
+        let (mut cluster, expected) = rpc(vec![crash]);
+        let (mut at_crash, mut lost_in_queue, mut done) = (None, false, Vec::new());
+        while cluster.step() {
+            if !cluster.mem.node_is_up(0) {
+                let s = &cluster.servers[0];
+                at_crash.get_or_insert(s.iterations);
+                lost_in_queue |= !s.waiting.is_empty();
+            }
+            done.extend(cluster.take_completions());
+        }
+        assert!(lost_in_queue, "the crash must find packets waiting");
+        let s = &cluster.servers[0];
+        assert!(s.waiting.is_empty());
+        assert_eq!(Some(s.iterations), at_crash, "a dark node served a packet");
+        assert_eq!(done.len(), expected.len());
+        for c in &done {
+            assert!(c.ok, "{:?}", c.id);
+            let got = c.final_state.as_ref().unwrap().scratch_u64(8);
+            assert_eq!(got, expected[c.id.seq as usize]);
+        }
+        assert!(cluster.report().failovers > 0);
     }
 
     #[test]

@@ -16,6 +16,10 @@
 //!   paper's batch benches share one event loop.
 //! * [`PulseMode::PulseAcc`] — the Fig. 9 ablation that bounces crossings
 //!   through the CPU node instead of the switch.
+//! * [`PulseMode::Rpc`] — the RPC baselines on the same engine: the
+//!   pulse-acc bounce, with each memory node's [`RpcFlavor`] worker cores
+//!   serving traversals in place of its accelerator. The `pulse` façade
+//!   builds it through `BaselineKind::Rpc`.
 //! * [`cxl_study`] — the §7/Fig. 12 CXL-interconnect model.
 //!
 //! # CPU-node dispatch contention
@@ -46,9 +50,8 @@
 //! Each CPU node's issue path is its NIC (its up-link on the rack's
 //! [`pulse_net::Fabric`], which doubles as the issue queue), its
 //! [`CpuDispatch`] engine and its sequence counter, all owned by
-//! [`PulseCluster`]. The replay baselines
-//! price admission on the same dispatch model and RPC+cache probes the
-//! same [`TraversalCache`]. [`ClusterConfig::cache`] gives every CPU node
+//! [`PulseCluster`], for pulse and RPC alike; the swap replay prices
+//! admission on the same dispatch model. [`ClusterConfig::cache`] gives every CPU node
 //! one such cache: when enabled, each stage first walks cached,
 //! version-valid cells locally at [`CacheConfig::HIT_NS`] per hop and only
 //! the remainder is offloaded, resumed from the last cached pointer;
@@ -102,6 +105,7 @@
 
 mod cluster;
 mod cxl;
+mod rpc;
 
 pub use cluster::{ClusterConfig, ClusterReport, Completion, PulseCluster, PulseMode};
 pub use cxl::{cxl_study, CxlConfig, CxlSlowdown};
@@ -112,3 +116,4 @@ pub use pulse_sim::{CpuDispatch, DispatchConfig};
 pub use pulse_trace::{
     LatencyBreakdown, Phase, PhaseAttribution, RunMetrics, TraceConfig, TraceSink, PHASES,
 };
+pub use rpc::RpcFlavor;

@@ -2,7 +2,7 @@
 //!
 //! The **CPU-node mechanisms** the execution engines share: what a
 //! compute node runs on the issue path besides its NIC and dispatch engine
-//! (which the pulse rack owns per CPU node and the replays model
+//! (which the rack owns per CPU node and the swap replay models
 //! directly).
 //!
 //! * [`CacheConfig`] / [`TraversalCache`] — a deterministic, coherent LRU
@@ -11,8 +11,8 @@
 //!   semantics: every hit re-validates against the rack memory's write
 //!   epoch, so locked updates age out stale lines instead of serving
 //!   wrong values). Disabled by default — all engines then reproduce
-//!   their cache-less traces bit-for-bit. The pulse rack and RPC+cache
-//!   run it;
+//!   their cache-less traces bit-for-bit. The rack runs it, for pulse
+//!   and RPC alike;
 //! * [`prefix_walk`] — the fast path: walk cached hops locally at
 //!   DRAM-hit cost, then offload the remainder from the last cached
 //!   pointer (resume-by-pointer, the continuation the PULSE ISA already
@@ -25,7 +25,7 @@
 //! * [`LruSet`] — the plain LRU set behind the swap baseline's page
 //!   cache, AIFM's object cache and the CXL study's cache levels;
 //! * [`replay`] — the FIFO multi-server closed-/open-loop admission
-//!   helpers the replay baselines price request streams through.
+//!   helpers the swap replay prices its request stream through.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

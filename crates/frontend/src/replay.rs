@@ -1,9 +1,8 @@
-//! Shared admission loops for the replay engines.
+//! Admission loops for the swap-cache replay.
 //!
-//! The RPC family and the swap-cache baseline both price request streams
-//! through a `serve(idx, ready) -> (end, traversal_pure, total_pure)`
-//! closure; what differs is only the admission discipline, and both
-//! replays take it from here:
+//! The swap baseline prices its request stream through a
+//! `serve(idx, ready) -> (end, traversal_pure, total_pure)` closure; the
+//! admission discipline around it comes from here:
 //!
 //! * [`closed_loop`] — `concurrency` clients issue in order, each starting
 //!   its next request at the previous one's completion;

@@ -79,7 +79,9 @@ pub enum Phase {
     WireHop,
     /// Traversal compute inside a memory node's accelerator.
     AccelCompute,
-    /// DMA service at a memory node (reads, writes, replica fan-out).
+    /// Service at a memory node: DMA reads, writes and replica fan-out,
+    /// and an RPC worker's traversal service (queueing for the worker
+    /// included).
     MemTrip,
     /// Hops resolved locally by the front-end traversal cache.
     CacheHit,
@@ -149,7 +151,7 @@ pub enum SpanKind {
         /// Memory-node index.
         node: usize,
     },
-    /// DMA service at memory node `node`.
+    /// DMA or RPC-worker service at memory node `node`.
     MemTrip {
         /// Memory-node index.
         node: usize,
@@ -395,8 +397,8 @@ impl LatencyBreakdown {
 // ----------------------------------------------------------- run metrics
 
 /// The engine-neutral outcome of one run: the one definition of every
-/// number the pulse rack, the replay baselines and the open-loop driver
-/// report, and that the sweep document plots. Engine reports
+/// number the pulse rack (RPC included), the swap replay and the open-loop
+/// driver report, and that the sweep document plots. Engine reports
 /// (`ClusterReport`, `BaselineReport`, `OpenLoopReport`) embed it and add
 /// only what is theirs.
 ///
@@ -444,7 +446,8 @@ pub struct RunMetrics {
     /// Optimistic-concurrency re-issues: traversals whose final stage
     /// returned their request's retry code (a seqlock reader or writer
     /// that lost its race) and were re-planned and re-sent. 0 for
-    /// read-only streams and for the sequential replay baselines.
+    /// read-only streams and for the swap replay, which executes its
+    /// stream sequentially.
     pub retries: u64,
     /// Failover actions: requests (or request segments) redirected onto a
     /// live replica around an unreachable memory node, plus crash-notice
@@ -456,8 +459,8 @@ pub struct RunMetrics {
     pub unavailable_completions: u64,
     /// Background re-replication traffic: bytes streamed from surviving
     /// replicas to rebuild targets after crashes, priced on the same links
-    /// and engines as foreground packets. 0 without faults, and always 0
-    /// for the replay baselines, which never rebuild.
+    /// and engines as foreground packets, RPC runs included. 0 without
+    /// faults, and always 0 for the swap replay, which runs no faults.
     pub rereplication_bytes: u64,
     /// p99 latency over completions that finished inside the fault window
     /// (first fault to last repair, or the end of the run when nothing
@@ -468,7 +471,7 @@ pub struct RunMetrics {
     pub phase: Option<PhaseAttribution>,
     /// ISA-v2 speculative next-hop fetches squashed on a prediction or
     /// version mismatch, summed over every accelerator. 0 with speculation
-    /// off, and for the baselines, which have no accelerators.
+    /// off, and for the baselines, whose traversals no accelerator runs.
     pub mis_speculations: u64,
     /// ISA-v2 iterations fused into an open same-node memory-bus
     /// transaction, summed over every accelerator. 0 at the default batch

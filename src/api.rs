@@ -12,8 +12,8 @@
 
 use crate::error::Error;
 use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
-use pulse_baselines::{run_rpc, run_swap_cache, BaselineReport, RpcConfig, SwapConfig};
-use pulse_core::RunMetrics;
+use pulse_baselines::{run_swap_cache, RpcConfig, SwapConfig};
+use pulse_core::{ClusterConfig, PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink};
 use pulse_dispatch::{DispatchEngine, OffloadDecision};
 use pulse_ds::{BuildCtx, DsError, Traversal};
 use pulse_isa::Program;
@@ -171,11 +171,11 @@ impl AppSpec for BtrdbConfig {
 /// workload is a one-line change.
 ///
 /// **Measurement contract:** build one engine per measured stream and call
-/// [`Engine::execute`] once on it. The pulse runtime's counters (latency
-/// histogram, link/DRAM bytes, makespan) are cumulative over the rack's
-/// lifetime while the replay baselines price each call independently, so a
-/// second `execute` on the same engine would not produce comparable
-/// reports across implementations.
+/// [`Engine::execute`] once on it. The rack's counters (latency histogram,
+/// link/DRAM bytes, makespan) are cumulative over its lifetime while the
+/// swap replay prices each call independently, so a second `execute` on
+/// the same engine would not produce comparable reports across
+/// implementations.
 pub trait Engine {
     /// System label for report rows.
     fn label(&self) -> &'static str;
@@ -246,53 +246,114 @@ impl BaselineKind {
 }
 
 /// A baseline system over its own copy of the rack memory, behind the same
-/// [`Engine`] face as the pulse runtime.
+/// [`Engine`] face as the pulse runtime, with `concurrency` closed-loop
+/// clients: in open loop a request that arrives while every client is busy
+/// waits FIFO for one, and its latency counts from its arrival. The RPC
+/// family runs on the pulse rack's event engine (a one-CPU rack in
+/// [`PulseMode::Rpc`]); the swap system is an analytic replay.
 #[derive(Debug)]
 pub struct BaselineEngine {
-    mem: ClusterMemory,
-    kind: BaselineKind,
-    concurrency: usize,
+    label: &'static str,
+    system: System,
+}
+
+/// What a [`BaselineEngine`] runs.
+#[derive(Debug)]
+enum System {
+    /// The swap replay, its memory and its closed-loop client count.
+    Swap {
+        mem: Box<ClusterMemory>,
+        cfg: SwapConfig,
+        concurrency: usize,
+    },
+    /// The RPC family on the rack.
+    Rpc(Box<Runtime>),
 }
 
 impl BaselineEngine {
     /// Wraps an already-populated memory in a baseline engine with
     /// `concurrency` closed-loop clients.
-    pub fn new(mem: ClusterMemory, kind: BaselineKind, concurrency: usize) -> BaselineEngine {
-        BaselineEngine {
-            mem,
-            kind,
-            concurrency,
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Config`] without a client, [`Error::Capacity`] if an RPC
+    /// rack's translation ranges overflow a node's TCAM.
+    pub fn new(
+        mem: ClusterMemory,
+        kind: BaselineKind,
+        concurrency: usize,
+    ) -> Result<BaselineEngine, Error> {
+        if concurrency == 0 {
+            return Err(Error::Config("a baseline needs at least one client".into()));
+        }
+        let label = kind.label();
+        let system = match kind {
+            BaselineKind::SwapCache(cfg) => System::Swap {
+                mem: Box::new(mem),
+                cfg,
+                concurrency,
+            },
+            BaselineKind::Rpc(cfg) => {
+                let cluster = PulseCluster::try_new(rpc_rack(cfg), mem)?;
+                System::Rpc(Box::new(Runtime::new(cluster, concurrency)))
+            }
+        };
+        Ok(BaselineEngine { label, system })
+    }
+
+    /// The trace sink of an RPC engine built with tracing on: spans,
+    /// occupancy and counter samples, as [`Runtime::trace`] gives them.
+    /// `None` for the swap replay, which records only phase attribution.
+    pub fn trace(&self) -> Option<&TraceSink> {
+        match &self.system {
+            System::Swap { .. } => None,
+            System::Rpc(runtime) => runtime.trace(),
         }
     }
 
     /// The memory the baseline executes against.
     pub fn memory_mut(&mut self) -> &mut ClusterMemory {
-        &mut self.mem
-    }
-
-    /// Runs `requests` through this engine's system: closed-loop without
-    /// `arrivals`, open-loop from those arrival times with them.
-    fn run(&mut self, requests: &[AppRequest], arrivals: Option<&[SimTime]>) -> BaselineReport {
-        let (mem, concurrency) = (&mut self.mem, self.concurrency);
-        match self.kind.clone() {
-            BaselineKind::SwapCache(cfg) => {
-                run_swap_cache(mem, requests, concurrency, cfg, arrivals)
-            }
-            BaselineKind::Rpc(cfg) => run_rpc(mem, requests, concurrency, cfg, arrivals),
+        match &mut self.system {
+            System::Swap { mem, .. } => mem,
+            System::Rpc(runtime) => runtime.memory_mut(),
         }
+    }
+}
+
+/// The rack an RPC configuration runs on: one CPU node with the config's
+/// dispatch engine, front-end cache, fabric and faults, and the flavour's
+/// workers serving traversals at every memory node.
+fn rpc_rack(cfg: RpcConfig) -> ClusterConfig {
+    ClusterConfig {
+        mode: PulseMode::Rpc(cfg.flavor),
+        dispatch: cfg.dispatch,
+        topology: cfg.topology,
+        cache: cfg.cache,
+        faults: cfg.faults,
+        trace: cfg.trace.then(TraceConfig::default),
+        ..ClusterConfig::default()
     }
 }
 
 impl Engine for BaselineEngine {
     fn label(&self) -> &'static str {
-        self.kind.label()
+        self.label
     }
 
     fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
-        for req in requests {
-            req.validate()?;
+        match &mut self.system {
+            System::Swap {
+                mem,
+                cfg,
+                concurrency,
+            } => {
+                for req in requests {
+                    req.validate()?;
+                }
+                Ok(run_swap_cache(mem, requests, *concurrency, *cfg, None).metrics)
+            }
+            System::Rpc(runtime) => runtime.execute(requests),
         }
-        Ok(self.run(requests, None).metrics)
     }
 
     fn execute_open_loop(
@@ -300,6 +361,21 @@ impl Engine for BaselineEngine {
         requests: &[AppRequest],
         mut arrivals: ArrivalProcess,
     ) -> Result<OpenLoopReport, Error> {
+        let (mem, cfg, concurrency) = match &mut self.system {
+            System::Swap {
+                mem,
+                cfg,
+                concurrency,
+            } => (mem, *cfg, *concurrency),
+            System::Rpc(runtime) => {
+                let rep =
+                    OpenLoopDriver::new(arrivals).run_with_clients(runtime, requests.to_vec())?;
+                return Ok(OpenLoopReport {
+                    label: self.label.into(),
+                    ..rep
+                });
+            }
+        };
         for req in requests {
             req.validate()?;
         }
@@ -307,7 +383,7 @@ impl Engine for BaselineEngine {
         let first_arrival = times.first().copied().unwrap_or(SimTime::ZERO);
         if requests.is_empty() {
             return Ok(OpenLoopReport {
-                label: self.label().into(),
+                label: self.label.into(),
                 offered_per_sec: arrivals.rate_per_sec().unwrap_or(0.0),
                 submitted: 0,
                 first_arrival,
@@ -317,7 +393,7 @@ impl Engine for BaselineEngine {
                 metrics: RunMetrics::default(),
             });
         }
-        let rep = self.run(requests, Some(&times));
+        let rep = run_swap_cache(mem, requests, concurrency, cfg, Some(&times));
         let last_arrival = *times.last().unwrap();
         Ok(OpenLoopReport {
             label: rep.label.into(),

@@ -147,6 +147,9 @@ impl PulseBuilder {
     }
 
     /// Crossing-handling mode (the Fig. 9 pulse vs pulse-acc ablation).
+    /// [`PulseMode::Rpc`] is built through
+    /// [`PulseBuilder::baseline_app`] with `BaselineKind::Rpc`; building a
+    /// runtime in that mode is an [`Error::Config`].
     pub fn mode(mut self, mode: PulseMode) -> PulseBuilder {
         self.config.mode = mode;
         self
@@ -307,29 +310,25 @@ impl PulseBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for invalid builder parameters, [`Error::Build`]
-    /// from `build`, [`Error::Capacity`] if the resulting layout overflows
-    /// a node's TCAM.
+    /// [`Error::Config`] for invalid builder parameters (an RPC mode
+    /// included), [`Error::Build`] from `build`, [`Error::Capacity`] if
+    /// the resulting layout overflows a node's TCAM.
     pub fn build_with<A>(
         self,
         build: impl FnOnce(&mut BuildCtx<'_>) -> Result<A, DsError>,
     ) -> Result<(Runtime, A), Error> {
+        if let PulseMode::Rpc(_) = self.config.mode {
+            return Err(Error::Config(
+                "RPC is a baseline: build it with BaselineKind::Rpc".into(),
+            ));
+        }
         let (mut mem, mut alloc) = self.wire()?;
         let artifact = {
             let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
             build(&mut ctx)?
         };
         let cluster = PulseCluster::try_new(self.config, mem)?;
-        Ok((
-            Runtime {
-                cluster,
-                window: self.window,
-                pending: VecDeque::new(),
-                admitted: 0,
-                started: false,
-            },
-            artifact,
-        ))
+        Ok((Runtime::new(cluster, self.window), artifact))
     }
 
     /// Builds the rack around an application: `builder.app(WebServiceConfig
@@ -348,7 +347,8 @@ impl PulseBuilder {
     ///
     /// # Errors
     ///
-    /// As [`PulseBuilder::build_with`] (no TCAM involved).
+    /// As [`PulseBuilder::build_with`]; the builder's own mode is not
+    /// used.
     pub fn baseline_with<A>(
         self,
         mut kind: BaselineKind,
@@ -368,7 +368,7 @@ impl PulseBuilder {
             let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
             build(&mut ctx)?
         };
-        Ok((BaselineEngine::new(mem, kind, concurrency), artifact))
+        Ok((BaselineEngine::new(mem, kind, concurrency)?, artifact))
     }
 
     /// [`PulseBuilder::baseline_with`] for an application config.
@@ -391,7 +391,9 @@ impl PulseBuilder {
 pub struct Runtime {
     cluster: PulseCluster,
     window: usize,
-    pending: VecDeque<(RequestId, AppRequest)>,
+    /// Requests waiting for a window slot, in order; an open-loop arrival
+    /// waiting for a client carries its arrival time.
+    pending: VecDeque<(RequestId, AppRequest, Option<SimTime>)>,
     /// Requests admitted into the cluster so far (drives the initial
     /// 10 ns issue stagger, mirroring the closed-loop driver).
     admitted: u64,
@@ -401,6 +403,17 @@ pub struct Runtime {
 }
 
 impl Runtime {
+    /// A runtime over `cluster` admitting at most `window` requests.
+    pub(crate) fn new(cluster: PulseCluster, window: usize) -> Runtime {
+        Runtime {
+            cluster,
+            window,
+            pending: VecDeque::new(),
+            admitted: 0,
+            started: false,
+        }
+    }
+
     /// Validates and enqueues `req`, returning its ticket immediately. The
     /// request enters the rack — on the next CPU node in round-robin
     /// order — as soon as the in-flight window has room.
@@ -412,7 +425,7 @@ impl Runtime {
     pub fn submit(&mut self, req: AppRequest) -> Result<Ticket, Error> {
         req.validate()?;
         let id = self.cluster.assign_id();
-        self.pending.push_back((id, req));
+        self.pending.push_back((id, req, None));
         self.refill();
         Ok(Ticket(id))
     }
@@ -436,22 +449,45 @@ impl Runtime {
         Ok(Ticket(id))
     }
 
+    /// [`Runtime::submit_at`] for a closed-loop system whose clients are
+    /// the window: validates `req`, which arrives at `at` (clamped to the
+    /// current simulated time), and queues it like [`Runtime::submit`]. It
+    /// enters the rack at its arrival, or, when every slot is taken then,
+    /// as soon as one frees up; its latency counts from `at` either way.
+    fn submit_arriving(&mut self, at: SimTime, req: AppRequest) -> Result<Ticket, Error> {
+        req.validate()?;
+        let id = self.cluster.assign_id();
+        let at = at.max(self.cluster.now());
+        self.pending.push_back((id, req, Some(at)));
+        self.refill();
+        Ok(Ticket(id))
+    }
+
     /// Moves pending requests into the rack while the window has room.
     fn refill(&mut self) {
         while self.cluster.in_flight() < self.window {
-            let Some((id, req)) = self.pending.pop_front() else {
+            let Some((id, req, arrived)) = self.pending.pop_front() else {
                 break;
             };
-            // Before the clock starts, stagger admissions 10 ns apart like
-            // the closed-loop driver; afterwards admit at the current time.
-            let at = if self.started {
-                self.cluster.now()
-            } else {
-                SimTime::from_nanos(10 * self.admitted)
-            };
-            self.cluster
-                .submit_with_id(at.max(self.cluster.now()), req, id);
-            self.admitted += 1;
+            let now = self.cluster.now();
+            match arrived {
+                // An arrival that waited for a client starts now, and its
+                // latency counts from its arrival.
+                Some(at) if at < now => self.cluster.submit_waited(at, req, id),
+                Some(at) => self.cluster.submit_with_id(at, req, id),
+                None => {
+                    // Before the clock starts, stagger admissions 10 ns
+                    // apart like the closed-loop driver; afterwards admit
+                    // at the current time.
+                    let at = if self.started {
+                        now
+                    } else {
+                        SimTime::from_nanos(10 * self.admitted)
+                    };
+                    self.cluster.submit_with_id(at.max(now), req, id);
+                    self.admitted += 1;
+                }
+            }
         }
     }
 
@@ -664,6 +700,29 @@ impl OpenLoopDriver {
         runtime: &mut Runtime,
         requests: Vec<AppRequest>,
     ) -> Result<OpenLoopReport, Error> {
+        self.drive(runtime, requests, false)
+    }
+
+    /// [`OpenLoopDriver::run`] for a closed-loop system whose clients are
+    /// the runtime's window (the RPC baselines): every request joins the
+    /// runtime's pending queue with its arrival time and takes the next
+    /// client to free up, in arrival order. One that arrives while every
+    /// client is busy waits, and its latency counts from its arrival, so it
+    /// includes that wait.
+    pub(crate) fn run_with_clients(
+        &mut self,
+        runtime: &mut Runtime,
+        requests: Vec<AppRequest>,
+    ) -> Result<OpenLoopReport, Error> {
+        self.drive(runtime, requests, true)
+    }
+
+    fn drive(
+        &mut self,
+        runtime: &mut Runtime,
+        requests: Vec<AppRequest>,
+        clients: bool,
+    ) -> Result<OpenLoopReport, Error> {
         let submitted = requests.len() as u64;
         let base = Snapshot::of(runtime);
         let mut t = runtime.now();
@@ -672,7 +731,11 @@ impl OpenLoopDriver {
         for req in requests {
             let is_update = req.is_update();
             t += self.arrivals.next_gap();
-            let ticket = runtime.submit_at(t, req)?;
+            let ticket = if clients {
+                runtime.submit_arriving(t, req)?
+            } else {
+                runtime.submit_at(t, req)?
+            };
             if is_update {
                 update_ids.insert(ticket.request_id());
             }

@@ -2,11 +2,14 @@
 //! on. Identical configurations must produce identical reports across the
 //! whole stack — the `Runtime` façade, baselines, and workload generation.
 
-use pulse::baselines::{run_rpc, run_swap_cache, RpcConfig, SwapConfig};
+use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::ds::BuildCtx;
 use pulse::mem::{ClusterAllocator, ClusterMemory};
 use pulse::workloads::{Application, ArrivalProcess, WiredTiger, WiredTigerConfig};
-use pulse::{AppRequest, OpenLoopDriver, Placement, PulseBuilder, Runtime, WebServiceConfig};
+use pulse::{
+    AppRequest, BaselineKind, Engine, OpenLoopDriver, Placement, PulseBuilder, Runtime,
+    WebServiceConfig,
+};
 
 fn webservice_runtime(nodes: usize, window: usize) -> (Runtime, Vec<AppRequest>) {
     let (runtime, mut app) = PulseBuilder::new()
@@ -168,36 +171,36 @@ fn open_loop_runs_are_bit_identical() {
 
 #[test]
 fn baseline_runs_are_bit_identical() {
-    let build = || {
-        let mut mem = ClusterMemory::new(2);
-        let mut alloc = ClusterAllocator::new(Placement::Striped, 1 << 20);
-        let mut app = {
-            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-            pulse::workloads::WebService::build(
-                &mut ctx,
+    let run = |kind: BaselineKind| {
+        let (mut engine, mut app) = PulseBuilder::new()
+            .nodes(2)
+            .placement(Placement::Striped)
+            .granularity(1 << 20)
+            .window(8)
+            .baseline_app(
+                kind,
                 WebServiceConfig {
                     keys: 2_000,
                     ..Default::default()
                 },
             )
-            .unwrap()
-        };
+            .unwrap();
         let reqs: Vec<AppRequest> = (0..100).map(|_| app.next_request()).collect();
-        (mem, reqs)
-    };
-    let run = || {
-        let (mut mem, reqs) = build();
-        let swap = run_swap_cache(&mut mem, &reqs, 8, SwapConfig::default(), None);
-        let rpc = run_rpc(&mut mem, &reqs, 8, RpcConfig::rpc(), None);
+        let m = engine.execute(&reqs).unwrap();
         (
-            swap.latency.mean.as_picos(),
-            swap.net_bytes,
-            swap.cache_hit_ratio.map(|h| (h * 1e12) as u64),
-            rpc.latency.mean.as_picos(),
-            rpc.mem_bytes,
+            m.latency.mean.as_picos(),
+            m.latency.p99.as_picos(),
+            m.net_bytes,
+            m.mem_bytes,
+            m.makespan.as_picos(),
         )
     };
-    assert_eq!(run(), run());
+    for kind in [
+        BaselineKind::SwapCache(SwapConfig::default()),
+        BaselineKind::Rpc(RpcConfig::rpc()),
+    ] {
+        assert_eq!(run(kind.clone()), run(kind));
+    }
 }
 
 #[test]

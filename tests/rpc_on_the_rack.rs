@@ -1,0 +1,613 @@
+//! The RPC baselines on the rack's event engine (`PulseMode::Rpc`, built
+//! through `BaselineKind::Rpc`): pricing regressions, the comparisons the
+//! paper draws, faults handled by the rack, traces, and the functional
+//! oracle.
+
+use pulse::baselines::{RpcConfig, RpcFlavor, SwapConfig};
+use pulse::ds::{BuildCtx, TreePlacement};
+use pulse::isa::MemBus;
+use pulse::mem::{ClusterAllocator, ClusterMemory};
+use pulse::sim::SimTime;
+use pulse::trace::Phase;
+use pulse::workloads::{
+    execute_functional, Application, Btrdb, Distribution, WebService, WiredTiger,
+};
+use pulse::{
+    AppRequest, ArrivalProcess, BaselineEngine, BaselineKind, BtrdbConfig, CacheConfig,
+    ClusterConfig, DispatchConfig, Engine, FaultEvent, FaultKind, MutationConfig, Placement,
+    PulseBuilder, PulseCluster, PulseMode, TopologySpec, WebServiceConfig, WiredTigerConfig,
+    YcsbDriver, YcsbWorkload,
+};
+
+const LEAF_SPINE: TopologySpec = TopologySpec::LeafSpine {
+    leaves: 2,
+    spines: 2,
+};
+
+/// A `kind` baseline over a 4-node, 1 MiB-striped WebService deployment
+/// with 16 clients, and 300 requests of its stream.
+fn webservice_engine(
+    kind: BaselineKind,
+    replication: usize,
+    cfg: WebServiceConfig,
+) -> (BaselineEngine, Vec<AppRequest>) {
+    let (engine, mut app) = PulseBuilder::new()
+        .nodes(4)
+        .granularity(1 << 20)
+        .replication(replication)
+        .window(16)
+        .baseline_app(kind, cfg)
+        .unwrap();
+    let reqs = (0..300).map(|_| app.next_request()).collect();
+    (engine, reqs)
+}
+
+/// [`webservice_engine`] for RPC over 4 000 keys of 8 KiB Zipfian objects.
+fn rpc(cfg: RpcConfig) -> (BaselineEngine, Vec<AppRequest>) {
+    rpc_replicated(cfg, 1)
+}
+
+fn rpc_replicated(cfg: RpcConfig, replication: usize) -> (BaselineEngine, Vec<AppRequest>) {
+    let app = WebServiceConfig {
+        keys: 4_000,
+        ..Default::default()
+    };
+    webservice_engine(BaselineKind::Rpc(cfg), replication, app)
+}
+
+fn closed_loop(cfg: RpcConfig) -> pulse::RunMetrics {
+    let (mut engine, reqs) = rpc(cfg);
+    engine.execute(&reqs).unwrap()
+}
+
+fn crash_at_zero() -> Vec<FaultEvent> {
+    vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))]
+}
+
+/// Requests `i` arriving at `gap_ns * (i + 1)`.
+fn evenly(gap_ns: u64, n: usize) -> ArrivalProcess {
+    ArrivalProcess::trace(vec![SimTime::from_nanos(gap_ns); n])
+}
+
+/// The routed-replay regression: the analytic RPC booked every leg of a
+/// request at admission, so on a leaf-spine rack a request arriving 1 µs
+/// after another queued behind legs booked for the future and completed
+/// +24.47 µs late. On the rack each hop books its link when the frame
+/// gets there: two requests 1 µs apart cost the second one at most 1 µs
+/// over its solo latency, flat or routed.
+#[test]
+fn two_requests_a_microsecond_apart_price_like_solo() {
+    for topology in [LEAF_SPINE, TopologySpec::Flat] {
+        let run = |copies: usize| {
+            let (mut engine, mut app) = PulseBuilder::new()
+                .nodes(4)
+                .granularity(2 << 20)
+                .baseline_app(
+                    BaselineKind::Rpc(RpcConfig {
+                        topology,
+                        ..RpcConfig::rpc()
+                    }),
+                    WebServiceConfig {
+                        keys: 6_000,
+                        ..Default::default()
+                    },
+                )
+                .unwrap();
+            let req = app.next_request();
+            let reqs = vec![req; copies];
+            let gaps = [SimTime::ZERO, SimTime::from_micros(1)];
+            let arrivals = ArrivalProcess::trace(gaps[..copies].to_vec());
+            engine.execute_open_loop(&reqs, arrivals).unwrap()
+        };
+        let solo = run(1).latency.max;
+        let pair = run(2);
+        assert_eq!(pair.completed, 2);
+        assert!(
+            pair.latency.max <= solo + SimTime::from_micros(1),
+            "{topology:?}: the second request took {} against {solo} alone",
+            pair.latency.max
+        );
+    }
+}
+
+#[test]
+fn rpc_arm_is_slower_than_rpc() {
+    let rpc = closed_loop(RpcConfig::rpc());
+    let arm = closed_loop(RpcConfig::rpc_arm());
+    assert!(
+        arm.latency.mean > rpc.latency.mean,
+        "arm {} vs rpc {}",
+        arm.latency.mean,
+        rpc.latency.mean
+    );
+    assert!(arm.throughput <= rpc.throughput * 1.05);
+}
+
+#[test]
+fn cache_rpc_latency_not_better_than_rpc() {
+    let rpc = closed_loop(RpcConfig::rpc());
+    let aifm = closed_loop(RpcConfig::cache_rpc(4 << 20));
+    // §6.1: "Cache+RPC incurs higher latency than RPC ... and does not
+    // outperform RPC".
+    assert!(
+        aifm.latency.mean.as_nanos_f64() >= rpc.latency.mean.as_nanos_f64() * 0.9,
+        "aifm {} rpc {}",
+        aifm.latency.mean,
+        rpc.latency.mean
+    );
+    // The object cache is there and hits: hot objects never cross the
+    // wire again, so the skewed stream moves fewer bytes than plain RPC.
+    assert!(
+        aifm.net_bytes < rpc.net_bytes,
+        "aifm {} rpc {}",
+        aifm.net_bytes,
+        rpc.net_bytes
+    );
+}
+
+#[test]
+fn open_loop_latency_grows_with_offered_load() {
+    let p99_at = |gap_ns: u64| {
+        let (mut engine, reqs) = rpc(RpcConfig::rpc());
+        let arrivals = evenly(gap_ns, reqs.len());
+        engine
+            .execute_open_loop(&reqs, arrivals)
+            .unwrap()
+            .latency
+            .p99
+    };
+    let light = p99_at(200_000); // 5 kops offered
+    let heavy = p99_at(200); // 5 Mops offered, far past the 16 clients
+    assert!(
+        heavy > light * 2,
+        "queueing must appear under load: light {light} heavy {heavy}"
+    );
+}
+
+#[test]
+fn open_loop_at_light_load_matches_unloaded_latency() {
+    let (mut engine, reqs) = rpc(RpcConfig::rpc());
+    let n = reqs.len();
+    let closed = PulseBuilder::new()
+        .nodes(4)
+        .granularity(1 << 20)
+        .window(1)
+        .baseline_app(
+            BaselineKind::Rpc(RpcConfig::rpc()),
+            WebServiceConfig {
+                keys: 4_000,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+        .0
+        .execute(&reqs)
+        .unwrap();
+    let open = engine.execute_open_loop(&reqs, evenly(500_000, n)).unwrap();
+    // So sparse that no request ever queues: the same latencies as one
+    // client in closed loop.
+    let ratio = open.latency.mean.as_nanos_f64() / closed.latency.mean.as_nanos_f64();
+    assert!((0.99..1.01).contains(&ratio), "ratio {ratio}");
+}
+
+/// The §6 story the extended evaluation tells: the RPC baseline's
+/// CPU-side request dispatch is a serial resource, and offering load past
+/// its service rate collapses the tail. 200 kops offered against a 50 kops
+/// dispatch engine must blow p99 up and shed goodput.
+#[test]
+fn contended_dispatch_collapses_rpc_under_load() {
+    let run = |dispatch| {
+        let (mut engine, reqs) = rpc(RpcConfig {
+            dispatch,
+            ..RpcConfig::rpc()
+        });
+        let arrivals = evenly(5_000, reqs.len());
+        engine.execute_open_loop(&reqs, arrivals).unwrap()
+    };
+    let free = run(DispatchConfig::default());
+    let contended = run(DispatchConfig::contended(SimTime::from_micros(20), 1));
+    assert!(
+        contended.latency.p99 > free.latency.p99 * 2,
+        "dispatch saturation must surface in the tail: free {} contended {}",
+        free.latency.p99,
+        contended.latency.p99
+    );
+    assert!(contended.throughput < free.throughput);
+}
+
+/// A mixed stream of seqlock-verified reads and locked update traversals
+/// runs through RPC: the updates really mutate the rack's memory, and
+/// their write trips are priced (the mixed stream moves at least as many
+/// DRAM bytes as a read-only one).
+#[test]
+fn mixed_write_traversals_run_through_rpc() {
+    use pulse::mutation::{locked_update_stage, retrying_request, verified_read_stage};
+    use std::sync::Arc;
+
+    let build = || {
+        PulseBuilder::new()
+            .nodes(2)
+            .window(8)
+            .baseline_with(BaselineKind::Rpc(RpcConfig::rpc()), |ctx| {
+                let pairs: Vec<(u64, u64)> = (0..512).map(|k| (k, k)).collect();
+                pulse::ds::HashMapDs::build_partitioned(ctx, 8, &pairs, 2)
+            })
+            .unwrap()
+    };
+    let find = Arc::new(pulse::mutation::verified_find_program());
+    let update = Arc::new(pulse::mutation::locked_update_program());
+    let mc = MutationConfig::default();
+    let (mut ro_engine, map) = build();
+    let reads: Vec<AppRequest> = (0..100)
+        .map(|k| retrying_request(verified_read_stage(&find, map.bucket_addr(k), k), mc))
+        .collect();
+    let mixed: Vec<AppRequest> = (0..100)
+        .map(|k| {
+            if k % 2 == 0 {
+                retrying_request(
+                    locked_update_stage(&update, map.bucket_addr(k), k, k + 7_000),
+                    mc,
+                )
+            } else {
+                retrying_request(verified_read_stage(&find, map.bucket_addr(k), k), mc)
+            }
+        })
+        .collect();
+    let ro = ro_engine.execute(&reads).unwrap();
+    let (mut rw_engine, map) = build();
+    let rw = rw_engine.execute(&mixed).unwrap();
+    assert_eq!(rw.completed, 100);
+    assert!(
+        rw.mem_bytes >= ro.mem_bytes,
+        "write trips must be priced: ro {} rw {}",
+        ro.mem_bytes,
+        rw.mem_bytes
+    );
+    let mem = rw_engine.memory_mut();
+    assert_eq!(map.get_host(mem, 42).unwrap(), Some(42 + 7_000));
+    assert_eq!(map.get_host(mem, 43).unwrap(), Some(43));
+}
+
+/// Chains striped over 4 KiB extents cross nodes, and every crossing
+/// bounces through the CPU node. On a routed rack every request, bounce
+/// and reply is a hop-by-hop fabric trip, so the CPU down-link is busy;
+/// the flat rack reports no fabric gauges.
+#[test]
+fn routed_rpc_prices_bounces_on_the_cpu_downlink() {
+    let run = |topology| {
+        let (mut engine, mut app) = PulseBuilder::new()
+            .nodes(4)
+            .granularity(4096)
+            .window(16)
+            .baseline_app(
+                BaselineKind::Rpc(RpcConfig {
+                    topology,
+                    ..RpcConfig::rpc()
+                }),
+                WebServiceConfig {
+                    keys: 2_000,
+                    partition_by_bucket: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let reqs: Vec<AppRequest> = (0..200).map(|_| app.next_request()).collect();
+        engine.execute(&reqs).unwrap()
+    };
+    let flat = run(TopologySpec::Flat);
+    let routed = run(LEAF_SPINE);
+    assert_eq!(flat.link_utilization, 0.0);
+    assert_eq!(flat.queue_depth, 0);
+    assert_eq!(routed.completed, flat.completed);
+    assert!(routed.link_utilization > 0.0);
+    assert!(routed.net_bytes > 0);
+    assert!(
+        routed.latency.mean >= flat.latency.mean,
+        "more hops cannot make requests faster: flat {} routed {}",
+        flat.latency.mean,
+        routed.latency.mean
+    );
+}
+
+/// The Fig. 7 order on a 200 000-key uniform WebService whose index
+/// misses a 1 MiB page cache: the swap replay is many times slower than
+/// RPC on the rack.
+#[test]
+fn swap_cache_is_orders_of_magnitude_slower_than_rpc() {
+    let app = WebServiceConfig {
+        keys: 200_000,
+        object_bytes: 512,
+        distribution: Distribution::Uniform,
+        ..Default::default()
+    };
+    let swap = SwapConfig {
+        cache_bytes: 1 << 20,
+        ..SwapConfig::default()
+    };
+    let run = |kind| {
+        let (mut engine, reqs) = webservice_engine(kind, 1, app);
+        engine.execute(&reqs).unwrap()
+    };
+    let swap = run(BaselineKind::SwapCache(swap));
+    let rpc = run(BaselineKind::Rpc(RpcConfig::rpc()));
+    let ratio = swap.latency.mean.as_nanos_f64() / rpc.latency.mean.as_nanos_f64();
+    assert!(ratio > 5.0, "swap/rpc latency ratio {ratio}");
+    assert!(swap.throughput < rpc.throughput);
+}
+
+/// A crash under replication 2: the rack fails RPC's packets over to the
+/// surviving replicas, every request completes, and the crash starts
+/// rebuilding the lost replicas.
+#[test]
+fn rpc_crash_with_replication_fails_over_and_rebuilds() {
+    let (mut engine, reqs) = rpc_replicated(RpcConfig::rpc(), 2);
+    let clean = engine.execute(&reqs).unwrap();
+    let (mut engine, reqs) = rpc_replicated(
+        RpcConfig {
+            faults: crash_at_zero(),
+            ..RpcConfig::rpc()
+        },
+        2,
+    );
+    let faulted = engine.execute(&reqs).unwrap();
+    assert_eq!(faulted.completed, clean.completed);
+    assert_eq!(faulted.unavailable_completions, 0);
+    assert!(faulted.failovers > 0);
+    assert!(faulted.rereplication_bytes > 0);
+    assert!(faulted.degraded_p99 > SimTime::ZERO);
+    assert_eq!(clean.failovers, 0);
+    assert_eq!(clean.rereplication_bytes, 0);
+    assert_eq!(clean.degraded_p99, SimTime::ZERO);
+}
+
+/// Degraded-window latency is measured from arrival, like the latency
+/// histogram: with a crash at t=0 that never heals, every completion lands
+/// inside the window, so under a load that queues for the 16 clients the
+/// degraded p99 equals the run's p99, queueing included.
+#[test]
+fn open_loop_degraded_p99_counts_queueing() {
+    let (mut engine, reqs) = rpc_replicated(
+        RpcConfig {
+            faults: crash_at_zero(),
+            ..RpcConfig::rpc()
+        },
+        2,
+    );
+    let rep = engine
+        .execute_open_loop(&reqs, evenly(50, reqs.len()))
+        .unwrap();
+    assert_eq!(rep.completed, reqs.len() as u64);
+    assert!(rep.failovers > 0);
+    assert!(
+        rep.latency.p99 > rep.latency.min * 2,
+        "the load must queue: {:?}",
+        rep.latency
+    );
+    assert_eq!(rep.degraded_p99, rep.latency.p99);
+}
+
+#[test]
+fn rpc_crash_without_replication_loses_requests() {
+    let (mut engine, reqs) = rpc(RpcConfig {
+        faults: crash_at_zero(),
+        ..RpcConfig::rpc()
+    });
+    let faulted = engine.execute(&reqs).unwrap();
+    assert!(faulted.unavailable_completions > 0);
+    assert_eq!(
+        faulted.completed + faulted.unavailable_completions,
+        reqs.len() as u64
+    );
+    assert_eq!(faulted.rereplication_bytes, 0, "nothing to rebuild from");
+}
+
+/// A node unreachable early in the run and healed later: requests needing
+/// it inside the window are lost (no replicas), later ones complete, and
+/// nothing counts as a failover at replication 1.
+#[test]
+fn rpc_partition_heal_restores_service() {
+    let (mut engine, reqs) = PulseBuilder::new()
+        .nodes(4)
+        .granularity(1 << 20)
+        .window(2)
+        .baseline_app(
+            BaselineKind::Rpc(RpcConfig {
+                faults: vec![
+                    FaultEvent::new(SimTime::ZERO, FaultKind::LinkPartition(1)),
+                    FaultEvent::new(SimTime::from_micros(200), FaultKind::LinkHeal(1)),
+                ],
+                ..RpcConfig::rpc()
+            }),
+            WebServiceConfig {
+                keys: 4_000,
+                ..Default::default()
+            },
+        )
+        .map(|(engine, mut app)| {
+            let reqs: Vec<AppRequest> = (0..300).map(|_| app.next_request()).collect();
+            (engine, reqs)
+        })
+        .unwrap();
+    let faulted = engine.execute(&reqs).unwrap();
+    assert!(faulted.unavailable_completions > 0);
+    assert!(faulted.completed > 0);
+    assert_eq!(faulted.failovers, 0);
+}
+
+#[test]
+fn traced_rpc_attributes_phases_without_perturbing_timing() {
+    let plain = closed_loop(RpcConfig::rpc());
+    let (mut engine, reqs) = rpc(RpcConfig {
+        trace: true,
+        ..RpcConfig::rpc()
+    });
+    let traced = engine.execute(&reqs).unwrap();
+    assert!(plain.phase.is_none(), "tracing is off by default");
+    assert_eq!(plain.latency.mean, traced.latency.mean);
+    assert_eq!(plain.latency.p99, traced.latency.p99);
+    let attr = traced.phase.expect("attribution recorded");
+    assert_eq!(attr.count, reqs.len() as u64);
+    // Per-phase means partition the mean latency (each mean floors picos
+    // independently, so the sum may undershoot by < PHASES ps).
+    let sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
+    let e2e = traced.latency.mean.as_picos();
+    assert!(
+        sum <= e2e && e2e - sum < pulse::trace::PHASES as u64,
+        "phase means {sum} ps vs mean latency {e2e} ps"
+    );
+    assert!(attr.mean_of(Phase::WireHop) > SimTime::ZERO);
+    assert!(attr.mean_of(Phase::MemTrip) > SimTime::ZERO);
+    assert_eq!(attr.mean_of(Phase::AccelCompute), SimTime::ZERO);
+    assert!(engine.trace().is_some());
+}
+
+/// No replication and an immediate crash: some requests dead-end as
+/// unavailable, and their notices land in `Failover`.
+#[test]
+fn traced_rpc_dead_end_counts_failover_phase() {
+    let (mut engine, reqs) = rpc(RpcConfig {
+        faults: crash_at_zero(),
+        trace: true,
+        ..RpcConfig::rpc()
+    });
+    let rep = engine.execute(&reqs).unwrap();
+    assert!(rep.unavailable_completions > 0);
+    let attr = rep.phase.expect("attribution recorded");
+    assert!(attr.mean_of(Phase::Failover) > SimTime::ZERO);
+}
+
+/// Every completion of every RPC flavour, flat or routed, with the
+/// front-end cache off or on, carries exactly the final state the
+/// functional executor computes — over WebService, WiredTiger and BTrDB
+/// laid out in small extents, so that traversals bounce between nodes.
+#[test]
+fn rpc_completions_match_the_functional_oracle() {
+    type Build = fn(&mut BuildCtx<'_>) -> Box<dyn Application>;
+    let apps: [(&str, u64, Build); 3] = [
+        ("webservice", 4096, |ctx| {
+            Box::new(
+                WebService::build(
+                    ctx,
+                    WebServiceConfig {
+                        keys: 2_000,
+                        partition_by_bucket: false,
+                        ..Default::default()
+                    },
+                )
+                .unwrap(),
+            )
+        }),
+        ("wiredtiger", 32 << 10, |ctx| {
+            Box::new(
+                WiredTiger::build(
+                    ctx,
+                    WiredTigerConfig {
+                        keys: 20_000,
+                        placement: TreePlacement::Policy,
+                        ..Default::default()
+                    },
+                )
+                .unwrap(),
+            )
+        }),
+        ("btrdb", 32 << 10, |ctx| {
+            Box::new(
+                Btrdb::build(
+                    ctx,
+                    BtrdbConfig {
+                        duration_secs: 600,
+                        window_secs: 8,
+                        placement: TreePlacement::Policy,
+                        ..Default::default()
+                    },
+                )
+                .unwrap(),
+            )
+        }),
+    ];
+    let flavors = [
+        RpcFlavor::Rpc,
+        RpcFlavor::RpcArm,
+        RpcFlavor::CacheRpc {
+            cache_bytes: 1 << 20,
+        },
+    ];
+    for (name, granularity, build) in apps {
+        for flavor in flavors {
+            for topology in [TopologySpec::Flat, LEAF_SPINE] {
+                for cache in [CacheConfig::disabled(), CacheConfig::sized(1 << 20)] {
+                    let tag = format!("{name} {flavor:?} {topology:?} cache {}", cache.enabled());
+                    let mut mem = ClusterMemory::new(4);
+                    let mut alloc = ClusterAllocator::new(Placement::Striped, granularity);
+                    let mut app = build(&mut BuildCtx::new(&mut mem, &mut alloc));
+                    let reqs: Vec<AppRequest> = (0..40).map(|_| app.next_request()).collect();
+                    let expected: Vec<_> = reqs
+                        .iter()
+                        .map(|r| {
+                            let run = execute_functional(&mut mem, r, 1 << 20).unwrap();
+                            run.response.final_state.map(|s| s.scratch)
+                        })
+                        .collect();
+                    let cfg = ClusterConfig {
+                        mode: PulseMode::Rpc(flavor),
+                        topology,
+                        cache,
+                        ..ClusterConfig::default()
+                    };
+                    let mut cluster = PulseCluster::new(cfg, mem);
+                    let ids: Vec<_> = reqs
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, r)| cluster.submit_at(SimTime::from_nanos(300 * i as u64), r))
+                        .collect();
+                    let mut done = Vec::new();
+                    while cluster.step() {
+                        done.extend(cluster.take_completions());
+                    }
+                    assert_eq!(done.len(), ids.len(), "{tag}");
+                    for c in done {
+                        let i = ids.iter().position(|&id| id == c.id).expect("submitted");
+                        assert!(c.ok, "{tag}: request {i} faulted");
+                        let got = c.final_state.map(|s| s.scratch);
+                        assert_eq!(got, expected[i], "{tag}: request {i}");
+                    }
+                    if name == "webservice" {
+                        assert!(cluster.report().crossings > 0, "{tag}: no bounce");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// YCSB-A through RPC with no faults: after the drain no bucket's seqlock
+/// is left odd, and every update submitted completed.
+#[test]
+fn ycsb_a_on_rpc_releases_every_lock_and_completes_every_update() {
+    let cfg = WebServiceConfig {
+        keys: 2_000,
+        workload: YcsbWorkload::A,
+        ..Default::default()
+    };
+    let (mut engine, app) = PulseBuilder::new()
+        .nodes(2)
+        .window(16)
+        .baseline_app(BaselineKind::Rpc(RpcConfig::rpc()), cfg)
+        .unwrap();
+    let buckets: Vec<u64> = (0..cfg.keys).map(|k| app.map().bucket_addr(k)).collect();
+    let mut driver = YcsbDriver::webservice(app, cfg, MutationConfig::default()).unwrap();
+    let reqs: Vec<AppRequest> = (0..400)
+        .map(|_| driver.next_request(engine.memory_mut()))
+        .collect();
+    let updates = reqs.iter().filter(|r| r.is_update()).count() as u64;
+    assert!(updates > 0);
+    let rep = engine
+        .execute_open_loop(&reqs, ArrivalProcess::poisson(400_000.0, 11))
+        .unwrap();
+    assert_eq!(rep.completed, reqs.len() as u64);
+    assert_eq!(rep.completed_updates, updates);
+    for b in buckets {
+        let version = engine.memory_mut().read_word(b + 8, 8).unwrap();
+        assert_eq!(version % 2, 0, "bucket {b:#x} left locked");
+    }
+}

@@ -287,3 +287,79 @@ fn spec_squash_spans_still_tile_request_latency() {
     assert_eq!(sink.open_requests(), 0, "requests left open");
     assert_spans_tile(sink, 600, "spec-squash");
 }
+
+/// RPC on the rack under conservation: traced RPC runs on a flat rack, on
+/// a leaf-spine fabric with chains striped over 4 KiB extents (so
+/// traversals bounce through the CPU node), and under a mid-run crash with
+/// replication 2, at a load that queues requests for the 16 clients. Every
+/// request's spans tile its latency from its arrival, the client wait
+/// included, and the phase means sum to the mean latency.
+#[test]
+fn traced_rpc_runs_conserve_spans() {
+    use pulse::baselines::RpcConfig;
+    use pulse::BaselineKind;
+
+    let crash = vec![FaultEvent::new(
+        SimTime::from_micros(20),
+        FaultKind::MemCrash(0),
+    )];
+    let cases = [
+        ("flat", TopologySpec::Flat, Vec::new(), 1 << 20, true),
+        (
+            "leaf-spine",
+            TopologySpec::LeafSpine {
+                leaves: 2,
+                spines: 2,
+            },
+            Vec::new(),
+            4096,
+            false,
+        ),
+        ("crash", TopologySpec::Flat, crash, 1 << 20, true),
+    ];
+    for (tag, topology, faults, granularity, partitioned) in cases {
+        let kind = BaselineKind::Rpc(RpcConfig {
+            topology,
+            faults,
+            dispatch: DispatchConfig::contended(SimTime::from_nanos(500), 2),
+            ..RpcConfig::rpc()
+        });
+        let (mut engine, mut app) = pulse::PulseBuilder::new()
+            .nodes(4)
+            .granularity(granularity)
+            .replication(2)
+            .trace(Some(TraceConfig::default()))
+            .baseline_app(
+                kind,
+                WebServiceConfig {
+                    keys: 2_000,
+                    partition_by_bucket: partitioned,
+                    ..Default::default()
+                },
+            )
+            .expect("wire RPC");
+        let reqs: Vec<_> = (0..300).map(|_| app.next_request()).collect();
+        let rep = engine
+            .execute_open_loop(&reqs, ArrivalProcess::poisson(1.5e6, 5))
+            .expect("run");
+        assert_eq!(rep.completed + rep.faulted, 300, "{tag}");
+        let sink = engine.trace().expect("tracing enabled");
+        assert_eq!(sink.open_requests(), 0, "{tag}: requests left open");
+        let total_ps = assert_spans_tile(sink, 300, tag);
+        let attr = sink.attribution().expect("completed requests");
+        let mean_sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
+        let e2e_mean = (total_ps / 300) as u64;
+        assert!(
+            mean_sum <= e2e_mean && e2e_mean - mean_sum < PHASES as u64,
+            "{tag}: phase means {mean_sum} vs end-to-end {e2e_mean}"
+        );
+        assert_eq!(
+            e2e_mean,
+            rep.latency.mean.as_picos(),
+            "{tag}: spans start at arrival"
+        );
+        if tag == "crash" {
+            assert!(rep.failovers > 0 && rep.rereplication_bytes > 0, "{tag}");
+        }
+    }
+}
