@@ -10,12 +10,12 @@
 //!
 //! The accelerator is written as a pure event-driven state machine:
 //! [`Accelerator::on_packet`] and [`Accelerator::step`] consume an event and
-//! append timed outputs (internal events to re-schedule, or departing
-//! packets) to a caller-owned buffer, so a driver that reuses one buffer
-//! steps the accelerator without allocating. A single-node harness and the
-//! full cluster simulation both embed it unchanged.
+//! hand timed outputs (internal events to re-schedule, or departing
+//! packets) to a caller-owned [`AccelSink`], so a driver steps the
+//! accelerator without allocating. A single-node harness and the full
+//! cluster simulation both embed it unchanged.
 
-use crate::config::{AccelConfig, PipelineOrg};
+use crate::config::{AccelConfig, AccelTiming, PipelineOrg};
 use pulse_isa::{
     fused_hop_increment, CostModel, Fault, Interpreter, IterOutcome, IterTrace, MemFault,
 };
@@ -65,6 +65,21 @@ pub enum AccelOutput {
         /// accelerator-residency phase.
         squash: SimTime,
     },
+}
+
+/// Where an accelerator call puts its timed outputs, in the order it makes
+/// them. A `Vec` collects them; an event loop can schedule internal events
+/// as they come, provided it keeps them behind any departure made before
+/// them (sequence numbers break same-instant ties).
+pub trait AccelSink {
+    /// Takes the call's next output.
+    fn emit(&mut self, out: AccelOutput);
+}
+
+impl AccelSink for Vec<AccelOutput> {
+    fn emit(&mut self, out: AccelOutput) {
+        self.push(out);
+    }
 }
 
 /// Cumulative per-component busy time — the data behind Fig. 10.
@@ -194,6 +209,27 @@ enum PendingIter {
     Fail(Fault),
 }
 
+/// What one memory-pipeline fetch of `len` bytes costs: `t_d`, and the
+/// DRAM share of it charged to [`ComponentTimes::dram`]. Each carries a
+/// serialization delay, a 128-bit division, so the accelerator keeps them
+/// per length instead of per fetch.
+#[derive(Debug, Clone, Copy)]
+struct FetchCost {
+    len: u32,
+    t_d: SimTime,
+    dram: SimTime,
+}
+
+impl FetchCost {
+    fn new(t: &AccelTiming, len: u32) -> FetchCost {
+        FetchCost {
+            len,
+            t_d: t.fetch_time(len),
+            dram: t.dram_access + SimTime::serialization(len as u64, t.dram_bytes_per_sec * 8),
+        }
+    }
+}
+
 /// One pulse accelerator.
 ///
 /// See the crate docs for an end-to-end example.
@@ -211,6 +247,11 @@ pub struct Accelerator {
     mem_pipes: ServerPool,
     logic_pipes: Option<ServerPool>,
     interp: Interpreter,
+    /// The last window length's fetch cost (one program's windows are all
+    /// one length).
+    window_fetch: FetchCost,
+    /// The cost of a secondary 8-byte load or store.
+    word_fetch: FetchCost,
     stats: AccelStats,
 }
 
@@ -236,6 +277,8 @@ impl Accelerator {
             mem_pipes,
             logic_pipes,
             interp: Interpreter::new(),
+            window_fetch: FetchCost::new(&cfg.timing, 0),
+            word_fetch: FetchCost::new(&cfg.timing, 8),
             stats: AccelStats::default(),
             cfg,
             node,
@@ -272,13 +315,13 @@ impl Accelerator {
         }
     }
 
-    /// Handles a packet arriving from the link at `now`, appending the
+    /// Handles a packet arriving from the link at `now`, handing the
     /// resulting outputs to `out`.
-    pub fn on_packet(&mut self, now: SimTime, pkt: IterPacket, out: &mut Vec<AccelOutput>) {
+    pub fn on_packet(&mut self, now: SimTime, pkt: IterPacket, out: &mut impl AccelSink) {
         // RX parse occupies the network stack for a fixed per-packet time.
         let g = self.net_rx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        out.push(AccelOutput::Internal {
+        out.emit(AccelOutput::Internal {
             at: g.end,
             event: AccelEvent::RxDone(self.rx_parked.insert(pkt)),
         });
@@ -296,7 +339,7 @@ impl Accelerator {
         self.rx_parked.take(handle)
     }
 
-    /// Advances the state machine on one of its own events, appending the
+    /// Advances the state machine on one of its own events, handing the
     /// resulting outputs to `out`.
     ///
     /// `mem` is the rack's memory; the accelerator only touches extents
@@ -306,7 +349,7 @@ impl Accelerator {
         now: SimTime,
         event: AccelEvent,
         mem: &mut ClusterMemory,
-        out: &mut Vec<AccelOutput>,
+        out: &mut impl AccelSink,
     ) {
         match event {
             AccelEvent::RxDone(handle) => {
@@ -361,9 +404,9 @@ impl Accelerator {
                 // Secondary loads/stores occupy a memory pipeline again.
                 let mut ready = now;
                 for _ in 0..extra_mem_ops {
-                    let t = self.cfg.timing.fetch_time(8);
-                    let g = self.mem_pipes.acquire(ready, t);
-                    self.charge_fetch_components(8);
+                    let word = self.word_fetch;
+                    let g = self.mem_pipes.acquire(ready, word.t_d);
+                    self.charge_fetch(word);
                     ready = g.grant.end;
                 }
                 self.stats.components.scheduler += self.cfg.timing.scheduler;
@@ -381,7 +424,7 @@ impl Accelerator {
                     // serialize t_c on the same pool.
                     None => self.mem_pipes.acquire(ready, t_c).grant.end,
                 };
-                out.push(AccelOutput::Internal {
+                out.emit(AccelOutput::Internal {
                     at: end,
                     event: AccelEvent::LogicDone { ws },
                 });
@@ -420,13 +463,21 @@ impl Accelerator {
         self.workspaces.iter().position(Option::is_none)
     }
 
-    fn charge_fetch_components(&mut self, bytes: u32) {
+    /// The cost of fetching a `len`-byte window, recomputed only when the
+    /// length differs from the last window's.
+    fn fetch_cost(&mut self, len: u32) -> FetchCost {
+        if self.window_fetch.len != len {
+            self.window_fetch = FetchCost::new(&self.cfg.timing, len);
+        }
+        self.window_fetch
+    }
+
+    fn charge_fetch(&mut self, cost: FetchCost) {
         let t = &self.cfg.timing;
         self.stats.components.tcam += t.tcam;
         self.stats.components.interconnect += t.interconnect;
-        self.stats.components.dram +=
-            t.dram_access + SimTime::serialization(bytes as u64, t.dram_bytes_per_sec * 8);
-        self.stats.dram_bytes += bytes as u64;
+        self.stats.components.dram += cost.dram;
+        self.stats.dram_bytes += cost.len as u64;
     }
 
     /// Issues a speculative fetch for the predicted next hop of `ws` (ISA
@@ -465,9 +516,10 @@ impl Accelerator {
         if self.xlate.translate(base, window.len, false).is_err() {
             return;
         }
-        let t_d = self.cfg.timing.fetch_time(window.len);
+        let fetch = self.fetch_cost(window.len);
+        let t_d = fetch.t_d;
         let g = self.mem_pipes.acquire(now, t_d);
-        self.charge_fetch_components(window.len);
+        self.charge_fetch(fetch);
         let version = mem.version_of(base, window.len as u64);
         let w = self.workspaces[ws].as_mut().expect("occupied");
         w.spec = Some(SpecIssue {
@@ -494,7 +546,7 @@ impl Accelerator {
         ws: usize,
         mem: &mut ClusterMemory,
         prefetched: Option<SimTime>,
-        out: &mut Vec<AccelOutput>,
+        out: &mut impl AccelSink,
     ) {
         let (window, cur_ptr) = {
             let w = self.ws(ws);
@@ -517,7 +569,7 @@ impl Accelerator {
                 MemFault::NotMapped { .. } => PendingIter::Remote,
                 other => PendingIter::Fail(Fault::Mem(other)),
             });
-            out.push(AccelOutput::Internal {
+            out.emit(AccelOutput::Internal {
                 at: g.grant.end,
                 event: AccelEvent::FetchDone { ws },
             });
@@ -627,12 +679,13 @@ impl Accelerator {
                 end
             }
             None => {
-                let t_d = self.cfg.timing.fetch_time(window.len) + batch_cost;
-                self.charge_fetch_components(window.len);
+                let fetch = self.fetch_cost(window.len);
+                let t_d = fetch.t_d + batch_cost;
+                self.charge_fetch(fetch);
                 self.mem_pipes.acquire(t, t_d).grant.end
             }
         };
-        out.push(AccelOutput::Internal {
+        out.emit(AccelOutput::Internal {
             at: fetch_end,
             event: AccelEvent::FetchDone { ws },
         });
@@ -644,7 +697,7 @@ impl Accelerator {
         now: SimTime,
         ws: usize,
         mem: &mut ClusterMemory,
-        out: &mut Vec<AccelOutput>,
+        out: &mut impl AccelSink,
     ) {
         let pending = {
             let w = self.workspaces[ws].as_mut().expect("occupied");
@@ -728,7 +781,7 @@ impl Accelerator {
         ws: usize,
         status: IterStatus,
         mem: &mut ClusterMemory,
-        out: &mut Vec<AccelOutput>,
+        out: &mut impl AccelSink,
     ) {
         let mut w = self.workspaces[ws].take().expect("occupied");
         w.pkt.status = status;
@@ -741,7 +794,7 @@ impl Accelerator {
         }
         let g = self.net_tx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        out.push(AccelOutput::Depart {
+        out.emit(AccelOutput::Depart {
             at: g.end,
             pkt: w.pkt,
             squash: w.squashed,

@@ -44,7 +44,7 @@ mod config;
 mod harness;
 mod staggered;
 
-pub use accel::{AccelEvent, AccelOutput, AccelStats, Accelerator, ComponentTimes};
+pub use accel::{AccelEvent, AccelOutput, AccelSink, AccelStats, Accelerator, ComponentTimes};
 pub use area::{estimate, AreaEstimate};
 pub use config::{AccelConfig, AccelTiming, PipelineOrg};
 pub use harness::{run_closed_loop, HarnessReport};

@@ -23,7 +23,7 @@
 //!   instead of the accelerator (see [`RpcFlavor`]).
 
 use crate::rpc::{ObjectCache, RpcFlavor, RpcServer};
-use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, Accelerator};
+use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, AccelSink, Accelerator};
 use pulse_frontend::{
     prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
 };
@@ -36,7 +36,7 @@ use pulse_net::{
     Switch, TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
-    CpuDispatch, DispatchConfig, Driver, LatencyHistogram, SerialResource, SimTime, Slab,
+    CpuDispatch, DispatchConfig, Driver, IdHash, LatencyHistogram, SerialResource, SimTime, Slab,
 };
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
 use pulse_workloads::{AddrSource, AppRequest};
@@ -297,6 +297,27 @@ struct ReqState {
 /// sequence counter, and, when configured, its coherent traversal-cell
 /// cache, ISA-v2 prefix coalescer and Cache+RPC object cache. Its NIC's
 /// two directions are its fabric up- and down-link.
+/// The [`AccelSink`] of one accelerator call on memory node `node`:
+/// internal events go straight onto the event queue until the call's first
+/// departure, and from there on every output waits in `deferred`, so the
+/// queue sees them all in the order the accelerator made them.
+struct AccelOuts<'a> {
+    drv: &'a mut Driver<Ev>,
+    node: NodeId,
+    deferred: &'a mut Vec<AccelOutput>,
+}
+
+impl AccelSink for AccelOuts<'_> {
+    fn emit(&mut self, out: AccelOutput) {
+        match out {
+            AccelOutput::Internal { at, event } if self.deferred.is_empty() => {
+                self.drv.schedule_at(at, Ev::Accel(self.node, event))
+            }
+            out => self.deferred.push(out),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct CpuNode {
     dispatch: CpuDispatch,
@@ -327,7 +348,7 @@ pub struct PulseCluster {
     /// Requests that have arrived and not yet finished. Submitted requests
     /// wait in their `Ev::Arrive` until they start, so this map stays at
     /// the size of the live set rather than the submitted stream.
-    inflight: HashMap<RequestId, ReqState>,
+    inflight: HashMap<RequestId, ReqState, IdHash>,
     /// Submitted requests whose `Ev::Arrive` has not fired yet.
     arriving: usize,
     /// Messages on the wire, under the handles their [`Ev::Hop`] events
@@ -335,7 +356,8 @@ pub struct PulseCluster {
     flights: Slab<Flight>,
     /// Re-replication streams, indexed by their `Ev::Rebuild` payload.
     rebuilds: Vec<RebuildStream>,
-    /// Output buffer reused across accelerator calls, so stepping an
+    /// An accelerator call's outputs from its first departure on, waiting
+    /// for [`Self::absorb`]; reused across calls, so stepping an
     /// accelerator allocates nothing.
     accel_out: Vec<AccelOutput>,
     /// Recycled scratchpad buffers from retired [`pulse_isa::IterState`]s,
@@ -516,7 +538,7 @@ impl PulseCluster {
             dma: (0..nodes)
                 .map(|_| SerialResource::new(cfg.accel.timing.dram_bytes_per_sec * 8))
                 .collect(),
-            inflight: HashMap::new(),
+            inflight: HashMap::default(),
             arriving: 0,
             flights: Slab::new(),
             rebuilds: Vec::new(),
@@ -685,16 +707,17 @@ impl PulseCluster {
     /// is empty. At most one completion can be produced per step; poll
     /// [`Self::take_completions`] after stepping.
     pub fn step(&mut self) -> bool {
-        let mut drv = std::mem::take(&mut self.drv);
-        let stepped = match drv.next_event() {
-            Some(ev) => {
-                self.handle(&mut drv, ev);
-                true
-            }
-            None => false,
+        let Some(ev) = self.drv.next_event() else {
+            return false;
         };
-        self.drv = drv;
-        stepped
+        self.handle(ev);
+        true
+    }
+
+    /// Steps until a completion waits in [`Self::take_completions`] or no
+    /// event is left; returns at once if one already waits.
+    pub fn step_until_completion(&mut self) {
+        while self.done.is_empty() && self.step() {}
     }
 
     /// Drains the completions produced since the last call.
@@ -706,20 +729,20 @@ impl PulseCluster {
     // heuristic it was called out of line, and perfbench's `ws-read`
     // simulated ~5% fewer requests per second.
     #[inline]
-    fn handle(&mut self, drv: &mut Driver<Ev>, ev: Ev) {
-        let now = drv.now();
+    fn handle(&mut self, ev: Ev) {
+        let now = self.drv.now();
         self.sample_counters(now);
         match ev {
             Ev::Arrive(id, st) => {
                 self.arriving -= 1;
                 let earlier = self.inflight.insert(id, *st);
                 assert!(earlier.is_none(), "request id {id:?} already in flight");
-                self.send_stage(drv, now, id)
+                self.send_stage(now, id)
             }
-            Ev::Start(id) => self.send_stage(drv, now, id),
+            Ev::Start(id) => self.send_stage(now, id),
             Ev::Hop(h) => {
                 let f = self.flights.take(h);
-                self.hop(drv, now, f)
+                self.hop(now, f)
             }
             Ev::Accel(n, aev) => {
                 // Events of a dark node's accelerator died with it. Pipeline
@@ -732,11 +755,11 @@ impl PulseCluster {
                     if let AccelEvent::RxDone(h) = aev {
                         let ip = self.accels[n].take_rx(h);
                         let (from, pkt) = (Endpoint::Mem(n), Packet::Iter(ip));
-                        self.notice(drv, now, from, pkt, Cargo::CrashNotice);
+                        self.notice(now, from, pkt, Cargo::CrashNotice);
                     }
                     return;
                 }
-                self.accel_call(drv, n, |accel, mem, out| accel.step(now, aev, mem, out));
+                self.accel_call(n, |accel, mem, out| accel.step(now, aev, mem, out));
             }
             Ev::Finished(id, how) => {
                 let st = self.inflight.remove(&id).expect("request inflight");
@@ -768,24 +791,29 @@ impl PulseCluster {
                     final_state: st.last_state,
                 });
             }
-            Ev::Fault(kind) => self.apply_fault(drv, now, kind),
-            Ev::Rebuild(stream) => self.rebuild_chunk(drv, now, stream),
-            Ev::Serve(n) => self.rpc_next(drv, now, n),
+            Ev::Fault(kind) => self.apply_fault(now, kind),
+            Ev::Rebuild(stream) => self.rebuild_chunk(now, stream),
+            Ev::Serve(n) => self.rpc_next(now, n),
         }
     }
 
-    /// Runs one call on memory node `n`'s accelerator against the reused
-    /// output buffer, then feeds the outputs into the event loop.
+    /// Runs one call on memory node `n`'s accelerator. Its internal
+    /// events go onto the event queue as it makes them; a departure, and
+    /// everything after it, waits in `accel_out` for [`Self::absorb`].
     fn accel_call(
         &mut self,
-        drv: &mut Driver<Ev>,
         n: NodeId,
-        call: impl FnOnce(&mut Accelerator, &mut ClusterMemory, &mut Vec<AccelOutput>),
+        call: impl FnOnce(&mut Accelerator, &mut ClusterMemory, &mut AccelOuts),
     ) {
-        let mut outs = std::mem::take(&mut self.accel_out);
+        let mut outs = AccelOuts {
+            drv: &mut self.drv,
+            node: n,
+            deferred: &mut self.accel_out,
+        };
         call(&mut self.accels[n], &mut self.mem, &mut outs);
-        self.absorb(drv, n, &mut outs);
-        self.accel_out = outs;
+        if !self.accel_out.is_empty() {
+            self.absorb(n);
+        }
     }
 
     /// Runs `requests` closed-loop with `concurrency` outstanding, to
@@ -1037,14 +1065,7 @@ impl PulseCluster {
     /// CPU with a header-sized notice of `kind`. The notice crosses the
     /// remaining hops to the CPU like a data frame, so it queues behind
     /// (and delays) data frames on the CPU's down-link.
-    fn notice(
-        &mut self,
-        drv: &mut Driver<Ev>,
-        at: SimTime,
-        from: Endpoint,
-        pkt: Packet,
-        kind: fn(RequestId) -> Cargo,
-    ) {
+    fn notice(&mut self, at: SimTime, from: Endpoint, pkt: Packet, kind: fn(RequestId) -> Cargo) {
         let id = pkt.id();
         self.recycle_lost(pkt);
         let f = Flight {
@@ -1054,7 +1075,7 @@ impl PulseCluster {
             route: Some(Route::To(Endpoint::Cpu(id.cpu))),
             hop: 1,
         };
-        self.launch(drv, at, f);
+        self.launch(at, f);
     }
 
     /// The CPU-side half of a crash notice: re-plan the request through
@@ -1062,7 +1083,7 @@ impl PulseCluster {
     /// `init()`); lost object I/O re-issues just the I/O. The re-issued
     /// packet then routes onto a live replica — or, with none left,
     /// fault-completes as unavailable at the switch.
-    fn on_crash_notice(&mut self, drv: &mut Driver<Ev>, now: SimTime, id: RequestId) {
+    fn on_crash_notice(&mut self, now: SimTime, id: RequestId) {
         let st = self.inflight.get_mut(&id).expect("inflight");
         if st.stage < st.req.traversals.len() {
             st.stage = 0;
@@ -1073,23 +1094,23 @@ impl PulseCluster {
         self.failovers += 1;
         let restart = now + REISSUE_OVERHEAD;
         self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), restart);
-        drv.schedule_at(restart, Ev::Start(id));
+        self.drv.schedule_at(restart, Ev::Start(id));
         // The leader's flight is gone; riders re-plan individually too.
-        self.detach_riders(drv, restart, id);
+        self.detach_riders(restart, id);
     }
 
     /// Applies one scheduled fault. Crashes and partitions abort the
     /// node's in-flight traversals (their CPUs learn via crash notices);
     /// crashes additionally kick off background re-replication of the
     /// node's extents from surviving replicas.
-    fn apply_fault(&mut self, drv: &mut Driver<Ev>, now: SimTime, kind: FaultKind) {
+    fn apply_fault(&mut self, now: SimTime, kind: FaultKind) {
         match kind {
             FaultKind::MemCrash(n) => {
                 self.mem.fail_node(n);
                 for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
-                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
+                    self.notice(now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
-                self.start_rereplication(drv, now, n);
+                self.start_rereplication(now, n);
             }
             FaultKind::MemRecover(n) => self.mem.recover_node(n),
             FaultKind::LinkPartition(n) => {
@@ -1099,14 +1120,14 @@ impl PulseCluster {
                 // (RPC-timeout semantics) — but its data is intact, so
                 // nothing is rebuilt.
                 for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
-                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
+                    self.notice(now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
             }
             FaultKind::LinkHeal(n) => self.partitioned[n] = false,
             FaultKind::AccelWedge(n) => {
                 self.wedged[n] = true;
                 for pkt in self.accels[n].abort_all().into_iter().map(Packet::Iter) {
-                    self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
+                    self.notice(now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
                 }
             }
         }
@@ -1117,7 +1138,7 @@ impl PulseCluster {
     /// already holding a copy. Extents with no surviving replica are
     /// simply lost (replication 1): requests needing them fault-complete
     /// as unavailable until the node recovers.
-    fn start_rereplication(&mut self, drv: &mut Driver<Ev>, now: SimTime, crashed: NodeId) {
+    fn start_rereplication(&mut self, now: SimTime, crashed: NodeId) {
         if self.mem.replication() <= 1 {
             return;
         }
@@ -1146,7 +1167,7 @@ impl PulseCluster {
                 dst,
                 departing: None,
             });
-            drv.schedule_at(now, Ev::Rebuild(stream));
+            self.drv.schedule_at(now, Ev::Rebuild(stream));
         }
     }
 
@@ -1157,7 +1178,7 @@ impl PulseCluster {
     /// fabric foreground packets use and lands through the target's DMA
     /// engine. One chunk is in flight per stream; when the stream
     /// completes, the target is promoted into the extent's replica set.
-    fn rebuild_chunk(&mut self, drv: &mut Driver<Ev>, now: SimTime, stream: u32) {
+    fn rebuild_chunk(&mut self, now: SimTime, stream: u32) {
         let RebuildStream {
             start,
             end,
@@ -1181,7 +1202,7 @@ impl PulseCluster {
             cursor.departing = None;
             cursor.offset = offset + len;
             if cursor.offset < end {
-                drv.schedule_at(write.end, Ev::Rebuild(stream));
+                self.drv.schedule_at(write.end, Ev::Rebuild(stream));
             } else {
                 self.mem.promote_replica(start, dst);
             }
@@ -1219,7 +1240,7 @@ impl PulseCluster {
         let cursor = &mut self.rebuilds[stream as usize];
         cursor.src = src;
         cursor.departing = Some(len);
-        drv.schedule_at(depart, Ev::Rebuild(stream));
+        self.drv.schedule_at(depart, Ev::Rebuild(stream));
     }
 
     /// Builds and transmits the current traversal stage (or object I/O) of
@@ -1228,7 +1249,7 @@ impl PulseCluster {
     /// [`CacheConfig::HIT_NS`] per hop) and only the remainder — resumed from
     /// the last cached pointer — goes on the wire; a stage that completes
     /// entirely in cache never leaves the node.
-    fn send_stage(&mut self, drv: &mut Driver<Ev>, now: SimTime, id: RequestId) {
+    fn send_stage(&mut self, now: SimTime, id: RequestId) {
         enum Next {
             /// Send a packet at the given time (walk latency included).
             Send(Packet, SimTime),
@@ -1340,14 +1361,15 @@ impl PulseCluster {
             }
         };
         match next {
-            Next::Fault => drv.schedule_at(now, Ev::Finished(id, Done::Fault)),
+            Next::Fault => self.drv.schedule_at(now, Ev::Finished(id, Done::Fault)),
             Next::Finish(cpu_work) => {
                 self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), now + cpu_work);
-                drv.schedule_at(now + cpu_work, Ev::Finished(id, Done::Ok));
+                self.drv
+                    .schedule_at(now + cpu_work, Ev::Finished(id, Done::Ok));
             }
             Next::LocalDone { code, at } => {
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
-                self.stage_done(drv, at, id, code, false, true)
+                self.stage_done(at, id, code, false, true)
             }
             Next::Ride(at) => {
                 // Coalesced rider: an identical plan is already in flight
@@ -1358,7 +1380,7 @@ impl PulseCluster {
             }
             Next::Send(pkt, at) => {
                 self.trace_push(id, SpanKind::CacheHit, Track::Cpu(id.cpu), at);
-                self.cpu_send(drv, at, pkt, DISPATCH_OVERHEAD);
+                self.cpu_send(at, pkt, DISPATCH_OVERHEAD);
             }
         }
     }
@@ -1372,15 +1394,7 @@ impl PulseCluster {
     /// book one dispatch op when they finish the whole request, so fully
     /// cached requests still saturate at the node's dispatch rate instead
     /// of scaling unboundedly.
-    fn stage_done(
-        &mut self,
-        drv: &mut Driver<Ev>,
-        now: SimTime,
-        id: RequestId,
-        code: u64,
-        gathered: bool,
-        local: bool,
-    ) {
+    fn stage_done(&mut self, now: SimTime, id: RequestId, code: u64, gathered: bool, local: bool) {
         enum Next {
             Advance,
             Finish(SimTime),
@@ -1425,7 +1439,7 @@ impl PulseCluster {
             }
         };
         match decision {
-            Next::Advance => self.send_stage(drv, now, id),
+            Next::Advance => self.send_stage(now, id),
             Next::Finish(cpu_work) => {
                 let done_at = if local {
                     let grant = self.cpus[id.cpu].dispatch.book_grant(now);
@@ -1440,7 +1454,8 @@ impl PulseCluster {
                     Track::Cpu(id.cpu),
                     done_at + cpu_work,
                 );
-                drv.schedule_at(done_at + cpu_work, Ev::Finished(id, Done::Ok));
+                self.drv
+                    .schedule_at(done_at + cpu_work, Ev::Finished(id, Done::Ok));
             }
             Next::Retry => {
                 self.retries += 1;
@@ -1449,9 +1464,9 @@ impl PulseCluster {
                 // send.
                 let restart = now + REISSUE_OVERHEAD;
                 self.trace_push(id, SpanKind::Retry, Track::Cpu(id.cpu), restart);
-                drv.schedule_at(restart, Ev::Start(id));
+                self.drv.schedule_at(restart, Ev::Start(id));
             }
-            Next::Exhausted => drv.schedule_at(now, Ev::Finished(id, Done::Fault)),
+            Next::Exhausted => self.drv.schedule_at(now, Ev::Finished(id, Done::Fault)),
         }
     }
 
@@ -1475,7 +1490,7 @@ impl PulseCluster {
     /// under the pulse-acc ablation), then failover around dark nodes.
     /// `None` means every replica was unreachable and the request's
     /// unavailable notice is on its way.
-    fn switch_route(&mut self, drv: &mut Driver<Ev>, now: SimTime, f: Flight) -> Option<Flight> {
+    fn switch_route(&mut self, now: SimTime, f: Flight) -> Option<Flight> {
         let Cargo::Packet(pkt) = f.cargo else {
             unreachable!("notices are born routed")
         };
@@ -1495,7 +1510,7 @@ impl PulseCluster {
                 ..f
             }),
             Err(()) => {
-                self.notice(drv, now, f.from, pkt, Cargo::Unavailable);
+                self.notice(now, f.from, pkt, Cargo::Unavailable);
                 None
             }
         }
@@ -1505,9 +1520,9 @@ impl PulseCluster {
     /// just reached its first switch takes the switch's decision; then the
     /// message books its next link and records a `WireHop` span on that
     /// link's track ending at its arrival, or lands when no link is left.
-    fn hop(&mut self, drv: &mut Driver<Ev>, now: SimTime, mut f: Flight) {
+    fn hop(&mut self, now: SimTime, mut f: Flight) {
         if f.route.is_none() && f.hop == 1 {
-            let Some(routed) = self.switch_route(drv, now, f) else {
+            let Some(routed) = self.switch_route(now, f) else {
                 return;
             };
             f = routed;
@@ -1522,7 +1537,7 @@ impl PulseCluster {
                 .copied(),
         };
         let Some(link) = link else {
-            return self.land(drv, now, f);
+            return self.land(now, f);
         };
         let arrive = self.fabric.hop(now, link, f.bytes);
         f.hop += 1;
@@ -1534,7 +1549,8 @@ impl PulseCluster {
                 arrive,
             );
         }
-        drv.schedule_at(arrive, Ev::Hop(self.flights.insert(f)));
+        self.drv
+            .schedule_at(arrive, Ev::Hop(self.flights.insert(f)));
     }
 
     /// Message `f` reaches its destination at `now`. A packet the switch
@@ -1543,31 +1559,32 @@ impl PulseCluster {
     /// back `Faulted { NotMapped }`, and a plain read or write
     /// fault-completes instead of hanging forever with its packet silently
     /// dropped.
-    fn land(&mut self, drv: &mut Driver<Ev>, now: SimTime, f: Flight) {
+    fn land(&mut self, now: SimTime, f: Flight) {
         let pkt = match f.cargo {
             Cargo::Packet(pkt) => pkt,
-            Cargo::CrashNotice(id) => return self.on_crash_notice(drv, now, id),
+            Cargo::CrashNotice(id) => return self.on_crash_notice(now, id),
             Cargo::Unavailable(id) => {
                 self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), now);
-                drv.schedule_at(now, Ev::Finished(id, Done::Unavailable));
+                self.drv
+                    .schedule_at(now, Ev::Finished(id, Done::Unavailable));
                 // Coalesced riders do not inherit the leader's unavailable
                 // completion: each re-issues and reaches its own verdict.
-                return self.detach_riders(drv, now, id);
+                return self.detach_riders(now, id);
             }
         };
         match (f.route.expect("a landing packet was routed"), pkt) {
-            (Route::To(Endpoint::Mem(n)), pkt) => self.at_mem(drv, now, n, pkt),
-            (Route::To(Endpoint::Cpu(_)), pkt) => self.at_cpu(drv, now, pkt),
+            (Route::To(Endpoint::Mem(n)), pkt) => self.at_mem(now, n, pkt),
+            (Route::To(Endpoint::Cpu(_)), pkt) => self.at_cpu(now, pkt),
             (Route::InvalidPointer { .. }, Packet::Iter(mut ip)) => {
                 ip.status = IterStatus::Faulted {
                     fault: pulse_isa::MemFault::NotMapped {
                         addr: ip.state.cur_ptr,
                     },
                 };
-                self.at_cpu(drv, now, Packet::Iter(ip))
+                self.at_cpu(now, Packet::Iter(ip))
             }
             (Route::InvalidPointer { .. }, Packet::Read { id, .. } | Packet::Write { id, .. }) => {
-                drv.schedule_at(now, Ev::Finished(id, Done::Fault));
+                self.drv.schedule_at(now, Ev::Finished(id, Done::Fault));
             }
             (Route::InvalidPointer { .. }, Packet::ReadReply { .. } | Packet::WriteAck { .. }) => {
                 unreachable!("replies route to the requester, never invalid")
@@ -1576,7 +1593,7 @@ impl PulseCluster {
     }
 
     /// Sends `pkt` out of endpoint `from` at `at`; see [`Self::launch`].
-    fn transmit(&mut self, drv: &mut Driver<Ev>, at: SimTime, pkt: Packet, from: Endpoint) {
+    fn transmit(&mut self, at: SimTime, pkt: Packet, from: Endpoint) {
         let bytes = pkt.wire_bytes();
         let f = Flight {
             cargo: Cargo::Packet(pkt),
@@ -1585,7 +1602,7 @@ impl PulseCluster {
             route: None,
             hop: 0,
         };
-        self.launch(drv, at, f);
+        self.launch(at, f);
     }
 
     /// Puts message `f` on the wire at `at`. Its first link is booked at
@@ -1593,11 +1610,11 @@ impl PulseCluster {
     /// [`Ev::Hop`] at `at`. Each later hop is booked by the event at which
     /// the message reaches it, so every link sees its traffic in simulated
     /// time order on every topology.
-    fn launch(&mut self, drv: &mut Driver<Ev>, at: SimTime, f: Flight) {
-        if at == drv.now() {
-            self.hop(drv, at, f)
+    fn launch(&mut self, at: SimTime, f: Flight) {
+        if at == self.drv.now() {
+            self.hop(at, f)
         } else {
-            drv.schedule_at(at, Ev::Hop(self.flights.insert(f)))
+            self.drv.schedule_at(at, Ev::Hop(self.flights.insert(f)))
         }
     }
 
@@ -1610,17 +1627,17 @@ impl PulseCluster {
             .expect("fabric covers every rack endpoint")
     }
 
-    fn at_mem(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, pkt: Packet) {
+    fn at_mem(&mut self, now: SimTime, n: NodeId, pkt: Packet) {
         // A packet that raced a fault — already in flight when its target
         // went dark (or, for traversals, wedged) — is lost on arrival; the
         // issuing CPU learns via a crash notice and re-plans.
         if !self.mem_ok(n) || (self.wedged[n] && matches!(pkt, Packet::Iter(_))) {
-            return self.notice(drv, now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
+            return self.notice(now, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
         }
         match pkt {
-            Packet::Iter(ip) if !self.servers.is_empty() => self.rpc_serve(drv, now, n, ip),
+            Packet::Iter(ip) if !self.servers.is_empty() => self.rpc_serve(now, n, ip),
             Packet::Iter(ip) => {
-                self.accel_call(drv, n, |accel, _, out| accel.on_packet(now, ip, out));
+                self.accel_call(n, |accel, _, out| accel.on_packet(now, ip, out));
             }
             Packet::Read { id, addr, len } => {
                 let _ = addr;
@@ -1629,7 +1646,7 @@ impl PulseCluster {
                 self.trace_occupy(Track::Mem(n), SpanKind::MemTrip { node: n }, g.start, g.end);
                 self.trace_push(id, SpanKind::MemTrip { node: n }, Track::Mem(n), g.end);
                 let reply = Packet::ReadReply { id, len };
-                self.mem_depart(drv, n, g.end, reply);
+                self.mem_depart(n, g.end, reply);
             }
             Packet::Write { id, addr, len } => {
                 let g = self.dma[n].acquire(now + DMA_SETUP, len as u64);
@@ -1664,7 +1681,7 @@ impl PulseCluster {
                 // replica fan-out it waits on — is the request's MemTrip.
                 self.trace_push(id, SpanKind::MemTrip { node: n }, Track::Mem(n), done);
                 let reply = Packet::WriteAck { id };
-                self.mem_depart(drv, n, done, reply);
+                self.mem_depart(n, done, reply);
             }
             Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
                 unreachable!("replies never route to memory nodes")
@@ -1674,24 +1691,28 @@ impl PulseCluster {
 
     /// Transmits a packet out of memory node `n` at `at` (see
     /// [`Self::transmit`]).
-    fn mem_depart(&mut self, drv: &mut Driver<Ev>, n: NodeId, at: SimTime, pkt: Packet) {
+    fn mem_depart(&mut self, n: NodeId, at: SimTime, pkt: Packet) {
         // The node went dark between serving and transmitting: the
         // response never escapes. (A response whose transmit was already
         // scheduled before the fault is considered escaped.)
         if !self.mem_ok(n) {
-            return self.notice(drv, at, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
+            return self.notice(at, Endpoint::Mem(n), pkt, Cargo::CrashNotice);
         }
-        self.transmit(drv, at, pkt, Endpoint::Mem(n));
+        self.transmit(at, pkt, Endpoint::Mem(n));
     }
 
-    /// Feeds accelerator outputs back into the event loop, applying the
-    /// near-memory gather: a final-stage `Done` response picks up the
-    /// request's object in place when it lives on the same node. Leaves
-    /// `outs` empty for reuse.
-    fn absorb(&mut self, drv: &mut Driver<Ev>, n: NodeId, outs: &mut Vec<AccelOutput>) {
+    /// Feeds the outputs deferred in `accel_out` into the event loop in
+    /// the order the accelerator made them, applying the near-memory
+    /// gather: a final-stage `Done` response picks up the request's object
+    /// in place when it lives on the same node. Leaves `accel_out` empty
+    /// for reuse.
+    fn absorb(&mut self, n: NodeId) {
+        let mut outs = std::mem::take(&mut self.accel_out);
         for out in outs.drain(..) {
             match out {
-                AccelOutput::Internal { at, event } => drv.schedule_at(at, Ev::Accel(n, event)),
+                AccelOutput::Internal { at, event } => {
+                    self.drv.schedule_at(at, Ev::Accel(n, event))
+                }
                 AccelOutput::Depart {
                     at,
                     mut pkt,
@@ -1733,13 +1754,14 @@ impl PulseCluster {
                         let span = SpanKind::MemTrip { node: n };
                         self.trace_occupy(Track::Mem(n), span, g.start, g.end);
                         self.trace_push(pkt.id, span, Track::Mem(n), g.end);
-                        self.mem_depart(drv, n, g.end, Packet::Iter(pkt));
+                        self.mem_depart(n, g.end, Packet::Iter(pkt));
                         continue;
                     }
-                    self.mem_depart(drv, n, at, Packet::Iter(pkt));
+                    self.mem_depart(n, at, Packet::Iter(pkt));
                 }
             }
         }
+        self.accel_out = outs;
     }
 
     /// The object a traversal response leaving memory node `n` picks up in
@@ -1765,13 +1787,13 @@ impl PulseCluster {
     /// Hands traversal packet `ip`, landed on memory node `n`, to its RPC
     /// workers (see [`PulseMode::Rpc`]): served now when a worker is free
     /// and none waits before it, and otherwise queued until one frees up.
-    fn rpc_serve(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, ip: IterPacket) {
+    fn rpc_serve(&mut self, now: SimTime, n: NodeId, ip: IterPacket) {
         let server = &mut self.servers[n];
         if server.waiting.is_empty() {
             if server.free_at() <= now {
-                return self.rpc_run(drv, now, n, ip);
+                return self.rpc_run(now, n, ip);
             }
-            drv.schedule_at(server.free_at(), Ev::Serve(n));
+            self.drv.schedule_at(server.free_at(), Ev::Serve(n));
         }
         server.waiting.push_back(ip);
     }
@@ -1779,17 +1801,17 @@ impl PulseCluster {
     /// A worker of memory node `n` frees up for the packet at the head of
     /// its queue. A packet queued at a node that has since gone dark is
     /// lost with it, as on landing.
-    fn rpc_next(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId) {
+    fn rpc_next(&mut self, now: SimTime, n: NodeId) {
         let ip = self.servers[n].waiting.pop_front().expect("a packet waits");
         if !self.mem_ok(n) || self.wedged[n] {
             let (from, pkt) = (Endpoint::Mem(n), Packet::Iter(ip));
-            self.notice(drv, now, from, pkt, Cargo::CrashNotice);
+            self.notice(now, from, pkt, Cargo::CrashNotice);
         } else {
-            self.rpc_run(drv, now, n, ip);
+            self.rpc_run(now, n, ip);
         }
         if !self.servers[n].waiting.is_empty() {
             let at = self.servers[n].free_at().max(now);
-            drv.schedule_at(at, Ev::Serve(n));
+            self.drv.schedule_at(at, Ev::Serve(n));
         }
     }
 
@@ -1801,7 +1823,7 @@ impl PulseCluster {
     /// time spent waiting for the worker included, is the request's
     /// `MemTrip`. Like a DMA reply, a reply whose node dies during the
     /// service has already escaped.
-    fn rpc_run(&mut self, drv: &mut Driver<Ev>, now: SimTime, n: NodeId, mut ip: IterPacket) {
+    fn rpc_run(&mut self, now: SimTime, n: NodeId, mut ip: IterPacket) {
         let (max_iters, collect) = (self.cfg.accel.max_iters, self.cfg.cache.enabled());
         let mut work = self.servers[n].run(n, &mut ip, &mut self.mem, max_iters, collect);
         if self.cpus[ip.id.cpu].objects.is_none() {
@@ -1813,21 +1835,21 @@ impl PulseCluster {
         self.mem_bytes_extra += work.bytes;
         let depart = self.servers[n].book(now, work);
         self.trace_push(ip.id, SpanKind::MemTrip { node: n }, Track::Mem(n), depart);
-        self.mem_depart(drv, n, depart, Packet::Iter(ip));
+        self.mem_depart(n, depart, Packet::Iter(ip));
     }
 
     /// Transmits a packet from its owning CPU node: the dispatch engine
     /// first (queueing + occupancy under load), then `overhead` (the flat
     /// issue pipeline, or the re-issue software of a bounced traversal),
     /// then [`Self::transmit`].
-    fn cpu_send(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet, overhead: SimTime) {
+    fn cpu_send(&mut self, now: SimTime, pkt: Packet, overhead: SimTime) {
         let id = pkt.id();
         let cpu = id.cpu;
         let grant = self.cpus[cpu].dispatch.book_grant(now);
         let depart = grant.end + overhead;
         self.trace_push(id, SpanKind::Queued, Track::Cpu(cpu), grant.start);
         self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), depart);
-        self.transmit(drv, depart, pkt, Endpoint::Cpu(cpu));
+        self.transmit(depart, pkt, Endpoint::Cpu(cpu));
     }
 
     /// ISA-v2 coalescing fan-out: each rider of a completed leader offload
@@ -1837,7 +1859,6 @@ impl PulseCluster {
     /// saturate at the node's dispatch rate instead of scaling unboundedly.
     fn fan_out_riders(
         &mut self,
-        drv: &mut Driver<Ev>,
         now: SimTime,
         riders: Vec<RequestId>,
         state: pulse_isa::IterState,
@@ -1851,7 +1872,7 @@ impl PulseCluster {
             if let Some(old) = prev {
                 self.scratch_pool.push(old.scratch);
             }
-            self.stage_done(drv, now, rider, code, false, true);
+            self.stage_done(now, rider, code, false, true);
         }
     }
 
@@ -1860,18 +1881,18 @@ impl PulseCluster {
     /// never sent anything — re-issue their stage individually from here
     /// (and may re-coalesce among themselves). Closing a request that led
     /// no group is a no-op, so callers invoke this unconditionally.
-    fn detach_riders(&mut self, drv: &mut Driver<Ev>, now: SimTime, leader: RequestId) {
+    fn detach_riders(&mut self, now: SimTime, leader: RequestId) {
         let riders = self.cpus[leader.cpu]
             .coalescer
             .as_mut()
             .map_or(Vec::new(), |c| c.close(leader));
         for rider in riders {
             self.trace_push(rider, SpanKind::Failover, Track::Cpu(rider.cpu), now);
-            self.send_stage(drv, now, rider);
+            self.send_stage(now, rider);
         }
     }
 
-    fn at_cpu(&mut self, drv: &mut Driver<Ev>, now: SimTime, pkt: Packet) {
+    fn at_cpu(&mut self, now: SimTime, pkt: Packet) {
         let id = pkt.id();
         match pkt {
             Packet::Iter(ip) => match ip.status {
@@ -1899,9 +1920,9 @@ impl PulseCluster {
                     if let Some(old) = prev {
                         self.scratch_pool.push(old.scratch);
                     }
-                    self.stage_done(drv, now, id, code, gathered, false);
+                    self.stage_done(now, id, code, gathered, false);
                     if let Some(state) = rider_state {
-                        self.fan_out_riders(drv, now, riders, state, code);
+                        self.fan_out_riders(now, riders, state, code);
                     }
                 }
                 IterStatus::InFlight => {
@@ -1914,7 +1935,7 @@ impl PulseCluster {
                     self.fill_cache(id.cpu, &ip.touched);
                     let mut ip = ip;
                     ip.touched.clear();
-                    self.cpu_send(drv, now, Packet::Iter(ip), REISSUE_OVERHEAD);
+                    self.cpu_send(now, Packet::Iter(ip), REISSUE_OVERHEAD);
                 }
                 IterStatus::IterLimit => {
                     // Continuation: fresh budget, same state (§3).
@@ -1923,21 +1944,22 @@ impl PulseCluster {
                     ip.touched.clear();
                     ip.status = IterStatus::InFlight;
                     ip.state.iters_done = 0;
-                    self.cpu_send(drv, now, Packet::Iter(ip), REISSUE_OVERHEAD);
+                    self.cpu_send(now, Packet::Iter(ip), REISSUE_OVERHEAD);
                 }
                 IterStatus::Faulted { .. } => {
                     self.scratch_pool.push(ip.state.scratch);
-                    drv.schedule_at(now, Ev::Finished(id, Done::Fault));
+                    self.drv.schedule_at(now, Ev::Finished(id, Done::Fault));
                     // The fault is the leader's own (bad pointer, budget);
                     // its riders re-issue individually rather than
                     // inheriting it.
-                    self.detach_riders(drv, now, id);
+                    self.detach_riders(now, id);
                 }
             },
             Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
                 let cpu_work = self.inflight.get(&id).expect("inflight").req.cpu_work;
                 self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), now + cpu_work);
-                drv.schedule_at(now + cpu_work, Ev::Finished(id, Done::Ok));
+                self.drv
+                    .schedule_at(now + cpu_work, Ev::Finished(id, Done::Ok));
             }
             Packet::Read { .. } | Packet::Write { .. } => {
                 unreachable!("requests never route to the CPU node")
@@ -1965,6 +1987,7 @@ fn resolve_addr(src: AddrSource, state: Option<&pulse_isa::IterState>) -> Option
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pulse_accel::{AccelTiming, PipelineOrg};
     use pulse_ds::BuildCtx;
     use pulse_mem::{ClusterAllocator, Placement};
     use pulse_workloads::{
@@ -2276,6 +2299,60 @@ mod tests {
     }
 
     #[test]
+    fn a_departure_is_queued_before_the_admission_it_makes_room_for() {
+        // One accelerator core, so the second request waits in the backlog
+        // until the first departs; the same step then emits the departure
+        // and admits the waiting request. The departure's first hop leaves
+        // once the network stack and the near-memory gather of its object
+        // are done, and DRAM is timed so that this is the picosecond the
+        // admitted iteration's `FetchDone` falls due: only sequence numbers
+        // order the two, and the first queued fires first.
+        let (mem, reqs, expected) = webservice_cluster(1, 2_000, 1 << 20);
+        let window = reqs[0].traversals[0].program.window().len;
+        let object = reqs[0].object_io.expect("a WebService read").len;
+        let mut timing = AccelTiming::default();
+        let gather = SimTime::serialization(object as u64, timing.dram_bytes_per_sec * 8);
+        let undelayed = timing.scheduler + timing.fetch_time(window) - timing.dram_access;
+        timing.dram_access = timing.net_stack + gather - undelayed;
+        let cfg = ClusterConfig {
+            accel: AccelConfig {
+                org: PipelineOrg::Coupled { cores: 1 },
+                timing,
+                ..AccelConfig::default()
+            },
+            ..ClusterConfig::default()
+        };
+        let mut cluster = PulseCluster::new(cfg, mem);
+        for req in reqs.into_iter().take(2) {
+            cluster.submit_at(SimTime::ZERO, req);
+        }
+        let mut fired = Vec::new();
+        let mut done = Vec::new();
+        while let Some(ev) = cluster.drv.next_event() {
+            let kind = match &ev {
+                Ev::Hop(_) => "hop",
+                Ev::Accel(_, AccelEvent::FetchDone { .. }) => "fetch",
+                _ => "other",
+            };
+            fired.push((cluster.now(), kind));
+            cluster.handle(ev);
+            done.extend(cluster.take_completions());
+        }
+        let tied: Vec<_> = fired
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+            .map(|w| (w[0].1, w[1].1))
+            .collect();
+        assert!(tied.contains(&("hop", "fetch")), "no tie: {tied:?}");
+        assert!(!tied.contains(&("fetch", "hop")), "reordered: {tied:?}");
+        assert_eq!(done.len(), 2);
+        for c in done {
+            let got = c.final_state.expect("state").scratch_u64(8);
+            assert_eq!(got, expected[c.id.seq as usize], "request {}", c.id);
+        }
+    }
+
+    #[test]
     fn zero_occupancy_dispatch_is_bit_identical_to_flat_adder() {
         // The explicit zero-occupancy config and the default must produce
         // byte-identical reports: the engine is a free pass-through.
@@ -2564,11 +2641,9 @@ mod tests {
     /// returns when each parked request finished, by sequence number.
     fn landings(
         cluster: &mut PulseCluster,
-        put: impl FnOnce(&mut PulseCluster, &mut Driver<Ev>),
+        put: impl FnOnce(&mut PulseCluster),
     ) -> Vec<(u64, SimTime)> {
-        let mut drv = std::mem::take(&mut cluster.drv);
-        put(cluster, &mut drv);
-        cluster.drv = drv;
+        put(cluster);
         let mut done = Vec::new();
         while cluster.step() {
             done.extend(cluster.take_completions());
@@ -2602,9 +2677,9 @@ mod tests {
             reply(1, 4096),
         );
         let run = |sends: Vec<(SimTime, Endpoint, Packet)>| {
-            landings(&mut wire_rack(LEAF_SPINE, 1), |cluster, drv| {
+            landings(&mut wire_rack(LEAF_SPINE, 1), |cluster| {
                 for (at, from, pkt) in sends {
-                    cluster.transmit(drv, at, pkt, from);
+                    cluster.transmit(at, pkt, from);
                 }
             })
         };
@@ -2622,9 +2697,9 @@ mod tests {
         let late = (SimTime::from_micros(5), Endpoint::Mem(0), reply(0, 4096));
         let early = (SimTime::from_micros(1), Endpoint::Mem(0), reply(1, 64));
         let run = |sends: Vec<(SimTime, Endpoint, Packet)>| {
-            landings(&mut wire_rack(FLAT, 1), |cluster, drv| {
+            landings(&mut wire_rack(FLAT, 1), |cluster| {
                 for (at, from, pkt) in sends {
-                    cluster.transmit(drv, at, pkt, from);
+                    cluster.transmit(at, pkt, from);
                 }
             })
         };
@@ -2646,7 +2721,7 @@ mod tests {
         let solo = |b| t + cfg.switch.pipeline_latency + ser(b) + cfg.link.propagation;
         for notice_first in [true, false] {
             let mut cluster = wire_rack(LEAF_SPINE, 1);
-            let out = landings(&mut cluster, |cluster, drv| {
+            let out = landings(&mut cluster, |cluster| {
                 let frame = Flight {
                     cargo: Cargo::Packet(data.clone()),
                     bytes: d_bytes,
@@ -2656,11 +2731,11 @@ mod tests {
                 };
                 let (from, lost) = (Endpoint::Mem(0), reply(0, 64));
                 if notice_first {
-                    cluster.notice(drv, t, from, lost, Cargo::Unavailable);
-                    cluster.launch(drv, t, frame);
+                    cluster.notice(t, from, lost, Cargo::Unavailable);
+                    cluster.launch(t, frame);
                 } else {
-                    cluster.launch(drv, t, frame);
-                    cluster.notice(drv, t, from, lost, Cargo::Unavailable);
+                    cluster.launch(t, frame);
+                    cluster.notice(t, from, lost, Cargo::Unavailable);
                 }
             });
             let (notice_at, data_at) = (out[0].1, out[1].1);
@@ -2775,9 +2850,7 @@ mod tests {
                     let want = idle().send(at, mem_ep, cpu_ep, back.wire_bytes());
                     (back, mem_ep, want.unwrap())
                 };
-                let out = landings(&mut cluster, |cluster, drv| {
-                    cluster.transmit(drv, at, pkt, from)
-                });
+                let out = landings(&mut cluster, |cluster| cluster.transmit(at, pkt, from));
                 assert_eq!(out, vec![(id.seq, want)], "{topology:?} case {case}");
             }
 

@@ -241,10 +241,16 @@ impl ClusterMemory {
     /// promoted rebuild targets.
     fn hosted(&self, extent_start: u64, primary: NodeId, node: NodeId) -> bool {
         // Derived rule: primary p at replication r hosts copies on
-        // {p, p+1, ..., p+r-1} mod node_count. The modular-difference test
-        // is allocation-free, and at replication 1 it reduces to
+        // {p, p+1, ..., p+r-1} mod node_count. The modular difference of
+        // two node ids needs one wrap at most, so a compare stands in for
+        // the division; at replication 1 the test reduces to
         // `node == primary` exactly.
-        let diff = (node + self.node_count - primary) % self.node_count;
+        debug_assert!(node < self.node_count && primary < self.node_count);
+        let diff = if node >= primary {
+            node - primary
+        } else {
+            node + self.node_count - primary
+        };
         if diff < self.replication {
             return true;
         }

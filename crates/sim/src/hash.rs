@@ -1,9 +1,10 @@
 //! A multiplicative hasher for the integer keys the simulator generates.
 //!
-//! Cache-line indices, version granules and similar keys are plain `u64`s
-//! chosen by the simulator itself, so SipHash's flooding resistance buys
-//! nothing on them. One multiply per key does. Maps keyed this way must
-//! never be iterated where the order could reach an output.
+//! Cache-line indices, version granules, request ids and similar keys are
+//! plain integers chosen by the simulator itself, so SipHash's flooding
+//! resistance buys nothing on them. One multiply per integer does. Maps
+//! keyed this way must never be iterated where the order could reach an
+//! output.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -27,6 +28,10 @@ impl Hasher for IdHasher {
     fn write_u64(&mut self, n: u64) {
         let product = u128::from(self.0 ^ n) * u128::from(MUL);
         self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
     }
 
     fn finish(&self) -> u64 {

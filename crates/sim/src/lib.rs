@@ -8,15 +8,20 @@
 //! simulation; every timed component is built from the four primitives here:
 //!
 //! * [`SimTime`] — integer-picosecond simulated time,
-//! * [`EventQueue`] / [`Driver`] — totally-ordered event scheduling,
+//! * [`EventQueue`] / [`Driver`] — totally-ordered event scheduling: a
+//!   binary heap of packed `(time, seq)` keys run as a hold model (the
+//!   next push fills the slot the last pop left), beside an arrival lane
+//!   for time-ordered streams,
 //! * [`SerialResource`] / [`ServerPool`] / [`CpuDispatch`] — contention
 //!   models for links, DRAM channels, pipeline pools, and CPU-node
 //!   dispatch engines,
 //! * [`LatencyHistogram`] — measurement collection.
 //!
 //! [`Slab`] parks large event payloads behind `u32` handles, so the event
-//! types stay small. [`IdHash`] hashes the integer keys the simulator
-//! generates (cache lines, version granules) with one multiply.
+//! types stay small; the queue keeps its heap events' payloads in one too,
+//! so a sift moves 16-byte keys only. [`IdHash`] hashes the integer keys
+//! the simulator generates (cache lines, version granules, request ids)
+//! with one multiply per integer.
 //!
 //! Determinism is a design requirement: identical configurations produce
 //! byte-identical experiment reports, which is what makes the regenerated

@@ -35,10 +35,23 @@ impl<T> Default for Slab<T> {
 impl<T> Slab<T> {
     /// Creates an empty slab.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty slab with room for `n` values before it
+    /// reallocates.
+    pub fn with_capacity(n: usize) -> Self {
         Slab {
-            slots: Vec::new(),
+            slots: Vec::with_capacity(n),
             free: Vec::new(),
         }
+    }
+
+    /// Drops every parked value, keeping the allocations. Handles start
+    /// again from 0.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free.clear();
     }
 
     /// Parks `value` and returns its handle.

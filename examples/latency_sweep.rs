@@ -89,7 +89,9 @@
 //! speed (sim-ops/sec per curve, its build and simulate wall-clock, and
 //! wall-clock per rung) to
 //! `BENCH_simspeed.json`; CI greps all three files and checks the
-//! cache-hit-rate, link-utilization, and ISA-v2 invariants.
+//! cache-hit-rate, link-utilization, and ISA-v2 invariants. Every document
+//! (the traced pair below included) is written before the example asserts
+//! its claims, so a failed claim still leaves them on disk to compare.
 //!
 //! `--trace <path>` additionally runs one fully-traced rung *after* the
 //! sweep (tracing stays off in every ladder curve, so `BENCH_sweep.json`
@@ -365,6 +367,42 @@ fn main() -> Result<(), pulse::Error> {
         spec_curves.iter().map(|c| c.label.as_str()).eq(SPEC_LABELS),
         "the ISA-v2 curves must be the table's tail"
     );
+
+    // Every document goes out before any claim below is asserted, so a
+    // failed claim still leaves the sweep on disk to compare and diagnose.
+    let json = sweep_json(&curves);
+    std::fs::write("BENCH_sweep.json", &json)
+        .map_err(|e| pulse::Error::Config(format!("writing BENCH_sweep.json: {e}")))?;
+    println!(
+        "\nwrote BENCH_sweep.json ({} bytes, {} curves)",
+        json.len(),
+        curves.len()
+    );
+    let spec_json = sweep_json(&spec_curves);
+    std::fs::write("BENCH_spec_sweep.json", &spec_json)
+        .map_err(|e| pulse::Error::Config(format!("writing BENCH_spec_sweep.json: {e}")))?;
+    println!(
+        "wrote BENCH_spec_sweep.json ({} bytes, {} ISA-v2 curves)",
+        spec_json.len(),
+        spec_curves.len()
+    );
+    std::fs::write("BENCH_simspeed.json", &speed_json)
+        .map_err(|e| pulse::Error::Config(format!("writing BENCH_simspeed.json: {e}")))?;
+    println!(
+        "wrote BENCH_simspeed.json ({} bytes, {} workers)",
+        speed_json.len(),
+        workers
+    );
+
+    if let Some(path) = trace_path {
+        let traced = Deployment {
+            rack: leafspine.trace(Some(TraceConfig::default())),
+            nodes: FABRIC_NODES,
+            stream: ws,
+            requests,
+        };
+        run_traced_rung(&path, &traced, loads_kops[0])?;
+    }
 
     for curve in curves.iter().chain(&spec_curves) {
         print_curve(curve);
@@ -774,39 +812,6 @@ fn main() -> Result<(), pulse::Error> {
         "the rack rebuilds lost redundancy under RPC too"
     );
 
-    let json = sweep_json(&curves);
-    std::fs::write("BENCH_sweep.json", &json)
-        .map_err(|e| pulse::Error::Config(format!("writing BENCH_sweep.json: {e}")))?;
-    println!(
-        "\nwrote BENCH_sweep.json ({} bytes, {} curves)",
-        json.len(),
-        curves.len()
-    );
-    let spec_json = sweep_json(&spec_curves);
-    std::fs::write("BENCH_spec_sweep.json", &spec_json)
-        .map_err(|e| pulse::Error::Config(format!("writing BENCH_spec_sweep.json: {e}")))?;
-    println!(
-        "wrote BENCH_spec_sweep.json ({} bytes, {} ISA-v2 curves)",
-        spec_json.len(),
-        spec_curves.len()
-    );
-    std::fs::write("BENCH_simspeed.json", &speed_json)
-        .map_err(|e| pulse::Error::Config(format!("writing BENCH_simspeed.json: {e}")))?;
-    println!(
-        "wrote BENCH_simspeed.json ({} bytes, {} workers)",
-        speed_json.len(),
-        workers
-    );
-
-    if let Some(path) = trace_path {
-        let traced = Deployment {
-            rack: leafspine.trace(Some(TraceConfig::default())),
-            nodes: FABRIC_NODES,
-            stream: ws,
-            requests,
-        };
-        run_traced_rung(&path, &traced, loads_kops[0])?;
-    }
     Ok(())
 }
 

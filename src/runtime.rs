@@ -28,9 +28,9 @@ use pulse_core::{
 use pulse_ds::{BuildCtx, DsError};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_net::{RequestId, TopologySpec};
-use pulse_sim::{LatencyHistogram, SimTime};
+use pulse_sim::{IdHash, LatencyHistogram, SimTime};
 use pulse_workloads::{execute_functional, AppRequest, ArrivalProcess, FunctionalRun};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 /// Default in-flight window: enough to keep a small rack's accelerators
 /// busy without hiding latency effects.
@@ -498,10 +498,8 @@ impl Runtime {
     /// completion's timestamp.
     pub fn poll(&mut self) -> Vec<Completion> {
         self.started = true;
-        let mut out = self.cluster.take_completions();
-        while out.is_empty() && self.cluster.step() {
-            out.extend(self.cluster.take_completions());
-        }
+        self.cluster.step_until_completion();
+        let out = self.cluster.take_completions();
         self.refill();
         out
     }
@@ -727,7 +725,7 @@ impl OpenLoopDriver {
         let base = Snapshot::of(runtime);
         let mut t = runtime.now();
         let mut first_arrival = None;
-        let mut update_ids = std::collections::HashSet::new();
+        let mut update_ids: HashSet<RequestId, IdHash> = HashSet::default();
         for req in requests {
             let is_update = req.is_update();
             t += self.arrivals.next_gap();
