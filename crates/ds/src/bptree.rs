@@ -9,7 +9,7 @@
 //! the internal-node window size so the coalesced 216 B LOAD is always
 //! in-bounds.
 
-use crate::common::{init_state, BuildCtx, DsError};
+use crate::common::{init_state, BuildCtx, DsError, NodeImage};
 use pulse_dispatch::samples::{
     btrdb_aggregate_spec, btrdb_layout, btree_layout, btree_search_spec, DEFAULT_BTRDB_LEAF_CAP,
     DEFAULT_BTREE_FANOUT,
@@ -66,25 +66,77 @@ pub enum TreePlacement {
     },
 }
 
+impl TreePlacement {
+    /// The memory node for leaf `leaf_idx` of `leaves` (`None`: the
+    /// allocator's policy decides).
+    fn node_of(self, leaf_idx: usize, leaves: usize) -> Option<NodeId> {
+        match self {
+            TreePlacement::Policy => None,
+            TreePlacement::Partitioned { nodes } => {
+                Some((leaf_idx * nodes / leaves).min(nodes - 1))
+            }
+        }
+    }
+}
+
 /// The node size every tree node is padded to (the descent window).
 fn padded_node_size(fanout: u32) -> u64 {
     btree_layout::node_size(fanout)
 }
 
-/// Shared bulk loader: builds the leaf level via `write_leaf`, then stacks
-/// internal levels of `fanout` children until a single root remains.
+/// Stores a level of chained leaves, each with one write. A leaf's
+/// `NEXT` is the address of the leaf allocated after it, so each leaf
+/// waits here until its successor is pushed: allocation order, and with
+/// it every address, is that of a build that chains the leaves last.
+struct LeafChain {
+    /// Offset of the next-leaf pointer.
+    next: i32,
+    /// The last leaf pushed, not yet stored.
+    pending: Option<(u64, NodeImage)>,
+    addrs: Vec<u64>,
+}
+
+impl LeafChain {
+    fn new(next: i32, leaves: usize) -> Self {
+        LeafChain {
+            next,
+            pending: None,
+            addrs: Vec::with_capacity(leaves),
+        }
+    }
+
+    /// Adds the leaf at `addr`, storing its predecessor.
+    fn push(&mut self, ctx: &mut BuildCtx<'_>, addr: u64, leaf: NodeImage) -> Result<(), DsError> {
+        if let Some((prev, mut image)) = self.pending.replace((addr, leaf)) {
+            ctx.store(prev, image.set(self.next, addr))?;
+        }
+        self.addrs.push(addr);
+        Ok(())
+    }
+
+    /// Stores the last leaf, whose `NEXT` is null, and returns every
+    /// leaf's address in chain order.
+    fn finish(mut self, ctx: &mut BuildCtx<'_>) -> Result<Vec<u64>, DsError> {
+        if let Some((last, mut image)) = self.pending.take() {
+            ctx.store(last, image.set(self.next, 0))?;
+        }
+        Ok(self.addrs)
+    }
+}
+
+/// Shared bulk loader: stacks internal levels of `fanout + 1` children
+/// over the leaves at `leaf_addrs` (separated by `leaf_seps`, each
+/// leaf's max key) until a single root remains, storing each internal
+/// node with one write.
 ///
-/// Returns `(root, height, first_leaf)`.
-fn bulk_load<F>(
+/// Returns `(root, height)`.
+pub(crate) fn bulk_load(
     ctx: &mut BuildCtx<'_>,
     fanout: u32,
     leaf_seps: &[u64],
     leaf_addrs: &[u64],
-    place: F,
-) -> Result<(u64, u32, u64), DsError>
-where
-    F: Fn(usize, usize) -> Option<NodeId>,
-{
+    placement: TreePlacement,
+) -> Result<(u64, u32), DsError> {
     assert_eq!(leaf_seps.len(), leaf_addrs.len());
     assert!(!leaf_addrs.is_empty(), "bulk_load needs leaves");
     let node_size = padded_node_size(fanout);
@@ -93,39 +145,40 @@ where
     let mut level_seps: Vec<u64> = leaf_seps.to_vec();
     let mut height = 1u32;
     let leaf_count = leaf_addrs.len();
+    let group_len = fanout as usize + 1;
     while level_addrs.len() > 1 {
         height += 1;
         let mut next_addrs = Vec::new();
         let mut next_seps = Vec::new();
-        for (gi, group) in level_addrs.chunks(fanout as usize + 1).enumerate() {
+        for (gi, (group, seps)) in level_addrs
+            .chunks(group_len)
+            .zip(level_seps.chunks(group_len))
+            .enumerate()
+        {
             // Place internal nodes near their leftmost descendant leaf.
-            let leaf_idx = gi * (fanout as usize + 1) * leaf_count / level_addrs.len().max(1);
-            let addr = match place(leaf_idx.min(leaf_count - 1), leaf_count) {
-                Some(node) => ctx.alloc_on(node, node_size)?,
-                None => ctx.alloc(node_size)?,
-            };
-            let sep_base = gi * (fanout as usize + 1);
+            let leaf_idx = gi * group_len * leaf_count / level_addrs.len();
+            let node = placement.node_of(leaf_idx.min(leaf_count - 1), leaf_count);
+            let addr = ctx.alloc_placed(node, node_size)?;
+            // Separator i = max key under child i, for all but the last.
             let nkeys = group.len() - 1;
-            ctx.put(addr, btree_layout::IS_LEAF as i64, 0)?;
-            ctx.put(addr, btree_layout::NUM_KEYS as i64, nkeys as u64)?;
+            let mut image = NodeImage::new();
+            image
+                .set(btree_layout::IS_LEAF, 0)
+                .set(btree_layout::NUM_KEYS, nkeys as u64);
             for (i, &child) in group.iter().enumerate() {
-                ctx.put(addr, btree_layout::child(fanout, i as u32) as i64, child)?;
-                if i < nkeys {
-                    // Separator i = max key under child i.
-                    ctx.put(
-                        addr,
-                        btree_layout::key(i as u32) as i64,
-                        level_seps[sep_base + i],
-                    )?;
-                }
+                image.set(btree_layout::child(fanout, i as u32), child);
             }
+            for (i, &sep) in seps[..nkeys].iter().enumerate() {
+                image.set(btree_layout::key(i as u32), sep);
+            }
+            ctx.store(addr, &image)?;
             next_addrs.push(addr);
-            next_seps.push(level_seps[sep_base + group.len() - 1]);
+            next_seps.push(seps[nkeys]);
         }
         level_addrs = next_addrs;
         level_seps = next_seps;
     }
-    Ok((level_addrs[0], height, leaf_addrs[0]))
+    Ok((level_addrs[0], height))
 }
 
 /// The WiredTiger storage-engine index: a B+Tree over `(key, value_ptr)`
@@ -162,45 +215,31 @@ impl WiredTigerTree {
         let fanout = DEFAULT_BTREE_FANOUT;
         let node_size = padded_node_size(fanout);
         let leaf_count = pairs.len().div_ceil(wt_layout::CAP as usize);
-        let place = |leaf_idx: usize, leaves: usize| match placement {
-            TreePlacement::Policy => None,
-            TreePlacement::Partitioned { nodes } => {
-                Some((leaf_idx * nodes / leaves).min(nodes - 1))
-            }
-        };
         // Leaves + value blobs.
-        let mut leaf_addrs = Vec::with_capacity(leaf_count);
+        let mut leaves = LeafChain::new(wt_layout::NEXT, leaf_count);
         let mut leaf_seps = Vec::with_capacity(leaf_count);
         for (li, chunk) in pairs.chunks(wt_layout::CAP as usize).enumerate() {
-            let addr = match place(li, leaf_count) {
-                Some(node) => ctx.alloc_on(node, node_size)?,
-                None => ctx.alloc(node_size)?,
-            };
-            ctx.put(addr, wt_layout::IS_LEAF as i64, 1)?;
-            ctx.put(addr, wt_layout::COUNT as i64, chunk.len() as u64)?;
+            let node = placement.node_of(li, leaf_count);
+            let addr = ctx.alloc_placed(node, node_size)?;
+            let mut leaf = NodeImage::new();
+            leaf.set(wt_layout::IS_LEAF, 1)
+                .set(wt_layout::COUNT, chunk.len() as u64);
             for (i, &(k, vseed)) in chunk.iter().enumerate() {
-                ctx.put(addr, wt_layout::key(i as u32) as i64, k)?;
+                leaf.set(wt_layout::key(i as u32), k);
                 // Out-of-line value blob, co-located with its leaf.
-                let vaddr = match place(li, leaf_count) {
-                    Some(node) => ctx.alloc_on(node, wt_layout::VALUE_BYTES)?,
-                    None => ctx.alloc(wt_layout::VALUE_BYTES)?,
-                };
+                let vaddr = ctx.alloc_placed(node, wt_layout::VALUE_BYTES)?;
                 ctx.put(vaddr, 0, vseed)?;
-                ctx.put(addr, wt_layout::valptr(i as u32) as i64, vaddr)?;
+                leaf.set(wt_layout::valptr(i as u32), vaddr);
             }
-            leaf_addrs.push(addr);
+            leaves.push(ctx, addr, leaf)?;
             leaf_seps.push(chunk.last().expect("non-empty chunk").0);
         }
-        // Chain the leaves.
-        for w in 0..leaf_addrs.len() {
-            let next = leaf_addrs.get(w + 1).copied().unwrap_or(0);
-            ctx.put(leaf_addrs[w], wt_layout::NEXT as i64, next)?;
-        }
-        let (root, height, first_leaf) = bulk_load(ctx, fanout, &leaf_seps, &leaf_addrs, place)?;
+        let leaf_addrs = leaves.finish(ctx)?;
+        let (root, height) = bulk_load(ctx, fanout, &leaf_seps, &leaf_addrs, placement)?;
         Ok(WiredTigerTree {
             root,
             height,
-            first_leaf,
+            first_leaf: leaf_addrs[0],
             len: pairs.len(),
             fanout,
         })
@@ -344,36 +383,25 @@ impl BtrdbTree {
         let cap = DEFAULT_BTRDB_LEAF_CAP;
         let node_size = padded_node_size(fanout);
         let leaf_count = samples.len().div_ceil(cap as usize);
-        let place = |leaf_idx: usize, leaves: usize| match placement {
-            TreePlacement::Policy => None,
-            TreePlacement::Partitioned { nodes } => {
-                Some((leaf_idx * nodes / leaves).min(nodes - 1))
-            }
-        };
-        let mut leaf_addrs = Vec::with_capacity(leaf_count);
+        let mut leaves = LeafChain::new(btrdb_layout::NEXT, leaf_count);
         let mut leaf_seps = Vec::with_capacity(leaf_count);
         for (li, chunk) in samples.chunks(cap as usize).enumerate() {
-            let addr = match place(li, leaf_count) {
-                Some(node) => ctx.alloc_on(node, node_size)?,
-                None => ctx.alloc(node_size)?,
-            };
-            ctx.put(addr, btrdb_layout::COUNT as i64, chunk.len() as u64)?;
+            let addr = ctx.alloc_placed(placement.node_of(li, leaf_count), node_size)?;
+            let mut leaf = NodeImage::new();
+            leaf.set(btrdb_layout::COUNT, chunk.len() as u64);
             for (i, &(ts, val)) in chunk.iter().enumerate() {
-                ctx.put(addr, btrdb_layout::ts(i as u32) as i64, ts)?;
-                ctx.put(addr, btrdb_layout::val(i as u32) as i64, val as u64)?;
+                leaf.set(btrdb_layout::ts(i as u32), ts)
+                    .set(btrdb_layout::val(i as u32), val as u64);
             }
-            leaf_addrs.push(addr);
+            leaves.push(ctx, addr, leaf)?;
             leaf_seps.push(chunk.last().expect("non-empty").0);
         }
-        for w in 0..leaf_addrs.len() {
-            let next = leaf_addrs.get(w + 1).copied().unwrap_or(0);
-            ctx.put(leaf_addrs[w], btrdb_layout::NEXT as i64, next)?;
-        }
-        let (root, height, first_leaf) = bulk_load(ctx, fanout, &leaf_seps, &leaf_addrs, place)?;
+        let leaf_addrs = leaves.finish(ctx)?;
+        let (root, height) = bulk_load(ctx, fanout, &leaf_seps, &leaf_addrs, placement)?;
         Ok(BtrdbTree {
             root,
             height,
-            first_leaf,
+            first_leaf: leaf_addrs[0],
             samples: samples.len(),
         })
     }

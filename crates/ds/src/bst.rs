@@ -12,7 +12,7 @@
 //! * splay via bottom-up splaying of the inserted key,
 //! * scapegoat via α-weight-balance subtree rebuilds (α = 0.7).
 
-use crate::common::{init_state, BuildCtx, DsError};
+use crate::common::{init_state, BuildCtx, DsError, NodeImage};
 use crate::traversal::{StagePlan, Traversal};
 use pulse_dispatch::{CondExpr, Expr, IterSpec, Stmt};
 use pulse_isa::{Cond, IterState, Program, Width};
@@ -551,10 +551,12 @@ impl SearchTree {
             if a == 0 {
                 continue;
             }
-            ctx.put(a, layout::KEY as i64, n.key)?;
-            ctx.put(a, layout::VALUE as i64, n.value)?;
-            ctx.put(a, layout::LEFT as i64, n.left.map_or(0, |c| sim_addr[c]))?;
-            ctx.put(a, layout::RIGHT as i64, n.right.map_or(0, |c| sim_addr[c]))?;
+            let mut node = NodeImage::new();
+            node.set(layout::KEY, n.key)
+                .set(layout::LEFT, n.left.map_or(0, |c| sim_addr[c]))
+                .set(layout::RIGHT, n.right.map_or(0, |c| sim_addr[c]))
+                .set(layout::VALUE, n.value);
+            ctx.store(a, &node)?;
         }
         Ok(SearchTree {
             kind,
@@ -865,6 +867,71 @@ mod tests {
         let (_, iters) = offloaded_lower_bound(&mut mem, &tree, &prog, 500);
         assert!(iters as usize <= tree.depth());
         assert!(iters >= 2);
+    }
+
+    /// The serializer `SearchTree::build` used before nodes were stored
+    /// whole: every field its own 8-byte write. Returns the root.
+    fn build_word_at_a_time(ctx: &mut BuildCtx<'_>, kind: BstKind, pairs: &[(u64, u64)]) -> u64 {
+        let mut host = HostTree::new(kind);
+        for &(k, v) in pairs {
+            host.insert(k, v);
+        }
+        let mut sim_addr = vec![0u64; host.arena.len()];
+        for (i, n) in host.arena.iter().enumerate() {
+            if kind == BstKind::Splay && n.key == u64::MAX {
+                continue;
+            }
+            sim_addr[i] = ctx.alloc(layout::NODE_SIZE).unwrap();
+        }
+        for (i, n) in host.arena.iter().enumerate() {
+            let a = sim_addr[i];
+            if a == 0 {
+                continue;
+            }
+            let link = |c: Option<usize>| c.map_or(0, |c| sim_addr[c]);
+            ctx.put(a, layout::KEY as i64, n.key).unwrap();
+            ctx.put(a, layout::VALUE as i64, n.value).unwrap();
+            ctx.put(a, layout::LEFT as i64, link(n.left)).unwrap();
+            ctx.put(a, layout::RIGHT as i64, link(n.right)).unwrap();
+        }
+        host.root.map_or(0, |r| sim_addr[r])
+    }
+
+    #[test]
+    fn build_matches_word_at_a_time_serialization() {
+        use pulse_isa::MemBus;
+        for kind in KINDS {
+            for n in [0, 1, 700] {
+                // Duplicate keys included: they go right.
+                let pairs = pseudo_pairs(n);
+                let rack = || {
+                    (
+                        ClusterMemory::new(3),
+                        ClusterAllocator::new(Placement::Striped, 1024),
+                    )
+                };
+                let ((mut got, mut got_alloc), (mut want, mut want_alloc)) = (rack(), rack());
+                let tree =
+                    SearchTree::build(&mut BuildCtx::new(&mut got, &mut got_alloc), kind, &pairs)
+                        .unwrap();
+                let root = build_word_at_a_time(
+                    &mut BuildCtx::new(&mut want, &mut want_alloc),
+                    kind,
+                    &pairs,
+                );
+                assert_eq!(tree.root(), root, "{kind:?} n={n}");
+                let ranges = want.all_ranges();
+                assert_eq!(got.all_ranges(), ranges, "{kind:?} n={n}");
+                for (start, end, _) in ranges {
+                    let len = (end - start) as usize;
+                    let (mut a, mut b) = (vec![0; len], vec![0; len]);
+                    got.read(start, &mut a).unwrap();
+                    want.read(start, &mut b).unwrap();
+                    assert!(a == b, "{kind:?} n={n}: extent at {start:#x}");
+                }
+                assert_eq!(got.backed_bytes(), want.backed_bytes(), "{kind:?} n={n}");
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Google's `cpp-btree` (Table 1): a B-tree with values stored in the
 //! leaves, located by the paper's Listing 8/9 `internal_locate` program.
 
-use crate::bptree::decode_located_leaf;
-use crate::common::{init_state, BuildCtx, DsError};
+use crate::bptree::{bulk_load, decode_located_leaf, TreePlacement};
+use crate::common::{init_state, BuildCtx, DsError, NodeImage};
 use crate::traversal::{StagePlan, Traversal};
 use pulse_dispatch::samples::{btree_layout, btree_search_spec, DEFAULT_BTREE_FANOUT};
 use pulse_dispatch::IterSpec;
@@ -54,48 +54,22 @@ impl GoogleBTree {
         let mut leaf_seps = Vec::new();
         for chunk in pairs.chunks(leaf_layout::CAP as usize) {
             let addr = ctx.alloc(node_size)?;
-            ctx.put(addr, btree_layout::IS_LEAF as i64, 1)?;
-            ctx.put(addr, btree_layout::NUM_KEYS as i64, chunk.len() as u64)?;
+            let mut leaf = NodeImage::new();
+            leaf.set(btree_layout::IS_LEAF, 1)
+                .set(btree_layout::NUM_KEYS, chunk.len() as u64);
             for (i, &(k, v)) in chunk.iter().enumerate() {
-                ctx.put(addr, btree_layout::key(i as u32) as i64, k)?;
-                ctx.put(addr, leaf_layout::value(i as u32) as i64, v)?;
+                leaf.set(btree_layout::key(i as u32), k)
+                    .set(leaf_layout::value(i as u32), v);
             }
+            ctx.store(addr, &leaf)?;
             leaf_addrs.push(addr);
             leaf_seps.push(chunk.last().expect("non-empty").0);
         }
-        // Internal levels (same construction as the B+Tree bulk loader, but
-        // leaves are not chained).
-        let mut level_addrs = leaf_addrs;
-        let mut level_seps = leaf_seps;
-        let mut height = 1;
-        while level_addrs.len() > 1 {
-            height += 1;
-            let mut next_addrs = Vec::new();
-            let mut next_seps = Vec::new();
-            for (gi, group) in level_addrs.chunks(fanout as usize + 1).enumerate() {
-                let addr = ctx.alloc(node_size)?;
-                let sep_base = gi * (fanout as usize + 1);
-                let nkeys = group.len() - 1;
-                ctx.put(addr, btree_layout::IS_LEAF as i64, 0)?;
-                ctx.put(addr, btree_layout::NUM_KEYS as i64, nkeys as u64)?;
-                for (i, &child) in group.iter().enumerate() {
-                    ctx.put(addr, btree_layout::child(fanout, i as u32) as i64, child)?;
-                    if i < nkeys {
-                        ctx.put(
-                            addr,
-                            btree_layout::key(i as u32) as i64,
-                            level_seps[sep_base + i],
-                        )?;
-                    }
-                }
-                next_addrs.push(addr);
-                next_seps.push(level_seps[sep_base + group.len() - 1]);
-            }
-            level_addrs = next_addrs;
-            level_seps = next_seps;
-        }
+        // Internal levels: the B+Tree bulk loader's, over unchained leaves.
+        let (root, height) =
+            bulk_load(ctx, fanout, &leaf_seps, &leaf_addrs, TreePlacement::Policy)?;
         Ok(GoogleBTree {
-            root: level_addrs[0],
+            root,
             height,
             len: pairs.len(),
         })

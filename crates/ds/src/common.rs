@@ -1,7 +1,7 @@
 //! Shared plumbing for structures living in simulated memory.
 
 use pulse_isa::{IterState, MemBus, MemFault, Program};
-use pulse_mem::{ClusterAllocator, ClusterMemory, MemError};
+use pulse_mem::{ClusterAllocator, ClusterMemory, MemError, NodeId};
 use std::fmt;
 
 /// Errors raised while building or querying a structure.
@@ -65,14 +65,72 @@ impl<'a> BuildCtx<'a> {
         Ok(self.alloc.alloc_on(self.mem, node, size)?)
     }
 
+    /// Allocates `size` bytes on `node`, or by policy when `node` is
+    /// `None`.
+    pub fn alloc_placed(&mut self, node: Option<NodeId>, size: u64) -> Result<u64, DsError> {
+        match node {
+            Some(node) => self.alloc_on(node, size),
+            None => self.alloc(size),
+        }
+    }
+
     /// Writes a u64 field.
     pub fn put(&mut self, addr: u64, off: i64, v: u64) -> Result<(), DsError> {
         Ok(self.mem.write_word(addr.wrapping_add(off as u64), v, 8)?)
     }
 
+    /// Writes a node put together on the host with one store.
+    pub(crate) fn store(&mut self, addr: u64, node: &NodeImage) -> Result<(), DsError> {
+        Ok(self.mem.write(addr, node.bytes())?)
+    }
+
     /// Reads a u64 field.
     pub fn get(&mut self, addr: u64, off: i64) -> Result<u64, DsError> {
         Ok(self.mem.read_word(addr.wrapping_add(off as u64), 8)?)
+    }
+}
+
+/// A node's bytes, put together on the host so a builder stores the node
+/// with one write instead of one per field.
+///
+/// Only the span from offset 0 to the end of the last field set is
+/// stored. Every builder sets offset 0, so the store backs exactly the
+/// blocks the same fields written one word at a time would back. Fields
+/// left unset inside the span are stored as zeros, which is what an
+/// unwritten byte reads as.
+#[derive(Debug)]
+pub(crate) struct NodeImage {
+    bytes: [u8; NodeImage::MAX_BYTES],
+    len: usize,
+}
+
+impl NodeImage {
+    /// The largest node an image holds (a B+tree node is 216 B).
+    const MAX_BYTES: usize = 256;
+
+    /// An image with no field set.
+    pub(crate) fn new() -> Self {
+        NodeImage {
+            bytes: [0; Self::MAX_BYTES],
+            len: 0,
+        }
+    }
+
+    /// Sets the u64 field at `off`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the field ends past [`NodeImage::MAX_BYTES`].
+    pub(crate) fn set(&mut self, off: i32, v: u64) -> &mut Self {
+        let at = off as usize;
+        self.bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        self.len = self.len.max(at + 8);
+        self
+    }
+
+    /// The bytes from offset 0 to the end of the last field set.
+    fn bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 }
 
@@ -114,6 +172,22 @@ mod tests {
         assert_eq!(ctx.get(a, 8).unwrap(), 1234);
         let b = ctx.alloc_on(1, 64).unwrap();
         assert_eq!(ctx.mem.owner_of(b), Some(1));
+    }
+
+    #[test]
+    fn a_node_image_stores_up_to_its_last_field() {
+        let mut mem = ClusterMemory::new(1);
+        let mut alloc = ClusterAllocator::new(Placement::Single(0), 4096);
+        let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
+        let a = ctx.alloc(64).unwrap();
+        let mut node = NodeImage::new();
+        node.set(16, 7).set(0, 3);
+        assert_eq!(node.bytes().len(), 24);
+        ctx.store(a, &node).unwrap();
+        assert_eq!(ctx.get(a, 0).unwrap(), 3);
+        assert_eq!(ctx.get(a, 8).unwrap(), 0);
+        assert_eq!(ctx.get(a, 16).unwrap(), 7);
+        assert_eq!(ctx.mem.write_epoch(), 1, "one store per node");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `init()` step computes the bucket address locally at the CPU node and
 //! the offloaded program does the rest.
 
-use crate::common::{fnv1a, init_state, BuildCtx, DsError};
+use crate::common::{fnv1a, init_state, BuildCtx, DsError, NodeImage};
 use crate::traversal::{StagePlan, Traversal};
 use pulse_dispatch::samples::{hash_find_spec, hash_layout as layout};
 use pulse_dispatch::IterSpec;
@@ -15,6 +15,15 @@ use pulse_mem::ClusterMemory;
 
 /// A sentinel key no user key may use (bucket heads carry it).
 pub const SENTINEL_KEY: u64 = u64::MAX;
+
+/// A chain node (or bucket sentinel) holding `key`, `value` and `next`.
+fn chain_node(key: u64, value: u64, next: u64) -> NodeImage {
+    let mut node = NodeImage::new();
+    node.set(layout::KEY, key)
+        .set(layout::VALUE, value)
+        .set(layout::NEXT, next);
+    node
+}
 
 /// A chained hash map in disaggregated memory.
 ///
@@ -81,13 +90,9 @@ impl HashMapDs {
         });
         let mut bucket_addrs = Vec::with_capacity(buckets as usize);
         for b in 0..buckets as usize {
-            let a = match &bucket_nodes {
-                Some(nodes) => ctx.alloc_on(nodes[b], layout::NODE_SIZE)?,
-                None => ctx.alloc(layout::NODE_SIZE)?,
-            };
-            ctx.put(a, layout::KEY as i64, SENTINEL_KEY)?;
-            ctx.put(a, layout::VALUE as i64, 0)?;
-            ctx.put(a, layout::NEXT as i64, 0)?;
+            let node = bucket_nodes.as_ref().map(|nodes| nodes[b]);
+            let a = ctx.alloc_placed(node, layout::NODE_SIZE)?;
+            ctx.store(a, &chain_node(SENTINEL_KEY, 0, 0))?;
             bucket_addrs.push(a);
         }
         let mut map = HashMapDs {
@@ -114,17 +119,9 @@ impl HashMapDs {
     pub fn insert(&mut self, ctx: &mut BuildCtx<'_>, key: u64, value: u64) -> Result<(), DsError> {
         assert_ne!(key, SENTINEL_KEY, "sentinel key is reserved");
         let bucket = self.bucket_addr(key);
-        let node = match &self.bucket_nodes {
-            Some(nodes) => {
-                let b = self.bucket_index(key);
-                ctx.alloc_on(nodes[b], layout::NODE_SIZE)?
-            }
-            None => ctx.alloc(layout::NODE_SIZE)?,
-        };
+        let node = ctx.alloc_placed(self.bucket_node(key), layout::NODE_SIZE)?;
         let old_head = ctx.get(bucket, layout::NEXT as i64)?;
-        ctx.put(node, layout::KEY as i64, key)?;
-        ctx.put(node, layout::VALUE as i64, value)?;
-        ctx.put(node, layout::NEXT as i64, old_head)?;
+        ctx.store(node, &chain_node(key, value, old_head))?;
         ctx.put(bucket, layout::NEXT as i64, node)?;
         self.len += 1;
         Ok(())

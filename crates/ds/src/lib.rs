@@ -7,8 +7,8 @@
 //! Every structure follows the same split the paper prescribes:
 //!
 //! * **build** and structural mutation (inserts, splits) run host-side
-//!   (the CPU node) and write node bytes into disaggregated memory through
-//!   the placement-policy allocator — at runtime, the `pulse-mutation`
+//!   (the CPU node) and store each node's bytes into disaggregated memory
+//!   with one write, placed by the allocator — at runtime, the `pulse-mutation`
 //!   pipeline does this against pre-carved arenas;
 //! * **traversals** — lookups, scans, *and* seqlock-verified reads and
 //!   in-place updates (`pulse-mutation`'s `STORE`/`CAS` programs) — are

@@ -2,7 +2,7 @@
 //! (singly linked), both served by the same `std::find` base function
 //! (Table 5, Listings 4–5).
 
-use crate::common::{init_state, BuildCtx, DsError};
+use crate::common::{init_state, BuildCtx, DsError, NodeImage};
 use crate::traversal::{StagePlan, Traversal};
 use pulse_dispatch::samples::hash_layout as layout;
 use pulse_dispatch::{CondExpr, Expr, IterSpec, Stmt};
@@ -32,7 +32,7 @@ pub struct LinkedList {
 }
 
 /// Extra field offset for the `prev` pointer in doubly linked nodes.
-const PREV: i64 = 24;
+const PREV: i32 = 24;
 
 impl LinkedList {
     /// Builds a list containing `values` in order.
@@ -50,14 +50,14 @@ impl LinkedList {
             addrs.push(ctx.alloc(node_size)?);
         }
         for (i, (&v, &a)) in values.iter().zip(addrs.iter()).enumerate() {
-            ctx.put(a, layout::KEY as i64, v)?;
-            ctx.put(a, layout::VALUE as i64, v)?;
-            let next = addrs.get(i + 1).copied().unwrap_or(0);
-            ctx.put(a, layout::NEXT as i64, next)?;
+            let mut node = NodeImage::new();
+            node.set(layout::KEY, v)
+                .set(layout::VALUE, v)
+                .set(layout::NEXT, addrs.get(i + 1).copied().unwrap_or(0));
             if kind == ListKind::Doubly {
-                let prev = if i > 0 { addrs[i - 1] } else { 0 };
-                ctx.put(a, PREV, prev)?;
+                node.set(PREV, if i > 0 { addrs[i - 1] } else { 0 });
             }
+            ctx.store(a, &node)?;
         }
         Ok(LinkedList {
             kind,
@@ -224,9 +224,9 @@ mod tests {
             addrs.push(next);
         }
         assert_eq!(addrs.len(), 3);
-        assert_eq!(ctx.get(addrs[0], PREV).unwrap(), 0);
-        assert_eq!(ctx.get(addrs[1], PREV).unwrap(), addrs[0]);
-        assert_eq!(ctx.get(addrs[2], PREV).unwrap(), addrs[1]);
+        assert_eq!(ctx.get(addrs[0], PREV as i64).unwrap(), 0);
+        assert_eq!(ctx.get(addrs[1], PREV as i64).unwrap(), addrs[0]);
+        assert_eq!(ctx.get(addrs[2], PREV as i64).unwrap(), addrs[1]);
     }
 
     #[test]

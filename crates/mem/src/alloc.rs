@@ -9,7 +9,7 @@
 
 use crate::cluster::ClusterMemory;
 use crate::extent::{NodeId, Perms};
-use pulse_sim::SplitMix64;
+use pulse_sim::{IdHash, SplitMix64};
 use std::collections::HashMap;
 
 /// Virtual addresses start here; address 0 stays unmapped so it can serve
@@ -59,8 +59,9 @@ pub struct ClusterAllocator {
     next_extent_va: u64,
     /// Open extent for policy-driven allocation: (cursor, end).
     open: Option<(u64, u64)>,
-    /// Open extent per node for placement-hinted allocation.
-    open_on: HashMap<NodeId, (u64, u64)>,
+    /// Open extent per node for placement-hinted allocation: (cursor,
+    /// end). Never iterated, so the hasher's order reaches no output.
+    open_on: HashMap<NodeId, (u64, u64), IdHash>,
     next_rr: usize,
     rng: SplitMix64,
 }
@@ -85,7 +86,7 @@ impl ClusterAllocator {
             granularity,
             next_extent_va: VA_BASE,
             open: None,
-            open_on: HashMap::new(),
+            open_on: HashMap::default(),
             next_rr: 0,
             rng: SplitMix64::new(seed),
         }
@@ -163,18 +164,16 @@ impl ClusterAllocator {
         size: u64,
     ) -> Result<u64, crate::cluster::MemError> {
         let size = size.div_ceil(8) * 8;
-        let need_new = match self.open_on.get(&node) {
-            Some(&(cursor, end)) => cursor + size > end,
-            None => true,
-        };
-        if need_new {
-            let ext = self.open_extent(mem, node, size)?;
-            self.open_on.insert(node, ext);
+        if let Some((cursor, end)) = self.open_on.get_mut(&node) {
+            if *cursor + size <= *end {
+                let addr = *cursor;
+                *cursor += size;
+                return Ok(addr);
+            }
         }
-        let slot = self.open_on.get_mut(&node).expect("just opened");
-        let addr = slot.0;
-        slot.0 += size;
-        Ok(addr)
+        let (start, end) = self.open_extent(mem, node, size)?;
+        self.open_on.insert(node, (start + size, end));
+        Ok(start)
     }
 }
 

@@ -28,6 +28,15 @@ struct Block {
     versions: [u64; BLOCK_BYTES / GRANULE],
 }
 
+impl Block {
+    /// Copies `data` in at block offset `b` and stamps `epoch` on every
+    /// granule it touches (the one holding `b`, for empty `data`).
+    fn put(&mut self, b: usize, data: &[u8], epoch: u64) {
+        self.bytes[b..b + data.len()].copy_from_slice(data);
+        self.versions[b / GRANULE..=(b + data.len().max(1) - 1) / GRANULE].fill(epoch);
+    }
+}
+
 /// One aligned [`REGION_BYTES`] span of the address space.
 #[derive(Debug)]
 struct Region {
@@ -178,14 +187,19 @@ impl BlockStore {
     /// Writes `data` at `addr` and stamps `epoch` on every granule it
     /// touches. An empty write stamps the granule holding `addr`.
     pub(crate) fn write(&mut self, addr: u64, data: &[u8], epoch: u64) {
+        let b = in_block(addr);
+        if data.len() <= BLOCK_BYTES - b {
+            // Words and whole nodes mostly lie in one block, as in `read`.
+            let (key, off) = locate(addr);
+            self.region_mut(key).carve(off).put(b, data, epoch);
+            return;
+        }
         let mut done = 0;
         for (start, n) in split(addr, data.len(), REGION_BYTES) {
             let region = self.region_mut(locate(start).0);
             for (at, m) in split(start, n, BLOCK_BYTES as u64) {
                 let block = region.carve(locate(at).1);
-                let b = in_block(at);
-                block.bytes[b..b + m].copy_from_slice(&data[done..done + m]);
-                block.versions[b / GRANULE..=(b + m.max(1) - 1) / GRANULE].fill(epoch);
+                block.put(in_block(at), &data[done..done + m], epoch);
                 done += m;
             }
         }

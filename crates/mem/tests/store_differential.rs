@@ -14,8 +14,9 @@
 //! After every operation the two must agree on the result or fault, the
 //! bytes read, `write_epoch` and the version asked for; at the end of a
 //! case, on every byte and every granule around the layout, and the store
-//! must back exactly the blocks that successful writes touched. A last
-//! test writes one region in full, out of address order.
+//! must back exactly the blocks that successful writes touched. Another
+//! test aims writes at block edges, where a write stops fitting in one
+//! block, and a last one writes one region in full, out of address order.
 
 use pulse_isa::{MemBus, MemFault};
 use pulse_mem::{ClusterMemory, NodeId, Perms, VERSION_GRANULE_BYTES};
@@ -338,6 +339,79 @@ fn block_store_matches_zero_filled_extents_and_a_granule_map() {
             reference.written_blocks.len() as u64 * BLOCK,
             "case {case}: backed blocks"
         );
+    }
+}
+
+#[test]
+fn writes_at_block_edges_match_the_reference() {
+    // A write that fits in its block takes the store's one-block path;
+    // one byte more takes the general one. Drive both at every kind of
+    // edge: ending exactly at a block's end, crossing into the next block
+    // (or region) by one byte, one byte at either end of a block, whole
+    // blocks, and empty writes at a block's first and last byte.
+    let mut rng = SplitMix64::new(0xed9e);
+    let start = REGION - 4 * BLOCK;
+    let len = 8 * BLOCK;
+    let mut mem = ClusterMemory::new(1);
+    mem.add_extent(start, len, 0, Perms::RW).unwrap();
+    let mut reference = Reference {
+        extents: vec![RefExtent {
+            start,
+            node: 0,
+            perms: Perms::RW,
+            data: vec![0; len as usize],
+        }],
+        nodes: 1,
+        replication: 1,
+        write_epoch: 0,
+        granule_versions: HashMap::new(),
+        written_blocks: BTreeSet::new(),
+    };
+    let mut writes = Vec::new();
+    for block in (start..start + len).step_by(BLOCK as usize) {
+        let end = block + BLOCK;
+        for b in [0, 1, 8, G - 1, G, BLOCK / 2 + 3, BLOCK - 8, BLOCK - 1] {
+            writes.push((block + b, BLOCK - b)); // ends at the block's end
+            if end < start + len {
+                writes.push((block + b, BLOCK - b + 1)); // one byte over
+            }
+        }
+        writes.extend([(block, 1), (end - 1, 1), (block, 0), (end - 1, 0)]);
+        writes.push((block, BLOCK));
+    }
+    // Shuffled, so a block is first carved by either path, and empty
+    // writes land on unbacked blocks as well as backed ones.
+    for i in (1..writes.len()).rev() {
+        writes.swap(i, rng.next_below(i as u64 + 1) as usize);
+    }
+    for (n, &(addr, len)) in writes.iter().enumerate() {
+        let data = random_bytes(&mut rng, len as usize);
+        let ctx = format!("write {n}: {len} B at {addr:#x}");
+        assert_eq!(
+            mem.write(addr, &data),
+            reference.write(addr, &data, None),
+            "{ctx}"
+        );
+        let block = addr / BLOCK * BLOCK;
+        for (a, l) in [(block - BLOCK, 3 * BLOCK), (addr, len), (addr, 1)] {
+            assert_eq!(
+                mem.version_of(a, l),
+                reference.version_of(a, l),
+                "{ctx}: version_of({a:#x}, {l})"
+            );
+        }
+        assert_eq!(
+            mem.backed_bytes(),
+            reference.written_blocks.len() as u64 * BLOCK,
+            "{ctx}: backed blocks"
+        );
+    }
+    let mut got = vec![0xee; len as usize];
+    mem.read(start, &mut got).unwrap();
+    assert_eq!(got, reference.extents[0].data);
+    assert_eq!(mem.write_epoch(), reference.write_epoch);
+    for g in (start..start + len).step_by(G as usize) {
+        assert_eq!(mem.version_of(g, G), reference.version_of(g, G), "{g:#x}");
     }
 }
 

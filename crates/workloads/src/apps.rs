@@ -110,10 +110,7 @@ impl WebService {
         };
         let mut object_addrs = Vec::with_capacity(cfg.keys as usize);
         for k in 0..cfg.keys {
-            let addr = match map.bucket_node(k) {
-                Some(node) => ctx.alloc_on(node, cfg.object_bytes as u64)?,
-                None => ctx.alloc(cfg.object_bytes as u64)?,
-            };
+            let addr = ctx.alloc_placed(map.bucket_node(k), cfg.object_bytes as u64)?;
             object_addrs.push(addr);
             map.insert(ctx, k, addr)?;
         }

@@ -52,7 +52,8 @@ pub const YCSB_ZIPFIAN_THETA: f64 = 0.99;
 #[derive(Debug, Clone)]
 pub struct ZipfianChooser {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^θ`: a scaled draw below it (and not below 1) is rank 1.
+    rank1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -79,7 +80,7 @@ impl ZipfianChooser {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         ZipfianChooser {
             n,
-            theta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -100,7 +101,7 @@ impl ZipfianChooser {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
