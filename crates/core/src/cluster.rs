@@ -27,6 +27,7 @@ use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, AccelSink, Accelerator};
 use pulse_frontend::{
     prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
 };
+use pulse_isa::Interpreter;
 use pulse_mem::{
     CapacityExceeded, ClusterMemory, FaultEvent, FaultKind, GlobalRangeMap, NodeId, Perms,
     RangeTable,
@@ -343,6 +344,9 @@ pub struct PulseCluster {
     fabric: Fabric,
     /// Per-CPU-node issue-path state, indexed by `RequestId::cpu`.
     cpus: Vec<CpuNode>,
+    /// Runs every front-end cache walk. Walks never overlap, so one
+    /// interpreter (and its frame) serves every CPU node.
+    walker: Interpreter,
     /// Per-node DMA engines serving plain object reads/writes.
     dma: Vec<SerialResource>,
     /// Requests that have arrived and not yet finished. Submitted requests
@@ -535,6 +539,7 @@ impl PulseCluster {
                     objects: rpc.and_then(RpcFlavor::object_cache),
                 })
                 .collect(),
+            walker: Interpreter::new(),
             dma: (0..nodes)
                 .map(|_| SerialResource::new(cfg.accel.timing.dram_bytes_per_sec * 8))
                 .collect(),
@@ -1285,8 +1290,13 @@ impl PulseCluster {
                         if !skip {
                             if let Some(cache) = self.cpus[id.cpu].cache.as_mut() {
                                 let hit = CacheConfig::HIT_NS;
-                                let outcome =
-                                    prefix_walk(cache, &self.mem, &stage.program, &mut state);
+                                let outcome = prefix_walk(
+                                    &mut self.walker,
+                                    cache,
+                                    &self.mem,
+                                    &stage.program,
+                                    &mut state,
+                                );
                                 send_at = now + hit * outcome.hops() as u64;
                                 if let WalkOutcome::Done { code, .. } = outcome {
                                     local_code = Some(code);

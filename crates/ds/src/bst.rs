@@ -103,7 +103,7 @@ impl HostTree {
         }
     }
 
-    /// Arena length including splay tombstones (test instrumentation).
+    /// The node at arena index `i` (test instrumentation).
     #[cfg(test)]
     fn node(&self, i: usize) -> &HNode {
         &self.arena[i]
@@ -320,7 +320,7 @@ impl HostTree {
     /// Sleator's simple top-down splay: returns the new subtree root, the
     /// node closest to `key`.
     fn splay(&mut self, mut t: usize, key: u64) -> usize {
-        // Dummy assembly node.
+        // Dummy assembly node, last in the arena until it is popped below.
         let dummy = self.arena.len();
         self.arena.push(HNode::new(0, 0));
         let (mut l, mut r) = (dummy, dummy);
@@ -370,10 +370,8 @@ impl HostTree {
         self.arena[r].left = self.arena[t].right;
         self.arena[t].left = self.arena[dummy].right;
         self.arena[t].right = self.arena[dummy].left;
-        // Neutralize the dummy (it stays in the arena but unlinked).
-        self.arena[dummy].left = None;
-        self.arena[dummy].right = None;
-        self.arena[dummy].key = u64::MAX; // mark as tombstone
+        // No node links to the dummy, so only real nodes stay in the arena.
+        self.arena.pop();
         t
     }
 
@@ -537,20 +535,14 @@ impl SearchTree {
             host.insert(k, v);
         }
         debug_assert!(host.check_bst(host.root, None, None));
-        // Serialize: allocate simulated nodes in arena order (skipping
-        // splay tombstones), then patch pointers.
-        let mut sim_addr = vec![0u64; host.arena.len()];
-        for (i, n) in host.arena.iter().enumerate() {
-            if kind == BstKind::Splay && n.key == u64::MAX {
-                continue; // dummy assembly node
-            }
-            sim_addr[i] = ctx.alloc(layout::NODE_SIZE)?;
-        }
-        for (i, n) in host.arena.iter().enumerate() {
-            let a = sim_addr[i];
-            if a == 0 {
-                continue;
-            }
+        // Serialize: allocate simulated nodes in arena order, then patch
+        // pointers.
+        let sim_addr = host
+            .arena
+            .iter()
+            .map(|_| ctx.alloc(layout::NODE_SIZE))
+            .collect::<Result<Vec<u64>, _>>()?;
+        for (n, &a) in host.arena.iter().zip(&sim_addr) {
             let mut node = NodeImage::new();
             node.set(layout::KEY, n.key)
                 .set(layout::LEFT, n.left.map_or(0, |c| sim_addr[c]))
@@ -826,6 +818,23 @@ mod tests {
     }
 
     #[test]
+    fn the_largest_key_is_an_ordinary_key_for_all_kinds() {
+        let pairs = [(1, 10), (5, 50), (u64::MAX, 7)];
+        for kind in KINDS {
+            let mut mem = ClusterMemory::new(1);
+            let mut alloc = ClusterAllocator::new(Placement::Single(0), 4096);
+            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
+            let tree = SearchTree::build(&mut ctx, kind, &pairs).unwrap();
+            assert_ne!(tree.root(), 0, "{kind:?}");
+            let prog = compile(&SearchTree::lower_bound_spec()).unwrap();
+            for (k, v) in pairs {
+                let (got, _) = offloaded_lower_bound(&mut mem, &tree, &prog, k);
+                assert_eq!(got, Some((k, v)), "{kind:?} lower_bound({k})");
+            }
+        }
+    }
+
+    #[test]
     fn scapegoat_depth_bounded_by_alpha_log() {
         let mut host = HostTree::new(BstKind::Scapegoat);
         // Adversarial: sorted insertion order.
@@ -876,18 +885,12 @@ mod tests {
         for &(k, v) in pairs {
             host.insert(k, v);
         }
-        let mut sim_addr = vec![0u64; host.arena.len()];
-        for (i, n) in host.arena.iter().enumerate() {
-            if kind == BstKind::Splay && n.key == u64::MAX {
-                continue;
-            }
-            sim_addr[i] = ctx.alloc(layout::NODE_SIZE).unwrap();
-        }
-        for (i, n) in host.arena.iter().enumerate() {
-            let a = sim_addr[i];
-            if a == 0 {
-                continue;
-            }
+        let sim_addr: Vec<u64> = host
+            .arena
+            .iter()
+            .map(|_| ctx.alloc(layout::NODE_SIZE).unwrap())
+            .collect();
+        for (n, &a) in host.arena.iter().zip(&sim_addr) {
             let link = |c: Option<usize>| c.map_or(0, |c| sim_addr[c]);
             ctx.put(a, layout::KEY as i64, n.key).unwrap();
             ctx.put(a, layout::VALUE as i64, n.value).unwrap();

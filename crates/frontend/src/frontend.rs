@@ -43,18 +43,18 @@ impl WalkOutcome {
 
 /// Walks a traversal stage locally while every cell it touches is resident
 /// and version-valid in `cache`, advancing `state` in place. Each
-/// attempted iteration runs speculatively against a [`CacheBus`]: on any
-/// fault (missing line, stale line, a `STORE`/`CAS` — writes always go
-/// remote) the attempt is discarded and the walk stops at the last
-/// committed state. Counts one cache hit per committed hop and one miss
-/// per stop.
+/// attempted iteration runs speculatively on `interp` against a
+/// [`CacheBus`]: on any fault (missing line, stale line, a `STORE`/`CAS`
+/// — writes always go remote) the attempt is discarded and the walk stops
+/// at the last committed state. Counts one cache hit per committed hop and
+/// one miss per stop.
 pub fn prefix_walk(
+    interp: &mut Interpreter,
     cache: &mut TraversalCache,
     mem: &ClusterMemory,
     program: &Program,
     state: &mut IterState,
 ) -> WalkOutcome {
-    let mut interp = Interpreter::new();
     let mut hops = 0u32;
     // One speculative state per walk, re-synced from the committed state
     // before every attempt after the first. Field by field: the derived
@@ -135,7 +135,7 @@ mod tests {
         let mut cache = TraversalCache::new(CacheConfig::sized(4096));
         let mut st = IterState::new(&prog, head);
         st.set_scratch_u64(0, 2);
-        let out = prefix_walk(&mut cache, &mem, &prog, &mut st);
+        let out = prefix_walk(&mut Interpreter::new(), &mut cache, &mem, &prog, &mut st);
         assert_eq!(out, WalkOutcome::Stopped { hops: 0 });
         assert_eq!(st.cur_ptr, head, "state untouched by the aborted hop");
     }
@@ -147,7 +147,7 @@ mod tests {
         cache.fill_range(0x1000, 4 * 24, &mut mem);
         let mut st = IterState::new(&prog, head);
         st.set_scratch_u64(0, 2);
-        let out = prefix_walk(&mut cache, &mem, &prog, &mut st);
+        let out = prefix_walk(&mut Interpreter::new(), &mut cache, &mem, &prog, &mut st);
         assert_eq!(out, WalkOutcome::Done { code: 0, hops: 3 });
         assert_eq!(st.scratch_u64(8), 20);
         assert_eq!(cache.stats().hits, 3);
@@ -163,7 +163,7 @@ mod tests {
         cache.fill_range(0x1000, 1, &mut mem);
         let mut st = IterState::new(&prog, head);
         st.set_scratch_u64(0, 3);
-        let out = prefix_walk(&mut cache, &mem, &prog, &mut st);
+        let out = prefix_walk(&mut Interpreter::new(), &mut cache, &mem, &prog, &mut st);
         assert_eq!(out, WalkOutcome::Stopped { hops: 2 });
         assert_eq!(st.cur_ptr, 0x1000 + 2 * 24, "resume pointer at node 2");
         assert_eq!(st.iters_done, 2);
@@ -178,7 +178,7 @@ mod tests {
         mem.write_word(0x1000 + 24 + 8, 999, 8).unwrap();
         let mut st = IterState::new(&prog, head);
         st.set_scratch_u64(0, 2);
-        let out = prefix_walk(&mut cache, &mem, &prog, &mut st);
+        let out = prefix_walk(&mut Interpreter::new(), &mut cache, &mem, &prog, &mut st);
         assert!(matches!(out, WalkOutcome::Stopped { .. }));
         assert!(cache.stats().invalidations > 0);
     }

@@ -339,6 +339,7 @@ fn prefix_walk_matches_clone_per_hop_walk() {
     let prog = summing_find();
     let mut rng = SplitMix64::new(0x9A1C_0018);
     let (mut done, mut long_stops) = (0, 0);
+    let mut walker = Interpreter::new();
     for case in 0..CASES {
         let mut mem = memory();
         // A random acyclic chain through the node array, ending at null.
@@ -381,7 +382,7 @@ fn prefix_walk_matches_clone_per_hop_walk() {
         };
         st.set_scratch_u64(0, key);
         let mut want_state = st.clone();
-        let got = prefix_walk(&mut fast, &mem, &prog, &mut st);
+        let got = prefix_walk(&mut walker, &mut fast, &mem, &prog, &mut st);
         let want = reference_walk(&mut slow, &mem, &prog, &mut want_state);
         assert_eq!(got, want, "case {case}");
         assert_eq!(st, want_state, "case {case}");

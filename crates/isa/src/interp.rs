@@ -10,9 +10,9 @@
 //! fallback all charge their own costs around the same functional core, so
 //! the semantics of a traversal are identical on every execution engine.
 
-use crate::decoded::{Dst, Op, Src};
+use crate::decoded::{Bin, Cmp, Op, Slot, Un, FRAME_LEN, NODE, SCRATCH};
 use crate::membus::{MemBus, MemFault};
-use crate::ops::{AluOp, Width, NUM_REGS};
+use crate::ops::AluOp;
 use crate::program::Program;
 use std::fmt;
 
@@ -164,10 +164,16 @@ impl TraversalRun {
 ///
 /// The interpreter is engine-agnostic: [`Interpreter::run_iteration`] is used
 /// by the accelerator model (which charges pipeline time around it), by the
-/// RPC baselines (which charge CPU time), and directly by tests.
+/// RPC baselines (which charge CPU time), and directly by tests. It owns the
+/// byte frame every iteration runs on (registers, `cur_ptr`, scratchpad,
+/// node window and the program's immediates), so reusing one interpreter
+/// across iterations reloads a program's immediates only when the program
+/// changes.
 #[derive(Debug, Default)]
 pub struct Interpreter {
-    window_buf: Vec<u8>,
+    frame: Frame,
+    /// The id of the [`Code`] whose immediates the frame holds (0: none).
+    loaded: u64,
 }
 
 impl Interpreter {
@@ -195,130 +201,40 @@ impl Interpreter {
         state: &mut IterState,
         bus: &mut dyn MemBus,
     ) -> Result<IterTrace, Fault> {
+        let sp_len = program.scratch_len() as usize;
         assert!(
-            state.scratch.len() >= program.scratch_len() as usize,
+            state.scratch.len() >= sp_len,
             "scratchpad smaller than program requirement"
         );
         let window = program.window();
         let base = state.cur_ptr.wrapping_add(window.off as i64 as u64);
-        self.window_buf.resize(window.len as usize, 0);
-        bus.read(base, &mut self.window_buf)?;
+        let f = &mut self.frame;
+        bus.read(base, f.region(NODE, window.len as usize))?;
 
-        let mut f = Frame {
-            regs: [0; NUM_REGS as usize],
-            cur_ptr: state.cur_ptr,
-            sp: &mut state.scratch,
-            node: &self.window_buf,
-        };
-        let mut pc: u32 = 0;
-        let mut executed: u32 = 0;
-        let mut extra_loads: u32 = 0;
-        let mut stores: u32 = 0;
-        let mut store_bytes: u32 = 0;
-        let mut spec_next: Option<u64> = None;
-        let mut spec_inhibit = false;
-        let ops = program.ops();
-
-        let outcome = loop {
-            executed += 1;
-            match ops[pc as usize] {
-                Op::Alu { op, dst, a, b } => {
-                    let (av, bv) = (f.get(a), f.get(b));
-                    let v = match op {
-                        AluOp::Add => av.wrapping_add(bv),
-                        AluOp::Sub => av.wrapping_sub(bv),
-                        AluOp::Mul => av.wrapping_mul(bv),
-                        AluOp::Div => {
-                            if bv == 0 {
-                                return Err(Fault::DivideByZero { pc });
-                            }
-                            av / bv
-                        }
-                        AluOp::And => av & bv,
-                        AluOp::Or => av | bv,
-                    };
-                    f.put(dst, v);
-                }
-                Op::Not { dst, a } => {
-                    let v = !f.get(a);
-                    f.put(dst, v);
-                }
-                Op::Move { dst, src } => {
-                    let v = f.get(src);
-                    f.put(dst, v);
-                }
-                Op::Load {
-                    dst,
-                    base,
-                    off,
-                    width,
-                } => {
-                    let v = bus.read_word(f.get(base).wrapping_add(off), width.bytes())?;
-                    f.put(dst, v);
-                    extra_loads += 1;
-                }
-                Op::Store {
-                    base,
-                    off,
-                    src,
-                    width,
-                } => {
-                    let addr = f.get(base).wrapping_add(off);
-                    bus.write_word(addr, f.get(src), width.bytes())?;
-                    stores += 1;
-                    store_bytes += width.bytes();
-                }
-                Op::Cas {
-                    dst,
-                    base,
-                    off,
-                    expect,
-                    src,
-                    width,
-                } => {
-                    let addr = f.get(base).wrapping_add(off);
-                    let old = bus.cas_word(addr, f.get(expect), f.get(src), width.bytes())?;
-                    f.put(dst, old);
-                    // One read trip plus one (conditional) write trip on the
-                    // memory pipeline; charged like a load + a store.
-                    extra_loads += 1;
-                    stores += 1;
-                    store_bytes += width.bytes();
-                }
-                Op::SpecHint { ptr } => spec_next = Some(f.get(ptr)),
-                Op::NoSpec => spec_inhibit = true,
-                Op::CmpJump { cond, a, b, target } => {
-                    if cond.eval(f.get(a), f.get(b)) {
-                        pc = target;
-                        continue;
-                    }
-                }
-                Op::Jump { target } => {
-                    pc = target;
-                    continue;
-                }
-                Op::NextIter { next } => {
-                    state.cur_ptr = f.get(next);
-                    break IterOutcome::Continue;
-                }
-                Op::Return { code } => break IterOutcome::Done { code: f.get(code) },
+        let code = program.code();
+        if self.loaded != code.id {
+            for (i, &v) in code.imms.iter().enumerate() {
+                f.put(Slot::imm(i), v);
             }
-            pc += 1;
-            // Validation guarantees the last instruction is terminal, so pc
-            // can never run past the end.
-            debug_assert!((pc as usize) < ops.len());
-        };
+            self.loaded = code.id;
+        }
+        let mut regs = code.regs;
+        while regs != 0 {
+            f.put(Slot::reg(regs.trailing_zeros() as u8), 0);
+            regs &= regs - 1;
+        }
+        f.put(Slot::CUR_PTR, state.cur_ptr);
+        f.region(SCRATCH, sp_len)
+            .copy_from_slice(&state.scratch[..sp_len]);
+
+        let run = f.run(&code.ops, bus);
+        // Faults after the fetch leave the scratchpad as of the fault point.
+        state.scratch[..sp_len].copy_from_slice(f.region(SCRATCH, sp_len));
+        let mut trace = run?;
+        trace.window_bytes = window.len;
+        state.cur_ptr = f.get(Slot::CUR_PTR);
         state.iters_done += 1;
-        Ok(IterTrace {
-            insns_executed: executed,
-            extra_loads,
-            stores,
-            store_bytes,
-            window_bytes: window.len,
-            outcome,
-            spec_next,
-            spec_inhibit,
-        })
+        Ok(trace)
     }
 
     /// Runs iterations until `RETURN`, a fault, or `max_iters` total
@@ -358,68 +274,197 @@ impl Interpreter {
     }
 }
 
-/// The logic pipeline's view of one iteration: registers, `cur_ptr` as of
-/// the window fetch, the scratchpad and the fetched node window.
-struct Frame<'a> {
-    regs: [u64; NUM_REGS as usize],
-    cur_ptr: u64,
-    sp: &'a mut [u8],
-    node: &'a [u8],
-}
+/// The logic pipeline's view of one iteration: registers, `cur_ptr`, the
+/// scratchpad, the fetched node window and the program's immediates, at
+/// the offsets `decoded` lays out. A slot's offset is masked below
+/// `MASK + 1`, so an 8-byte access at it is always in bounds.
+struct Frame(Box<[u8; FRAME_LEN]>);
 
-impl Frame<'_> {
-    #[inline(always)]
-    fn get(&self, src: Src) -> u64 {
-        match src {
-            Src::Imm(v) => v,
-            Src::Reg(r) => self.regs[r as usize],
-            Src::CurPtr => self.cur_ptr,
-            Src::Sp8(off) => u64::from_le_bytes(field(self.sp, off)),
-            Src::Node8(off) => u64::from_le_bytes(field(self.node, off)),
-            Src::Sp(off, width) => read_narrow(self.sp, off, width),
-            Src::Node(off, width) => read_narrow(self.node, off, width),
-        }
-    }
-
-    #[inline(always)]
-    fn put(&mut self, dst: Dst, v: u64) {
-        match dst {
-            Dst::Reg(r) => self.regs[r as usize] = v,
-            Dst::Sp8(off) => *field_mut(self.sp, off) = v.to_le_bytes(),
-            Dst::Sp(off, width) => match width {
-                Width::B1 => self.sp[off as usize] = v as u8,
-                Width::B2 => *field_mut(self.sp, off) = (v as u16).to_le_bytes(),
-                Width::B4 => *field_mut(self.sp, off) = (v as u32).to_le_bytes(),
-                Width::B8 => *field_mut(self.sp, off) = v.to_le_bytes(),
-            },
-        }
+impl Default for Frame {
+    fn default() -> Frame {
+        Frame(
+            vec![0; FRAME_LEN]
+                .into_boxed_slice()
+                .try_into()
+                .expect("FRAME_LEN bytes"),
+        )
     }
 }
 
-/// The `N` bytes at `off`, as a fixed-size array: a bounds check and a
-/// plain load, where a copy of run-time length would call `memcpy`.
-#[inline(always)]
-fn field<const N: usize>(buf: &[u8], off: u16) -> [u8; N] {
-    let off = off as usize;
-    buf[off..off + N].try_into().expect("slice of length N")
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Frame").finish_non_exhaustive()
+    }
 }
 
-#[inline(always)]
-fn field_mut<const N: usize>(buf: &mut [u8], off: u16) -> &mut [u8; N] {
-    let off = off as usize;
-    (&mut buf[off..off + N])
-        .try_into()
-        .expect("slice of length N")
-}
+impl Frame {
+    /// The 8-byte word at `s`.
+    #[inline(always)]
+    fn get(&self, s: Slot) -> u64 {
+        let i = s.at();
+        u64::from_le_bytes(self.0[i..i + 8].try_into().expect("8 bytes"))
+    }
 
-/// A zero-extended little-endian read of `width` bytes at `off`.
-#[inline(always)]
-fn read_narrow(buf: &[u8], off: u16, width: Width) -> u64 {
-    match width {
-        Width::B1 => buf[off as usize] as u64,
-        Width::B2 => u16::from_le_bytes(field(buf, off)) as u64,
-        Width::B4 => u32::from_le_bytes(field(buf, off)) as u64,
-        Width::B8 => u64::from_le_bytes(field(buf, off)),
+    #[inline(always)]
+    fn put(&mut self, s: Slot, v: u64) {
+        let i = s.at();
+        self.0[i..i + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The value at `s`, zero-extended from its width.
+    #[inline(always)]
+    fn val(&self, s: Slot) -> u64 {
+        self.get(s) & s.mask()
+    }
+
+    /// Writes `v` truncated to `s`'s width, leaving the bytes after it.
+    #[inline(always)]
+    fn put_val(&mut self, s: Slot, v: u64) {
+        let m = s.mask();
+        let old = self.get(s);
+        self.put(s, (old & !m) | (v & m));
+    }
+
+    fn region(&mut self, at: u16, len: usize) -> &mut [u8] {
+        &mut self.0[at as usize..at as usize + len]
+    }
+
+    /// Runs `ops` from the first to a terminal. The returned trace's
+    /// `window_bytes` is left 0 for the caller; a `NEXT_ITER` leaves the
+    /// next pointer in the `cur_ptr` slot.
+    fn run(&mut self, ops: &[Op], bus: &mut dyn MemBus) -> Result<IterTrace, Fault> {
+        let mut pc = 0usize;
+        let mut executed: u32 = 0;
+        let mut extra_loads: u32 = 0;
+        let mut stores: u32 = 0;
+        let mut store_bytes: u32 = 0;
+        let mut spec_next: Option<u64> = None;
+        let mut spec_inhibit = false;
+        let div = |a: u64, b: u64, pc: usize| match a.checked_div(b) {
+            Some(v) => Ok(v),
+            None => Err(Fault::DivideByZero { pc: pc as u32 }),
+        };
+        macro_rules! jump_if {
+            ($cmp:ident, |$a:ident, $b:ident| $cond:expr) => {{
+                let ($a, $b) = (self.get($cmp.a), self.get($cmp.b));
+                if $cond {
+                    pc = $cmp.t as usize;
+                    continue;
+                }
+            }};
+        }
+
+        let outcome = loop {
+            executed += 1;
+            match ops[pc] {
+                Op::Add(Bin { d, a, b }) => self.put(d, self.get(a).wrapping_add(self.get(b))),
+                Op::Sub(Bin { d, a, b }) => self.put(d, self.get(a).wrapping_sub(self.get(b))),
+                Op::Mul(Bin { d, a, b }) => self.put(d, self.get(a).wrapping_mul(self.get(b))),
+                Op::Div(Bin { d, a, b }) => self.put(d, div(self.get(a), self.get(b), pc)?),
+                Op::And(Bin { d, a, b }) => self.put(d, self.get(a) & self.get(b)),
+                Op::Or(Bin { d, a, b }) => self.put(d, self.get(a) | self.get(b)),
+                Op::Not(Un { d, a }) => self.put(d, !self.get(a)),
+                Op::Move(Un { d, a }) => self.put(d, self.get(a)),
+                Op::JumpEq(c) => jump_if!(c, |a, b| a == b),
+                Op::JumpNe(c) => jump_if!(c, |a, b| a != b),
+                Op::JumpLtU(c) => jump_if!(c, |a, b| a < b),
+                Op::JumpLeU(c) => jump_if!(c, |a, b| a <= b),
+                Op::JumpGtU(c) => jump_if!(c, |a, b| a > b),
+                Op::JumpGeU(c) => jump_if!(c, |a, b| a >= b),
+                Op::JumpLtS(c) => jump_if!(c, |a, b| (a as i64) < b as i64),
+                Op::JumpLeS(c) => jump_if!(c, |a, b| a as i64 <= b as i64),
+                Op::JumpGtS(c) => jump_if!(c, |a, b| a as i64 > b as i64),
+                Op::JumpGeS(c) => jump_if!(c, |a, b| a as i64 >= b as i64),
+                Op::AluN(op, Bin { d, a, b }) => {
+                    let (av, bv) = (self.val(a), self.val(b));
+                    let v = match op {
+                        AluOp::Add => av.wrapping_add(bv),
+                        AluOp::Sub => av.wrapping_sub(bv),
+                        AluOp::Mul => av.wrapping_mul(bv),
+                        AluOp::Div => div(av, bv, pc)?,
+                        AluOp::And => av & bv,
+                        AluOp::Or => av | bv,
+                    };
+                    self.put_val(d, v);
+                }
+                Op::NotN(Un { d, a }) => self.put_val(d, !self.val(a)),
+                Op::MoveN(Un { d, a }) => self.put_val(d, self.val(a)),
+                Op::CmpJumpN(cond, Cmp { a, b, t }) => {
+                    if cond.eval(self.val(a), self.val(b)) {
+                        pc = t as usize;
+                        continue;
+                    }
+                }
+                Op::Load {
+                    d,
+                    base,
+                    off,
+                    width,
+                } => {
+                    let addr = self.val(base).wrapping_add(off as i64 as u64);
+                    let v = bus.read_word(addr, width.bytes())?;
+                    self.put_val(d, v);
+                    extra_loads += 1;
+                }
+                Op::Store {
+                    base,
+                    off,
+                    src,
+                    width,
+                } => {
+                    let addr = self.val(base).wrapping_add(off as i64 as u64);
+                    bus.write_word(addr, self.val(src), width.bytes())?;
+                    stores += 1;
+                    store_bytes += width.bytes();
+                }
+                Op::Cas {
+                    d,
+                    base,
+                    off,
+                    expect,
+                    src,
+                    width,
+                } => {
+                    let addr = self.val(base).wrapping_add(off as i64 as u64);
+                    let old = bus.cas_word(addr, self.val(expect), self.val(src), width.bytes())?;
+                    self.put_val(d, old);
+                    // One read trip plus one (conditional) write trip on the
+                    // memory pipeline; charged like a load + a store.
+                    extra_loads += 1;
+                    stores += 1;
+                    store_bytes += width.bytes();
+                }
+                Op::SpecHint(ptr) => spec_next = Some(self.val(ptr)),
+                Op::NoSpec => spec_inhibit = true,
+                Op::Jump(t) => {
+                    pc = t as usize;
+                    continue;
+                }
+                Op::NextIter(next) => {
+                    self.put(Slot::CUR_PTR, self.val(next));
+                    break IterOutcome::Continue;
+                }
+                Op::Return(code) => {
+                    break IterOutcome::Done {
+                        code: self.val(code),
+                    }
+                }
+            }
+            pc += 1;
+            // Validation guarantees the last instruction is terminal, so pc
+            // can never run past the end.
+            debug_assert!(pc < ops.len());
+        };
+        Ok(IterTrace {
+            insns_executed: executed,
+            extra_loads,
+            stores,
+            store_bytes,
+            window_bytes: 0,
+            outcome,
+            spec_next,
+            spec_inhibit,
+        })
     }
 }
 
@@ -428,7 +473,7 @@ mod tests {
     use super::*;
     use crate::builder::ProgramBuilder;
     use crate::membus::VecMem;
-    use crate::ops::{Cond, Operand, Place, Reg};
+    use crate::ops::{Cond, Operand, Place, Reg, Width};
 
     /// Builds a linked list of (key, value, next) nodes in a VecMem and
     /// returns (memory, head address).
@@ -705,6 +750,66 @@ mod tests {
             .unwrap();
         assert_eq!(run.return_code, Some(0));
         assert_eq!(run.iterations, 2);
+    }
+
+    #[test]
+    fn every_compare_jump_agrees_with_cond_eval_at_the_boundaries() {
+        let conds = [
+            Cond::Eq,
+            Cond::Ne,
+            Cond::LtU,
+            Cond::LeU,
+            Cond::GtU,
+            Cond::GeU,
+            Cond::LtS,
+            Cond::LeS,
+            Cond::GtS,
+            Cond::GeS,
+        ];
+        let (min, max) = (i64::MIN as u64, i64::MAX as u64);
+        let pairs = [
+            (0, 0),
+            (7, 7),
+            (u64::MAX, u64::MAX),
+            (min, min),
+            (0, u64::MAX),
+            (min, max),
+            (0, 1),
+            (max, max + 1),
+        ];
+        let mut m = VecMem::new(0, 8);
+        let mut interp = Interpreter::new();
+        for cond in conds {
+            for (x, y) in pairs.into_iter().flat_map(|(x, y)| [(x, y), (y, x)]) {
+                // Immediates, and scratchpad words the iteration reads.
+                for (a, b) in [
+                    (Operand::Imm(x as i64), Operand::Imm(y as i64)),
+                    (Operand::sp_u64(0), Operand::sp_u64(8)),
+                ] {
+                    let mut bld = ProgramBuilder::new("cmp", 8, 16);
+                    let taken = bld.label();
+                    bld.cmp_jump(cond, a, b, taken);
+                    bld.ret(Operand::Imm(0));
+                    bld.bind(taken);
+                    bld.ret(Operand::Imm(1));
+                    let prog = bld.finish().unwrap();
+                    assert!(
+                        !matches!(prog.code().ops[0], Op::CmpJumpN(..)),
+                        "{cond}: 8-byte operands get the condition's own op"
+                    );
+                    let mut st = IterState::new(&prog, 0);
+                    st.set_scratch_u64(0, x);
+                    st.set_scratch_u64(8, y);
+                    let trace = interp.run_iteration(&prog, &mut st, &mut m).unwrap();
+                    let code = u64::from(cond.eval(x, y));
+                    assert_eq!(
+                        trace.outcome,
+                        IterOutcome::Done { code },
+                        "{cond} {x:#x} {y:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

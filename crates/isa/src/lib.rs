@@ -14,7 +14,11 @@
 //! * a [`ProgramBuilder`] with forward-only labels;
 //! * a functional [`Interpreter`] shared by every execution engine
 //!   (accelerator, Xeon RPC, ARM RPC, CPU-node fallback) so traversal
-//!   *semantics* are engine-independent and only *timing* differs;
+//!   *semantics* are engine-independent and only *timing* differs. It runs
+//!   every iteration on one byte frame it owns, holding the registers,
+//!   `cur_ptr`, the scratchpad, the fetched node window and the program's
+//!   immediates; [`Program::new`] decodes each operand to an offset in
+//!   that frame once, and each compare-jump condition to an op of its own;
 //! * the binary wire [`encoding`](encode_program) requests carry; and
 //! * the per-instruction [`CostModel`] behind the dispatch engine's
 //!   `t_c = t_i · N` offload test.

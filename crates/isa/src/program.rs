@@ -1,7 +1,7 @@
 //! PULSE programs: the instruction enum, program container, and the static
 //! validator that enforces the paper's bounded-computation rules (§3, §4.1).
 
-use crate::decoded::{decode, Op};
+use crate::decoded::{decode, Code};
 use crate::ops::{AluOp, Cond, Operand, Place, Width};
 use std::fmt;
 
@@ -318,7 +318,7 @@ pub struct Program {
     // computed once at validation so packet sizing never re-encodes.
     wire_len: usize,
     // The interpreter's op form of `insns`, decoded once after validation.
-    ops: Box<[Op]>,
+    code: Code,
 }
 
 impl Program {
@@ -342,11 +342,11 @@ impl Program {
             insns,
             scratch_len,
             wire_len: 0,
-            ops: Box::default(),
+            code: Code::default(),
         };
         prog.validate()?;
         prog.wire_len = crate::encode::wire_len_of(&prog.insns);
-        prog.ops = decode(&prog.insns);
+        prog.code = decode(&prog.insns);
         Ok(prog)
     }
 
@@ -488,9 +488,9 @@ impl Program {
         self.scratch_len
     }
 
-    /// The decoded ops [`crate::Interpreter`] executes, one per instruction.
-    pub(crate) fn ops(&self) -> &[Op] {
-        &self.ops
+    /// The decoded form [`crate::Interpreter`] executes.
+    pub(crate) fn code(&self) -> &Code {
+        &self.code
     }
 
     /// The size in bytes of this program's wire encoding

@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::{body_insn, cond, operand, SCRATCH, WINDOW};
+use common::{body_insn, cond, operand, Shape};
 use pulse_isa::{
     decode_program, encode_program, Cond, Instruction, Interpreter, IterState, NodeWindow, Operand,
     Program, VecMem,
@@ -17,13 +17,20 @@ use pulse_sim::SplitMix64;
 
 const CASES: usize = 256;
 
+/// The shape every program is drawn for.
+const DEFAULT: Shape = Shape {
+    window: 64,
+    scratch: 64,
+    wide: false,
+};
+
 /// Generates a valid program: body instructions with forward jumps patched
 /// in, ending in Return. Retries until the validator accepts (a handful of
 /// random jump placements can be rejected).
 fn program(rng: &mut SplitMix64) -> Program {
     loop {
         let n = 1 + rng.next_below(23) as usize;
-        let mut body: Vec<Instruction> = (0..n).map(|_| body_insn(rng)).collect();
+        let mut body: Vec<Instruction> = (0..n).map(|_| body_insn(rng, &DEFAULT)).collect();
         let jumps = rng.next_below(4);
         for _ in 0..jumps {
             let seed = rng.next_u64() as u32;
@@ -35,8 +42,8 @@ fn program(rng: &mut SplitMix64) -> Program {
                 pos,
                 Instruction::CmpJump {
                     cond: cond(rng),
-                    a: operand(rng),
-                    b: operand(rng),
+                    a: operand(rng, &DEFAULT),
+                    b: operand(rng, &DEFAULT),
                     target: target + 1, // account for this insertion
                 },
             );
@@ -44,7 +51,12 @@ fn program(rng: &mut SplitMix64) -> Program {
         body.push(Instruction::Return {
             code: Operand::Imm(0),
         });
-        if let Ok(p) = Program::new("prop", NodeWindow::from_start(WINDOW), body, SCRATCH) {
+        if let Ok(p) = Program::new(
+            "prop",
+            NodeWindow::from_start(DEFAULT.window),
+            body,
+            DEFAULT.scratch,
+        ) {
             return p;
         }
     }
@@ -91,7 +103,7 @@ fn interpreter_terminates_within_len() {
         // Division may fault; anything else must produce a bounded trace.
         if let Ok(trace) = interp.run_iteration(&prog, &mut st, &mut mem) {
             assert!(trace.insns_executed as usize <= prog.len(), "case {case}");
-            assert!(st.scratch.len() == SCRATCH as usize, "case {case}");
+            assert!(st.scratch.len() == DEFAULT.scratch as usize, "case {case}");
         }
     }
 }
