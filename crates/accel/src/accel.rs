@@ -659,6 +659,17 @@ impl Accelerator {
                 }
             }
         }
+        // The next hop's pointer is known now, two events before the next
+        // `begin_iteration` reads its window: start the host's load of
+        // those bytes so it overlaps the events that run in between (this
+        // request's `FetchDone`/`LogicDone`, other requests' hops). A host
+        // cache hint only; nothing simulated reads it.
+        if let PendingIter::Ok { trace, .. } = &pending {
+            if matches!(trace.outcome, IterOutcome::Continue) {
+                let next = w.pkt.state.cur_ptr.wrapping_add(window.off as i64 as u64);
+                mem.prefetch(next, window.len);
+            }
+        }
         w.pending = Some(pending);
         if self.cfg.speculate {
             // Seqlock input: the version of the cell the prediction was

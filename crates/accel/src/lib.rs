@@ -35,6 +35,7 @@
 //! assert!(mem_u > 0.97 && logic_u > 0.97);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

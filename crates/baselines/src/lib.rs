@@ -17,6 +17,7 @@
 //! pulse; this crate holds its configuration ([`RpcConfig`]). Only the swap
 //! system is a replay ([`run_swap_cache`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -12,7 +12,7 @@
 
 use pulse_frontend::replay::{drive, measured_rate};
 use pulse_frontend::{CacheConfig, LruSet};
-use pulse_isa::CostModel;
+use pulse_isa::{CostModel, Interpreter};
 use pulse_mem::{ClusterMemory, FaultEvent};
 use pulse_net::{Endpoint, Fabric, FabricConfig, LinkConfig, SwitchConfig, TopologySpec};
 use pulse_sim::{CpuDispatch, DispatchConfig, SerialResource, ServerPool, SimTime};
@@ -190,10 +190,11 @@ pub fn run_swap_cache(
     let mut breakdown = cfg.trace.then(LatencyBreakdown::new);
 
     // Pre-execute functionally (results + traces).
+    let mut interp = Interpreter::new();
     let traces: Vec<(Vec<Access>, SimTime)> = requests
         .iter()
         .map(|r| {
-            let run = execute_functional(mem, r, 1 << 20).expect("functional run");
+            let run = execute_functional(&mut interp, mem, r, 1 << 20).expect("functional run");
             (run.accesses, r.cpu_work)
         })
         .collect();

@@ -3,6 +3,7 @@
 
 use pulse_bench::banner;
 use pulse_ds::{BuildCtx, TreePlacement};
+use pulse_isa::Interpreter;
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_workloads::{
     execute_functional, Application, Btrdb, BtrdbConfig, WiredTiger, WiredTigerConfig,
@@ -13,6 +14,7 @@ fn crossings(app: &str, granularity: u64) -> Vec<u64> {
     let mut alloc = ClusterAllocator::new(Placement::Striped, granularity);
     let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
     let mut out = Vec::new();
+    let mut interp = Interpreter::new();
     if app == "WiredTiger" {
         let mut a = WiredTiger::build(
             &mut ctx,
@@ -26,7 +28,7 @@ fn crossings(app: &str, granularity: u64) -> Vec<u64> {
         for _ in 0..300 {
             let r = a.next_request();
             out.push(
-                execute_functional(&mut mem, &r, 1 << 20)
+                execute_functional(&mut interp, &mut mem, &r, 1 << 20)
                     .unwrap()
                     .response
                     .node_crossings,
@@ -46,7 +48,7 @@ fn crossings(app: &str, granularity: u64) -> Vec<u64> {
         for _ in 0..300 {
             let r = a.next_request();
             out.push(
-                execute_functional(&mut mem, &r, 1 << 20)
+                execute_functional(&mut interp, &mut mem, &r, 1 << 20)
                     .unwrap()
                     .response
                     .node_crossings,

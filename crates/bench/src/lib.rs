@@ -28,6 +28,7 @@
 //! The sustained-load headline ([`SweepReport::max_load_under_p99`]) only
 //! counts rungs whose goodput actually kept up with the offered load.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pulse::{BaselineKind, RunMetrics};

@@ -6,6 +6,7 @@
 //! cursor traits. Backing storage is a plain `Vec<u8>` — zero-copy
 //! sharing is irrelevant at simulation scale; only the API shape matters.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Deref;

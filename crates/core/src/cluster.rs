@@ -2039,7 +2039,8 @@ mod tests {
         let expected: Vec<u64> = reqs
             .iter()
             .map(|r| {
-                let run = execute_functional(&mut mem, r, 1 << 20).unwrap();
+                let run =
+                    execute_functional(&mut Interpreter::new(), &mut mem, r, 1 << 20).unwrap();
                 run.response.final_state.unwrap().scratch_u64(8)
             })
             .collect();

@@ -14,6 +14,7 @@
 //!   setup.
 
 use pulse_frontend::LruSet;
+use pulse_isa::Interpreter;
 use pulse_mem::ClusterMemory;
 use pulse_sim::SimTime;
 use pulse_workloads::{execute_functional, AppRequest};
@@ -87,8 +88,9 @@ pub fn cxl_study(
     let mut t_without = SimTime::ZERO;
     let mut t_with = SimTime::ZERO;
 
+    let mut interp = Interpreter::new();
     for req in requests {
-        let run = execute_functional(mem, req, 1 << 20).expect("functional run");
+        let run = execute_functional(&mut interp, mem, req, 1 << 20).expect("functional run");
         // Local baseline: every access from DRAM with L3 in front.
         for a in &run.accesses {
             let lines = (a.len as u64).div_ceil(cfg.granularity).max(1);

@@ -38,6 +38,7 @@
 //! # Ok::<(), pulse_dispatch::CompileError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

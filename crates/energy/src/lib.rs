@@ -13,6 +13,7 @@
 //! an ASIC realization conservatively saves a further 6.3–7×; RPC-ARM can
 //! exceed RPC's per-op energy due to its lengthened executions.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

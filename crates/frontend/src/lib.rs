@@ -27,6 +27,7 @@
 //! * [`replay`] — the FIFO multi-server closed-/open-loop admission
 //!   helpers the swap replay prices its request stream through.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -359,6 +359,17 @@ impl ClusterMemory {
         self.store.backed_bytes()
     }
 
+    /// Starts loading the host memory behind `[addr, addr + len)` into the
+    /// host CPU's cache (a `prefetcht0` per line on x86-64, nothing
+    /// elsewhere), so a read of those bytes soon after does not stall on
+    /// the miss. Only backed bytes are touched, and no access check runs:
+    /// any address is accepted, and neither bytes, versions, the write
+    /// epoch nor [`ClusterMemory::backed_bytes`] change. The simulator's
+    /// results never depend on it; only its own speed does.
+    pub fn prefetch(&self, addr: u64, len: u32) {
+        self.store.prefetch(addr, len);
+    }
+
     /// Access restricted to one node's extents (faults elsewhere).
     pub fn local_bus(&mut self, node: NodeId) -> LocalBus<'_> {
         LocalBus { mem: self, node }

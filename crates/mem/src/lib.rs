@@ -52,6 +52,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_debug_implementations)]
 
 mod alloc;

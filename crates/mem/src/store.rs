@@ -101,6 +101,21 @@ fn in_block(addr: u64) -> usize {
     (addr % BLOCK_BYTES as u64) as usize
 }
 
+/// Prefetches every host cache line `bytes` touches: a byte every 64 B
+/// (a host line) from the first, and the last byte, since a block's bytes
+/// need not start on a host line.
+fn prefetch_bytes(bytes: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    for byte in bytes.iter().step_by(64).chain(bytes.last()) {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint: it never faults and reads nothing
+        // into the program, and the pointer comes from a live slice.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(byte).cast()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = bytes;
+}
+
 /// The written bytes of the whole rack, with their write versions.
 #[derive(Debug, Default)]
 pub(crate) struct BlockStore {
@@ -181,6 +196,30 @@ impl BlockStore {
                 }
                 done += m;
             }
+        }
+    }
+
+    /// Asks the host CPU to start loading the backed bytes of
+    /// `[addr, addr + len)` into its cache, so a later [`BlockStore::read`]
+    /// of them does not stall on the miss. Unbacked bytes are skipped, and
+    /// nothing is carved, stamped or read: the store is left as it was.
+    /// A range running past `u64::MAX` is cut there.
+    pub(crate) fn prefetch(&self, addr: u64, len: u32) {
+        let Some(last) = u64::from(len).checked_sub(1) else {
+            return;
+        };
+        let last = addr.saturating_add(last);
+        let mut at = addr;
+        loop {
+            let block_last = at | (BLOCK_BYTES as u64 - 1);
+            if let Some(block) = self.block_at(at) {
+                let (b, e) = (in_block(at), in_block(block_last.min(last)));
+                prefetch_bytes(&block.bytes[b..=e]);
+            }
+            if block_last >= last {
+                return;
+            }
+            at = block_last + 1;
         }
     }
 

@@ -16,7 +16,9 @@
 //! case, on every byte and every granule around the layout, and the store
 //! must back exactly the blocks that successful writes touched. Another
 //! test aims writes at block edges, where a write stops fitting in one
-//! block, and a last one writes one region in full, out of address order.
+//! block, and one writes one region in full, out of address order. The
+//! last checks that `prefetch` accepts any address and length and leaves
+//! everything a read can see as it was.
 
 use pulse_isa::{MemBus, MemFault};
 use pulse_mem::{ClusterMemory, NodeId, Perms, VERSION_GRANULE_BYTES};
@@ -473,4 +475,75 @@ fn a_region_written_in_full_keeps_every_block() {
         );
     }
     assert_eq!(mem.version_of(REGION, REGION), blocks);
+}
+
+/// What a prefetch of `[addr, addr + len)` must leave as it was: the
+/// backed bytes, the write epoch and the version of the range and of each
+/// granule in it, and each byte of the range as a one-byte read (its value
+/// or its fault). A range running past `u64::MAX` is observed up to it.
+fn observe(mem: &mut ClusterMemory, addr: u64, len: u32) -> (Vec<u64>, Vec<Result<u64, MemFault>>) {
+    let mut versions = vec![mem.backed_bytes(), mem.write_epoch()];
+    versions.push(mem.version_of(addr, u64::from(len)));
+    let mut bytes = Vec::new();
+    if len > 0 {
+        for a in addr..=addr.saturating_add(u64::from(len) - 1) {
+            bytes.push(mem.read_word(a, 1));
+            if a == addr || a % G == 0 {
+                versions.push(mem.version_of(a, 1));
+            }
+        }
+    }
+    (versions, bytes)
+}
+
+#[test]
+fn prefetch_is_total_and_read_only() {
+    // `prefetch` accepts any address and length: mapped, unmapped, backed
+    // or not, at the very top of the address space, and across block and
+    // region edges. It must neither panic (debug builds check overflow)
+    // nor change anything a read, `version_of`, `write_epoch` or
+    // `backed_bytes` can see. An extent ends at `u64::MAX` with its top
+    // block backed, so windows there reach the store's last block.
+    let mut rng = SplitMix64::new(0x9f_e7c4);
+    let top = u64::MAX - 2 * BLOCK - 7;
+    for case in 0..40 {
+        let (mut mem, reference) = layout(&mut rng);
+        mem.add_extent(top, u64::MAX - top, 0, Perms::RW).unwrap();
+        mem.write_word(u64::MAX - 15, u64::MAX, 8).unwrap();
+        mem.write_word(top, 1, 8).unwrap();
+        for _ in 0..40 {
+            let addr = address(&mut rng, &reference);
+            let len = rng.next_below(300) as usize;
+            let _ = mem.write(addr, &random_bytes(&mut rng, len));
+        }
+        for e in &reference.extents {
+            assert!(mem.set_perms(e.start, Perms::RW));
+        }
+        for op in 0..150 {
+            let len = rng.next_below(257) as u32;
+            let edge = |rng: &mut SplitMix64| {
+                let a = address(rng, &reference);
+                let unit = if rng.chance(0.3) { REGION } else { BLOCK };
+                (a / unit + 1) * unit
+            };
+            let addr = match rng.next_below(8) {
+                0 => [0, u64::MAX - 7, u64::MAX, top, u64::MAX - BLOCK][op % 5],
+                // Ending exactly at a block or region edge, or one byte past.
+                1 => edge(&mut rng) - u64::from(len),
+                2 => edge(&mut rng) - u64::from(len) + 1,
+                // Anywhere: almost always unmapped.
+                3 => rng.next_u64(),
+                // Within 256 B of the top.
+                4 => u64::MAX - rng.next_below(256),
+                _ => address(&mut rng, &reference),
+            };
+            let before = observe(&mut mem, addr, len);
+            mem.prefetch(addr, len);
+            assert_eq!(
+                observe(&mut mem, addr, len),
+                before,
+                "case {case} op {op}: prefetch({addr:#x}, {len})"
+            );
+        }
+    }
 }

@@ -76,6 +76,7 @@
 //! exhaust their retry budgets and fault, which is the honest observable
 //! of that failure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -69,6 +69,7 @@
 //! assert_eq!(sent, Some(arrive));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

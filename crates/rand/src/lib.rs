@@ -10,6 +10,7 @@
 //! bit-reproducible without an external dependency and without a second
 //! PRNG implementation to keep in lockstep.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -46,6 +46,7 @@
 //! assert_eq!(lat.count(), 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -38,6 +38,7 @@
 //! reports a run through, since it is the lowest crate holding both the
 //! latency summary and the phase attribution.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use pulse_net::RequestId;

@@ -432,6 +432,7 @@ impl Application for Btrdb {
 mod tests {
     use super::*;
     use crate::exec::execute_functional;
+    use pulse_isa::Interpreter;
     use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 
     fn ctx_mem(nodes: usize) -> (ClusterMemory, ClusterAllocator) {
@@ -455,9 +456,10 @@ mod tests {
             )
             .unwrap()
         };
+        let mut interp = Interpreter::new();
         for _ in 0..50 {
             let req = app.next_request();
-            let run = execute_functional(&mut mem, &req, 4096).unwrap();
+            let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
             let st = run.response.final_state.as_ref().unwrap();
             let key = st.scratch_u64(0);
             assert_eq!(st.scratch_u64(8), app.object_addr(key), "key {key}");
@@ -490,13 +492,14 @@ mod tests {
         // at E[len^2]/E[len]-ish depth, ~20% above Table 3's even-chain 48;
         // the band pins that shape against regressions in the geometry.
         let mut exhaustive = 0u64;
+        let mut interp = Interpreter::new();
         for k in 0..10_000u64 {
             let req = AppRequest::traversal_only(TraversalStage {
                 program: app.find_prog.clone(),
                 start: StartPtr::Fixed(app.map.bucket_addr(k)),
                 scratch_init: vec![(0, k)],
             });
-            let run = execute_functional(&mut mem, &req, 4096).unwrap();
+            let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
             exhaustive += run.response.iterations;
         }
         let expected = exhaustive as f64 / 10_000.0;
@@ -509,9 +512,10 @@ mod tests {
         // which deterministic generator backs it).
         let mut total = 0u64;
         let n = 200;
+        let mut interp = Interpreter::new();
         for _ in 0..n {
             let req = app.next_request();
-            let run = execute_functional(&mut mem, &req, 4096).unwrap();
+            let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
             total += run.response.iterations;
         }
         let avg = total as f64 / n as f64;
@@ -536,10 +540,11 @@ mod tests {
             .unwrap()
         };
         let mut saw_scan = false;
+        let mut interp = Interpreter::new();
         for _ in 0..40 {
             let req = app.next_request();
             let is_scan = req.traversals.len() == 2;
-            let run = execute_functional(&mut mem, &req, 4096).unwrap();
+            let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
             if is_scan {
                 saw_scan = true;
                 let st = run.response.final_state.as_ref().unwrap();
@@ -563,12 +568,13 @@ mod tests {
         };
         let mut total = 0u64;
         let mut scans = 0u64;
+        let mut interp = Interpreter::new();
         for _ in 0..300 {
             let req = app.next_request();
             if req.traversals.len() != 2 {
                 continue; // inserts
             }
-            let run = execute_functional(&mut mem, &req, 4096).unwrap();
+            let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
             total += run.response.iterations;
             scans += 1;
         }
@@ -598,9 +604,10 @@ mod tests {
                 .unwrap()
             };
             let mut total = 0u64;
+            let mut interp = Interpreter::new();
             for _ in 0..20 {
                 let req = app.next_request();
-                let run = execute_functional(&mut mem, &req, 4096).unwrap();
+                let run = execute_functional(&mut interp, &mut mem, &req, 4096).unwrap();
                 total += run.response.iterations;
                 // Aggregate sanity: count equals 120 Hz x window (±1 edge).
                 let st = run.response.final_state.as_ref().unwrap();

@@ -77,7 +77,9 @@ pub struct FunctionalRun {
     pub accesses: Vec<Access>,
 }
 
-/// Executes `req` functionally over global memory.
+/// Executes `req` functionally over global memory on `interp`, which a
+/// caller running many requests keeps and hands in each time (a new
+/// [`Interpreter`] allocates and zeroes its frame).
 ///
 /// # Errors
 ///
@@ -85,11 +87,11 @@ pub struct FunctionalRun {
 /// on interpreter faults (which indicate a broken structure — the global
 /// view never sees `NotMapped` for valid pointers).
 pub fn execute_functional(
+    interp: &mut Interpreter,
     mem: &mut ClusterMemory,
     req: &AppRequest,
     max_iters_per_stage: u32,
 ) -> Result<FunctionalRun, ExecError> {
-    let mut interp = Interpreter::new();
     let mut accesses = Vec::new();
     let mut iterations = 0u64;
     let mut crossings = 0u64;
@@ -207,7 +209,7 @@ mod tests {
             start: StartPtr::Fixed(map.bucket_addr(50)),
             scratch_init: vec![(0, 50)],
         });
-        let run = execute_functional(&mut mem, &req, 4096).unwrap();
+        let run = execute_functional(&mut Interpreter::new(), &mut mem, &req, 4096).unwrap();
         assert!(run.response.iterations >= 2);
         assert_eq!(run.accesses.len() as u64, run.response.iterations);
         // 64-byte extents over 4 nodes with 24-byte nodes: long chains must
@@ -234,7 +236,7 @@ mod tests {
             len: 8192,
             write: false,
         });
-        let run = execute_functional(&mut mem, &req, 4096).unwrap();
+        let run = execute_functional(&mut Interpreter::new(), &mut mem, &req, 4096).unwrap();
         let last = run.accesses.last().unwrap();
         assert!(!last.traversal);
         assert_eq!(last.len, 8192);
@@ -256,7 +258,7 @@ mod tests {
             start: StartPtr::Fixed(map.bucket_addr(63)),
             scratch_init: vec![(0, 63)],
         });
-        let run = execute_functional(&mut mem, &req, 4096).unwrap();
+        let run = execute_functional(&mut Interpreter::new(), &mut mem, &req, 4096).unwrap();
         assert_eq!(run.response.node_crossings, 0);
     }
 }

@@ -22,6 +22,7 @@
 //!     execute_functional, Application, WebService, WebServiceConfig,
 //! };
 //! use pulse_ds::BuildCtx;
+//! use pulse_isa::Interpreter;
 //!
 //! let mut mem = ClusterMemory::new(4);
 //! let mut alloc = ClusterAllocator::new(Placement::Striped, 1 << 20);
@@ -30,11 +31,12 @@
 //!     WebService::build(&mut ctx, WebServiceConfig { keys: 500, ..Default::default() })?
 //! };
 //! let req = app.next_request();
-//! let run = execute_functional(&mut mem, &req, 4096)?;
+//! let run = execute_functional(&mut Interpreter::new(), &mut mem, &req, 4096)?;
 //! assert!(run.response.iterations > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -69,6 +69,7 @@
 //! into them for ablation-level control; everything request-shaped goes
 //! through [`Runtime`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use pulse_accel as accel;

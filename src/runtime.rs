@@ -26,6 +26,7 @@ use pulse_core::{
     PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink,
 };
 use pulse_ds::{BuildCtx, DsError};
+use pulse_isa::Interpreter;
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_net::{RequestId, TopologySpec};
 use pulse_sim::{IdHash, LatencyHistogram, SimTime};
@@ -400,6 +401,9 @@ pub struct Runtime {
     /// Whether the simulation has started stepping (after which admissions
     /// happen at the current simulated time).
     started: bool,
+    /// The interpreter [`Runtime::execute_functional`] runs every request
+    /// on, kept so a request costs no frame allocation.
+    functional: Interpreter,
 }
 
 impl Runtime {
@@ -411,6 +415,7 @@ impl Runtime {
             pending: VecDeque::new(),
             admitted: 0,
             started: false,
+            functional: Interpreter::new(),
         }
     }
 
@@ -554,7 +559,12 @@ impl Runtime {
     ///
     /// [`Error::Exec`] on malformed wiring or interpreter faults.
     pub fn execute_functional(&mut self, req: &AppRequest) -> Result<FunctionalRun, Error> {
-        Ok(execute_functional(self.cluster.memory_mut(), req, 1 << 20)?)
+        Ok(execute_functional(
+            &mut self.functional,
+            self.cluster.memory_mut(),
+            req,
+            1 << 20,
+        )?)
     }
 
     /// The trace sink, when the builder enabled tracing

@@ -5,7 +5,7 @@
 
 use pulse::baselines::{RpcConfig, RpcFlavor, SwapConfig};
 use pulse::ds::{BuildCtx, TreePlacement};
-use pulse::isa::MemBus;
+use pulse::isa::{Interpreter, MemBus};
 use pulse::mem::{ClusterAllocator, ClusterMemory};
 use pulse::sim::SimTime;
 use pulse::trace::Phase;
@@ -544,7 +544,9 @@ fn rpc_completions_match_the_functional_oracle() {
                     let expected: Vec<_> = reqs
                         .iter()
                         .map(|r| {
-                            let run = execute_functional(&mut mem, r, 1 << 20).unwrap();
+                            let run =
+                                execute_functional(&mut Interpreter::new(), &mut mem, r, 1 << 20)
+                                    .unwrap();
                             run.response.final_state.map(|s| s.scratch)
                         })
                         .collect();

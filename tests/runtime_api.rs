@@ -6,6 +6,7 @@
 
 use pulse::dispatch::DispatchEngine;
 use pulse::ds::catalog;
+use pulse::isa::Interpreter;
 use pulse::sim::SimTime;
 use pulse::workloads::{
     execute_functional, Application, ArrivalProcess, StartPtr, TraversalStage, WebServiceConfig,
@@ -690,7 +691,9 @@ fn staged_requests_complete_through_the_runtime() {
     let mut expected = Vec::new();
     for &(start, limit) in &cases {
         let req = mk(start, limit);
-        let truth = execute_functional(runtime.memory_mut(), &req, 1 << 20).unwrap();
+        let truth =
+            execute_functional(&mut Interpreter::new(), runtime.memory_mut(), &req, 1 << 20)
+                .unwrap();
         expected.push(
             truth
                 .response
