@@ -13,27 +13,10 @@
 //! * [`AccelTiming`] — the Fig. 10 component latencies (426.3 ns network
 //!   stack, 5.1 ns scheduler, 47 ns TCAM, 22 ns interconnect, 110 ns DRAM,
 //!   4 ns/instruction logic).
-//! * [`staggered_schedule`] — Algorithm 1 and a replay verifier for the
-//!   appendix's full-utilization claim.
 //! * [`estimate`] — the Table 4 LUT/BRAM area model (fitted; the only
 //!   synthesized artifact we substitute).
 //! * [`run_closed_loop`] — the single-accelerator harness behind Table 4,
 //!   Fig. 10 and Fig. 11.
-//!
-//! # Examples
-//!
-//! ```
-//! use pulse_accel::{staggered_schedule, replay_utilization};
-//! use pulse_sim::SimTime;
-//!
-//! // Algorithm 1, (m=1, n=2): three workspaces, starts staggered t_d/2.
-//! let t_d = SimTime::from_nanos(180);
-//! let slots = staggered_schedule(1, 2, t_d);
-//! assert_eq!(slots.len(), 3);
-//! // With t_c = eta * t_d both pipeline classes run at full utilization.
-//! let (mem_u, logic_u) = replay_utilization(1, 2, t_d, t_d / 2, 100);
-//! assert!(mem_u > 0.97 && logic_u > 0.97);
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +26,8 @@ mod accel;
 mod area;
 mod config;
 mod harness;
-mod staggered;
 
 pub use accel::{AccelEvent, AccelOutput, AccelSink, AccelStats, Accelerator, ComponentTimes};
 pub use area::{estimate, AreaEstimate};
 pub use config::{AccelConfig, AccelTiming, PipelineOrg};
 pub use harness::{run_closed_loop, HarnessReport};
-pub use staggered::{replay_utilization, staggered_schedule, StaggeredSlot};

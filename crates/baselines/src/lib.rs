@@ -4,18 +4,18 @@
 //!
 //! | system | model |
 //! |---|---|
-//! | **Cache-based** (Fastswap) | an analytic replay: CPU-node execution over a 4 KiB-page LRU; misses pay fault software + RTT + page wire time through a serialized swap pipe |
+//! | **Cache-based** (Fastswap) | the CPU node runs each request over a 4 KiB-page LRU; a miss pays fault software and the swap pipe, then reads the page from its memory node like an object read |
 //! | **RPC** | traversals run on Xeon worker cores at the owning memory node; node crossings bounce through the CPU node |
 //! | **RPC-ARM** | same, on wimpy Cortex-A72 SmartNIC cores |
 //! | **Cache+RPC** (AIFM) | an object LRU at the CPU node serves hot objects locally; traversals take the RPC path with TCP-stack overhead |
 //!
-//! All four run the exact same [`AppRequest`](pulse_workloads::AppRequest)
-//! streams as pulse — functionally identical results, different timing.
-//! The RPC family runs on the pulse rack's own event engine
-//! (`pulse_core::PulseMode::Rpc`), so it pays for the same fabric,
-//! dispatch engines, front-end cache, faults, failover and rebuilds as
-//! pulse; this crate holds its configuration ([`RpcConfig`]). Only the swap
-//! system is a replay ([`run_swap_cache`]).
+//! All four run the exact same `AppRequest` streams as pulse —
+//! functionally identical results, different timing — on the pulse
+//! rack's own event engine (`pulse_core::PulseMode::Swap` and
+//! `pulse_core::PulseMode::Rpc`), so they pay for the same fabric,
+//! dispatch engines, faults, failover and tracing as pulse. This crate
+//! holds their configurations ([`SwapConfig`], [`RpcConfig`]); the `pulse`
+//! façade's `BaselineEngine` builds the rack from them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +23,9 @@
 
 mod systems;
 
-pub use systems::{run_swap_cache, BaselineReport, RpcConfig, RpcFlavor, SwapConfig};
-// The CPU-node mechanisms shared with the pulse rack: the LRU backing the
-// page cache, the coherent traversal-cell cache, and the dispatch-engine
-// model — so baseline configs stay apples-to-apples with the cluster by
-// construction.
+pub use systems::{RpcConfig, RpcFlavor, SwapConfig};
+// The CPU-node mechanisms the baselines' configs name, shared with the
+// pulse rack: the LRU behind the page and object caches, the coherent
+// traversal-cell cache, and the dispatch-engine model.
 pub use pulse_frontend::{CacheConfig, LruSet, TraversalCache};
 pub use pulse_sim::{CpuDispatch, DispatchConfig};

@@ -1,8 +1,12 @@
 //! Fig. 2(a): fraction of execution time in pointer traversals and
 //! normalized slowdown vs local-memory:working-set ratio, on swap-based
-//! disaggregated memory (Zipfian and uniform).
+//! disaggregated memory (Zipfian and uniform). The Cache-based system runs
+//! on the rack (`PulseMode::Swap`); `trav %` is the share of its walk time
+//! (admission to completion, page faults included) spent on traversal
+//! accesses, and `hit %` is its page-cache hit ratio.
 
-use pulse_baselines::{run_swap_cache, SwapConfig};
+use pulse::{BaselineEngine, BaselineKind, Engine};
+use pulse_baselines::SwapConfig;
 use pulse_bench::banner;
 use pulse_ds::{BuildCtx, TreePlacement};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
@@ -69,7 +73,10 @@ fn main() {
         "% execution time in pointer traversals vs cache:WSS ratio",
     );
     println!("paper: WS 13.6%, WT 63.7%, BTrDB 55.8% at full cache; both the");
-    println!("traversal share and total time grow as the cache shrinks.\n");
+    println!("traversal share and total time grow as the cache shrinks.");
+    println!("trav % = share of the CPU node's walk time (admission to");
+    println!("completion, page faults included) spent on traversal accesses;");
+    println!("hit % = 4 KiB page-cache hit ratio.\n");
     for dist in [Distribution::Zipfian, Distribution::Uniform] {
         println!("--- {dist:?} ---");
         println!(
@@ -79,26 +86,23 @@ fn main() {
         for app in ["WebService", "WiredTiger", "BTrDB"] {
             let mut base_latency = None;
             for shift in [0u32, 1, 2, 3, 4] {
-                let (mut mem, reqs, ws) = build(app, dist);
+                let (mem, reqs, ws) = build(app, dist);
                 let cache = (ws >> shift).max(1 << 16);
-                let rep = run_swap_cache(
-                    &mut mem,
-                    &reqs,
-                    8,
-                    SwapConfig {
-                        cache_bytes: cache,
-                        ..SwapConfig::default()
-                    },
-                    None,
-                );
+                let kind = BaselineKind::SwapCache(SwapConfig {
+                    cache_bytes: cache,
+                    ..SwapConfig::default()
+                });
+                let mut engine = BaselineEngine::new(mem, kind, 8).unwrap();
+                let rep = engine.execute(&reqs).unwrap();
+                let swap = engine.cluster().swap_stats();
                 let base = *base_latency.get_or_insert(rep.latency.mean);
                 println!(
                     "{:<12} {:>7} | {:>8.1}% {:>9.2}x {:>8.1}%",
                     app,
                     format!("1/{}", 1u32 << shift),
-                    rep.traversal_fraction() * 100.0,
+                    swap.traversal_fraction() * 100.0,
                     rep.latency.mean.as_nanos_f64() / base.as_nanos_f64(),
-                    rep.cache_hit_ratio * 100.0,
+                    swap.hit_rate() * 100.0,
                 );
             }
             println!();

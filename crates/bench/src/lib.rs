@@ -160,7 +160,7 @@ pub struct SweepPoint {
     pub update_goodput_kops: f64,
     /// Optimistic-concurrency re-issues the rung performed (seqlock
     /// readers/writers that lost a race). 0 for read-only curves and for
-    /// the sequential replay baselines.
+    /// the baselines, which run each traversal in one step.
     pub retries: u64,
     /// Front-end traversal-cell cache hit rate over the rung: locally
     /// walked hops over all probes. Exactly 0.0 on every cache-disabled

@@ -10,7 +10,7 @@
 //! across CPU nodes round-robin: submission `i` issues from CPU node
 //! `i % cpus`.
 //!
-//! This is the system Fig. 7/9 evaluate. Three modes exist:
+//! This is the system Fig. 7/9 evaluate. Four modes exist:
 //!
 //! * [`PulseMode::Pulse`] — in-network distributed traversals (§5): a
 //!   memory node that hits a remote pointer returns the in-flight packet to
@@ -21,8 +21,12 @@
 //! * [`PulseMode::Rpc`] — the RPC baselines: the `PulseAcc` bounce with a
 //!   pool of CPU worker cores at each memory node serving the traversals
 //!   instead of the accelerator (see [`RpcFlavor`]).
+//! * [`PulseMode::Swap`] — the Cache-based baseline: the CPU node runs
+//!   each request itself over a page cache and fetches every missed page
+//!   from its memory node (see the `swap` module).
 
 use crate::rpc::{ObjectCache, RpcFlavor, RpcServer};
+use crate::swap::{SwapCpu, SwapStats, Walk, Walked, FUNCTIONAL_ITERS, PAGE_BYTES};
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, AccelSink, Accelerator};
 use pulse_frontend::{
     prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
@@ -40,7 +44,7 @@ use pulse_sim::{
     CpuDispatch, DispatchConfig, Driver, IdHash, LatencyHistogram, SerialResource, SimTime, Slab,
 };
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
-use pulse_workloads::{AddrSource, AppRequest};
+use pulse_workloads::{execute_functional, AddrSource, AppRequest};
 use std::collections::HashMap;
 
 /// Distributed-traversal handling mode (Fig. 9).
@@ -56,6 +60,15 @@ pub enum PulseMode {
     /// when it takes the packet, so its stores land together. Selected
     /// through the `pulse` façade's `BaselineKind::Rpc`.
     Rpc(RpcFlavor),
+    /// The Cache-based (Fastswap-style swap) baseline: the CPU node runs
+    /// each request functionally when it picks it up, then walks its
+    /// accesses over a per-CPU-node page cache, fetching every missed
+    /// 4 KiB page from its memory node with a plain read. Selected through
+    /// the `pulse` façade's `BaselineKind::SwapCache`.
+    Swap {
+        /// CPU-node DRAM used as page cache, bytes.
+        cache_bytes: u64,
+    },
 }
 
 /// Cluster configuration.
@@ -186,6 +199,9 @@ enum Ev {
     /// A worker of this memory node's RPC server frees up for the packet
     /// at the head of its queue.
     Serve(NodeId),
+    /// A swap request's CPU node takes its walk's next step: walking on,
+    /// or booking the swap pipe for the page that just faulted.
+    Swap(RequestId),
 }
 
 const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
@@ -292,6 +308,8 @@ struct ReqState {
     /// retry budget without ever observing the release. One remote attempt
     /// refreshes the lines.
     skip_cache_once: bool,
+    /// A swap request's walk over its pages; `None` in every other mode.
+    walk: Option<Box<Walk>>,
 }
 
 /// One CPU (compute) node: its serial dispatch engine, its request
@@ -326,6 +344,7 @@ struct CpuNode {
     cache: Option<TraversalCache>,
     coalescer: Option<PrefixCoalescer>,
     objects: Option<ObjectCache>,
+    swap: Option<SwapCpu>,
 }
 
 /// The pulse rack.
@@ -521,7 +540,11 @@ impl PulseCluster {
         let fault_window = pulse_mem::degraded_window(&cfg.faults);
         let rpc = match cfg.mode {
             PulseMode::Rpc(flavor) => Some(flavor),
-            PulseMode::Pulse | PulseMode::PulseAcc => None,
+            PulseMode::Pulse | PulseMode::PulseAcc | PulseMode::Swap { .. } => None,
+        };
+        let swap = match cfg.mode {
+            PulseMode::Swap { cache_bytes } => Some(cache_bytes),
+            _ => None,
         };
         Ok(PulseCluster {
             accels,
@@ -537,6 +560,7 @@ impl PulseCluster {
                     cache: cfg.cache.enabled().then(|| TraversalCache::new(cfg.cache)),
                     coalescer: cfg.coalesce.then(PrefixCoalescer::default),
                     objects: rpc.and_then(RpcFlavor::object_cache),
+                    swap: swap.map(SwapCpu::new),
                 })
                 .collect(),
             walker: Interpreter::new(),
@@ -607,6 +631,20 @@ impl PulseCluster {
                 misses: sum.misses + s.misses,
                 invalidations: sum.invalidations + s.invalidations,
                 fills: sum.fills + s.fills,
+            })
+    }
+
+    /// Swap-system counters summed over every CPU node (all zero outside
+    /// [`PulseMode::Swap`]).
+    pub fn swap_stats(&self) -> SwapStats {
+        self.cpus
+            .iter()
+            .filter_map(|c| c.swap.as_ref().map(SwapCpu::stats))
+            .fold(SwapStats::default(), |sum, s| SwapStats {
+                hits: sum.hits + s.hits,
+                misses: sum.misses + s.misses,
+                traversal_time: sum.traversal_time + s.traversal_time,
+                walk_time: sum.walk_time + s.walk_time,
             })
     }
 
@@ -685,6 +723,7 @@ impl PulseCluster {
             last_state: None,
             retries: 0,
             skip_cache_once: false,
+            walk: None,
         };
         // The lane keeps a time-ordered stream out of the event heap; the
         // arrival still fires exactly where a heap push would have put it.
@@ -742,7 +781,11 @@ impl PulseCluster {
                 self.arriving -= 1;
                 let earlier = self.inflight.insert(id, *st);
                 assert!(earlier.is_none(), "request id {id:?} already in flight");
-                self.send_stage(now, id)
+                if self.cpus[id.cpu].swap.is_some() {
+                    self.swap_begin(now, id)
+                } else {
+                    self.send_stage(now, id)
+                }
             }
             Ev::Start(id) => self.send_stage(now, id),
             Ev::Hop(h) => {
@@ -799,6 +842,7 @@ impl PulseCluster {
             Ev::Fault(kind) => self.apply_fault(now, kind),
             Ev::Rebuild(stream) => self.rebuild_chunk(now, stream),
             Ev::Serve(n) => self.rpc_next(now, n),
+            Ev::Swap(id) => self.swap_step(now, id),
         }
     }
 
@@ -926,8 +970,9 @@ impl PulseCluster {
     /// links are still sampled in traces.
     ///
     /// This and the report's `net_bytes` are the only places the rack asks
-    /// whether it is routed, and pricing never does: the flat replays have
-    /// no fabric to report, so a flat rack keeps their convention.
+    /// whether it is routed, and pricing never does: a flat rack keeps the
+    /// convention of the single-switch model, which had no fabric to
+    /// report.
     pub fn fabric_gauges(&self, horizon: SimTime) -> (f64, u64) {
         if !self.cfg.topology.is_routed() {
             return (0.0, 0);
@@ -941,8 +986,8 @@ impl PulseCluster {
     /// Bytes the report counts as network traffic. A routed rack counts
     /// every message once at its origin's up-link, which also covers
     /// mem→mem chained hops. A flat rack counts the CPU NICs' two
-    /// directions instead, as the flat replays do: each CPU's up-link plus
-    /// its down-link, switch notices included.
+    /// directions instead, as the single-switch model did: each CPU's
+    /// up-link plus its down-link, switch notices included.
     fn net_bytes(&self) -> u64 {
         if self.cfg.topology.is_routed() {
             return self.fabric.host_injected_bytes();
@@ -1090,6 +1135,14 @@ impl PulseCluster {
     /// fault-completes as unavailable at the switch.
     fn on_crash_notice(&mut self, now: SimTime, id: RequestId) {
         let st = self.inflight.get_mut(&id).expect("inflight");
+        if let Some(walk) = st.walk.as_mut() {
+            // A swap request lost its page read: the fault is taken again.
+            walk.refault();
+            self.failovers += 1;
+            let restart = now + REISSUE_OVERHEAD;
+            self.trace_push(id, SpanKind::Failover, Track::Cpu(id.cpu), restart);
+            return self.drv.schedule_at(restart, Ev::Swap(id));
+        }
         if st.stage < st.req.traversals.len() {
             st.stage = 0;
             if let Some(old) = st.last_state.take() {
@@ -1848,6 +1901,73 @@ impl PulseCluster {
         self.mem_depart(n, depart, Packet::Iter(ip));
     }
 
+    /// A swap request's client picked it up (see [`PulseMode::Swap`]): the
+    /// CPU node runs it functionally now, then admits it through its
+    /// dispatch engine and starts walking its pages. A request the
+    /// functional run rejects fault-completes.
+    fn swap_begin(&mut self, now: SimTime, id: RequestId) {
+        let st = self.inflight.get_mut(&id).expect("inflight");
+        let run = execute_functional(&mut self.walker, &mut self.mem, &st.req, FUNCTIONAL_ITERS);
+        let Ok(run) = run else {
+            return self.drv.schedule_at(now, Ev::Finished(id, Done::Fault));
+        };
+        let grant = self.cpus[id.cpu].dispatch.book_grant(now);
+        st.last_state = run.response.final_state;
+        st.walk = Some(Box::new(Walk::new(&run.accesses, grant.end)));
+        self.trace_push(id, SpanKind::Queued, Track::Cpu(id.cpu), grant.start);
+        self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), grant.end);
+        if grant.end == now {
+            self.swap_step(now, id);
+        } else {
+            self.drv.schedule_at(grant.end, Ev::Swap(id));
+        }
+    }
+
+    /// Takes swap request `id`'s next step at `now`. A faulted page books
+    /// the node's swap pipe and its read departs when the pipe is done.
+    /// Otherwise the walk goes on to its next miss, whose fault software
+    /// ends in a later step, or to its end, after which the request's CPU
+    /// work finishes it.
+    fn swap_step(&mut self, now: SimTime, id: RequestId) {
+        let cpu = id.cpu;
+        let st = self.inflight.get_mut(&id).expect("inflight");
+        let walk = st.walk.as_mut().expect("a swap request walks");
+        let swap = self.cpus[cpu].swap.as_mut().expect("swap mode");
+        if let Some(addr) = walk.fault() {
+            let g = swap.book_fill(now, walk);
+            self.trace_push(id, SpanKind::Queued, Track::Cpu(cpu), g.start);
+            self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), g.end);
+            let len = PAGE_BYTES as u32;
+            return self.transmit(g.end, Packet::Read { id, addr, len }, Endpoint::Cpu(cpu));
+        }
+        let sink = &mut self.sink;
+        let walked = swap.walk(now, walk, |kind, end| {
+            if let Some(sink) = sink.as_mut() {
+                sink.push(id, kind, Track::Cpu(cpu), end);
+            }
+        });
+        match walked {
+            Walked::Fault(at) => self.drv.schedule_at(at, Ev::Swap(id)),
+            Walked::Done(at) => {
+                let end = at + st.req.cpu_work;
+                let walk = st.walk.take().expect("a swap request walks");
+                swap.finished(end, &walk);
+                self.trace_push(id, SpanKind::Dispatch, Track::Cpu(cpu), end);
+                self.drv.schedule_at(end, Ev::Finished(id, Done::Ok));
+            }
+        }
+    }
+
+    /// Swap request `id`'s faulted page landed at its CPU node: the walk
+    /// resumes from the next touch.
+    fn swap_landed(&mut self, now: SimTime, id: RequestId) {
+        let st = self.inflight.get_mut(&id).expect("inflight");
+        let walk = st.walk.as_mut().expect("a swap request walks");
+        let swap = self.cpus[id.cpu].swap.as_mut().expect("swap mode");
+        swap.landed(now, walk);
+        self.swap_step(now, id);
+    }
+
     /// Transmits a packet from its owning CPU node: the dispatch engine
     /// first (queueing + occupancy under load), then `overhead` (the flat
     /// issue pipeline, or the re-issue software of a bounced traversal),
@@ -1965,6 +2085,9 @@ impl PulseCluster {
                     self.detach_riders(now, id);
                 }
             },
+            Packet::ReadReply { .. } if self.cpus[id.cpu].swap.is_some() => {
+                self.swap_landed(now, id)
+            }
             Packet::ReadReply { .. } | Packet::WriteAck { .. } => {
                 let cpu_work = self.inflight.get(&id).expect("inflight").req.cpu_work;
                 self.trace_push(id, SpanKind::Dispatch, Track::Cpu(id.cpu), now + cpu_work);
@@ -2642,6 +2765,7 @@ mod tests {
                 last_state: None,
                 retries: 0,
                 skip_cache_once: false,
+                walk: None,
             };
             cluster.inflight.insert(RequestId { cpu: 0, seq }, st);
         }
@@ -2847,6 +2971,7 @@ mod tests {
                     last_state: None,
                     retries: 0,
                     skip_cache_once: false,
+                    walk: None,
                 };
                 cluster.inflight.insert(id, st);
                 let back = Packet::ReadReply { id, len };

@@ -20,6 +20,12 @@
 //!   pulse-acc bounce, with each memory node's [`RpcFlavor`] worker cores
 //!   serving traversals in place of its accelerator. The `pulse` façade
 //!   builds it through `BaselineKind::Rpc`.
+//! * [`PulseMode::Swap`] — the Cache-based (Fastswap) baseline on the same
+//!   engine: the CPU node runs each request over a 4 KiB-page LRU, and a
+//!   missed page is a plain read its memory node's DMA engine serves,
+//!   hop by hop over the rack's fabric ([`SwapStats`] counts its hits and
+//!   time split). The `pulse` façade builds it through
+//!   `BaselineKind::SwapCache`.
 //! * [`cxl_study`] — the §7/Fig. 12 CXL-interconnect model.
 //!
 //! # CPU-node dispatch contention
@@ -50,8 +56,7 @@
 //! Each CPU node's issue path is its NIC (its up-link on the rack's
 //! [`pulse_net::Fabric`], which doubles as the issue queue), its
 //! [`CpuDispatch`] engine and its sequence counter, all owned by
-//! [`PulseCluster`], for pulse and RPC alike; the swap replay prices
-//! admission on the same dispatch model. [`ClusterConfig::cache`] gives every CPU node
+//! [`PulseCluster`], for pulse and both baselines alike. [`ClusterConfig::cache`] gives every CPU node
 //! one such cache: when enabled, each stage first walks cached,
 //! version-valid cells locally at [`CacheConfig::HIT_NS`] per hop and only
 //! the remainder is offloaded, resumed from the last cached pointer;
@@ -107,6 +112,7 @@
 mod cluster;
 mod cxl;
 mod rpc;
+mod swap;
 
 pub use cluster::{ClusterConfig, ClusterReport, Completion, PulseCluster, PulseMode};
 pub use cxl::{cxl_study, CxlConfig, CxlSlowdown};
@@ -118,3 +124,4 @@ pub use pulse_trace::{
     LatencyBreakdown, Phase, PhaseAttribution, RunMetrics, TraceConfig, TraceSink, PHASES,
 };
 pub use rpc::RpcFlavor;
+pub use swap::SwapStats;

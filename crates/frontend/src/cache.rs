@@ -26,17 +26,12 @@
 //! claim — that caching still cannot save deep or write-heavy pointer
 //! traversals — only gets stronger for it.
 //!
-//! Replay baselines (which pre-execute functionally) instead age lines
-//! explicitly via [`TraversalCache::invalidate_range`] when a request's
-//! write accesses are served.
-//!
 //! # Dead tags
 //!
-//! Aging a line out (a failed validation or an explicit invalidation)
-//! drops its bytes but not its LRU tag: the tag keeps its recency and
-//! still counts against capacity until it is evicted as the tail or the
-//! line is refilled. A stale line whose refill read fails stays resident
-//! (and keeps failing validation).
+//! Aging a line out (a failed validation) drops its bytes but not its LRU
+//! tag: the tag keeps its recency and still counts against capacity until
+//! it is evicted as the tail or the line is refilled. A stale line whose
+//! refill read fails stays resident (and keeps failing validation).
 //!
 //! # Layout
 //!
@@ -98,8 +93,7 @@ pub struct CacheStats {
     pub hits: u64,
     /// Walks (or trace probes) that had to go remote.
     pub misses: u64,
-    /// Lines aged out by a failed version check or an explicit
-    /// write-invalidation.
+    /// Lines aged out by a failed version check.
     pub invalidations: u64,
     /// Lines written into the cache.
     pub fills: u64,
@@ -393,23 +387,6 @@ impl TraversalCache {
         (new_lines, new_bytes)
     }
 
-    /// Ages out every line intersecting `[addr, addr+len)` — the explicit
-    /// write-invalidation hook the replay baselines drive (the pulse rack
-    /// relies on version validation instead). The tags stay put.
-    pub fn invalidate_range(&mut self, addr: u64, len: u64) {
-        let (first, last) = Self::line_span(addr, len);
-        for key in first..=last {
-            if let Some(&i) = self.index.get(&key) {
-                let slot = &mut self.slots[i as usize];
-                if slot.live {
-                    slot.live = false;
-                    self.live -= 1;
-                    self.stats.invalidations += 1;
-                }
-            }
-        }
-    }
-
     /// Resident line count: live lines only, not the dead tags.
     pub fn resident_lines(&self) -> usize {
         self.live
@@ -511,16 +488,6 @@ mod tests {
         assert_eq!(c.resident_lines(), 2);
         assert!(!c.probe_range(0x1000, 8, &mem));
         assert!(c.probe_range(0x1080, 8, &mem));
-    }
-
-    #[test]
-    fn explicit_invalidation_ages_lines_out() {
-        let mut mem = mem_with_data();
-        let mut c = TraversalCache::new(CacheConfig::sized(4096));
-        c.fill_range(0x1000, 64, &mut mem);
-        c.invalidate_range(0x1010, 8);
-        assert!(!c.probe_range(0x1000, 8, &mem));
-        assert_eq!(c.stats().invalidations, 1);
     }
 
     #[test]

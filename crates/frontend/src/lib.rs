@@ -2,8 +2,7 @@
 //!
 //! The **CPU-node mechanisms** the execution engines share: what a
 //! compute node runs on the issue path besides its NIC and dispatch engine
-//! (which the rack owns per CPU node and the swap replay models
-//! directly).
+//! (which the rack owns per CPU node).
 //!
 //! * [`CacheConfig`] / [`TraversalCache`] — a deterministic, coherent LRU
 //!   over traversal cells with version-validated hits (see the
@@ -23,9 +22,7 @@
 //!   [`coalesce`] module docs for the exact matching and
 //!   detachment semantics). Off by default;
 //! * [`LruSet`] — the plain LRU set behind the swap baseline's page
-//!   cache, AIFM's object cache and the CXL study's cache levels;
-//! * [`replay`] — the FIFO multi-server closed-/open-loop admission
-//!   helpers the swap replay prices its request stream through.
+//!   cache, AIFM's object cache and the CXL study's cache levels.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +32,6 @@ pub mod cache;
 pub mod coalesce;
 mod frontend;
 mod lru;
-pub mod replay;
 
 pub use cache::{CacheBus, CacheConfig, CacheStats, TraversalCache};
 pub use coalesce::{CoalesceStats, PrefixCoalescer, Role};

@@ -1,7 +1,6 @@
 //! An O(1) LRU set over u64 keys (cache-line indices, page numbers, object
 //! ids), built on an intrusive doubly-linked slab. Backs the Fastswap page
-//! cache and the AIFM object cache in `pulse-baselines` and the CXL cache
-//! model in `pulse-core`.
+//! cache, the AIFM object cache and the CXL cache model in `pulse-core`.
 
 use std::collections::HashMap;
 

@@ -396,7 +396,9 @@ impl ClusterMemory {
                 return Err(MemFault::NotMapped { addr });
             }
         }
-        if addr + len as u64 > e.end() {
+        // `addr` lies inside the extent, so this cannot overflow where
+        // `addr + len` could at the top of the address space.
+        if len as u64 > e.end() - addr {
             return Err(MemFault::Split { addr });
         }
         let ok = if write {

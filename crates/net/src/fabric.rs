@@ -142,8 +142,7 @@ impl Fabric {
     /// afterwards queues behind this one. The rack therefore books packets
     /// and switch notices one [`Fabric::hop`] per event, and calls `send`
     /// only for two background streams off the request path: a replicated
-    /// store's fan-out to its other copies, and re-replication chunks. The
-    /// analytic replays, which have no event loop, use it for every trip.
+    /// store's fan-out to its other copies, and re-replication chunks.
     ///
     /// Returns `None`, booking nothing, when either endpoint is not on the
     /// fabric.

@@ -344,25 +344,6 @@ impl LatencyBreakdown {
         self.count += 1;
     }
 
-    /// Records one request from an *analytic* decomposition: ordered
-    /// `(phase, duration)` components whose sum may over- or undershoot
-    /// `total` (the baselines' end time is a max over concurrent paths).
-    /// Components are clamped cursor-style — each takes at most what
-    /// remains of `total` — and any residual is attributed to
-    /// [`Phase::Queued`] (slack behind concurrent work), so the recorded
-    /// partition is exact by construction.
-    pub fn record_components(&mut self, total: SimTime, components: &[(Phase, SimTime)]) {
-        let mut times = [SimTime::ZERO; PHASES];
-        let mut remaining = total;
-        for &(phase, dur) in components {
-            let take = dur.min(remaining);
-            times[phase as usize] += take;
-            remaining = remaining.saturating_sub(take);
-        }
-        times[Phase::Queued as usize] += remaining;
-        self.record(total, &times);
-    }
-
     /// Requests recorded so far.
     pub fn count(&self) -> u64 {
         self.count
@@ -398,10 +379,10 @@ impl LatencyBreakdown {
 // ----------------------------------------------------------- run metrics
 
 /// The engine-neutral outcome of one run: the one definition of every
-/// number the pulse rack (RPC included), the swap replay and the open-loop
+/// number the pulse rack (both baselines included) and the open-loop
 /// driver report, and that the sweep document plots. Engine reports
-/// (`ClusterReport`, `BaselineReport`, `OpenLoopReport`) embed it and add
-/// only what is theirs.
+/// (`ClusterReport`, `OpenLoopReport`) embed it and add only what is
+/// theirs.
 ///
 /// An open-loop report covers one request stream on a possibly reused
 /// engine; see [`RunMetrics::since`] for which fields difference between
@@ -447,8 +428,8 @@ pub struct RunMetrics {
     /// Optimistic-concurrency re-issues: traversals whose final stage
     /// returned their request's retry code (a seqlock reader or writer
     /// that lost its race) and were re-planned and re-sent. 0 for
-    /// read-only streams and for the swap replay, which executes its
-    /// stream sequentially.
+    /// read-only streams and for the RPC and Cache-based baselines, which
+    /// run each traversal in one step.
     pub retries: u64,
     /// Failover actions: requests (or request segments) redirected onto a
     /// live replica around an unreachable memory node, plus crash-notice
@@ -460,8 +441,8 @@ pub struct RunMetrics {
     pub unavailable_completions: u64,
     /// Background re-replication traffic: bytes streamed from surviving
     /// replicas to rebuild targets after crashes, priced on the same links
-    /// and engines as foreground packets, RPC runs included. 0 without
-    /// faults, and always 0 for the swap replay, which runs no faults.
+    /// and engines as foreground packets, baseline runs included. 0
+    /// without faults.
     pub rereplication_bytes: u64,
     /// p99 latency over completions that finished inside the fault window
     /// (first fault to last repair, or the end of the run when nothing
@@ -847,33 +828,6 @@ mod tests {
         assert!(sink.spans().is_empty());
         assert_eq!(sink.completed(), 0);
         assert!(sink.attribution().is_none());
-    }
-
-    #[test]
-    fn clamped_components_partition_exactly() {
-        let mut b = LatencyBreakdown::new();
-        let t = SimTime::from_nanos;
-        // Components overshoot the total (concurrent paths): the tail is
-        // clamped, nothing spills.
-        b.record_components(
-            t(100),
-            &[
-                (Phase::Dispatch, t(60)),
-                (Phase::WireHop, t(30)),
-                (Phase::MemTrip, t(40)),
-            ],
-        );
-        // Components undershoot: the residual lands in Queued.
-        b.record_components(t(100), &[(Phase::Dispatch, t(70))]);
-        let attr = b.attribution().expect("two requests");
-        assert_eq!(attr.count, 2);
-        let sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
-        assert_eq!(sum, t(100).as_picos());
-        assert_eq!(attr.mean_of(Phase::MemTrip), t(5)); // (10 + 0) / 2
-        assert_eq!(attr.mean_of(Phase::Queued), t(15)); // (0 + 30) / 2
-                                                        // Zero-total requests record zeros everywhere and stay safe.
-        b.record_components(SimTime::ZERO, &[(Phase::Dispatch, t(5))]);
-        assert_eq!(b.attribution().unwrap().count, 3);
     }
 
     #[test]

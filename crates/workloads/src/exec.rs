@@ -3,8 +3,9 @@
 //! Runs an [`AppRequest`] against the rack's global memory view, iteration
 //! by iteration, recording every memory access and every memory-node
 //! boundary crossing. Three consumers share it: tests (ground truth), the
-//! swap-cache baseline (which replays the access trace against its page
-//! cache), and the Fig. 2(b)/(c) distributed-traversal analysis.
+//! swap-cache baseline (which runs each request through it on the rack,
+//! then walks the access trace page by page against its page cache), and
+//! the Fig. 2(b)/(c) distributed-traversal analysis.
 
 use crate::request::{AddrSource, AppRequest, AppResponse, RequestError};
 use pulse_isa::{Fault, Interpreter, IterOutcome, IterState};
@@ -64,7 +65,7 @@ pub struct Access {
     /// I/O) — the classification behind Fig. 2(a)'s time split.
     pub traversal: bool,
     /// Instructions the iteration that issued this access executed (0 for
-    /// object I/O); lets replaying baselines charge compute faithfully.
+    /// object I/O); lets the swap baseline charge compute faithfully.
     pub insns: u32,
 }
 
@@ -121,9 +122,8 @@ pub fn execute_functional(
             if trace.stores > 0 {
                 // Write trips the iteration made beyond the window fetch
                 // (`STORE`s plus the write leg of every `CAS`). Recording
-                // them keeps the replay baselines on the same write model
-                // as the rack: the swap cache dirties the touched page and
-                // the RPC pricing charges the extra DRAM bytes. The trip
+                // them keeps the swap baseline on the same write model as
+                // the rack: its page cache touches the written page. The trip
                 // count and byte volume are exact (`store_bytes` sums each
                 // store's access width); the *address* is the iteration's
                 // node — an approximation for stores aimed at a different

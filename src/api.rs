@@ -12,7 +12,7 @@
 
 use crate::error::Error;
 use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
-use pulse_baselines::{run_swap_cache, RpcConfig, SwapConfig};
+use pulse_baselines::{RpcConfig, SwapConfig};
 use pulse_core::{ClusterConfig, PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink};
 use pulse_dispatch::{DispatchEngine, OffloadDecision};
 use pulse_ds::{BuildCtx, DsError, Traversal};
@@ -171,11 +171,10 @@ impl AppSpec for BtrdbConfig {
 /// workload is a one-line change.
 ///
 /// **Measurement contract:** build one engine per measured stream and call
-/// [`Engine::execute`] once on it. The rack's counters (latency histogram,
-/// link/DRAM bytes, makespan) are cumulative over its lifetime while the
-/// swap replay prices each call independently, so a second `execute` on
-/// the same engine would not produce comparable reports across
-/// implementations.
+/// [`Engine::execute`] once on it. Every engine is a rack whose counters
+/// (latency histogram, link/DRAM bytes, makespan) are cumulative over its
+/// lifetime, so a second `execute` on the same engine reports both
+/// streams together.
 pub trait Engine {
     /// System label for report rows.
     fn label(&self) -> &'static str;
@@ -248,26 +247,13 @@ impl BaselineKind {
 /// A baseline system over its own copy of the rack memory, behind the same
 /// [`Engine`] face as the pulse runtime, with `concurrency` closed-loop
 /// clients: in open loop a request that arrives while every client is busy
-/// waits FIFO for one, and its latency counts from its arrival. The RPC
-/// family runs on the pulse rack's event engine (a one-CPU rack in
-/// [`PulseMode::Rpc`]); the swap system is an analytic replay.
+/// waits FIFO for one, and its latency counts from its arrival. Every
+/// baseline runs on the pulse rack's event engine: a one-CPU rack in
+/// [`PulseMode::Swap`] or [`PulseMode::Rpc`].
 #[derive(Debug)]
 pub struct BaselineEngine {
     label: &'static str,
-    system: System,
-}
-
-/// What a [`BaselineEngine`] runs.
-#[derive(Debug)]
-enum System {
-    /// The swap replay, its memory and its closed-loop client count.
-    Swap {
-        mem: Box<ClusterMemory>,
-        cfg: SwapConfig,
-        concurrency: usize,
-    },
-    /// The RPC family on the rack.
-    Rpc(Box<Runtime>),
+    runtime: Runtime,
 }
 
 impl BaselineEngine {
@@ -276,7 +262,7 @@ impl BaselineEngine {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] without a client, [`Error::Capacity`] if an RPC
+    /// [`Error::Config`] without a client, [`Error::Capacity`] if the
     /// rack's translation ranges overflow a node's TCAM.
     pub fn new(
         mem: ClusterMemory,
@@ -287,51 +273,55 @@ impl BaselineEngine {
             return Err(Error::Config("a baseline needs at least one client".into()));
         }
         let label = kind.label();
-        let system = match kind {
-            BaselineKind::SwapCache(cfg) => System::Swap {
-                mem: Box::new(mem),
-                cfg,
-                concurrency,
-            },
-            BaselineKind::Rpc(cfg) => {
-                let cluster = PulseCluster::try_new(rpc_rack(cfg), mem)?;
-                System::Rpc(Box::new(Runtime::new(cluster, concurrency)))
-            }
-        };
-        Ok(BaselineEngine { label, system })
+        let cluster = PulseCluster::try_new(baseline_rack(kind), mem)?;
+        Ok(BaselineEngine {
+            label,
+            runtime: Runtime::new(cluster, concurrency),
+        })
     }
 
-    /// The trace sink of an RPC engine built with tracing on: spans,
+    /// The trace sink of an engine built with tracing on: spans,
     /// occupancy and counter samples, as [`Runtime::trace`] gives them.
-    /// `None` for the swap replay, which records only phase attribution.
     pub fn trace(&self) -> Option<&TraceSink> {
-        match &self.system {
-            System::Swap { .. } => None,
-            System::Rpc(runtime) => runtime.trace(),
-        }
+        self.runtime.trace()
+    }
+
+    /// The rack the baseline runs on, for system-level counters such as
+    /// [`PulseCluster::swap_stats`].
+    pub fn cluster(&self) -> &PulseCluster {
+        self.runtime.cluster()
     }
 
     /// The memory the baseline executes against.
     pub fn memory_mut(&mut self) -> &mut ClusterMemory {
-        match &mut self.system {
-            System::Swap { mem, .. } => mem,
-            System::Rpc(runtime) => runtime.memory_mut(),
-        }
+        self.runtime.memory_mut()
     }
 }
 
-/// The rack an RPC configuration runs on: one CPU node with the config's
-/// dispatch engine, front-end cache, fabric and faults, and the flavour's
-/// workers serving traversals at every memory node.
-fn rpc_rack(cfg: RpcConfig) -> ClusterConfig {
-    ClusterConfig {
-        mode: PulseMode::Rpc(cfg.flavor),
-        dispatch: cfg.dispatch,
-        topology: cfg.topology,
-        cache: cfg.cache,
-        faults: cfg.faults,
-        trace: cfg.trace.then(TraceConfig::default),
-        ..ClusterConfig::default()
+/// The rack a baseline configuration runs on: one CPU node with the
+/// config's dispatch engine and fabric, and, for the RPC family, its
+/// front-end cache and faults, with the flavour's workers serving
+/// traversals at every memory node.
+fn baseline_rack(kind: BaselineKind) -> ClusterConfig {
+    match kind {
+        BaselineKind::SwapCache(cfg) => ClusterConfig {
+            mode: PulseMode::Swap {
+                cache_bytes: cfg.cache_bytes,
+            },
+            dispatch: cfg.dispatch,
+            topology: cfg.topology,
+            trace: cfg.trace.then(TraceConfig::default),
+            ..ClusterConfig::default()
+        },
+        BaselineKind::Rpc(cfg) => ClusterConfig {
+            mode: PulseMode::Rpc(cfg.flavor),
+            dispatch: cfg.dispatch,
+            topology: cfg.topology,
+            cache: cfg.cache,
+            faults: cfg.faults,
+            trace: cfg.trace.then(TraceConfig::default),
+            ..ClusterConfig::default()
+        },
     }
 }
 
@@ -341,69 +331,19 @@ impl Engine for BaselineEngine {
     }
 
     fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
-        match &mut self.system {
-            System::Swap {
-                mem,
-                cfg,
-                concurrency,
-            } => {
-                for req in requests {
-                    req.validate()?;
-                }
-                Ok(run_swap_cache(mem, requests, *concurrency, *cfg, None).metrics)
-            }
-            System::Rpc(runtime) => runtime.execute(requests),
-        }
+        self.runtime.execute(requests)
     }
 
     fn execute_open_loop(
         &mut self,
         requests: &[AppRequest],
-        mut arrivals: ArrivalProcess,
+        arrivals: ArrivalProcess,
     ) -> Result<OpenLoopReport, Error> {
-        let (mem, cfg, concurrency) = match &mut self.system {
-            System::Swap {
-                mem,
-                cfg,
-                concurrency,
-            } => (mem, *cfg, *concurrency),
-            System::Rpc(runtime) => {
-                let rep =
-                    OpenLoopDriver::new(arrivals).run_with_clients(runtime, requests.to_vec())?;
-                return Ok(OpenLoopReport {
-                    label: self.label.into(),
-                    ..rep
-                });
-            }
-        };
-        for req in requests {
-            req.validate()?;
-        }
-        let times = arrivals.schedule(SimTime::ZERO, requests.len());
-        let first_arrival = times.first().copied().unwrap_or(SimTime::ZERO);
-        if requests.is_empty() {
-            return Ok(OpenLoopReport {
-                label: self.label.into(),
-                offered_per_sec: arrivals.rate_per_sec().unwrap_or(0.0),
-                submitted: 0,
-                first_arrival,
-                last_arrival: first_arrival,
-                last_completion: first_arrival,
-                completed_updates: 0,
-                metrics: RunMetrics::default(),
-            });
-        }
-        let rep = run_swap_cache(mem, requests, concurrency, cfg, Some(&times));
-        let last_arrival = *times.last().unwrap();
+        let rep =
+            OpenLoopDriver::new(arrivals).run_with_clients(&mut self.runtime, requests.to_vec())?;
         Ok(OpenLoopReport {
-            label: rep.label.into(),
-            offered_per_sec: arrivals.offered_rate(first_arrival, last_arrival, times.len() as u64),
-            submitted: requests.len() as u64,
-            first_arrival,
-            last_arrival,
-            last_completion: rep.makespan,
-            completed_updates: rep.completed_updates,
-            metrics: rep.metrics,
+            label: self.label.into(),
+            ..rep
         })
     }
 }

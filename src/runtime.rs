@@ -148,9 +148,10 @@ impl PulseBuilder {
     }
 
     /// Crossing-handling mode (the Fig. 9 pulse vs pulse-acc ablation).
-    /// [`PulseMode::Rpc`] is built through
-    /// [`PulseBuilder::baseline_app`] with `BaselineKind::Rpc`; building a
-    /// runtime in that mode is an [`Error::Config`].
+    /// [`PulseMode::Rpc`] and [`PulseMode::Swap`] are built through
+    /// [`PulseBuilder::baseline_app`] with `BaselineKind::Rpc` and
+    /// `BaselineKind::SwapCache`; building a runtime in either mode is an
+    /// [`Error::Config`].
     pub fn mode(mut self, mode: PulseMode) -> PulseBuilder {
         self.config.mode = mode;
         self
@@ -311,17 +312,25 @@ impl PulseBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for invalid builder parameters (an RPC mode
+    /// [`Error::Config`] for invalid builder parameters (a baseline's mode
     /// included), [`Error::Build`] from `build`, [`Error::Capacity`] if
     /// the resulting layout overflows a node's TCAM.
     pub fn build_with<A>(
         self,
         build: impl FnOnce(&mut BuildCtx<'_>) -> Result<A, DsError>,
     ) -> Result<(Runtime, A), Error> {
-        if let PulseMode::Rpc(_) = self.config.mode {
-            return Err(Error::Config(
-                "RPC is a baseline: build it with BaselineKind::Rpc".into(),
-            ));
+        match self.config.mode {
+            PulseMode::Rpc(_) => {
+                return Err(Error::Config(
+                    "RPC is a baseline: build it with BaselineKind::Rpc".into(),
+                ))
+            }
+            PulseMode::Swap { .. } => {
+                return Err(Error::Config(
+                    "Cache-based is a baseline: build it with BaselineKind::SwapCache".into(),
+                ))
+            }
+            PulseMode::Pulse | PulseMode::PulseAcc => {}
         }
         let (mut mem, mut alloc) = self.wire()?;
         let artifact = {

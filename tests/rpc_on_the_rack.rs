@@ -1,7 +1,8 @@
-//! The RPC baselines on the rack's event engine (`PulseMode::Rpc`, built
-//! through `BaselineKind::Rpc`): pricing regressions, the comparisons the
-//! paper draws, faults handled by the rack, traces, and the functional
-//! oracle.
+//! The baselines on the rack's event engine: RPC (`PulseMode::Rpc`, built
+//! through `BaselineKind::Rpc`) and the Cache-based system
+//! (`PulseMode::Swap`, built through `BaselineKind::SwapCache`). Pricing
+//! regressions, the comparisons the paper draws, faults handled by the
+//! rack, traces, and the functional oracle.
 
 use pulse::baselines::{RpcConfig, RpcFlavor, SwapConfig};
 use pulse::ds::{BuildCtx, TreePlacement};
@@ -15,8 +16,8 @@ use pulse::workloads::{
 use pulse::{
     AppRequest, ArrivalProcess, BaselineEngine, BaselineKind, BtrdbConfig, CacheConfig,
     ClusterConfig, DispatchConfig, Engine, FaultEvent, FaultKind, MutationConfig, Placement,
-    PulseBuilder, PulseCluster, PulseMode, TopologySpec, WebServiceConfig, WiredTigerConfig,
-    YcsbDriver, YcsbWorkload,
+    PulseBuilder, PulseCluster, PulseMode, TopologySpec, TraceConfig, WebServiceConfig,
+    WiredTigerConfig, YcsbDriver, YcsbWorkload,
 };
 
 const LEAF_SPINE: TopologySpec = TopologySpec::LeafSpine {
@@ -310,8 +311,8 @@ fn routed_rpc_prices_bounces_on_the_cpu_downlink() {
 }
 
 /// The Fig. 7 order on a 200 000-key uniform WebService whose index
-/// misses a 1 MiB page cache: the swap replay is many times slower than
-/// RPC on the rack.
+/// misses a 1 MiB page cache: the Cache-based system is many times slower
+/// than RPC.
 #[test]
 fn swap_cache_is_orders_of_magnitude_slower_than_rpc() {
     let app = WebServiceConfig {
@@ -476,10 +477,11 @@ fn traced_rpc_dead_end_counts_failover_phase() {
     assert!(attr.mean_of(Phase::Failover) > SimTime::ZERO);
 }
 
-/// Every completion of every RPC flavour, flat or routed, with the
-/// front-end cache off or on, carries exactly the final state the
-/// functional executor computes — over WebService, WiredTiger and BTrDB
-/// laid out in small extents, so that traversals bounce between nodes.
+/// Every completion of every RPC flavour and of the Cache-based system,
+/// flat or routed, with the front-end cache off or on, carries exactly
+/// the final state the functional executor computes — over WebService,
+/// WiredTiger and BTrDB laid out in small extents, so that RPC traversals
+/// bounce between nodes and swap pages come from every node.
 #[test]
 fn rpc_completions_match_the_functional_oracle() {
     type Build = fn(&mut BuildCtx<'_>) -> Box<dyn Application>;
@@ -525,18 +527,21 @@ fn rpc_completions_match_the_functional_oracle() {
             )
         }),
     ];
-    let flavors = [
-        RpcFlavor::Rpc,
-        RpcFlavor::RpcArm,
-        RpcFlavor::CacheRpc {
+    let modes = [
+        PulseMode::Rpc(RpcFlavor::Rpc),
+        PulseMode::Rpc(RpcFlavor::RpcArm),
+        PulseMode::Rpc(RpcFlavor::CacheRpc {
             cache_bytes: 1 << 20,
+        }),
+        PulseMode::Swap {
+            cache_bytes: 256 << 10,
         },
     ];
     for (name, granularity, build) in apps {
-        for flavor in flavors {
+        for mode in modes {
             for topology in [TopologySpec::Flat, LEAF_SPINE] {
                 for cache in [CacheConfig::disabled(), CacheConfig::sized(1 << 20)] {
-                    let tag = format!("{name} {flavor:?} {topology:?} cache {}", cache.enabled());
+                    let tag = format!("{name} {mode:?} {topology:?} cache {}", cache.enabled());
                     let mut mem = ClusterMemory::new(4);
                     let mut alloc = ClusterAllocator::new(Placement::Striped, granularity);
                     let mut app = build(&mut BuildCtx::new(&mut mem, &mut alloc));
@@ -551,7 +556,7 @@ fn rpc_completions_match_the_functional_oracle() {
                         })
                         .collect();
                     let cfg = ClusterConfig {
-                        mode: PulseMode::Rpc(flavor),
+                        mode,
                         topology,
                         cache,
                         ..ClusterConfig::default()
@@ -573,7 +578,9 @@ fn rpc_completions_match_the_functional_oracle() {
                         let got = c.final_state.map(|s| s.scratch);
                         assert_eq!(got, expected[i], "{tag}: request {i}");
                     }
-                    if name == "webservice" {
+                    if let PulseMode::Swap { .. } = mode {
+                        assert!(cluster.swap_stats().misses > 0, "{tag}: no page read");
+                    } else if name == "webservice" {
                         assert!(cluster.report().crossings > 0, "{tag}: no bounce");
                     }
                 }
@@ -612,4 +619,266 @@ fn ycsb_a_on_rpc_releases_every_lock_and_completes_every_update() {
         let version = engine.memory_mut().read_word(b + 8, 8).unwrap();
         assert_eq!(version % 2, 0, "bucket {b:#x} left locked");
     }
+}
+
+// ------------------------------------------------------------ Cache-based
+
+/// A Cache-based engine with a `cache_bytes` page cache over a 4-node,
+/// 1 MiB-striped WebService deployment of `keys` keys, with 8 clients, and
+/// 300 requests of its stream.
+fn swap_engine(
+    cfg: SwapConfig,
+    keys: u64,
+    object_bytes: u32,
+    distribution: Distribution,
+) -> (BaselineEngine, Vec<AppRequest>) {
+    let (engine, mut app) = PulseBuilder::new()
+        .nodes(4)
+        .granularity(1 << 20)
+        .window(8)
+        .baseline_app(
+            BaselineKind::SwapCache(cfg),
+            WebServiceConfig {
+                keys,
+                object_bytes,
+                distribution,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+    let reqs = (0..300).map(|_| app.next_request()).collect();
+    (engine, reqs)
+}
+
+fn swap_with_cache(cache_bytes: u64) -> SwapConfig {
+    SwapConfig {
+        cache_bytes,
+        ..SwapConfig::default()
+    }
+}
+
+/// Fig. 2(a)'s two observations on the rack: a warm working set that fits
+/// the page cache mostly hits, and on a uniform index far larger than the
+/// cache the traversal share of the CPU node's walk time grows as the
+/// cache shrinks.
+#[test]
+fn swap_page_cache_hits_and_traversal_share() {
+    let (mut engine, reqs) =
+        swap_engine(swap_with_cache(64 << 20), 200, 8192, Distribution::Zipfian);
+    engine.execute(&reqs).unwrap();
+    let warm = engine.cluster().swap_stats();
+    assert!(warm.hit_rate() > 0.5, "hit rate {}", warm.hit_rate());
+
+    let fractions: Vec<f64> = [16u64 << 20, 2 << 20, 512 << 10]
+        .into_iter()
+        .map(|cache| {
+            let (mut engine, reqs) =
+                swap_engine(swap_with_cache(cache), 200_000, 512, Distribution::Uniform);
+            engine.execute(&reqs).unwrap();
+            engine.cluster().swap_stats().traversal_fraction()
+        })
+        .collect();
+    assert!(
+        fractions[0] < fractions[2],
+        "the traversal share should grow with smaller caches: {fractions:?}"
+    );
+    assert!(fractions.iter().all(|&f| (0.0..=1.0).contains(&f)));
+}
+
+/// The CPU node's dispatch engine admits every swap request: 100 kops
+/// offered against a 20 kops engine queues them.
+#[test]
+fn contended_dispatch_slows_swap_admission() {
+    let run = |dispatch| {
+        let cfg = SwapConfig {
+            dispatch,
+            ..SwapConfig::default()
+        };
+        let (mut engine, reqs) = swap_engine(cfg, 200, 8192, Distribution::Zipfian);
+        engine
+            .execute_open_loop(&reqs, evenly(10_000, reqs.len()))
+            .unwrap()
+    };
+    let free = run(DispatchConfig::default());
+    let contended = run(DispatchConfig::contended(SimTime::from_micros(50), 1));
+    assert!(
+        contended.latency.p99 > free.latency.p99,
+        "free {} contended {}",
+        free.latency.p99,
+        contended.latency.p99
+    );
+}
+
+/// A mixed stream of seqlock-verified reads and locked updates runs
+/// through the Cache-based system: each update mutates the rack's memory
+/// exactly once (its bucket's version word moves by one lock and one
+/// unlock per update), and every update completes.
+#[test]
+fn mixed_locked_updates_run_through_swap_exactly_once() {
+    use pulse::mutation::{locked_update_stage, retrying_request, verified_read_stage};
+    use std::sync::Arc;
+
+    let (mut engine, map) = PulseBuilder::new()
+        .nodes(2)
+        .window(8)
+        .baseline_with(BaselineKind::SwapCache(SwapConfig::default()), |ctx| {
+            let pairs: Vec<(u64, u64)> = (0..512).map(|k| (k, k)).collect();
+            pulse::ds::HashMapDs::build_partitioned(ctx, 8, &pairs, 2)
+        })
+        .unwrap();
+    let find = Arc::new(pulse::mutation::verified_find_program());
+    let update = Arc::new(pulse::mutation::locked_update_program());
+    let mc = MutationConfig::default();
+    let mixed: Vec<AppRequest> = (0..100)
+        .map(|k| {
+            if k % 2 == 0 {
+                retrying_request(
+                    locked_update_stage(&update, map.bucket_addr(k), k, k + 7_000),
+                    mc,
+                )
+            } else {
+                retrying_request(verified_read_stage(&find, map.bucket_addr(k), k), mc)
+            }
+        })
+        .collect();
+    let version = |engine: &mut BaselineEngine, k: u64| {
+        engine
+            .memory_mut()
+            .read_word(map.bucket_addr(k) + 8, 8)
+            .unwrap()
+    };
+    let before: Vec<u64> = (0..100).map(|k| version(&mut engine, k)).collect();
+    let rep = engine
+        .execute_open_loop(&mixed, evenly(1_000, mixed.len()))
+        .unwrap();
+    assert_eq!(rep.completed, 100);
+    assert_eq!(rep.completed_updates, 50);
+    for k in 0..100u64 {
+        let updates = (0..100u64)
+            .filter(|&u| u % 2 == 0 && map.bucket_addr(u) == map.bucket_addr(k))
+            .count() as u64;
+        assert_eq!(
+            version(&mut engine, k),
+            before[k as usize] + 2 * updates,
+            "key {k}'s bucket"
+        );
+    }
+    let mem = engine.memory_mut();
+    assert_eq!(map.get_host(mem, 42).unwrap(), Some(42 + 7_000));
+    assert_eq!(map.get_host(mem, 43).unwrap(), Some(43));
+}
+
+/// Page reads cross the rack's fabric: a routed rack shows the fills on
+/// its CPU down-link, and the flat rack reports no fabric gauges.
+#[test]
+fn routed_swap_fills_show_link_use() {
+    let run = |topology| {
+        let cfg = SwapConfig {
+            topology,
+            ..swap_with_cache(1 << 20)
+        };
+        let (mut engine, reqs) = swap_engine(cfg, 200_000, 512, Distribution::Uniform);
+        engine.execute(&reqs).unwrap()
+    };
+    let flat = run(TopologySpec::Flat);
+    let routed = run(TopologySpec::LeafSpine {
+        leaves: 2,
+        spines: 1,
+    });
+    assert_eq!(flat.link_utilization, 0.0);
+    assert_eq!(flat.link_demand, 0.0);
+    assert!(
+        routed.link_utilization > 0.0,
+        "page fills must show on the downlink"
+    );
+    assert!(routed.link_demand >= routed.link_utilization);
+    assert!(routed.net_bytes > 0);
+    assert_eq!(routed.completed, flat.completed);
+}
+
+/// Runs of one deployment, untraced twice and traced once, time every
+/// request identically: a Cache-based run is deterministic, and tracing
+/// observes it without perturbing it. The traced engine attributes every
+/// request's latency to phases and exports a Chrome trace.
+#[test]
+fn swap_runs_are_deterministic_and_traced_without_perturbation() {
+    let runs: Vec<_> = [false, false, true]
+        .into_iter()
+        .map(|trace| {
+            let cfg = SwapConfig {
+                trace,
+                ..SwapConfig::default()
+            };
+            let (mut engine, reqs) = swap_engine(cfg, 4_000, 8192, Distribution::Zipfian);
+            let rep = engine.execute(&reqs).unwrap();
+            let json = engine.trace().map(|t| t.trace_json());
+            (rep, json)
+        })
+        .collect();
+    let (plain, _) = &runs[0];
+    for (rep, _) in &runs[1..] {
+        assert_eq!(rep.latency.mean, plain.latency.mean);
+        assert_eq!(rep.latency.p99, plain.latency.p99);
+        assert_eq!(rep.net_bytes, plain.net_bytes);
+        assert_eq!(rep.mem_bytes, plain.mem_bytes);
+    }
+    assert!(
+        plain.phase.is_none() && runs[1].1.is_none(),
+        "tracing is off by default"
+    );
+    let (traced, json) = &runs[2];
+    let attr = traced.phase.expect("attribution recorded");
+    assert_eq!(attr.count, 300);
+    let sum: u64 = attr.mean.iter().map(|t| t.as_picos()).sum();
+    let e2e = traced.latency.mean.as_picos();
+    assert!(
+        sum <= e2e && e2e - sum < pulse::trace::PHASES as u64,
+        "phase means {sum} ps vs mean latency {e2e} ps"
+    );
+    assert!(attr.mean_of(Phase::WireHop) > SimTime::ZERO);
+    assert!(attr.mean_of(Phase::MemTrip) > SimTime::ZERO);
+    assert_eq!(attr.mean_of(Phase::AccelCompute), SimTime::ZERO);
+    let json = json.as_deref().expect("a traced engine exports its trace");
+    assert!(json.contains("\"traceEvents\"") && json.contains("\"WireHop\""));
+}
+
+/// A crash under replication 2 on a Cache-based rack: page reads fail
+/// over to the surviving replicas, a read lost with the node is taken
+/// again (its crash notice shows as `Failover` time), and every request
+/// completes with its spans tiling its latency.
+#[test]
+fn swap_page_reads_fail_over_under_a_crash() {
+    let mut mem = ClusterMemory::new(4);
+    mem.set_replication(2);
+    let mut alloc = ClusterAllocator::new(Placement::Striped, 1 << 20);
+    let mut app = WebService::build(
+        &mut BuildCtx::new(&mut mem, &mut alloc),
+        WebServiceConfig {
+            keys: 20_000,
+            object_bytes: 512,
+            distribution: Distribution::Uniform,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let reqs: Vec<AppRequest> = (0..300).map(|_| app.next_request()).collect();
+    let cfg = ClusterConfig {
+        mode: PulseMode::Swap {
+            cache_bytes: 256 << 10,
+        },
+        faults: vec![FaultEvent::new(
+            SimTime::from_micros(40),
+            FaultKind::MemCrash(0),
+        )],
+        trace: Some(TraceConfig::default()),
+        ..ClusterConfig::default()
+    };
+    let mut cluster = PulseCluster::new(cfg, mem);
+    let rep = cluster.run(reqs, 8);
+    assert_eq!(rep.completed, 300);
+    assert_eq!(rep.unavailable_completions, 0);
+    assert!(rep.failovers > 0);
+    assert!(cluster.swap_stats().misses > 0);
+    let attr = rep.phase.expect("attribution recorded");
+    assert!(attr.mean_of(Phase::Failover) > SimTime::ZERO);
 }

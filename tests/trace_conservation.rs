@@ -1,6 +1,7 @@
 //! Span-conservation property tests for `pulse-trace`, at the façade
 //! level: over randomized deployments (structure, load, topology, fault
-//! schedule), every traced request's spans must partition its end-to-end
+//! schedule, pulse or the Cache-based system), every traced request's
+//! spans must partition its end-to-end
 //! latency exactly — no gaps, no overlaps — and no memory node's DMA
 //! engine may ever host two overlapping occupancy windows.
 //!
@@ -11,19 +12,42 @@
 //! these tests re-derive the same facts from the exported span stream so
 //! a release build would catch a violation too.)
 
+use pulse::baselines::SwapConfig;
+use pulse::ds::{BuildCtx, DsError};
 use pulse::sim::{SimTime, SplitMix64};
 use pulse::trace::{TraceSink, Track, PHASES};
-use pulse::workloads::{Application, Distribution};
+use pulse::workloads::{Application, Btrdb, Distribution, WebService, WiredTiger};
 use pulse::{
-    ArrivalProcess, BtrdbConfig, DispatchConfig, Engine, FaultEvent, FaultKind, MutationConfig,
-    Runtime, TopologySpec, TraceConfig, WebServiceConfig, WiredTigerConfig, YcsbDriver,
-    YcsbWorkload,
+    ArrivalProcess, BaselineEngine, BaselineKind, BtrdbConfig, DispatchConfig, Engine, FaultEvent,
+    FaultKind, MutationConfig, Runtime, TopologySpec, TraceConfig, WebServiceConfig,
+    WiredTigerConfig, YcsbDriver, YcsbWorkload,
 };
 
 const CASES: u64 = 12;
 
-/// Builds a randomized traced runtime plus its request stream.
-fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<pulse::AppRequest>) {
+/// An engine whose trace the tests read back.
+trait Traced: Engine {
+    fn sink(&self) -> Option<&TraceSink>;
+}
+
+impl Traced for Runtime {
+    fn sink(&self) -> Option<&TraceSink> {
+        self.trace()
+    }
+}
+
+impl Traced for BaselineEngine {
+    fn sink(&self) -> Option<&TraceSink> {
+        self.trace()
+    }
+}
+
+type BuildApp = Box<dyn FnOnce(&mut BuildCtx<'_>) -> Result<Box<dyn Application>, DsError>>;
+
+/// Builds a randomized traced engine plus its request stream: the pulse
+/// rack, or in a quarter of the cases the Cache-based system on the same
+/// rack.
+fn random_case(rng: &mut SplitMix64) -> (Box<dyn Traced>, Vec<pulse::AppRequest>) {
     let nodes = 2 + rng.next_below(3) as usize;
     let cpus = 1 + rng.next_below(3) as usize;
     let requests = 40 + rng.next_below(100) as usize;
@@ -39,13 +63,14 @@ fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<pulse::AppRequest>) {
         },
     };
     let crashed = rng.next_below(2) == 1;
+    let dispatch = DispatchConfig::contended(
+        SimTime::from_nanos(200 + rng.next_below(1_000)),
+        1 + rng.next_below(2) as usize,
+    );
     let mut builder = pulse::PulseBuilder::new()
         .nodes(nodes)
         .cpus(cpus)
-        .dispatch(DispatchConfig::contended(
-            SimTime::from_nanos(200 + rng.next_below(1_000)),
-            1 + rng.next_below(2) as usize,
-        ))
+        .dispatch(dispatch)
         .topology(topology)
         .trace(Some(TraceConfig::default()));
     if crashed {
@@ -73,41 +98,51 @@ fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<pulse::AppRequest>) {
     } else {
         Distribution::Zipfian
     };
-    let (runtime, mut app): (Runtime, Box<dyn Application>) = match rng.next_below(3) {
+    let build: BuildApp = match rng.next_below(3) {
         0 => {
-            let (rt, app) = builder
-                .app(WebServiceConfig {
-                    keys: 500 + rng.next_below(3_000),
-                    workload: YcsbWorkload::C,
-                    distribution: dist,
-                    ..Default::default()
-                })
-                .expect("wire webservice");
-            (rt, Box::new(app))
+            let cfg = WebServiceConfig {
+                keys: 500 + rng.next_below(3_000),
+                workload: YcsbWorkload::C,
+                distribution: dist,
+                ..Default::default()
+            };
+            Box::new(move |ctx| Ok(Box::new(WebService::build(ctx, cfg)?)))
         }
         1 => {
-            let (rt, app) = builder
-                .app(WiredTigerConfig {
-                    keys: 2_000 + rng.next_below(8_000),
-                    distribution: dist,
-                    ..Default::default()
-                })
-                .expect("wire wiredtiger");
-            (rt, Box::new(app))
+            let cfg = WiredTigerConfig {
+                keys: 2_000 + rng.next_below(8_000),
+                distribution: dist,
+                ..Default::default()
+            };
+            Box::new(move |ctx| Ok(Box::new(WiredTiger::build(ctx, cfg)?)))
         }
         _ => {
-            let (rt, app) = builder
-                .app(BtrdbConfig {
-                    duration_secs: 600,
-                    window_secs: 4 + rng.next_below(30),
-                    ..Default::default()
-                })
-                .expect("wire btrdb");
-            (rt, Box::new(app))
+            let cfg = BtrdbConfig {
+                duration_secs: 600,
+                window_secs: 4 + rng.next_below(30),
+                ..Default::default()
+            };
+            Box::new(move |ctx| Ok(Box::new(Btrdb::build(ctx, cfg)?)))
         }
     };
+    // The Cache-based system takes its own dispatch engine and topology;
+    // the builder's trace switch applies to it too. Its page cache holds
+    // 64 KiB to 2 MiB, so pages both hit and miss.
+    let (engine, mut app): (Box<dyn Traced>, _) = if rng.next_below(4) == 0 {
+        let kind = BaselineKind::SwapCache(SwapConfig {
+            cache_bytes: (64 << 10) << rng.next_below(6),
+            dispatch,
+            topology,
+            trace: false,
+        });
+        let (engine, app) = builder.baseline_with(kind, build).expect("wire swap");
+        (Box::new(engine), app)
+    } else {
+        let (runtime, app) = builder.build_with(build).expect("wire pulse");
+        (Box::new(runtime), app)
+    };
     let reqs = (0..requests).map(|_| app.next_request()).collect();
-    (runtime, reqs)
+    (engine, reqs)
 }
 
 /// Asserts every traced request's spans tile its end-to-end latency
@@ -149,14 +184,14 @@ fn assert_spans_tile(sink: &TraceSink, n: u64, tag: &str) -> u128 {
 fn random_traced_runs_conserve_spans() {
     let mut rng = SplitMix64::new(0x5AA5);
     for case in 0..CASES {
-        let (mut runtime, reqs) = random_case(&mut rng);
+        let (mut engine, reqs) = random_case(&mut rng);
         let n = reqs.len() as u64;
         let load_kops = 50.0 + rng.next_below(500) as f64;
         let arrivals = ArrivalProcess::poisson(load_kops * 1e3, 0xA0 + case);
-        let rep = runtime.execute_open_loop(&reqs, arrivals).expect("run");
+        let rep = engine.execute_open_loop(&reqs, arrivals).expect("run");
         assert_eq!(rep.completed + rep.faulted, n, "case {case}");
 
-        let sink = runtime.trace().expect("tracing enabled");
+        let sink = engine.sink().expect("tracing enabled");
         assert_eq!(sink.open_requests(), 0, "case {case}: requests left open");
         assert_eq!(sink.completed(), n, "case {case}");
 

@@ -152,7 +152,7 @@ fn reused_runtime_reports_second_stream_as_a_delta() {
     }
 }
 
-/// The RPC replay counts only the updates that completed. An all-update
+/// The RPC baseline counts only the updates that completed. An all-update
 /// stream on a 2-node rack whose node 0 crashes at t=0, unreplicated, loses
 /// some updates as unavailable; none of them may count toward update
 /// goodput.
