@@ -68,17 +68,31 @@ pub enum AccelOutput {
 }
 
 /// Where an accelerator call puts its timed outputs, in the order it makes
-/// them. A `Vec` collects them; an event loop can schedule internal events
-/// as they come, provided it keeps them behind any departure made before
-/// them (sequence numbers break same-instant ties).
+/// them. A `Vec` collects them as [`AccelOutput`]s; an event loop can
+/// schedule internal events as they come, provided it keeps them behind any
+/// departure made before them (sequence numbers break same-instant ties).
+///
+/// The two kinds of output have a method each, so an internal event (most
+/// of them: every fetch and logic completion) reaches an event loop as an
+/// `(at, event)` pair and is never built into an [`AccelOutput`], which a
+/// departure's packet makes 136 bytes long.
 pub trait AccelSink {
-    /// Takes the call's next output.
-    fn emit(&mut self, out: AccelOutput);
+    /// Takes the call's next output when it is an internal event: schedule
+    /// `event` back into this accelerator at `at`.
+    fn internal(&mut self, at: SimTime, event: AccelEvent);
+
+    /// Takes the call's next output when it is a departure
+    /// ([`AccelOutput::Depart`]).
+    fn depart(&mut self, at: SimTime, pkt: IterPacket, squash: SimTime);
 }
 
 impl AccelSink for Vec<AccelOutput> {
-    fn emit(&mut self, out: AccelOutput) {
-        self.push(out);
+    fn internal(&mut self, at: SimTime, event: AccelEvent) {
+        self.push(AccelOutput::Internal { at, event });
+    }
+
+    fn depart(&mut self, at: SimTime, pkt: IterPacket, squash: SimTime) {
+        self.push(AccelOutput::Depart { at, pkt, squash });
     }
 }
 
@@ -321,10 +335,7 @@ impl Accelerator {
         // RX parse occupies the network stack for a fixed per-packet time.
         let g = self.net_rx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        out.emit(AccelOutput::Internal {
-            at: g.end,
-            event: AccelEvent::RxDone(self.rx_parked.insert(pkt)),
-        });
+        out.internal(g.end, AccelEvent::RxDone(self.rx_parked.insert(pkt)));
     }
 
     /// Removes the packet parked in the RX-parse stage under `handle`. The
@@ -424,10 +435,7 @@ impl Accelerator {
                     // serialize t_c on the same pool.
                     None => self.mem_pipes.acquire(ready, t_c).grant.end,
                 };
-                out.emit(AccelOutput::Internal {
-                    at: end,
-                    event: AccelEvent::LogicDone { ws },
-                });
+                out.internal(end, AccelEvent::LogicDone { ws });
             }
             AccelEvent::LogicDone { ws } => {
                 // Same stale-completion tolerance as `FetchDone`.
@@ -569,10 +577,7 @@ impl Accelerator {
                 MemFault::NotMapped { .. } => PendingIter::Remote,
                 other => PendingIter::Fail(Fault::Mem(other)),
             });
-            out.emit(AccelOutput::Internal {
-                at: g.grant.end,
-                event: AccelEvent::FetchDone { ws },
-            });
+            out.internal(g.grant.end, AccelEvent::FetchDone { ws });
             return;
         }
 
@@ -696,10 +701,7 @@ impl Accelerator {
                 self.mem_pipes.acquire(t, t_d).grant.end
             }
         };
-        out.emit(AccelOutput::Internal {
-            at: fetch_end,
-            event: AccelEvent::FetchDone { ws },
-        });
+        out.internal(fetch_end, AccelEvent::FetchDone { ws });
     }
 
     /// Applies a completed iteration's outcome: continue, depart, or fault.
@@ -805,11 +807,7 @@ impl Accelerator {
         }
         let g = self.net_tx.acquire_for(now, self.cfg.timing.net_stack);
         self.stats.components.net_stack += self.cfg.timing.net_stack;
-        out.emit(AccelOutput::Depart {
-            at: g.end,
-            pkt: w.pkt,
-            squash: w.squashed,
-        });
+        out.depart(g.end, w.pkt, w.squashed);
         if let Some(next) = self.backlog.pop_front() {
             self.stats.components.scheduler += self.cfg.timing.scheduler;
             let admit_at = now + self.cfg.timing.scheduler;
@@ -1402,6 +1400,196 @@ mod tests {
             assert_eq!(b.status, f.status);
             assert_eq!(b.state.scratch_u64(8), f.state.scratch_u64(8));
         }
+    }
+
+    /// What a test's event queue holds: an accelerator event, or a
+    /// departure (described), which the cluster queues as its first hop.
+    #[derive(Debug)]
+    enum Queued {
+        Accel(AccelEvent),
+        Depart(String),
+    }
+
+    /// Puts one output onto `drv`, logging it in `scheduled`.
+    fn schedule(
+        drv: &mut Driver<Queued>,
+        scheduled: &mut Vec<(SimTime, String)>,
+        out: AccelOutput,
+    ) {
+        scheduled.push(output(&out));
+        match out {
+            AccelOutput::Internal { at, event } => drv.schedule_at(at, Queued::Accel(event)),
+            AccelOutput::Depart { at, pkt, squash } => {
+                drv.schedule_at(at, Queued::Depart(departure(&pkt, squash)))
+            }
+        }
+    }
+
+    /// A sink shaped like the cluster's: internal events go straight onto
+    /// the queue until the call's first departure, and every output from
+    /// there on waits in `deferred`. `made` logs each output as it comes;
+    /// `late` counts the internal events that had to wait.
+    struct Split<'a> {
+        drv: &'a mut Driver<Queued>,
+        scheduled: &'a mut Vec<(SimTime, String)>,
+        deferred: &'a mut Vec<AccelOutput>,
+        made: &'a mut Vec<(SimTime, String)>,
+        late: &'a mut usize,
+    }
+
+    impl AccelSink for Split<'_> {
+        fn internal(&mut self, at: SimTime, event: AccelEvent) {
+            let out = AccelOutput::Internal { at, event };
+            self.made.push(output(&out));
+            if self.deferred.is_empty() {
+                schedule(self.drv, self.scheduled, out);
+            } else {
+                *self.late += 1;
+                self.deferred.push(out);
+            }
+        }
+
+        fn depart(&mut self, at: SimTime, pkt: IterPacket, squash: SimTime) {
+            let out = AccelOutput::Depart { at, pkt, squash };
+            self.made.push(output(&out));
+            self.deferred.push(out);
+        }
+    }
+
+    fn departure(pkt: &IterPacket, squash: SimTime) -> String {
+        let state = (
+            pkt.state.cur_ptr,
+            pkt.state.iters_done,
+            pkt.state.scratch_u64(8),
+        );
+        format!("depart {} {:?} {state:?} {squash}", pkt.id, pkt.status)
+    }
+
+    fn output(out: &AccelOutput) -> (SimTime, String) {
+        match out {
+            AccelOutput::Internal { at, event } => (*at, format!("{event:?}")),
+            AccelOutput::Depart { at, pkt, squash } => (*at, departure(pkt, *squash)),
+        }
+    }
+
+    /// One run's record: outputs in the order the accelerator made them,
+    /// in the order they entered the queue, and the queue's firing order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Record {
+        made: Vec<(SimTime, String)>,
+        scheduled: Vec<(SimTime, String)>,
+        fired: Vec<(SimTime, String)>,
+    }
+
+    /// One accelerator call's input.
+    enum Input {
+        Packet(IterPacket),
+        Event(AccelEvent),
+    }
+
+    fn call(
+        accel: &mut Accelerator,
+        mem: &mut ClusterMemory,
+        now: SimTime,
+        input: Input,
+        out: &mut impl AccelSink,
+    ) {
+        match input {
+            Input::Packet(pkt) => accel.on_packet(now, pkt, out),
+            Input::Event(ev) => accel.step(now, ev, mem, out),
+        }
+    }
+
+    /// Pops `drv` up to its next accelerator event, logging what fires;
+    /// departures fire here, as the cluster's first hop would.
+    fn next_accel_event(
+        drv: &mut Driver<Queued>,
+        fired: &mut Vec<(SimTime, String)>,
+    ) -> Option<AccelEvent> {
+        loop {
+            match drv.next_event()? {
+                Queued::Accel(ev) => {
+                    fired.push((drv.now(), format!("{ev:?}")));
+                    return Some(ev);
+                }
+                Queued::Depart(d) => fired.push((drv.now(), d)),
+            }
+        }
+    }
+
+    /// Runs the sink-order scenario with `split` choosing the sink: the
+    /// cluster-shaped [`Split`] sink, or a `Vec` whose outputs are queued
+    /// after each call. Also returns [`Split`]'s `late` count.
+    fn sink_order_run(split: bool) -> (Record, Accelerator, usize) {
+        let (mut mem, head) = chain_memory(16);
+        let cfg = AccelConfig {
+            org: PipelineOrg::Disaggregated {
+                logic: 1,
+                memory: 1,
+            },
+            batch_hops: 4,
+            ..AccelConfig::default()
+        };
+        let mut accel = accel_for(&mem, cfg);
+        let mut drv: Driver<Queued> = Driver::new();
+        let mut rec = Record::default();
+        let mut outs: Vec<AccelOutput> = Vec::new();
+        let mut late = 0;
+        let mut arrivals = (0..6).map(|i| Input::Packet(find_packet(head, 5 + i, i)));
+        while let Some(input) = arrivals
+            .next()
+            .or_else(|| next_accel_event(&mut drv, &mut rec.fired).map(Input::Event))
+        {
+            let now = drv.now();
+            if split {
+                let mut sink = Split {
+                    drv: &mut drv,
+                    scheduled: &mut rec.scheduled,
+                    deferred: &mut outs,
+                    made: &mut rec.made,
+                    late: &mut late,
+                };
+                call(&mut accel, &mut mem, now, input, &mut sink);
+            } else {
+                call(&mut accel, &mut mem, now, input, &mut outs);
+                rec.made.extend(outs.iter().map(output));
+            }
+            for out in outs.drain(..) {
+                schedule(&mut drv, &mut rec.scheduled, out);
+            }
+        }
+        (rec, accel, late)
+    }
+
+    #[test]
+    fn split_sink_makes_the_vec_sinks_outputs_in_its_order() {
+        // Multi-hop packets with hop batching on, two workspaces and six
+        // requests, so departures admit backlogged requests in the same
+        // call and that call's later internal events must queue behind
+        // the departure. A cluster-shaped sink and a `Vec` sink must make,
+        // queue and fire the same `(at, output)` sequence.
+        let (vec_rec, _, _) = sink_order_run(false);
+        let (split_rec, accel, late) = sink_order_run(true);
+        assert_eq!(split_rec.made, vec_rec.made, "outputs diverged");
+        assert_eq!(
+            split_rec.scheduled, vec_rec.scheduled,
+            "queued out of order"
+        );
+        assert_eq!(
+            split_rec.fired, vec_rec.fired,
+            "the queues fired differently"
+        );
+        assert!(accel.stats().batched_hops > 0, "batching never fired");
+        let departs = |r: &Record| {
+            r.fired
+                .iter()
+                .filter(|(_, o)| o.starts_with("depart"))
+                .count()
+        };
+        assert_eq!(departs(&vec_rec), 6);
+        // The case the deferral exists for: an internal event made after a
+        // departure in the same call.
+        assert!(late > 0, "no internal event followed a departure");
     }
 
     #[test]

@@ -76,7 +76,14 @@ fn main() {
     println!("traversal share and total time grow as the cache shrinks.");
     println!("trav % = share of the CPU node's walk time (admission to");
     println!("completion, page faults included) spent on traversal accesses;");
-    println!("hit % = 4 KiB page-cache hit ratio.\n");
+    println!("hit % = 4 KiB page-cache hit ratio.");
+    println!("deviation: trav % reads ~99%, not the paper's shares. A");
+    println!("request's own CPU work (2 us WS, 0.3-0.5 us WT, 1 us BTrDB)");
+    println!("is under 1% of its walk, which page faults dominate: 400");
+    println!("requests start on a cold page cache, so even at 1/1 each");
+    println!("faults 4+ times on average, at >= 9 us of fault software and");
+    println!("swap service apiece. The paper measures whole applications,");
+    println!("their own compute included, in steady state.\n");
     for dist in [Distribution::Zipfian, Distribution::Uniform] {
         println!("--- {dist:?} ---");
         println!(

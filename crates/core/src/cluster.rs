@@ -320,6 +320,11 @@ struct ReqState {
 /// internal events go straight onto the event queue until the call's first
 /// departure, and from there on every output waits in `deferred`, so the
 /// queue sees them all in the order the accelerator made them.
+///
+/// `internal` is `#[inline(always)]` so that an internal event stays in
+/// registers from the accelerator's handler to its queue slot: out of line,
+/// its `(at, event)` would pass through memory, and the first load of it
+/// would stall on that store (DESIGN.md, "Host event movement").
 struct AccelOuts<'a> {
     drv: &'a mut Driver<Ev>,
     node: NodeId,
@@ -327,13 +332,17 @@ struct AccelOuts<'a> {
 }
 
 impl AccelSink for AccelOuts<'_> {
-    fn emit(&mut self, out: AccelOutput) {
-        match out {
-            AccelOutput::Internal { at, event } if self.deferred.is_empty() => {
-                self.drv.schedule_at(at, Ev::Accel(self.node, event))
-            }
-            out => self.deferred.push(out),
+    #[inline(always)]
+    fn internal(&mut self, at: SimTime, event: AccelEvent) {
+        if self.deferred.is_empty() {
+            self.drv.schedule_at(at, Ev::Accel(self.node, event))
+        } else {
+            self.deferred.push(AccelOutput::Internal { at, event })
         }
+    }
+
+    fn depart(&mut self, at: SimTime, pkt: IterPacket, squash: SimTime) {
+        self.deferred.push(AccelOutput::Depart { at, pkt, squash })
     }
 }
 

@@ -20,6 +20,15 @@
 //! of the two, so the lane changes where an event waits, never when it
 //! fires; the heap stays as deep as the events scheduled while the run is
 //! live.
+//!
+//! The path one payload takes — [`Driver::schedule_at`], `push`, the slab
+//! slot, `pop`, [`Driver::next_event`] — is `#[inline(always)]`, down to
+//! [`Slab::insert`] and [`Slab::take`]. Out of line, each layer would copy
+//! the payload through a stack temporary of its own shape (an `E`, an
+//! `Option<E>`, an `(SimTime, E)`), and the first load of each copy would
+//! wait on a store the CPU cannot forward to it. Inlined into the event
+//! loop, the payload is written once into its slot and read once out of
+//! it.
 
 use crate::slab::Slab;
 use crate::time::SimTime;
@@ -141,11 +150,13 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if 2^24 events already wait in the heap, or after 2^40
     /// pushes since the queue was created or cleared.
+    #[inline(always)]
     pub fn push(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq();
         self.push_heap(at, seq, payload);
     }
 
+    #[inline(always)]
     fn push_heap(&mut self, at: SimTime, seq: u64, payload: E) {
         let slot = self.payloads.insert(payload);
         assert!(slot < 1 << SLOT_BITS, "event heap is full");
@@ -227,6 +238,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event, if any.
+    #[inline(always)]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.dead_head {
             self.dead_head = false;
@@ -244,6 +256,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Takes the heap head's payload and leaves its key as the dead head.
+    #[inline(always)]
     fn pop_heap(&mut self, head: Key) -> (SimTime, E) {
         self.dead_head = true;
         (head.at(), self.payloads.take(head.slot()))
@@ -329,6 +342,7 @@ impl<E> Driver<E> {
     ///
     /// Panics if `at` is in the past — hardware cannot send signals backwards
     /// in time, and allowing it would silently corrupt causality.
+    #[inline(always)]
     pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(
             at >= self.now,
@@ -362,6 +376,7 @@ impl<E> Driver<E> {
     }
 
     /// Pops the next event, advancing the clock to its due time.
+    #[inline(always)]
     pub fn next_event(&mut self) -> Option<E> {
         let (at, ev) = self.queue.pop()?;
         debug_assert!(at >= self.now);

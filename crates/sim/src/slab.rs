@@ -59,6 +59,7 @@ impl<T> Slab<T> {
     /// # Panics
     ///
     /// Panics if more than `u32::MAX + 1` values are parked at once.
+    #[inline(always)]
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(h) => {
@@ -79,6 +80,7 @@ impl<T> Slab<T> {
     /// # Panics
     ///
     /// Panics if `handle` parks no value.
+    #[inline(always)]
     pub fn take(&mut self, handle: u32) -> T {
         let value = self.slots[handle as usize]
             .take()

@@ -6,8 +6,18 @@
 //! `len`, `is_empty` and `peek_time` agreeing after every operation. The
 //! loops count the cases the queue's hold model and arrival lane must get
 //! right, and fail if any of them never came up.
+//!
+//! Two more legs run the same reference against what the event loop really
+//! moves: a 32-byte payload with drop glue, shaped like the rack's event
+//! type, which must be dropped exactly once whether `pop`, `clear` or the
+//! queue's own drop releases it; and a [`Driver`], whose clock must follow
+//! every `next_event` and which must refuse an event in the past.
 
-use pulse_sim::{EventQueue, SimTime, SplitMix64};
+use pulse_sim::{Driver, EventQueue, SimTime, SplitMix64};
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::panic::{self, AssertUnwindSafe};
+use std::rc::Rc;
 
 /// The reference: every pending event, sorted by `(at, seq)`.
 #[derive(Default)]
@@ -176,4 +186,247 @@ fn hold_model_pop_push_keeps_a_deep_heap_in_order() {
         r.push(at, 300 + op as u64);
         check(&q, &r, 0, op);
     }
+}
+
+/// Logs its id when dropped, so a test can see every drop.
+#[derive(Debug)]
+struct Counted {
+    id: u64,
+    dropped: Rc<RefCell<Vec<u64>>>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.dropped.borrow_mut().push(self.id);
+    }
+}
+
+/// A payload shaped like the rack's event type: 32 bytes with a tag, one
+/// variant as wide as the type, one a bare handle, and one with drop glue.
+#[derive(Debug)]
+enum Payload {
+    Handle(u32),
+    Wide(u64, u64, u64),
+    Counted(u64, Counted),
+}
+
+const _: () = assert!(std::mem::size_of::<Payload>() == 32);
+
+impl Payload {
+    /// The reference's stand-in for the payload: its id, which every
+    /// variant carries in full.
+    fn id(&self) -> u64 {
+        match *self {
+            Payload::Handle(id) => u64::from(id),
+            Payload::Wide(id, a, b) => {
+                assert_eq!((a, b), (!id, id.rotate_left(17)), "wide payload torn");
+                id
+            }
+            Payload::Counted(id, ref c) => {
+                assert_eq!(id, c.id, "counted payload torn");
+                id
+            }
+        }
+    }
+}
+
+/// Every id in `dropped` must be one of `counted` and appear there once,
+/// and exactly the ids in `live` must not have been dropped yet.
+fn check_drops(dropped: &RefCell<Vec<u64>>, counted: &HashSet<u64>, live: &HashSet<u64>, at: &str) {
+    let dropped = dropped.borrow();
+    let once: HashSet<u64> = dropped.iter().copied().collect();
+    assert_eq!(
+        once.len(),
+        dropped.len(),
+        "{at}: a payload was dropped twice"
+    );
+    assert!(
+        once.is_subset(counted),
+        "{at}: an earlier case's payload was dropped again"
+    );
+    for id in counted {
+        assert_eq!(
+            once.contains(id),
+            !live.contains(id),
+            "{at}: payload {id} is {} but {}",
+            if live.contains(id) { "pending" } else { "gone" },
+            if once.contains(id) {
+                "was dropped"
+            } else {
+                "was never dropped"
+            },
+        );
+    }
+}
+
+#[test]
+fn payloads_with_drop_glue_drop_exactly_once() {
+    let mut rng = SplitMix64::new(0xd209_91ee);
+    let dropped = Rc::new(RefCell::new(Vec::new()));
+    // Ids of the case's `Counted` payloads, and of those still queued.
+    let mut counted = HashSet::new();
+    let mut live = HashSet::new();
+    let (mut next_id, mut total) = (0u64, 0usize);
+    let (mut pops, mut clears, mut queue_drops) = (0u64, 0u64, 0u64);
+    for case in 0..300u64 {
+        // A fresh queue per case, cleared now and then mid-case; three
+        // cases in four end with a `clear()`, every fourth by dropping the
+        // queue with its events still in it.
+        let mut q: EventQueue<Payload> = EventQueue::with_capacity(8);
+        let mut r = Reference::default();
+        let times = 1 + rng.next_below(16);
+        for op in 0..rng.next_below(120) as usize {
+            let roll = rng.next_below(16);
+            if roll < 5 {
+                let (a, b) = (q.pop(), r.pop());
+                assert_eq!(
+                    a.as_ref().map(|(t, p)| (*t, p.id())),
+                    b,
+                    "case {case} op {op}"
+                );
+                if let Some((_, Payload::Counted(id, _))) = &a {
+                    live.remove(id);
+                }
+                drop(a);
+                pops += 1;
+            } else if roll == 15 && rng.next_below(4) == 0 {
+                q.clear();
+                r.clear();
+                live.clear();
+                clears += 1;
+            } else {
+                let id = next_id;
+                next_id += 1;
+                let payload = match rng.next_below(3) {
+                    0 => Payload::Handle(id as u32),
+                    1 => Payload::Wide(id, !id, id.rotate_left(17)),
+                    _ => {
+                        counted.insert(id);
+                        live.insert(id);
+                        let c = Counted {
+                            id,
+                            dropped: Rc::clone(&dropped),
+                        };
+                        Payload::Counted(id, c)
+                    }
+                };
+                let at = SimTime::from_picos(rng.next_below(times));
+                if roll.is_multiple_of(2) {
+                    q.push_arrival(at, payload);
+                } else {
+                    q.push(at, payload);
+                }
+                r.push(at, id);
+            }
+            assert_eq!(q.len(), r.pending.len(), "case {case} op {op}: len");
+            check_drops(&dropped, &counted, &live, &format!("case {case} op {op}"));
+        }
+        if case % 4 == 3 {
+            queue_drops += u64::from(!q.is_empty());
+            drop(q);
+        } else {
+            q.clear();
+            clears += 1;
+        }
+        live.clear();
+        check_drops(&dropped, &counted, &live, &format!("case {case} end"));
+        total += counted.len();
+        counted.clear();
+        dropped.borrow_mut().clear();
+    }
+    assert!(
+        total > 1000 && pops > 1000 && clears > 100 && queue_drops > 20,
+        "a case went untested: {total} counted, {pops} pops, {clears} clears, {queue_drops} drops"
+    );
+}
+
+#[test]
+fn driver_schedules_like_a_sorted_reference() {
+    // The driver's own refusal is the only panic this test provokes; keep
+    // its message off the output, and every other panic's on it.
+    let quiet = panic::take_hook();
+    panic::set_hook(Box::new(move |info| {
+        let past = info
+            .payload()
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.starts_with("event scheduled in the past"));
+        if !past {
+            quiet(info);
+        }
+    }));
+    let mut rng = SplitMix64::new(0x00d2_1ee7);
+    let (mut refused, mut relative, mut arrivals) = (0u64, 0u64, 0u64);
+    for case in 0..200u64 {
+        let mut drv: Driver<u64> = Driver::with_capacity(4);
+        let mut r = Reference::default();
+        let mut now = SimTime::ZERO;
+        let mut cursor = 0u64;
+        for op in 0..(1 + rng.next_below(150)) {
+            let ctx = format!("case {case} op {op}");
+            let gap = SimTime::from_picos(rng.next_below(6));
+            match rng.next_below(10) {
+                0..=3 => {
+                    let (a, b) = (drv.next_event(), r.pop());
+                    assert_eq!(a, b.map(|(_, p)| p), "{ctx}: next_event");
+                    if let Some((at, _)) = b {
+                        now = at;
+                    }
+                    assert_eq!(drv.now(), now, "{ctx}: clock");
+                }
+                4 | 5 => {
+                    drv.schedule_at(now + gap, op);
+                    r.push(now + gap, op);
+                }
+                6 => {
+                    drv.schedule_in(gap, op);
+                    r.push(now + gap, op);
+                    relative += 1;
+                }
+                7 | 8 => {
+                    // An open-loop stream: never before the clock, mostly
+                    // in order, now and then behind the lane's tail.
+                    cursor = match rng.next_below(4) {
+                        0 => cursor.saturating_sub(rng.next_below(4)),
+                        _ => cursor + rng.next_below(3),
+                    }
+                    .max(now.as_picos());
+                    let at = SimTime::from_picos(cursor);
+                    drv.schedule_arrival(at, op);
+                    r.push(at, op);
+                    arrivals += 1;
+                }
+                _ if now > SimTime::ZERO => {
+                    let past = SimTime::from_picos(rng.next_below(now.as_picos()));
+                    let arrival = rng.next_below(2) == 0;
+                    let tried = panic::catch_unwind(AssertUnwindSafe(|| {
+                        if arrival {
+                            drv.schedule_arrival(past, op)
+                        } else {
+                            drv.schedule_at(past, op)
+                        }
+                    }));
+                    assert!(
+                        tried.is_err(),
+                        "{ctx}: scheduled at {} ps, before {} ps",
+                        past.as_picos(),
+                        now.as_picos()
+                    );
+                    refused += 1;
+                }
+                _ => {}
+            }
+            assert_eq!(drv.pending(), r.pending.len(), "{ctx}: pending");
+            assert_eq!(drv.is_idle(), r.pending.is_empty(), "{ctx}: idle");
+        }
+        while let Some(ev) = drv.next_event() {
+            let (at, p) = r.pop().expect("the reference has the event too");
+            assert_eq!((drv.now(), ev), (at, p), "case {case}: drain");
+        }
+        assert!(r.pending.is_empty(), "case {case}: the driver lost events");
+    }
+    let _ = panic::take_hook();
+    assert!(
+        refused > 100 && relative > 100 && arrivals > 100,
+        "a case went untested: {refused} refused, {relative} relative, {arrivals} arrivals"
+    );
 }
