@@ -780,8 +780,10 @@ impl PulseCluster {
 
     // Inlined into `step`, its only caller: left to the compiler's
     // heuristic it was called out of line, and perfbench's `ws-read`
-    // simulated ~5% fewer requests per second.
-    #[inline]
+    // simulated ~5% fewer requests per second. A hint is not enough: the
+    // event queue's inlined wheel code once pushed it out of line again,
+    // which erased the wheel's whole gain.
+    #[inline(always)]
     fn handle(&mut self, ev: Ev) {
         let now = self.drv.now();
         self.sample_counters(now);

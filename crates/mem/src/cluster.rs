@@ -73,6 +73,10 @@ impl std::error::Error for MemError {}
 pub struct ClusterMemory {
     /// Extents sorted by start address.
     extents: Vec<Extent>,
+    /// log2 of the smallest extent's length, rounded down. Allocators
+    /// place extents of one size back to back, so extent `i` usually
+    /// starts `i << guess_shift` bytes above the first.
+    guess_shift: u32,
     node_count: usize,
     /// Monotone counter bumped by every successful write — the coherence
     /// clock CPU-node caches validate against.
@@ -105,6 +109,7 @@ impl ClusterMemory {
         assert!(node_count > 0, "need at least one memory node");
         ClusterMemory {
             extents: Vec::new(),
+            guess_shift: u64::BITS - 1,
             node_count,
             write_epoch: 0,
             store: BlockStore::default(),
@@ -204,6 +209,7 @@ impl ClusterMemory {
                 perms,
             },
         );
+        self.guess_shift = self.guess_shift.min(len.ilog2());
         Ok(())
     }
 
@@ -220,7 +226,15 @@ impl ClusterMemory {
         }
     }
 
+    /// The index of the extent containing `addr`: first the guess
+    /// `guess_shift` makes, then, if that extent does not contain `addr`,
+    /// a binary search.
     fn extent_index(&self, addr: u64) -> Option<usize> {
+        let first = self.extents.first()?;
+        let guess = (addr.wrapping_sub(first.start) >> self.guess_shift) as usize;
+        if self.extents.get(guess).is_some_and(|e| e.contains(addr)) {
+            return Some(guess);
+        }
         let idx = self.extents.partition_point(|e| e.start <= addr);
         if idx == 0 {
             return None;

@@ -63,9 +63,17 @@ impl std::error::Error for CapacityExceeded {}
 #[derive(Debug, Clone)]
 pub struct RangeTable {
     entries: Vec<RangeEntry>,
+    /// Index guesses: the address space from the first entry's start on,
+    /// cut into chunks of `1 << shift` bytes, and for each chunk the first
+    /// entry that ends after the chunk's first address.
+    directory: Vec<u32>,
+    shift: u32,
     capacity: usize,
     lookups: u64,
 }
+
+/// Most directory chunks a table keeps per entry.
+const CHUNKS_PER_ENTRY: u64 = 8;
 
 impl RangeTable {
     /// Builds a table from `(start, end, perms)` triples, merging adjacent
@@ -100,8 +108,11 @@ impl RangeTable {
                 capacity,
             });
         }
+        let (directory, shift) = directory(&merged);
         Ok(RangeTable {
             entries: merged,
+            directory,
+            shift,
             capacity,
             lookups: 0,
         })
@@ -131,14 +142,7 @@ impl RangeTable {
     /// * `Protection` — the entry forbids this access kind.
     pub fn translate(&mut self, addr: u64, len: u32, write: bool) -> Result<(), MemFault> {
         self.lookups += 1;
-        let idx = self.entries.partition_point(|e| e.start <= addr);
-        if idx == 0 {
-            return Err(MemFault::NotMapped { addr });
-        }
-        let e = &self.entries[idx - 1];
-        if addr >= e.end {
-            return Err(MemFault::NotMapped { addr });
-        }
+        let e = self.entry_of(addr).ok_or(MemFault::NotMapped { addr })?;
         if addr + len as u64 > e.end {
             return Err(MemFault::Split { addr });
         }
@@ -152,6 +156,46 @@ impl RangeTable {
         }
         Ok(())
     }
+
+    /// The entry covering `addr`: first the directory's guess, then, if
+    /// that entry does not cover `addr`, a binary search.
+    fn entry_of(&self, addr: u64) -> Option<&RangeEntry> {
+        let base = self.entries.first()?.start;
+        let chunk = (addr.wrapping_sub(base) >> self.shift) as usize;
+        if let Some(&guess) = self.directory.get(chunk) {
+            let e = &self.entries[guess as usize];
+            if e.start <= addr && addr < e.end {
+                return Some(e);
+            }
+        }
+        let idx = self.entries.partition_point(|e| e.start <= addr);
+        let e = &self.entries[idx.checked_sub(1)?];
+        (addr < e.end).then_some(e)
+    }
+}
+
+/// The index directory of sorted, disjoint `entries` and its chunk shift.
+/// Chunks start as wide as the smallest entry, rounded down to a power of
+/// two, and widen until there are at most [`CHUNKS_PER_ENTRY`] per entry.
+fn directory(entries: &[RangeEntry]) -> (Vec<u32>, u32) {
+    let (Some(first), Some(last)) = (entries.first(), entries.last()) else {
+        return (Vec::new(), 0);
+    };
+    let span = last.end - first.start;
+    let limit = CHUNKS_PER_ENTRY * entries.len() as u64;
+    let smallest = entries.iter().map(|e| e.end - e.start).min().unwrap_or(1);
+    let mut shift = smallest.ilog2();
+    while (span - 1) >> shift >= limit {
+        shift += 1;
+    }
+    let directory = (0..=(span - 1) >> shift)
+        .map(|c| {
+            let chunk_start = first.start + (c << shift);
+            let i = entries.partition_point(|e| e.end <= chunk_start);
+            u32::try_from(i).expect("a TCAM holds fewer than 2^32 entries")
+        })
+        .collect();
+    (directory, shift)
 }
 
 /// The switch's global table: VA range → memory node (§5, Fig. 6).

@@ -137,12 +137,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         *self = *self + rhs;
     }
@@ -150,12 +152,14 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
 }
 
 impl SubAssign for SimTime {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimTime) {
         *self = *self - rhs;
     }
@@ -163,6 +167,7 @@ impl SubAssign for SimTime {
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn mul(self, rhs: u64) -> SimTime {
         SimTime(self.0.checked_mul(rhs).expect("SimTime overflow"))
     }

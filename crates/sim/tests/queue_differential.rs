@@ -7,6 +7,13 @@
 //! loops count the cases the queue's hold model and arrival lane must get
 //! right, and fail if any of them never came up.
 //!
+//! A wheel leg schedules at the rack's scale — pipeline delays of tens to
+//! hundreds of nanoseconds after the last pop — and keeps a shadow of the
+//! timing wheel's rule (which bucket a push lands in, and whether the
+//! wheel or the heap takes it) to count the wheel's own cases: ties in one
+//! bucket, full buckets, pushes past the horizon and behind the cursor,
+//! schedules over several turns, and `clear()` with events on the wheel.
+//!
 //! Two more legs run the same reference against what the event loop really
 //! moves: a 32-byte payload with drop glue, shaped like the rack's event
 //! type, which must be dropped exactly once whether `pop`, `clear` or the
@@ -15,7 +22,7 @@
 
 use pulse_sim::{Driver, EventQueue, SimTime, SplitMix64};
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::rc::Rc;
 
@@ -58,7 +65,8 @@ impl Reference {
 struct Coverage {
     /// A push due at the same picosecond as an event already pending.
     ties: u64,
-    /// A `push_arrival` earlier than the lane's tail (heap fallback).
+    /// A `push_arrival` earlier than the lane's tail (wheel or heap
+    /// fallback).
     fallbacks: u64,
     /// A pop with no push since the previous pop.
     pop_after_pop: u64,
@@ -68,7 +76,7 @@ struct Coverage {
     push_after_clear: u64,
 }
 
-fn check(q: &EventQueue<u64>, r: &Reference, case: u64, op: usize) {
+fn check<E>(q: &EventQueue<E>, r: &Reference, case: u64, op: usize) {
     assert_eq!(q.len(), r.pending.len(), "case {case} op {op}: len");
     assert_eq!(q.is_empty(), r.pending.is_empty(), "case {case} op {op}");
     assert_eq!(
@@ -337,6 +345,211 @@ fn payloads_with_drop_glue_drop_exactly_once() {
     assert!(
         total > 1000 && pops > 1000 && clears > 100 && queue_drops > 20,
         "a case went untested: {total} counted, {pops} pops, {clears} clears, {queue_drops} drops"
+    );
+}
+
+/// Buckets on the queue's timing wheel, and a bucket's width in
+/// picoseconds (the shadow's copy of the queue's constants).
+const WHEEL_BUCKETS: u64 = 512;
+const BUCKET_PS: u64 = 4096;
+
+/// The timing wheel's placement rule, replayed beside the queue: which
+/// pending events sit on the wheel, in which bucket, and where the cursor
+/// is.
+#[derive(Default)]
+struct WheelShadow {
+    cursor: u64,
+    /// Due times of the wheel's events per absolute bucket.
+    buckets: HashMap<u64, Vec<u64>>,
+    /// Ids of the events on the wheel.
+    on_wheel: HashSet<u64>,
+}
+
+/// How often each case the wheel must handle came up.
+#[derive(Debug, Default)]
+struct WheelCoverage {
+    /// A push into a bucket that already held an event...
+    bucket_ties: u64,
+    /// ...due at the same picosecond.
+    same_picosecond: u64,
+    /// A push into a full bucket: the heap takes it.
+    spills: u64,
+    /// A push past the wheel's horizon.
+    past_horizon: u64,
+    /// A push earlier than the cursor's bucket.
+    before_cursor: u64,
+    /// A push onto the wheel at a bucket index below the cursor's: the
+    /// wheel has turned.
+    wrapped: u64,
+    /// Cases whose pops ran over more than one turn of the wheel.
+    multi_turn_cases: u64,
+    /// A `clear()` with events on the wheel.
+    clears_with_wheel_events: u64,
+}
+
+impl WheelShadow {
+    fn push(&mut self, at: u64, id: u64, seen: &mut WheelCoverage) {
+        let b = at / BUCKET_PS;
+        if b < self.cursor {
+            seen.before_cursor += 1;
+            return;
+        }
+        if b - self.cursor >= WHEEL_BUCKETS {
+            seen.past_horizon += 1;
+            return;
+        }
+        let bucket = self.buckets.entry(b).or_default();
+        match bucket.as_slice() {
+            [] => {}
+            [first] => {
+                seen.bucket_ties += 1;
+                seen.same_picosecond += u64::from(*first == at);
+            }
+            _ => {
+                seen.spills += 1;
+                return;
+            }
+        }
+        bucket.push(at);
+        self.on_wheel.insert(id);
+        seen.wrapped += u64::from(b % WHEEL_BUCKETS < self.cursor % WHEEL_BUCKETS);
+    }
+
+    fn pop(&mut self, at: u64, id: u64) {
+        let b = at / BUCKET_PS;
+        if self.on_wheel.remove(&id) {
+            let bucket = self.buckets.get_mut(&b).expect("the event's bucket");
+            let i = bucket
+                .iter()
+                .position(|&t| t == at)
+                .expect("the event's time");
+            bucket.remove(i);
+        }
+        self.cursor = self.cursor.max(b);
+    }
+}
+
+#[test]
+fn wheel_pops_like_a_sorted_reference() {
+    let mut rng = SplitMix64::new(0x3417_ee15);
+    let mut seen = WheelCoverage::default();
+    let dropped = Rc::new(RefCell::new(Vec::new()));
+    let (mut counted, mut live) = (HashSet::new(), HashSet::new());
+    let mut next_id = 0u64;
+    // One queue reused across cases, so a case starts on a wheel a
+    // `clear()` left behind.
+    let mut q: EventQueue<Payload> = EventQueue::with_capacity(16);
+    for case in 0..300u64 {
+        q.clear();
+        let mut r = Reference::default();
+        let mut shadow = WheelShadow::default();
+        live.clear();
+        let mut now = 0u64;
+        let pop_weight = 4 + rng.next_below(5);
+        for op in 0..(1 + rng.next_below(600)) as usize {
+            let roll = rng.next_below(16);
+            if roll < pop_weight {
+                let (a, b) = (q.pop(), r.pop());
+                assert_eq!(
+                    a.as_ref().map(|(t, p)| (*t, p.id())),
+                    b,
+                    "case {case} op {op}: pop"
+                );
+                if let Some((at, p)) = a {
+                    now = at.as_picos();
+                    shadow.pop(now, p.id());
+                    if let Payload::Counted(id, _) = p {
+                        live.remove(&id);
+                    }
+                }
+            } else if roll == 15 && rng.next_below(16) == 0 {
+                seen.clears_with_wheel_events += u64::from(!shadow.on_wheel.is_empty());
+                q.clear();
+                r.clear();
+                shadow = WheelShadow::default();
+                live.clear();
+                now = 0;
+            } else {
+                // The rack's common pipeline delays, ties in the bucket of
+                // the last pop, a spread over the whole wheel, and now and
+                // then a far or an earlier time.
+                let at = match rng.next_below(16) {
+                    0 | 1 => now,
+                    2 | 3 => now + 17_100,
+                    4 | 5 => now + 185_060,
+                    6 | 7 => now + rng.next_below(BUCKET_PS),
+                    8 => now + WHEEL_BUCKETS * BUCKET_PS + rng.next_below(4_000_000),
+                    9 => now.saturating_sub(rng.next_below(40_000)),
+                    _ => now + rng.next_below(WHEEL_BUCKETS * BUCKET_PS),
+                };
+                let id = next_id;
+                next_id += 1;
+                let payload = if rng.next_below(2) == 0 {
+                    Payload::Wide(id, !id, id.rotate_left(17))
+                } else {
+                    counted.insert(id);
+                    live.insert(id);
+                    let c = Counted {
+                        id,
+                        dropped: Rc::clone(&dropped),
+                    };
+                    Payload::Counted(id, c)
+                };
+                q.push(SimTime::from_picos(at), payload);
+                r.push(SimTime::from_picos(at), id);
+                shadow.push(at, id, &mut seen);
+            }
+            check(&q, &r, case, op);
+        }
+        seen.multi_turn_cases += u64::from(shadow.cursor >= 2 * WHEEL_BUCKETS);
+        check_drops(&dropped, &counted, &live, &format!("case {case}"));
+        if case % 2 == 0 {
+            // Drain: a run of pops with no push in between.
+            loop {
+                let (a, b) = (q.pop(), r.pop());
+                assert_eq!(
+                    a.as_ref().map(|(t, p)| (*t, p.id())),
+                    b,
+                    "case {case}: drain"
+                );
+                check(&q, &r, case, usize::MAX);
+                if a.is_none() {
+                    break;
+                }
+            }
+        } else {
+            seen.clears_with_wheel_events += u64::from(!shadow.on_wheel.is_empty());
+            q.clear();
+        }
+        live.clear();
+        check_drops(&dropped, &counted, &live, &format!("case {case} end"));
+        counted.clear();
+        dropped.borrow_mut().clear();
+    }
+    let WheelCoverage {
+        bucket_ties,
+        same_picosecond,
+        spills,
+        past_horizon,
+        before_cursor,
+        wrapped,
+        multi_turn_cases,
+        clears_with_wheel_events,
+    } = seen;
+    assert!(
+        [
+            bucket_ties,
+            same_picosecond,
+            spills,
+            past_horizon,
+            before_cursor,
+            wrapped
+        ]
+        .iter()
+        .all(|&n| n > 100)
+            && multi_turn_cases > 20
+            && clears_with_wheel_events > 50,
+        "a case went untested: {seen:?}"
     );
 }
 
