@@ -1,8 +1,8 @@
 //! Appendix C.1: network and memory bandwidth utilization per system.
 
-use pulse::{PulseBuilder, RunMetrics};
+use pulse::{PulseBuilder, PulseMode, RunMetrics};
 use pulse_bench::{
-    banner, paper_baselines, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    banner, paper_baselines, AppKind, Deployment, Stream, DEFAULT_GRANULARITY,
     FIGURE_WIREDTIGER_KEYS,
 };
 use pulse_workloads::{Distribution, YcsbWorkload};
@@ -21,10 +21,11 @@ fn main() {
     };
     for kind in [AppKind::WebService(YcsbWorkload::C), wiredtiger] {
         for nodes in [1usize, 2, 4] {
-            let at = Deployment {
+            let at = |mode| Deployment {
                 rack: PulseBuilder::new()
                     .granularity(DEFAULT_GRANULARITY)
-                    .window(48),
+                    .window(48)
+                    .mode(mode),
                 nodes,
                 stream: Stream::App(kind, Distribution::Zipfian),
                 requests: 300,
@@ -36,13 +37,13 @@ fn main() {
                 let memn = rep.mem_bytes as f64 / span / nodes as f64 / 25e9;
                 println!("{workload:<20} {count:>5} {label:<12} | {net:>10.2} {memn:>11.2}");
             };
-            let (_, pulse) = at.execute(Side::Pulse);
+            let (_, pulse) = at(PulseMode::Pulse).execute();
             row(&kind.label(), &nodes.to_string(), "PULSE", pulse);
             for baseline in paper_baselines() {
                 if baseline.label() == "Cache+RPC" {
                     continue;
                 }
-                let (label, rep) = at.execute(Side::Baseline(baseline));
+                let (label, rep) = at(baseline).execute();
                 row("", "", label, rep);
             }
         }

@@ -1,8 +1,8 @@
 //! Appendix Fig. 6: application performance under the uniform distribution.
 
-use pulse::PulseBuilder;
+use pulse::{PulseBuilder, PulseMode};
 use pulse_bench::{
-    banner, kops, paper_baselines, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    banner, kops, paper_baselines, us, AppKind, Deployment, Stream, DEFAULT_GRANULARITY,
     FIGURE_WIREDTIGER_KEYS,
 };
 use pulse_workloads::{Distribution, YcsbWorkload};
@@ -27,17 +27,17 @@ fn main() {
         for nodes in [1usize, 4] {
             // Latency at light load (8 in flight), throughput at heavy load
             // (128), as in Fig. 7.
-            let at = |window| Deployment {
+            let at = |mode, window| Deployment {
                 rack: PulseBuilder::new()
                     .granularity(DEFAULT_GRANULARITY)
-                    .window(window),
+                    .window(window)
+                    .mode(mode),
                 nodes,
                 stream: Stream::App(kind, Distribution::Uniform),
                 requests: 200,
             };
-            let (light, heavy) = (at(8), at(128));
-            let (_, pulse) = light.execute(Side::Pulse);
-            let (_, pulse_peak) = heavy.execute(Side::Pulse);
+            let (_, pulse) = at(PulseMode::Pulse, 8).execute();
+            let (_, pulse_peak) = at(PulseMode::Pulse, 128).execute();
             println!(
                 "{:<22} {:>5} | {:>10} {:>10} | {:<12}",
                 kind.label(),
@@ -52,8 +52,8 @@ fn main() {
                 {
                     continue;
                 }
-                let (label, rep) = light.execute(Side::Baseline(baseline.clone()));
-                let (_, peak) = heavy.execute(Side::Baseline(baseline));
+                let (label, rep) = at(baseline, 8).execute();
+                let (_, peak) = at(baseline, 128).execute();
                 println!(
                     "{:<22} {:>5} | {:>10} {:>10} | {:<12}",
                     "",

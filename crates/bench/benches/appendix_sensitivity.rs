@@ -1,9 +1,9 @@
 //! Appendix C.2 sensitivity studies: access pattern (Zipfian vs uniform),
 //! write-fraction with/without offloaded allocation, and traversal length.
 
-use pulse::{Engine, Placement, PulseBuilder};
-use pulse_baselines::LruSet;
-use pulse_bench::{banner, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY};
+use pulse::frontend::LruSet;
+use pulse::{Placement, PulseBuilder};
+use pulse_bench::{banner, us, AppKind, Deployment, Stream, DEFAULT_GRANULARITY};
 use pulse_dispatch::{compile, samples};
 use pulse_ds::{LinkedList, ListKind};
 use pulse_sim::SimTime;
@@ -32,7 +32,7 @@ fn access_pattern() {
     );
     let mut uniform_lat = None;
     for dist in [Distribution::Uniform, Distribution::Zipfian] {
-        let (mut runtime, reqs) = webservice(YcsbWorkload::C, dist, 400).pulse();
+        let (mut runtime, reqs) = webservice(YcsbWorkload::C, dist, 400).runtime();
         let rep = runtime.execute(&reqs).unwrap();
         // Cache scaled as 2 GB : 32 GB = 1/16 of the object working set.
         let mut cache = LruSet::new(6_000 / 16);
@@ -73,7 +73,7 @@ fn write_fraction() {
         } else {
             YcsbWorkload::A
         };
-        let (_, rep) = webservice(workload, Distribution::Zipfian, 300).execute(Side::Pulse);
+        let (_, rep) = webservice(workload, Distribution::Zipfian, 300).execute();
         let with_alloc = rep.latency.mean;
         // Without offloaded allocations every write pays two extra round
         // trips to allocate remotely (§C.2).

@@ -5,66 +5,74 @@
 //! (admission to completion, page faults included) spent on traversal
 //! accesses, and `hit %` is its page-cache hit ratio.
 
-use pulse::{BaselineEngine, BaselineKind, Engine};
-use pulse_baselines::SwapConfig;
+use pulse::{Placement, PulseBuilder, PulseMode, Runtime};
 use pulse_bench::banner;
-use pulse_ds::{BuildCtx, TreePlacement};
-use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
+use pulse_ds::{BuildCtx, DsError, TreePlacement};
 use pulse_workloads::{
     AppRequest, Application, Btrdb, BtrdbConfig, Distribution, WebService, WebServiceConfig,
     WiredTiger, WiredTigerConfig,
 };
 
-fn build(app: &str, dist: Distribution) -> (ClusterMemory, Vec<AppRequest>, u64) {
-    let mut mem = ClusterMemory::new(1);
-    let mut alloc = ClusterAllocator::new(Placement::Single(0), 1 << 20);
-    let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-    let (reqs, ws): (Vec<AppRequest>, u64) = match app {
+/// A one-node rack in `mode` with 8 clients, over `app`'s deployment: the
+/// runtime, 400 requests of its stream, and the application's working set
+/// in bytes.
+fn build(app: &str, dist: Distribution, mode: PulseMode) -> (Runtime, Vec<AppRequest>, u64) {
+    let (runtime, (reqs, ws)) = PulseBuilder::new()
+        .placement(Placement::Single(0))
+        .window(8)
+        .mode(mode)
+        .build_with(|ctx| stream(ctx, app, dist))
+        .unwrap();
+    (runtime, reqs, ws)
+}
+
+fn stream(
+    ctx: &mut BuildCtx<'_>,
+    app: &str,
+    dist: Distribution,
+) -> Result<(Vec<AppRequest>, u64), DsError> {
+    Ok(match app {
         "WebService" => {
             // Small objects keep the index a meaningful share of the WSS,
             // matching the paper's GB-scale tables.
             let mut a = WebService::build(
-                &mut ctx,
+                ctx,
                 WebServiceConfig {
                     keys: 100_000,
                     object_bytes: 512,
                     distribution: dist,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            )?;
             let ws = a.working_set_bytes();
             ((0..400).map(|_| a.next_request()).collect(), ws)
         }
         "WiredTiger" => {
             let mut a = WiredTiger::build(
-                &mut ctx,
+                ctx,
                 WiredTigerConfig {
                     keys: 80_000,
                     distribution: dist,
                     placement: TreePlacement::Policy,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            )?;
             let ws = a.working_set_bytes();
             ((0..400).map(|_| a.next_request()).collect(), ws)
         }
         _ => {
             let mut a = Btrdb::build(
-                &mut ctx,
+                ctx,
                 BtrdbConfig {
                     duration_secs: 1200,
                     window_secs: 2,
                     ..Default::default()
                 },
-            )
-            .unwrap();
+            )?;
             let ws = a.working_set_bytes();
             ((0..400).map(|_| a.next_request()).collect(), ws)
         }
-    };
-    (mem, reqs, ws)
+    })
 }
 
 fn main() {
@@ -92,16 +100,15 @@ fn main() {
         );
         for app in ["WebService", "WiredTiger", "BTrDB"] {
             let mut base_latency = None;
+            // The working set is known once the application is built, so a
+            // first build sizes every page cache.
+            let (_, _, ws) = build(app, dist, PulseMode::Pulse);
             for shift in [0u32, 1, 2, 3, 4] {
-                let (mem, reqs, ws) = build(app, dist);
-                let cache = (ws >> shift).max(1 << 16);
-                let kind = BaselineKind::SwapCache(SwapConfig {
-                    cache_bytes: cache,
-                    ..SwapConfig::default()
-                });
-                let mut engine = BaselineEngine::new(mem, kind, 8).unwrap();
-                let rep = engine.execute(&reqs).unwrap();
-                let swap = engine.cluster().swap_stats();
+                let cache_bytes = (ws >> shift).max(1 << 16);
+                let swap = PulseMode::Swap { cache_bytes };
+                let (mut runtime, reqs, _) = build(app, dist, swap);
+                let rep = runtime.execute(&reqs).unwrap();
+                let swap = runtime.cluster().swap_stats();
                 let base = *base_latency.get_or_insert(rep.latency.mean);
                 println!(
                     "{:<12} {:>7} | {:>8.1}% {:>9.2}x {:>8.1}%",

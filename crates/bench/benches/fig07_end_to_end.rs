@@ -1,9 +1,9 @@
 //! Fig. 7: application latency & throughput for 1-4 memory nodes across the
 //! five compared systems.
 
-use pulse::PulseBuilder;
+use pulse::{PulseBuilder, PulseMode};
 use pulse_bench::{
-    banner, kops, paper_baselines, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    banner, kops, paper_baselines, us, AppKind, Deployment, Stream, DEFAULT_GRANULARITY,
     FIGURE_WIREDTIGER_KEYS,
 };
 use pulse_workloads::{Distribution, YcsbWorkload};
@@ -34,17 +34,17 @@ fn main() {
         for nodes in 1..=4usize {
             // Latency at light load (8 in flight), throughput at heavy load
             // (128), as the paper's closed-loop clients measure them.
-            let at = |window| Deployment {
+            let at = |mode, window| Deployment {
                 rack: PulseBuilder::new()
                     .granularity(DEFAULT_GRANULARITY)
-                    .window(window),
+                    .window(window)
+                    .mode(mode),
                 nodes,
                 stream: Stream::App(kind, Distribution::Zipfian),
                 requests,
             };
-            let (light, heavy) = (at(8), at(128));
-            let (_, pulse) = light.execute(Side::Pulse);
-            let (_, pulse_peak) = heavy.execute(Side::Pulse);
+            let (_, pulse) = at(PulseMode::Pulse, 8).execute();
+            let (_, pulse_peak) = at(PulseMode::Pulse, 128).execute();
             println!(
                 "{:<22} {:>5} | {:>10} {:>10} | {:>10} {:>10}",
                 kind.label(),
@@ -61,8 +61,8 @@ fn main() {
                 {
                     continue;
                 }
-                let (label, rep) = light.execute(Side::Baseline(baseline.clone()));
-                let (_, peak) = heavy.execute(Side::Baseline(baseline));
+                let (label, rep) = at(baseline, 8).execute();
+                let (_, peak) = at(baseline, 128).execute();
                 let ratio = rep.latency.mean.as_nanos_f64() / pulse.latency.mean.as_nanos_f64();
                 println!(
                     "{:<22} {:>5} | {:>10} {:>10} | {:>10} {:>9.2}x",

@@ -1,8 +1,8 @@
 //! Fig. 8: energy per operation across systems.
 
-use pulse::PulseBuilder;
+use pulse::{PulseBuilder, PulseMode};
 use pulse_bench::{
-    banner, paper_baselines, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
+    banner, paper_baselines, AppKind, Deployment, Stream, DEFAULT_GRANULARITY,
     FIGURE_WIREDTIGER_KEYS,
 };
 use pulse_energy::{energy_per_op, SystemKind};
@@ -24,16 +24,17 @@ fn main() {
         AppKind::Btrdb(4),
         AppKind::Btrdb(8),
     ] {
-        let at = Deployment {
+        let at = |mode| Deployment {
             rack: PulseBuilder::new()
                 .granularity(DEFAULT_GRANULARITY)
-                .window(128),
+                .window(128)
+                .mode(mode),
             nodes: 1,
             stream: Stream::App(kind, Distribution::Zipfian),
             requests: 250,
         };
-        let (_, pulse) = at.execute(Side::Pulse);
-        let base = paper_baselines().map(|b| at.execute(Side::Baseline(b)).1);
+        let (_, pulse) = at(PulseMode::Pulse).execute();
+        let base = paper_baselines().map(|b| at(b).execute().1);
         let (m, n) = (3, 4);
         let mj = |j: f64| j * 1e3;
         // §6.1 methodology: compare at "a request rate that ensured memory

@@ -1,10 +1,9 @@
 //! Fig. 9: pulse vs pulse-acc (return-to-CPU crossings), single &
 //! distributed.
 
-use pulse::{Engine, PulseBuilder, PulseMode, RunMetrics};
+use pulse::{PulseBuilder, PulseMode, RunMetrics};
 use pulse_bench::{
-    banner, kops, us, AppKind, Deployment, Side, Stream, DEFAULT_GRANULARITY,
-    FIGURE_WIREDTIGER_KEYS,
+    banner, kops, us, AppKind, Deployment, Stream, DEFAULT_GRANULARITY, FIGURE_WIREDTIGER_KEYS,
 };
 use pulse_ds::TreePlacement;
 use pulse_workloads::{Application, BtrdbConfig, Distribution, WiredTigerConfig, YcsbWorkload};
@@ -43,7 +42,7 @@ fn run(kind: AppKind, nodes: usize, mode: PulseMode) -> RunMetrics {
                 stream: Stream::App(kind, Distribution::Zipfian),
                 requests: 200,
             };
-            return at.execute(Side::Pulse).1;
+            return at.execute().1;
         }
     };
     let reqs: Vec<_> = (0..200).map(|_| app.next_request()).collect();

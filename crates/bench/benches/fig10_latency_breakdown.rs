@@ -14,7 +14,7 @@ fn main() {
         stream: Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian),
         requests: 200,
     }
-    .pulse();
+    .runtime();
     for req in reqs {
         runtime
             .submit(req)

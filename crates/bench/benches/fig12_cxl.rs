@@ -35,7 +35,7 @@ fn main() {
                 stream: Stream::App(kind, Distribution::Zipfian),
                 requests: 200,
             }
-            .pulse();
+            .runtime();
             let s = cxl_study(runtime.memory_mut(), &reqs, nodes, cfg);
             println!(
                 "{:<18} {:>6} | {:>11.2}x {:>11.2}x {:>11.2}x",

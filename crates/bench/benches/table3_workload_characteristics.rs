@@ -15,7 +15,7 @@ fn measured_iterations(kind: AppKind) -> f64 {
         stream: Stream::App(kind, Distribution::Zipfian),
         requests: 200,
     }
-    .pulse();
+    .runtime();
     let mut total = 0u64;
     for r in &reqs {
         total += runtime.execute_functional(r).unwrap().response.iterations;

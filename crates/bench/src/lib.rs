@@ -18,21 +18,20 @@
 //!
 //! Beyond the per-figure replays, [`sweep`] runs the extended evaluation's
 //! headline shape: an open-loop load ladder (offered kops → p50/p95/p99
-//! latency + goodput) over any engine behind the shared
-//! [`Engine`](pulse::Engine) trait, emitted as a `BENCH_sweep.json`-style
-//! report via [`sweep_json`]. Every ladder curve and every end-to-end
-//! figure is one [`Deployment`] — a [`pulse::PulseBuilder`] rack, its
-//! memory-node count and a [`Stream`] — built for one engine [`Side`]: the
-//! pulse rack or a baseline (the figures compare [`paper_baselines`]), so
-//! the sides of a comparison run the identical deployment by construction.
+//! latency + goodput) over any system's [`pulse::Runtime`], emitted as a
+//! `BENCH_sweep.json`-style report via [`sweep_json`]. Every ladder curve
+//! and every end-to-end figure is one [`Deployment`] — a
+//! [`pulse::PulseBuilder`] rack, its memory-node count and a [`Stream`].
+//! The rack's [`PulseMode`] picks the system: pulse or a baseline (the
+//! figures compare [`paper_baselines`]), so the sides of a comparison run
+//! the identical deployment by construction and differ in one setter.
 //! The sustained-load headline ([`SweepReport::max_load_under_p99`]) only
 //! counts rungs whose goodput actually kept up with the offered load.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pulse::{BaselineKind, RunMetrics};
-use pulse_baselines::{RpcConfig, SwapConfig};
+use pulse::{OpenLoopDriver, PulseMode, RpcFlavor, RunMetrics, Runtime};
 use pulse_core::{Phase, PhaseAttribution, PHASES};
 use pulse_ds::{BuildCtx, TreePlacement};
 use pulse_mem::ClusterMemory;
@@ -97,16 +96,13 @@ impl AppKind {
 /// The four systems the figures compare pulse against, in figure order:
 /// Cache-based, RPC, RPC-ARM and Cache+RPC. Both caches hold 8 MiB, the
 /// paper's 2 GB scaled by the working-set factor.
-pub fn paper_baselines() -> [BaselineKind; 4] {
+pub fn paper_baselines() -> [PulseMode; 4] {
     let cache_bytes = 8 << 20;
     [
-        BaselineKind::SwapCache(SwapConfig {
-            cache_bytes,
-            ..SwapConfig::default()
-        }),
-        BaselineKind::Rpc(RpcConfig::rpc()),
-        BaselineKind::Rpc(RpcConfig::rpc_arm()),
-        BaselineKind::Rpc(RpcConfig::cache_rpc(cache_bytes)),
+        PulseMode::Swap { cache_bytes },
+        PulseMode::Rpc(RpcFlavor::Rpc),
+        PulseMode::Rpc(RpcFlavor::RpcArm),
+        PulseMode::Rpc(RpcFlavor::CacheRpc { cache_bytes }),
     ]
 }
 
@@ -301,11 +297,11 @@ impl SweepPoint {
     }
 }
 
-/// A full ladder for one engine: the latency-vs-load curve the extended
+/// A full ladder for one curve: the latency-vs-load curve the extended
 /// evaluation plots.
 #[derive(Debug, Clone)]
 pub struct SweepReport {
-    /// Engine label ("pulse", "RPC", ...).
+    /// Curve label, the caller's ("pulse", "RPC-crash", ...).
     pub label: String,
     /// One point per offered load, in ladder order.
     pub points: Vec<SweepPoint>,
@@ -547,16 +543,16 @@ pub fn sweep_json(reports: &[SweepReport]) -> String {
     format!("{{\"sweep\":[{}]}}", curves.join(","))
 }
 
-/// Runs a load ladder over one engine family: for every offered load in
-/// `loads_kops`, `make` builds a *fresh* engine plus its request stream
-/// (the [`Engine`](pulse::Engine) measurement contract is one run per
-/// instance), and the engine executes the stream open-loop under Poisson
-/// arrivals seeded with `seed`. The same seed is reused across rungs, so
+/// Runs a load ladder over one system: for every offered load in
+/// `loads_kops`, `make` builds a *fresh* runtime plus its request stream
+/// (a runtime's counters are cumulative, so each measures one run), and
+/// [`OpenLoopDriver::run`] drives the stream under Poisson arrivals seeded
+/// with `seed`. The same seed is reused across rungs, so
 /// each rung sees the same arrival pattern compressed to its rate — which
 /// keeps the curve monotone in load rather than jittered by resampling —
 /// and across engine families, which makes curves directly comparable.
 ///
-/// The curve's `label` comes from the caller, not from the engines: engine
+/// The curve's `label` comes from the caller, not from the runtimes: their
 /// labels name the *system* ("pulse", "RPC"), while a sweep document can
 /// carry several curves of the same system over different applications.
 /// Caller-supplied labels also mean an empty ladder yields a correctly
@@ -566,12 +562,12 @@ pub fn sweep_json(reports: &[SweepReport]) -> String {
 /// # Errors
 ///
 /// [`pulse::Error::Config`] when `label` is empty; request-validation
-/// failures propagated from the engine.
+/// failures propagated from the runtime.
 pub fn sweep(
     label: &str,
     loads_kops: &[f64],
     seed: u64,
-    mut make: impl FnMut() -> (Box<dyn pulse::Engine>, Vec<AppRequest>),
+    mut make: impl FnMut() -> (Runtime, Vec<AppRequest>),
 ) -> Result<SweepReport, pulse::Error> {
     if label.is_empty() {
         return Err(pulse::Error::Config(
@@ -580,9 +576,9 @@ pub fn sweep(
     }
     let mut points = Vec::new();
     for &kops in loads_kops {
-        let (mut engine, requests) = make();
+        let (mut runtime, requests) = make();
         let arrivals = pulse::ArrivalProcess::poisson(kops * 1e3, seed);
-        let rep = engine.execute_open_loop(&requests, arrivals)?;
+        let rep = OpenLoopDriver::new(arrivals).run(&mut runtime, requests)?;
         points.push(SweepPoint::from_open_loop(&rep));
     }
     Ok(SweepReport {
@@ -593,15 +589,15 @@ pub fn sweep(
 
 // ----------------------------------------------------- parallel sweep layer
 
-/// The engine-factory shape the parallel harness requires: callable from
+/// The runtime-factory shape the parallel harness requires: callable from
 /// any worker thread, each call building a fresh deterministic closed
-/// world (engine + request stream) for one rung.
-pub type CurveFactory = Box<dyn Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync>;
+/// world (runtime + request stream) for one rung.
+pub type CurveFactory = Box<dyn Fn() -> (Runtime, Vec<AppRequest>) + Send + Sync>;
 
 /// One curve of a parallel sweep: everything [`sweep`] takes, packaged so
 /// a worker pool can claim (curve, rung) pairs independently. Each rung is
-/// a deterministic closed world — its own cluster/baseline, its own
-/// SplitMix64 streams — so rungs race on wall-clock only, never on state.
+/// a deterministic closed world — its own runtime, its own SplitMix64
+/// streams — so rungs race on wall-clock only, never on state.
 pub struct CurveSpec {
     /// Curve label in the emitted JSON (same contract as [`sweep`]'s).
     pub label: String,
@@ -609,7 +605,7 @@ pub struct CurveSpec {
     pub loads_kops: Vec<f64>,
     /// Arrival seed, reused across rungs exactly as [`sweep`] does.
     pub seed: u64,
-    /// Builds the rung's engine and request stream.
+    /// Builds the rung's runtime and request stream.
     pub make: CurveFactory,
 }
 
@@ -619,7 +615,7 @@ impl CurveSpec {
         label: &str,
         loads_kops: &[f64],
         seed: u64,
-        make: impl Fn() -> (Box<dyn pulse::Engine>, Vec<AppRequest>) + Send + Sync + 'static,
+        make: impl Fn() -> (Runtime, Vec<AppRequest>) + Send + Sync + 'static,
     ) -> CurveSpec {
         CurveSpec {
             label: label.to_string(),
@@ -785,13 +781,13 @@ pub fn sweep_par_with(
                 let Some(&(c, r)) = items.get(i) else { break };
                 let spec = &specs[c];
                 let build_t0 = Instant::now();
-                let (mut engine, requests) = (spec.make)();
+                let (mut runtime, requests) = (spec.make)();
                 let simulate_t0 = Instant::now();
                 let arrivals = pulse::ArrivalProcess::poisson(spec.loads_kops[r] * 1e3, spec.seed);
-                let result = engine
-                    .execute_open_loop(&requests, arrivals)
+                let result = OpenLoopDriver::new(arrivals)
+                    .run(&mut runtime, requests)
                     .map(|rep| SweepPoint::from_open_loop(&rep));
-                drop(engine);
+                drop(runtime);
                 let ms = |from: Instant, to: Instant| (to - from).as_secs_f64() * 1e3;
                 let (build_ms, simulate_ms) =
                     (ms(build_t0, simulate_t0), ms(simulate_t0, Instant::now()));
@@ -902,16 +898,6 @@ pub enum Stream {
     Ycsb(YcsbWorkload),
 }
 
-/// Which engine a sweep curve runs over its [`Deployment`].
-#[derive(Debug, Clone)]
-pub enum Side {
-    /// The pulse rack ([`pulse::Runtime`]).
-    Pulse,
-    /// A baseline system ([`pulse::BaselineEngine`]); its dispatch, cache,
-    /// topology and fault model ride in the kind's own config.
-    Baseline(pulse::BaselineKind),
-}
-
 /// What a built [`Stream`] mints requests from.
 enum Source {
     App(Box<dyn Application>),
@@ -999,14 +985,15 @@ impl Source {
 /// One deployment: the rack, its size, and the stream it serves. Every
 /// curve of `examples/latency_sweep.rs` and every end-to-end paper figure —
 /// pulse and baseline alike — is built from one of these, so two runs that
-/// differ in one axis differ in exactly one builder setter, and a
-/// comparison's sides run the identical deployment by construction.
+/// differ in one axis differ in exactly one builder setter (the system
+/// being [`pulse::PulseBuilder::mode`]), and a comparison's sides run the
+/// identical deployment by construction.
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    /// Everything the rack varies: extent granularity, cpus, dispatch,
-    /// cache, topology, replication, faults, the ISA-v2 switches, tracing
-    /// and the in-flight window (a baseline's client count). The node
-    /// count is set from [`Deployment::nodes`].
+    /// Everything the rack varies: the system (its mode), extent
+    /// granularity, cpus, dispatch, cache, topology, replication, faults,
+    /// the ISA-v2 switches, tracing and the in-flight window (a baseline's
+    /// client count). The node count is set from [`Deployment::nodes`].
     pub rack: pulse::PulseBuilder,
     /// Memory nodes in the rack.
     pub nodes: usize,
@@ -1021,64 +1008,40 @@ impl Deployment {
         self.rack.clone().nodes(self.nodes)
     }
 
-    /// Builds a fresh pulse rack over the deployment and mints its stream.
+    /// Builds a fresh runtime over the deployment and mints its stream.
     ///
     /// # Panics
     ///
     /// If the rack fails to wire, or a YCSB-E insert arena runs dry.
-    pub fn pulse(&self) -> (pulse::Runtime, Vec<AppRequest>) {
+    pub fn runtime(&self) -> (Runtime, Vec<AppRequest>) {
         let (mut runtime, source) = self
             .builder()
             .build_with(|ctx| self.stream.build(self.nodes, ctx))
-            .expect("wire pulse rack");
+            .expect("wire the rack");
         let reqs = source.mint(runtime.memory_mut(), self.requests);
         (runtime, reqs)
     }
 
-    /// Builds a fresh `kind` baseline over the identical deployment and
-    /// mints its stream.
+    /// The deployment as a [`sweep`] / [`CurveSpec`] factory: every call
+    /// rebuilds the identical deployment and stream.
+    pub fn factory(self) -> CurveFactory {
+        Box::new(move || self.runtime())
+    }
+
+    /// Runs the whole stream closed-loop on a fresh runtime with the
+    /// rack's window in flight, and returns the runtime's label and what
+    /// the run measured ([`Runtime::execute`]), bit-identical to
+    /// `PulseCluster::run` at that concurrency.
     ///
     /// # Panics
     ///
-    /// As [`Deployment::pulse`].
-    pub fn baseline(&self, kind: pulse::BaselineKind) -> (pulse::BaselineEngine, Vec<AppRequest>) {
-        let (mut engine, source) = self
-            .builder()
-            .baseline_with(kind, |ctx| self.stream.build(self.nodes, ctx))
-            .expect("wire baseline");
-        let reqs = source.mint(engine.memory_mut(), self.requests);
-        (engine, reqs)
-    }
-
-    /// The deployment as a [`sweep`] / [`CurveSpec`] factory for one engine
-    /// side: every call rebuilds the identical deployment and stream.
-    pub fn factory(self, side: Side) -> CurveFactory {
-        match side {
-            Side::Pulse => Box::new(move || {
-                let (runtime, reqs) = self.pulse();
-                (Box::new(runtime) as Box<dyn pulse::Engine>, reqs)
-            }),
-            Side::Baseline(kind) => Box::new(move || {
-                let (engine, reqs) = self.baseline(kind.clone());
-                (Box::new(engine) as Box<dyn pulse::Engine>, reqs)
-            }),
-        }
-    }
-
-    /// Runs the whole stream closed-loop on a fresh `side` engine with the
-    /// rack's window in flight, and returns the engine's label and what the
-    /// run measured. The pulse side submits every request and drains the
-    /// runtime, bit-identical to `PulseCluster::run` at that concurrency.
-    ///
-    /// # Panics
-    ///
-    /// As [`Deployment::pulse`].
-    pub fn execute(&self, side: Side) -> (&'static str, RunMetrics) {
-        let (mut engine, reqs) = self.clone().factory(side)();
-        let metrics = engine
+    /// As [`Deployment::runtime`].
+    pub fn execute(&self) -> (&'static str, RunMetrics) {
+        let (mut runtime, reqs) = self.runtime();
+        let metrics = runtime
             .execute(&reqs)
             .expect("a minted stream is well-formed");
-        (engine.label(), metrics)
+        (runtime.label(), metrics)
     }
 }
 
@@ -1274,20 +1237,19 @@ mod tests {
         }
     }
 
-    /// One rung of every stream and engine side through [`Deployment`]
+    /// One rung of every stream and system through [`Deployment`]
     /// (tiny sizes; this is a wiring test, the real ladders run in
     /// `examples/latency_sweep.rs`). Every case completes its whole stream
     /// with nonzero goodput; the per-case checks tell the mixed-workload,
     /// cache and SLO-under-failure stories at rung scale.
     #[test]
     fn deployments_execute_a_rung() {
-        use pulse::{BaselineKind, CacheConfig, PulseBuilder};
+        use pulse::{CacheConfig, PulseBuilder};
         use pulse_mem::{FaultEvent, FaultKind};
 
         struct Case {
             name: &'static str,
             at: Deployment,
-            side: Side,
             load_kops: f64,
             check: fn(&str, &SweepPoint),
         }
@@ -1298,12 +1260,12 @@ mod tests {
             requests,
         };
         let rack = || PulseBuilder::new().granularity(DEFAULT_GRANULARITY).cpus(2);
-        let clients = || {
+        let rpc = || {
             PulseBuilder::new()
                 .granularity(DEFAULT_GRANULARITY)
                 .window(8)
+                .mode(PulseMode::Rpc(RpcFlavor::Rpc))
         };
-        let rpc = |cfg| Side::Baseline(BaselineKind::Rpc(cfg));
         let ws = Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian);
         let cache = CacheConfig::sized(4 << 20);
         let crash = || {
@@ -1325,7 +1287,6 @@ mod tests {
             Case {
                 name: "pulse-webservice",
                 at: at(rack(), 2, ws, 10),
-                side: Side::Pulse,
                 load_kops: 50.0,
                 check: no_check,
             },
@@ -1342,7 +1303,6 @@ mod tests {
                     ),
                     10,
                 ),
-                side: Side::Pulse,
                 load_kops: 50.0,
                 check: no_check,
             },
@@ -1354,35 +1314,30 @@ mod tests {
                     Stream::App(AppKind::Btrdb(4), Distribution::Zipfian),
                     10,
                 ),
-                side: Side::Pulse,
                 load_kops: 50.0,
                 check: no_check,
             },
             Case {
                 name: "pulse-ycsb-a",
                 at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::A), 60),
-                side: Side::Pulse,
                 load_kops: 100.0,
                 check: |name, p| assert!(p.update_goodput_kops > 0.0, "{name}: A is half updates"),
             },
             Case {
                 name: "pulse-ycsb-b",
                 at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::B), 60),
-                side: Side::Pulse,
                 load_kops: 100.0,
                 check: no_check,
             },
             Case {
                 name: "pulse-ycsb-e",
                 at: at(rack(), 2, Stream::Ycsb(YcsbWorkload::E), 60),
-                side: Side::Pulse,
                 load_kops: 100.0,
                 check: no_check,
             },
             Case {
                 name: "rpc-ycsb-a",
-                at: at(clients(), 2, Stream::Ycsb(YcsbWorkload::A), 60),
-                side: rpc(RpcConfig::rpc()),
+                at: at(rpc(), 2, Stream::Ycsb(YcsbWorkload::A), 60),
                 load_kops: 100.0,
                 check: |name, p| {
                     assert_eq!(p.completed, 60, "{name}");
@@ -1396,7 +1351,6 @@ mod tests {
             Case {
                 name: "pulse+cache",
                 at: at(rack().cache(cache), 2, ws, 120),
-                side: Side::Pulse,
                 load_kops: 100.0,
                 check: |name, p| {
                     assert_eq!(p.completed, 120, "{name}");
@@ -1409,17 +1363,12 @@ mod tests {
             Case {
                 name: "pulse-cache-disabled",
                 at: at(rack().cache(CacheConfig::disabled()), 2, ws, 120),
-                side: Side::Pulse,
                 load_kops: 100.0,
                 check: |name, p| assert_eq!(p.cache_hit_rate, 0.0, "{name}: exactly zero"),
             },
             Case {
                 name: "rpc+cache",
-                at: at(clients(), 2, ws, 120),
-                side: rpc(RpcConfig {
-                    cache,
-                    ..RpcConfig::rpc()
-                }),
+                at: at(rpc().cache(cache), 2, ws, 120),
                 load_kops: 100.0,
                 check: |name, p| {
                     assert!(
@@ -1431,7 +1380,6 @@ mod tests {
             Case {
                 name: "pulse-crash-replicated",
                 at: at(rack().replication(2).faults(crash()), 4, ws, 120),
-                side: Side::Pulse,
                 load_kops: 300.0,
                 check: |name, p| {
                     assert_eq!(p.unavailable_completions, 0, "{name}: {p:?}");
@@ -1443,7 +1391,6 @@ mod tests {
             Case {
                 name: "pulse-crash",
                 at: at(rack().replication(1).faults(crash()), 4, ws, 120),
-                side: Side::Pulse,
                 load_kops: 300.0,
                 check: |name, p| {
                     assert!(p.unavailable_completions > 0, "{name}: {p:?}");
@@ -1452,11 +1399,7 @@ mod tests {
             },
             Case {
                 name: "rpc-crash",
-                at: at(clients().replication(2), 4, ws, 120),
-                side: rpc(RpcConfig {
-                    faults: crash(),
-                    ..RpcConfig::rpc()
-                }),
+                at: at(rpc().replication(2).faults(crash()), 4, ws, 120),
                 load_kops: 300.0,
                 check: |name, p| {
                     assert_eq!(p.unavailable_completions, 0, "{name}: {p:?}");
@@ -1474,24 +1417,19 @@ mod tests {
             Case {
                 name: "pulse-leafspine-incast",
                 at: at(rack().cpus(1).topology(incast), 4, ws, 120),
-                side: Side::Pulse,
                 load_kops: 6400.0,
                 check: overloaded_downlink,
             },
             Case {
                 name: "rpc-leafspine-incast",
-                at: at(clients(), 4, ws, 120),
-                side: rpc(RpcConfig {
-                    topology: incast,
-                    ..RpcConfig::rpc()
-                }),
+                at: at(rpc().topology(incast), 4, ws, 120),
                 load_kops: 3200.0,
                 check: overloaded_downlink,
             },
         ];
         for case in cases {
             let requests = case.at.requests as u64;
-            let curve = sweep(case.name, &[case.load_kops], 7, case.at.factory(case.side)).unwrap();
+            let curve = sweep(case.name, &[case.load_kops], 7, case.at.factory()).unwrap();
             assert_eq!(curve.points.len(), 1, "{}", case.name);
             let p = &curve.points[0];
             assert_eq!(p.completed + p.faulted, requests, "{}", case.name);

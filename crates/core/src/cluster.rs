@@ -58,17 +58,31 @@ pub enum PulseMode {
     /// flavour's worker cores serving traversals at each memory node in
     /// place of its accelerator. A worker runs a traversal in one step
     /// when it takes the packet, so its stores land together. Selected
-    /// through the `pulse` façade's `BaselineKind::Rpc`.
+    /// with the `pulse` façade's `PulseBuilder::mode`, like every mode.
     Rpc(RpcFlavor),
     /// The Cache-based (Fastswap-style swap) baseline: the CPU node runs
     /// each request functionally when it picks it up, then walks its
     /// accesses over a per-CPU-node page cache, fetching every missed
-    /// 4 KiB page from its memory node with a plain read. Selected through
-    /// the `pulse` façade's `BaselineKind::SwapCache`.
+    /// 4 KiB page from its memory node with a plain read. Selected with
+    /// the `pulse` façade's `PulseBuilder::mode`, like every mode.
     Swap {
         /// CPU-node DRAM used as page cache, bytes.
         cache_bytes: u64,
     },
+}
+
+impl PulseMode {
+    /// The system label every run in this mode reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PulseMode::Pulse => "pulse",
+            PulseMode::PulseAcc => "pulse-acc",
+            PulseMode::Rpc(RpcFlavor::Rpc) => "RPC",
+            PulseMode::Rpc(RpcFlavor::RpcArm) => "RPC-ARM",
+            PulseMode::Rpc(RpcFlavor::CacheRpc { .. }) => "Cache+RPC",
+            PulseMode::Swap { .. } => "Cache-based",
+        }
+    }
 }
 
 /// Cluster configuration.
@@ -622,6 +636,11 @@ impl PulseCluster {
     /// Per-node accelerator statistics.
     pub fn accelerators(&self) -> &[Accelerator] {
         &self.accels
+    }
+
+    /// The rack's crossing-handling mode: which system it runs.
+    pub fn mode(&self) -> PulseMode {
+        self.cfg.mode
     }
 
     /// Number of CPU (compute) nodes in the rack.

@@ -18,14 +18,15 @@
 //!   through the CPU node instead of the switch.
 //! * [`PulseMode::Rpc`] — the RPC baselines on the same engine: the
 //!   pulse-acc bounce, with each memory node's [`RpcFlavor`] worker cores
-//!   serving traversals in place of its accelerator. The `pulse` façade
-//!   builds it through `BaselineKind::Rpc`.
+//!   serving traversals in place of its accelerator.
 //! * [`PulseMode::Swap`] — the Cache-based (Fastswap) baseline on the same
 //!   engine: the CPU node runs each request over a 4 KiB-page LRU, and a
 //!   missed page is a plain read its memory node's DMA engine serves,
 //!   hop by hop over the rack's fabric ([`SwapStats`] counts its hits and
-//!   time split). The `pulse` façade builds it through
-//!   `BaselineKind::SwapCache`.
+//!   time split).
+//!
+//! Every mode is a `pulse::PulseBuilder::mode` setting, built through the
+//! same builder and run by the same `pulse::Runtime`.
 //! * [`cxl_study`] — the §7/Fig. 12 CXL-interconnect model.
 //!
 //! # CPU-node dispatch contention

@@ -74,9 +74,9 @@
 //! traced rung — is one `pulse_bench::Deployment`: a `PulseBuilder` rack
 //! (cpus, dispatch, cache, topology, replication, faults, ISA-v2
 //! switches, tracing, window), its memory-node count and a `Stream`
-//! (an application's read-only stream or a YCSB mix), built for one engine
-//! `Side` — pulse or a `BaselineKind`. Two curves that differ in one axis
-//! differ in one builder setter or one baseline config field.
+//! (an application's read-only stream or a YCSB mix). The rack's
+//! `PulseMode` is the system: pulse or a baseline, which keeps one CPU
+//! node. Two curves that differ in one axis differ in one builder setter.
 //!
 //! The nineteen curves run on `pulse_bench::sweep_par_with`'s bounded
 //! worker pool: every (curve, rung) pair is a deterministic closed world,
@@ -101,15 +101,14 @@
 //! `BENCH_traced_sweep.json` carrying the per-phase latency attribution
 //! (`"phase"` objects) that CI's trace gate validates.
 
-use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::sim::SimTime;
 use pulse::workloads::Distribution;
 use pulse::{
-    BaselineKind, CacheConfig, DispatchConfig, Engine, FaultEvent, FaultKind, Phase, PulseBuilder,
-    TopologySpec, TraceConfig, YcsbWorkload,
+    CacheConfig, DispatchConfig, FaultEvent, FaultKind, OpenLoopDriver, Phase, PulseBuilder,
+    PulseMode, RpcFlavor, TopologySpec, TraceConfig, YcsbWorkload,
 };
 use pulse_bench::{
-    simspeed_json, sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
+    simspeed_json, sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Stream,
     SweepPoint, SweepReport, DEFAULT_GRANULARITY, SWEEP_WIREDTIGER_KEYS,
 };
 
@@ -153,16 +152,6 @@ fn crash_schedule() -> Vec<FaultEvent> {
     vec![FaultEvent::new(CRASH_AT, FaultKind::MemCrash(0))]
 }
 
-/// The contended-dispatch RPC baseline every RPC curve starts from; the
-/// cached, routed and crash variants override one field each via struct
-/// update.
-fn rpc_cfg(dispatch: DispatchConfig) -> RpcConfig {
-    RpcConfig {
-        dispatch,
-        ..RpcConfig::rpc()
-    }
-}
-
 fn main() -> Result<(), pulse::Error> {
     let (loads_kops, requests, workers, trace_path) = parse_args();
     let dispatch = DispatchConfig::contended(DISPATCH_OCCUPANCY, DISPATCH_CONTEXTS);
@@ -186,7 +175,7 @@ fn main() -> Result<(), pulse::Error> {
         .cpus(CPUS)
         .dispatch(dispatch)
         .window(BASELINE_CLIENTS);
-    // Every curve is one `(label, deployment, side)` row over that rack;
+    // Every curve is one `(label, deployment)` row over that rack;
     // the ladder and seed are applied once, so adding a curve is a
     // one-line entry and two curves that differ in one axis differ in one
     // builder setter. Order matters: the assertions after the sweep index
@@ -201,7 +190,10 @@ fn main() -> Result<(), pulse::Error> {
         requests,
     };
     let ws = Stream::App(AppKind::WebService(YcsbWorkload::C), Distribution::Zipfian);
-    let rpc = |cfg| Side::Baseline(BaselineKind::Rpc(cfg));
+    // A baseline runs `rack` in its own mode on one CPU node, its clients
+    // the window.
+    let baseline = |rack: &PulseBuilder, mode| rack.clone().mode(mode).cpus(1);
+    let rpc = |rack: &PulseBuilder| baseline(rack, PulseMode::Rpc(RpcFlavor::Rpc));
     let cached = rack.clone().cache(CacheConfig::sized(CACHE_BYTES));
     let leafspine = rack.clone().topology(FABRIC_TOPOLOGY);
     let crashed = |replication| {
@@ -210,17 +202,21 @@ fn main() -> Result<(), pulse::Error> {
             .faults(crash_schedule())
     };
     let spec = rack.clone().speculation(true).batching(SPEC_BATCH_HOPS);
-    let table: Vec<(&str, Deployment, Side)> = vec![
-        ("pulse", at(&rack, NODES, ws), Side::Pulse),
-        ("RPC", at(&rack, NODES, ws), rpc(rpc_cfg(dispatch))),
+    let table: Vec<(&str, Deployment)> = vec![
+        ("pulse", at(&rack, NODES, ws)),
+        ("RPC", at(&rpc(&rack), NODES, ws)),
         (
             "Cache-based",
-            at(&rack, NODES, ws),
-            Side::Baseline(BaselineKind::SwapCache(SwapConfig {
-                cache_bytes: 8 << 20,
-                dispatch,
-                ..SwapConfig::default()
-            })),
+            at(
+                &baseline(
+                    &rack,
+                    PulseMode::Swap {
+                        cache_bytes: 8 << 20,
+                    },
+                ),
+                NODES,
+                ws,
+            ),
         ),
         (
             "pulse-wiredtiger",
@@ -234,7 +230,6 @@ fn main() -> Result<(), pulse::Error> {
                     Distribution::Zipfian,
                 ),
             ),
-            Side::Pulse,
         ),
         (
             "pulse-btrdb",
@@ -243,80 +238,44 @@ fn main() -> Result<(), pulse::Error> {
                 NODES,
                 Stream::App(AppKind::Btrdb(4), Distribution::Zipfian),
             ),
-            Side::Pulse,
         ),
         (
             "pulse-ycsb-a",
             at(&rack, NODES, Stream::Ycsb(YcsbWorkload::A)),
-            Side::Pulse,
         ),
         (
             "pulse-ycsb-b",
             at(&rack, NODES, Stream::Ycsb(YcsbWorkload::B)),
-            Side::Pulse,
         ),
         (
             "pulse-ycsb-e",
             at(&rack, NODES, Stream::Ycsb(YcsbWorkload::E)),
-            Side::Pulse,
         ),
         (
             "RPC-ycsb-a",
-            at(&rack, NODES, Stream::Ycsb(YcsbWorkload::A)),
-            rpc(rpc_cfg(dispatch)),
+            at(&rpc(&rack), NODES, Stream::Ycsb(YcsbWorkload::A)),
         ),
         // The cache-sensitivity curves: the same skewed WebService
         // deployment with a coherent front-end cache at every CPU node
         // (pulse and RPC), plus the write-heavy YCSB-A mix with the same
         // cache — where invalidation-on-update collapses the benefit.
-        ("pulse+cache", at(&cached, NODES, ws), Side::Pulse),
-        (
-            "RPC+cache",
-            at(&cached, NODES, ws),
-            rpc(RpcConfig {
-                cache: CacheConfig::sized(CACHE_BYTES),
-                ..rpc_cfg(dispatch)
-            }),
-        ),
+        ("pulse+cache", at(&cached, NODES, ws)),
+        ("RPC+cache", at(&rpc(&cached), NODES, ws)),
         (
             "pulse-ycsb-a+cache",
             at(&cached, NODES, Stream::Ycsb(YcsbWorkload::A)),
-            Side::Pulse,
         ),
         // The multi-rack incast comparison: identical Zipf-skewed
         // WebService deployments on a routed 2-leaf/2-spine fabric.
-        (
-            "pulse-leafspine-hot",
-            at(&leafspine, FABRIC_NODES, ws),
-            Side::Pulse,
-        ),
-        (
-            "RPC-leafspine-hot",
-            at(&leafspine, FABRIC_NODES, ws),
-            rpc(RpcConfig {
-                topology: FABRIC_TOPOLOGY,
-                ..rpc_cfg(dispatch)
-            }),
-        ),
+        ("pulse-leafspine-hot", at(&leafspine, FABRIC_NODES, ws)),
+        ("RPC-leafspine-hot", at(&rpc(&leafspine), FABRIC_NODES, ws)),
         // The SLO-under-failure comparison: identical flat deployments,
         // node 0 fail-stops 30 us into every rung. One axis varies per
         // curve: replication off, replication on, and the RPC baseline
-        // with the same replica rule (its fault schedule rides in
-        // `RpcConfig::faults`).
-        ("pulse-crash", at(&crashed(1), CRASH_NODES, ws), Side::Pulse),
-        (
-            "pulse-crash-replicated",
-            at(&crashed(2), CRASH_NODES, ws),
-            Side::Pulse,
-        ),
-        (
-            "RPC-crash",
-            at(&crashed(2), CRASH_NODES, ws),
-            rpc(RpcConfig {
-                faults: crash_schedule(),
-                ..rpc_cfg(dispatch)
-            }),
-        ),
+        // with the same replica rule and fault schedule.
+        ("pulse-crash", at(&crashed(1), CRASH_NODES, ws)),
+        ("pulse-crash-replicated", at(&crashed(2), CRASH_NODES, ws)),
+        ("RPC-crash", at(&rpc(&crashed(2)), CRASH_NODES, ws)),
         // The ISA-v2 curves (`SPEC_LABELS`): the identical read-heavy
         // WebService deployment with speculation, batching, and coalescing
         // on, and the YCSB-A mix with speculation+batching — where
@@ -325,19 +284,15 @@ fn main() -> Result<(), pulse::Error> {
         (
             SPEC_LABELS[0],
             at(&spec.clone().coalescing(true), NODES, ws),
-            Side::Pulse,
         ),
         (
             SPEC_LABELS[1],
             at(&spec, NODES, Stream::Ycsb(YcsbWorkload::A)),
-            Side::Pulse,
         ),
     ];
     let specs: Vec<CurveSpec> = table
         .into_iter()
-        .map(|(label, deployment, side)| {
-            CurveSpec::new(label, &loads_kops, SEED, deployment.factory(side))
-        })
+        .map(|(label, deployment)| CurveSpec::new(label, &loads_kops, SEED, deployment.factory()))
         .collect();
 
     let par = sweep_par_with(&specs, workers, |timing| {
@@ -522,7 +477,7 @@ fn main() -> Result<(), pulse::Error> {
                 ),
                 requests: requests.min(500),
             };
-            let cell = sweep("grid", &[loads_kops[0]], SEED, cell.factory(Side::Pulse))?;
+            let cell = sweep("grid", &[loads_kops[0]], SEED, cell.factory())?;
             row.push(cell.points[0].cache_hit_rate);
         }
         grid.push(row);
@@ -821,9 +776,9 @@ fn main() -> Result<(), pulse::Error> {
 /// one-curve sweep document (with the `"phase"` attribution object) to
 /// `BENCH_traced_sweep.json`, then prints the per-phase breakdown.
 fn run_traced_rung(path: &str, traced: &Deployment, load_kops: f64) -> Result<(), pulse::Error> {
-    let (mut runtime, reqs) = traced.pulse();
+    let (mut runtime, reqs) = traced.runtime();
     let arrivals = pulse::ArrivalProcess::poisson(load_kops * 1e3, SEED);
-    let rep = runtime.execute_open_loop(&reqs, arrivals)?;
+    let rep = OpenLoopDriver::new(arrivals).run(&mut runtime, reqs)?;
 
     let chrome = runtime
         .trace_json()

@@ -2,17 +2,16 @@
 //! lookups against a hash-partitioned table with 8 KiB objects gathered
 //! near memory, compared across pulse and the RPC baseline.
 //!
-//! Both systems hide behind the same `Engine` trait, so the comparison is
-//! literally a loop over `Box<dyn Engine>` — swapping the system under
-//! test is a one-line change.
+//! The system is one builder setting, so the comparison is literally a
+//! loop over `PulseMode`s — swapping the system under test is a one-line
+//! change.
 //!
 //! ```sh
 //! cargo run --example webservice
 //! ```
 
-use pulse::baselines::RpcConfig;
 use pulse::workloads::{Application, Distribution, YcsbWorkload};
-use pulse::{BaselineKind, Engine, PulseBuilder, WebServiceConfig};
+use pulse::{PulseBuilder, PulseMode, RpcFlavor, WebServiceConfig};
 
 fn app_cfg() -> WebServiceConfig {
     WebServiceConfig {
@@ -32,18 +31,14 @@ fn main() -> Result<(), pulse::Error> {
 
     // The pulse rack and the RPC baseline get identical deployments: the
     // builder wires the same memory layout, and the deterministic app seed
-    // makes request streams interchangeable across them.
-    let (runtime, mut app) = builder().app(app_cfg())?;
-    let requests: Vec<_> = (0..300).map(|_| app.next_request()).collect();
-
-    let (rpc, _) = builder().baseline_app(BaselineKind::Rpc(RpcConfig::rpc()), app_cfg())?;
-
-    let mut systems: Vec<Box<dyn Engine>> = vec![Box::new(runtime), Box::new(rpc)];
-    for system in &mut systems {
-        let rep = system.execute(&requests)?;
+    // mints the same request stream in both.
+    for mode in [PulseMode::Pulse, PulseMode::Rpc(RpcFlavor::Rpc)] {
+        let (mut runtime, mut app) = builder().mode(mode).app(app_cfg())?;
+        let requests: Vec<_> = (0..300).map(|_| app.next_request()).collect();
+        let rep = runtime.execute(&requests)?;
         println!(
             "{:<6}: mean {} p99 {} tput {:.0} ops/s",
-            system.label(),
+            runtime.label(),
             rep.latency.mean,
             rep.latency.p99,
             rep.throughput

@@ -1,23 +1,26 @@
-//! The pulse API layer: trait-based offloading and the engine abstraction.
+//! The pulse API layer: trait-based offloading and application specs.
 //!
-//! Three pieces glue a [`Traversal`] impl (the only thing a data-structure
+//! Two pieces glue a [`Traversal`] impl (the only thing a data-structure
 //! developer writes) to an executing rack:
 //!
 //! * [`Offloaded`] — compiles a structure's stages through the
 //!   [`DispatchEngine`] once and mints [`AppRequest`]s per key;
 //! * [`AppSpec`] — the builder hook that constructs a whole application
-//!   (structure + request generator) inside the rack's memory;
-//! * [`Engine`] — the common face of the pulse runtime and every baseline
-//!   system, so cluster-vs-baseline comparisons are a one-line swap.
+//!   (structure + request generator) inside the rack's memory.
+//!
+//! [`Engine`], [`BaselineKind`] and [`BaselineEngine`] are a thin,
+//! logic-free face kept for perfbench. Every system is a
+//! [`PulseMode`](crate::PulseMode) that
+//! [`PulseBuilder::mode`](crate::PulseBuilder::mode) selects and one
+//! [`Runtime`] runs.
 
+use crate::baselines::RpcConfig;
 use crate::error::Error;
 use crate::runtime::{OpenLoopDriver, OpenLoopReport, Runtime};
-use pulse_baselines::{RpcConfig, SwapConfig};
-use pulse_core::{ClusterConfig, PulseCluster, PulseMode, RunMetrics, TraceConfig, TraceSink};
+use pulse_core::RunMetrics;
 use pulse_dispatch::{DispatchEngine, OffloadDecision};
 use pulse_ds::{BuildCtx, DsError, Traversal};
 use pulse_isa::Program;
-use pulse_mem::ClusterMemory;
 use pulse_sim::SimTime;
 use pulse_workloads::{AppRequest, Application, ArrivalProcess, TraversalStage};
 use pulse_workloads::{Btrdb, WebService, WiredTiger};
@@ -164,35 +167,25 @@ impl AppSpec for BtrdbConfig {
 
 // ------------------------------------------------------------------- Engine
 
-/// A system that executes [`AppRequest`] streams: the pulse rack
-/// ([`Runtime`]) or any compared baseline ([`BaselineEngine`]). Concurrency
-/// is an engine property fixed at construction (the runtime's in-flight
-/// window, a baseline's client count), so swapping systems under the same
-/// workload is a one-line change.
+/// Exists for perfbench, which runs its deployments through this trait;
+/// its one impl forwards to [`Runtime`], which runs every system. New code
+/// calls [`Runtime::execute`] and [`OpenLoopDriver::run`] directly.
 ///
-/// **Measurement contract:** build one engine per measured stream and call
-/// [`Engine::execute`] once on it. Every engine is a rack whose counters
-/// (latency histogram, link/DRAM bytes, makespan) are cumulative over its
-/// lifetime, so a second `execute` on the same engine reports both
-/// streams together.
+/// **Measurement contract:** build one runtime per measured stream and
+/// run it once. A runtime's counters are cumulative over its lifetime, so
+/// a second run on the same runtime reports both streams together.
 pub trait Engine {
-    /// System label for report rows.
+    /// System label for report rows: [`Runtime::label`].
     fn label(&self) -> &'static str;
 
-    /// Executes `requests` to completion, closed-loop. See the trait-level
-    /// measurement contract: one call per engine instance for comparable
-    /// reports.
+    /// [`Runtime::execute`]: every request submitted and drained.
     ///
     /// # Errors
     ///
     /// Submission-time validation failures ([`Error::Request`]).
     fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error>;
 
-    /// Executes `requests` open-loop: request `i` arrives at the time the
-    /// [`ArrivalProcess`] generates, independent of completions, and its
-    /// latency is measured from that arrival — queueing included. One call
-    /// per engine instance, same as [`Engine::execute`]; a load sweep
-    /// builds a fresh engine per offered-load point.
+    /// [`OpenLoopDriver::run`] over `arrivals`.
     ///
     /// # Errors
     ///
@@ -206,14 +199,11 @@ pub trait Engine {
 
 impl Engine for Runtime {
     fn label(&self) -> &'static str {
-        "pulse"
+        Runtime::label(self)
     }
 
     fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
-        for req in requests {
-            self.submit(req.clone())?;
-        }
-        Ok(self.drain().metrics)
+        Runtime::execute(self, requests)
     }
 
     fn execute_open_loop(
@@ -225,125 +215,14 @@ impl Engine for Runtime {
     }
 }
 
-/// Which baseline system a [`BaselineEngine`] runs.
+/// Exists for perfbench: the one baseline it names, forwarded by
+/// [`PulseBuilder::baseline_app`](crate::PulseBuilder::baseline_app) onto
+/// the builder's mode and setters.
 #[derive(Debug, Clone)]
 pub enum BaselineKind {
-    /// Fastswap-style cache-based paging.
-    SwapCache(SwapConfig),
-    /// The RPC family (plain, ARM, or AIFM-style Cache+RPC).
+    /// The RPC family, built as `PulseMode::Rpc(cfg.flavor)`.
     Rpc(RpcConfig),
 }
 
-impl BaselineKind {
-    /// The system label every engine and report of this kind carries.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BaselineKind::SwapCache(cfg) => cfg.label(),
-            BaselineKind::Rpc(cfg) => cfg.label(),
-        }
-    }
-}
-
-/// A baseline system over its own copy of the rack memory, behind the same
-/// [`Engine`] face as the pulse runtime, with `concurrency` closed-loop
-/// clients: in open loop a request that arrives while every client is busy
-/// waits FIFO for one, and its latency counts from its arrival. Every
-/// baseline runs on the pulse rack's event engine: a one-CPU rack in
-/// [`PulseMode::Swap`] or [`PulseMode::Rpc`].
-#[derive(Debug)]
-pub struct BaselineEngine {
-    label: &'static str,
-    runtime: Runtime,
-}
-
-impl BaselineEngine {
-    /// Wraps an already-populated memory in a baseline engine with
-    /// `concurrency` closed-loop clients.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] without a client, [`Error::Capacity`] if the
-    /// rack's translation ranges overflow a node's TCAM.
-    pub fn new(
-        mem: ClusterMemory,
-        kind: BaselineKind,
-        concurrency: usize,
-    ) -> Result<BaselineEngine, Error> {
-        if concurrency == 0 {
-            return Err(Error::Config("a baseline needs at least one client".into()));
-        }
-        let label = kind.label();
-        let cluster = PulseCluster::try_new(baseline_rack(kind), mem)?;
-        Ok(BaselineEngine {
-            label,
-            runtime: Runtime::new(cluster, concurrency),
-        })
-    }
-
-    /// The trace sink of an engine built with tracing on: spans,
-    /// occupancy and counter samples, as [`Runtime::trace`] gives them.
-    pub fn trace(&self) -> Option<&TraceSink> {
-        self.runtime.trace()
-    }
-
-    /// The rack the baseline runs on, for system-level counters such as
-    /// [`PulseCluster::swap_stats`].
-    pub fn cluster(&self) -> &PulseCluster {
-        self.runtime.cluster()
-    }
-
-    /// The memory the baseline executes against.
-    pub fn memory_mut(&mut self) -> &mut ClusterMemory {
-        self.runtime.memory_mut()
-    }
-}
-
-/// The rack a baseline configuration runs on: one CPU node with the
-/// config's dispatch engine and fabric, and, for the RPC family, its
-/// front-end cache and faults, with the flavour's workers serving
-/// traversals at every memory node.
-fn baseline_rack(kind: BaselineKind) -> ClusterConfig {
-    match kind {
-        BaselineKind::SwapCache(cfg) => ClusterConfig {
-            mode: PulseMode::Swap {
-                cache_bytes: cfg.cache_bytes,
-            },
-            dispatch: cfg.dispatch,
-            topology: cfg.topology,
-            trace: cfg.trace.then(TraceConfig::default),
-            ..ClusterConfig::default()
-        },
-        BaselineKind::Rpc(cfg) => ClusterConfig {
-            mode: PulseMode::Rpc(cfg.flavor),
-            dispatch: cfg.dispatch,
-            topology: cfg.topology,
-            cache: cfg.cache,
-            faults: cfg.faults,
-            trace: cfg.trace.then(TraceConfig::default),
-            ..ClusterConfig::default()
-        },
-    }
-}
-
-impl Engine for BaselineEngine {
-    fn label(&self) -> &'static str {
-        self.label
-    }
-
-    fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
-        self.runtime.execute(requests)
-    }
-
-    fn execute_open_loop(
-        &mut self,
-        requests: &[AppRequest],
-        arrivals: ArrivalProcess,
-    ) -> Result<OpenLoopReport, Error> {
-        let rep =
-            OpenLoopDriver::new(arrivals).run_with_clients(&mut self.runtime, requests.to_vec())?;
-        Ok(OpenLoopReport {
-            label: self.label.into(),
-            ..rep
-        })
-    }
-}
+/// Exists for perfbench: every system runs on a [`Runtime`].
+pub type BaselineEngine = Runtime;

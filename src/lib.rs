@@ -28,10 +28,12 @@
 //!   ([`PulseBuilder::dispatch`] + [`DispatchConfig`]), with requests
 //!   spread across them round-robin. A contended dispatch engine
 //!   makes CPU-side saturation knees appear honestly in load sweeps.
-//! * [`Engine`] is the common face of the pulse rack and every compared
-//!   baseline ([`BaselineEngine`]), so cluster-vs-baseline comparisons are
-//!   a one-line swap — closed-loop ([`Engine::execute`]) and open-loop
-//!   ([`Engine::execute_open_loop`]) alike.
+//! * [`PulseBuilder::mode`] picks the system: pulse, the pulse-acc
+//!   ablation, or one of the §6 baselines ([`PulseMode::Swap`] for
+//!   Cache-based, [`PulseMode::Rpc`] with an [`RpcFlavor`] for RPC,
+//!   RPC-ARM and Cache+RPC). Every mode is built by the same builder,
+//!   takes every one of its settings, and runs on the same [`Runtime`],
+//!   so a comparison's sides differ in one setter.
 //! * [`Error`] is the single workspace-wide error type every fallible call
 //!   returns.
 //!
@@ -65,15 +67,15 @@
 //! [`mem`] (disaggregated memory) / [`net`] (switch + links) / [`dispatch`]
 //! (compiler + offload gate) → [`ds`] (structure library + [`Traversal`])
 //! → [`accel`] (near-memory accelerator) / [`workloads`] (applications) →
-//! [`core`] (the rack engine) / [`baselines`] (compared systems). Reach
-//! into them for ablation-level control; everything request-shaped goes
-//! through [`Runtime`].
+//! [`core`] (the rack engine, every system's). Reach into them for
+//! ablation-level control; everything request-shaped goes through
+//! [`Runtime`]. [`baselines`], [`Engine`], [`BaselineKind`] and
+//! [`BaselineEngine`] are a logic-free face kept for perfbench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use pulse_accel as accel;
-pub use pulse_baselines as baselines;
 pub use pulse_core as core;
 pub use pulse_dispatch as dispatch;
 pub use pulse_ds as ds;
@@ -88,6 +90,7 @@ pub use pulse_trace as trace;
 pub use pulse_workloads as workloads;
 
 mod api;
+pub mod baselines;
 mod error;
 mod runtime;
 mod ycsb;
@@ -104,7 +107,7 @@ pub use ycsb::YcsbDriver;
 // and downstream code need one `use pulse::...` line per name.
 pub use pulse_core::{
     CacheConfig, ClusterConfig, ClusterReport, Completion, DispatchConfig, FaultEvent, FaultKind,
-    Phase, PhaseAttribution, PulseCluster, PulseMode, RunMetrics, TraceConfig,
+    Phase, PhaseAttribution, PulseCluster, PulseMode, RpcFlavor, RunMetrics, TraceConfig,
 };
 pub use pulse_ds::{StagePlan, StageStart, Traversal};
 pub use pulse_mem::Placement;

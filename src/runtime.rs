@@ -18,6 +18,12 @@
 //!   request with its *arrival time* and injects it immediately, bypassing
 //!   the window — latency then includes every queueing effect, which is
 //!   what [`OpenLoopDriver`] measures per offered-load point.
+//!
+//! Every system is a [`PulseMode`] set with [`PulseBuilder::mode`]: pulse,
+//! the pulse-acc ablation, and the Cache-based, RPC, RPC-ARM and
+//! Cache+RPC baselines are built by the same builder, take every one of
+//! its settings, and run on the same [`Runtime`]. A setting a mode cannot
+//! honour is an [`Error::Config`] naming it.
 
 use crate::api::{AppSpec, BaselineEngine, BaselineKind};
 use crate::error::Error;
@@ -58,8 +64,8 @@ impl Ticket {
     }
 }
 
-/// Builds a ready [`Runtime`] (and, for comparisons, [`BaselineEngine`]s)
-/// over freshly wired memory.
+/// Builds a ready [`Runtime`] over freshly wired memory, for any system
+/// ([`PulseBuilder::mode`]).
 ///
 /// # Examples
 ///
@@ -147,11 +153,15 @@ impl PulseBuilder {
         self
     }
 
-    /// Crossing-handling mode (the Fig. 9 pulse vs pulse-acc ablation).
-    /// [`PulseMode::Rpc`] and [`PulseMode::Swap`] are built through
-    /// [`PulseBuilder::baseline_app`] with `BaselineKind::Rpc` and
-    /// `BaselineKind::SwapCache`; building a runtime in either mode is an
-    /// [`Error::Config`].
+    /// The system the rack runs: pulse (the default), the Fig. 9
+    /// pulse-acc ablation, or a compared baseline ([`PulseMode::Rpc`],
+    /// [`PulseMode::Swap`]). Every other setting applies to every mode; a
+    /// baseline rack has no accelerators, so [`PulseBuilder::speculation`],
+    /// [`PulseBuilder::batching`] and [`PulseBuilder::coalescing`] are an
+    /// [`Error::Config`] there, and so is [`PulseBuilder::cache`] under
+    /// [`PulseMode::Swap`], which pages through its own page cache. In open
+    /// loop a baseline's window is its client count: an arrival that finds
+    /// every client busy waits ([`OpenLoopDriver::run`]).
     pub fn mode(mut self, mode: PulseMode) -> PulseBuilder {
         self.config.mode = mode;
         self
@@ -301,9 +311,36 @@ impl PulseBuilder {
                 self.nodes
             )));
         }
+        if let Some(setting) = self.unhonoured() {
+            return Err(Error::Config(format!(
+                "{} cannot honour .{setting}(..): {}",
+                self.config.mode.label(),
+                match setting {
+                    "cache" => "it pages through its own page cache",
+                    _ => "its rack has no accelerators",
+                }
+            )));
+        }
         let mut mem = ClusterMemory::new(self.nodes);
         mem.set_replication(self.replication);
         Ok((mem, ClusterAllocator::new(self.placement, self.granularity)))
+    }
+
+    /// The first setting the builder's mode cannot honour, if any.
+    fn unhonoured(&self) -> Option<&'static str> {
+        let c = &self.config;
+        let baseline = matches!(c.mode, PulseMode::Rpc(_) | PulseMode::Swap { .. });
+        [
+            ("speculation", baseline && c.accel.speculate),
+            ("batching", baseline && c.accel.batch_hops > 1),
+            ("coalescing", baseline && c.coalesce),
+            (
+                "cache",
+                matches!(c.mode, PulseMode::Swap { .. }) && c.cache.enabled(),
+            ),
+        ]
+        .into_iter()
+        .find_map(|(setting, set)| set.then_some(setting))
     }
 
     /// Builds the rack, letting `build` populate memory (structures, object
@@ -312,26 +349,13 @@ impl PulseBuilder {
     ///
     /// # Errors
     ///
-    /// [`Error::Config`] for invalid builder parameters (a baseline's mode
-    /// included), [`Error::Build`] from `build`, [`Error::Capacity`] if
-    /// the resulting layout overflows a node's TCAM.
+    /// [`Error::Config`] for invalid builder parameters (a setting the mode
+    /// cannot honour included), [`Error::Build`] from `build`,
+    /// [`Error::Capacity`] if the resulting layout overflows a node's TCAM.
     pub fn build_with<A>(
         self,
         build: impl FnOnce(&mut BuildCtx<'_>) -> Result<A, DsError>,
     ) -> Result<(Runtime, A), Error> {
-        match self.config.mode {
-            PulseMode::Rpc(_) => {
-                return Err(Error::Config(
-                    "RPC is a baseline: build it with BaselineKind::Rpc".into(),
-                ))
-            }
-            PulseMode::Swap { .. } => {
-                return Err(Error::Config(
-                    "Cache-based is a baseline: build it with BaselineKind::SwapCache".into(),
-                ))
-            }
-            PulseMode::Pulse | PulseMode::PulseAcc => {}
-        }
         let (mut mem, mut alloc) = self.wire()?;
         let artifact = {
             let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
@@ -351,37 +375,10 @@ impl PulseBuilder {
         self.build_with(|ctx| cfg.build_app(ctx))
     }
 
-    /// Builds the same memory wiring but hands it to a baseline system
-    /// instead of the pulse rack — the comparison side of the Fig. 7
-    /// experiments, behind the same [`Engine`](crate::Engine) trait.
-    ///
-    /// # Errors
-    ///
-    /// As [`PulseBuilder::build_with`]; the builder's own mode is not
-    /// used.
-    pub fn baseline_with<A>(
-        self,
-        mut kind: BaselineKind,
-        build: impl FnOnce(&mut BuildCtx<'_>) -> Result<A, DsError>,
-    ) -> Result<(BaselineEngine, A), Error> {
-        let concurrency = self.window;
-        // The builder's trace switch applies to baselines too, so one
-        // `.trace(..)` call traces whichever engine the comparison builds.
-        if self.config.trace.is_some() {
-            match &mut kind {
-                BaselineKind::SwapCache(cfg) => cfg.trace = true,
-                BaselineKind::Rpc(cfg) => cfg.trace = true,
-            }
-        }
-        let (mut mem, mut alloc) = self.wire()?;
-        let artifact = {
-            let mut ctx = BuildCtx::new(&mut mem, &mut alloc);
-            build(&mut ctx)?
-        };
-        Ok((BaselineEngine::new(mem, kind, concurrency)?, artifact))
-    }
-
-    /// [`PulseBuilder::baseline_with`] for an application config.
+    /// Exists for perfbench: [`PulseBuilder::app`] in the RPC mode `kind`
+    /// names, its config's fields forwarded onto [`PulseBuilder::mode`],
+    /// [`PulseBuilder::dispatch`], [`PulseBuilder::topology`] and
+    /// [`PulseBuilder::cache`].
     ///
     /// # Errors
     ///
@@ -391,12 +388,17 @@ impl PulseBuilder {
         kind: BaselineKind,
         cfg: C,
     ) -> Result<(BaselineEngine, C::App), Error> {
-        self.baseline_with(kind, |ctx| cfg.build_app(ctx))
+        let BaselineKind::Rpc(rpc) = kind;
+        self.mode(PulseMode::Rpc(rpc.flavor))
+            .dispatch(rpc.dispatch)
+            .topology(rpc.topology)
+            .cache(rpc.cache)
+            .app(cfg)
     }
 }
 
-/// The pulse rack behind a submit/poll interface with a bounded in-flight
-/// window. Construct via [`PulseBuilder`].
+/// A rack, in any [`PulseMode`], behind a submit/poll interface with a
+/// bounded in-flight window. Construct via [`PulseBuilder`].
 #[derive(Debug)]
 pub struct Runtime {
     cluster: PulseCluster,
@@ -526,6 +528,20 @@ impl Runtime {
         self.report()
     }
 
+    /// Submits every request and drains the runtime: a closed-loop run
+    /// with `window` requests in flight, returning what it measured.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Request`] for the first malformed request, before any
+    /// simulation runs.
+    pub fn execute(&mut self, requests: &[AppRequest]) -> Result<RunMetrics, Error> {
+        for req in requests {
+            self.submit(req.clone())?;
+        }
+        Ok(self.drain().metrics)
+    }
+
     /// The aggregate report over everything completed so far.
     pub fn report(&self) -> ClusterReport {
         self.cluster.report()
@@ -544,6 +560,12 @@ impl Runtime {
     /// The backpressure bound.
     pub fn window(&self) -> usize {
         self.window
+    }
+
+    /// The label of the system this runtime runs: its mode's
+    /// ([`PulseMode::label`]).
+    pub fn label(&self) -> &'static str {
+        self.cluster.mode().label()
     }
 
     /// Current simulated time.
@@ -604,8 +626,8 @@ impl Runtime {
 
 // ------------------------------------------------------------ open loop
 
-/// What one open-loop run measured, for any engine (the pulse rack or a
-/// baseline): the row shape of a latency-vs-load sweep. The run outcome is
+/// What one open-loop run measured, in any mode (pulse or a baseline):
+/// the row shape of a latency-vs-load sweep. The run outcome is
 /// the embedded [`RunMetrics`] (reachable through `Deref`), covering this
 /// stream only even on a reused runtime:
 ///
@@ -621,7 +643,8 @@ impl Runtime {
 ///   `queue_depth`, `degraded_p99`, `phase` and `makespan`.
 #[derive(Debug, Clone)]
 pub struct OpenLoopReport {
-    /// System label ("pulse", "RPC", ...).
+    /// System label: the runtime's [`Runtime::label`] ("pulse", "RPC",
+    /// ...).
     pub label: String,
     /// Offered arrival rate, requests per simulated second.
     pub offered_per_sec: f64,
@@ -637,7 +660,7 @@ pub struct OpenLoopReport {
     /// ([`AppRequest::is_update`]) — the write half of a mixed workload's
     /// goodput. 0 for read-only streams.
     pub completed_updates: u64,
-    /// The run outcome every engine reports.
+    /// The run outcome every mode reports.
     pub metrics: RunMetrics,
 }
 
@@ -671,10 +694,10 @@ impl OpenLoopReport {
 }
 
 /// Drives a [`Runtime`] open-loop: an [`ArrivalProcess`] stamps each
-/// request with an arrival time, [`Runtime::submit_at`] injects it
-/// regardless of completions, and the report aggregates latencies measured
-/// from arrival. Build one fresh runtime per driver run so the report
-/// covers exactly this request stream.
+/// request with an arrival time, the runtime admits it as its mode
+/// dictates ([`OpenLoopDriver::run`]) regardless of completions, and the
+/// report aggregates latencies measured from arrival. Build one fresh
+/// runtime per driver run so the report covers exactly this request stream.
 ///
 /// # Examples
 ///
@@ -708,6 +731,13 @@ impl OpenLoopDriver {
     /// the runtime's current simulated time), runs the rack dry, and
     /// reports arrival-measured latency and goodput.
     ///
+    /// Admission follows the runtime's mode. Pulse (and pulse-acc) admit
+    /// every arrival at once ([`Runtime::submit_at`]). A baseline is a
+    /// closed-loop system whose clients are the runtime's window: each
+    /// arrival joins the pending queue and takes the next client to free
+    /// up, in arrival order, and its latency counts from its arrival, so it
+    /// includes that wait.
+    ///
     /// # Errors
     ///
     /// [`Error::Request`] on the first malformed request; nothing has been
@@ -717,29 +747,12 @@ impl OpenLoopDriver {
         runtime: &mut Runtime,
         requests: Vec<AppRequest>,
     ) -> Result<OpenLoopReport, Error> {
-        self.drive(runtime, requests, false)
-    }
-
-    /// [`OpenLoopDriver::run`] for a closed-loop system whose clients are
-    /// the runtime's window (the RPC baselines): every request joins the
-    /// runtime's pending queue with its arrival time and takes the next
-    /// client to free up, in arrival order. One that arrives while every
-    /// client is busy waits, and its latency counts from its arrival, so it
-    /// includes that wait.
-    pub(crate) fn run_with_clients(
-        &mut self,
-        runtime: &mut Runtime,
-        requests: Vec<AppRequest>,
-    ) -> Result<OpenLoopReport, Error> {
-        self.drive(runtime, requests, true)
-    }
-
-    fn drive(
-        &mut self,
-        runtime: &mut Runtime,
-        requests: Vec<AppRequest>,
-        clients: bool,
-    ) -> Result<OpenLoopReport, Error> {
+        // The one admission decision: a baseline's arrivals wait for its
+        // clients, pulse's enter the rack at once.
+        let clients = matches!(
+            runtime.cluster.mode(),
+            PulseMode::Rpc(_) | PulseMode::Swap { .. }
+        );
         let submitted = requests.len() as u64;
         let base = Snapshot::of(runtime);
         let mut t = runtime.now();
@@ -793,7 +806,7 @@ impl OpenLoopDriver {
             .max(SimTime::from_nanos(1));
         let (link_demand, _) = runtime.cluster().fabric_gauges(window);
         Ok(OpenLoopReport {
-            label: "pulse".into(),
+            label: runtime.label().into(),
             offered_per_sec: self.arrivals.offered_rate(first_arrival, t, submitted),
             submitted,
             first_arrival,

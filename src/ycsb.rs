@@ -83,8 +83,8 @@ impl std::fmt::Debug for Cell {
 }
 
 /// Mints YCSB-mix requests — reads, scans, *and* mutations — against a
-/// built application, ready for [`Runtime::submit`](crate::Runtime) or any
-/// [`Engine`](crate::Engine).
+/// built application, ready for [`Runtime::submit`](crate::Runtime) in any
+/// mode.
 #[derive(Debug)]
 pub struct YcsbDriver {
     workload: YcsbWorkload,
@@ -215,7 +215,7 @@ impl YcsbDriver {
         }
     }
 
-    /// Mints the next request. `mem` is the rack (or baseline) memory the
+    /// Mints the next request. `mem` is the rack memory the
     /// request will execute against — host-side inserts apply to it here,
     /// at mint time.
     pub fn next_request(&mut self, mem: &mut ClusterMemory) -> AppRequest {

@@ -2,12 +2,11 @@
 //! on. Identical configurations must produce identical reports across the
 //! whole stack — the `Runtime` façade, baselines, and workload generation.
 
-use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::ds::BuildCtx;
 use pulse::mem::{ClusterAllocator, ClusterMemory};
 use pulse::workloads::{Application, ArrivalProcess, WiredTiger, WiredTigerConfig};
 use pulse::{
-    AppRequest, BaselineKind, Engine, OpenLoopDriver, Placement, PulseBuilder, Runtime,
+    AppRequest, OpenLoopDriver, Placement, PulseBuilder, PulseMode, RpcFlavor, Runtime,
     WebServiceConfig,
 };
 
@@ -171,19 +170,17 @@ fn open_loop_runs_are_bit_identical() {
 
 #[test]
 fn baseline_runs_are_bit_identical() {
-    let run = |kind: BaselineKind| {
+    let run = |mode: PulseMode| {
         let (mut engine, mut app) = PulseBuilder::new()
             .nodes(2)
             .placement(Placement::Striped)
             .granularity(1 << 20)
             .window(8)
-            .baseline_app(
-                kind,
-                WebServiceConfig {
-                    keys: 2_000,
-                    ..Default::default()
-                },
-            )
+            .mode(mode)
+            .app(WebServiceConfig {
+                keys: 2_000,
+                ..Default::default()
+            })
             .unwrap();
         let reqs: Vec<AppRequest> = (0..100).map(|_| app.next_request()).collect();
         let m = engine.execute(&reqs).unwrap();
@@ -195,11 +192,13 @@ fn baseline_runs_are_bit_identical() {
             m.makespan.as_picos(),
         )
     };
-    for kind in [
-        BaselineKind::SwapCache(SwapConfig::default()),
-        BaselineKind::Rpc(RpcConfig::rpc()),
+    for mode in [
+        PulseMode::Swap {
+            cache_bytes: 64 << 20,
+        },
+        PulseMode::Rpc(RpcFlavor::Rpc),
     ] {
-        assert_eq!(run(kind.clone()), run(kind));
+        assert_eq!(run(mode), run(mode));
     }
 }
 

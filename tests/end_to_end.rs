@@ -2,13 +2,12 @@
 //! rack-scale execution through the `Runtime` façade, checked against
 //! host-side ground truth.
 
-use pulse::baselines::{RpcConfig, SwapConfig};
 use pulse::dispatch::DispatchEngine;
 use pulse::ds::HashMapDs;
 use pulse::workloads::{Application, Distribution, YcsbWorkload};
 use pulse::{
-    AppRequest, BaselineKind, Engine, Offloaded, Placement, PulseBuilder, PulseMode,
-    WebServiceConfig, WiredTigerConfig,
+    AppRequest, Offloaded, Placement, PulseBuilder, PulseMode, RpcFlavor, WebServiceConfig,
+    WiredTigerConfig,
 };
 
 /// The full pipeline on one structure: Traversal impl -> compile ->
@@ -59,8 +58,8 @@ fn spec_to_rack_roundtrip_matches_host_truth() {
     assert_eq!(report.faulted, 0);
 }
 
-/// The Fig. 7 headline shape on one cell, all three systems behind the
-/// same `Engine` trait: cache-based ≫ pulse ≈ RPC.
+/// The Fig. 7 headline shape on one cell, all three systems one builder
+/// mode apart: cache-based ≫ pulse ≈ RPC.
 #[test]
 fn fig7_headline_ordering_holds() {
     let cfg = WebServiceConfig {
@@ -72,26 +71,22 @@ fn fig7_headline_ordering_holds() {
     };
     let builder = || PulseBuilder::new().nodes(2).granularity(2 << 20).window(8);
 
-    let (pulse_rt, mut app) = builder().app(cfg).unwrap();
+    let (_, mut app) = builder().app(cfg).unwrap();
     let reqs: Vec<AppRequest> = (0..150).map(|_| app.next_request()).collect();
 
-    let (swap, _) = builder()
-        .baseline_app(
-            BaselineKind::SwapCache(SwapConfig {
-                cache_bytes: 1 << 20, // far below the working set
-                ..SwapConfig::default()
-            }),
-            cfg,
-        )
-        .unwrap();
-    let (rpc, _) = builder()
-        .baseline_app(BaselineKind::Rpc(RpcConfig::rpc()), cfg)
-        .unwrap();
-
-    let mut systems: Vec<Box<dyn Engine>> = vec![Box::new(pulse_rt), Box::new(swap), Box::new(rpc)];
+    let systems = [
+        PulseMode::Pulse,
+        PulseMode::Swap {
+            cache_bytes: 1 << 20, // far below the working set
+        },
+        PulseMode::Rpc(RpcFlavor::Rpc),
+    ];
     let reports: Vec<_> = systems
-        .iter_mut()
-        .map(|s| s.execute(&reqs).unwrap())
+        .into_iter()
+        .map(|mode| {
+            let (mut runtime, _) = builder().mode(mode).app(cfg).unwrap();
+            runtime.execute(&reqs).unwrap()
+        })
         .collect();
 
     let p = reports[0].latency.mean.as_nanos_f64();

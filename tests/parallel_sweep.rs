@@ -7,9 +7,7 @@
 
 use pulse::workloads::Distribution;
 use pulse::{PulseBuilder, YcsbWorkload};
-use pulse_bench::{
-    sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Side, Stream,
-};
+use pulse_bench::{sweep, sweep_json, sweep_par_with, AppKind, CurveSpec, Deployment, Stream};
 
 const LOADS: [f64; 3] = [50.0, 200.0, 800.0];
 const SEED: u64 = 0xC0FFEE;
@@ -39,7 +37,7 @@ fn curves() -> [(&'static str, Deployment); 2] {
 fn specs() -> Vec<CurveSpec> {
     curves()
         .into_iter()
-        .map(|(label, at)| CurveSpec::new(label, &LOADS, SEED, at.factory(Side::Pulse)))
+        .map(|(label, at)| CurveSpec::new(label, &LOADS, SEED, at.factory()))
         .collect()
 }
 
@@ -48,9 +46,7 @@ fn specs() -> Vec<CurveSpec> {
 fn serial_reference() -> String {
     let curves: Vec<_> = curves()
         .into_iter()
-        .map(|(label, at)| {
-            sweep(label, &LOADS, SEED, at.factory(Side::Pulse)).expect("serial curve")
-        })
+        .map(|(label, at)| sweep(label, &LOADS, SEED, at.factory()).expect("serial curve"))
         .collect();
     sweep_json(&curves)
 }

@@ -1,10 +1,8 @@
-//! The baselines on the rack's event engine: RPC (`PulseMode::Rpc`, built
-//! through `BaselineKind::Rpc`) and the Cache-based system
-//! (`PulseMode::Swap`, built through `BaselineKind::SwapCache`). Pricing
-//! regressions, the comparisons the paper draws, faults handled by the
-//! rack, traces, and the functional oracle.
+//! The baselines on the rack's event engine: RPC (`PulseMode::Rpc`) and
+//! the Cache-based system (`PulseMode::Swap`), each one builder mode.
+//! Pricing regressions, the comparisons the paper draws, faults handled by
+//! the rack, traces, and the functional oracle.
 
-use pulse::baselines::{RpcConfig, RpcFlavor, SwapConfig};
 use pulse::ds::{BuildCtx, TreePlacement};
 use pulse::isa::{Interpreter, MemBus};
 use pulse::mem::{ClusterAllocator, ClusterMemory};
@@ -14,9 +12,9 @@ use pulse::workloads::{
     execute_functional, Application, Btrdb, Distribution, WebService, WiredTiger,
 };
 use pulse::{
-    AppRequest, ArrivalProcess, BaselineEngine, BaselineKind, BtrdbConfig, CacheConfig,
-    ClusterConfig, DispatchConfig, Engine, FaultEvent, FaultKind, MutationConfig, Placement,
-    PulseBuilder, PulseCluster, PulseMode, TopologySpec, TraceConfig, WebServiceConfig,
+    AppRequest, ArrivalProcess, BtrdbConfig, CacheConfig, ClusterConfig, DispatchConfig,
+    FaultEvent, FaultKind, MutationConfig, OpenLoopDriver, OpenLoopReport, Placement, PulseBuilder,
+    PulseCluster, PulseMode, RpcFlavor, Runtime, TopologySpec, TraceConfig, WebServiceConfig,
     WiredTigerConfig, YcsbDriver, YcsbWorkload,
 };
 
@@ -25,40 +23,49 @@ const LEAF_SPINE: TopologySpec = TopologySpec::LeafSpine {
     spines: 2,
 };
 
-/// A `kind` baseline over a 4-node, 1 MiB-striped WebService deployment
-/// with 16 clients, and 300 requests of its stream.
-fn webservice_engine(
-    kind: BaselineKind,
-    replication: usize,
-    cfg: WebServiceConfig,
-) -> (BaselineEngine, Vec<AppRequest>) {
-    let (engine, mut app) = PulseBuilder::new()
+const RPC: PulseMode = PulseMode::Rpc(RpcFlavor::Rpc);
+
+/// A builder in mode `mode`.
+fn rack(mode: PulseMode) -> PulseBuilder {
+    PulseBuilder::new().mode(mode)
+}
+
+/// `rack` over a 4-node, 1 MiB-striped WebService deployment with 16
+/// clients, and 300 requests of its stream.
+fn webservice_engine(rack: PulseBuilder, cfg: WebServiceConfig) -> (Runtime, Vec<AppRequest>) {
+    let (engine, mut app) = rack
         .nodes(4)
         .granularity(1 << 20)
-        .replication(replication)
         .window(16)
-        .baseline_app(kind, cfg)
+        .app(cfg)
         .unwrap();
     let reqs = (0..300).map(|_| app.next_request()).collect();
     (engine, reqs)
 }
 
-/// [`webservice_engine`] for RPC over 4 000 keys of 8 KiB Zipfian objects.
-fn rpc(cfg: RpcConfig) -> (BaselineEngine, Vec<AppRequest>) {
-    rpc_replicated(cfg, 1)
-}
-
-fn rpc_replicated(cfg: RpcConfig, replication: usize) -> (BaselineEngine, Vec<AppRequest>) {
+/// [`webservice_engine`] over 4 000 keys of 8 KiB Zipfian objects.
+fn rpc(rack: PulseBuilder) -> (Runtime, Vec<AppRequest>) {
     let app = WebServiceConfig {
         keys: 4_000,
         ..Default::default()
     };
-    webservice_engine(BaselineKind::Rpc(cfg), replication, app)
+    webservice_engine(rack, app)
 }
 
-fn closed_loop(cfg: RpcConfig) -> pulse::RunMetrics {
-    let (mut engine, reqs) = rpc(cfg);
+fn closed_loop(rack: PulseBuilder) -> pulse::RunMetrics {
+    let (mut engine, reqs) = rpc(rack);
     engine.execute(&reqs).unwrap()
+}
+
+/// `requests` through `engine` in open loop.
+fn open_loop(
+    engine: &mut Runtime,
+    requests: &[AppRequest],
+    arrivals: ArrivalProcess,
+) -> OpenLoopReport {
+    OpenLoopDriver::new(arrivals)
+        .run(engine, requests.to_vec())
+        .unwrap()
 }
 
 fn crash_at_zero() -> Vec<FaultEvent> {
@@ -80,25 +87,20 @@ fn evenly(gap_ns: u64, n: usize) -> ArrivalProcess {
 fn two_requests_a_microsecond_apart_price_like_solo() {
     for topology in [LEAF_SPINE, TopologySpec::Flat] {
         let run = |copies: usize| {
-            let (mut engine, mut app) = PulseBuilder::new()
+            let (mut engine, mut app) = rack(RPC)
                 .nodes(4)
                 .granularity(2 << 20)
-                .baseline_app(
-                    BaselineKind::Rpc(RpcConfig {
-                        topology,
-                        ..RpcConfig::rpc()
-                    }),
-                    WebServiceConfig {
-                        keys: 6_000,
-                        ..Default::default()
-                    },
-                )
+                .topology(topology)
+                .app(WebServiceConfig {
+                    keys: 6_000,
+                    ..Default::default()
+                })
                 .unwrap();
             let req = app.next_request();
             let reqs = vec![req; copies];
             let gaps = [SimTime::ZERO, SimTime::from_micros(1)];
             let arrivals = ArrivalProcess::trace(gaps[..copies].to_vec());
-            engine.execute_open_loop(&reqs, arrivals).unwrap()
+            open_loop(&mut engine, &reqs, arrivals)
         };
         let solo = run(1).latency.max;
         let pair = run(2);
@@ -113,8 +115,8 @@ fn two_requests_a_microsecond_apart_price_like_solo() {
 
 #[test]
 fn rpc_arm_is_slower_than_rpc() {
-    let rpc = closed_loop(RpcConfig::rpc());
-    let arm = closed_loop(RpcConfig::rpc_arm());
+    let rpc = closed_loop(rack(RPC));
+    let arm = closed_loop(rack(PulseMode::Rpc(RpcFlavor::RpcArm)));
     assert!(
         arm.latency.mean > rpc.latency.mean,
         "arm {} vs rpc {}",
@@ -126,8 +128,10 @@ fn rpc_arm_is_slower_than_rpc() {
 
 #[test]
 fn cache_rpc_latency_not_better_than_rpc() {
-    let rpc = closed_loop(RpcConfig::rpc());
-    let aifm = closed_loop(RpcConfig::cache_rpc(4 << 20));
+    let rpc = closed_loop(rack(RPC));
+    let aifm = closed_loop(rack(PulseMode::Rpc(RpcFlavor::CacheRpc {
+        cache_bytes: 4 << 20,
+    })));
     // §6.1: "Cache+RPC incurs higher latency than RPC ... and does not
     // outperform RPC".
     assert!(
@@ -149,13 +153,9 @@ fn cache_rpc_latency_not_better_than_rpc() {
 #[test]
 fn open_loop_latency_grows_with_offered_load() {
     let p99_at = |gap_ns: u64| {
-        let (mut engine, reqs) = rpc(RpcConfig::rpc());
+        let (mut engine, reqs) = rpc(rack(RPC));
         let arrivals = evenly(gap_ns, reqs.len());
-        engine
-            .execute_open_loop(&reqs, arrivals)
-            .unwrap()
-            .latency
-            .p99
+        open_loop(&mut engine, &reqs, arrivals).latency.p99
     };
     let light = p99_at(200_000); // 5 kops offered
     let heavy = p99_at(200); // 5 Mops offered, far past the 16 clients
@@ -167,24 +167,21 @@ fn open_loop_latency_grows_with_offered_load() {
 
 #[test]
 fn open_loop_at_light_load_matches_unloaded_latency() {
-    let (mut engine, reqs) = rpc(RpcConfig::rpc());
+    let (mut engine, reqs) = rpc(rack(RPC));
     let n = reqs.len();
-    let closed = PulseBuilder::new()
+    let closed = rack(RPC)
         .nodes(4)
         .granularity(1 << 20)
         .window(1)
-        .baseline_app(
-            BaselineKind::Rpc(RpcConfig::rpc()),
-            WebServiceConfig {
-                keys: 4_000,
-                ..Default::default()
-            },
-        )
+        .app(WebServiceConfig {
+            keys: 4_000,
+            ..Default::default()
+        })
         .unwrap()
         .0
         .execute(&reqs)
         .unwrap();
-    let open = engine.execute_open_loop(&reqs, evenly(500_000, n)).unwrap();
+    let open = open_loop(&mut engine, &reqs, evenly(500_000, n));
     // So sparse that no request ever queues: the same latencies as one
     // client in closed loop.
     let ratio = open.latency.mean.as_nanos_f64() / closed.latency.mean.as_nanos_f64();
@@ -198,12 +195,9 @@ fn open_loop_at_light_load_matches_unloaded_latency() {
 #[test]
 fn contended_dispatch_collapses_rpc_under_load() {
     let run = |dispatch| {
-        let (mut engine, reqs) = rpc(RpcConfig {
-            dispatch,
-            ..RpcConfig::rpc()
-        });
+        let (mut engine, reqs) = rpc(rack(RPC).dispatch(dispatch));
         let arrivals = evenly(5_000, reqs.len());
-        engine.execute_open_loop(&reqs, arrivals).unwrap()
+        open_loop(&mut engine, &reqs, arrivals)
     };
     let free = run(DispatchConfig::default());
     let contended = run(DispatchConfig::contended(SimTime::from_micros(20), 1));
@@ -226,10 +220,10 @@ fn mixed_write_traversals_run_through_rpc() {
     use std::sync::Arc;
 
     let build = || {
-        PulseBuilder::new()
+        rack(RPC)
             .nodes(2)
             .window(8)
-            .baseline_with(BaselineKind::Rpc(RpcConfig::rpc()), |ctx| {
+            .build_with(|ctx| {
                 let pairs: Vec<(u64, u64)> = (0..512).map(|k| (k, k)).collect();
                 pulse::ds::HashMapDs::build_partitioned(ctx, 8, &pairs, 2)
             })
@@ -276,21 +270,16 @@ fn mixed_write_traversals_run_through_rpc() {
 #[test]
 fn routed_rpc_prices_bounces_on_the_cpu_downlink() {
     let run = |topology| {
-        let (mut engine, mut app) = PulseBuilder::new()
+        let (mut engine, mut app) = rack(RPC)
             .nodes(4)
             .granularity(4096)
             .window(16)
-            .baseline_app(
-                BaselineKind::Rpc(RpcConfig {
-                    topology,
-                    ..RpcConfig::rpc()
-                }),
-                WebServiceConfig {
-                    keys: 2_000,
-                    partition_by_bucket: false,
-                    ..Default::default()
-                },
-            )
+            .topology(topology)
+            .app(WebServiceConfig {
+                keys: 2_000,
+                partition_by_bucket: false,
+                ..Default::default()
+            })
             .unwrap();
         let reqs: Vec<AppRequest> = (0..200).map(|_| app.next_request()).collect();
         engine.execute(&reqs).unwrap()
@@ -321,16 +310,14 @@ fn swap_cache_is_orders_of_magnitude_slower_than_rpc() {
         distribution: Distribution::Uniform,
         ..Default::default()
     };
-    let swap = SwapConfig {
-        cache_bytes: 1 << 20,
-        ..SwapConfig::default()
-    };
-    let run = |kind| {
-        let (mut engine, reqs) = webservice_engine(kind, 1, app);
+    let run = |mode| {
+        let (mut engine, reqs) = webservice_engine(rack(mode), app);
         engine.execute(&reqs).unwrap()
     };
-    let swap = run(BaselineKind::SwapCache(swap));
-    let rpc = run(BaselineKind::Rpc(RpcConfig::rpc()));
+    let swap = run(PulseMode::Swap {
+        cache_bytes: 1 << 20,
+    });
+    let rpc = run(RPC);
     let ratio = swap.latency.mean.as_nanos_f64() / rpc.latency.mean.as_nanos_f64();
     assert!(ratio > 5.0, "swap/rpc latency ratio {ratio}");
     assert!(swap.throughput < rpc.throughput);
@@ -341,15 +328,9 @@ fn swap_cache_is_orders_of_magnitude_slower_than_rpc() {
 /// rebuilding the lost replicas.
 #[test]
 fn rpc_crash_with_replication_fails_over_and_rebuilds() {
-    let (mut engine, reqs) = rpc_replicated(RpcConfig::rpc(), 2);
+    let (mut engine, reqs) = rpc(rack(RPC).replication(2));
     let clean = engine.execute(&reqs).unwrap();
-    let (mut engine, reqs) = rpc_replicated(
-        RpcConfig {
-            faults: crash_at_zero(),
-            ..RpcConfig::rpc()
-        },
-        2,
-    );
+    let (mut engine, reqs) = rpc(rack(RPC).replication(2).faults(crash_at_zero()));
     let faulted = engine.execute(&reqs).unwrap();
     assert_eq!(faulted.completed, clean.completed);
     assert_eq!(faulted.unavailable_completions, 0);
@@ -367,16 +348,8 @@ fn rpc_crash_with_replication_fails_over_and_rebuilds() {
 /// degraded p99 equals the run's p99, queueing included.
 #[test]
 fn open_loop_degraded_p99_counts_queueing() {
-    let (mut engine, reqs) = rpc_replicated(
-        RpcConfig {
-            faults: crash_at_zero(),
-            ..RpcConfig::rpc()
-        },
-        2,
-    );
-    let rep = engine
-        .execute_open_loop(&reqs, evenly(50, reqs.len()))
-        .unwrap();
+    let (mut engine, reqs) = rpc(rack(RPC).replication(2).faults(crash_at_zero()));
+    let rep = open_loop(&mut engine, &reqs, evenly(50, reqs.len()));
     assert_eq!(rep.completed, reqs.len() as u64);
     assert!(rep.failovers > 0);
     assert!(
@@ -389,10 +362,7 @@ fn open_loop_degraded_p99_counts_queueing() {
 
 #[test]
 fn rpc_crash_without_replication_loses_requests() {
-    let (mut engine, reqs) = rpc(RpcConfig {
-        faults: crash_at_zero(),
-        ..RpcConfig::rpc()
-    });
+    let (mut engine, reqs) = rpc(rack(RPC).faults(crash_at_zero()));
     let faulted = engine.execute(&reqs).unwrap();
     assert!(faulted.unavailable_completions > 0);
     assert_eq!(
@@ -407,23 +377,18 @@ fn rpc_crash_without_replication_loses_requests() {
 /// nothing counts as a failover at replication 1.
 #[test]
 fn rpc_partition_heal_restores_service() {
-    let (mut engine, reqs) = PulseBuilder::new()
+    let (mut engine, reqs) = rack(RPC)
         .nodes(4)
         .granularity(1 << 20)
         .window(2)
-        .baseline_app(
-            BaselineKind::Rpc(RpcConfig {
-                faults: vec![
-                    FaultEvent::new(SimTime::ZERO, FaultKind::LinkPartition(1)),
-                    FaultEvent::new(SimTime::from_micros(200), FaultKind::LinkHeal(1)),
-                ],
-                ..RpcConfig::rpc()
-            }),
-            WebServiceConfig {
-                keys: 4_000,
-                ..Default::default()
-            },
-        )
+        .faults(vec![
+            FaultEvent::new(SimTime::ZERO, FaultKind::LinkPartition(1)),
+            FaultEvent::new(SimTime::from_micros(200), FaultKind::LinkHeal(1)),
+        ])
+        .app(WebServiceConfig {
+            keys: 4_000,
+            ..Default::default()
+        })
         .map(|(engine, mut app)| {
             let reqs: Vec<AppRequest> = (0..300).map(|_| app.next_request()).collect();
             (engine, reqs)
@@ -437,11 +402,8 @@ fn rpc_partition_heal_restores_service() {
 
 #[test]
 fn traced_rpc_attributes_phases_without_perturbing_timing() {
-    let plain = closed_loop(RpcConfig::rpc());
-    let (mut engine, reqs) = rpc(RpcConfig {
-        trace: true,
-        ..RpcConfig::rpc()
-    });
+    let plain = closed_loop(rack(RPC));
+    let (mut engine, reqs) = rpc(rack(RPC).trace(Some(TraceConfig::default())));
     let traced = engine.execute(&reqs).unwrap();
     assert!(plain.phase.is_none(), "tracing is off by default");
     assert_eq!(plain.latency.mean, traced.latency.mean);
@@ -466,11 +428,9 @@ fn traced_rpc_attributes_phases_without_perturbing_timing() {
 /// unavailable, and their notices land in `Failover`.
 #[test]
 fn traced_rpc_dead_end_counts_failover_phase() {
-    let (mut engine, reqs) = rpc(RpcConfig {
-        faults: crash_at_zero(),
-        trace: true,
-        ..RpcConfig::rpc()
-    });
+    let (mut engine, reqs) = rpc(rack(RPC)
+        .faults(crash_at_zero())
+        .trace(Some(TraceConfig::default())));
     let rep = engine.execute(&reqs).unwrap();
     assert!(rep.unavailable_completions > 0);
     let attr = rep.phase.expect("attribution recorded");
@@ -598,11 +558,7 @@ fn ycsb_a_on_rpc_releases_every_lock_and_completes_every_update() {
         workload: YcsbWorkload::A,
         ..Default::default()
     };
-    let (mut engine, app) = PulseBuilder::new()
-        .nodes(2)
-        .window(16)
-        .baseline_app(BaselineKind::Rpc(RpcConfig::rpc()), cfg)
-        .unwrap();
+    let (mut engine, app) = rack(RPC).nodes(2).window(16).app(cfg).unwrap();
     let buckets: Vec<u64> = (0..cfg.keys).map(|k| app.map().bucket_addr(k)).collect();
     let mut driver = YcsbDriver::webservice(app, cfg, MutationConfig::default()).unwrap();
     let reqs: Vec<AppRequest> = (0..400)
@@ -610,9 +566,7 @@ fn ycsb_a_on_rpc_releases_every_lock_and_completes_every_update() {
         .collect();
     let updates = reqs.iter().filter(|r| r.is_update()).count() as u64;
     assert!(updates > 0);
-    let rep = engine
-        .execute_open_loop(&reqs, ArrivalProcess::poisson(400_000.0, 11))
-        .unwrap();
+    let rep = open_loop(&mut engine, &reqs, ArrivalProcess::poisson(400_000.0, 11));
     assert_eq!(rep.completed, reqs.len() as u64);
     assert_eq!(rep.completed_updates, updates);
     for b in buckets {
@@ -623,38 +577,37 @@ fn ycsb_a_on_rpc_releases_every_lock_and_completes_every_update() {
 
 // ------------------------------------------------------------ Cache-based
 
-/// A Cache-based engine with a `cache_bytes` page cache over a 4-node,
-/// 1 MiB-striped WebService deployment of `keys` keys, with 8 clients, and
-/// 300 requests of its stream.
+/// `rack` over a 4-node, 1 MiB-striped WebService deployment of `keys`
+/// keys, with 8 clients, and 300 requests of its stream.
 fn swap_engine(
-    cfg: SwapConfig,
+    rack: PulseBuilder,
     keys: u64,
     object_bytes: u32,
     distribution: Distribution,
-) -> (BaselineEngine, Vec<AppRequest>) {
-    let (engine, mut app) = PulseBuilder::new()
+) -> (Runtime, Vec<AppRequest>) {
+    let (engine, mut app) = rack
         .nodes(4)
         .granularity(1 << 20)
         .window(8)
-        .baseline_app(
-            BaselineKind::SwapCache(cfg),
-            WebServiceConfig {
-                keys,
-                object_bytes,
-                distribution,
-                ..Default::default()
-            },
-        )
+        .app(WebServiceConfig {
+            keys,
+            object_bytes,
+            distribution,
+            ..Default::default()
+        })
         .unwrap();
     let reqs = (0..300).map(|_| app.next_request()).collect();
     (engine, reqs)
 }
 
-fn swap_with_cache(cache_bytes: u64) -> SwapConfig {
-    SwapConfig {
-        cache_bytes,
-        ..SwapConfig::default()
-    }
+/// A Cache-based rack with a `cache_bytes` page cache.
+fn swap_with_cache(cache_bytes: u64) -> PulseBuilder {
+    rack(PulseMode::Swap { cache_bytes })
+}
+
+/// The Cache-based rack's default page cache, 64 MiB.
+fn swap() -> PulseBuilder {
+    swap_with_cache(64 << 20)
 }
 
 /// Fig. 2(a)'s two observations on the rack: a warm working set that fits
@@ -690,14 +643,9 @@ fn swap_page_cache_hits_and_traversal_share() {
 #[test]
 fn contended_dispatch_slows_swap_admission() {
     let run = |dispatch| {
-        let cfg = SwapConfig {
-            dispatch,
-            ..SwapConfig::default()
-        };
-        let (mut engine, reqs) = swap_engine(cfg, 200, 8192, Distribution::Zipfian);
-        engine
-            .execute_open_loop(&reqs, evenly(10_000, reqs.len()))
-            .unwrap()
+        let rack = swap().dispatch(dispatch);
+        let (mut engine, reqs) = swap_engine(rack, 200, 8192, Distribution::Zipfian);
+        open_loop(&mut engine, &reqs, evenly(10_000, reqs.len()))
     };
     let free = run(DispatchConfig::default());
     let contended = run(DispatchConfig::contended(SimTime::from_micros(50), 1));
@@ -718,10 +666,10 @@ fn mixed_locked_updates_run_through_swap_exactly_once() {
     use pulse::mutation::{locked_update_stage, retrying_request, verified_read_stage};
     use std::sync::Arc;
 
-    let (mut engine, map) = PulseBuilder::new()
+    let (mut engine, map) = swap()
         .nodes(2)
         .window(8)
-        .baseline_with(BaselineKind::SwapCache(SwapConfig::default()), |ctx| {
+        .build_with(|ctx| {
             let pairs: Vec<(u64, u64)> = (0..512).map(|k| (k, k)).collect();
             pulse::ds::HashMapDs::build_partitioned(ctx, 8, &pairs, 2)
         })
@@ -741,16 +689,14 @@ fn mixed_locked_updates_run_through_swap_exactly_once() {
             }
         })
         .collect();
-    let version = |engine: &mut BaselineEngine, k: u64| {
+    let version = |engine: &mut Runtime, k: u64| {
         engine
             .memory_mut()
             .read_word(map.bucket_addr(k) + 8, 8)
             .unwrap()
     };
     let before: Vec<u64> = (0..100).map(|k| version(&mut engine, k)).collect();
-    let rep = engine
-        .execute_open_loop(&mixed, evenly(1_000, mixed.len()))
-        .unwrap();
+    let rep = open_loop(&mut engine, &mixed, evenly(1_000, mixed.len()));
     assert_eq!(rep.completed, 100);
     assert_eq!(rep.completed_updates, 50);
     for k in 0..100u64 {
@@ -773,11 +719,8 @@ fn mixed_locked_updates_run_through_swap_exactly_once() {
 #[test]
 fn routed_swap_fills_show_link_use() {
     let run = |topology| {
-        let cfg = SwapConfig {
-            topology,
-            ..swap_with_cache(1 << 20)
-        };
-        let (mut engine, reqs) = swap_engine(cfg, 200_000, 512, Distribution::Uniform);
+        let rack = swap_with_cache(1 << 20).topology(topology);
+        let (mut engine, reqs) = swap_engine(rack, 200_000, 512, Distribution::Uniform);
         engine.execute(&reqs).unwrap()
     };
     let flat = run(TopologySpec::Flat);
@@ -805,11 +748,8 @@ fn swap_runs_are_deterministic_and_traced_without_perturbation() {
     let runs: Vec<_> = [false, false, true]
         .into_iter()
         .map(|trace| {
-            let cfg = SwapConfig {
-                trace,
-                ..SwapConfig::default()
-            };
-            let (mut engine, reqs) = swap_engine(cfg, 4_000, 8192, Distribution::Zipfian);
+            let rack = swap().trace(trace.then(TraceConfig::default));
+            let (mut engine, reqs) = swap_engine(rack, 4_000, 8192, Distribution::Zipfian);
             let rep = engine.execute(&reqs).unwrap();
             let json = engine.trace().map(|t| t.trace_json());
             (rep, json)

@@ -13,7 +13,7 @@ use pulse::workloads::{
 };
 use pulse::{
     AppRequest, CacheConfig, DispatchConfig, Engine, Error, Offloaded, OpenLoopDriver, Placement,
-    PulseBuilder, PulseCluster, RequestError,
+    PulseBuilder, PulseCluster, PulseMode, RequestError, RpcFlavor,
 };
 use std::sync::Arc;
 
@@ -528,8 +528,8 @@ fn open_loop_latency_grows_with_offered_load() {
     );
 }
 
-/// The baseline engines answer the same open-loop calls behind the shared
-/// `Engine` trait, with sane report shape.
+/// The perfbench face (`baseline_app`, `BaselineKind`, `Engine`) builds an
+/// RPC runtime that answers open-loop calls with a sane report shape.
 #[test]
 fn baseline_engine_runs_open_loop_behind_the_trait() {
     let cfg = WebServiceConfig {
@@ -556,49 +556,94 @@ fn baseline_engine_runs_open_loop_behind_the_trait() {
     assert!(rep.last_completion > rep.first_arrival);
 }
 
-/// Every baseline kind names itself once: the engine's label, the label of
-/// an empty-stream open-loop report and that of a non-empty one agree.
+/// Every mode names itself once: `PulseMode::label`, the runtime's label,
+/// that of perfbench's `Engine` face, and the labels of an empty-stream
+/// and a non-empty open-loop report agree.
 #[test]
-fn baseline_labels_agree_for_every_kind() {
-    use pulse::baselines::{RpcConfig, SwapConfig};
-    use pulse::BaselineKind;
-    let kinds = [
+fn labels_agree_for_every_mode() {
+    let modes = [
+        (PulseMode::Pulse, "pulse"),
+        (PulseMode::PulseAcc, "pulse-acc"),
         (
-            BaselineKind::SwapCache(SwapConfig::default()),
+            PulseMode::Swap {
+                cache_bytes: 1 << 20,
+            },
             "Cache-based",
         ),
-        (BaselineKind::Rpc(RpcConfig::rpc()), "RPC"),
-        (BaselineKind::Rpc(RpcConfig::rpc_arm()), "RPC-ARM"),
+        (PulseMode::Rpc(RpcFlavor::Rpc), "RPC"),
+        (PulseMode::Rpc(RpcFlavor::RpcArm), "RPC-ARM"),
         (
-            BaselineKind::Rpc(RpcConfig::cache_rpc(1 << 20)),
+            PulseMode::Rpc(RpcFlavor::CacheRpc {
+                cache_bytes: 1 << 20,
+            }),
             "Cache+RPC",
         ),
     ];
-    for (kind, label) in kinds {
+    for (mode, label) in modes {
         let build = || {
             PulseBuilder::new()
-                .baseline_app(
-                    kind.clone(),
-                    WebServiceConfig {
-                        keys: 200,
-                        ..Default::default()
-                    },
-                )
+                .mode(mode)
+                .app(WebServiceConfig {
+                    keys: 200,
+                    ..Default::default()
+                })
                 .unwrap()
         };
-        let (mut engine, mut app) = build();
-        let reqs: Vec<AppRequest> = (0..20).map(|_| app.next_request()).collect();
-        let full = engine
-            .execute_open_loop(&reqs, ArrivalProcess::poisson(50_000.0, 3))
-            .unwrap();
+        let run = |runtime: &mut pulse::Runtime, reqs| {
+            OpenLoopDriver::new(ArrivalProcess::poisson(50_000.0, 3))
+                .run(runtime, reqs)
+                .unwrap()
+        };
+        let (mut runtime, mut app) = build();
+        let full = run(&mut runtime, (0..20).map(|_| app.next_request()).collect());
         let (mut idle, _) = build();
-        let empty = idle
-            .execute_open_loop(&[], ArrivalProcess::poisson(50_000.0, 3))
-            .unwrap();
-        assert_eq!(engine.label(), label);
+        let empty = run(&mut idle, Vec::new());
+        assert_eq!(mode.label(), label);
+        assert_eq!(runtime.label(), label);
+        assert_eq!(Engine::label(&runtime), label);
         assert_eq!(empty.label, label);
         assert_eq!(full.label, label);
     }
+}
+
+/// `OpenLoopDriver::run` admits by mode: a baseline's window is its
+/// clients, so on a one-client RPC runtime two requests arriving together
+/// complete one after the other, the second counting its wait for the
+/// client. Pulse admits both at once.
+#[test]
+fn a_baseline_admits_arrivals_through_its_clients() {
+    let run = |mode, copies| {
+        let (mut runtime, mut app) = PulseBuilder::new()
+            .mode(mode)
+            .window(1)
+            .app(WebServiceConfig {
+                keys: 200,
+                ..Default::default()
+            })
+            .unwrap();
+        let reqs = vec![app.next_request(); copies];
+        let together = ArrivalProcess::trace(vec![SimTime::ZERO; copies]);
+        OpenLoopDriver::new(together)
+            .run(&mut runtime, reqs)
+            .unwrap()
+    };
+    let rpc = PulseMode::Rpc(RpcFlavor::Rpc);
+    let solo = run(rpc, 1).latency.max;
+    let pair = run(rpc, 2);
+    assert_eq!(pair.completed, 2);
+    assert_eq!(pair.latency.min, solo);
+    assert_eq!(
+        pair.latency.max,
+        solo * 2,
+        "the second waits for the client"
+    );
+    let solo = run(PulseMode::Pulse, 1).latency.max;
+    let pair = run(PulseMode::Pulse, 2);
+    assert!(
+        pair.latency.max < solo * 2,
+        "pulse admits both arrivals at once: {} vs {solo} alone",
+        pair.latency.max
+    );
 }
 
 /// The documented panic of `TraversalStage::init_state` is now a typed

@@ -12,42 +12,35 @@
 //! these tests re-derive the same facts from the exported span stream so
 //! a release build would catch a violation too.)
 
-use pulse::baselines::SwapConfig;
 use pulse::ds::{BuildCtx, DsError};
 use pulse::sim::{SimTime, SplitMix64};
 use pulse::trace::{TraceSink, Track, PHASES};
 use pulse::workloads::{Application, Btrdb, Distribution, WebService, WiredTiger};
 use pulse::{
-    ArrivalProcess, BaselineEngine, BaselineKind, BtrdbConfig, DispatchConfig, Engine, FaultEvent,
-    FaultKind, MutationConfig, Runtime, TopologySpec, TraceConfig, WebServiceConfig,
-    WiredTigerConfig, YcsbDriver, YcsbWorkload,
+    AppRequest, ArrivalProcess, BtrdbConfig, DispatchConfig, FaultEvent, FaultKind, MutationConfig,
+    OpenLoopDriver, OpenLoopReport, PulseMode, RpcFlavor, Runtime, TopologySpec, TraceConfig,
+    WebServiceConfig, WiredTigerConfig, YcsbDriver, YcsbWorkload,
 };
 
 const CASES: u64 = 12;
 
-/// An engine whose trace the tests read back.
-trait Traced: Engine {
-    fn sink(&self) -> Option<&TraceSink>;
-}
-
-impl Traced for Runtime {
-    fn sink(&self) -> Option<&TraceSink> {
-        self.trace()
-    }
-}
-
-impl Traced for BaselineEngine {
-    fn sink(&self) -> Option<&TraceSink> {
-        self.trace()
-    }
+/// `requests` through `runtime` in open loop.
+fn open_loop(
+    runtime: &mut Runtime,
+    requests: &[AppRequest],
+    arrivals: ArrivalProcess,
+) -> OpenLoopReport {
+    OpenLoopDriver::new(arrivals)
+        .run(runtime, requests.to_vec())
+        .expect("run")
 }
 
 type BuildApp = Box<dyn FnOnce(&mut BuildCtx<'_>) -> Result<Box<dyn Application>, DsError>>;
 
-/// Builds a randomized traced engine plus its request stream: the pulse
+/// Builds a randomized traced runtime plus its request stream: the pulse
 /// rack, or in a quarter of the cases the Cache-based system on the same
-/// rack.
-fn random_case(rng: &mut SplitMix64) -> (Box<dyn Traced>, Vec<pulse::AppRequest>) {
+/// rack, faults and all.
+fn random_case(rng: &mut SplitMix64) -> (Runtime, Vec<AppRequest>) {
     let nodes = 2 + rng.next_below(3) as usize;
     let cpus = 1 + rng.next_below(3) as usize;
     let requests = 40 + rng.next_below(100) as usize;
@@ -87,12 +80,7 @@ fn random_case(rng: &mut SplitMix64) -> (Box<dyn Traced>, Vec<pulse::AppRequest>
     // (the write-path squash case is its own test below), but batched
     // hops' fused windows and coalesced riders' parked/fan-out spans must
     // still tile every request's latency exactly.
-    if rng.next_below(2) == 1 {
-        builder = builder
-            .speculation(true)
-            .batching(2 + rng.next_below(4) as u32)
-            .coalescing(true);
-    }
+    let isa_v2 = (rng.next_below(2) == 1).then(|| 2 + rng.next_below(4) as u32);
     let dist = if rng.next_below(2) == 0 {
         Distribution::Uniform
     } else {
@@ -125,24 +113,19 @@ fn random_case(rng: &mut SplitMix64) -> (Box<dyn Traced>, Vec<pulse::AppRequest>
             Box::new(move |ctx| Ok(Box::new(Btrdb::build(ctx, cfg)?)))
         }
     };
-    // The Cache-based system takes its own dispatch engine and topology;
-    // the builder's trace switch applies to it too. Its page cache holds
-    // 64 KiB to 2 MiB, so pages both hit and miss.
-    let (engine, mut app): (Box<dyn Traced>, _) = if rng.next_below(4) == 0 {
-        let kind = BaselineKind::SwapCache(SwapConfig {
+    // The Cache-based system has no accelerators, so it runs without the
+    // ISA-v2 switches. Its page cache holds 64 KiB to 2 MiB, so pages both
+    // hit and miss.
+    if rng.next_below(4) == 0 {
+        builder = builder.mode(PulseMode::Swap {
             cache_bytes: (64 << 10) << rng.next_below(6),
-            dispatch,
-            topology,
-            trace: false,
         });
-        let (engine, app) = builder.baseline_with(kind, build).expect("wire swap");
-        (Box::new(engine), app)
-    } else {
-        let (runtime, app) = builder.build_with(build).expect("wire pulse");
-        (Box::new(runtime), app)
-    };
+    } else if let Some(hops) = isa_v2 {
+        builder = builder.speculation(true).batching(hops).coalescing(true);
+    }
+    let (runtime, mut app) = builder.build_with(build).expect("wire the rack");
     let reqs = (0..requests).map(|_| app.next_request()).collect();
-    (engine, reqs)
+    (runtime, reqs)
 }
 
 /// Asserts every traced request's spans tile its end-to-end latency
@@ -188,10 +171,10 @@ fn random_traced_runs_conserve_spans() {
         let n = reqs.len() as u64;
         let load_kops = 50.0 + rng.next_below(500) as f64;
         let arrivals = ArrivalProcess::poisson(load_kops * 1e3, 0xA0 + case);
-        let rep = engine.execute_open_loop(&reqs, arrivals).expect("run");
+        let rep = open_loop(&mut engine, &reqs, arrivals);
         assert_eq!(rep.completed + rep.faulted, n, "case {case}");
 
-        let sink = engine.sink().expect("tracing enabled");
+        let sink = engine.trace().expect("tracing enabled");
         assert_eq!(sink.open_requests(), 0, "case {case}: requests left open");
         assert_eq!(sink.completed(), n, "case {case}");
 
@@ -258,7 +241,7 @@ fn trace_none_is_default_and_tracing_never_perturbs() {
             .expect("wire webservice");
         let reqs: Vec<_> = (0..200).map(|_| app.next_request()).collect();
         let arrivals = ArrivalProcess::poisson(200e3, 7);
-        let rep = runtime.execute_open_loop(&reqs, arrivals).expect("run");
+        let rep = open_loop(&mut runtime, &reqs, arrivals);
         let traced = runtime.trace().is_some();
         (rep, traced)
     };
@@ -311,7 +294,7 @@ fn spec_squash_spans_still_tile_request_latency() {
         .map(|_| driver.next_request(runtime.memory_mut()))
         .collect();
     let arrivals = ArrivalProcess::poisson(800e3, 11);
-    let rep = runtime.execute_open_loop(&reqs, arrivals).expect("run");
+    let rep = open_loop(&mut runtime, &reqs, arrivals);
     assert_eq!(rep.completed + rep.faulted, 600);
     assert!(
         rep.mis_speculations > 0,
@@ -331,9 +314,6 @@ fn spec_squash_spans_still_tile_request_latency() {
 /// included, and the phase means sum to the mean latency.
 #[test]
 fn traced_rpc_runs_conserve_spans() {
-    use pulse::baselines::RpcConfig;
-    use pulse::BaselineKind;
-
     let crash = vec![FaultEvent::new(
         SimTime::from_micros(20),
         FaultKind::MemCrash(0),
@@ -353,30 +333,23 @@ fn traced_rpc_runs_conserve_spans() {
         ("crash", TopologySpec::Flat, crash, 1 << 20, true),
     ];
     for (tag, topology, faults, granularity, partitioned) in cases {
-        let kind = BaselineKind::Rpc(RpcConfig {
-            topology,
-            faults,
-            dispatch: DispatchConfig::contended(SimTime::from_nanos(500), 2),
-            ..RpcConfig::rpc()
-        });
         let (mut engine, mut app) = pulse::PulseBuilder::new()
+            .mode(PulseMode::Rpc(RpcFlavor::Rpc))
             .nodes(4)
             .granularity(granularity)
             .replication(2)
+            .topology(topology)
+            .faults(faults)
+            .dispatch(DispatchConfig::contended(SimTime::from_nanos(500), 2))
             .trace(Some(TraceConfig::default()))
-            .baseline_app(
-                kind,
-                WebServiceConfig {
-                    keys: 2_000,
-                    partition_by_bucket: partitioned,
-                    ..Default::default()
-                },
-            )
+            .app(WebServiceConfig {
+                keys: 2_000,
+                partition_by_bucket: partitioned,
+                ..Default::default()
+            })
             .expect("wire RPC");
         let reqs: Vec<_> = (0..300).map(|_| app.next_request()).collect();
-        let rep = engine
-            .execute_open_loop(&reqs, ArrivalProcess::poisson(1.5e6, 5))
-            .expect("run");
+        let rep = open_loop(&mut engine, &reqs, ArrivalProcess::poisson(1.5e6, 5));
         assert_eq!(rep.completed + rep.faulted, 300, "{tag}");
         let sink = engine.trace().expect("tracing enabled");
         assert_eq!(sink.open_requests(), 0, "{tag}: requests left open");

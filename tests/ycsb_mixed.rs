@@ -158,25 +158,22 @@ fn reused_runtime_reports_second_stream_as_a_delta() {
 /// goodput.
 #[test]
 fn rpc_counts_only_completed_updates_under_a_crash() {
-    use pulse::baselines::RpcConfig;
     use pulse::sim::SimTime;
-    use pulse::{BaselineKind, Engine, FaultEvent, FaultKind};
+    use pulse::{FaultEvent, FaultKind, PulseMode, RpcFlavor};
     let cfg = webservice_cfg(YcsbWorkload::A);
-    let rpc = RpcConfig {
-        faults: vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))],
-        ..RpcConfig::rpc()
-    };
     let (mut engine, app) = PulseBuilder::new()
         .nodes(2)
-        .baseline_app(BaselineKind::Rpc(rpc), cfg)
+        .mode(PulseMode::Rpc(RpcFlavor::Rpc))
+        .faults(vec![FaultEvent::new(SimTime::ZERO, FaultKind::MemCrash(0))])
+        .app(cfg)
         .unwrap();
     let mut driver = YcsbDriver::webservice(app, cfg, MutationConfig::default()).unwrap();
     let updates: Vec<AppRequest> = (0..400)
         .map(|_| driver.next_request(engine.memory_mut()))
         .filter(AppRequest::is_update)
         .collect();
-    let rep = engine
-        .execute_open_loop(&updates, ArrivalProcess::poisson(100_000.0, 7))
+    let rep = OpenLoopDriver::new(ArrivalProcess::poisson(100_000.0, 7))
+        .run(&mut engine, updates.clone())
         .unwrap();
     assert!(rep.completed > 0 && rep.unavailable_completions > 0);
     assert_eq!(rep.completed + rep.faulted, updates.len() as u64);
