@@ -25,7 +25,7 @@
 //!   each request itself over a page cache and fetches every missed page
 //!   from its memory node (see the `swap` module).
 
-use crate::rpc::{ObjectCache, RpcFlavor, RpcServer};
+use crate::rpc::{ObjectCache, ReplayStats, RpcFlavor, RpcServer};
 use crate::swap::{SwapCpu, SwapStats, Walk, Walked, FUNCTIONAL_ITERS, PAGE_BYTES};
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, AccelSink, Accelerator};
 use pulse_frontend::{
@@ -673,6 +673,20 @@ impl PulseCluster {
                 misses: sum.misses + s.misses,
                 traversal_time: sum.traversal_time + s.traversal_time,
                 walk_time: sum.walk_time + s.walk_time,
+            })
+    }
+
+    /// How the RPC servers' services ran, summed over every memory node:
+    /// replayed from a server's memo or walked by its interpreter (all zero
+    /// outside [`PulseMode::Rpc`]). Replays price exactly like walks, so
+    /// these counts move the simulator's speed and nothing it reports.
+    pub fn rpc_replays(&self) -> ReplayStats {
+        self.servers
+            .iter()
+            .map(RpcServer::replays)
+            .fold(ReplayStats::default(), |sum, s| ReplayStats {
+                replayed: sum.replayed + s.replayed,
+                walked: sum.walked + s.walked,
             })
     }
 

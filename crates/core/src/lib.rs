@@ -124,5 +124,5 @@ pub use pulse_sim::{CpuDispatch, DispatchConfig};
 pub use pulse_trace::{
     LatencyBreakdown, Phase, PhaseAttribution, RunMetrics, TraceConfig, TraceSink, PHASES,
 };
-pub use rpc::RpcFlavor;
+pub use rpc::{ReplayStats, RpcFlavor};
 pub use swap::SwapStats;

@@ -493,6 +493,14 @@ impl Program {
         &self.code
     }
 
+    /// The id of this program's decoding: shared by its clones and by no
+    /// other program, ever, in this process (ids are never reused, so a
+    /// dropped program's id never names a new one). Two programs with one
+    /// id run identically on every input.
+    pub fn code_id(&self) -> u64 {
+        self.code.id
+    }
+
     /// The size in bytes of this program's wire encoding
     /// ([`crate::encode_program`]), cached at construction.
     pub fn wire_len(&self) -> usize {
@@ -580,6 +588,22 @@ mod tests {
         assert!(!p.is_empty());
         assert!(!p.has_stores());
         assert_eq!(p.extra_loads(), 0);
+    }
+
+    #[test]
+    fn code_id_names_one_decoding() {
+        let make = || Program::new("t", NodeWindow::from_start(16), vec![ret()], 8).unwrap();
+        let (p, q) = (make(), make());
+        assert_ne!(p.code_id(), 0);
+        assert_eq!(p.clone().code_id(), p.code_id());
+        assert_ne!(
+            p.code_id(),
+            q.code_id(),
+            "equal programs, separate decodings"
+        );
+        let id = q.code_id();
+        drop(q);
+        assert_ne!(make().code_id(), id, "an id outlives its program");
     }
 
     #[test]

@@ -81,6 +81,10 @@ pub struct ClusterMemory {
     /// Monotone counter bumped by every successful write — the coherence
     /// clock CPU-node caches validate against.
     write_epoch: u64,
+    /// Monotone counter bumped by every change to what a [`LocalBus`] can
+    /// reach apart from the bytes themselves: extents, permissions, the
+    /// replication factor and promoted replicas.
+    layout_epoch: u64,
     /// The written bytes of every extent, with the last-write epoch of
     /// each [`VERSION_GRANULE_BYTES`]-aligned granule, keyed by absolute
     /// address.
@@ -112,6 +116,7 @@ impl ClusterMemory {
             guess_shift: u64::BITS - 1,
             node_count,
             write_epoch: 0,
+            layout_epoch: 0,
             store: BlockStore::default(),
             replication: 1,
             node_up: vec![true; node_count],
@@ -129,6 +134,7 @@ impl ClusterMemory {
     pub fn set_replication(&mut self, replication: usize) {
         assert!(replication >= 1, "replication factor must be at least 1");
         self.replication = replication.min(self.node_count);
+        self.layout_epoch += 1;
     }
 
     /// The configured replication factor.
@@ -161,6 +167,18 @@ impl ClusterMemory {
     /// update) bumps the touched granules past `e`, aging the line out.
     pub fn write_epoch(&self) -> u64 {
         self.write_epoch
+    }
+
+    /// The current layout epoch: the number of calls so far that could
+    /// change which bytes a node's [`LocalBus`] reaches, or how an access
+    /// to them ends, without writing any. [`ClusterMemory::add_extent`],
+    /// [`ClusterMemory::set_perms`], [`ClusterMemory::set_replication`]
+    /// and [`ClusterMemory::promote_replica`] bump it (failing a node does
+    /// not: a bus reads a dark node's copy as before). While both it and
+    /// [`ClusterMemory::write_epoch`] hold still, every read through a
+    /// local bus returns what it returned before.
+    pub fn layout_epoch(&self) -> u64 {
+        self.layout_epoch
     }
 
     /// The newest write epoch stamped on any granule intersecting
@@ -210,6 +228,7 @@ impl ClusterMemory {
             },
         );
         self.guess_shift = self.guess_shift.min(len.ilog2());
+        self.layout_epoch += 1;
         Ok(())
     }
 
@@ -220,6 +239,7 @@ impl ClusterMemory {
         match self.extent_index(addr) {
             Some(i) => {
                 self.extents[i].perms = perms;
+                self.layout_epoch += 1;
                 true
             }
             None => false,
@@ -331,6 +351,7 @@ impl ClusterMemory {
         let (start, primary) = (self.extents[i].start, self.extents[i].node);
         if !self.hosted(start, primary, node) {
             self.promoted.entry(start).or_default().push(node);
+            self.layout_epoch += 1;
         }
         true
     }
@@ -715,5 +736,36 @@ mod tests {
         let epoch = m.write_epoch();
         assert!(m.write(0x5000, &buf).is_err());
         assert_eq!(m.write_epoch(), epoch);
+    }
+
+    #[test]
+    fn layout_epoch_moves_with_what_a_local_bus_reaches() {
+        // Runs `change` on `m` and says whether the layout epoch moved.
+        fn moves(m: &mut ClusterMemory, change: impl FnOnce(&mut ClusterMemory)) -> bool {
+            let before = m.layout_epoch();
+            change(m);
+            m.layout_epoch() > before
+        }
+        let mut m = two_node_mem();
+        assert!(!moves(&mut m, |m| m.write_word(0x1000, 1, 8).unwrap()));
+        assert!(!moves(&mut m, |m| {
+            m.fail_node(1);
+            m.recover_node(1);
+        }));
+        assert!(moves(&mut m, |m| m
+            .add_extent(0x3000, 0x1000, 0, Perms::RW)
+            .unwrap()));
+        assert!(!moves(&mut m, |m| assert!(m
+            .add_extent(0x3000, 0x1000, 0, Perms::RW)
+            .is_err())));
+        assert!(moves(&mut m, |m| assert!(m.set_perms(0x1000, Perms::READ))));
+        assert!(!moves(&mut m, |m| assert!(
+            !m.set_perms(0x9000, Perms::READ)
+        )));
+        assert!(moves(&mut m, |m| assert!(m.promote_replica(0x2000, 0))));
+        // Promoting a node that already hosts the extent changes nothing.
+        assert!(!moves(&mut m, |m| assert!(m.promote_replica(0x2000, 0))));
+        assert!(!moves(&mut m, |m| assert!(!m.promote_replica(0x9000, 0))));
+        assert!(moves(&mut m, |m| m.set_replication(2)));
     }
 }

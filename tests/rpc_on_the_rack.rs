@@ -549,6 +549,43 @@ fn rpc_completions_match_the_functional_oracle() {
     }
 }
 
+/// An RPC server replays a service that repeats a finished one while
+/// memory is unchanged. Over a Zipfian WebService stream most services
+/// repeat, and every completion still carries exactly the final state the
+/// functional executor computes.
+#[test]
+fn replayed_rpc_services_match_the_functional_oracle() {
+    let (mut engine, reqs) = rpc(rack(RPC));
+    let expected: Vec<_> = reqs
+        .iter()
+        .map(|r| engine.execute_functional(r).unwrap().response.final_state)
+        .collect();
+    let tickets: Vec<_> = reqs
+        .into_iter()
+        .map(|r| engine.submit(r).unwrap())
+        .collect();
+    let mut completed = 0;
+    loop {
+        let batch = engine.poll();
+        if batch.is_empty() {
+            break;
+        }
+        for c in batch {
+            let i = tickets
+                .iter()
+                .position(|t| t.matches(&c))
+                .expect("submitted");
+            assert!(c.ok, "request {i} faulted");
+            assert_eq!(c.final_state, expected[i], "request {i}");
+            completed += 1;
+        }
+    }
+    assert_eq!(completed, expected.len());
+    let replays = engine.cluster().rpc_replays();
+    assert!(replays.replayed > 0, "no service replayed: {replays:?}");
+    assert!(replays.walked > 0, "{replays:?}");
+}
+
 /// YCSB-A through RPC with no faults: after the drain no bucket's seqlock
 /// is left odd, and every update submitted completed.
 #[test]
