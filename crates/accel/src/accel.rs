@@ -16,9 +16,7 @@
 //! cluster simulation both embed it unchanged.
 
 use crate::config::{AccelConfig, AccelTiming, PipelineOrg};
-use pulse_isa::{
-    fused_hop_increment, CostModel, Fault, Interpreter, IterOutcome, IterTrace, MemFault,
-};
+use pulse_isa::{CostModel, Fault, Interpreter, IterOutcome, IterTrace, MemFault};
 use pulse_mem::{ClusterMemory, NodeId, RangeTable};
 use pulse_net::{IterPacket, IterStatus};
 use pulse_sim::{SerialResource, ServerPool, SimTime, Slab};
@@ -516,7 +514,7 @@ impl Accelerator {
             // `SPEC_HINT` overrides it.
             (
                 trace.spec_next.unwrap_or(w.pkt.state.cur_ptr),
-                w.pkt.code.program().window(),
+                w.pkt.code.window(),
             )
         };
         let base = predicted.wrapping_add(window.off as i64 as u64);
@@ -558,7 +556,7 @@ impl Accelerator {
     ) {
         let (window, cur_ptr) = {
             let w = self.ws(ws);
-            (w.pkt.code.program().window(), w.pkt.state.cur_ptr)
+            (w.pkt.code.window(), w.pkt.state.cur_ptr)
         };
         let base = cur_ptr.wrapping_add(window.off as i64 as u64);
 
@@ -595,7 +593,7 @@ impl Accelerator {
                 w.pkt.touched.push(cell);
             }
         }
-        let program = w.pkt.code.program();
+        let program = &w.pkt.code;
         let mut bus = mem.local_bus(node);
         let result = self
             .interp
@@ -608,10 +606,11 @@ impl Accelerator {
         // ISA v2 same-node hop batching: keep pre-executing consecutive
         // iterations whose windows translate on this node, fusing them into
         // the open membus transaction. Each extra hop skips its own TCAM +
-        // interconnect trip and is priced as `fused_hop_increment`. Fusion
-        // stops at RETURN, the iteration budget, or the first pointer that
-        // leaves this node — so `at_switch` crossing semantics (reroute on
-        // the packet's own `cur_ptr`) are untouched.
+        // interconnect trip and is priced as
+        // `AccelTiming::fused_hop_increment`. Fusion stops at RETURN, the
+        // iteration budget, or the first pointer that leaves this node — so
+        // `at_switch` crossing semantics (reroute on the packet's own
+        // `cur_ptr`) are untouched.
         let mut batch_cost = SimTime::ZERO;
         if self.cfg.batch_hops > 1 {
             while let PendingIter::Ok { trace, fused } = &mut pending {
@@ -645,11 +644,7 @@ impl Accelerator {
                         trace.spec_next = t2.spec_next;
                         trace.spec_inhibit = t2.spec_inhibit;
                         *fused += 1;
-                        let inc = fused_hop_increment(
-                            self.cfg.timing.dram_access,
-                            window.len,
-                            self.cfg.timing.dram_bytes_per_sec * 8,
-                        );
+                        let inc = self.cfg.timing.fused_hop_increment(window.len);
                         batch_cost += inc;
                         self.stats.components.dram += inc;
                         self.stats.dram_bytes += window.len as u64;
@@ -822,7 +817,7 @@ mod tests {
     use super::*;
     use pulse_dispatch::{compile, samples};
     use pulse_mem::{ClusterAllocator, Perms, Placement};
-    use pulse_net::{CodeBlob, RequestId};
+    use pulse_net::RequestId;
     use pulse_sim::Driver;
     use std::sync::Arc;
 
@@ -860,7 +855,7 @@ mod tests {
 
     fn find_packet(head: u64, key: u64, seq: u64) -> IterPacket {
         let prog = Arc::new(compile(&samples::hash_find_spec()).unwrap());
-        let code = CodeBlob::new(prog.clone());
+        let code = prog.clone();
         let mut state = pulse_isa::IterState::new(&prog, head);
         state.set_scratch_u64(0, key);
         IterPacket {
@@ -987,7 +982,7 @@ mod tests {
         b.store(Operand::Imm(0xDEAD_0000), 0, Operand::Imm(1), Width::B8);
         b.ret(Operand::Imm(0));
         let prog = Arc::new(b.finish().unwrap());
-        let code = CodeBlob::new(prog.clone());
+        let code = prog.clone();
         let pkt = IterPacket {
             id: RequestId { cpu: 0, seq: 1 },
             state: pulse_isa::IterState::new(&prog, head),
@@ -1189,7 +1184,7 @@ mod tests {
         b.bind(done);
         b.ret(Operand::Imm(0));
         let prog = Arc::new(b.finish().unwrap());
-        let code = CodeBlob::new(prog.clone());
+        let code = prog.clone();
         IterPacket {
             id: RequestId { cpu: 0, seq },
             state: pulse_isa::IterState::new(&prog, head),
@@ -1328,7 +1323,7 @@ mod tests {
         let pkt = IterPacket {
             id: RequestId { cpu: 0, seq: 1 },
             state: pulse_isa::IterState::new(&prog, head),
-            code: CodeBlob::new(prog.clone()),
+            code: prog.clone(),
             status: IterStatus::InFlight,
             piggyback_bytes: 0,
             touched: Vec::new(),

@@ -1,67 +1,9 @@
-//! Accelerator configuration: pipeline counts, clocking, and the component
-//! latencies measured in the paper (Fig. 10).
+//! Accelerator configuration: pipeline counts and organization. The
+//! component latencies measured in the paper (Fig. 10) are
+//! [`AccelTiming`], defined in `pulse-isa` beside the offload gate's cost
+//! model so the gate and the accelerator price from one definition.
 
-use pulse_sim::SimTime;
-
-/// Per-component timing of one pulse accelerator.
-#[derive(Debug, Clone, Copy)]
-pub struct AccelTiming {
-    /// 100 Gbps network stack processing per packet, each direction
-    /// (Fig. 10: 426.3 ns).
-    pub net_stack: SimTime,
-    /// Scheduler dispatch decision (Fig. 10: 5.1 ns).
-    pub scheduler: SimTime,
-    /// TCAM translation + protection (Fig. 10: 47 ns).
-    pub tcam: SimTime,
-    /// On-chip interconnect (Fig. 10: 22 ns).
-    pub interconnect: SimTime,
-    /// Memory controller + DRAM array access (Fig. 10: 110 ns).
-    pub dram_access: SimTime,
-    /// DRAM channel bandwidth per accelerator, bytes/second (§6: capped at
-    /// 25 GB/s, the FPGA's peak through the vendor interconnect IP).
-    pub dram_bytes_per_sec: u64,
-    /// Logic pipeline time per instruction (250 MHz ⇒ 4 ns).
-    pub insn_time: SimTime,
-}
-
-impl Default for AccelTiming {
-    fn default() -> Self {
-        AccelTiming {
-            net_stack: SimTime::from_nanos_f64(426.3),
-            scheduler: SimTime::from_nanos_f64(5.1),
-            tcam: SimTime::from_nanos(47),
-            interconnect: SimTime::from_nanos(22),
-            dram_access: SimTime::from_nanos(110),
-            dram_bytes_per_sec: 25_000_000_000,
-            insn_time: SimTime::from_nanos(4),
-        }
-    }
-}
-
-impl AccelTiming {
-    /// The "w/o interconnect IP" variant of Appendix C.2: direct per-pipe
-    /// channel wiring raises peak bandwidth to 34 GB/s.
-    pub fn without_interconnect_ip() -> AccelTiming {
-        AccelTiming {
-            dram_bytes_per_sec: 34_000_000_000,
-            interconnect: SimTime::from_nanos(8),
-            ..AccelTiming::default()
-        }
-    }
-
-    /// `t_d` — memory-pipeline occupancy and latency for one window fetch.
-    pub fn fetch_time(&self, bytes: u32) -> SimTime {
-        self.tcam
-            + self.interconnect
-            + self.dram_access
-            + SimTime::serialization(bytes as u64, self.dram_bytes_per_sec * 8)
-    }
-
-    /// Compute time for `insns` executed instructions.
-    pub fn logic_time(&self, insns: u32) -> SimTime {
-        self.insn_time * insns as u64
-    }
-}
+pub use pulse_isa::AccelTiming;
 
 /// How pipelines are organized (§4.2 / Table 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +70,7 @@ pub struct AccelConfig {
     /// ISA v2 same-node hop batching: fuse up to this many consecutive
     /// iterations whose windows translate on this node into one membus
     /// transaction — one full `t_d` plus a per-extra-hop increment
-    /// (`pulse_isa::fused_hop_increment`). `1` (the default) disables
+    /// ([`AccelTiming::fused_hop_increment`]). `1` (the default) disables
     /// fusion; crossing semantics are preserved because fusion stops at the
     /// first pointer that does not translate locally.
     pub batch_hops: u32,
@@ -164,30 +106,6 @@ mod tests {
         let t = cfg.timing;
         assert!((t.net_stack.as_nanos_f64() - 426.3).abs() < 1e-9);
         assert!((t.scheduler.as_nanos_f64() - 5.1).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fetch_time_composition() {
-        let t = AccelTiming::default();
-        // 47 + 22 + 110 + 10.24 (256 B @ 25 GB/s)
-        assert!((t.fetch_time(256).as_nanos_f64() - 189.24).abs() < 0.05);
-        // Smaller windows fetch faster but keep the fixed path.
-        assert!(t.fetch_time(8) > SimTime::from_nanos(179));
-        assert!(t.fetch_time(8) < t.fetch_time(256));
-    }
-
-    #[test]
-    fn logic_time_is_4ns_per_insn() {
-        let t = AccelTiming::default();
-        assert_eq!(t.logic_time(3), SimTime::from_nanos(12));
-    }
-
-    #[test]
-    fn no_interconnect_variant_is_faster() {
-        let a = AccelTiming::default();
-        let b = AccelTiming::without_interconnect_ip();
-        assert!(b.fetch_time(256) < a.fetch_time(256));
-        assert!(b.dram_bytes_per_sec > a.dram_bytes_per_sec);
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
     use pulse_dispatch::{compile, samples};
     use pulse_isa::{IterState, MemBus};
     use pulse_mem::{ClusterAllocator, Perms, Placement, RangeTable};
-    use pulse_net::{CodeBlob, RequestId};
+    use pulse_net::RequestId;
     use std::sync::Arc;
 
     fn chain(len: u64) -> (ClusterMemory, u64) {
@@ -180,7 +180,7 @@ mod tests {
         state.set_scratch_u64(0, key);
         IterPacket {
             id: RequestId { cpu: 0, seq },
-            code: CodeBlob::new(prog.clone()),
+            code: prog.clone(),
             state,
             status: IterStatus::InFlight,
             piggyback_bytes: 0,

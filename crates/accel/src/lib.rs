@@ -10,9 +10,10 @@
 //!   iterator. Offloaded programs *really execute* against the node-local
 //!   memory view; remote pointers bounce back to the switch as in-flight
 //!   packets (§5).
-//! * [`AccelTiming`] — the Fig. 10 component latencies (426.3 ns network
-//!   stack, 5.1 ns scheduler, 47 ns TCAM, 22 ns interconnect, 110 ns DRAM,
-//!   4 ns/instruction logic).
+//! * [`AccelTiming`] — the Fig. 10 component latencies (network stack,
+//!   scheduler, TCAM, interconnect, DRAM, per-instruction logic), defined
+//!   in `pulse-isa` so the dispatch engine's offload gate prices from the
+//!   same numbers, and re-exported here.
 //! * [`estimate`] — the Table 4 LUT/BRAM area model (fitted; the only
 //!   synthesized artifact we substitute).
 //! * [`run_closed_loop`] — the single-accelerator harness behind Table 4,

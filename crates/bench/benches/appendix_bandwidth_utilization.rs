@@ -5,6 +5,7 @@ use pulse_bench::{
     banner, paper_baselines, AppKind, Deployment, Stream, DEFAULT_GRANULARITY,
     FIGURE_WIREDTIGER_KEYS,
 };
+use pulse_isa::AccelTiming;
 use pulse_workloads::{Distribution, YcsbWorkload};
 
 fn main() {
@@ -30,11 +31,13 @@ fn main() {
                 stream: Stream::App(kind, Distribution::Zipfian),
                 requests: 300,
             };
-            // Network Gbps and per-node DRAM use normalized to 25 GB/s.
+            // Network Gbps and per-node DRAM use normalized to the
+            // channel rate.
+            let channel = AccelTiming::default().dram_bytes_per_sec as f64;
             let row = |workload: &str, count: &str, label: &str, rep: RunMetrics| {
                 let span = rep.makespan.as_secs_f64().max(1e-12);
                 let net = rep.net_bytes as f64 * 8.0 / span / 1e9;
-                let memn = rep.mem_bytes as f64 / span / nodes as f64 / 25e9;
+                let memn = rep.mem_bytes as f64 / span / nodes as f64 / channel;
                 println!("{workload:<20} {count:>5} {label:<12} | {net:>10.2} {memn:>11.2}");
             };
             let (_, pulse) = at(PulseMode::Pulse).execute();

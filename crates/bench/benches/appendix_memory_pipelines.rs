@@ -6,7 +6,7 @@ use pulse_bench::banner;
 use pulse_dispatch::{compile, samples};
 use pulse_isa::{IterState, MemBus};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Perms, Placement, RangeTable};
-use pulse_net::{CodeBlob, IterPacket, IterStatus, RequestId};
+use pulse_net::{IterPacket, IterStatus, RequestId};
 use std::sync::Arc;
 
 fn main() {
@@ -77,7 +77,7 @@ fn main() {
                     state.set_scratch_u64(0, 255);
                     IterPacket {
                         id: RequestId { cpu: 0, seq: i },
-                        code: CodeBlob::new(prog.clone()),
+                        code: prog.clone(),
                         state,
                         status: IterStatus::InFlight,
                         piggyback_bytes: 0,

@@ -7,6 +7,7 @@ use pulse_isa::Interpreter;
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_workloads::{
     execute_functional, Application, Btrdb, BtrdbConfig, WiredTiger, WiredTigerConfig,
+    FUNCTIONAL_ITERS,
 };
 
 fn crossings(app: &str, granularity: u64) -> Vec<u64> {
@@ -28,7 +29,7 @@ fn crossings(app: &str, granularity: u64) -> Vec<u64> {
         for _ in 0..300 {
             let r = a.next_request();
             out.push(
-                execute_functional(&mut interp, &mut mem, &r, 1 << 20)
+                execute_functional(&mut interp, &mut mem, &r, FUNCTIONAL_ITERS)
                     .unwrap()
                     .response
                     .node_crossings,
@@ -48,7 +49,7 @@ fn crossings(app: &str, granularity: u64) -> Vec<u64> {
         for _ in 0..300 {
             let r = a.next_request();
             out.push(
-                execute_functional(&mut interp, &mut mem, &r, 1 << 20)
+                execute_functional(&mut interp, &mut mem, &r, FUNCTIONAL_ITERS)
                     .unwrap()
                     .response
                     .node_crossings,

@@ -6,7 +6,7 @@ use pulse_bench::banner;
 use pulse_dispatch::{compile, samples};
 use pulse_isa::{IterState, MemBus};
 use pulse_mem::{ClusterAllocator, ClusterMemory, Perms, Placement, RangeTable};
-use pulse_net::{CodeBlob, IterPacket, IterStatus, RequestId};
+use pulse_net::{IterPacket, IterStatus, RequestId};
 use std::sync::Arc;
 
 fn chain(len: u64) -> (ClusterMemory, u64) {
@@ -48,7 +48,7 @@ fn perf(org: PipelineOrg) -> (f64, f64) {
             state.set_scratch_u64(0, 48); // WebService-like 48-hop lookup
             IterPacket {
                 id: RequestId { cpu: 0, seq: i },
-                code: CodeBlob::new(prog.clone()),
+                code: prog.clone(),
                 state,
                 status: IterStatus::InFlight,
                 piggyback_bytes: 0,

@@ -26,7 +26,7 @@
 //!   from its memory node (see the `swap` module).
 
 use crate::rpc::{ObjectCache, ReplayStats, RpcFlavor, RpcServer};
-use crate::swap::{SwapCpu, SwapStats, Walk, Walked, FUNCTIONAL_ITERS, PAGE_BYTES};
+use crate::swap::{SwapCpu, SwapStats, Walk, Walked, PAGE_BYTES};
 use pulse_accel::{AccelConfig, AccelEvent, AccelOutput, AccelSink, Accelerator};
 use pulse_frontend::{
     prefix_walk, CacheConfig, CacheStats, PrefixCoalescer, Role, TraversalCache, WalkOutcome,
@@ -37,14 +37,14 @@ use pulse_mem::{
     RangeTable,
 };
 use pulse_net::{
-    CodeBlob, Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Packet, RequestId, Route,
-    Switch, TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
+    Endpoint, Fabric, FabricConfig, IterPacket, IterStatus, Packet, RequestId, Route, Switch,
+    TopoNode, TopologySpec, FRAME_HEADER_BYTES, PULSE_HEADER_BYTES,
 };
 use pulse_sim::{
     CpuDispatch, DispatchConfig, Driver, IdHash, LatencyHistogram, SerialResource, SimTime, Slab,
 };
 use pulse_trace::{RunMetrics, SpanKind, TraceConfig, TraceSink, Track};
-use pulse_workloads::{execute_functional, AddrSource, AppRequest};
+use pulse_workloads::{execute_functional, AddrSource, AppRequest, FUNCTIONAL_ITERS};
 use std::collections::HashMap;
 
 /// Distributed-traversal handling mode (Fig. 9).
@@ -572,7 +572,8 @@ impl PulseCluster {
         Ok(PulseCluster {
             accels,
             servers: rpc.map_or(Vec::new(), |f| {
-                (0..nodes).map(|_| RpcServer::new(f)).collect()
+                let dram = cfg.accel.timing.dram_bytes_per_sec;
+                (0..nodes).map(|_| RpcServer::new(f, dram)).collect()
             }),
             switch,
             fabric,
@@ -1423,7 +1424,7 @@ impl PulseCluster {
                                             // Cheap: an Arc clone with a
                                             // cached wire length — no
                                             // per-request re-encode.
-                                            code: CodeBlob::new(stage.program.clone()),
+                                            code: stage.program.clone(),
                                             state,
                                             status: IterStatus::InFlight,
                                             piggyback_bytes: 0,
@@ -1935,7 +1936,7 @@ impl PulseCluster {
         let mut work = self.servers[n].run(n, &mut ip, &mut self.mem, max_iters, collect);
         if self.cpus[ip.id.cpu].objects.is_none() {
             if let Some(len) = self.gather_len(n, &ip) {
-                RpcServer::gather(&mut work, len);
+                self.servers[n].gather(&mut work, len);
                 ip.piggyback_bytes = len;
             }
         }
@@ -2474,6 +2475,41 @@ mod tests {
             let got = c.final_state.expect("state").scratch_u64(8);
             assert_eq!(got, expected[c.id.seq as usize], "request {}", c.id);
         }
+    }
+
+    /// An RPC server's DRAM pipe and its gather move bytes at the rack's
+    /// channel rate (`AccelTiming::dram_bytes_per_sec`, the rate its DMA
+    /// engines use): on a rack with half the rate, the same gathered
+    /// WebService read departs later, by at least the extra time its
+    /// object takes to copy.
+    #[test]
+    fn rpc_dram_pipe_follows_the_racks_channel_rate() {
+        let (_, reqs, _) = webservice_cluster(1, 2_000, 1 << 20);
+        let object = reqs[0].object_io.expect("a WebService read").len;
+        let served = |dram_bytes_per_sec: u64| {
+            let (mem, reqs, expected) = webservice_cluster(1, 2_000, 1 << 20);
+            let mut accel = AccelConfig::default();
+            accel.timing.dram_bytes_per_sec = dram_bytes_per_sec;
+            let cfg = ClusterConfig {
+                mode: PulseMode::Rpc(RpcFlavor::Rpc),
+                accel,
+                ..ClusterConfig::default()
+            };
+            let mut cluster = PulseCluster::new(cfg, mem);
+            cluster.submit_at(SimTime::ZERO, reqs.into_iter().next().unwrap());
+            let mut done = Vec::new();
+            while cluster.step() {
+                done.extend(cluster.take_completions());
+            }
+            assert_eq!(done.len(), 1);
+            let got = done[0].final_state.as_ref().expect("state").scratch_u64(8);
+            assert_eq!(got, expected[0]);
+            done[0].finished_at
+        };
+        let rate = AccelTiming::default().dram_bytes_per_sec;
+        let (fast, slow) = (served(rate), served(rate / 2));
+        let extra = SimTime::serialization(object as u64, rate * 8);
+        assert!(slow >= fast + extra, "{slow} vs {fast} + {extra}");
     }
 
     #[test]

@@ -38,30 +38,6 @@ use pulse_mem::{ClusterMemory, NodeId};
 use pulse_net::{IterPacket, IterStatus};
 use pulse_sim::{IdHash, IdHasher, SerialResource, ServerPool, SimTime};
 
-/// A CPU's execution parameters for traversal service.
-#[derive(Debug, Clone, Copy)]
-struct CpuModel {
-    /// Per-instruction time for traversal logic.
-    insn_time: SimTime,
-    /// Local DRAM access latency (dependent pointer chase step).
-    dram_latency: SimTime,
-}
-
-/// Xeon Gold 6240-class core.
-const XEON: CpuModel = CpuModel {
-    insn_time: CostModel::xeon().insn_time,
-    dram_latency: SimTime::from_nanos(90),
-};
-
-/// Bluefield-2 Cortex-A72-class core: slower issue, slower memory path.
-const ARM_CORTEX_A72: CpuModel = CpuModel {
-    insn_time: CostModel::arm_cortex_a72().insn_time,
-    dram_latency: SimTime::from_nanos(150),
-};
-
-/// Memory-node DRAM bandwidth each node serves, bytes per second.
-const DRAM_BYTES_PER_SEC: u64 = 25_000_000_000;
-
 /// Cached object granularity of Cache+RPC (the 8 KiB application object).
 const OBJECT_BYTES: u64 = 8192;
 
@@ -81,10 +57,11 @@ pub enum RpcFlavor {
 }
 
 impl RpcFlavor {
-    fn cpu(self) -> CpuModel {
+    /// The memory-node core the workers run on.
+    fn cpu(self) -> CostModel {
         match self {
-            RpcFlavor::RpcArm => ARM_CORTEX_A72,
-            _ => XEON,
+            RpcFlavor::RpcArm => CostModel::arm_cortex_a72(),
+            _ => CostModel::xeon(),
         }
     }
 
@@ -233,7 +210,7 @@ impl Memo {
         let r = self.entries.get(&key)?;
         let st = &mut pkt.state;
         let len = st.scratch.len();
-        let same = r.code == pkt.code.program().code_id()
+        let same = r.code == pkt.code.code_id()
             && r.node == node
             && r.cur_ptr == st.cur_ptr
             && r.iters_done == st.iters_done
@@ -268,11 +245,13 @@ pub(crate) struct RpcServer {
 }
 
 impl RpcServer {
-    pub(crate) fn new(flavor: RpcFlavor) -> RpcServer {
+    /// A server of `flavor` whose DRAM pipe moves `dram_bytes_per_sec`,
+    /// the memory node's channel rate.
+    pub(crate) fn new(flavor: RpcFlavor, dram_bytes_per_sec: u64) -> RpcServer {
         RpcServer {
             flavor,
             workers: ServerPool::new(flavor.workers_per_node()),
-            dram: SerialResource::new(DRAM_BYTES_PER_SEC * 8),
+            dram: SerialResource::new(dram_bytes_per_sec * 8),
             interp: Interpreter::new(),
             memo: Memo::default(),
             waiting: VecDeque::new(),
@@ -302,7 +281,7 @@ impl RpcServer {
         }
         let epochs = (mem.write_epoch(), mem.layout_epoch());
         self.memo.hold(epochs);
-        let code = pkt.code.program().code_id();
+        let code = pkt.code.code_id();
         let key = inputs_hash(code, n, &pkt.state, max_iters);
         if let Some((work, iterations)) = self.memo.replay(key, n, pkt, max_iters) {
             self.iterations += iterations;
@@ -360,7 +339,7 @@ impl RpcServer {
             service: self.flavor.request_software(),
             bytes: 0,
         };
-        let program = pkt.code.program();
+        let program = &pkt.code;
         let window = program.window();
         pkt.status = loop {
             let base = pkt.state.cur_ptr.wrapping_add(window.off as i64 as u64);
@@ -405,9 +384,10 @@ impl RpcServer {
         (work, stored)
     }
 
-    /// Adds copying a `len`-byte object into the response to `work`.
-    pub(crate) fn gather(work: &mut Work, len: u32) {
-        work.service += SimTime::serialization(len as u64, DRAM_BYTES_PER_SEC * 8);
+    /// Adds copying a `len`-byte object into the response to `work`, at
+    /// the DRAM pipe's rate.
+    pub(crate) fn gather(&self, work: &mut Work, len: u32) {
+        work.service += SimTime::serialization(len as u64, self.dram.bits_per_sec());
         work.bytes += len as u64;
     }
 
@@ -431,7 +411,7 @@ mod tests {
     use super::*;
     use pulse_isa::{AluOp, Cond, MemBus, Operand, Place, Program, ProgramBuilder, Reg, Width};
     use pulse_mem::Perms;
-    use pulse_net::{CodeBlob, RequestId};
+    use pulse_net::RequestId;
     use std::sync::Arc;
 
     /// A list node: key | value | next.
@@ -440,6 +420,14 @@ mod tests {
     const EXT0: u64 = 0x1_0000;
     /// Node 1's extent, holding list nodes 4..8.
     const EXT1: u64 = 0x2_0000;
+
+    /// A Xeon RPC server on the default DRAM channel.
+    fn rpc_server() -> RpcServer {
+        RpcServer::new(
+            RpcFlavor::Rpc,
+            pulse_isa::AccelTiming::default().dram_bytes_per_sec,
+        )
+    }
 
     /// List node `i`'s address.
     fn node(i: u64) -> u64 {
@@ -509,7 +497,7 @@ mod tests {
         state.set_scratch_u64(0, key);
         IterPacket {
             id: RequestId { cpu: 0, seq: 0 },
-            code: CodeBlob::new(program.clone()),
+            code: program.clone(),
             state,
             status: IterStatus::InFlight,
             piggyback_bytes: 0,
@@ -541,11 +529,11 @@ mod tests {
     #[test]
     fn a_warm_server_replays_exactly_what_a_fresh_one_runs() {
         let (mut mem, find) = (memory(), find());
-        let mut warm = RpcServer::new(RpcFlavor::Rpc);
+        let mut warm = rpc_server();
         for key in [3, 7] {
             let pkt = packet(&find, node(0), key);
             let first = serve(&mut warm, 0, &mut mem, &pkt);
-            let fresh = serve(&mut RpcServer::new(RpcFlavor::Rpc), 0, &mut mem, &pkt);
+            let fresh = serve(&mut rpc_server(), 0, &mut mem, &pkt);
             let replayed = serve(&mut warm, 0, &mut mem, &pkt);
             assert_eq!(replayed, fresh, "key {key}");
             assert_eq!(first, fresh, "key {key}");
@@ -576,7 +564,7 @@ mod tests {
     #[test]
     fn a_write_between_identical_services_forces_a_walk_that_sees_it() {
         let (mut mem, find) = (memory(), find());
-        let mut server = RpcServer::new(RpcFlavor::Rpc);
+        let mut server = rpc_server();
         let pkt = packet(&find, node(0), 2);
         assert_eq!(serve(&mut server, 0, &mut mem, &pkt).1.scratch_u64(8), 102);
         assert_eq!(serve(&mut server, 0, &mut mem, &pkt).1.scratch_u64(8), 102);
@@ -599,7 +587,7 @@ mod tests {
     #[test]
     fn a_bounced_service_runs_on_once_its_node_gains_the_extent() {
         let (mut mem, find) = (memory(), find());
-        let mut server = RpcServer::new(RpcFlavor::Rpc);
+        let mut server = rpc_server();
         let pkt = packet(&find, node(0), 6);
         for _ in 0..2 {
             let bounced = serve(&mut server, 0, &mut mem, &pkt);
@@ -621,7 +609,7 @@ mod tests {
     #[test]
     fn identical_locked_updates_both_apply() {
         let (mut mem, bump) = (memory(), bump());
-        let mut server = RpcServer::new(RpcFlavor::Rpc);
+        let mut server = rpc_server();
         let lock = node(1);
         mem.write_word(lock, 0, 8).unwrap();
         let mut pkt = packet(&bump, lock, 0);
@@ -661,7 +649,7 @@ mod tests {
     #[test]
     fn a_memo_slot_replays_only_the_inputs_it_was_filed_with() {
         let (mut mem, program) = (memory(), find());
-        let mut server = RpcServer::new(RpcFlavor::Rpc);
+        let mut server = rpc_server();
         let pkt = packet(&program, node(0), 3);
         serve(&mut server, 0, &mut mem, &pkt);
         let key = inputs_hash(program.code_id(), 0, &pkt.state, 64);
@@ -672,7 +660,7 @@ mod tests {
         let mut continued = pkt.clone();
         continued.state.iters_done = 1;
         let mut other_program = pkt.clone();
-        other_program.code = CodeBlob::new(find());
+        other_program.code = find();
         let cases = [
             (other_key, 0, 64),
             (later_start, 0, 64),

@@ -6,8 +6,9 @@
 //! in one step, as an RPC worker does, so an update's lock, stores and
 //! unlock land together. The request then walks its access trace page by
 //! page against the node's 4 KiB-page LRU. Each touch first pays the
-//! instructions of the iteration that made it. A hit then costs a local
-//! DRAM access. A miss pays the kernel's fault software, books the node's
+//! instructions of the iteration that made it on the node's Xeon core
+//! ([`CostModel::xeon`]). A hit then costs that core's local DRAM
+//! access. A miss pays the kernel's fault software, books the node's
 //! swap pipe (reclaim and I/O issue, one page at a time) and sends a
 //! `Packet::Read` for the page to its owner. The owner's DMA engine
 //! serves it like any object read, the page rides back hop by hop, and the
@@ -23,22 +24,12 @@ use pulse_workloads::Access;
 /// Page size of the swap system.
 pub(crate) const PAGE_BYTES: u64 = 4096;
 
-/// Iteration budget per stage of the functional run: it has no offload
-/// boundary, so the budget only guards against cycles.
-pub(crate) const FUNCTIONAL_ITERS: u32 = 1 << 20;
-
 /// Kernel fault-handling software cost per major fault.
 const FAULT_SOFTWARE: SimTime = SimTime::from_micros(5);
 
 /// Swap-subsystem per-page service (reclaim + I/O issue) — the "could not
 /// evict pages fast enough" ceiling of §6.1.
 const SWAP_SERVICE: SimTime = SimTime::from_micros(4);
-
-/// Per-instruction time of the CPU node's Xeon Gold 6240-class core.
-const INSN_TIME: SimTime = CostModel::xeon().insn_time;
-
-/// The core's local DRAM access latency (a page-cache hit).
-const DRAM_LATENCY: SimTime = SimTime::from_nanos(90);
 
 /// One page touch of a walk.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +67,7 @@ impl Walk {
         for a in accesses {
             let first = a.addr / PAGE_BYTES;
             let last = a.addr.saturating_add(a.len.max(1) as u64 - 1) / PAGE_BYTES;
-            let mut lead = INSN_TIME * a.insns as u64;
+            let mut lead = CostModel::xeon().insn_time * a.insns as u64;
             for page in first..=last {
                 touches.push(Touch {
                     page,
@@ -194,7 +185,8 @@ impl SwapCpu {
                 return Walked::Fault(t);
             }
             span(SpanKind::Dispatch, t);
-            t += DRAM_LATENCY;
+            // A page-cache hit: one local DRAM access.
+            t += CostModel::xeon().dram_latency;
             span(SpanKind::CacheHit, t);
             if touch.traversal {
                 self.traversal_time += t - walk.began;

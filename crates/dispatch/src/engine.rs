@@ -7,45 +7,10 @@
 
 use crate::compile::{compile, CompileError};
 use crate::spec::IterSpec;
-use pulse_isa::{CostModel, Program};
+use pulse_isa::{AccelTiming, Program};
 use pulse_sim::SimTime;
 use std::fmt;
 use std::sync::Arc;
-
-/// Memory-pipeline timing at the accelerator (Fig. 10 components).
-#[derive(Debug, Clone, Copy)]
-pub struct MemTiming {
-    /// TCAM translation + protection check.
-    pub tcam: SimTime,
-    /// On-chip interconnect traversal.
-    pub interconnect: SimTime,
-    /// DRAM access (memory controller + array).
-    pub dram_access: SimTime,
-    /// DRAM channel bandwidth in bytes/second (per node).
-    pub dram_bytes_per_sec: u64,
-}
-
-impl Default for MemTiming {
-    fn default() -> Self {
-        MemTiming {
-            tcam: SimTime::from_nanos(47),
-            interconnect: SimTime::from_nanos(22),
-            dram_access: SimTime::from_nanos(110),
-            dram_bytes_per_sec: 25_000_000_000,
-        }
-    }
-}
-
-impl MemTiming {
-    /// `t_d` for a window of `bytes`: fixed access latency plus channel
-    /// occupancy for the burst.
-    pub fn fetch_time(&self, bytes: u32) -> SimTime {
-        self.tcam
-            + self.interconnect
-            + self.dram_access
-            + SimTime::serialization(bytes as u64, self.dram_bytes_per_sec * 8)
-    }
-}
 
 /// The dispatch engine's static analysis of one compiled iterator.
 #[derive(Debug, Clone, Copy)]
@@ -101,6 +66,10 @@ pub struct CompiledIterator {
 
 /// The dispatch engine (§4.1): compiler front-end + offload gate.
 ///
+/// The gate prices `t_c` and `t_d` with the paper deployment's
+/// [`AccelTiming`], the numbers the accelerator itself charges; `η` is
+/// the engine's one setting.
+///
 /// # Examples
 ///
 /// ```
@@ -117,38 +86,31 @@ pub struct CompiledIterator {
 pub struct DispatchEngine {
     /// Accelerator-specific offload threshold (`η = m/n`, §4.2).
     pub eta: f64,
-    /// Per-instruction cost of the target accelerator.
-    pub accel_cost: CostModel,
-    /// Memory-pipeline timing of the target accelerator.
-    pub mem_timing: MemTiming,
 }
 
 impl Default for DispatchEngine {
     fn default() -> Self {
-        DispatchEngine {
-            // 3 logic / 4 memory pipelines in the paper's deployment.
-            eta: 0.75,
-            accel_cost: CostModel::pulse_accelerator(),
-            mem_timing: MemTiming::default(),
-        }
+        // 3 logic / 4 memory pipelines in the paper's deployment.
+        DispatchEngine::with_eta(0.75)
     }
 }
 
 impl DispatchEngine {
     /// Creates an engine with a specific η.
     pub fn with_eta(eta: f64) -> DispatchEngine {
-        DispatchEngine {
-            eta,
-            ..DispatchEngine::default()
-        }
+        DispatchEngine { eta }
     }
 
-    /// Analyzes an already-compiled program.
+    /// Analyzes an already-compiled program: `t_c = t_i · N` with `N` the
+    /// longest acyclic path through the program (exact for this ISA,
+    /// whose jumps are forward-only, §4.1), and `t_d` the fetch of its
+    /// coalesced window.
     pub fn analyze(&self, program: &Program) -> OffloadAnalysis {
+        let timing = AccelTiming::default();
         let window_bytes = program.window().len;
         let insn_bound = program.len() as u32;
-        let t_c = self.accel_cost.static_iteration_cost(program);
-        let t_d = self.mem_timing.fetch_time(window_bytes);
+        let t_c = timing.logic_time(program.longest_path());
+        let t_d = timing.fetch_time(window_bytes);
         OffloadAnalysis {
             t_c,
             t_d,
@@ -161,7 +123,8 @@ impl DispatchEngine {
     /// The offload gate: `t_c ≤ η · t_d`, with each explicit extra load
     /// adding another window-less fetch to the memory side.
     pub fn decide(&self, analysis: &OffloadAnalysis) -> OffloadDecision {
-        let t_d_total = analysis.t_d + self.mem_timing.fetch_time(8) * analysis.extra_loads as u64;
+        let t_d_total =
+            analysis.t_d + AccelTiming::default().fetch_time(8) * analysis.extra_loads as u64;
         let budget = t_d_total.as_picos() as f64 * self.eta;
         if analysis.t_c.as_picos() as f64 <= budget {
             OffloadDecision::Offload
@@ -192,16 +155,6 @@ mod tests {
     use super::*;
     use crate::samples;
     use crate::spec::{Expr, Stmt};
-
-    #[test]
-    fn fetch_time_matches_fig10_components() {
-        let mt = MemTiming::default();
-        // 47 + 22 + 110 = 179 ns fixed; 256 B at 25 GB/s adds 10.24 ns.
-        let t = mt.fetch_time(256);
-        assert!((t.as_nanos_f64() - 189.24).abs() < 0.05, "{t}");
-        let t64 = mt.fetch_time(64);
-        assert!(t64 < t);
-    }
 
     #[test]
     fn hash_find_is_offloaded_with_low_ratio() {

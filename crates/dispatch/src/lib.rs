@@ -16,8 +16,10 @@
 //!    the single ≤256 B per-iteration LOAD, then emits forward-jump-only
 //!    PULSE ISA.
 //! 3. **[`DispatchEngine`]** — prices the program (`t_c = t_i · N`, `t_d`
-//!    from the Fig. 10 memory-pipeline components) and applies the offload
-//!    gate `t_c ≤ η·t_d`; compute-heavy iterators stay on the CPU node.
+//!    from the Fig. 10 memory-pipeline components, both read from
+//!    `pulse_isa::AccelTiming`, the timing the accelerator charges) and
+//!    applies the offload gate `t_c ≤ η·t_d`; compute-heavy iterators stay
+//!    on the CPU node.
 //!
 //! Applications rarely call this crate directly: a data structure exposes
 //! its [`IterSpec`] stages through the `Traversal` trait (`pulse-ds`), and
@@ -48,5 +50,5 @@ pub mod samples;
 mod spec;
 
 pub use compile::{compile, infer_window, CompileError, WindowPlan};
-pub use engine::{CompiledIterator, DispatchEngine, MemTiming, OffloadAnalysis, OffloadDecision};
+pub use engine::{CompiledIterator, DispatchEngine, OffloadAnalysis, OffloadDecision};
 pub use spec::{CondExpr, Expr, IterSpec, Stmt};

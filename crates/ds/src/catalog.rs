@@ -303,12 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_is_exact_for_the_whole_catalog() {
+    fn wire_len_is_exact_for_the_whole_catalog() {
         // The cached arithmetic wire length must equal a real encoding pass
         // for every compiled program in the catalog, plus the staged scans'
         // second-stage programs (the widest operand mix in the workspace).
         use crate::{BtrdbTree, WiredTigerTree};
-        use pulse_isa::{encode_program, encoded_len};
+        use pulse_isa::encode_program;
         let mut specs: Vec<(String, pulse_dispatch::IterSpec)> = catalog()
             .iter()
             .map(|s| (s.name.to_string(), (s.spec)()))
@@ -317,7 +317,7 @@ mod tests {
         specs.push(("btrdb::aggregate".into(), BtrdbTree::aggregate_spec()));
         for (name, spec) in specs {
             let p = pulse_dispatch::compile(&spec).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(encoded_len(&p), encode_program(&p).len(), "{name}");
+            assert_eq!(p.wire_len(), encode_program(&p).len(), "{name}");
         }
     }
 

@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use pulse_isa::AccelTiming;
 use pulse_sim::SimTime;
 
 /// Power draw decomposition of one system deployment, in watts.
@@ -114,7 +115,7 @@ pub fn node_power(kind: SystemKind) -> PowerBreakdown {
             }
         }
         SystemKind::Rpc | SystemKind::CacheRpc => {
-            let cores = xeon_cores_to_saturate(25e9);
+            let cores = xeon_cores_to_saturate(AccelTiming::default().dram_bytes_per_sec as f64);
             PowerBreakdown {
                 compute_w: XEON_CORE_W * cores as f64,
                 dram_w: DRAM_W,

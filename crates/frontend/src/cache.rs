@@ -40,7 +40,7 @@
 //! integer-hashed index maps a line to its slot. A hit inside one line is
 //! one index lookup.
 
-use pulse_isa::{MemBus, MemFault};
+use pulse_isa::{CostModel, MemBus, MemFault};
 use pulse_mem::ClusterMemory;
 use pulse_sim::{IdHash, SimTime};
 use std::collections::HashMap;
@@ -61,9 +61,10 @@ impl CacheConfig {
     /// granularity.
     pub const LINE_BYTES: u64 = 64;
 
-    /// Cost of one locally-walked hop: a DRAM hit plus the (modelled-free)
-    /// version validation.
-    pub const HIT_NS: SimTime = SimTime::from_nanos(90);
+    /// Cost of one locally-walked hop: a DRAM hit on the CPU node's Xeon
+    /// core ([`CostModel::xeon`]) plus the (modelled-free) version
+    /// validation. The hop's instructions are not charged.
+    pub const HIT_NS: SimTime = CostModel::xeon().dram_latency;
 
     /// The disabled configuration (same as [`CacheConfig::default`]).
     pub fn disabled() -> CacheConfig {

@@ -509,14 +509,6 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, DecodeError> {
     )?)
 }
 
-/// The wire size in bytes of a program's encoding, used for packet sizing.
-///
-/// O(1): returns the arithmetic length [`Program::new`] cached at
-/// validation time — no allocation, no encoding pass.
-pub fn encoded_len(p: &Program) -> usize {
-    p.wire_len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,12 +565,6 @@ mod tests {
         assert_eq!(p.insns(), q.insns());
         assert_eq!(p.window(), q.window());
         assert_eq!(p.scratch_len(), q.scratch_len());
-    }
-
-    #[test]
-    fn encoded_len_matches_bytes() {
-        let p = sample_program();
-        assert_eq!(encoded_len(&p), encode_program(&p).len());
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!   immediates; [`Program::new`] decodes each operand to an offset in
 //!   that frame once, and each compare-jump condition to an op of its own;
 //! * the binary wire [`encoding`](encode_program) requests carry; and
-//! * the per-instruction [`CostModel`] behind the dispatch engine's
-//!   `t_c = t_i · N` offload test.
+//! * the cost model: the accelerator's Fig. 10 [`AccelTiming`], which
+//!   prices both the accelerator and the dispatch engine's
+//!   `t_c = t_i · N ≤ η·t_d` offload test, and the CPU cores'
+//!   [`CostModel`].
 //!
 //! # Examples
 //!
@@ -74,8 +76,8 @@ mod ops;
 mod program;
 
 pub use builder::{Label, ProgramBuilder};
-pub use cost::{fused_hop_increment, CostModel, FUSED_HOP_DRAM_DIV};
-pub use encode::{decode_program, encode_program, encoded_len, DecodeError};
+pub use cost::{AccelTiming, CostModel, FUSED_HOP_DRAM_DIV};
+pub use encode::{decode_program, encode_program, DecodeError};
 pub use interp::{Fault, Interpreter, IterOutcome, IterState, IterTrace, TraversalRun};
 pub use membus::{MemBus, MemFault, VecMem};
 pub use ops::{AluOp, Cond, Operand, Place, Reg, Width, NUM_REGS};

@@ -83,11 +83,7 @@ fn cached_wire_len_matches_real_encode() {
     let mut rng = SplitMix64::new(0x150_0006);
     for case in 0..CASES {
         let prog = program(&mut rng);
-        assert_eq!(
-            pulse_isa::encoded_len(&prog),
-            encode_program(&prog).len(),
-            "case {case}"
-        );
+        assert_eq!(prog.wire_len(), encode_program(&prog).len(), "case {case}");
     }
 }
 

@@ -6,7 +6,10 @@
 //! has no loss model, so no packet is ever dropped.
 //!
 //! Requests and responses deliberately share one format ([`IterPacket`]):
-//! code + `cur_ptr` + scratchpad + status. A memory node that discovers the
+//! code + `cur_ptr` + scratchpad + status. The code is the shared
+//! `Arc<Program>` itself; its encoded size, which every hop serializes, is
+//! [`pulse_isa::Program::wire_len`], cached when the program was
+//! validated. A memory node that discovers the
 //! next pointer is remote simply marks the packet in-flight and sends it
 //! back to the switch, which re-routes it — the distributed-continuation
 //! mechanism at the heart of the paper.
@@ -81,7 +84,7 @@ mod wire;
 
 pub use fabric::{Fabric, FabricConfig, LinkConfig};
 pub use packet::{
-    CodeBlob, CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
+    CpuId, Endpoint, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES,
     PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES,
 };
 pub use switch::{Route, Switch, SwitchConfig};

@@ -7,7 +7,7 @@
 //! it to the next memory node as an ordinary request (§5 "Continuing
 //! stateful iterator execution").
 
-use pulse_isa::{encoded_len, IterState, MemFault, Program};
+use pulse_isa::{IterState, MemFault, Program};
 use pulse_mem::NodeId;
 use std::fmt;
 use std::sync::Arc;
@@ -55,41 +55,6 @@ impl fmt::Display for RequestId {
     }
 }
 
-/// A compiled program plus its cached wire length.
-///
-/// Requests carry code on every hop, so its encoded size is a first-class
-/// quantity for link-serialization time; caching it avoids re-encoding on
-/// every packet-size query.
-#[derive(Debug, Clone)]
-pub struct CodeBlob {
-    program: Arc<Program>,
-    wire_len: usize,
-}
-
-impl CodeBlob {
-    /// Wraps a program, pre-computing its encoded length.
-    pub fn new(program: Arc<Program>) -> CodeBlob {
-        let wire_len = encoded_len(&program);
-        CodeBlob { program, wire_len }
-    }
-
-    /// The program.
-    pub fn program(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// Encoded length in bytes.
-    pub fn wire_len(&self) -> usize {
-        self.wire_len
-    }
-}
-
-impl From<Program> for CodeBlob {
-    fn from(p: Program) -> CodeBlob {
-        CodeBlob::new(Arc::new(p))
-    }
-}
-
 /// Where an iterator request stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterStatus {
@@ -115,8 +80,10 @@ pub enum IterStatus {
 pub struct IterPacket {
     /// Request identity.
     pub id: RequestId,
-    /// The compiled traversal.
-    pub code: CodeBlob,
+    /// The compiled traversal. Requests carry code on every hop, so its
+    /// encoded size ([`Program::wire_len`], cached at validation) is part
+    /// of every link-serialization time.
+    pub code: Arc<Program>,
     /// `cur_ptr`, scratchpad, iterations consumed (the continuation, §5).
     pub state: IterState,
     /// Status, which also determines routing.
@@ -244,11 +211,10 @@ mod tests {
     }
 
     fn iter_packet(status: IterStatus) -> Packet {
-        let code = CodeBlob::from(tiny_program());
-        let prog = code.program().clone();
+        let code = Arc::new(tiny_program());
         Packet::Iter(IterPacket {
             id: RequestId { cpu: 0, seq: 7 },
-            state: IterState::new(&prog, 0x1000),
+            state: IterState::new(&code, 0x1000),
             code,
             status,
             piggyback_bytes: 0,

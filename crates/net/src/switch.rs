@@ -102,8 +102,9 @@ impl Switch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{CodeBlob, IterPacket, RequestId};
+    use crate::packet::{IterPacket, RequestId};
     use pulse_isa::{Instruction, IterState, NodeWindow, Operand, Program};
+    use std::sync::Arc;
 
     fn table() -> GlobalRangeMap {
         GlobalRangeMap::new(&[(0x1000, 0x2000, 0), (0x2000, 0x3000, 1)])
@@ -119,8 +120,8 @@ mod tests {
             8,
         )
         .unwrap();
-        let code = CodeBlob::from(prog);
-        let mut state = IterState::new(code.program(), cur_ptr);
+        let code = Arc::new(prog);
+        let mut state = IterState::new(&code, cur_ptr);
         state.cur_ptr = cur_ptr;
         Packet::Iter(IterPacket {
             id: RequestId { cpu: 2, seq: 1 },

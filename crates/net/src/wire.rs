@@ -8,7 +8,7 @@
 //! exercised by property tests; [`Packet::wire_bytes`] and
 //! [`encode_packet`]'s output length agree by construction.
 
-use crate::packet::{CodeBlob, IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES};
+use crate::packet::{IterPacket, IterStatus, Packet, RequestId, FRAME_HEADER_BYTES};
 #[cfg(test)]
 use crate::packet::{PULSE_HEADER_BYTES, TOUCHED_DESCRIPTOR_BYTES};
 use bytes::{Buf, BufMut, BytesMut};
@@ -93,7 +93,7 @@ pub fn encode_packet(pkt: &Packet) -> Vec<u8> {
                 buf.put_u32_le(len);
                 buf.put_bytes(0, len as usize);
             }
-            buf.put_slice(&encode_program(p.code.program()));
+            buf.put_slice(&encode_program(&p.code));
             // Piggybacked object bytes (zero-filled payload stand-in).
             buf.put_bytes(0, p.piggyback_bytes as usize);
         }
@@ -226,7 +226,7 @@ pub fn decode_packet(bytes: &[u8]) -> Result<Packet, WireError> {
             };
             Ok(Packet::Iter(IterPacket {
                 id,
-                code: CodeBlob::new(Arc::new(program)),
+                code: Arc::new(program),
                 state: IterState {
                     cur_ptr: addr,
                     scratch,
@@ -262,7 +262,7 @@ mod tests {
         .unwrap();
         Packet::Iter(IterPacket {
             id: RequestId { cpu: 3, seq: 99 },
-            code: CodeBlob::new(Arc::new(prog)),
+            code: Arc::new(prog),
             state: IterState {
                 cur_ptr: 0xABCD_EF01,
                 scratch: scratch.to_vec(),
@@ -297,7 +297,7 @@ mod tests {
             assert_eq!(p.state.iters_done, 17);
             assert_eq!(p.state.scratch, scratch);
             assert_eq!(p.status, status);
-            assert_eq!(p.code.program().len(), 1);
+            assert_eq!(p.code.len(), 1);
         }
     }
 

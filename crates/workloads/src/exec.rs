@@ -78,6 +78,11 @@ pub struct FunctionalRun {
     pub accesses: Vec<Access>,
 }
 
+/// The iteration budget per stage of a functional run
+/// ([`execute_functional`]): the run has no offload boundary, so the
+/// budget only guards against cycles.
+pub const FUNCTIONAL_ITERS: u32 = 1 << 20;
+
 /// Executes `req` functionally over global memory on `interp`, which a
 /// caller running many requests keeps and hands in each time (a new
 /// [`Interpreter`] allocates and zeroes its frame).

@@ -53,7 +53,7 @@ pub use apps::{
     WEBSERVICE_CPU_WORK, WT_ENTRY_BYTES, WT_SCAN_CPU_WORK,
 };
 pub use arrival::ArrivalProcess;
-pub use exec::{execute_functional, Access, ExecError, FunctionalRun};
+pub use exec::{execute_functional, Access, ExecError, FunctionalRun, FUNCTIONAL_ITERS};
 pub use request::{
     AddrSource, AppRequest, AppResponse, ObjectIo, RequestError, RetryPolicy, StartPtr,
     TraversalStage,

@@ -36,7 +36,9 @@ use pulse_isa::Interpreter;
 use pulse_mem::{ClusterAllocator, ClusterMemory, Placement};
 use pulse_net::{RequestId, TopologySpec};
 use pulse_sim::{IdHash, LatencyHistogram, SimTime};
-use pulse_workloads::{execute_functional, AppRequest, ArrivalProcess, FunctionalRun};
+use pulse_workloads::{
+    execute_functional, AppRequest, ArrivalProcess, FunctionalRun, FUNCTIONAL_ITERS,
+};
 use std::collections::{HashSet, VecDeque};
 
 /// Default in-flight window: enough to keep a small rack's accelerators
@@ -594,7 +596,7 @@ impl Runtime {
             &mut self.functional,
             self.cluster.memory_mut(),
             req,
-            1 << 20,
+            FUNCTIONAL_ITERS,
         )?)
     }
 

@@ -6,9 +6,7 @@ use pulse::dispatch::DispatchEngine;
 use pulse::ds::HashMapDs;
 use pulse::isa::IterState;
 use pulse::mem::Perms;
-use pulse::net::{
-    decode_packet, encode_packet, CodeBlob, IterPacket, IterStatus, Packet, RequestId,
-};
+use pulse::net::{decode_packet, encode_packet, IterPacket, IterStatus, Packet, RequestId};
 use pulse::sim::SimTime;
 use pulse::workloads::StartPtr;
 use pulse::{Offloaded, Placement, PulseBuilder, Runtime};
@@ -160,7 +158,7 @@ fn continuation_survives_wire_roundtrip() {
     state.iters_done = 5;
     let pkt = Packet::Iter(IterPacket {
         id: RequestId { cpu: 0, seq: 1234 },
-        code: CodeBlob::new(prog.clone()),
+        code: prog.clone(),
         state: state.clone(),
         status: IterStatus::InFlight,
         piggyback_bytes: 0,
@@ -175,7 +173,7 @@ fn continuation_survives_wire_roundtrip() {
     assert_eq!(p.state.cur_ptr, state.cur_ptr);
     assert_eq!(p.state.scratch, state.scratch);
     assert_eq!(p.state.iters_done, 5);
-    assert_eq!(p.code.program().insns(), prog.insns());
+    assert_eq!(p.code.insns(), prog.insns());
 }
 
 /// Executing the same read-only request twice (as a retransmission would)
